@@ -17,10 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from . import benchkit, numcore as nc, rulekit
-from .core import DataError, dataset_stats, read_dataset, read_header, write_dataset
+from .core import (DataError, Description, GroundingLabel, PersonLink, Sample, Word,
+                   dataset_stats, read_dataset, read_header, write_dataset)
 from .grounder import GroundingModel, ModelConfig, TrainSchedule, train
 from .grounder.io import load_model, save_model
-from .grounder.model import loss_cls, loss_con, parse_config_file, select_context_objects
+from .grounder.model import parse_config_file
 from .numcore import CheckpointError, NumericError
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -174,9 +175,12 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    config = benchkit.SynthConfig(n_samples=args.n, max_persons=args.max_persons,
-                                  d_vis=args.d_vis, context_rate=args.context_rate,
-                                  seed=args.seed)
+    try:
+        config = benchkit.SynthConfig(n_samples=args.n, max_persons=args.max_persons,
+                                      d_vis=args.d_vis, context_rate=args.context_rate,
+                                      seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(f"bad synth option: {exc}") from None
     samples = benchkit.synth_generate(config)
     out = Path(args.out)
     if out.suffix != ".jsonl":
@@ -202,7 +206,10 @@ def _cmd_train(args) -> int:
     if args.no_context_objects:
         overrides["use_context_objects"] = False
     if overrides:
-        config = _replace_config(config, overrides)
+        try:
+            config = _replace_config(config, overrides)
+        except ValueError as exc:
+            raise UsageError(f"bad model option: {exc}") from None
 
     schedule_kwargs = _schedule_from_config(args.config)
     if args.steps is not None:
@@ -211,7 +218,10 @@ def _cmd_train(args) -> int:
         schedule_kwargs["lr"] = args.lr
     if args.token_budget is not None:
         schedule_kwargs["token_budget"] = args.token_budget
-    schedule = TrainSchedule(**schedule_kwargs)
+    try:
+        schedule = TrainSchedule(**schedule_kwargs)
+    except ValueError as exc:
+        raise UsageError(f"bad training schedule: {exc}") from None
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -258,7 +268,7 @@ def _cmd_eval(args) -> int:
     samples = read_dataset(_resolve_dataset(args.data))
     if args.checkpoint:
         model = load_model(args.checkpoint)
-        predictions = [model.predict_sample(s) for s in samples]
+        predictions = model.predict(samples)
         label = Path(args.checkpoint).name or "model"
     else:
         predictions = benchkit.run_baseline(args.name, samples, seed=args.seed)
@@ -289,47 +299,64 @@ def _cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
+def gradient_fixture(d_vis: int, seed: int = 0) -> list[Sample]:
+    """Up to three seeded synthetic scenes that pad unevenly when batched.
+
+    Person counts and object counts differ pairwise, and the last scene is
+    rewritten to carry two links in a shorter text, so a batch of them
+    exercises padding rows, both masks and per-sample link weights.
+    """
+    pool = benchkit.synth_generate(benchkit.SynthConfig(
+        n_samples=64, max_persons=4, d_vis=d_vis, context_rate=1.0, seed=seed))
+    picked: list[Sample] = []
+    for s in pool:
+        if all(s.image.n_persons != p.image.n_persons
+               and len(s.image.context_objects) != len(p.image.context_objects)
+               for p in picked):
+            picked.append(s)
+        if len(picked) == 3:
+            break
+    last = picked[-1]
+    gt = last.labels[1]
+    picked[-1] = Sample(
+        sample_id=last.sample_id, image=last.image,
+        description=Description([PersonLink(1), Word("greets"), PersonLink(2)]),
+        labels=GroundingLabel({1: gt, 2: (gt + 1) % last.image.n_persons}),
+        commonsense_type=last.commonsense_type)
+    return picked
+
+
 def run_gradient_suite(config: ModelConfig, seed: int = 0, epsilon: float = 1e-5,
                        max_entries_per_param: int = 8) -> dict:
-    """grad_check loss_cls / loss_con / loss_total on a seeded toy fixture.
+    """grad_check L_cls / L_con / L_cls + lambda L_con on a seeded padded batch.
 
     The model is checked in float64 at a rescaled parameter point (weights
     x10) so that gradient magnitudes are well clear of finite-difference
-    noise; gradient correctness is point-independent.
+    noise; gradient correctness is point-independent.  The batch is
+    ``gradient_fixture``, so the check covers padding and masking too.
     """
     from .grounder.train import build_vocab
 
-    fixture = benchkit.synth_generate(benchkit.SynthConfig(
-        n_samples=2, max_persons=3, d_vis=config.d_vis, context_rate=1.0,
-        seed=seed))
+    fixture = gradient_fixture(config.d_vis, seed)
     vocab = build_vocab(fixture, config.neutral_names)
     model = GroundingModel.init(config, vocab, dtype=np.float64)
     for p in model.params.values():
         if p.data.ndim == 2:
             p.data = p.data * 10.0
-    sample = fixture[0]
+    lam = config.lam if config.lam > 0 else 1.0
 
     def make_loss(kind: str):
         def loss_fn(params, need_grads=True):
             for p in params.values():
                 p.zero_grad()
             with nc.Graph() as graph:
-                encoded = model.forward(sample)
-                q, link_ids = model.class_logits(encoded)
-                labels = [sample.labels[l] for l in link_ids]
+                cls_term, con_term = model.loss_terms(fixture)
                 if kind == "cls":
-                    loss = loss_cls(q, labels)
+                    loss = cls_term
                 elif kind == "con":
-                    sets = select_context_objects(sample, config.t1, config.t2)
-                    loss = loss_con(encoded, sets, config.tau, config.contrast_layer,
-                                    normalize=config.normalize_similarity)
+                    loss = con_term
                 else:
-                    sets = select_context_objects(sample, config.t1, config.t2)
-                    loss = nc.add(loss_cls(q, labels),
-                                  nc.scale(loss_con(encoded, sets, config.tau,
-                                                    config.contrast_layer,
-                                                    normalize=config.normalize_similarity),
-                                           config.lam if config.lam > 0 else 1.0))
+                    loss = nc.add(cls_term, nc.scale(con_term, lam))
                 if need_grads:
                     graph.backward(loss)
                     grads = {k: (p.grad.copy() if p.grad is not None

@@ -2,8 +2,9 @@
 
 from .model import (
     DEFAULT_NEUTRAL_NAMES,
+    SUB_BATCH,
     ContrastiveSets,
-    EncodedSample,
+    EncodedBatch,
     GroundingModel,
     LinkContrast,
     ModelConfig,
@@ -11,18 +12,16 @@ from .model import (
     contrastive_loss_from_features,
     loss_cls,
     loss_con,
-    loss_total,
-    predict,
     select_context_objects,
     substitute_neutral_names,
 )
 from .train import TrainResult, TrainSchedule, build_vocab, make_batches, sequence_length, train
 
 __all__ = [
-    "ContrastiveSets", "DEFAULT_NEUTRAL_NAMES", "EncodedSample",
-    "GroundingModel", "LinkContrast", "ModelConfig", "TrainResult",
+    "ContrastiveSets", "DEFAULT_NEUTRAL_NAMES", "EncodedBatch",
+    "GroundingModel", "LinkContrast", "ModelConfig", "SUB_BATCH", "TrainResult",
     "TrainSchedule", "build_vocab", "classification_logits",
-    "contrastive_loss_from_features", "loss_cls", "loss_con", "loss_total",
-    "make_batches", "predict", "select_context_objects", "sequence_length",
-    "substitute_neutral_names", "train",
+    "contrastive_loss_from_features", "loss_cls", "loss_con", "make_batches",
+    "select_context_objects", "sequence_length", "substitute_neutral_names",
+    "train",
 ]

@@ -13,6 +13,12 @@ features; the auxiliary contrastive objective reads an earlier hidden layer
 and pulls a link toward its ground-truth person plus that person's
 IoU-selected context objects, away from the other persons, with the positive
 terms weighted by IoU against the ground-truth box.
+
+Samples run in batches: their sequences are zero-padded to a common length
+``L`` into one ``[B, L, d]`` tensor, a key-padding mask keeps attention off
+the padding, and the losses gather link, person and context-object rows by
+flat index, so one forward and one backward pass serve the whole batch.  The
+per-sample entry points are batches of one.
 """
 
 from __future__ import annotations
@@ -186,23 +192,60 @@ def substitute_neutral_names(description: Description,
 
 
 # ---------------------------------------------------------------------------
-# encoded sample and contrastive sets
+# encoded batch and contrastive sets
+
+# Samples per forward/backward pass, in training and in inference.  A pass
+# keeps every activation of its batch until backward, so a larger batch is
+# barely faster but holds proportionally more memory.
+SUB_BATCH = 16
+
+
+def _pad(lists: Sequence[Sequence[float]], dtype=np.intp) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged lists as one zero-padded ``[K, C]`` array plus the mask of real entries."""
+    width = max(len(x) for x in lists)
+    out = np.zeros((len(lists), width), dtype=dtype)
+    mask = np.zeros((len(lists), width), dtype=bool)
+    for i, x in enumerate(lists):
+        out[i, :len(x)] = x
+        mask[i, :len(x)] = True
+    return out, mask
 
 
 @dataclass
-class EncodedSample:
-    """One sample pushed through embedding (and optionally the encoder)."""
+class EncodedBatch:
+    """Samples embedded as one padded ``[B, L, d]`` sequence (and optionally encoded).
+
+    Row ``b`` holds sample ``b`` in its own layout (text, then persons, then
+    objects) from position 0; the positions after it are zero padding, False
+    in ``mask``.  Positions count within a sample; ``row`` turns one into an
+    index into the features flattened to ``[B * L, d]``.
+    """
 
     sequence: nc.Tensor
-    link_positions: dict[int, int]
-    person_positions: list[int]
-    object_positions: list[int]
-    words: list[str]
+    mask: np.ndarray
+    link_positions: list[dict[int, int]]
+    person_positions: list[list[int]]
+    object_positions: list[list[int]]
+    words: list[list[str]]
     hidden: list[nc.Tensor] = field(default_factory=list)
 
     @property
     def final(self) -> nc.Tensor:
         return self.hidden[-1]
+
+    def row(self, b: int, position: int) -> int:
+        return b * self.sequence.data.shape[1] + position
+
+    def links(self) -> list[tuple[int, int]]:
+        """``(sample index, link id)`` of every link, by sample, then by link id."""
+        return [(b, link) for b, positions in enumerate(self.link_positions)
+                for link in sorted(positions)]
+
+    @staticmethod
+    def flat(t: nc.Tensor) -> nc.Tensor:
+        """A ``[B, L, d]`` tensor as ``[B * L, d]`` rows."""
+        b, length, d = t.data.shape
+        return nc.reshape(t, (b * length, d))
 
 
 @dataclass
@@ -255,58 +298,86 @@ def select_context_objects(sample: Sample, t1: float, t2: float) -> ContrastiveS
 # losses
 
 
-def loss_cls(q: nc.Tensor, labels: Sequence[int]) -> nc.Tensor:
-    """Mean cross-entropy of each logit row against its labeled column."""
-    if q.data.ndim != 2 or len(labels) != q.data.shape[0]:
+def loss_cls(q: nc.Tensor, labels: Sequence[int], mask: np.ndarray | None = None,
+             weights: Sequence[float] | None = None) -> nc.Tensor:
+    """Weighted cross-entropy of each logit row against its labeled column.
+
+    ``mask`` hides padding columns; ``weights`` (one per row) default to the
+    mean over rows.
+    """
+    if q.data.ndim != 2 or not labels or len(labels) != q.data.shape[0]:
         raise nc.NumericError(f"logits {q.data.shape} do not match {len(labels)} labels")
-    logp = nc.log_softmax(q, axis=1)
-    return nc.neg(nc.mean_all(nc.take_per_row(logp, list(labels))))
+    if weights is None:
+        weights = np.full(len(labels), 1.0 / len(labels))
+    logp = nc.log_softmax(q, axis=1, mask=mask)
+    return nc.neg(nc.dot_const(nc.take_per_row(logp, list(labels)), weights))
 
 
 def contrastive_loss_from_features(feats: nc.Tensor,
-                                   link_pos: int,
-                                   positive_pos: Sequence[int],
-                                   negative_pos: Sequence[int],
-                                   weights: np.ndarray,
+                                   anchors: Sequence[int],
+                                   candidates: Sequence[Sequence[int]],
+                                   weights: Sequence[Sequence[float]],
                                    tau: float,
                                    normalize: bool = False) -> nc.Tensor:
-    """One link's contrastive term on a given feature matrix.
+    """Contrastive terms of several links on one ``[n, d]`` feature matrix.
 
-    Similarities are dot products between the link row and every candidate
-    row (positives first, then negatives); the log-softmax over the full
-    candidate set is read at each positive and combined with weight
-    ``weights[p] / n_positives``.
+    Link ``i`` compares row ``anchors[i]`` with its rows ``candidates[i]``
+    (positives and negatives alike) by dot product over ``tau``.  The
+    log-softmax over its candidates is read at each candidate with
+    coefficient ``weights[i][j]`` (0 for a negative), and the weighted sum
+    over all links is negated.  Candidate lists may differ in length.
     """
     if tau <= 0:
         raise nc.NumericError(f"temperature must be positive, got {tau}")
     if normalize:
         feats = nc.l2_normalize_rows(feats)
-    anchor = nc.row_vector(feats, link_pos)
-    cand = nc.gather_rows(feats, list(positive_pos) + list(negative_pos))
-    sims = nc.matvec(cand, anchor)
-    scaled = nc.scale(sims, 1.0 / tau)
-    logp = nc.log_softmax(scaled, axis=0)
-    pos_logp = nc.slice_rows(logp, 0, len(positive_pos))
-    w = np.asarray(weights, dtype=np.float64) / len(positive_pos)
-    return nc.neg(nc.dot_const(pos_logp, w))
+    cols, mask = _pad(candidates)
+    coef, _ = _pad(weights, dtype=np.float64)
+    sims = nc.gather_dot(feats, feats, anchors, cols)
+    logp = nc.log_softmax(nc.scale(sims, 1.0 / tau), axis=1, mask=mask)
+    return nc.neg(nc.dot_const(logp, coef))
 
 
-def loss_con(encoded: EncodedSample, sets: ContrastiveSets, tau: float,
+def loss_con(encoded: EncodedBatch, sets: Sequence[ContrastiveSets], tau: float,
              contrast_layer: int, normalize: bool = False) -> nc.Tensor:
-    """IoU-weighted context contrastive loss, averaged over links."""
-    feats = layer_from_last(encoded.hidden, contrast_layer)
-    terms: list[nc.Tensor] = []
-    for lc in sets.per_link:
-        pos = [encoded.person_positions[lc.gt_person]]
-        pos += [encoded.object_positions[c] for c in lc.context_objects]
-        neg = [encoded.person_positions[j] for j in lc.negatives]
-        terms.append(contrastive_loss_from_features(
-            feats, encoded.link_positions[lc.link_id], pos, neg,
-            lc.weights, tau, normalize=normalize))
-    total = terms[0]
-    for t in terms[1:]:
-        total = nc.add(total, t)
-    return nc.scale(total, 1.0 / len(terms))
+    """IoU-weighted context contrastive loss: the mean over each sample's
+    links, then over the samples (``sets[b]`` belongs to sample ``b``).
+
+    A link's positives (its ground-truth person, then its context objects)
+    share the link's part of the mean by their IoU weights.
+    """
+    feats = encoded.flat(layer_from_last(encoded.hidden, contrast_layer))
+    anchors: list[int] = []
+    candidates: list[list[int]] = []
+    weights: list[list[float]] = []
+    for b, sample_sets in enumerate(sets):
+        persons = encoded.person_positions[b]
+        objects = encoded.object_positions[b]
+        for lc in sample_sets.per_link:
+            pos = [persons[lc.gt_person]] + [objects[c] for c in lc.context_objects]
+            neg = [persons[j] for j in lc.negatives]
+            share = 1.0 / (len(pos) * len(sample_sets.per_link) * len(sets))
+            anchors.append(encoded.row(b, encoded.link_positions[b][lc.link_id]))
+            candidates.append([encoded.row(b, position) for position in pos + neg])
+            weights.append([w * share for w in lc.weights] + [0.0] * len(neg))
+    return contrastive_loss_from_features(feats, anchors, candidates, weights, tau,
+                                          normalize=normalize)
+
+
+def classification_logits(encoded: EncodedBatch, w1: nc.Tensor,
+                          w2: nc.Tensor) -> tuple[nc.Tensor, np.ndarray]:
+    """``[K, N_max]`` bilinear scores of every link token against its sample's persons.
+
+    Rows follow ``encoded.links()``.  The returned mask is False on the
+    columns past a sample's person count, whose scores mean nothing.
+    Context objects never enter the classifier.
+    """
+    final = encoded.flat(encoded.final)
+    links = encoded.links()
+    rows = [encoded.row(b, encoded.link_positions[b][link]) for b, link in links]
+    cols, mask = _pad([[encoded.row(b, j) for j in encoded.person_positions[b]]
+                       for b, _link in links])
+    return nc.gather_dot(nc.linear(final, w1), nc.linear(final, w2), rows, cols), mask
 
 
 # ---------------------------------------------------------------------------
@@ -363,106 +434,137 @@ class GroundingModel:
         unk = self.vocab.get(UNK_TOKEN, 0)
         return [self.vocab.get(w, unk) for w in words]
 
-    def embed_sample(self, sample: Sample) -> EncodedSample:
-        cfg = self.config
-        words, link_positions = substitute_neutral_names(
-            sample.description, cfg.neutral_names, cfg.seed, sample.sample_id)
-        if len(words) > cfg.max_text_len:
-            raise DataError(f"{sample.sample_id}: {len(words)} text tokens exceed "
-                            f"max_text_len {cfg.max_text_len}")
-        p = self.params
-        ids = self._word_ids(words)
+    def embed(self, samples: Sequence[Sample]) -> EncodedBatch:
+        """Embed ``samples`` into one zero-padded ``[B, L, d]`` sequence."""
+        cfg, p = self.config, self.params
+        dtype = p["embed.feat.w"].dtype
+        layouts = []
+        for sample in samples:
+            words, link_positions = substitute_neutral_names(
+                sample.description, cfg.neutral_names, cfg.seed, sample.sample_id)
+            if len(words) > cfg.max_text_len:
+                raise DataError(f"{sample.sample_id}: {len(words)} text tokens exceed "
+                                f"max_text_len {cfg.max_text_len}")
+            regions = list(sample.image.persons)
+            if cfg.use_context_objects:
+                regions += sample.image.context_objects
+            layouts.append((sample, words, link_positions, regions))
+        width = max(len(words) + len(regions) for _s, words, _l, regions in layouts)
+
+        ids: list[int] = []
+        positions: list[int] = []
+        text_rows: list[int] = []
+        region_rows: list[int] = []
+        feats, locs = [], []
+        mask = np.zeros((len(samples), width), dtype=bool)
+        link_pos, person_pos, object_pos, all_words = [], [], [], []
+        for b, (sample, words, link_positions, regions) in enumerate(layouts):
+            n_text, n_persons = len(words), sample.image.n_persons
+            n = n_text + len(regions)
+            sample_feats = np.stack([r.feature for r in regions])
+            if sample_feats.shape[1] != cfg.d_vis:
+                raise DataError(f"{sample.sample_id}: feature dim {sample_feats.shape[1]} "
+                                f"!= d_vis {cfg.d_vis}")
+            feats.append(sample_feats)
+            locs += [location_feature(r.box, sample.image.width, sample.image.height)
+                     for r in regions]
+            ids += self._word_ids(words)
+            positions += range(n_text)
+            text_rows += range(b * width, b * width + n_text)
+            region_rows += range(b * width + n_text, b * width + n)
+            mask[b, :n] = True
+            link_pos.append(link_positions)
+            person_pos.append(list(range(n_text, n_text + n_persons)))
+            object_pos.append(list(range(n_text + n_persons, n)))
+            all_words.append(words)
+
         text = nc.layer_norm(
             nc.add(nc.gather_rows(p["embed.word"], ids),
-                   nc.slice_rows(p["embed.pos"], 0, len(ids))),
+                   nc.gather_rows(p["embed.pos"], positions)),
             p["embed.text_ln.gain"], p["embed.text_ln.bias"])
-
-        regions = list(sample.image.persons)
-        objects = list(sample.image.context_objects) if cfg.use_context_objects else []
-        feats = np.stack([r.feature for r in regions + objects]).astype(p["embed.feat.w"].dtype)
-        if feats.shape[1] != cfg.d_vis:
-            raise DataError(f"{sample.sample_id}: feature dim {feats.shape[1]} != "
-                            f"d_vis {cfg.d_vis}")
-        locs = np.stack([
-            location_feature(r.box, sample.image.width, sample.image.height)
-            for r in regions + objects
-        ]).astype(p["embed.feat.w"].dtype)
         region = nc.layer_norm(
-            nc.add(nc.linear(nc.Tensor(feats), p["embed.feat.w"], p["embed.feat.b"]),
-                   nc.linear(nc.Tensor(locs), p["embed.loc.w"], p["embed.loc.b"])),
+            nc.add(nc.linear(nc.Tensor(np.concatenate(feats).astype(dtype)),
+                             p["embed.feat.w"], p["embed.feat.b"]),
+                   nc.linear(nc.Tensor(np.stack(locs).astype(dtype)),
+                             p["embed.loc.w"], p["embed.loc.b"])),
             p["embed.region_ln.gain"], p["embed.region_ln.bias"])
+        flat = nc.scatter_rows(nc.concat_rows([text, region]), text_rows + region_rows,
+                               len(samples) * width)
+        return EncodedBatch(
+            sequence=nc.reshape(flat, (len(samples), width, cfg.d_model)),
+            mask=mask, link_positions=link_pos, person_positions=person_pos,
+            object_positions=object_pos, words=all_words)
 
-        sequence = nc.concat_rows([text, region])
-        n_text = len(ids)
-        n_persons = len(regions)
-        return EncodedSample(
-            sequence=sequence,
-            link_positions=link_positions,
-            person_positions=[n_text + i for i in range(n_persons)],
-            object_positions=[n_text + n_persons + j for j in range(len(objects))],
-            words=words,
-        )
-
-    def forward(self, sample: Sample) -> EncodedSample:
-        encoded = self.embed_sample(sample)
+    def forward(self, samples: Sequence[Sample]) -> EncodedBatch:
+        encoded = self.embed(samples)
         encoded.hidden = nc.encode(encoded.sequence, self.config.encoder,
-                                   self.params, prefix="enc")
+                                   self.params, prefix="enc", mask=encoded.mask)
         return encoded
 
-    def class_logits(self, encoded: EncodedSample) -> tuple[nc.Tensor, list[int]]:
-        """Bilinear link-vs-person scores on final-layer features.
+    def class_logits(self, encoded: EncodedBatch) -> tuple[nc.Tensor, np.ndarray]:
+        """Link-vs-person logits and their padding mask (see ``classification_logits``)."""
+        return classification_logits(encoded, self.params["cls.w1"], self.params["cls.w2"])
 
-        Returns the [k, N] logit tensor plus the link-id order of its rows;
-        context objects never enter the classifier.
-        """
-        link_ids = sorted(encoded.link_positions)
-        q = classification_logits(
-            encoded, self.params["cls.w1"], self.params["cls.w2"], link_ids)
-        return q, link_ids
-
-    # -- losses / inference -------------------------------------------------
-
-    def sample_loss(self, sample: Sample, lam: float | None = None) -> nc.Tensor:
+    def contrastive_sets(self, samples: Sequence[Sample]) -> list[ContrastiveSets]:
         cfg = self.config
-        lam = cfg.lam if lam is None else lam
-        encoded = self.forward(sample)
-        q, link_ids = self.class_logits(encoded)
-        labels = [sample.labels[link] for link in link_ids]
-        cls_term = loss_cls(q, labels)
-        if lam == 0.0:
-            return cls_term
-        sets = select_context_objects(sample, cfg.t1, cfg.t2)
+        sets = [select_context_objects(s, cfg.t1, cfg.t2) for s in samples]
         if not cfg.use_context_objects:
             # objects are absent from the input sequence, so the positive set
             # shrinks to the ground-truth person alone
-            for lc in sets.per_link:
+            for lc in (lc for sample_sets in sets for lc in sample_sets.per_link):
                 lc.context_objects = []
                 lc.weights = lc.weights[:1]
-        con_term = loss_con(encoded, sets, cfg.tau, cfg.contrast_layer,
-                            normalize=cfg.normalize_similarity)
+        return sets
+
+    # -- losses / inference -------------------------------------------------
+
+    def loss_terms(self, samples: Sequence[Sample],
+                   with_con: bool = True) -> tuple[nc.Tensor, nc.Tensor | None]:
+        """Batch means of ``L_cls`` and (unless ``with_con`` is false) ``L_con``.
+
+        Each sample's terms are means over its own links, so every sample
+        weighs the same whatever its link count.
+        """
+        cfg = self.config
+        encoded = self.forward(samples)
+        q, mask = self.class_logits(encoded)
+        links = encoded.links()
+        labels = [samples[b].labels[link] for b, link in links]
+        weights = [1.0 / (len(samples) * len(encoded.link_positions[b])) for b, _ in links]
+        cls_term = loss_cls(q, labels, mask=mask, weights=weights)
+        if not with_con:
+            return cls_term, None
+        con_term = loss_con(encoded, self.contrastive_sets(samples), cfg.tau,
+                            cfg.contrast_layer, normalize=cfg.normalize_similarity)
+        return cls_term, con_term
+
+    def batch_loss(self, samples: Sequence[Sample], lam: float | None = None) -> nc.Tensor:
+        """Mean over ``samples`` of ``L_cls + lam * L_con``, from one forward pass."""
+        lam = self.config.lam if lam is None else lam
+        cls_term, con_term = self.loss_terms(samples, with_con=lam != 0.0)
+        if con_term is None:
+            return cls_term
         return nc.add(cls_term, nc.scale(con_term, lam))
 
+    def predict(self, samples: Sequence[Sample]) -> list[Prediction]:
+        """Predictions in input order, ``SUB_BATCH`` samples per forward pass."""
+        predictions: list[Prediction] = []
+        for start in range(0, len(samples), SUB_BATCH):
+            encoded = self.forward(samples[start:start + SUB_BATCH])
+            q, _mask = self.class_logits(encoded)
+            scores: list[dict[int, np.ndarray]] = [{} for _ in encoded.link_positions]
+            for k, (b, link) in enumerate(encoded.links()):
+                scores[b][link] = q.data[k, :len(encoded.person_positions[b])].copy()
+            predictions += [Prediction.from_scores(s) for s in scores]
+        return predictions
+
+    # batches of one, for callers that hold a single sample
+
+    def embed_sample(self, sample: Sample) -> EncodedBatch:
+        return self.embed([sample])
+
+    def sample_loss(self, sample: Sample, lam: float | None = None) -> nc.Tensor:
+        return self.batch_loss([sample], lam=lam)
+
     def predict_sample(self, sample: Sample) -> Prediction:
-        encoded = self.forward(sample)
-        q, link_ids = self.class_logits(encoded)
-        scores = {link: q.data[i].copy() for i, link in enumerate(link_ids)}
-        return Prediction.from_scores(scores)
-
-
-def classification_logits(encoded: EncodedSample, w1: nc.Tensor, w2: nc.Tensor,
-                          link_ids: Sequence[int] | None = None) -> nc.Tensor:
-    """[k, N] bilinear scores between link tokens and person regions."""
-    if link_ids is None:
-        link_ids = sorted(encoded.link_positions)
-    t = nc.gather_rows(encoded.final, [encoded.link_positions[l] for l in link_ids])
-    r = nc.gather_rows(encoded.final, encoded.person_positions)
-    return nc.matmul(nc.matmul(t, w1), nc.transpose(nc.matmul(r, w2)))
-
-
-def loss_total(model: GroundingModel, sample: Sample,
-               lam: float | None = None) -> nc.Tensor:
-    return model.sample_loss(sample, lam=lam)
-
-
-def predict(model: GroundingModel, sample: Sample) -> Prediction:
-    return model.predict_sample(sample)
+        return self.predict([sample])[0]

@@ -2,8 +2,10 @@
 
 Batches are formed by accumulating shuffled samples until the next one would
 push the summed sequence length past the token budget (a batch always takes
-at least one sample).  Per-sample gradients accumulate in a fixed order and
-are averaged before the optimizer step, so a seed pins the whole run.
+at least one sample).  A batch runs as consecutive sub-batches of at most
+``SUB_BATCH`` samples, each one padded forward and backward pass; their
+gradients accumulate in a fixed order and are averaged over the batch before
+the single optimizer step, so a seed pins the whole run.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .. import numcore as nc
 from ..core import Sample
-from .model import GroundingModel, ModelConfig, UNK_TOKEN, substitute_neutral_names
+from .model import SUB_BATCH, GroundingModel, ModelConfig, UNK_TOKEN, substitute_neutral_names
 
 log = logging.getLogger(__name__)
 
@@ -109,11 +111,14 @@ def train(dataset: Sequence[Sample],
             for p in model.params.values():
                 p.zero_grad()
             total = 0.0
-            for idx in batch:
+            for start in range(0, len(batch), SUB_BATCH):
+                chunk = [dataset[idx] for idx in batch[start:start + SUB_BATCH]]
                 with nc.Graph() as graph:
-                    loss = model.sample_loss(dataset[idx], lam=lam)
-                    graph.backward(loss)
-                total += float(loss.data)
+                    loss = model.batch_loss(chunk, lam=lam)
+                    # the gradient of the chunk's summed loss, as one per-sample
+                    # backward each would have accumulated
+                    graph.backward(nc.scale(loss, len(chunk)))
+                total += float(loss.data) * len(chunk)
             if not np.isfinite(total):
                 raise nc.NumericError(f"non-finite loss at step {step}")
             inv = 1.0 / len(batch)

@@ -1,8 +1,11 @@
 """Post-norm self-attention encoder built on the autodiff kernel.
 
 One layer is: multi-head self-attention, residual, layer norm, position-wise
-feed-forward (GELU), residual, layer norm.  ``encode`` keeps the hidden state
-after every layer so downstream losses can read intermediate layers.
+feed-forward (GELU), residual, layer norm.  It runs on a padded batch
+``[B, L, d]``: the heads are split into a batch axis by reshape and
+transpose, and a key-padding mask keeps every position from attending to
+padding.  ``encode`` keeps the hidden state after every layer so downstream
+losses can read intermediate layers.
 """
 
 from __future__ import annotations
@@ -17,12 +20,12 @@ from .tensor import (
     NumericError,
     Tensor,
     add,
-    concat_cols,
     gelu,
     layer_norm,
+    linear,
     matmul,
+    reshape,
     scale,
-    slice_cols,
     softmax,
     transpose,
 )
@@ -82,35 +85,30 @@ def init_encoder_params(config: EncoderConfig,
     return params
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    out = matmul(x, weight)
-    if bias is not None:
-        out = add(out, bias)
-    return out
-
-
 def attention_layer(x: Tensor, params: Mapping[str, Tensor], prefix: str,
-                    n_heads: int) -> Tensor:
-    length, d = x.data.shape
+                    n_heads: int, mask: np.ndarray | None = None) -> Tensor:
+    """One layer over ``x`` of shape ``[B, L, d]``.
+
+    ``mask`` (``[B, L]``, True on real tokens) hides padding keys; padding
+    queries still produce rows, which nothing downstream reads.
+    """
+    batch, length, d = x.data.shape
     if d % n_heads != 0:
         raise NumericError(f"width {d} not divisible by {n_heads} heads")
     dh = d // n_heads
     inv_sqrt = 1.0 / math.sqrt(dh)
 
-    q = linear(x, params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.bq"])
-    k = linear(x, params[f"{prefix}.attn.wk"])
-    v = linear(x, params[f"{prefix}.attn.wv"], params[f"{prefix}.attn.bv"])
+    def heads(t: Tensor, axes: tuple[int, ...]) -> Tensor:
+        return transpose(reshape(t, (batch, length, n_heads, dh)), axes)
 
-    heads = []
-    for h in range(n_heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh = slice_cols(q, lo, hi)
-        kh = slice_cols(k, lo, hi)
-        vh = slice_cols(v, lo, hi)
-        scores = scale(matmul(qh, transpose(kh)), inv_sqrt)
-        attn = softmax(scores, axis=-1)
-        heads.append(matmul(attn, vh))
-    merged = concat_cols(heads) if n_heads > 1 else heads[0]
+    q = heads(linear(x, params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.bq"]),
+              (0, 2, 1, 3))                                   # [B, H, L, dh]
+    k_t = heads(linear(x, params[f"{prefix}.attn.wk"]), (0, 2, 3, 1))  # [B, H, dh, L]
+    v = heads(linear(x, params[f"{prefix}.attn.wv"], params[f"{prefix}.attn.bv"]),
+              (0, 2, 1, 3))
+    key_mask = None if mask is None else mask[:, None, None, :]
+    attn = softmax(scale(matmul(q, k_t), inv_sqrt), axis=-1, mask=key_mask)
+    merged = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (batch, length, d))
     attn_out = linear(merged, params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"])
 
     h1 = layer_norm(add(x, attn_out),
@@ -122,19 +120,23 @@ def attention_layer(x: Tensor, params: Mapping[str, Tensor], prefix: str,
 
 
 def encode(x: Tensor, config: EncoderConfig, params: Mapping[str, Tensor],
-           prefix: str = "enc") -> list[Tensor]:
-    """Run all layers; returns the hidden state after each one.
+           prefix: str = "enc", mask: np.ndarray | None = None) -> list[Tensor]:
+    """Run all layers over ``x`` (``[B, L, d]``); returns the hidden state after each one.
 
-    ``hidden[-1]`` is the final output; counting layers from the last,
-    layer ``l`` (1-based) is ``hidden[-l]``.
+    ``mask`` (``[B, L]`` booleans, True on real tokens) marks padding; without
+    it every position is real.  ``hidden[-1]`` is the final output; counting
+    layers from the last, layer ``l`` (1-based) is ``hidden[-l]``.
     """
-    if x.data.ndim != 2 or x.data.shape[1] != config.d_model:
-        raise NumericError(f"encoder input shape {x.data.shape} does not match "
-                           f"d_model {config.d_model}")
+    if x.data.ndim != 3 or x.data.shape[2] != config.d_model:
+        raise NumericError(f"encoder input shape {x.data.shape} is not [B, L, "
+                           f"{config.d_model}]")
+    if mask is not None and mask.shape != x.data.shape[:2]:
+        raise NumericError(f"padding mask shape {mask.shape} does not match input "
+                           f"{x.data.shape[:2]}")
     hidden: list[Tensor] = []
     h = x
     for i in range(config.n_layers):
-        h = attention_layer(h, params, f"{prefix}.layer{i}", config.n_heads)
+        h = attention_layer(h, params, f"{prefix}.layer{i}", config.n_heads, mask)
         hidden.append(h)
     return hidden
 

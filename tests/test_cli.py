@@ -43,6 +43,33 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err.splitlines()[0])["error"] == "data"
 
+    def _assert_usage_line(self, code, err):
+        assert code == 1
+        assert "Traceback" not in err
+        lines = [line for line in err.splitlines() if line.startswith("{")]
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "usage"
+        return payload["detail"]
+
+    def test_negative_learning_rate_is_usage_error(self, capsys, tmp_path):
+        data = write_tiny_dataset(tmp_path)
+        code, _, err = run_cli(capsys, "train", "--data", str(data), "--config", str(TOY_CFG),
+                               "--out", str(tmp_path / "run"), "--lr", "-1")
+        assert "learning rate" in self._assert_usage_line(code, err)
+
+    def test_zero_token_budget_is_usage_error(self, capsys, tmp_path):
+        data = write_tiny_dataset(tmp_path)
+        code, _, err = run_cli(capsys, "train", "--data", str(data), "--config", str(TOY_CFG),
+                               "--out", str(tmp_path / "run"), "--token-budget", "0")
+        assert "token budget" in self._assert_usage_line(code, err)
+
+    def test_too_many_max_persons_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "synth", "--n", "5", "--max-persons", "12",
+                               "--out", str(tmp_path / "s.jsonl"))
+        assert "max_persons" in self._assert_usage_line(code, err)
+        assert not (tmp_path / "s.jsonl").exists()
+
     def test_corrupted_magic_is_data_error(self, capsys, tmp_path):
         path = write_tiny_dataset(tmp_path)
         fpath = feature_path(path)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,9 +29,11 @@ from groundkit.grounder import (
     train,
 )
 from groundkit.grounder.io import load_model, save_model
+from groundkit.cli import gradient_fixture, run_gradient_suite
 from groundkit.grounder.model import (
     DEFAULT_NEUTRAL_NAMES,
-    EncodedSample,
+    SUB_BATCH,
+    EncodedBatch,
     classification_logits,
     contrastive_loss_from_features,
     loss_cls,
@@ -38,6 +42,8 @@ from groundkit.grounder.model import (
 )
 
 from conftest import make_object, make_person, make_sample
+
+TOY_CFG = Path(__file__).resolve().parent.parent / "configs" / "toy.cfg"
 
 
 def toy_config(**kw):
@@ -173,42 +179,53 @@ class TestLossCls:
             labels = rng.integers(0, 5, 3).tolist()
             assert float(loss_cls(q, labels).data) >= 0.0
 
+    def test_masked_padding_columns_change_nothing(self):
+        # row 1 has two candidates; its padded third column must not count
+        q = np.array([[2.0, 0.0, 0.5], [0.0, 1.0, 9.0]])
+        mask = np.array([[True, True, True], [True, True, False]])
+        weights = [0.25, 0.75]
+        loss = loss_cls(nc.Tensor(q), [0, 1], mask=mask, weights=weights)
+        row0 = float(loss_cls(nc.Tensor(q[:1]), [0]).data)
+        row1 = float(loss_cls(nc.Tensor(q[1:, :2]), [1]).data)
+        assert float(loss.data) == pytest.approx(0.25 * row0 + 0.75 * row1, abs=1e-12)
+
 
 def fake_encoded(feats, link_pos=0, person_positions=None, object_positions=None):
-    t = nc.Tensor(np.asarray(feats, dtype=np.float64))
-    return EncodedSample(sequence=t, link_positions={1: link_pos},
-                         person_positions=person_positions or [],
-                         object_positions=object_positions or [],
-                         words=[], hidden=[t])
+    """A batch of one whose every hidden layer is ``feats`` ([L, d])."""
+    t = nc.Tensor(np.asarray(feats, dtype=np.float64)[None])
+    return EncodedBatch(sequence=t, mask=np.ones(t.data.shape[:2], dtype=bool),
+                        link_positions=[{1: link_pos}],
+                        person_positions=[person_positions or []],
+                        object_positions=[object_positions or []],
+                        words=[[]], hidden=[t])
 
 
 class TestLossCon:
+    # ``weights`` are the coefficients of the log-softmax terms: a link's IoU
+    # weights divided by its positive count, 0 for negatives
+
     def test_uniform_similarities_ln4(self):
         # P = {gt} weight 1, |N| = 3, all similarities equal -> ln 4
         feats = np.ones((5, 4))
-        loss = contrastive_loss_from_features(nc.Tensor(feats), 0, [1], [2, 3, 4],
-                                              np.array([1.0]), tau=1.0)
+        loss = contrastive_loss_from_features(nc.Tensor(feats), [0], [[1, 2, 3, 4]],
+                                              [[1.0, 0.0, 0.0, 0.0]], tau=1.0)
         assert float(loss.data) == pytest.approx(math.log(4), abs=1e-9)
 
     def test_one_positive_one_negative_closed_form(self):
         # s_p = 1, s_n = 0, tau = 1 -> ln(1 + e^-1)
         feats = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 7.3]])
         feats[2] = [0.0, 0.0]
-        loss = contrastive_loss_from_features(nc.Tensor(feats), 0, [1], [2],
-                                              np.array([1.0]), tau=1.0)
+        loss = contrastive_loss_from_features(nc.Tensor(feats), [0], [[1, 2]],
+                                              [[1.0, 0.0]], tau=1.0)
         assert float(loss.data) == pytest.approx(math.log(1 + math.exp(-1)), abs=1e-9)
         assert float(loss.data) == pytest.approx(0.313262, abs=1e-6)
 
     def test_weighted_positives_closed_form(self):
         # P = {gt (IoU 1), c (IoU 0.6)}, all sims equal, |N| = 2
         # -> ((1 + 0.6)/2) * ln 4 = 0.8 * ln 4
-        feats = np.ones((4, 3))
-        loss = contrastive_loss_from_features(nc.Tensor(feats), 0, [1, 2], [3, 0][:1],
-                                              np.array([1.0, 0.6]), tau=1.0)
-        # candidates: 2 positives + 1 negative = 3 -> adjust to 4 with two negatives
         feats = np.ones((5, 3))
-        loss = contrastive_loss_from_features(nc.Tensor(feats), 0, [1, 2], [3, 4],
-                                              np.array([1.0, 0.6]), tau=1.0)
+        loss = contrastive_loss_from_features(nc.Tensor(feats), [0], [[1, 2, 3, 4]],
+                                              [[1.0 / 2, 0.6 / 2, 0.0, 0.0]], tau=1.0)
         assert float(loss.data) == pytest.approx(0.8 * math.log(4), abs=1e-9)
         assert float(loss.data) == pytest.approx(1.109035, abs=1e-6)
 
@@ -217,35 +234,50 @@ class TestLossCon:
         rng = np.random.default_rng(2)
         feats = rng.normal(0, 0.05, (6, 8))
         weights = np.array([1.0, 0.7, 0.4])
-        loss = contrastive_loss_from_features(nc.Tensor(feats), 0, [1, 2, 3], [4, 5],
-                                              weights, tau=1e6)
+        loss = contrastive_loss_from_features(nc.Tensor(feats), [0], [[1, 2, 3, 4, 5]],
+                                              [list(weights / 3) + [0.0, 0.0]], tau=1e6)
         expected = weights.sum() / 3 * math.log(5)
         assert float(loss.data) == pytest.approx(expected, abs=1e-6)
 
     def test_temperature_must_be_positive(self):
         feats = np.ones((3, 2))
         with pytest.raises(nc.NumericError):
-            contrastive_loss_from_features(nc.Tensor(feats), 0, [1], [2],
-                                           np.array([1.0]), tau=0.0)
+            contrastive_loss_from_features(nc.Tensor(feats), [0], [[1, 2]],
+                                           [[1.0, 0.0]], tau=0.0)
 
     def test_non_negative(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             feats = rng.normal(0, 2, (6, 4))
             loss = contrastive_loss_from_features(
-                nc.Tensor(feats), 0, [1, 2], [3, 4, 5],
-                np.array([1.0, rng.uniform(0, 1)]), tau=float(rng.uniform(0.1, 5)))
+                nc.Tensor(feats), [0], [[1, 2, 3, 4, 5]],
+                [[0.5, rng.uniform(0, 1) / 2, 0.0, 0.0, 0.0]],
+                tau=float(rng.uniform(0.1, 5)))
             assert float(loss.data) >= 0.0
+
+    def test_ragged_links_sum_their_terms(self):
+        # two links with 4 and 2 candidates in one call: the short one is
+        # padded, and the padding must not change its term
+        rng = np.random.default_rng(4)
+        feats = nc.Tensor(rng.normal(0, 1, (7, 4)))
+        both = contrastive_loss_from_features(feats, [0, 5], [[1, 2, 3, 4], [6, 1]],
+                                              [[0.5, 0.2, 0.0, 0.0], [1.0, 0.0]], tau=0.5)
+        first = contrastive_loss_from_features(feats, [0], [[1, 2, 3, 4]],
+                                               [[0.5, 0.2, 0.0, 0.0]], tau=0.5)
+        second = contrastive_loss_from_features(feats, [5], [[6, 1]], [[1.0, 0.0]], tau=0.5)
+        assert float(both.data) == pytest.approx(float(first.data) + float(second.data),
+                                                 abs=1e-12)
 
 
 class TestClassificationLogits:
     def test_shape_and_zero_weights(self):
         feats = np.random.default_rng(0).normal(0, 1, (6, 4))
         es = fake_encoded(feats, link_pos=0, person_positions=[2, 3, 4])
-        es.link_positions = {1: 0, 2: 1}
-        q = classification_logits(es, nc.Tensor(np.zeros((4, 4))),
-                                  nc.Tensor(np.eye(4)))
+        es.link_positions = [{1: 0, 2: 1}]
+        q, mask = classification_logits(es, nc.Tensor(np.zeros((4, 4))),
+                                         nc.Tensor(np.eye(4)))
         assert q.data.shape == (2, 3)
+        assert mask.all()
         np.testing.assert_array_equal(q.data, np.zeros((2, 3)))
 
     def test_identity_weights_orthonormal_features(self):
@@ -255,7 +287,7 @@ class TestClassificationLogits:
         feats[3, 1] = 1.0   # person 1 -> e1 (matches the link)
         feats[4, 2] = 1.0   # person 2 -> e2
         es = fake_encoded(feats, link_pos=0, person_positions=[2, 3, 4])
-        q = classification_logits(es, nc.Tensor(np.eye(4)), nc.Tensor(np.eye(4)))
+        q, _mask = classification_logits(es, nc.Tensor(np.eye(4)), nc.Tensor(np.eye(4)))
         np.testing.assert_allclose(q.data, [[0.0, 1.0, 0.0]], atol=1e-12)
 
 
@@ -264,43 +296,43 @@ class TestModelForward:
         sample = make_sample("m-1", n_persons=3, n_objects=2)
         model, config = toy_model([sample])
         encoded = model.embed_sample(sample)
-        n_text = len(encoded.words)
-        assert encoded.sequence.data.shape == (n_text + 3 + 2, config.d_model)
-        assert encoded.person_positions == [n_text, n_text + 1, n_text + 2]
-        assert encoded.object_positions == [n_text + 3, n_text + 4]
+        n_text = len(encoded.words[0])
+        assert encoded.sequence.data.shape == (1, n_text + 3 + 2, config.d_model)
+        assert encoded.person_positions == [[n_text, n_text + 1, n_text + 2]]
+        assert encoded.object_positions == [[n_text + 3, n_text + 4]]
 
     def test_no_context_objects_excluded_from_sequence(self):
         sample = make_sample("m-2", n_persons=3, n_objects=2)
         model, config = toy_model([sample], use_context_objects=False)
         encoded = model.embed_sample(sample)
-        assert encoded.object_positions == []
-        assert encoded.sequence.data.shape[0] == len(encoded.words) + 3
+        assert encoded.object_positions == [[]]
+        assert encoded.sequence.data.shape[1] == len(encoded.words[0]) + 3
 
     def test_hundred_context_objects_all_included(self):
         sample = make_sample("m-3", n_persons=2, n_objects=100)
         model, _ = toy_model([sample])
         encoded = model.embed_sample(sample)
-        assert len(encoded.object_positions) == 100
+        assert len(encoded.object_positions[0]) == 100
 
     def test_lambda_zero_equals_cls_loss(self):
         sample = make_sample("m-4")
         model, config = toy_model([sample])
         with nc.Graph():
             total = model.sample_loss(sample, lam=0.0)
-        encoded = model.forward(sample)
-        q, link_ids = model.class_logits(encoded)
-        cls = loss_cls(q, [sample.labels[l] for l in link_ids])
+        encoded = model.forward([sample])
+        q, mask = model.class_logits(encoded)
+        cls = loss_cls(q, [sample.labels[l] for _b, l in encoded.links()], mask=mask)
         assert float(total.data) == float(cls.data)
 
     def test_loss_total_is_sum_of_parts(self):
         sample = make_sample("m-5")
         model, config = toy_model([sample])
         total = model.sample_loss(sample, lam=1.0)
-        encoded = model.forward(sample)
-        q, link_ids = model.class_logits(encoded)
-        cls = loss_cls(q, [sample.labels[l] for l in link_ids])
+        encoded = model.forward([sample])
+        q, mask = model.class_logits(encoded)
+        cls = loss_cls(q, [sample.labels[l] for _b, l in encoded.links()], mask=mask)
         sets = select_context_objects(sample, config.t1, config.t2)
-        con = loss_con(encoded, sets, config.tau, config.contrast_layer)
+        con = loss_con(encoded, [sets], config.tau, config.contrast_layer)
         assert float(total.data) == pytest.approx(float(cls.data) + float(con.data),
                                                   abs=1e-9)
 
@@ -334,13 +366,37 @@ class TestModelForward:
                Prediction.from_scores(shifted).chosen
 
 
+# the configurations whose gradients must check out: the full loss, the
+# classification loss alone, objects dropped from the input, cosine
+# similarities in the contrastive term
+GRADIENT_VARIANTS = {
+    "full": {},
+    "lambda0": {"lam": 0.0},
+    "no_context_objects": {"use_context_objects": False},
+    "normalized": {"normalize_similarity": True},
+}
+
+
+def rescaled_model(samples, **kw):
+    """float64 toy model with weights x10, so gradients clear finite-difference noise."""
+    model, config = toy_model(samples, d_vis=24, **kw)
+    for p in model.params.values():
+        if p.data.ndim == 2:
+            p.data = p.data * 10.0
+    return model, config
+
+
 class TestGradientsThroughModel:
-    def _loss_fn(self, model, sample, lam):
+    # one padded batch of scenes that differ in text length, person count,
+    # object count and link count
+    fixture = gradient_fixture(d_vis=24, seed=12)
+
+    def _loss_fn(self, model, samples):
         def loss_fn(params, need_grads=True):
             for p in params.values():
                 p.zero_grad()
             with nc.Graph() as g:
-                loss = model.sample_loss(sample, lam=lam)
+                loss = model.batch_loss(samples)
                 if need_grads:
                     g.backward(loss)
                     return float(loss.data), {
@@ -349,19 +405,59 @@ class TestGradientsThroughModel:
                 return float(loss.data), None
         return loss_fn
 
+    def test_fixture_pads_unevenly(self):
+        lengths = {len(s.description.tokens) for s in self.fixture}
+        persons = {s.image.n_persons for s in self.fixture}
+        objects = {len(s.image.context_objects) for s in self.fixture}
+        assert len(self.fixture) >= 3
+        assert len(lengths) > 1 and len(persons) == 3 and len(objects) == 3
+        assert max(len(s.labels) for s in self.fixture) == 2
+
     def test_full_loss_gradient_matches_finite_differences(self):
-        from groundkit import benchkit
-        fixture = benchkit.synth_generate(benchkit.SynthConfig(
-            n_samples=1, max_persons=3, d_vis=24, context_rate=1.0, seed=12))
-        sample = fixture[0]
-        model, config = toy_model(fixture, d_vis=24)
-        for p in model.params.values():
-            if p.data.ndim == 2:
-                p.data = p.data * 10.0
-        err = nc.grad_check(self._loss_fn(model, sample, lam=1.0), model.params,
+        model, _config = rescaled_model(self.fixture)
+        err = nc.grad_check(self._loss_fn(model, self.fixture), model.params,
                             epsilon=1e-5, max_entries_per_param=10,
                             rng=np.random.default_rng(0))
         assert err < 1e-4
+
+    @pytest.mark.parametrize("variant", sorted(GRADIENT_VARIANTS))
+    def test_gradient_suite_per_variant(self, variant):
+        report = run_gradient_suite(toy_config(d_vis=24, **GRADIENT_VARIANTS[variant]))
+        assert set(report["max_rel_error"]) == {"cls", "con", "total"}
+        for kind, err in report["max_rel_error"].items():
+            assert err < 1e-4, kind
+
+
+class TestBatching:
+    def _model(self, samples):
+        config = toy_config(d_vis=24)
+        return GroundingModel.init(config, build_vocab(samples, config.neutral_names),
+                                   dtype=np.float32)
+
+    def test_scores_alone_and_in_padded_batch_agree(self):
+        # more samples than one forward pass takes, so the split is covered
+        # too; float64 keeps the rounding of the two summation orders far
+        # below the tolerance, which anything leaking through padding is not
+        from groundkit import benchkit
+        samples = gradient_fixture(d_vis=24, seed=3) + benchkit.synth_generate(
+            benchkit.SynthConfig(n_samples=SUB_BATCH + 3, max_persons=6, d_vis=24, seed=4))
+        model, _config = rescaled_model(samples)
+        batched = model.predict(samples)
+        assert len(batched) == len(samples)
+        for sample, pred in zip(samples, batched):
+            alone = model.predict_sample(sample)
+            assert set(alone.scores) == set(pred.scores) == set(sample.labels.pairs)
+            for link, vec in alone.scores.items():
+                assert vec.shape == (sample.image.n_persons,)
+                np.testing.assert_allclose(pred.scores[link], vec, rtol=0, atol=1e-6)
+            assert pred.chosen == alone.chosen
+
+    def test_batch_loss_is_mean_of_single_losses(self):
+        samples = gradient_fixture(d_vis=24, seed=5)
+        model = self._model(samples)
+        batch = float(model.batch_loss(samples).data)
+        singles = [float(model.sample_loss(s).data) for s in samples]
+        assert batch == pytest.approx(sum(singles) / len(singles), rel=1e-5)
 
 
 class TestTrainingLoop:
@@ -396,6 +492,22 @@ class TestTrainingLoop:
         for name in r1.model.params:
             assert r1.model.params[name].data.tobytes() == \
                    r2.model.params[name].data.tobytes()
+
+    def test_step_memory_peak_under_4mb(self):
+        # one optimizer step on a 64-sample batch of the toy config: the
+        # sub-batched tape, freed as backward runs, keeps the peak small
+        from groundkit import benchkit
+        samples = benchkit.synth_generate(benchkit.SynthConfig(n_samples=64, seed=5))
+        config = ModelConfig.from_file(TOY_CFG)
+        sched = TrainSchedule(steps=1, lr=5e-4, token_budget=100_000)
+        tracemalloc.start()
+        try:
+            result = train(samples, config, sched)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.losses) == 1
+        assert peak < 4 * 2**20
 
     def test_overfit_single_sample(self):
         sample = make_sample("o-1", n_persons=3)
