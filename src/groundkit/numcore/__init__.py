@@ -15,14 +15,11 @@ from .tensor import (
     linear,
     log_softmax,
     matmul,
-    mean_all,
-    mul,
     neg,
     reshape,
     scale,
     scatter_rows,
     softmax,
-    sum_all,
     take_per_row,
     transpose,
 )
@@ -36,7 +33,7 @@ __all__ = [
     "Tensor", "add", "attention_layer", "concat_rows", "dot_const", "encode",
     "gather_dot", "gather_rows", "gelu", "grad_check", "init_adam_state",
     "init_encoder_params", "l2_normalize_rows", "layer_norm", "linear",
-    "load_checkpoint", "log_softmax", "matmul", "mean_all", "mul", "neg",
+    "load_checkpoint", "log_softmax", "matmul", "neg",
     "optimizer_step", "reshape", "save_checkpoint", "scale", "scatter_rows",
-    "softmax", "sum_all", "take_per_row", "transpose",
+    "softmax", "take_per_row", "transpose",
 ]

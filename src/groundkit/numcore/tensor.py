@@ -154,31 +154,21 @@ def neg(a: Tensor) -> Tensor:
     return _out(-a.data, "neg", lambda g: _accum(a, -g))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-
-    def back(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _out(data, "mul", back)
-
-
 def scale(a: Tensor, s: float) -> Tensor:
     return _out(a.data * s, "scale", lambda g: _accum(a, g * s))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` for matrices or for stacks of them; a 2-d ``b`` applies to every matrix of ``a``."""
+    """``a @ b`` for two matrices or two stacks of them with the same leading axes."""
     x, w = a.data, b.data
-    if (x.ndim < 2 or w.ndim < 2 or x.shape[-1] != w.shape[-2]
-            or (w.ndim > 2 and x.shape[:-2] != w.shape[:-2])):
+    if (x.ndim < 2 or w.ndim != x.ndim or x.shape[:-2] != w.shape[:-2]
+            or x.shape[-1] != w.shape[-2]):
         raise NumericError(f"matmul shape mismatch: {x.shape} @ {w.shape}")
     data = x @ w
 
     def back(g):
         _accum(a, g @ _swap_last(w))
-        _accum(b, _unbroadcast(_swap_last(x) @ g, w.shape))
+        _accum(b, _swap_last(x) @ g)
 
     return _out(data, "matmul", back)
 
@@ -216,12 +206,8 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _out(data, "reshape", lambda g: _accum(a, g.reshape(a.data.shape)))
 
 
-def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    """Permute axes; by default swap the last two."""
-    if a.data.ndim < 2:
-        raise NumericError(f"transpose needs at least 2 axes, got {a.data.shape}")
-    if axes is None:
-        axes = (*range(a.data.ndim - 2), a.data.ndim - 1, a.data.ndim - 2)
+def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
+    """Permute the axes of ``a`` as ``np.transpose`` does."""
     inverse = tuple(np.argsort(axes))
     return _out(a.data.transpose(axes), "transpose",
                 lambda g: _accum(a, g.transpose(inverse)))
@@ -410,25 +396,6 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
         _accum(x, (g - data * inner) / norms)
 
     return _out(data, "l2_normalize_rows", back)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    data = a.data.sum()
-
-    def back(g):
-        _accum(a, np.broadcast_to(g, a.data.shape).astype(a.data.dtype))
-
-    return _out(np.asarray(data), "sum_all", back)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    size = a.data.size
-    data = a.data.mean()
-
-    def back(g):
-        _accum(a, np.broadcast_to(g / size, a.data.shape).astype(a.data.dtype))
-
-    return _out(np.asarray(data), "mean_all", back)
 
 
 def dot_const(a: Tensor, weights: np.ndarray) -> Tensor:

@@ -33,7 +33,9 @@ from groundkit.cli import gradient_fixture, run_gradient_suite
 from groundkit.grounder.model import (
     DEFAULT_NEUTRAL_NAMES,
     SUB_BATCH,
+    ContrastiveSets,
     EncodedBatch,
+    LinkContrast,
     classification_logits,
     contrastive_loss_from_features,
     loss_cls,
@@ -201,8 +203,9 @@ def fake_encoded(feats, link_pos=0, person_positions=None, object_positions=None
 
 
 class TestLossCon:
-    # ``weights`` are the coefficients of the log-softmax terms: a link's IoU
-    # weights divided by its positive count, 0 for negatives
+    # ``contrastive_loss_from_features`` takes the coefficients of the
+    # log-softmax terms (0 for negatives); ``loss_con`` derives them from the
+    # IoU weights
 
     def test_uniform_similarities_ln4(self):
         # P = {gt} weight 1, |N| = 3, all similarities equal -> ln 4
@@ -223,9 +226,12 @@ class TestLossCon:
     def test_weighted_positives_closed_form(self):
         # P = {gt (IoU 1), c (IoU 0.6)}, all sims equal, |N| = 2
         # -> ((1 + 0.6)/2) * ln 4 = 0.8 * ln 4
-        feats = np.ones((5, 3))
-        loss = contrastive_loss_from_features(nc.Tensor(feats), [0], [[1, 2, 3, 4]],
-                                              [[1.0 / 2, 0.6 / 2, 0.0, 0.0]], tau=1.0)
+        encoded = fake_encoded(np.ones((5, 3)), link_pos=0, person_positions=[1, 3, 4],
+                               object_positions=[2])
+        sets = [ContrastiveSets([LinkContrast(link_id=1, gt_person=0, context_objects=[0],
+                                              weights=np.array([1.0, 0.6]),
+                                              negatives=[1, 2])])]
+        loss = loss_con(encoded, sets, tau=1.0, contrast_layer=1)
         assert float(loss.data) == pytest.approx(0.8 * math.log(4), abs=1e-9)
         assert float(loss.data) == pytest.approx(1.109035, abs=1e-6)
 
@@ -234,10 +240,37 @@ class TestLossCon:
         rng = np.random.default_rng(2)
         feats = rng.normal(0, 0.05, (6, 8))
         weights = np.array([1.0, 0.7, 0.4])
-        loss = contrastive_loss_from_features(nc.Tensor(feats), [0], [[1, 2, 3, 4, 5]],
-                                              [list(weights / 3) + [0.0, 0.0]], tau=1e6)
+        encoded = fake_encoded(feats, link_pos=0, person_positions=[1, 4, 5],
+                               object_positions=[2, 3])
+        sets = [ContrastiveSets([LinkContrast(link_id=1, gt_person=0, context_objects=[0, 1],
+                                              weights=weights, negatives=[1, 2])])]
+        loss = loss_con(encoded, sets, tau=1e6, contrast_layer=1)
         expected = weights.sum() / 3 * math.log(5)
         assert float(loss.data) == pytest.approx(expected, abs=1e-6)
+
+    def test_mean_over_links_then_over_samples(self):
+        # all real rows equal, padding rows zero, tau = 1: a link's term is
+        # mean(IoU weights) * ln(|P| + |N|)
+        #   sample 0, link 1: weights [1, 0.6], |N| = 2 -> 0.8 ln 4
+        #   sample 0, link 2: weights [1],      |N| = 1 -> ln 2
+        #   sample 1, link 1: weights [1, 0.5, 0.3], |N| = 2 -> 0.6 ln 5
+        feats = np.zeros((2, 7, 3))
+        feats[0, :6] = 1.0
+        feats[1, :6] = 1.0
+        t = nc.Tensor(feats)
+        encoded = EncodedBatch(sequence=t, mask=np.abs(feats).sum(axis=2) > 0,
+                               link_positions=[{1: 0, 2: 1}, {1: 0}],
+                               person_positions=[[2, 3, 4], [1, 2, 3]],
+                               object_positions=[[5], [4, 5]],
+                               words=[[], []], hidden=[t])
+        sets = [ContrastiveSets([LinkContrast(1, 0, [0], np.array([1.0, 0.6]), [1, 2]),
+                                 LinkContrast(2, 1, [], np.array([1.0]), [0])]),
+                ContrastiveSets([LinkContrast(1, 2, [0, 1], np.array([1.0, 0.5, 0.3]),
+                                              [0, 1])])]
+        loss = loss_con(encoded, sets, tau=1.0, contrast_layer=1)
+        expected = ((0.8 * math.log(4) + math.log(2)) / 2 + 0.6 * math.log(5)) / 2
+        assert float(loss.data) == pytest.approx(expected, abs=1e-9)
+        assert float(loss.data) == pytest.approx(0.933377, abs=1e-6)
 
     def test_temperature_must_be_positive(self):
         feats = np.ones((3, 2))

@@ -8,6 +8,11 @@ from groundkit.numcore import CheckpointError, NumericError
 from groundkit.numcore.encoder import layer_from_last
 
 
+def total(t):
+    """Sum of every entry, as a differentiable scalar."""
+    return nc.dot_const(t, np.ones(t.data.shape))
+
+
 def loss_wrapper(build):
     """Adapt a graph-building closure to the grad_check protocol."""
     def loss_fn(params, need_grads=True):
@@ -49,7 +54,7 @@ class TestOps:
             nc.Tensor([np.nan, 1.0])
         big = nc.Tensor(np.full(4, 1e308))
         with pytest.raises(NumericError):
-            nc.mul(big, big)
+            nc.add(big, big)
 
 
 class TestBatchedOps:
@@ -58,13 +63,15 @@ class TestBatchedOps:
         x = rng.normal(0, 1, (3, 5, 4))
         w = rng.normal(0, 1, (4, 6))
         y = rng.normal(0, 1, (3, 4, 2))
-        proj = nc.matmul(nc.Tensor(x), nc.Tensor(w)).data
+        proj = nc.linear(nc.Tensor(x), nc.Tensor(w)).data
         stacked = nc.matmul(nc.Tensor(x), nc.Tensor(y)).data
         for b in range(3):
             np.testing.assert_allclose(proj[b], x[b] @ w, atol=1e-12)
             np.testing.assert_allclose(stacked[b], x[b] @ y[b], atol=1e-12)
         with pytest.raises(NumericError, match=r"\(3, 5, 4\).*\(2, 4, 2\)"):
             nc.matmul(nc.Tensor(x), nc.Tensor(y[:2]))
+        with pytest.raises(NumericError, match=r"\(3, 5, 4\).*\(4, 6\)"):
+            nc.matmul(nc.Tensor(x), nc.Tensor(w))
 
     def test_masked_softmax_matches_softmax_of_kept_entries(self):
         rng = np.random.default_rng(1)
@@ -85,7 +92,7 @@ class TestBatchedOps:
         assert out[0, 2] == 0.0
         # masked entries are constants: gradient reaching them goes nowhere
         params = {"x": nc.Tensor(x.copy())}
-        build = lambda p: nc.sum_all(nc.log_softmax(p["x"], axis=1, mask=mask))
+        build = lambda p: total(nc.log_softmax(p["x"], axis=1, mask=mask))
         assert nc.grad_check(loss_wrapper(build), params, epsilon=1e-5) < 1e-6
         _loss, grads = loss_wrapper(build)(params)
         assert grads["x"][0, 2] == 0.0
@@ -103,8 +110,8 @@ class TestBatchedOps:
         np.testing.assert_array_equal(placed.sum(axis=1), [0.0, 3.0, 0.0, 3.0])
 
     def test_batched_ops_gradients(self):
-        # every new op on one tape: linear, stacked and broadcast matmul, head
-        # reshape and transpose, masked softmax and log-softmax, scatter and
+        # every new op on one tape: linear, stacked matmul, head reshape and
+        # transpose, masked softmax and log-softmax, scatter and
         # gather-dot
         rng = np.random.default_rng(2)
         x = rng.normal(0, 1, (2, 3, 4))
@@ -115,9 +122,9 @@ class TestBatchedOps:
 
         def build(p):
             h = nc.add(nc.linear(nc.Tensor(x), p["w"], p["b"]),
-                       nc.matmul(nc.Tensor(x), nc.scale(p["w"], 0.5)))  # [2, 3, 4]
+                       nc.linear(nc.Tensor(x), nc.scale(p["w"], 0.5)))  # [2, 3, 4]
             heads = nc.transpose(nc.reshape(h, (2, 3, 2, 2)), (0, 2, 1, 3))
-            scores = nc.matmul(heads, nc.transpose(heads))              # [2, 2, 3, 3]
+            scores = nc.matmul(heads, nc.transpose(heads, (0, 1, 3, 2)))  # [2, 2, 3, 3]
             attn = nc.softmax(scores, axis=-1, mask=mask[:, None, None, :])
             mixed = nc.reshape(nc.transpose(nc.matmul(attn, heads), (0, 2, 1, 3)), (6, 4))
             rows = nc.scatter_rows(p["r"], [0, 5, 2], 6)
@@ -139,7 +146,7 @@ class TestBatchedOps:
         xt = nc.Tensor(x)
         with nc.Graph() as g:
             out = nc.gelu(xt)
-            g.backward(nc.sum_all(out))
+            g.backward(total(out))
         assert out.data.dtype == np.float32
         np.testing.assert_allclose(out.data, ref, rtol=1e-6, atol=1e-6)
         np.testing.assert_allclose(xt.grad, ref_grad, rtol=1e-6, atol=1e-6)
@@ -149,7 +156,7 @@ class TestBatchedOps:
         x = nc.Tensor(np.arange(9.0).reshape(3, 3))
         with nc.Graph() as g:
             h = nc.matmul(x, w)
-            loss = nc.sum_all(nc.gelu(h))
+            loss = total(nc.gelu(h))
         g.backward(loss)
         assert len(g.nodes) == 3
         assert all(node is None for node in g.nodes)
@@ -241,7 +248,8 @@ class TestGradCheck:
 
         def build(p):
             y = nc.matmul(nc.Tensor(x), p["w"])
-            return nc.scale(nc.sum_all(nc.mul(y, y)), 0.5)
+            # half the sum of squares: the trace of y^T y / 2
+            return nc.dot_const(nc.matmul(nc.transpose(y, (1, 0)), y), 0.5 * np.eye(3))
 
         assert nc.grad_check(loss_wrapper(build), params, epsilon=1e-5) < 1e-8
 
@@ -256,9 +264,10 @@ class TestGradCheck:
 
         def build(p):
             hs = [nc.reshape(h, (6, 16)) for h in nc.encode(nc.Tensor(x), cfg, p)]
-            logits = nc.matmul(hs[-1], nc.transpose(hs[0]))
+            logits = nc.matmul(hs[-1], nc.transpose(hs[0], (1, 0)))
             lp = nc.log_softmax(logits, axis=1)
-            return nc.neg(nc.mean_all(nc.take_per_row(lp, [1, 2, 3, 4, 5, 0])))
+            return nc.neg(nc.dot_const(nc.take_per_row(lp, [1, 2, 3, 4, 5, 0]),
+                                       np.full(6, 1.0 / 6)))
 
         err = nc.grad_check(loss_wrapper(build), params, epsilon=1e-5,
                             max_entries_per_param=12,
@@ -269,8 +278,10 @@ class TestGradCheck:
         rng = np.random.default_rng(1)
         x = rng.normal(0, 1, (5, 4))
         params = {"w": nc.Tensor(rng.normal(0, 1, (4, 4)))}
-        base = loss_wrapper(lambda p: nc.sum_all(
-            nc.mul(nc.matmul(nc.Tensor(x), p["w"]), nc.matmul(nc.Tensor(x), p["w"]))))
+        # the sum of squares of x @ w: the trace of (x @ w)^T (x @ w)
+        base = loss_wrapper(lambda p: nc.dot_const(
+            nc.matmul(nc.transpose(nc.matmul(nc.Tensor(x), p["w"]), (1, 0)),
+                      nc.matmul(nc.Tensor(x), p["w"])), np.eye(4)))
 
         def corrupted(params, need_grads=True):
             loss, grads = base(params, need_grads=need_grads)
@@ -284,12 +295,12 @@ class TestGradCheck:
     def test_requires_float64(self):
         params = {"w": nc.Tensor(np.ones((2, 2), dtype=np.float32))}
         with pytest.raises(NumericError, match="float64"):
-            nc.grad_check(loss_wrapper(lambda p: nc.sum_all(p["w"])), params)
+            nc.grad_check(loss_wrapper(lambda p: total(p["w"])), params)
 
     def test_epsilon_bounds(self):
         params = {"w": nc.Tensor(np.ones((2, 2)))}
         with pytest.raises(ValueError):
-            nc.grad_check(loss_wrapper(lambda p: nc.sum_all(p["w"])), params,
+            nc.grad_check(loss_wrapper(lambda p: total(p["w"])), params,
                           epsilon=1e-3)
 
 
