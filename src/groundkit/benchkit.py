@@ -7,7 +7,6 @@ set) while a model that reads the features and context objects can solve it.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -26,6 +25,7 @@ from .core import (
     Prediction,
     Sample,
     Word,
+    stable_rng,
 )
 from .geometry import iou
 
@@ -40,13 +40,8 @@ class Assignment:
     choices: dict[int, int]
 
 
-def _stable_rng(seed: int, tag: str) -> np.random.Generator:
-    digest = hashlib.sha256(f"{seed}:{tag}".encode("utf-8")).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
-
-
 def baseline_random(sample: Sample, seed: int = 0) -> Assignment:
-    rng = _stable_rng(seed, sample.sample_id)
+    rng = stable_rng(seed, sample.sample_id)
     n = sample.image.n_persons
     return Assignment({link: int(rng.integers(n)) for link in sample.description.link_ids})
 

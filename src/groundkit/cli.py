@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,8 @@ import numpy as np
 from . import benchkit, numcore as nc, rulekit
 from .core import (DataError, Description, GroundingLabel, PersonLink, Sample, Word,
                    dataset_stats, read_dataset, read_header, write_dataset)
-from .grounder import GroundingModel, ModelConfig, TrainSchedule, train
+from .grounder import GroundingModel, ModelConfig, TrainSchedule, read_config, train
 from .grounder.io import load_model, save_model
-from .grounder.model import parse_config_file
 from .numcore import CheckpointError, NumericError
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -65,8 +65,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0, help="split seed")
     p.add_argument("--split", default="0.8,0.1,0.1",
                    help="train,validation,test fractions")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallelism hint; output is identical for any value")
 
     p = sub.add_parser("filter", help="apply the sample filters to a dataset")
     p.add_argument("--data", required=True)
@@ -93,7 +91,8 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", type=float,
                    help="override the contrastive loss weight")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--no-context-objects", action="store_true",
+    p.add_argument("--no-context-objects", dest="use_context_objects",
+                   action="store_false", default=None,
                    help="drop detected context objects from the input sequence")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or a named baseline")
@@ -102,15 +101,11 @@ def build_parser() -> _Parser:
     p.add_argument("--name", choices=sorted(benchkit.BASELINES),
                    help="heuristic baseline name")
     p.add_argument("--seed", type=int, default=0, help="seed for the random baseline")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallelism hint; output is identical for any value")
 
     p = sub.add_parser("baseline", help="run a heuristic baseline")
     p.add_argument("--data", required=True)
     p.add_argument("--name", required=True, choices=sorted(benchkit.BASELINES))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallelism hint; output is identical for any value")
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the loss gradients")
     p.add_argument("--config", required=True, help="model config file")
@@ -193,35 +188,16 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     samples = read_dataset(_resolve_dataset(args.data))
-    config = ModelConfig.from_file(args.config) if args.config else ModelConfig()
     header = read_header(_resolve_dataset(args.data))
-    overrides: dict[str, object] = {}
+    config, schedule = (read_config(args.config) if args.config
+                        else (ModelConfig(), TrainSchedule()))
     if config.d_vis != header.d_vis:
-        overrides["d_vis"] = header.d_vis
         _log(f"adjusting d_vis {config.d_vis} -> {header.d_vis} to match the dataset")
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.lam is not None:
-        overrides["lam"] = args.lam
-    if args.no_context_objects:
-        overrides["use_context_objects"] = False
-    if overrides:
-        try:
-            config = _replace_config(config, overrides)
-        except ValueError as exc:
-            raise UsageError(f"bad model option: {exc}") from None
-
-    schedule_kwargs = _schedule_from_config(args.config)
-    if args.steps is not None:
-        schedule_kwargs["steps"] = args.steps
-    if args.lr is not None:
-        schedule_kwargs["lr"] = args.lr
-    if args.token_budget is not None:
-        schedule_kwargs["token_budget"] = args.token_budget
+        config = replace(config, d_vis=header.d_vis)
     try:
-        schedule = TrainSchedule(**schedule_kwargs)
+        config, schedule = _with_flags(config, args), _with_flags(schedule, args)
     except ValueError as exc:
-        raise UsageError(f"bad training schedule: {exc}") from None
+        raise UsageError(f"bad option: {exc}") from None
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -239,27 +215,11 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _replace_config(config: ModelConfig, overrides: dict[str, object]) -> ModelConfig:
-    fields = {**{k: getattr(config, k) for k in (
-        "d_model", "n_heads", "n_layers", "d_ff", "d_vis", "tau", "t1", "t2",
-        "lam", "contrast_layer", "neutral_names", "seed",
-        "normalize_similarity", "use_context_objects", "max_text_len")},
-        **overrides}
-    return ModelConfig(**fields)  # type: ignore[arg-type]
-
-
-def _schedule_from_config(config_path: str | None) -> dict[str, object]:
-    """Training-schedule keys may sit in the same flat config file."""
-    if not config_path:
-        return {}
-    values = parse_config_file(config_path)
-    out: dict[str, object] = {}
-    for key, conv in (("steps", int), ("lr", float), ("token_budget", int),
-                      ("weight_decay", float), ("beta1", float), ("beta2", float),
-                      ("adam_eps", float)):
-        if key in values:
-            out[key] = conv(values[key])
-    return out
+def _with_flags(config, args):
+    """``config`` with every field replaced that a given flag of the same name sets."""
+    given = {f.name: getattr(args, f.name) for f in fields(config)
+             if getattr(args, f.name, None) is not None}
+    return replace(config, **given)
 
 
 def _cmd_eval(args) -> int:

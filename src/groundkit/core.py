@@ -1,29 +1,35 @@
-"""Domain types, dataset invariants, and the on-disk dataset formats.
+"""Domain types, dataset invariants, and the on-disk container format.
 
-A dataset lives in two files:
+Datasets and QA corpora share one container of two files:
 
 - ``<name>.jsonl`` -- UTF-8 JSON lines.  Line 1 is a header object
   ``{"format_version", "d_vis", "objectness_threshold", "max_context_objects"}``;
-  every following line is one sample.
+  every following line is one record (a sample, or a QA pair) with a unique
+  ``sample_id``.
 - ``<name>.cgf`` -- the companion binary feature file (little-endian).
   Layout: magic ``CGF1``, ``u32 d_vis``, then per region in file order:
   ``u32`` byte length of sample_id, sample_id bytes, ``u32`` region ordinal,
   ``d_vis`` float32 values.  Region ordinals enumerate persons first, then
-  context objects, in their stored order.
+  context objects, in their stored order, and must run 0..n-1 per record;
+  every row belongs to a record.
 
-Feature vectors are float32 and round-trip bitwise; everything numeric in the
-JSON side is plain floats/ints.  All records are read-only after load.
+``write_container``/``read_container`` own this format; each record kind
+only encodes and decodes its JSON object.  Feature vectors are float32 and
+round-trip bitwise; everything numeric in the JSON side is plain
+floats/ints.  All records are read-only after load.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -35,6 +41,8 @@ DEFAULT_MAX_CONTEXT_OBJECTS = 100
 MIN_PERSONS = 2
 MAX_PERSONS = 10
 
+T = TypeVar("T")
+
 
 class DataError(Exception):
     """Malformed files, invariant violations, or inconsistent records."""
@@ -43,6 +51,12 @@ class DataError(Exception):
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise DataError(message)
+
+
+def stable_rng(seed: int, tag: str) -> np.random.Generator:
+    """Generator seeded by (seed, tag), e.g. a sample id; independent of PYTHONHASHSEED."""
+    digest = hashlib.sha256(f"{seed}:{tag}".encode("utf-8")).digest()
+    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +318,12 @@ class DatasetHeader:
     format_version: int = FORMAT_VERSION
 
 
+def default_header(images: Iterable[ImageRecord]) -> DatasetHeader:
+    """Default thresholds, with ``d_vis`` taken from the first feature row."""
+    rows = (row for image in images for row in image_features(image))
+    return DatasetHeader(d_vis=len(next(rows, ())))
+
+
 def feature_path(path: str | Path) -> Path:
     return Path(path).with_suffix(".cgf")
 
@@ -316,7 +336,7 @@ def token_to_json(token: Token) -> object:
     return {"object": token.region_id, "class": token.class_name}
 
 
-def token_from_json(obj: object, where: str) -> Token:
+def token_from_json(obj: object) -> Token:
     if isinstance(obj, str):
         return Word(obj)
     if isinstance(obj, dict):
@@ -324,7 +344,7 @@ def token_from_json(obj: object, where: str) -> Token:
             return PersonLink(int(obj["person"]))
         if "object" in obj:
             return ObjectLink(int(obj["object"]), str(obj.get("class", "")))
-    raise DataError(f"{where}: unrecognized token {obj!r}")
+    raise DataError(f"unrecognized token {obj!r}")
 
 
 def image_to_json(image: ImageRecord) -> dict:
@@ -344,31 +364,33 @@ def image_to_json(image: ImageRecord) -> dict:
     }
 
 
-def image_from_json(obj: dict, features: list[np.ndarray], where: str) -> ImageRecord:
-    try:
-        persons_raw = obj["persons"]
-        objects_raw = obj.get("context_objects", [])
-        n_regions = len(persons_raw) + len(objects_raw)
-        _require(len(features) == n_regions,
-                 f"{where}: {n_regions} regions but {len(features)} feature rows")
-        persons = [
-            PersonBox(index=i,
-                      box=BoundingBox(b["x1"], b["y1"], b["x2"], b["y2"]),
-                      feature=features[i])
-            for i, b in enumerate(persons_raw)
-        ]
-        objects = [
-            ContextObject(box=BoundingBox(b["x1"], b["y1"], b["x2"], b["y2"]),
-                          feature=features[len(persons_raw) + j],
-                          objectness=float(b["objectness"]),
-                          class_name=str(b["class_name"]))
-            for j, b in enumerate(objects_raw)
-        ]
-        return ImageRecord(image_id=str(obj["image_id"]), width=int(obj["width"]),
-                           height=int(obj["height"]), persons=persons,
-                           context_objects=objects)
-    except KeyError as exc:
-        raise DataError(f"{where}: missing image field {exc}") from None
+def image_from_json(obj: dict, features: list[np.ndarray]) -> ImageRecord:
+    persons_raw = obj["persons"]
+    objects_raw = obj.get("context_objects", [])
+    n_regions = len(persons_raw) + len(objects_raw)
+    _require(len(features) == n_regions,
+             f"{n_regions} regions but {len(features)} feature rows")
+    persons = [
+        PersonBox(index=i,
+                  box=BoundingBox(b["x1"], b["y1"], b["x2"], b["y2"]),
+                  feature=features[i])
+        for i, b in enumerate(persons_raw)
+    ]
+    objects = [
+        ContextObject(box=BoundingBox(b["x1"], b["y1"], b["x2"], b["y2"]),
+                      feature=features[len(persons_raw) + j],
+                      objectness=float(b["objectness"]),
+                      class_name=str(b["class_name"]))
+        for j, b in enumerate(objects_raw)
+    ]
+    return ImageRecord(image_id=str(obj["image_id"]), width=int(obj["width"]),
+                       height=int(obj["height"]), persons=persons,
+                       context_objects=objects)
+
+
+def image_features(image: ImageRecord) -> list[np.ndarray]:
+    """Feature rows in region-ordinal order: persons first, then objects."""
+    return [p.feature for p in image.persons] + [o.feature for o in image.context_objects]
 
 
 def sample_to_json(sample: Sample) -> dict:
@@ -381,48 +403,55 @@ def sample_to_json(sample: Sample) -> dict:
     }
 
 
-def sample_from_json(obj: dict, features: list[np.ndarray], where: str) -> Sample:
-    try:
-        image = image_from_json(obj["image"], features, where)
-        tokens = [token_from_json(t, where) for t in obj["tokens"]]
-        labels = {int(k): int(v) for k, v in obj["labels"].items()}
-        ctype = CommonsenseType(obj["commonsense_type"])
-    except KeyError as exc:
-        raise DataError(f"{where}: missing sample field {exc}") from None
-    except ValueError as exc:
-        raise DataError(f"{where}: {exc}") from None
-    return Sample(sample_id=str(obj["sample_id"]), image=image,
-                  description=Description(tokens), labels=GroundingLabel(labels),
-                  commonsense_type=ctype)
+def sample_from_json(obj: dict, features: list[np.ndarray]) -> Sample:
+    return Sample(sample_id=obj["sample_id"], image=image_from_json(obj["image"], features),
+                  description=Description([token_from_json(t) for t in obj["tokens"]]),
+                  labels=GroundingLabel({int(k): int(v) for k, v in obj["labels"].items()}),
+                  commonsense_type=CommonsenseType(obj["commonsense_type"]))
 
 
 def _json_line(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
 
 
-def sample_features(sample: Sample) -> list[np.ndarray]:
-    """Feature rows in region-ordinal order: persons first, then objects."""
-    rows = [p.feature for p in sample.image.persons]
-    rows += [o.feature for o in sample.image.context_objects]
-    return rows
+def _replace_file(path: Path, data: bytes | bytearray) -> None:
+    """Write through a temp file, so ``path`` never holds a partial write."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
 
 
-def write_feature_file(path: str | Path,
-                       d_vis: int,
-                       rows: Iterable[tuple[str, int, np.ndarray]]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<I", d_vis))
-        for sample_id, ordinal, vec in rows:
+def write_container(path: str | Path, header: DatasetHeader,
+                    records: Iterable[tuple[str, dict, Sequence[np.ndarray]]]) -> None:
+    """Write a container: the ``.jsonl`` records and their ``.cgf`` feature rows.
+
+    ``records`` yields ``(sample_id, JSON object, feature rows in ordinal
+    order)``.  Every record and row is checked and encoded before either file
+    is written, so a refused input leaves no partial output behind.
+    """
+    path = Path(path)
+    lines = [_json_line({
+        "format_version": header.format_version,
+        "d_vis": header.d_vis,
+        "objectness_threshold": header.objectness_threshold,
+        "max_context_objects": header.max_context_objects,
+    })]
+    blob = bytearray(FEATURE_MAGIC + struct.pack("<I", header.d_vis))
+    seen: set[str] = set()
+    for sample_id, obj, rows in records:
+        _require(sample_id not in seen, f"{path}: duplicate sample_id {sample_id!r}")
+        seen.add(sample_id)
+        lines.append(_json_line(obj))
+        sid = sample_id.encode("utf-8")
+        for ordinal, vec in enumerate(rows):
             vec = np.ascontiguousarray(vec, dtype="<f4")
-            if vec.shape != (d_vis,):
-                raise DataError(f"{sample_id}: feature row of length {vec.shape[0]}, "
-                                f"expected d_vis={d_vis}")
-            sid = sample_id.encode("utf-8")
-            fh.write(struct.pack("<I", len(sid)))
-            fh.write(sid)
-            fh.write(struct.pack("<I", ordinal))
-            fh.write(vec.tobytes())
+            if vec.shape != (header.d_vis,):
+                raise DataError(f"{sample_id}: feature row of shape {vec.shape}, "
+                                f"expected d_vis={header.d_vis}")
+            blob += struct.pack("<I", len(sid)) + sid + struct.pack("<I", ordinal)
+            blob += vec.tobytes()
+    _replace_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    _replace_file(feature_path(path), blob)
 
 
 def read_feature_file(path: str | Path) -> tuple[int, dict[str, dict[int, np.ndarray]]]:
@@ -442,14 +471,88 @@ def read_feature_file(path: str | Path) -> tuple[int, dict[str, dict[int, np.nda
             off += sid_len
             (ordinal,) = struct.unpack_from("<I", blob, off)
             off += 4
+            # raises ValueError when fewer than d_vis values are left
             vec = np.frombuffer(blob, dtype="<f4", count=d_vis, offset=off).copy()
-            if vec.shape != (d_vis,):
-                raise DataError(f"{path}: truncated feature row for {sid}")
             off += 4 * d_vis
-            table.setdefault(sid, {})[ordinal] = vec
-    except (struct.error, UnicodeDecodeError) as exc:
+            rows = table.setdefault(sid, {})
+            if ordinal in rows:
+                raise DataError(f"{path}: duplicate feature row ({sid!r}, {ordinal})")
+            rows[ordinal] = vec
+    except (struct.error, ValueError) as exc:
         raise DataError(f"{path}: corrupt feature file ({exc})") from None
     return d_vis, table
+
+
+def read_container(path: str | Path,
+                   decode: Callable[[dict, list[np.ndarray], DatasetHeader], T]) -> list[T]:
+    """Read a container, building each record with ``decode(obj, features, header)``.
+
+    The container checks what every record kind shares: the header, the
+    ``d_vis`` match, unique sample ids, consecutive feature ordinals per
+    record and no feature rows without a record.  ``decode`` builds and
+    validates one record; the errors malformed JSON values raise in it
+    (KeyError, TypeError, ValueError and kin) become a DataError naming
+    ``file:line``.
+    """
+    path = Path(path)
+    _require(path.exists(), f"{path}: no such file")
+    fpath = feature_path(path)
+    _require(fpath.exists(), f"{fpath}: companion feature file missing")
+    feat_d_vis, table = read_feature_file(fpath)
+
+    records: list[T] = []
+    seen: set[str] = set()
+    header: DatasetHeader | None = None
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            if header is None:
+                header = _parse_header(line, where)
+                _require(header.d_vis == feat_d_vis,
+                         f"{path}: header d_vis {header.d_vis} != feature file "
+                         f"d_vis {feat_d_vis}")
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                raise DataError(f"{where}: malformed JSON ({exc})") from None
+            _require(isinstance(obj, dict), f"{where}: record is not a JSON object")
+            sid = obj.get("sample_id")
+            _require(isinstance(sid, str), f"{where}: sample_id missing or not a string")
+            _require(sid not in seen, f"{where}: duplicate sample_id {sid!r}")
+            seen.add(sid)
+            rows = table.pop(sid, {})
+            _require(set(rows) == set(range(len(rows))),
+                     f"{where}: feature ordinals for {sid} are not consecutive")
+            try:
+                records.append(decode(obj, [rows[i] for i in range(len(rows))], header))
+            except DataError as exc:
+                raise DataError(f"{where}: {exc}") from None
+            except KeyError as exc:
+                raise DataError(f"{where}: missing field {exc}") from None
+            except (AttributeError, IndexError, OverflowError, TypeError, ValueError) as exc:
+                raise DataError(f"{where}: malformed record ({exc})") from None
+    _require(header is not None, f"{path}: empty file, missing header")
+    _require(not table, f"{fpath}: feature rows for {sorted(table)[:3]} have no record")
+    return records
+
+
+def read_header(path: str | Path) -> DatasetHeader:
+    with open(path, "rb") as fh:
+        return _parse_header(fh.readline(), f"{path}:1")
+
+
+def _parse_header(line: bytes, where: str) -> DatasetHeader:
+    try:
+        obj = json.loads(line)
+        return DatasetHeader(d_vis=int(obj["d_vis"]),
+                             objectness_threshold=float(obj["objectness_threshold"]),
+                             max_context_objects=int(obj["max_context_objects"]),
+                             format_version=int(obj["format_version"]))
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise DataError(f"{where}: bad dataset header ({exc})") from None
 
 
 def write_dataset(samples: Sequence[Sample], path: str | Path,
@@ -460,44 +563,11 @@ def write_dataset(samples: Sequence[Sample], path: str | Path,
     input therefore leaves no partial output behind.
     """
     if header is None:
-        d_vis = len(samples[0].image.persons[0].feature) if samples else 0
-        header = DatasetHeader(d_vis=d_vis)
+        header = default_header(s.image for s in samples)
     for sample in samples:
         sample.validate(header)
-
-    path = Path(path)
-    lines = [_json_line({
-        "format_version": header.format_version,
-        "d_vis": header.d_vis,
-        "objectness_threshold": header.objectness_threshold,
-        "max_context_objects": header.max_context_objects,
-    })]
-    lines += [_json_line(sample_to_json(s)) for s in samples]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    def rows():
-        for s in samples:
-            for ordinal, vec in enumerate(sample_features(s)):
-                yield s.sample_id, ordinal, vec
-
-    write_feature_file(feature_path(path), header.d_vis, rows())
-
-
-def read_header(path: str | Path) -> DatasetHeader:
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-    return _parse_header(first, path)
-
-
-def _parse_header(line: str, path: str | Path) -> DatasetHeader:
-    try:
-        obj = json.loads(line)
-        return DatasetHeader(d_vis=int(obj["d_vis"]),
-                             objectness_threshold=float(obj["objectness_threshold"]),
-                             max_context_objects=int(obj["max_context_objects"]),
-                             format_version=int(obj["format_version"]))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}:1: bad dataset header ({exc})") from None
+    write_container(path, header, ((s.sample_id, sample_to_json(s), image_features(s.image))
+                                   for s in samples))
 
 
 def read_dataset(path: str | Path, strict: bool = True) -> list[Sample]:
@@ -507,42 +577,12 @@ def read_dataset(path: str | Path, strict: bool = True) -> list[Sample]:
     material can be loaded for the ``filter`` stage; structural invariants
     (boxes, labels in range, feature dimensions) are always enforced.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"{path}: no such dataset file")
-    fpath = feature_path(path)
-    if not fpath.exists():
-        raise DataError(f"{fpath}: companion feature file missing")
-    feat_d_vis, table = read_feature_file(fpath)
+    def decode(obj: dict, features: list[np.ndarray], header: DatasetHeader) -> Sample:
+        sample = sample_from_json(obj, features)
+        sample.validate(header, strict=strict)
+        return sample
 
-    samples: list[Sample] = []
-    with open(path, encoding="utf-8") as fh:
-        header: DatasetHeader | None = None
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            if header is None:
-                header = _parse_header(line, path)
-                _require(header.d_vis == feat_d_vis,
-                         f"{path}: header d_vis {header.d_vis} != feature file "
-                         f"d_vis {feat_d_vis}")
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-            where = f"{path}:{lineno}"
-            sid = str(obj.get("sample_id", f"<line {lineno}>"))
-            per_sample = table.get(sid, {})
-            n_regions = len(per_sample)
-            _require(set(per_sample) == set(range(n_regions)),
-                     f"{where}: feature ordinals for {sid} are not consecutive")
-            features = [per_sample[i] for i in range(n_regions)]
-            sample = sample_from_json(obj, features, where)
-            sample.validate(header, strict=strict)
-            samples.append(sample)
-    _require(header is not None, f"{path}: empty file, missing header")
-    return samples
+    return read_container(path, decode)
 
 
 # ---------------------------------------------------------------------------

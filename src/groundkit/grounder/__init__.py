@@ -8,20 +8,22 @@ from .model import (
     GroundingModel,
     LinkContrast,
     ModelConfig,
+    TrainSchedule,
     classification_logits,
     contrastive_loss_from_features,
     loss_cls,
     loss_con,
+    read_config,
     select_context_objects,
     substitute_neutral_names,
 )
-from .train import TrainResult, TrainSchedule, build_vocab, make_batches, sequence_length, train
+from .train import TrainResult, build_vocab, make_batches, sequence_length, train
 
 __all__ = [
     "ContrastiveSets", "DEFAULT_NEUTRAL_NAMES", "EncodedBatch",
     "GroundingModel", "LinkContrast", "ModelConfig", "SUB_BATCH", "TrainResult",
     "TrainSchedule", "build_vocab", "classification_logits",
     "contrastive_loss_from_features", "loss_cls", "loss_con", "make_batches",
-    "select_context_objects", "sequence_length", "substitute_neutral_names",
+    "read_config", "select_context_objects", "sequence_length", "substitute_neutral_names",
     "train",
 ]

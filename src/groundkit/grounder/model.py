@@ -23,15 +23,14 @@ per-sample entry points are batches of one.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
 from .. import numcore as nc
-from ..core import DataError, Description, PersonLink, Prediction, Sample, Word
+from ..core import DataError, Description, PersonLink, Prediction, Sample, Word, stable_rng
 from ..geometry import iou, location_feature
 from ..numcore.encoder import EncoderConfig, layer_from_last
 
@@ -63,11 +62,12 @@ class ModelConfig:
     max_text_len: int = 64
 
     def __post_init__(self) -> None:
-        if self.tau <= 0:
+        # written as "not > 0" so that NaN is refused too
+        if not self.tau > 0:
             raise ValueError("temperature must be positive")
         if not (0.0 <= self.t1 <= 1.0 and 0.0 <= self.t2 <= 1.0):
             raise ValueError("IoU thresholds must lie in [0, 1]")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError("contrastive weight must be >= 0")
         if not 1 <= self.contrast_layer <= self.n_layers:
             raise ValueError(f"contrast_layer {self.contrast_layer} outside "
@@ -80,54 +80,48 @@ class ModelConfig:
         return EncoderConfig(d_model=self.d_model, n_heads=self.n_heads,
                              n_layers=self.n_layers, d_ff=self.d_ff, seed=self.seed)
 
-    def to_file(self, path: str | Path) -> None:
-        lines = []
-        for key, value in sorted(self.to_dict().items()):
-            lines.append(f"{key} = {value}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "d_model": self.d_model, "n_heads": self.n_heads,
-            "n_layers": self.n_layers, "d_ff": self.d_ff, "d_vis": self.d_vis,
-            "tau": self.tau, "t1": self.t1, "t2": self.t2, "lambda": self.lam,
-            "contrast_layer": self.contrast_layer,
-            "neutral_names": ",".join(self.neutral_names), "seed": self.seed,
-            "normalize_similarity": self.normalize_similarity,
-            "use_context_objects": self.use_context_objects,
-            "max_text_len": self.max_text_len,
-        }
-
     @classmethod
     def from_file(cls, path: str | Path) -> "ModelConfig":
-        values = parse_config_file(path)
-        known = {
-            "d_model": int, "n_heads": int, "n_layers": int, "d_ff": int,
-            "d_vis": int, "tau": float, "t1": float, "t2": float,
-            "lambda": float, "contrast_layer": int, "neutral_names": str,
-            "seed": int, "normalize_similarity": _parse_bool,
-            "use_context_objects": _parse_bool, "max_text_len": int,
-        }
-        kwargs: dict[str, object] = {}
-        for key, conv in known.items():
-            if key not in values:
-                continue
-            attr = "lam" if key == "lambda" else key
-            try:
-                kwargs[attr] = conv(values[key])
-            except ValueError as exc:
-                raise DataError(f"{path}: bad value for {key!r} ({exc})") from None
-        if "neutral_names" in kwargs:
-            names = tuple(n.strip() for n in str(kwargs["neutral_names"]).split(",") if n.strip())
-            kwargs["neutral_names"] = names
-        try:
-            return cls(**kwargs)  # type: ignore[arg-type]
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}: invalid model config ({exc})") from None
+        return read_config(path)[0]
+
+    def to_file(self, path: str | Path) -> None:
+        """Write the fields as ``key = value`` lines, sorted by key."""
+        values = {_FILE_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
+        lines = [f"{key} = {','.join(value) if isinstance(value, tuple) else value}"
+                 for key, value in sorted(values.items())]
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@dataclass(frozen=True)
+class TrainSchedule:
+    steps: int = 300
+    lr: float = 6e-5
+    token_budget: int = 4000
+    weight_decay: float = 0.01
+    beta1: float = 0.9
+    beta2: float = 0.999
+    adam_eps: float = 1e-8
+
+    def __post_init__(self) -> None:
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
+        if not self.lr > 0:  # refuses NaN too
+            raise ValueError("learning rate must be positive")
+        if self.token_budget < 1:
+            raise ValueError("token budget must be >= 1")
+
+
+# ---------------------------------------------------------------------------
+# config files: flat ``key = value`` lines, '#' starts a comment.  The keys are
+# the fields of ModelConfig and TrainSchedule; each value is parsed by its
+# field's type.
+
+# field name -> file key, where the two differ
+_FILE_KEYS = {"lam": "lambda"}
 
 
 def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
+    low = text.lower()
     if low in ("true", "1", "yes"):
         return True
     if low in ("false", "0", "no"):
@@ -135,27 +129,52 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat ``key = value`` lines; '#' starts a comment."""
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+def _parse_names(text: str) -> tuple[str, ...]:
+    return tuple(n.strip() for n in text.split(",") if n.strip())
+
+
+_PARSERS = {int: int, float: float, bool: _parse_bool, tuple[str, ...]: _parse_names}
+
+
+def read_config(path: str | Path) -> tuple[ModelConfig, TrainSchedule]:
+    """Read one config file into a ModelConfig and a TrainSchedule.
+
+    Fields the file leaves out keep their defaults.  An unknown key, a value
+    its field's type cannot parse, or an invalid config is a DataError.
+    """
+    schema = {}
+    for cls in (ModelConfig, TrainSchedule):
+        types = get_type_hints(cls)
+        for f in fields(cls):
+            schema[_FILE_KEYS.get(f.name, f.name)] = (cls, f.name, _PARSERS[types[f.name]])
+    kwargs: dict[type, dict[str, object]] = {ModelConfig: {}, TrainSchedule: {}}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise DataError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
+        where = f"{path}:{lineno}"
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep:
+            raise DataError(f"{where}: expected 'key = value'")
+        if key not in schema:
+            raise DataError(f"{where}: unknown config key {key!r}")
+        cls, name, parse = schema[key]
+        try:
+            kwargs[cls][name] = parse(value)
+        except ValueError as exc:
+            raise DataError(f"{where}: bad value for {key!r} ({exc})") from None
+    try:
+        return ModelConfig(**kwargs[ModelConfig]), TrainSchedule(**kwargs[TrainSchedule])
+    except ValueError as exc:
+        raise DataError(f"{path}: invalid config ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
 # neutral-name substitution
-
-
-def _stable_rng(seed: int, tag: str) -> np.random.Generator:
-    digest = hashlib.sha256(f"{seed}:{tag}".encode("utf-8")).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
 def substitute_neutral_names(description: Description,
@@ -173,7 +192,7 @@ def substitute_neutral_names(description: Description,
     if len(link_ids) > len(pool):
         raise DataError(f"{sample_id or 'sample'}: {len(link_ids)} links exceed "
                         f"name pool of {len(pool)}")
-    rng = _stable_rng(seed, sample_id)
+    rng = stable_rng(seed, sample_id)
     order = rng.permutation(len(pool))
     assigned = {link: str(pool[order[i]]).lower() for i, link in enumerate(link_ids)}
 

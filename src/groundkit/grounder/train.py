@@ -18,28 +18,10 @@ import numpy as np
 
 from .. import numcore as nc
 from ..core import Sample
-from .model import SUB_BATCH, GroundingModel, ModelConfig, UNK_TOKEN, substitute_neutral_names
+from .model import (SUB_BATCH, UNK_TOKEN, GroundingModel, ModelConfig, TrainSchedule,
+                    substitute_neutral_names)
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class TrainSchedule:
-    steps: int = 300
-    lr: float = 6e-5
-    token_budget: int = 4000
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.token_budget < 1:
-            raise ValueError("token budget must be >= 1")
 
 
 @dataclass

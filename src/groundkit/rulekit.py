@@ -20,16 +20,18 @@ the first match wins, so a rule set is a deterministic function.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .core import (
     CommonsenseType,
     DataError,
+    DatasetHeader,
     Description,
     GroundingLabel,
     ImageRecord,
@@ -40,18 +42,15 @@ from .core import (
     Sample,
     Token,
     Word,
+    default_header,
     has_tied_links,
+    image_features,
     image_from_json,
     image_to_json,
-    read_feature_file,
-    sample_features,
+    read_container,
     token_from_json,
     token_to_json,
-    write_feature_file,
-    feature_path,
-    _json_line,
-    _parse_header,
-    DatasetHeader,
+    write_container,
 )
 
 AUX_WORDS = ("is", "are", "was", "were", "will", "would", "does", "did", "can", "could")
@@ -561,86 +560,37 @@ def run_pipeline(corpus: Sequence[QAPair], rules: RuleSet,
 
 
 # ---------------------------------------------------------------------------
-# QA corpus files (dataset format plus question/answers/correct_index)
+# QA corpus files: core's container, with question/answers/correct_index
+# records in place of samples
+
+
+def qa_to_json(qa: QAPair) -> dict:
+    return {
+        "sample_id": qa.sample_id,
+        "image": image_to_json(qa.image),
+        "question": [token_to_json(t) for t in qa.question],
+        "answers": [[token_to_json(t) for t in ans] for ans in qa.answers],
+        "correct_index": qa.correct_index,
+        "labels": {str(k): v for k, v in sorted(qa.labels.items())},
+    }
+
+
+def qa_from_json(obj: dict, features: list[np.ndarray]) -> QAPair:
+    """One QA record; images may hold any person count, the filters judge that."""
+    return QAPair(sample_id=obj["sample_id"], image=image_from_json(obj["image"], features),
+                  question=[token_from_json(t) for t in obj["question"]],
+                  answers=[[token_from_json(t) for t in ans] for ans in obj["answers"]],
+                  correct_index=int(obj["correct_index"]),
+                  labels={int(k): int(v) for k, v in obj["labels"].items()})
 
 
 def write_qa_corpus(corpus: Sequence[QAPair], path: str | Path,
                     header: DatasetHeader | None = None) -> None:
     if header is None:
-        d_vis = len(corpus[0].image.persons[0].feature) if corpus else 0
-        header = DatasetHeader(d_vis=d_vis)
-    path = Path(path)
-    lines = [_json_line({
-        "format_version": header.format_version,
-        "d_vis": header.d_vis,
-        "objectness_threshold": header.objectness_threshold,
-        "max_context_objects": header.max_context_objects,
-    })]
-    for qa in corpus:
-        lines.append(_json_line({
-            "sample_id": qa.sample_id,
-            "image": image_to_json(qa.image),
-            "question": [token_to_json(t) for t in qa.question],
-            "answers": [[token_to_json(t) for t in ans] for ans in qa.answers],
-            "correct_index": qa.correct_index,
-            "labels": {str(k): v for k, v in sorted(qa.labels.items())},
-        }))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    def rows():
-        for qa in corpus:
-            feats = [p.feature for p in qa.image.persons]
-            feats += [o.feature for o in qa.image.context_objects]
-            for ordinal, vec in enumerate(feats):
-                yield qa.sample_id, ordinal, vec
-
-    write_feature_file(feature_path(path), header.d_vis, rows())
+        header = default_header(qa.image for qa in corpus)
+    write_container(path, header, ((qa.sample_id, qa_to_json(qa), image_features(qa.image))
+                                   for qa in corpus))
 
 
 def read_qa_corpus(path: str | Path) -> list[QAPair]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"{path}: no such QA corpus file")
-    fpath = feature_path(path)
-    if not fpath.exists():
-        raise DataError(f"{fpath}: companion feature file missing")
-    feat_d_vis, table = read_feature_file(fpath)
-    corpus: list[QAPair] = []
-    with open(path, encoding="utf-8") as fh:
-        header: DatasetHeader | None = None
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            if header is None:
-                header = _parse_header(line, path)
-                if header.d_vis != feat_d_vis:
-                    raise DataError(f"{path}: header d_vis {header.d_vis} != feature "
-                                    f"file d_vis {feat_d_vis}")
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{where}: malformed JSON ({exc.msg})") from None
-            sid = str(obj.get("sample_id", f"<line {lineno}>"))
-            per_sample = table.get(sid, {})
-            features = [per_sample[i] for i in range(len(per_sample))]
-            try:
-                image = image_from_json(obj["image"], features, where)
-                question = [token_from_json(t, where) for t in obj["question"]]
-                answers = [[token_from_json(t, where) for t in ans]
-                           for ans in obj["answers"]]
-                labels = {int(k): int(v) for k, v in obj["labels"].items()}
-                qa = QAPair(sample_id=sid, image=image, question=question,
-                            answers=answers, correct_index=int(obj["correct_index"]),
-                            labels=labels)
-            except KeyError as exc:
-                raise DataError(f"{where}: missing field {exc}") from None
-            for vec in features:
-                if vec.shape != (header.d_vis,):
-                    raise DataError(f"{where}: feature length {vec.shape[0]} != "
-                                    f"d_vis {header.d_vis}")
-            corpus.append(qa)
-    if header is None:
-        raise DataError(f"{path}: empty file, missing header")
-    return corpus
+    return read_container(path, lambda obj, features, _header: qa_from_json(obj, features))

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from groundkit.cli import run
-from groundkit.core import feature_path, read_dataset, write_dataset
+from groundkit.core import (DatasetHeader, feature_path, image_features, read_dataset,
+                            sample_to_json, write_container, write_dataset)
 from groundkit.rulekit import SplitSpec, write_qa_corpus
 
 from conftest import make_sample
@@ -43,14 +44,47 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err.splitlines()[0])["error"] == "data"
 
-    def _assert_usage_line(self, code, err):
-        assert code == 1
+    def _assert_error_line(self, code, err, error):
+        assert code == {"usage": 1, "data": 2}[error]
         assert "Traceback" not in err
         lines = [line for line in err.splitlines() if line.startswith("{")]
         assert len(lines) == 1
         payload = json.loads(lines[0])
-        assert payload["error"] == "usage"
+        assert payload["error"] == error
         return payload["detail"]
+
+    def _assert_usage_line(self, code, err):
+        return self._assert_error_line(code, err, "usage")
+
+    def test_non_object_record_is_data_error(self, capsys, tmp_path):
+        data = write_tiny_dataset(tmp_path)
+        qa = tmp_path / "qa.jsonl"
+        write_qa_corpus(fixture_corpus()[:3], qa)
+        for path in (data, qa):
+            lines = path.read_text().splitlines()
+            lines[2] = "[1,2]"
+            path.write_text("\n".join(lines) + "\n")
+        for argv in (("stats", "--data", str(data)),
+                     ("transform", "--data", str(qa), "--out", str(tmp_path / "out"))):
+            code, _, err = run_cli(capsys, *argv)
+            detail = self._assert_error_line(code, err, "data")
+            assert ":3: record is not a JSON object" in detail
+
+    @pytest.mark.parametrize("line, detail", [
+        ("steps = many", "bad value for 'steps'"),
+        ("steps = 0", "steps must be >= 1"),
+        ("tau = 0", "temperature must be positive"),
+        ("lr = nan", "learning rate must be positive"),
+        ("stpes = 1", "unknown config key 'stpes'"),
+    ])
+    def test_bad_config_file_is_data_error(self, capsys, tmp_path, line, detail):
+        data = write_tiny_dataset(tmp_path)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TOY_CFG.read_text() + line + "\n")
+        code, _, err = run_cli(capsys, "train", "--data", str(data), "--config", str(cfg),
+                               "--out", str(tmp_path / "run"))
+        assert detail in self._assert_error_line(code, err, "data")
+        assert not (tmp_path / "run").exists()
 
     def test_negative_learning_rate_is_usage_error(self, capsys, tmp_path):
         data = write_tiny_dataset(tmp_path)
@@ -147,23 +181,15 @@ class TestTransformAndFilter:
                feature_path(outs[1] / "train.jsonl").read_bytes()
 
     def test_filter_command(self, capsys, tmp_path):
-        # a pre-filter dataset containing an overcrowded image
+        # a pre-filter dataset containing an overcrowded image, which
+        # write_dataset would refuse; the container writer does not validate
         samples = [make_sample("keep-0"), make_sample("toomany", n_persons=11)]
         path = tmp_path / "raw.jsonl"
-        from groundkit.core import DatasetHeader
         for s in samples:
             s.validate(strict=False)
-        write_header = DatasetHeader(d_vis=8)
-        # write leniently: bypass write_dataset validation via manual header
-        import groundkit.core as core
-        lines = [core._json_line({"format_version": 1, "d_vis": 8,
-                                  "objectness_threshold": 0.2,
-                                  "max_context_objects": 100})]
-        lines += [core._json_line(core.sample_to_json(s)) for s in samples]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        core.write_feature_file(feature_path(path), 8, (
-            (s.sample_id, i, vec) for s in samples
-            for i, vec in enumerate(core.sample_features(s))))
+        write_container(path, DatasetHeader(d_vis=8),
+                        ((s.sample_id, sample_to_json(s), image_features(s.image))
+                         for s in samples))
 
         out_path = tmp_path / "filtered.jsonl"
         code, out, _ = run_cli(capsys, "filter", "--data", str(path),

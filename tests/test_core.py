@@ -1,9 +1,15 @@
 import json
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from groundkit.core import (
+    FEATURE_MAGIC,
     BoundingBox,
     CommonsenseType,
     DataError,
@@ -19,11 +25,50 @@ from groundkit.core import (
     feature_path,
     has_tied_links,
     read_dataset,
+    read_feature_file,
     read_header,
     write_dataset,
 )
+from groundkit.rulekit import QAPair, read_qa_corpus, write_qa_corpus
 
 from conftest import make_sample
+
+
+def make_qa(sample_id, n_persons=3):
+    image = make_sample(sample_id, n_persons=n_persons).image
+    return QAPair(sample_id=sample_id, image=image,
+                  question=[Word("why"), Word("is"), PersonLink(1), Word("here"), Word("?")],
+                  answers=[[Word(w)] for w in ("rain", "no", "maybe", "never")],
+                  correct_index=0, labels={1: 0})
+
+
+# record kind -> (write records with these ids to a path, read a path)
+KINDS = {
+    "dataset": (lambda path, ids: write_dataset([make_sample(i) for i in ids], path),
+                read_dataset),
+    "qa": (lambda path, ids: write_qa_corpus([make_qa(i) for i in ids], path),
+           read_qa_corpus),
+}
+
+
+def write_kind(kind, path, ids=("s-0",)):
+    KINDS[kind][0](path, ids)
+    return path
+
+
+def read_kind(kind, path):
+    return KINDS[kind][1](path)
+
+
+def rewrite_rows(path, edit):
+    """Re-encode the ``.cgf`` rows of ``path`` after ``edit(rows)``."""
+    d_vis, table = read_feature_file(feature_path(path))
+    rows = edit([(sid, o, vec) for sid, per in table.items() for o, vec in per.items()])
+    blob = FEATURE_MAGIC + struct.pack("<I", d_vis)
+    for sid, ordinal, vec in rows:
+        raw = sid.encode("utf-8")
+        blob += struct.pack("<I", len(raw)) + raw + struct.pack("<I", ordinal) + vec.tobytes()
+    feature_path(path).write_bytes(blob)
 
 
 class TestTypes:
@@ -100,6 +145,13 @@ class TestRoundTrip:
         with pytest.raises(DataError):
             write_dataset([bad], path)
         assert not path.exists()
+        # a wrong-length feature row in the last QA record leaves no file either
+        corpus = [make_qa(f"q-{i}") for i in range(4)]
+        corpus[-1].image.persons[1].feature = np.zeros(5, np.float32)
+        qa_path = tmp_path / "qa.jsonl"
+        with pytest.raises(DataError, match="d_vis"):
+            write_qa_corpus(corpus, qa_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_order_preserved(self, tmp_path):
         samples = [make_sample(f"s-{i}") for i in (3, 1, 2)]
@@ -109,43 +161,45 @@ class TestRoundTrip:
 
 
 class TestReadErrors:
+    """Checks the container makes for every record kind; each test runs both."""
+
     def test_malformed_line_names_line_number(self, tmp_path):
-        path = tmp_path / "d.jsonl"
-        write_dataset([make_sample("s-0")], path)
-        text = path.read_text().splitlines()
-        text.insert(1, "{not json")
-        path.write_text("\n".join(text) + "\n")
-        with pytest.raises(DataError, match=r":2:"):
-            read_dataset(path)
+        for kind in KINDS:
+            path = write_kind(kind, tmp_path / f"{kind}.jsonl")
+            text = path.read_text().splitlines()
+            text.insert(1, "{not json")
+            path.write_text("\n".join(text) + "\n")
+            with pytest.raises(DataError, match=r":2:"):
+                read_kind(kind, path)
 
     def test_missing_feature_file(self, tmp_path):
-        path = tmp_path / "d.jsonl"
-        write_dataset([make_sample("s-0")], path)
-        feature_path(path).unlink()
-        with pytest.raises(DataError, match="feature file missing"):
-            read_dataset(path)
+        for kind in KINDS:
+            path = write_kind(kind, tmp_path / f"{kind}.jsonl")
+            feature_path(path).unlink()
+            with pytest.raises(DataError, match="feature file missing"):
+                read_kind(kind, path)
 
     def test_dimension_mismatch_detected(self, tmp_path):
-        path = tmp_path / "d.jsonl"
-        write_dataset([make_sample("s-0")], path)
-        # rewrite the header to claim a different d_vis
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        header["d_vis"] = 64
-        lines[0] = json.dumps(header, separators=(",", ":"))
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match="d_vis"):
-            read_dataset(path)
+        for kind in KINDS:
+            path = write_kind(kind, tmp_path / f"{kind}.jsonl")
+            # rewrite the header to claim a different d_vis
+            lines = path.read_text().splitlines()
+            header = json.loads(lines[0])
+            header["d_vis"] = 64
+            lines[0] = json.dumps(header, separators=(",", ":"))
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(DataError, match="d_vis"):
+                read_kind(kind, path)
 
     def test_corrupt_feature_magic_rejected(self, tmp_path):
-        path = tmp_path / "d.jsonl"
-        write_dataset([make_sample("s-0")], path)
-        fpath = feature_path(path)
-        blob = bytearray(fpath.read_bytes())
-        blob[:4] = b"XXXX"
-        fpath.write_bytes(bytes(blob))
-        with pytest.raises(DataError, match="magic"):
-            read_dataset(path)
+        for kind in KINDS:
+            path = write_kind(kind, tmp_path / f"{kind}.jsonl")
+            fpath = feature_path(path)
+            blob = bytearray(fpath.read_bytes())
+            blob[:4] = b"XXXX"
+            fpath.write_bytes(bytes(blob))
+            with pytest.raises(DataError, match="magic"):
+                read_kind(kind, path)
 
     def test_label_out_of_range_on_read(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -157,6 +211,98 @@ class TestReadErrors:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="label out of range"):
             read_dataset(path)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+class TestContainerIntegrity:
+    def test_duplicate_sample_id_rejected(self, kind, tmp_path):
+        path = write_kind(kind, tmp_path / "c.jsonl", ids=("s-0", "s-1"))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[1]]) + "\n")
+        with pytest.raises(DataError, match=r":4: duplicate sample_id 's-0'"):
+            read_kind(kind, path)
+
+    def test_duplicate_feature_row_rejected(self, kind, tmp_path):
+        path = write_kind(kind, tmp_path / "c.jsonl")
+        rewrite_rows(path, lambda rows: rows + rows[:1])
+        with pytest.raises(DataError, match=r"duplicate feature row \('s-0', 0\)"):
+            read_kind(kind, path)
+
+    def test_orphan_feature_rows_rejected(self, kind, tmp_path):
+        path = write_kind(kind, tmp_path / "c.jsonl")
+        rewrite_rows(path, lambda rows: rows + [("ghost", 0, rows[0][2])])
+        with pytest.raises(DataError, match="'ghost'.* no record"):
+            read_kind(kind, path)
+
+    def test_missing_ordinal_rejected(self, kind, tmp_path):
+        path = write_kind(kind, tmp_path / "c.jsonl")
+        rewrite_rows(path, lambda rows: rows[1:])
+        with pytest.raises(DataError, match=r"c.jsonl:2: feature ordinals for s-0"):
+            read_kind(kind, path)
+
+    def test_duplicate_sample_id_refused_on_write(self, kind, tmp_path):
+        with pytest.raises(DataError, match="duplicate sample_id"):
+            write_kind(kind, tmp_path / "c.jsonl", ids=("s-0", "s-0"))
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_qa_record_without_regions_loads(tmp_path):
+    """QA corpora legally hold images with no person: no rows, no error."""
+    empty = make_qa("q-empty", n_persons=0)
+    empty.image.context_objects.clear()
+    path = tmp_path / "qa.jsonl"
+    write_qa_corpus([empty, make_qa("q-1")], path, header=DatasetHeader(d_vis=8))
+    loaded = read_qa_corpus(path)
+    assert [qa.image.n_persons for qa in loaded] == [0, 3]
+
+
+# any JSON value, including huge integers, NaN and infinities
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4),
+                                                                inner, max_size=3),
+    max_leaves=6)
+
+
+def mutate(data, value):
+    """Replace or delete one value at a drawn path inside ``value``, or all of it."""
+    if not isinstance(value, (dict, list)) or not value or data.draw(st.integers(0, 7)) == 0:
+        return data.draw(JSON_VALUES)
+    node = value
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        if isinstance(node, dict) and data.draw(st.integers(0, 3)) == 0:
+            del node[key]
+        else:
+            node[key] = data.draw(JSON_VALUES)
+        return value
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(sorted(KINDS)), data=st.data())
+def test_mutated_container_loads_or_raises_data_error(kind, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_kind(kind, Path(tmp) / "c.jsonl", ids=("s-0", "s-1"))
+        lines = path.read_text().splitlines()
+        for _ in range(data.draw(st.integers(0, 2))):
+            target = data.draw(st.integers(0, len(lines) - 1))
+            lines[target] = json.dumps(mutate(data, json.loads(lines[target])))
+        path.write_text("\n".join(lines) + "\n")
+        blob = bytearray(feature_path(path).read_bytes())
+        flips = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                             st.integers(1, 255)), max_size=3))
+        for offset, bits in flips:
+            blob[offset] ^= bits
+        feature_path(path).write_bytes(bytes(blob))
+        try:
+            read_kind(kind, path)
+        except DataError:
+            pass
 
 
 class TestStats:

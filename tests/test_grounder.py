@@ -24,6 +24,7 @@ from groundkit.grounder import (
     TrainSchedule,
     build_vocab,
     make_batches,
+    read_config,
     sequence_length,
     substitute_neutral_names,
     train,
@@ -574,6 +575,12 @@ class TestPersistence:
         reloaded = load_model(tmp_path / "a")
         p2 = save_model(reloaded, tmp_path / "b")
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_config_file_feeds_both_dataclasses(self):
+        config, schedule = read_config(TOY_CFG)
+        assert (config.d_model, config.lam, config.normalize_similarity) == (32, 1.0, False)
+        assert (schedule.steps, schedule.lr, schedule.token_budget) == (400, 5e-4, 800)
+        assert schedule.beta1 == TrainSchedule().beta1  # keys left out keep defaults
 
     def test_config_file_roundtrip(self, tmp_path):
         config = toy_config(tau=0.5, lam=2.0, normalize_similarity=True)
