@@ -11,7 +11,7 @@ Datasets and QA corpora share one container of two files:
   ``u32`` byte length of sample_id, sample_id bytes, ``u32`` region ordinal,
   ``d_vis`` float32 values.  Region ordinals enumerate persons first, then
   context objects, in their stored order, and must run 0..n-1 per record;
-  every row belongs to a record.
+  every row belongs to a record, and every value is finite.
 
 ``write_container``/``read_container`` own this format; each record kind
 only encodes and decodes its JSON object.  Feature vectors are float32 and
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from collections import Counter
@@ -73,11 +74,17 @@ class BoundingBox:
     y2: float
 
     def __post_init__(self) -> None:
+        # every box of every read and every synth scene passes here, so the
+        # messages are built only on failure
         coords = (self.x1, self.y1, self.x2, self.y2)
-        _require(all(np.isfinite(c) for c in coords), f"non-finite box coordinate in {coords}")
-        _require(min(coords) >= 0, f"negative box coordinate in {coords}")
-        _require(self.x2 > self.x1, f"degenerate box: x2 <= x1 ({self.x1}, {self.x2})")
-        _require(self.y2 > self.y1, f"degenerate box: y2 <= y1 ({self.y1}, {self.y2})")
+        if not all(map(math.isfinite, coords)):
+            raise DataError(f"non-finite box coordinate in {coords}")
+        if min(coords) < 0:
+            raise DataError(f"negative box coordinate in {coords}")
+        if not self.x2 > self.x1:
+            raise DataError(f"degenerate box: x2 <= x1 ({self.x1}, {self.x2})")
+        if not self.y2 > self.y1:
+            raise DataError(f"degenerate box: y2 <= y1 ({self.y1}, {self.y2})")
 
     @property
     def width(self) -> float:
@@ -414,11 +421,24 @@ def _json_line(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
 
 
-def _replace_file(path: Path, data: bytes | bytearray) -> None:
-    """Write through a temp file, so ``path`` never holds a partial write."""
+def replace_file(path: str | Path, data: bytes | bytearray) -> None:
+    """Write through ``<name>.tmp`` plus ``os.replace``, so ``path`` never holds
+    a partial write: it keeps its old content until the new one is complete."""
+    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(data)
     os.replace(tmp, path)
+
+
+def _require_finite(where: str | Path, table: Mapping[str, Mapping[int, np.ndarray]]) -> None:
+    """Refuse non-finite values in ``{sample_id: {ordinal: row}}``, naming the first
+    row that holds one; a single check covers all rows."""
+    rows = [vec for per_sample in table.values() for vec in per_sample.values()]
+    if not rows or np.isfinite(np.concatenate(rows)).all():
+        return
+    sid, ordinal = next((sid, ordinal) for sid, per_sample in table.items()
+                        for ordinal, vec in per_sample.items() if not np.isfinite(vec).all())
+    raise DataError(f"{where}: non-finite feature value in row ({sid!r}, {ordinal})")
 
 
 def write_container(path: str | Path, header: DatasetHeader,
@@ -437,10 +457,10 @@ def write_container(path: str | Path, header: DatasetHeader,
         "max_context_objects": header.max_context_objects,
     })]
     blob = bytearray(FEATURE_MAGIC + struct.pack("<I", header.d_vis))
-    seen: set[str] = set()
+    written: dict[str, dict[int, np.ndarray]] = {}
     for sample_id, obj, rows in records:
-        _require(sample_id not in seen, f"{path}: duplicate sample_id {sample_id!r}")
-        seen.add(sample_id)
+        _require(sample_id not in written, f"{path}: duplicate sample_id {sample_id!r}")
+        written[sample_id] = {}
         lines.append(_json_line(obj))
         sid = sample_id.encode("utf-8")
         for ordinal, vec in enumerate(rows):
@@ -448,10 +468,12 @@ def write_container(path: str | Path, header: DatasetHeader,
             if vec.shape != (header.d_vis,):
                 raise DataError(f"{sample_id}: feature row of shape {vec.shape}, "
                                 f"expected d_vis={header.d_vis}")
+            written[sample_id][ordinal] = vec
             blob += struct.pack("<I", len(sid)) + sid + struct.pack("<I", ordinal)
             blob += vec.tobytes()
-    _replace_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
-    _replace_file(feature_path(path), blob)
+    _require_finite(path, written)
+    replace_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    replace_file(feature_path(path), blob)
 
 
 def read_feature_file(path: str | Path) -> tuple[int, dict[str, dict[int, np.ndarray]]]:
@@ -480,6 +502,7 @@ def read_feature_file(path: str | Path) -> tuple[int, dict[str, dict[int, np.nda
             rows[ordinal] = vec
     except (struct.error, ValueError) as exc:
         raise DataError(f"{path}: corrupt feature file ({exc})") from None
+    _require_finite(path, table)
     return d_vis, table
 
 

@@ -8,6 +8,7 @@ from .model import (
     GroundingModel,
     LinkContrast,
     ModelConfig,
+    SampleLayout,
     TrainSchedule,
     classification_logits,
     contrastive_loss_from_features,
@@ -15,14 +16,15 @@ from .model import (
     loss_con,
     read_config,
     select_context_objects,
+    sequence_length,
     substitute_neutral_names,
 )
-from .train import TrainResult, build_vocab, make_batches, sequence_length, train
+from .train import TrainResult, build_vocab, make_batches, train
 
 __all__ = [
     "ContrastiveSets", "DEFAULT_NEUTRAL_NAMES", "EncodedBatch",
-    "GroundingModel", "LinkContrast", "ModelConfig", "SUB_BATCH", "TrainResult",
-    "TrainSchedule", "build_vocab", "classification_logits",
+    "GroundingModel", "LinkContrast", "ModelConfig", "SUB_BATCH", "SampleLayout",
+    "TrainResult", "TrainSchedule", "build_vocab", "classification_logits",
     "contrastive_loss_from_features", "loss_cls", "loss_con", "make_batches",
     "read_config", "select_context_objects", "sequence_length", "substitute_neutral_names",
     "train",

@@ -3,7 +3,9 @@
 A run directory holds ``model.ckpt`` (binary checkpoint), ``vocab.json``
 (word-to-id map), ``config.cfg`` (the resolved model config), and whatever
 logs the caller adds.  Loading validates tensor names and shapes against the
-config before constructing the model.
+config before constructing the model.  Each file is written through
+``<name>.tmp`` plus ``os.replace``, so a failed save never leaves a partly
+written file behind.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import numcore as nc
-from ..core import DataError
+from ..core import DataError, replace_file
 from .model import GroundingModel, ModelConfig
 
 CHECKPOINT_NAME = "model.ckpt"
@@ -26,8 +28,8 @@ def save_model(model: GroundingModel, run_dir: str | Path) -> Path:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     nc.save_checkpoint(model.params, run_dir / CHECKPOINT_NAME)
-    (run_dir / VOCAB_NAME).write_text(
-        json.dumps(model.vocab, sort_keys=True, indent=0), encoding="utf-8")
+    replace_file(run_dir / VOCAB_NAME,
+                 json.dumps(model.vocab, sort_keys=True, indent=0).encode("utf-8"))
     model.config.to_file(run_dir / CONFIG_NAME)
     return run_dir / CHECKPOINT_NAME
 

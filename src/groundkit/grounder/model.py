@@ -19,6 +19,13 @@ Samples run in batches: their sequences are zero-padded to a common length
 the padding, and the losses gather link, person and context-object rows by
 flat index, so one forward and one backward pass serve the whole batch.  The
 per-sample entry points are batches of one.
+
+Everything about a sample that no parameter touches (its substituted words,
+their vocabulary ids, its region feature and location rows and, for
+training, its contrastive sets) is a ``SampleLayout``, made by
+``GroundingModel.prepare``.  Training prepares each sample once and reuses
+its layout on every visit; the entry points also take raw samples, which
+they prepare as they go.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ from typing import Mapping, Sequence, get_type_hints
 import numpy as np
 
 from .. import numcore as nc
-from ..core import DataError, Description, PersonLink, Prediction, Sample, Word, stable_rng
+from ..core import (DataError, Description, GroundingLabel, PersonLink, Prediction, Sample,
+                    Word, replace_file, stable_rng)
 from ..geometry import iou, location_feature
 from ..numcore.encoder import EncoderConfig, layer_from_last
 
@@ -85,11 +93,11 @@ class ModelConfig:
         return read_config(path)[0]
 
     def to_file(self, path: str | Path) -> None:
-        """Write the fields as ``key = value`` lines, sorted by key."""
+        """Write the fields as ``key = value`` lines, sorted by key, through a temp file."""
         values = {_FILE_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
         lines = [f"{key} = {','.join(value) if isinstance(value, tuple) else value}"
                  for key, value in sorted(values.items())]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        replace_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -103,12 +111,19 @@ class TrainSchedule:
     adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
+        # written as "not ..." so that NaN is refused too
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if not self.lr > 0:  # refuses NaN too
+        if not self.lr > 0:
             raise ValueError("learning rate must be positive")
         if self.token_budget < 1:
             raise ValueError("token budget must be >= 1")
+        if not self.weight_decay >= 0:
+            raise ValueError("weight decay must be >= 0")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError("Adam betas must lie in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ValueError("Adam epsilon must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +328,31 @@ def select_context_objects(sample: Sample, t1: float, t2: float) -> ContrastiveS
     return ContrastiveSets(per_link)
 
 
+@dataclass(frozen=True, slots=True)
+class SampleLayout:
+    """One sample's parameter-free model inputs, prepared once and reused.
+
+    ``features`` and ``locations`` hold one row per region in sequence order
+    (persons, then the context objects the config keeps), in the parameters'
+    dtype.  ``sets`` is None unless the layout was prepared for the
+    contrastive loss.
+    """
+
+    words: list[str]
+    link_positions: dict[int, int]
+    labels: GroundingLabel
+    word_ids: np.ndarray         # [T] vocabulary ids of ``words``
+    n_persons: int
+    features: np.ndarray         # [R, d_vis]
+    locations: np.ndarray        # [R, 7]
+    sets: ContrastiveSets | None = None
+
+
+def sequence_length(layout: SampleLayout) -> int:
+    """Tokens the sample takes in the input sequence: text, then regions."""
+    return len(layout.words) + len(layout.features)
+
+
 # ---------------------------------------------------------------------------
 # losses
 
@@ -449,14 +489,15 @@ class GroundingModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _word_ids(self, words: Sequence[str]) -> list[int]:
-        unk = self.vocab.get(UNK_TOKEN, 0)
-        return [self.vocab.get(w, unk) for w in words]
+    def prepare(self, samples: Sequence[Sample], contrast: bool = False) -> list[SampleLayout]:
+        """Each sample's ``SampleLayout``, with its contrastive sets if ``contrast``.
 
-    def embed(self, samples: Sequence[Sample]) -> EncodedBatch:
-        """Embed ``samples`` into one zero-padded ``[B, L, d]`` sequence."""
-        cfg, p = self.config, self.params
-        dtype = p["embed.feat.w"].dtype
+        A text longer than ``max_text_len`` or a feature row whose length is
+        not ``d_vis`` is a DataError.
+        """
+        cfg = self.config
+        dtype = self.params["embed.feat.w"].dtype
+        unk = self.vocab.get(UNK_TOKEN, 0)
         layouts = []
         for sample in samples:
             words, link_positions = substitute_neutral_names(
@@ -464,57 +505,76 @@ class GroundingModel:
             if len(words) > cfg.max_text_len:
                 raise DataError(f"{sample.sample_id}: {len(words)} text tokens exceed "
                                 f"max_text_len {cfg.max_text_len}")
-            regions = list(sample.image.persons)
+            image = sample.image
+            regions = list(image.persons)
             if cfg.use_context_objects:
-                regions += sample.image.context_objects
-            layouts.append((sample, words, link_positions, regions))
-        width = max(len(words) + len(regions) for _s, words, _l, regions in layouts)
-
-        ids: list[int] = []
-        positions: list[int] = []
-        text_rows: list[int] = []
-        region_rows: list[int] = []
-        feats, locs = [], []
-        mask = np.zeros((len(samples), width), dtype=bool)
-        link_pos, person_pos, object_pos, all_words = [], [], [], []
-        for b, (sample, words, link_positions, regions) in enumerate(layouts):
-            n_text, n_persons = len(words), sample.image.n_persons
-            n = n_text + len(regions)
-            sample_feats = np.stack([r.feature for r in regions])
-            if sample_feats.shape[1] != cfg.d_vis:
-                raise DataError(f"{sample.sample_id}: feature dim {sample_feats.shape[1]} "
+                regions += image.context_objects
+            features = np.stack([r.feature for r in regions]).astype(dtype, copy=False)
+            if features.shape[1] != cfg.d_vis:
+                raise DataError(f"{sample.sample_id}: feature dim {features.shape[1]} "
                                 f"!= d_vis {cfg.d_vis}")
-            feats.append(sample_feats)
-            locs += [location_feature(r.box, sample.image.width, sample.image.height)
-                     for r in regions]
-            ids += self._word_ids(words)
-            positions += range(n_text)
-            text_rows += range(b * width, b * width + n_text)
-            region_rows += range(b * width + n_text, b * width + n)
-            mask[b, :n] = True
-            link_pos.append(link_positions)
-            person_pos.append(list(range(n_text, n_text + n_persons)))
-            object_pos.append(list(range(n_text + n_persons, n)))
-            all_words.append(words)
+            locations = np.stack([location_feature(r.box, image.width, image.height)
+                                  for r in regions]).astype(dtype)
+            sets = select_context_objects(sample, cfg.t1, cfg.t2) if contrast else None
+            if sets is not None and not cfg.use_context_objects:
+                # objects are absent from the input sequence, so the positive
+                # set shrinks to the ground-truth person alone
+                for lc in sets.per_link:
+                    lc.context_objects = []
+                    lc.weights = lc.weights[:1]
+            layouts.append(SampleLayout(
+                words=words, link_positions=link_positions, labels=sample.labels,
+                word_ids=np.array([self.vocab.get(w, unk) for w in words], dtype=np.intp),
+                n_persons=image.n_persons, features=features, locations=locations,
+                sets=sets))
+        return layouts
+
+    def _layouts(self, samples: Sequence[Sample | SampleLayout],
+                 contrast: bool = False) -> list[SampleLayout]:
+        """``samples`` as layouts, preparing the raw ones among them."""
+        return [s if isinstance(s, SampleLayout) else self.prepare([s], contrast)[0]
+                for s in samples]
+
+    def embed(self, samples: Sequence[Sample | SampleLayout]) -> EncodedBatch:
+        """Embed ``samples`` into one zero-padded ``[B, L, d]`` sequence."""
+        p = self.params
+        layouts = self._layouts(samples)
+        lengths = [sequence_length(layout) for layout in layouts]
+        width = max(lengths)
+
+        positions, text_rows, region_rows = [], [], []
+        person_pos, object_pos = [], []
+        for b, (layout, n) in enumerate(zip(layouts, lengths)):
+            n_text = len(layout.words)
+            n_before_objects = n_text + layout.n_persons
+            positions.append(np.arange(n_text))
+            text_rows.append(np.arange(b * width, b * width + n_text))
+            region_rows.append(np.arange(b * width + n_text, b * width + n))
+            person_pos.append(list(range(n_text, n_before_objects)))
+            object_pos.append(list(range(n_before_objects, n)))
 
         text = nc.layer_norm(
-            nc.add(nc.gather_rows(p["embed.word"], ids),
-                   nc.gather_rows(p["embed.pos"], positions)),
+            nc.add(nc.gather_rows(p["embed.word"],
+                                  np.concatenate([x.word_ids for x in layouts])),
+                   nc.gather_rows(p["embed.pos"], np.concatenate(positions))),
             p["embed.text_ln.gain"], p["embed.text_ln.bias"])
         region = nc.layer_norm(
-            nc.add(nc.linear(nc.Tensor(np.concatenate(feats).astype(dtype)),
+            nc.add(nc.linear(nc.Tensor(np.concatenate([x.features for x in layouts])),
                              p["embed.feat.w"], p["embed.feat.b"]),
-                   nc.linear(nc.Tensor(np.stack(locs).astype(dtype)),
+                   nc.linear(nc.Tensor(np.concatenate([x.locations for x in layouts])),
                              p["embed.loc.w"], p["embed.loc.b"])),
             p["embed.region_ln.gain"], p["embed.region_ln.bias"])
-        flat = nc.scatter_rows(nc.concat_rows([text, region]), text_rows + region_rows,
-                               len(samples) * width)
+        flat = nc.scatter_rows(nc.concat_rows([text, region]),
+                               np.concatenate(text_rows + region_rows),
+                               len(layouts) * width)
         return EncodedBatch(
-            sequence=nc.reshape(flat, (len(samples), width, cfg.d_model)),
-            mask=mask, link_positions=link_pos, person_positions=person_pos,
-            object_positions=object_pos, words=all_words)
+            sequence=nc.reshape(flat, (len(layouts), width, self.config.d_model)),
+            mask=np.arange(width) < np.array(lengths)[:, None],
+            link_positions=[x.link_positions for x in layouts],
+            person_positions=person_pos, object_positions=object_pos,
+            words=[x.words for x in layouts])
 
-    def forward(self, samples: Sequence[Sample]) -> EncodedBatch:
+    def forward(self, samples: Sequence[Sample | SampleLayout]) -> EncodedBatch:
         encoded = self.embed(samples)
         encoded.hidden = nc.encode(encoded.sequence, self.config.encoder,
                                    self.params, prefix="enc", mask=encoded.mask)
@@ -524,40 +584,35 @@ class GroundingModel:
         """Link-vs-person logits and their padding mask (see ``classification_logits``)."""
         return classification_logits(encoded, self.params["cls.w1"], self.params["cls.w2"])
 
-    def contrastive_sets(self, samples: Sequence[Sample]) -> list[ContrastiveSets]:
-        cfg = self.config
-        sets = [select_context_objects(s, cfg.t1, cfg.t2) for s in samples]
-        if not cfg.use_context_objects:
-            # objects are absent from the input sequence, so the positive set
-            # shrinks to the ground-truth person alone
-            for lc in (lc for sample_sets in sets for lc in sample_sets.per_link):
-                lc.context_objects = []
-                lc.weights = lc.weights[:1]
-        return sets
-
     # -- losses / inference -------------------------------------------------
 
-    def loss_terms(self, samples: Sequence[Sample],
+    def loss_terms(self, samples: Sequence[Sample | SampleLayout],
                    with_con: bool = True) -> tuple[nc.Tensor, nc.Tensor | None]:
         """Batch means of ``L_cls`` and (unless ``with_con`` is false) ``L_con``.
 
         Each sample's terms are means over its own links, so every sample
-        weighs the same whatever its link count.
+        weighs the same whatever its link count.  With ``with_con``, layouts
+        must carry their contrastive sets (``prepare(..., contrast=True)``).
         """
         cfg = self.config
-        encoded = self.forward(samples)
+        layouts = self._layouts(samples, contrast=with_con)
+        encoded = self.forward(layouts)
         q, mask = self.class_logits(encoded)
         links = encoded.links()
-        labels = [samples[b].labels[link] for b, link in links]
-        weights = [1.0 / (len(samples) * len(encoded.link_positions[b])) for b, _ in links]
+        labels = [layouts[b].labels[link] for b, link in links]
+        weights = [1.0 / (len(layouts) * len(encoded.link_positions[b])) for b, _ in links]
         cls_term = loss_cls(q, labels, mask=mask, weights=weights)
         if not with_con:
             return cls_term, None
-        con_term = loss_con(encoded, self.contrastive_sets(samples), cfg.tau,
-                            cfg.contrast_layer, normalize=cfg.normalize_similarity)
+        sets = [layout.sets for layout in layouts]
+        if any(s is None for s in sets):
+            raise ValueError("the contrastive loss needs layouts prepared with contrast=True")
+        con_term = loss_con(encoded, sets, cfg.tau, cfg.contrast_layer,
+                            normalize=cfg.normalize_similarity)
         return cls_term, con_term
 
-    def batch_loss(self, samples: Sequence[Sample], lam: float | None = None) -> nc.Tensor:
+    def batch_loss(self, samples: Sequence[Sample | SampleLayout],
+                   lam: float | None = None) -> nc.Tensor:
         """Mean over ``samples`` of ``L_cls + lam * L_con``, from one forward pass."""
         lam = self.config.lam if lam is None else lam
         cls_term, con_term = self.loss_terms(samples, with_con=lam != 0.0)
@@ -565,7 +620,7 @@ class GroundingModel:
             return cls_term
         return nc.add(cls_term, nc.scale(con_term, lam))
 
-    def predict(self, samples: Sequence[Sample]) -> list[Prediction]:
+    def predict(self, samples: Sequence[Sample | SampleLayout]) -> list[Prediction]:
         """Predictions in input order, ``SUB_BATCH`` samples per forward pass."""
         predictions: list[Prediction] = []
         for start in range(0, len(samples), SUB_BATCH):

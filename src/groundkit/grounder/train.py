@@ -6,6 +6,12 @@ at least one sample).  A batch runs as consecutive sub-batches of at most
 ``SUB_BATCH`` samples, each one padded forward and backward pass; their
 gradients accumulate in a fixed order and are averaged over the batch before
 the single optimizer step, so a seed pins the whole run.
+
+Each sample is prepared once per ``train`` call, before step 0: its
+``SampleLayout`` (neutral-name substitution, word ids, feature and location
+rows) and contrastive sets are reused on every visit, so a step only gathers
+the rows of its sub-batch.  An unembeddable sample therefore fails before
+the first step.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 from .. import numcore as nc
 from ..core import Sample
 from .model import (SUB_BATCH, UNK_TOKEN, GroundingModel, ModelConfig, TrainSchedule,
-                    substitute_neutral_names)
+                    sequence_length)
 
 log = logging.getLogger(__name__)
 
@@ -42,15 +48,6 @@ def build_vocab(samples: Sequence[Sample], pool: Sequence[str]) -> dict[str, int
     for i, w in enumerate(sorted(words), start=1):
         vocab[w] = i
     return vocab
-
-
-def sequence_length(sample: Sample, config: ModelConfig) -> int:
-    words, _ = substitute_neutral_names(sample.description, config.neutral_names,
-                                        config.seed, sample.sample_id)
-    n_regions = sample.image.n_persons
-    if config.use_context_objects:
-        n_regions += len(sample.image.context_objects)
-    return len(words) + n_regions
 
 
 def make_batches(order: Sequence[int], lengths: Sequence[int],
@@ -82,7 +79,9 @@ def train(dataset: Sequence[Sample],
     vocab = build_vocab(dataset, config.neutral_names)
     model = GroundingModel.init(config, vocab, dtype=np.float32)
     state = nc.init_adam_state(model.params)
-    lengths = [sequence_length(s, config) for s in dataset]
+    lam = config.lam if lam is None else lam
+    layouts = model.prepare(dataset, contrast=lam != 0.0)
+    lengths = [sequence_length(layout) for layout in layouts]
     rng = np.random.default_rng(config.seed)
 
     losses: list[float] = []
@@ -94,7 +93,7 @@ def train(dataset: Sequence[Sample],
                 p.zero_grad()
             total = 0.0
             for start in range(0, len(batch), SUB_BATCH):
-                chunk = [dataset[idx] for idx in batch[start:start + SUB_BATCH]]
+                chunk = [layouts[idx] for idx in batch[start:start + SUB_BATCH]]
                 with nc.Graph() as graph:
                     loss = model.batch_loss(chunk, lam=lam)
                     # the gradient of the chunk's summed loss, as one per-sample

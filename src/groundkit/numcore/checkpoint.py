@@ -3,11 +3,13 @@
 Little-endian layout: magic ``CGW1``, ``u32`` tensor count, then per tensor:
 ``u32`` name length, name bytes (UTF-8), ``u32`` rank, ``u32`` dims, float32
 values in row-major order.  Values are stored as float32, so float32
-parameters round-trip bitwise.
+parameters round-trip bitwise.  A checkpoint is written to ``<name>.tmp`` and
+moved over ``<name>`` when complete, so a failed save leaves the old file.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 from typing import Mapping
@@ -25,7 +27,8 @@ class CheckpointError(Exception):
 
 def save_checkpoint(params: Mapping[str, "Tensor | np.ndarray"], path: str | Path) -> None:
     names = sorted(params)
-    with open(path, "wb") as fh:
+    tmp = Path(path).with_name(Path(path).name + ".tmp")
+    with open(tmp, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(names)))
         for name in names:
@@ -38,6 +41,7 @@ def save_checkpoint(params: Mapping[str, "Tensor | np.ndarray"], path: str | Pat
             fh.write(struct.pack("<I", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
             fh.write(arr.tobytes())
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str | Path,

@@ -76,6 +76,15 @@ class TestExitCodes:
         ("tau = 0", "temperature must be positive"),
         ("lr = nan", "learning rate must be positive"),
         ("stpes = 1", "unknown config key 'stpes'"),
+        ("weight_decay = nan", "weight decay must be >= 0"),
+        ("weight_decay = -0.01", "weight decay must be >= 0"),
+        ("beta1 = 1.5", "Adam betas must lie in [0, 1)"),
+        ("beta1 = -0.1", "Adam betas must lie in [0, 1)"),
+        ("beta2 = 1", "Adam betas must lie in [0, 1)"),
+        ("beta2 = nan", "Adam betas must lie in [0, 1)"),
+        ("adam_eps = -1", "Adam epsilon must be positive"),
+        ("adam_eps = 0", "Adam epsilon must be positive"),
+        ("adam_eps = nan", "Adam epsilon must be positive"),
     ])
     def test_bad_config_file_is_data_error(self, capsys, tmp_path, line, detail):
         data = write_tiny_dataset(tmp_path)
@@ -103,6 +112,19 @@ class TestExitCodes:
                                "--out", str(tmp_path / "s.jsonl"))
         assert "max_persons" in self._assert_usage_line(code, err)
         assert not (tmp_path / "s.jsonl").exists()
+
+    def test_non_finite_feature_is_data_error(self, capsys, tmp_path):
+        path = write_tiny_dataset(tmp_path)
+        fpath = feature_path(path)
+        # the last float of the last row; the writer refuses to write one
+        fpath.write_bytes(fpath.read_bytes()[:-4] + np.float32(np.nan).tobytes())
+        for argv in (("stats", "--data", str(path)),
+                     ("train", "--data", str(path), "--config", str(TOY_CFG),
+                      "--out", str(tmp_path / "run"))):
+            code, _, err = run_cli(capsys, *argv)
+            detail = self._assert_error_line(code, err, "data")
+            assert "non-finite feature value in row ('d-5', " in detail
+        assert not (tmp_path / "run").exists()
 
     def test_corrupted_magic_is_data_error(self, capsys, tmp_path):
         path = write_tiny_dataset(tmp_path)

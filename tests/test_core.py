@@ -245,6 +245,27 @@ class TestContainerIntegrity:
             write_kind(kind, tmp_path / "c.jsonl", ids=("s-0", "s-0"))
         assert list(tmp_path.iterdir()) == []
 
+    def test_non_finite_feature_rejected_on_read(self, kind, tmp_path):
+        path = write_kind(kind, tmp_path / "c.jsonl", ids=("s-0", "s-1"))
+        for bad in (np.nan, np.inf, -np.inf):
+            def poison(rows):
+                sid, ordinal, vec = rows[-1]
+                vec = vec.copy()
+                vec[-1] = bad
+                return rows[:-1] + [(sid, ordinal, vec)]
+            rewrite_rows(path, poison)
+            with pytest.raises(DataError, match=r"non-finite feature value in row \('s-1', "):
+                read_kind(kind, path)
+            write_kind(kind, path, ids=("s-0", "s-1"))
+
+    def test_non_finite_feature_refused_on_write(self, kind, tmp_path):
+        records = [make_sample(i) if kind == "dataset" else make_qa(i) for i in ("s-0", "s-1")]
+        records[1].image.persons[2].feature[0] = np.nan
+        write = write_dataset if kind == "dataset" else write_qa_corpus
+        with pytest.raises(DataError, match=r"non-finite feature value in row \('s-1', 2\)"):
+            write(records, tmp_path / "c.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
 
 def test_qa_record_without_regions_loads(tmp_path):
     """QA corpora legally hold images with no person: no rows, no error."""

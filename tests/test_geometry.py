@@ -40,6 +40,14 @@ class TestIou:
         with pytest.raises(DataError):
             box(0, 3, 1, 3)
 
+    @pytest.mark.parametrize("coords", [
+        (float("nan"), 0, 1, 1), (0, 0, float("inf"), 1), (0, float("-inf"), 1, 1),
+        (-1, 0, 1, 1), (0, -0.5, 1, 1),
+    ])
+    def test_non_finite_or_negative_box_rejected(self, coords):
+        with pytest.raises(DataError, match="non-finite|negative"):
+            box(*coords)
+
     def test_symmetry_range_identity_bulk(self):
         # >= 1000 random pairs: symmetry, range, translation invariance
         rng = np.random.default_rng(42)

@@ -1,5 +1,8 @@
 import math
+import os
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +32,9 @@ from groundkit.grounder import (
     substitute_neutral_names,
     train,
 )
-from groundkit.grounder.io import load_model, save_model
+from groundkit.grounder import model as model_module
+from groundkit.grounder.io import (CHECKPOINT_NAME, CONFIG_NAME, VOCAB_NAME, load_model,
+                                  save_model)
 from groundkit.cli import gradient_fixture, run_gradient_suite
 from groundkit.grounder.model import (
     DEFAULT_NEUTRAL_NAMES,
@@ -494,6 +499,59 @@ class TestBatching:
         assert batch == pytest.approx(sum(singles) / len(singles), rel=1e-5)
 
 
+class TestPreparedLayouts:
+    def test_each_sample_prepared_once_per_train_call(self, monkeypatch):
+        calls = Counter()
+        for name in ("substitute_neutral_names", "select_context_objects"):
+            def counted(*args, _real=getattr(model_module, name), _name=name, **kw):
+                calls[_name] += 1
+                return _real(*args, **kw)
+            monkeypatch.setattr(model_module, name, counted)
+        samples = [make_sample(f"c-{i}", n_persons=2 + i % 3) for i in range(6)]
+        for steps in (1, 5):
+            calls.clear()
+            # about two samples per step, so five steps revisit samples
+            result = train(samples, toy_config(d_vis=8),
+                           TrainSchedule(steps=steps, lr=1e-3, token_budget=16))
+            assert len(result.losses) == steps
+            assert calls == {"substitute_neutral_names": 6, "select_context_objects": 6}
+
+    def test_embed_on_layouts_equals_embed_on_samples(self):
+        samples = gradient_fixture(d_vis=24, seed=3)
+        config = toy_config(d_vis=24)
+        model = GroundingModel.init(config, build_vocab(samples, config.neutral_names),
+                                    dtype=np.float32)
+        layouts = model.prepare(samples, contrast=True)
+        # a forward and backward pass over the layouts must leave them as they were
+        with nc.Graph() as graph:
+            loss = model.batch_loss(layouts)
+            graph.backward(loss)
+        assert float(loss.data) == float(model.batch_loss(samples).data)
+        raw, prepared = model.embed(samples), model.embed(layouts)
+        assert raw.sequence.data.tobytes() == prepared.sequence.data.tobytes()
+        assert raw.mask.tobytes() == prepared.mask.tobytes()
+        assert (raw.link_positions, raw.person_positions, raw.object_positions, raw.words) \
+            == (prepared.link_positions, prepared.person_positions,
+                prepared.object_positions, prepared.words)
+
+    def test_contrastive_loss_needs_prepared_sets(self):
+        samples = [make_sample("n-0")]
+        model, _config = toy_model(samples)
+        with pytest.raises(ValueError, match="contrast=True"):
+            model.batch_loss(model.prepare(samples), lam=1.0)
+        model.batch_loss(model.prepare(samples), lam=0.0)
+
+    def test_too_long_text_fails_before_first_step(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(nc, "optimizer_step", lambda *a, **kw: steps.append(kw))
+        samples = [make_sample(f"l-{i}") for i in range(6)]
+        samples.append(make_sample("l-long", tokens=[PersonLink(1)] + [Word("very")] * 20))
+        with pytest.raises(DataError, match="l-long: 21 text tokens exceed max_text_len 16"):
+            train(samples, toy_config(d_vis=8, max_text_len=16),
+                  TrainSchedule(steps=5, lr=1e-3, token_budget=16))
+        assert steps == []
+
+
 class TestTrainingLoop:
     def test_build_vocab_sorted_with_unk(self):
         samples = [make_sample("v-1", tokens=[PersonLink(1), Word("Zebra"), Word("apple")])]
@@ -575,6 +633,34 @@ class TestPersistence:
         reloaded = load_model(tmp_path / "a")
         p2 = save_model(reloaded, tmp_path / "b")
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("failing", [CHECKPOINT_NAME, VOCAB_NAME, CONFIG_NAME])
+    def test_failed_replace_leaves_earlier_files(self, tmp_path, monkeypatch, failing):
+        config = toy_config(d_vis=8)
+        sched = TrainSchedule(steps=1, lr=1e-3)
+        first = train([make_sample("f-0")], config, sched).model
+        second = train([make_sample("f-1", tokens=[PersonLink(1), Word("sits")])],
+                       replace(config, seed=1), sched).model
+        names = (CHECKPOINT_NAME, VOCAB_NAME, CONFIG_NAME)
+        save_model(second, tmp_path / "new")
+        new = {name: (tmp_path / "new" / name).read_bytes() for name in names}
+        save_model(first, tmp_path / "run")
+        old = {name: (tmp_path / "run" / name).read_bytes() for name in names}
+        assert all(old[name] != new[name] for name in names)
+
+        real_replace = os.replace
+
+        def flaky_replace(src, dst):
+            if Path(dst).name == failing:
+                raise OSError(f"no space left for {failing}")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", flaky_replace)
+        with pytest.raises(OSError):
+            save_model(second, tmp_path / "run")
+        assert (tmp_path / "run" / failing).read_bytes() == old[failing]
+        for name in names:
+            assert (tmp_path / "run" / name).read_bytes() in (old[name], new[name])
 
     def test_config_file_feeds_both_dataclasses(self):
         config, schedule = read_config(TOY_CFG)
