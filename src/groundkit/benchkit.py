@@ -8,7 +8,7 @@ set) while a model that reads the features and context objects can solve it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,34 +33,27 @@ from .geometry import iou
 # heuristic baselines
 
 
-@dataclass
-class Assignment:
-    """One chosen person index per link id."""
-
-    choices: dict[int, int]
-
-
-def baseline_random(sample: Sample, seed: int = 0) -> Assignment:
+def baseline_random(sample: Sample, seed: int = 0) -> Prediction:
     rng = stable_rng(seed, sample.sample_id)
     n = sample.image.n_persons
-    return Assignment({link: int(rng.integers(n)) for link in sample.description.link_ids})
+    return Prediction({link: int(rng.integers(n)) for link in sample.description.link_ids})
 
 
-def _assign_in_order(link_ids: Sequence[int], ordered_boxes: Sequence[int]) -> Assignment:
+def _assign_in_order(link_ids: Sequence[int], ordered_boxes: Sequence[int]) -> Prediction:
     # Links beyond the candidate count wrap around cyclically.
-    return Assignment({
+    return Prediction({
         link: ordered_boxes[i % len(ordered_boxes)] for i, link in enumerate(link_ids)
     })
 
 
-def baseline_big_to_small(sample: Sample) -> Assignment:
+def baseline_big_to_small(sample: Sample) -> Prediction:
     """Links in description order onto boxes sorted by decreasing area."""
     persons = sample.image.persons
     order = sorted(range(len(persons)), key=lambda i: (-persons[i].box.area, i))
     return _assign_in_order(sample.description.link_ids, order)
 
 
-def baseline_left_to_right(sample: Sample, top_k_only: bool = False) -> Assignment:
+def baseline_left_to_right(sample: Sample, top_k_only: bool = False) -> Prediction:
     """Links onto boxes sorted by upper-left corner (x1, then y1, then index).
 
     With ``top_k_only`` the candidate set is first cut to the k largest boxes
@@ -84,7 +77,7 @@ BASELINES = {
 }
 
 
-def run_baseline(name: str, samples: Sequence[Sample], seed: int = 0) -> list[Assignment]:
+def run_baseline(name: str, samples: Sequence[Sample], seed: int = 0) -> list[Prediction]:
     if name not in BASELINES:
         raise DataError(f"unknown baseline {name!r}; choose from {sorted(BASELINES)}")
     fn = BASELINES[name]
@@ -107,10 +100,6 @@ class Bucket:
     def to_json(self) -> dict:
         return {"correct": self.correct, "total": self.total, "accuracy": self.accuracy}
 
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "Bucket":
-        return cls(correct=int(obj["correct"]), total=int(obj["total"]))
-
 
 @dataclass
 class EvalReport:
@@ -125,31 +114,14 @@ class EvalReport:
             "by_n": {str(k): v.to_json() for k, v in sorted(self.by_n.items())},
         }
 
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "EvalReport":
-        return cls(
-            overall=Bucket.from_json(obj["overall"]),
-            by_type={k: Bucket.from_json(v) for k, v in obj["by_type"].items()},
-            by_n={int(k): Bucket.from_json(v) for k, v in obj["by_n"].items()},
-        )
 
-
-def _choices_of(prediction: "Assignment | Prediction | Mapping[int, int]") -> Mapping[int, int]:
-    if isinstance(prediction, Assignment):
-        return prediction.choices
-    if isinstance(prediction, Prediction):
-        return prediction.chosen
-    return prediction
-
-
-def evaluate(predictions: Sequence["Assignment | Prediction | Mapping[int, int]"],
-             samples: Sequence[Sample]) -> EvalReport:
+def evaluate(predictions: Sequence[Prediction], samples: Sequence[Sample]) -> EvalReport:
     """Link-level accuracy with commonsense-type and person-count breakdowns."""
     if len(predictions) != len(samples):
         raise DataError(f"{len(predictions)} predictions for {len(samples)} samples")
     report = EvalReport()
     for pred, sample in zip(predictions, samples):
-        choices = _choices_of(pred)
+        choices = pred.chosen
         n = sample.image.n_persons
         tname = sample.commonsense_type.value
         type_bucket = report.by_type.setdefault(tname, Bucket())
@@ -175,14 +147,13 @@ def expected_chance(samples: Sequence[Sample]) -> float:
 # result tables
 
 
-def render_table(named_reports: Sequence[tuple[str, EvalReport]]) -> tuple[str, list[dict]]:
-    """Aligned text table plus a JSON-ready payload, rows in the given order."""
+def render_table(named_reports: Sequence[tuple[str, EvalReport]]) -> str:
+    """Aligned text table, rows in the given order."""
     if not named_reports:
         raise DataError("render_table needs at least one report")
     type_names = sorted({t for _, r in named_reports for t in r.by_type})
     headers = ["model", "accuracy", "correct", "total"] + [f"acc[{t}]" for t in type_names]
     rows = []
-    payload = []
     for name, report in named_reports:
         acc = report.overall.accuracy
         row = [name,
@@ -192,12 +163,11 @@ def render_table(named_reports: Sequence[tuple[str, EvalReport]]) -> tuple[str, 
             bucket = report.by_type.get(t)
             row.append(f"{bucket.accuracy:.4f}" if bucket and bucket.accuracy is not None else "-")
         rows.append(row)
-        payload.append({"name": name, "report": report.to_json()})
     widths = [max(len(headers[i]), *(len(r[i]) for r in rows)) for i in range(len(headers))]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
     lines = [fmt.format(*headers), fmt.format(*["-" * w for w in widths])]
     lines += [fmt.format(*row) for row in rows]
-    return "\n".join(lines), payload
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -247,20 +217,26 @@ def _disjoint(box: BoundingBox, others: Sequence[BoundingBox]) -> bool:
 
 
 def _place_persons(rng: np.random.Generator, cfg: SynthConfig, n: int) -> list[BoundingBox]:
-    boxes: list[BoundingBox] = []
-    for _ in range(n):
-        for _attempt in range(200):
-            w = float(rng.uniform(80, 150))
-            h = float(rng.uniform(100, 180))
-            x1 = float(rng.uniform(0, cfg.width - w))
-            y1 = float(rng.uniform(0, cfg.height - h))
-            box = BoundingBox(x1, y1, x1 + w, y1 + h)
-            if _disjoint(box, boxes):
-                boxes.append(box)
+    """``n`` pairwise disjoint boxes.  A box that finds no free spot in 200
+    draws means the earlier boxes jammed the canvas, so the scene's placement
+    starts over (at most 100 times) with the generator where it stands."""
+    for _restart in range(100):
+        boxes: list[BoundingBox] = []
+        for _ in range(n):
+            for _attempt in range(200):
+                w = float(rng.uniform(80, 150))
+                h = float(rng.uniform(100, 180))
+                x1 = float(rng.uniform(0, cfg.width - w))
+                y1 = float(rng.uniform(0, cfg.height - h))
+                box = BoundingBox(x1, y1, x1 + w, y1 + h)
+                if _disjoint(box, boxes):
+                    boxes.append(box)
+                    break
+            else:
                 break
         else:
-            raise DataError("could not place disjoint person boxes after 200 attempts")
-    return boxes
+            return boxes
+    raise DataError(f"could not place {n} disjoint person boxes in 100 restarts")
 
 
 def _inner_box(rng: np.random.Generator, outer: BoundingBox) -> BoundingBox:

@@ -149,13 +149,12 @@ def _cmd_filter(args) -> int:
     drops: dict[str, int] = {}
     drop_ids: dict[str, str] = {}
     for sample in samples:
-        verdict = rulekit.filter_sample(sample)
-        if verdict.keep:
+        reason = rulekit.filter_sample(sample)
+        if reason is None:
             kept.append(sample)
         else:
-            reason = verdict.reason.value
-            drops[reason] = drops.get(reason, 0) + 1
-            drop_ids[sample.sample_id] = reason
+            drops[reason.value] = drops.get(reason.value, 0) + 1
+            drop_ids[sample.sample_id] = reason.value
     write_dataset(kept, args.out, header=header)
     _emit({"input": len(samples), "kept": len(kept),
            "drops": dict(sorted(drops.items())),
@@ -234,8 +233,7 @@ def _cmd_eval(args) -> int:
         predictions = benchkit.run_baseline(args.name, samples, seed=args.seed)
         label = args.name
     report = benchkit.evaluate(predictions, samples)
-    text, _payload = benchkit.render_table([(label, report)])
-    _log(text)
+    _log(benchkit.render_table([(label, report)]))
     _emit(report.to_json())
     return EXIT_OK
 
@@ -304,13 +302,14 @@ def run_gradient_suite(config: ModelConfig, seed: int = 0, epsilon: float = 1e-5
         if p.data.ndim == 2:
             p.data = p.data * 10.0
     lam = config.lam if config.lam > 0 else 1.0
+    layouts = model.prepare(fixture, contrast=True)
 
     def make_loss(kind: str):
         def loss_fn(params, need_grads=True):
             for p in params.values():
                 p.zero_grad()
             with nc.Graph() as graph:
-                cls_term, con_term = model.loss_terms(fixture)
+                cls_term, con_term = model.loss_terms(layouts)
                 if kind == "cls":
                     loss = cls_term
                 elif kind == "con":

@@ -301,16 +301,17 @@ class Sample:
 
 @dataclass
 class Prediction:
-    """Per-link score vector over the N candidate persons plus the argmax."""
+    """One chosen person index per link id, plus the per-link score vectors
+    over the N candidate persons it was read from (empty for a heuristic)."""
 
-    scores: dict[int, np.ndarray]
     chosen: dict[int, int]
+    scores: dict[int, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def from_scores(cls, scores: Mapping[int, np.ndarray]) -> "Prediction":
         # np.argmax returns the first maximum, which is the lowest index.
         chosen = {link: int(np.argmax(vec)) for link, vec in scores.items()}
-        return cls(scores=dict(scores), chosen=chosen)
+        return cls(chosen=chosen, scores=dict(scores))
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +424,16 @@ def _json_line(obj: dict) -> str:
 
 def replace_file(path: str | Path, data: bytes | bytearray) -> None:
     """Write through ``<name>.tmp`` plus ``os.replace``, so ``path`` never holds
-    a partial write: it keeps its old content until the new one is complete."""
+    a partial write: it keeps its old content until the new one is complete.
+    On failure the temp file is removed and the error re-raised."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _require_finite(where: str | Path, table: Mapping[str, Mapping[int, np.ndarray]]) -> None:

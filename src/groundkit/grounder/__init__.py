@@ -3,7 +3,6 @@
 from .model import (
     DEFAULT_NEUTRAL_NAMES,
     SUB_BATCH,
-    ContrastiveSets,
     EncodedBatch,
     GroundingModel,
     LinkContrast,
@@ -22,7 +21,7 @@ from .model import (
 from .train import TrainResult, build_vocab, make_batches, train
 
 __all__ = [
-    "ContrastiveSets", "DEFAULT_NEUTRAL_NAMES", "EncodedBatch",
+    "DEFAULT_NEUTRAL_NAMES", "EncodedBatch",
     "GroundingModel", "LinkContrast", "ModelConfig", "SUB_BATCH", "SampleLayout",
     "TrainResult", "TrainSchedule", "build_vocab", "classification_logits",
     "contrastive_loss_from_features", "loss_cls", "loss_con", "make_batches",

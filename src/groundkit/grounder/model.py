@@ -17,15 +17,16 @@ terms weighted by IoU against the ground-truth box.
 Samples run in batches: their sequences are zero-padded to a common length
 ``L`` into one ``[B, L, d]`` tensor, a key-padding mask keeps attention off
 the padding, and the losses gather link, person and context-object rows by
-flat index, so one forward and one backward pass serve the whole batch.  The
-per-sample entry points are batches of one.
+flat index, so one forward and one backward pass serve the whole batch.
 
 Everything about a sample that no parameter touches (its substituted words,
 their vocabulary ids, its region feature and location rows and, for
 training, its contrastive sets) is a ``SampleLayout``, made by
-``GroundingModel.prepare``.  Training prepares each sample once and reuses
-its layout on every visit; the entry points also take raw samples, which
-they prepare as they go.
+``GroundingModel.prepare``.  The batch entry points (``embed``, ``forward``,
+``loss_terms``, ``batch_loss``) take layouts only: training prepares each
+sample once and reuses its layout on every visit.  ``predict`` takes samples
+and prepares each forward pass's slice; the per-sample entry points take one
+sample and run a batch of one.  The contrastive weight is ``config.lam``.
 """
 
 from __future__ import annotations
@@ -291,12 +292,7 @@ class LinkContrast:
     negatives: list[int]         # person indices other than the GT
 
 
-@dataclass
-class ContrastiveSets:
-    per_link: list[LinkContrast]
-
-
-def select_context_objects(sample: Sample, t1: float, t2: float) -> ContrastiveSets:
+def select_context_objects(sample: Sample, t1: float, t2: float) -> list[LinkContrast]:
     """Pick, per link, the context objects tied to its ground-truth person.
 
     An object qualifies when its IoU with the GT person box exceeds ``t1``
@@ -325,7 +321,7 @@ def select_context_objects(sample: Sample, t1: float, t2: float) -> ContrastiveS
                                      context_objects=chosen,
                                      weights=np.asarray(weights, dtype=np.float64),
                                      negatives=others))
-    return ContrastiveSets(per_link)
+    return per_link
 
 
 @dataclass(frozen=True, slots=True)
@@ -345,7 +341,7 @@ class SampleLayout:
     n_persons: int
     features: np.ndarray         # [R, d_vis]
     locations: np.ndarray        # [R, 7]
-    sets: ContrastiveSets | None = None
+    sets: list[LinkContrast] | None = None
 
 
 def sequence_length(layout: SampleLayout) -> int:
@@ -397,7 +393,7 @@ def contrastive_loss_from_features(feats: nc.Tensor,
     return nc.neg(nc.dot_const(logp, coef))
 
 
-def loss_con(encoded: EncodedBatch, sets: Sequence[ContrastiveSets], tau: float,
+def loss_con(encoded: EncodedBatch, sets: Sequence[Sequence[LinkContrast]], tau: float,
              contrast_layer: int, normalize: bool = False) -> nc.Tensor:
     """IoU-weighted context contrastive loss: the mean over each sample's
     links, then over the samples (``sets[b]`` belongs to sample ``b``).
@@ -412,10 +408,10 @@ def loss_con(encoded: EncodedBatch, sets: Sequence[ContrastiveSets], tau: float,
     for b, sample_sets in enumerate(sets):
         persons = encoded.person_positions[b]
         objects = encoded.object_positions[b]
-        for lc in sample_sets.per_link:
+        for lc in sample_sets:
             pos = [persons[lc.gt_person]] + [objects[c] for c in lc.context_objects]
             neg = [persons[j] for j in lc.negatives]
-            share = 1.0 / (len(pos) * len(sample_sets.per_link) * len(sets))
+            share = 1.0 / (len(pos) * len(sample_sets) * len(sets))
             anchors.append(encoded.row(b, encoded.link_positions[b][lc.link_id]))
             candidates.append([encoded.row(b, position) for position in pos + neg])
             weights.append([w * share for w in lc.weights] + [0.0] * len(neg))
@@ -519,7 +515,7 @@ class GroundingModel:
             if sets is not None and not cfg.use_context_objects:
                 # objects are absent from the input sequence, so the positive
                 # set shrinks to the ground-truth person alone
-                for lc in sets.per_link:
+                for lc in sets:
                     lc.context_objects = []
                     lc.weights = lc.weights[:1]
             layouts.append(SampleLayout(
@@ -529,16 +525,9 @@ class GroundingModel:
                 sets=sets))
         return layouts
 
-    def _layouts(self, samples: Sequence[Sample | SampleLayout],
-                 contrast: bool = False) -> list[SampleLayout]:
-        """``samples`` as layouts, preparing the raw ones among them."""
-        return [s if isinstance(s, SampleLayout) else self.prepare([s], contrast)[0]
-                for s in samples]
-
-    def embed(self, samples: Sequence[Sample | SampleLayout]) -> EncodedBatch:
-        """Embed ``samples`` into one zero-padded ``[B, L, d]`` sequence."""
+    def embed(self, layouts: Sequence[SampleLayout]) -> EncodedBatch:
+        """Embed ``layouts`` into one zero-padded ``[B, L, d]`` sequence."""
         p = self.params
-        layouts = self._layouts(samples)
         lengths = [sequence_length(layout) for layout in layouts]
         width = max(lengths)
 
@@ -574,8 +563,8 @@ class GroundingModel:
             person_positions=person_pos, object_positions=object_pos,
             words=[x.words for x in layouts])
 
-    def forward(self, samples: Sequence[Sample | SampleLayout]) -> EncodedBatch:
-        encoded = self.embed(samples)
+    def forward(self, layouts: Sequence[SampleLayout]) -> EncodedBatch:
+        encoded = self.embed(layouts)
         encoded.hidden = nc.encode(encoded.sequence, self.config.encoder,
                                    self.params, prefix="enc", mask=encoded.mask)
         return encoded
@@ -586,45 +575,48 @@ class GroundingModel:
 
     # -- losses / inference -------------------------------------------------
 
-    def loss_terms(self, samples: Sequence[Sample | SampleLayout],
-                   with_con: bool = True) -> tuple[nc.Tensor, nc.Tensor | None]:
-        """Batch means of ``L_cls`` and (unless ``with_con`` is false) ``L_con``.
+    def loss_terms(self, layouts: Sequence[SampleLayout]
+                   ) -> tuple[nc.Tensor, nc.Tensor | None]:
+        """Batch means of ``L_cls`` and, when the layouts carry contrastive
+        sets (``prepare(..., contrast=True)``), of ``L_con``; else None.
 
         Each sample's terms are means over its own links, so every sample
-        weighs the same whatever its link count.  With ``with_con``, layouts
-        must carry their contrastive sets (``prepare(..., contrast=True)``).
+        weighs the same whatever its link count.  A batch mixing layouts with
+        and without sets is a ValueError.
         """
         cfg = self.config
-        layouts = self._layouts(samples, contrast=with_con)
+        contrast = layouts[0].sets is not None
+        if any((layout.sets is not None) != contrast for layout in layouts):
+            raise ValueError("layouts mix prepare(..., contrast=True) and contrast=False")
         encoded = self.forward(layouts)
         q, mask = self.class_logits(encoded)
         links = encoded.links()
         labels = [layouts[b].labels[link] for b, link in links]
         weights = [1.0 / (len(layouts) * len(encoded.link_positions[b])) for b, _ in links]
         cls_term = loss_cls(q, labels, mask=mask, weights=weights)
-        if not with_con:
+        if not contrast:
             return cls_term, None
-        sets = [layout.sets for layout in layouts]
-        if any(s is None for s in sets):
-            raise ValueError("the contrastive loss needs layouts prepared with contrast=True")
-        con_term = loss_con(encoded, sets, cfg.tau, cfg.contrast_layer,
-                            normalize=cfg.normalize_similarity)
+        con_term = loss_con(encoded, [layout.sets for layout in layouts], cfg.tau,
+                            cfg.contrast_layer, normalize=cfg.normalize_similarity)
         return cls_term, con_term
 
-    def batch_loss(self, samples: Sequence[Sample | SampleLayout],
-                   lam: float | None = None) -> nc.Tensor:
-        """Mean over ``samples`` of ``L_cls + lam * L_con``, from one forward pass."""
-        lam = self.config.lam if lam is None else lam
-        cls_term, con_term = self.loss_terms(samples, with_con=lam != 0.0)
-        if con_term is None:
+    def batch_loss(self, layouts: Sequence[SampleLayout]) -> nc.Tensor:
+        """Mean over ``layouts`` of ``L_cls + lam * L_con`` (``lam`` from the
+        config), from one forward pass.  With ``lam`` not 0 the layouts must
+        carry their contrastive sets."""
+        lam = self.config.lam
+        cls_term, con_term = self.loss_terms(layouts)
+        if lam == 0.0:
             return cls_term
+        if con_term is None:
+            raise ValueError("the contrastive loss needs layouts prepared with contrast=True")
         return nc.add(cls_term, nc.scale(con_term, lam))
 
-    def predict(self, samples: Sequence[Sample | SampleLayout]) -> list[Prediction]:
+    def predict(self, samples: Sequence[Sample]) -> list[Prediction]:
         """Predictions in input order, ``SUB_BATCH`` samples per forward pass."""
         predictions: list[Prediction] = []
         for start in range(0, len(samples), SUB_BATCH):
-            encoded = self.forward(samples[start:start + SUB_BATCH])
+            encoded = self.forward(self.prepare(samples[start:start + SUB_BATCH]))
             q, _mask = self.class_logits(encoded)
             scores: list[dict[int, np.ndarray]] = [{} for _ in encoded.link_positions]
             for k, (b, link) in enumerate(encoded.links()):
@@ -635,10 +627,10 @@ class GroundingModel:
     # batches of one, for callers that hold a single sample
 
     def embed_sample(self, sample: Sample) -> EncodedBatch:
-        return self.embed([sample])
+        return self.embed(self.prepare([sample]))
 
-    def sample_loss(self, sample: Sample, lam: float | None = None) -> nc.Tensor:
-        return self.batch_loss([sample], lam=lam)
+    def sample_loss(self, sample: Sample) -> nc.Tensor:
+        return self.batch_loss(self.prepare([sample], contrast=self.config.lam != 0.0))
 
     def predict_sample(self, sample: Sample) -> Prediction:
         return self.predict([sample])[0]

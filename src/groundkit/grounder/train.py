@@ -9,9 +9,11 @@ the single optimizer step, so a seed pins the whole run.
 
 Each sample is prepared once per ``train`` call, before step 0: its
 ``SampleLayout`` (neutral-name substitution, word ids, feature and location
-rows) and contrastive sets are reused on every visit, so a step only gathers
-the rows of its sub-batch.  An unembeddable sample therefore fails before
-the first step.
+rows) and, unless ``config.lam`` is 0, its contrastive sets are reused on
+every visit, so a step only gathers the rows of its sub-batch.  An
+unembeddable sample therefore fails before the first step.  The contrastive
+weight comes from the config alone; ``dataclasses.replace(config, lam=...)``
+sets another.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ def make_batches(order: Sequence[int], lengths: Sequence[int],
 def train(dataset: Sequence[Sample],
           config: ModelConfig,
           schedule: TrainSchedule,
-          lam: float | None = None,
           on_step: Callable[[int, float], None] | None = None) -> TrainResult:
     """Train a fresh model; deterministic given (dataset, config, schedule)."""
     if not dataset:
@@ -79,8 +80,7 @@ def train(dataset: Sequence[Sample],
     vocab = build_vocab(dataset, config.neutral_names)
     model = GroundingModel.init(config, vocab, dtype=np.float32)
     state = nc.init_adam_state(model.params)
-    lam = config.lam if lam is None else lam
-    layouts = model.prepare(dataset, contrast=lam != 0.0)
+    layouts = model.prepare(dataset, contrast=config.lam != 0.0)
     lengths = [sequence_length(layout) for layout in layouts]
     rng = np.random.default_rng(config.seed)
 
@@ -95,7 +95,7 @@ def train(dataset: Sequence[Sample],
             for start in range(0, len(batch), SUB_BATCH):
                 chunk = [layouts[idx] for idx in batch[start:start + SUB_BATCH]]
                 with nc.Graph() as graph:
-                    loss = model.batch_loss(chunk, lam=lam)
+                    loss = model.batch_loss(chunk)
                     # the gradient of the chunk's summed loss, as one per-sample
                     # backward each would have accumulated
                     graph.backward(nc.scale(loss, len(chunk)))

@@ -101,14 +101,9 @@ class RuleSet:
         # descending priority; file order breaks ties
         self._ordered = sorted(range(len(self.rules)),
                                key=lambda i: (-self.rules[i].priority, i))
-        self.by_id = {r.rule_id: r for r in self.rules}
 
     def ordered(self) -> list[Rule]:
         return [self.rules[i] for i in self._ordered]
-
-    @property
-    def type_mapping(self) -> dict[str, CommonsenseType]:
-        return {r.rule_id: r.commonsense_type for r in self.rules}
 
 
 _ATOM_RE = re.compile(r"<([A-Z]+)(\d*)(\.\.\.)?>$")
@@ -307,11 +302,15 @@ def _atom_matches(atom: PatternAtom, token: Token) -> bool:
     raise AssertionError(atom.kind)
 
 
+# capture name -> the tokens it matched
+Captures = dict[str, list[Token]]
+
+
 def match_pattern(pattern: Sequence[PatternAtom],
-                  tokens: Sequence[Token]) -> Optional[dict[str, list[Token]]]:
+                  tokens: Sequence[Token]) -> Optional[Captures]:
     """Backtracking matcher; wildcards are greedy (longest span first)."""
 
-    def rec(pi: int, ti: int, captures: dict[str, list[Token]]):
+    def rec(pi: int, ti: int, captures: Captures):
         if pi == len(pattern):
             return captures if ti == len(tokens) else None
         atom = pattern[pi]
@@ -333,19 +332,18 @@ def match_pattern(pattern: Sequence[PatternAtom],
     return rec(0, 0, {})
 
 
-def match_rule(qa: QAPair, rules: RuleSet) -> Optional[str]:
-    """Id of the highest-priority rule whose pattern matches the question."""
+def match_rule(qa: QAPair, rules: RuleSet) -> Optional[tuple[Rule, Captures]]:
+    """The highest-priority rule whose pattern matches the question, with its captures."""
     for rule in rules.ordered():
-        if match_pattern(rule.pattern, qa.question) is not None:
-            return rule.rule_id
+        captures = match_pattern(rule.pattern, qa.question)
+        if captures is not None:
+            return rule, captures
     return None
 
 
-def transform(qa: QAPair, rule: Rule) -> list[Token]:
-    """Rewrite the question plus correct answer into a statement."""
-    captures = match_pattern(rule.pattern, qa.question)
-    if captures is None:
-        raise DataError(f"{qa.sample_id}: rule {rule.rule_id!r} does not match")
+def transform(qa: QAPair, rule: Rule, captures: Captures) -> list[Token]:
+    """Rewrite the question plus correct answer into a statement, splicing the
+    ``captures`` of ``rule``'s match against the question."""
     out: list[Token] = []
     for item in rule.template:
         if item.kind == "word":
@@ -385,77 +383,24 @@ class DropReason(str, Enum):
     TIED_LINKS = "tied_links"
 
 
-@dataclass(frozen=True)
-class FilterVerdict:
-    keep: bool
-    reason: Optional[DropReason] = None
-
-    @classmethod
-    def kept(cls) -> "FilterVerdict":
-        return cls(True, None)
-
-    @classmethod
-    def dropped(cls, reason: DropReason) -> "FilterVerdict":
-        return cls(False, reason)
-
-
-def filter_sample(sample: Sample) -> FilterVerdict:
-    """First triggered drop reason, in fixed order; Keep when none fires."""
+def filter_sample(sample: Sample) -> Optional[DropReason]:
+    """First triggered drop reason, in fixed order; None (keep) when none fires."""
     n = sample.image.n_persons
     if sample.description.num_links < 1:
-        return FilterVerdict.dropped(DropReason.NO_PERSON_LINK)
+        return DropReason.NO_PERSON_LINK
     if n < 1:
-        return FilterVerdict.dropped(DropReason.NO_CANDIDATE)
+        return DropReason.NO_CANDIDATE
     if n < MIN_PERSONS:
-        return FilterVerdict.dropped(DropReason.SINGLE_CANDIDATE)
+        return DropReason.SINGLE_CANDIDATE
     if n > MAX_PERSONS:
-        return FilterVerdict.dropped(DropReason.TOO_MANY_PERSONS)
+        return DropReason.TOO_MANY_PERSONS
     if has_tied_links(sample.description.tokens):
-        return FilterVerdict.dropped(DropReason.TIED_LINKS)
-    return FilterVerdict.kept()
-
-
-def classify_commonsense(rule_id: str,
-                         mapping: dict[str, CommonsenseType]) -> CommonsenseType:
-    if rule_id not in mapping:
-        raise DataError(f"unknown rule id {rule_id!r}")
-    return mapping[rule_id]
+        return DropReason.TIED_LINKS
+    return None
 
 
 # ---------------------------------------------------------------------------
-# coverage and the full pipeline
-
-
-@dataclass
-class CoverageReport:
-    total: int
-    matched: int
-    per_question_type: dict[str, int]
-    unmatched_ids: list[str]
-
-    @property
-    def matched_fraction(self) -> Optional[float]:
-        return self.matched / self.total if self.total else None
-
-    def to_json(self) -> dict:
-        return {"total": self.total, "matched": self.matched,
-                "matched_fraction": self.matched_fraction,
-                "per_question_type": dict(sorted(self.per_question_type.items())),
-                "unmatched_ids": list(self.unmatched_ids)}
-
-
-def coverage_report(corpus: Sequence[QAPair], rules: RuleSet) -> CoverageReport:
-    per_type: dict[str, int] = {}
-    unmatched: list[str] = []
-    for qa in corpus:
-        rid = match_rule(qa, rules)
-        if rid is None:
-            unmatched.append(qa.sample_id)
-        else:
-            qtype = rules.by_id[rid].question_type
-            per_type[qtype] = per_type.get(qtype, 0) + 1
-    return CoverageReport(total=len(corpus), matched=len(corpus) - len(unmatched),
-                          per_question_type=per_type, unmatched_ids=unmatched)
+# the full pipeline
 
 
 @dataclass(frozen=True)
@@ -521,19 +466,18 @@ def run_pipeline(corpus: Sequence[QAPair], rules: RuleSet,
     seeded hash of their id and each split is emitted in sample-id order.
     """
     report = PipelineReport(total=len(corpus))
-    mapping = rules.type_mapping
     splits: dict[str, list[Sample]] = {"train": [], "validation": [], "test": []}
     for qa in corpus:
-        rid = match_rule(qa, rules)
-        if rid is None:
+        match = match_rule(qa, rules)
+        if match is None:
             report.unmatched_ids.append(qa.sample_id)
             continue
-        rule = rules.by_id[rid]
+        rule, captures = match
         report.matched += 1
         qtype = rule.question_type
         report.per_question_type[qtype] = report.per_question_type.get(qtype, 0) + 1
 
-        tokens = replace_object_links(transform(qa, rule))
+        tokens = replace_object_links(transform(qa, rule, captures))
         description = Description(tokens)
         labels = {}
         for link_id in description.link_ids:
@@ -542,12 +486,11 @@ def run_pipeline(corpus: Sequence[QAPair], rules: RuleSet,
             labels[link_id] = qa.labels[link_id]
         sample = Sample(sample_id=qa.sample_id, image=qa.image,
                         description=description, labels=GroundingLabel(labels),
-                        commonsense_type=classify_commonsense(rid, mapping))
-        verdict = filter_sample(sample)
-        if not verdict.keep:
-            reason = verdict.reason.value
-            report.drops[reason] = report.drops.get(reason, 0) + 1
-            report.drop_ids[qa.sample_id] = reason
+                        commonsense_type=rule.commonsense_type)
+        reason = filter_sample(sample)
+        if reason is not None:
+            report.drops[reason.value] = report.drops.get(reason.value, 0) + 1
+            report.drop_ids[qa.sample_id] = reason.value
             continue
         sample.validate(strict=True)
         report.kept += 1

@@ -12,6 +12,7 @@ from groundkit.core import (
     PersonLink,
     Sample,
     Word,
+    stable_rng,
 )
 
 D_VIS = 8
@@ -32,7 +33,7 @@ def make_object(x1, y1, x2, y2, objectness=0.5, class_name="cup", seed=0, d_vis=
 
 def make_sample(sample_id="s-0", n_persons=3, tokens=None, labels=None,
                 ctype=CommonsenseType.OTHER, n_objects=1, width=800, height=200):
-    rng = np.random.default_rng(hash(sample_id) % (2**32))
+    rng = stable_rng(0, sample_id)
     persons = [make_person(i, 10 + 60 * i, 10, 60 + 60 * i, 120, rng=rng)
                for i in range(n_persons)]
     objects = [make_object(20 + 10 * (j % 70), 130 + 2 * (j // 70),

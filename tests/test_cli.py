@@ -160,6 +160,15 @@ class TestStatsAndSynth:
         assert a.read_bytes() == b.read_bytes()
         assert feature_path(a).read_bytes() == feature_path(b).read_bytes()
 
+    def test_synth_max_persons_ten(self, capsys, tmp_path):
+        # ten boxes can jam the canvas; the scene's placement then starts over
+        code, out, _ = run_cli(capsys, "synth", "--n", "300", "--max-persons", "10",
+                               "--seed", "7", "--out", str(tmp_path / "d"))
+        assert code == 0
+        assert json.loads(out)["n_samples"] == 300
+        samples = read_dataset(tmp_path / "d" / "dataset.jsonl")
+        assert max(s.image.n_persons for s in samples) == 10
+
     def test_baseline_near_chance(self, capsys, tmp_path):
         data = tmp_path / "s.jsonl"
         run_cli(capsys, "synth", "--n", "400", "--seed", "1", "--out", str(data))

@@ -1,5 +1,8 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -32,6 +35,8 @@ from groundkit.core import (
 from groundkit.rulekit import QAPair, read_qa_corpus, write_qa_corpus
 
 from conftest import make_sample
+
+TESTS = Path(__file__).resolve().parent
 
 
 def make_qa(sample_id, n_persons=3):
@@ -69,6 +74,21 @@ def rewrite_rows(path, edit):
         raw = sid.encode("utf-8")
         blob += struct.pack("<I", len(raw)) + raw + struct.pack("<I", ordinal) + vec.tobytes()
     feature_path(path).write_bytes(blob)
+
+
+def test_fixture_features_independent_of_hash_seed():
+    # the shared test scenes must be the same scenes under every PYTHONHASHSEED
+    code = ("import sys; from conftest import make_sample; "
+            "s = make_sample('c-0', n_objects=2); "
+            "sys.stdout.write(b''.join(r.feature.tobytes() for r in "
+            "s.image.persons + s.image.context_objects).hex())")
+    path = os.pathsep.join([str(TESTS), str(TESTS.parent / "src"),
+                            os.environ.get("PYTHONPATH", "")])
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, env={**os.environ, "PYTHONPATH": path,
+                                            "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")]
+    assert outs[0] and outs[0] == outs[1]
 
 
 class TestTypes:

@@ -33,13 +33,13 @@ from groundkit.grounder import (
     train,
 )
 from groundkit.grounder import model as model_module
+from groundkit.numcore import checkpoint as checkpoint_module
 from groundkit.grounder.io import (CHECKPOINT_NAME, CONFIG_NAME, VOCAB_NAME, load_model,
                                   save_model)
 from groundkit.cli import gradient_fixture, run_gradient_suite
 from groundkit.grounder.model import (
     DEFAULT_NEUTRAL_NAMES,
     SUB_BATCH,
-    ContrastiveSets,
     EncodedBatch,
     LinkContrast,
     classification_logits,
@@ -127,7 +127,7 @@ class TestSelectContextObjects:
         # IoU(obj, gt) = 0.5 > 0.3, IoU(obj, others) = 0 < 0.1
         obj = make_object(0, 0, 100, 50, class_name="cup")
         sets = select_context_objects(scene_with_objects([obj]), t1=0.3, t2=0.1)
-        lc = sets.per_link[0]
+        lc = sets[0]
         assert lc.context_objects == [0]
         np.testing.assert_allclose(lc.weights, [1.0, 0.5])
         assert lc.negatives == [1, 2]
@@ -139,11 +139,11 @@ class TestSelectContextObjects:
         gt_iou = 40 * 100 / (100 * 100 + 90 * 100 - 40 * 100)
         assert gt_iou > 0.2
         sets = select_context_objects(sample, t1=0.2, t2=0.1)
-        assert sets.per_link[0].context_objects == []
+        assert sets[0].context_objects == []
 
     def test_no_qualifying_objects_degenerate(self):
         sets = select_context_objects(scene_with_objects([]), t1=0.3, t2=0.1)
-        lc = sets.per_link[0]
+        lc = sets[0]
         assert lc.context_objects == []
         np.testing.assert_array_equal(lc.weights, [1.0])
 
@@ -156,7 +156,7 @@ class TestSelectContextObjects:
         for t1 in (0.1, 0.2, 0.4):
             for t2 in (0.05, 0.2, 0.5):
                 sets = select_context_objects(sample, t1, t2)
-                sizes[(t1, t2)] = len(sets.per_link[0].context_objects)
+                sizes[(t1, t2)] = len(sets[0].context_objects)
         for t2 in (0.05, 0.2, 0.5):
             assert sizes[(0.1, t2)] >= sizes[(0.2, t2)] >= sizes[(0.4, t2)]
         for t1 in (0.1, 0.2, 0.4):
@@ -234,9 +234,8 @@ class TestLossCon:
         # -> ((1 + 0.6)/2) * ln 4 = 0.8 * ln 4
         encoded = fake_encoded(np.ones((5, 3)), link_pos=0, person_positions=[1, 3, 4],
                                object_positions=[2])
-        sets = [ContrastiveSets([LinkContrast(link_id=1, gt_person=0, context_objects=[0],
-                                              weights=np.array([1.0, 0.6]),
-                                              negatives=[1, 2])])]
+        sets = [[LinkContrast(link_id=1, gt_person=0, context_objects=[0],
+                              weights=np.array([1.0, 0.6]), negatives=[1, 2])]]
         loss = loss_con(encoded, sets, tau=1.0, contrast_layer=1)
         assert float(loss.data) == pytest.approx(0.8 * math.log(4), abs=1e-9)
         assert float(loss.data) == pytest.approx(1.109035, abs=1e-6)
@@ -248,8 +247,8 @@ class TestLossCon:
         weights = np.array([1.0, 0.7, 0.4])
         encoded = fake_encoded(feats, link_pos=0, person_positions=[1, 4, 5],
                                object_positions=[2, 3])
-        sets = [ContrastiveSets([LinkContrast(link_id=1, gt_person=0, context_objects=[0, 1],
-                                              weights=weights, negatives=[1, 2])])]
+        sets = [[LinkContrast(link_id=1, gt_person=0, context_objects=[0, 1],
+                              weights=weights, negatives=[1, 2])]]
         loss = loss_con(encoded, sets, tau=1e6, contrast_layer=1)
         expected = weights.sum() / 3 * math.log(5)
         assert float(loss.data) == pytest.approx(expected, abs=1e-6)
@@ -269,10 +268,9 @@ class TestLossCon:
                                person_positions=[[2, 3, 4], [1, 2, 3]],
                                object_positions=[[5], [4, 5]],
                                words=[[], []], hidden=[t])
-        sets = [ContrastiveSets([LinkContrast(1, 0, [0], np.array([1.0, 0.6]), [1, 2]),
-                                 LinkContrast(2, 1, [], np.array([1.0]), [0])]),
-                ContrastiveSets([LinkContrast(1, 2, [0, 1], np.array([1.0, 0.5, 0.3]),
-                                              [0, 1])])]
+        sets = [[LinkContrast(1, 0, [0], np.array([1.0, 0.6]), [1, 2]),
+                 LinkContrast(2, 1, [], np.array([1.0]), [0])],
+                [LinkContrast(1, 2, [0, 1], np.array([1.0, 0.5, 0.3]), [0, 1])]]
         loss = loss_con(encoded, sets, tau=1.0, contrast_layer=1)
         expected = ((0.8 * math.log(4) + math.log(2)) / 2 + 0.6 * math.log(5)) / 2
         assert float(loss.data) == pytest.approx(expected, abs=1e-9)
@@ -355,10 +353,10 @@ class TestModelForward:
 
     def test_lambda_zero_equals_cls_loss(self):
         sample = make_sample("m-4")
-        model, config = toy_model([sample])
+        model, config = toy_model([sample], lam=0.0)
         with nc.Graph():
-            total = model.sample_loss(sample, lam=0.0)
-        encoded = model.forward([sample])
+            total = model.sample_loss(sample)
+        encoded = model.forward(model.prepare([sample]))
         q, mask = model.class_logits(encoded)
         cls = loss_cls(q, [sample.labels[l] for _b, l in encoded.links()], mask=mask)
         assert float(total.data) == float(cls.data)
@@ -366,8 +364,9 @@ class TestModelForward:
     def test_loss_total_is_sum_of_parts(self):
         sample = make_sample("m-5")
         model, config = toy_model([sample])
-        total = model.sample_loss(sample, lam=1.0)
-        encoded = model.forward([sample])
+        assert config.lam == 1.0
+        total = model.sample_loss(sample)
+        encoded = model.forward(model.prepare([sample]))
         q, mask = model.class_logits(encoded)
         cls = loss_cls(q, [sample.labels[l] for _b, l in encoded.links()], mask=mask)
         sets = select_context_objects(sample, config.t1, config.t2)
@@ -431,11 +430,13 @@ class TestGradientsThroughModel:
     fixture = gradient_fixture(d_vis=24, seed=12)
 
     def _loss_fn(self, model, samples):
+        layouts = model.prepare(samples, contrast=True)
+
         def loss_fn(params, need_grads=True):
             for p in params.values():
                 p.zero_grad()
             with nc.Graph() as g:
-                loss = model.batch_loss(samples)
+                loss = model.batch_loss(layouts)
                 if need_grads:
                     g.backward(loss)
                     return float(loss.data), {
@@ -494,7 +495,7 @@ class TestBatching:
     def test_batch_loss_is_mean_of_single_losses(self):
         samples = gradient_fixture(d_vis=24, seed=5)
         model = self._model(samples)
-        batch = float(model.batch_loss(samples).data)
+        batch = float(model.batch_loss(model.prepare(samples, contrast=True)).data)
         singles = [float(model.sample_loss(s).data) for s in samples]
         assert batch == pytest.approx(sum(singles) / len(singles), rel=1e-5)
 
@@ -516,30 +517,35 @@ class TestPreparedLayouts:
             assert len(result.losses) == steps
             assert calls == {"substitute_neutral_names": 6, "select_context_objects": 6}
 
-    def test_embed_on_layouts_equals_embed_on_samples(self):
+    def test_forward_backward_leaves_each_layout_unchanged(self):
         samples = gradient_fixture(d_vis=24, seed=3)
         config = toy_config(d_vis=24)
         model = GroundingModel.init(config, build_vocab(samples, config.neutral_names),
                                     dtype=np.float32)
         layouts = model.prepare(samples, contrast=True)
-        # a forward and backward pass over the layouts must leave them as they were
         with nc.Graph() as graph:
             loss = model.batch_loss(layouts)
             graph.backward(loss)
-        assert float(loss.data) == float(model.batch_loss(samples).data)
-        raw, prepared = model.embed(samples), model.embed(layouts)
-        assert raw.sequence.data.tobytes() == prepared.sequence.data.tobytes()
-        assert raw.mask.tobytes() == prepared.mask.tobytes()
-        assert (raw.link_positions, raw.person_positions, raw.object_positions, raw.words) \
-            == (prepared.link_positions, prepared.person_positions,
-                prepared.object_positions, prepared.words)
+        # the used layouts must still equal freshly prepared ones
+        fresh = model.prepare(samples, contrast=True)
+        assert float(loss.data) == float(model.batch_loss(fresh).data)
+        used, new = model.embed(layouts), model.embed(fresh)
+        assert used.sequence.data.tobytes() == new.sequence.data.tobytes()
+        assert used.mask.tobytes() == new.mask.tobytes()
+        assert (used.link_positions, used.person_positions, used.object_positions,
+                used.words) == (new.link_positions, new.person_positions,
+                                new.object_positions, new.words)
 
     def test_contrastive_loss_needs_prepared_sets(self):
         samples = [make_sample("n-0")]
         model, _config = toy_model(samples)
         with pytest.raises(ValueError, match="contrast=True"):
-            model.batch_loss(model.prepare(samples), lam=1.0)
-        model.batch_loss(model.prepare(samples), lam=0.0)
+            model.batch_loss(model.prepare(samples))
+        with pytest.raises(ValueError, match="mix"):
+            model.loss_terms(model.prepare(samples, contrast=True) + model.prepare(samples))
+        assert model.loss_terms(model.prepare(samples))[1] is None
+        model, _config = toy_model(samples, lam=0.0)
+        model.batch_loss(model.prepare(samples))
 
     def test_too_long_text_fails_before_first_step(self, monkeypatch):
         steps = []
@@ -605,9 +611,28 @@ class TestTrainingLoop:
         sample = make_sample("o-1", n_persons=3)
         config = toy_config(d_vis=8)
         sched = TrainSchedule(steps=200, lr=3e-3, token_budget=64, weight_decay=0.0)
-        result = train([sample], config, sched, lam=0.0)
+        result = train([sample], replace(config, lam=0.0), sched)
         assert result.losses[-1] < result.losses[0]
         assert result.losses[-1] < 0.1
+
+
+class _FullDisk:
+    """A binary file that takes ``room`` bytes, then fails like a full disk."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        if len(data) > self.room:
+            raise OSError("no space left on device")
+        self.room -= len(data)
+        return self.fh.write(data)
 
 
 class TestPersistence:
@@ -634,8 +659,14 @@ class TestPersistence:
         p2 = save_model(reloaded, tmp_path / "b")
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("failing", [CHECKPOINT_NAME, VOCAB_NAME, CONFIG_NAME])
-    def test_failed_replace_leaves_earlier_files(self, tmp_path, monkeypatch, failing):
+    @pytest.mark.parametrize("failing, stage", [
+        pytest.param(name, "replace", id=name)
+        for name in (CHECKPOINT_NAME, VOCAB_NAME, CONFIG_NAME)
+    ] + [pytest.param(name, "write", id=f"{name}-write")
+         for name in (CHECKPOINT_NAME, VOCAB_NAME)])
+    def test_failed_replace_leaves_earlier_files(self, tmp_path, monkeypatch, failing, stage):
+        # ``stage`` is where the save of ``failing`` breaks: moving the
+        # finished temp file into place, or writing the temp file itself
         config = toy_config(d_vis=8)
         sched = TrainSchedule(steps=1, lr=1e-3)
         first = train([make_sample("f-0")], config, sched).model
@@ -648,19 +679,35 @@ class TestPersistence:
         old = {name: (tmp_path / "run" / name).read_bytes() for name in names}
         assert all(old[name] != new[name] for name in names)
 
-        real_replace = os.replace
+        real_replace, real_open, real_write = os.replace, open, Path.write_bytes
+        tmp_name = failing + ".tmp"
 
         def flaky_replace(src, dst):
             if Path(dst).name == failing:
                 raise OSError(f"no space left for {failing}")
             real_replace(src, dst)
 
-        monkeypatch.setattr(os, "replace", flaky_replace)
+        def half_write(path, data):
+            # a partial temp file, then a full disk
+            if path.name == tmp_name:
+                real_write(path, data[:8])
+                raise OSError(f"no space left for {failing}")
+            return real_write(path, data)
+
+        if stage == "replace":
+            monkeypatch.setattr(os, "replace", flaky_replace)
+        elif failing == CHECKPOINT_NAME:
+            # the checkpoint streams into an open file
+            monkeypatch.setattr(checkpoint_module, "open", lambda path, mode: _FullDisk(
+                real_open(path, mode), room=8), raising=False)
+        else:
+            monkeypatch.setattr(Path, "write_bytes", half_write)
         with pytest.raises(OSError):
             save_model(second, tmp_path / "run")
         assert (tmp_path / "run" / failing).read_bytes() == old[failing]
         for name in names:
             assert (tmp_path / "run" / name).read_bytes() in (old[name], new[name])
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(names)
 
     def test_config_file_feeds_both_dataclasses(self):
         config, schedule = read_config(TOY_CFG)

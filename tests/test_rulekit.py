@@ -21,10 +21,9 @@ from groundkit.rulekit import (
     Rule,
     SplitSpec,
     TemplateItem,
-    classify_commonsense,
-    coverage_report,
     default_rules,
     filter_sample,
+    match_pattern,
     match_rule,
     parse_rules,
     read_qa_corpus,
@@ -116,15 +115,19 @@ emit: <ANSWER> <REST...> with <REST2...>
 """
         rules = parse_rules(text)
         qa = make_qa("q", "who is dancing with the dog ?", "PERSON2")
-        assert match_rule(qa, rules) == "swap"
-        out = transform(qa, rules.by_id["swap"])
+        rule, captures = match_rule(qa, rules)
+        assert rule.rule_id == "swap"
+        out = transform(qa, rule, captures)
         assert out == tok("PERSON2 is dancing with the dog")
 
 
 class TestMatching:
     def test_why_question_matches(self):
         qa = make_qa("q1", "why is PERSON1 smiling ?", "PERSON1 just won")
-        assert match_rule(qa, default_rules()) == "why_person"
+        rule, captures = match_rule(qa, default_rules())
+        assert rule.rule_id == "why_person"
+        assert captures == {"AUX": words("is"), "PERSON": [PersonLink(1)],
+                            "REST": words("smiling")}
 
     def test_no_interrogative_no_match(self):
         qa = make_qa("q2", "hmm ok ?", "yes")
@@ -141,7 +144,7 @@ match: what <REST...> ?
 emit: <ANSWER>
 """
         qa = make_qa("q3", "what is happening ?", "a party")
-        assert match_rule(qa, parse_rules(text)) == "high"
+        assert match_rule(qa, parse_rules(text))[0].rule_id == "high"
 
     def test_match_is_pure(self):
         qa = make_qa("q4", "why is PERSON1 smiling ?", "PERSON1 just won")
@@ -153,31 +156,31 @@ class TestTransform:
     def test_why_rule_statement(self):
         qa = make_qa("t1", "why is PERSON1 smiling ?", "PERSON1 just won")
         rules = default_rules()
-        out = transform(qa, rules.by_id[match_rule(qa, rules)])
+        out = transform(qa, *match_rule(qa, rules))
         assert out == tok("PERSON1 is smiling because PERSON1 just won")
 
     def test_what_doing_statement(self):
         qa = make_qa("t2", "what is PERSON2 doing ?", "PERSON2 is reading")
         rules = default_rules()
-        out = transform(qa, rules.by_id[match_rule(qa, rules)])
+        out = transform(qa, *match_rule(qa, rules))
         assert out == tok("PERSON2 is reading")
 
     def test_where_statement(self):
         qa = make_qa("t3", "where will PERSON1 go ?", "to the kitchen")
         rules = default_rules()
-        out = transform(qa, rules.by_id[match_rule(qa, rules)])
+        out = transform(qa, *match_rule(qa, rules))
         assert out == tok("PERSON1 will go to the kitchen")
 
     def test_unbound_placeholder_at_transform_time(self):
         # bypass the parser's protection by constructing the rule directly
-        rules = default_rules()
-        base = rules.by_id["what_generic"]
+        qa = make_qa("t4", "what is happening ?", "a party")
+        base, captures = match_rule(qa, default_rules())
+        assert base.rule_id == "what_generic"
         bad = Rule(rule_id="bad", priority=1, commonsense_type=base.commonsense_type,
                    pattern=base.pattern,
                    template=(TemplateItem("ref", "PERSON"),))
-        qa = make_qa("t4", "what is happening ?", "a party")
         with pytest.raises(DataError, match="unbound placeholder"):
-            transform(qa, bad)
+            transform(qa, bad, match_pattern(bad.pattern, qa.question))
 
 
 class TestReplaceObjectLinks:
@@ -207,58 +210,52 @@ class TestReplaceObjectLinks:
 class TestFilters:
     def test_too_many_persons(self):
         s = make_sample("f1", n_persons=11)
-        assert filter_sample(s).reason == DropReason.TOO_MANY_PERSONS
+        assert filter_sample(s) == DropReason.TOO_MANY_PERSONS
 
     def test_single_candidate(self):
         s = make_sample("f2", n_persons=1)
-        assert filter_sample(s).reason == DropReason.SINGLE_CANDIDATE
+        assert filter_sample(s) == DropReason.SINGLE_CANDIDATE
 
     def test_tied_links(self):
         s = make_sample("f3", tokens=tok("PERSON1 and PERSON2 are dancing"),
                         labels={1: 0, 2: 1})
-        assert filter_sample(s).reason == DropReason.TIED_LINKS
+        assert filter_sample(s) == DropReason.TIED_LINKS
 
     def test_no_person_link(self):
         s = make_sample("f4", tokens=words("nobody here"), labels={})
-        assert filter_sample(s).reason == DropReason.NO_PERSON_LINK
+        assert filter_sample(s) == DropReason.NO_PERSON_LINK
 
     def test_keep(self):
         s = make_sample("f5", n_persons=4)
-        verdict = filter_sample(s)
-        assert verdict.keep and verdict.reason is None
+        assert filter_sample(s) is None
 
     def test_reason_order_no_link_first(self):
         s = make_sample("f6", n_persons=11, tokens=words("nothing links"), labels={})
-        assert filter_sample(s).reason == DropReason.NO_PERSON_LINK
+        assert filter_sample(s) == DropReason.NO_PERSON_LINK
 
 
 class TestClassify:
     def test_shipped_mapping(self):
-        mapping = default_rules().type_mapping
-        assert classify_commonsense("why_person", mapping) == CommonsenseType.CAUSAL
-        assert classify_commonsense("what_doing", mapping) == CommonsenseType.ACTIVITY
-
-    def test_unknown_rule_id(self):
-        with pytest.raises(DataError, match="unknown rule id"):
-            classify_commonsense("nope", default_rules().type_mapping)
+        rules = {rule.rule_id: rule for rule in default_rules().rules}
+        assert rules["why_person"].commonsense_type == CommonsenseType.CAUSAL
+        assert rules["what_doing"].commonsense_type == CommonsenseType.ACTIVITY
 
 
 class TestCoverage:
+    # the pipeline report's match tallies
     def test_fraction_counts(self):
         corpus = [make_qa(f"c{i}", "why is PERSON1 smiling ?", "PERSON1 won")
                   for i in range(9)]
         corpus.append(make_qa("c9", "hmm ok ?", "yes"))
-        report = coverage_report(corpus, default_rules())
-        assert report.matched_fraction == pytest.approx(0.9)
+        report = run_pipeline(corpus, default_rules(), SplitSpec()).report
+        assert (report.total, report.matched) == (10, 9)
         assert report.unmatched_ids == ["c9"]
         assert report.per_question_type == {"why": 9}
 
     def test_all_match(self):
         corpus = [make_qa("a", "what is PERSON1 doing ?", "PERSON1 is reading")]
-        assert coverage_report(corpus, default_rules()).matched_fraction == 1.0
-
-    def test_empty_corpus(self):
-        assert coverage_report([], default_rules()).matched_fraction is None
+        report = run_pipeline(corpus, default_rules(), SplitSpec()).report
+        assert report.total == report.matched == 1
 
 
 def fixture_corpus():
