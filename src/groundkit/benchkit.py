@@ -18,7 +18,6 @@ from .core import (
     ContextObject,
     DataError,
     Description,
-    GroundingLabel,
     ImageRecord,
     PersonBox,
     PersonLink,
@@ -126,7 +125,7 @@ def evaluate(predictions: Sequence[Prediction], samples: Sequence[Sample]) -> Ev
         tname = sample.commonsense_type.value
         type_bucket = report.by_type.setdefault(tname, Bucket())
         n_bucket = report.by_n.setdefault(n, Bucket())
-        for link_id, gt in sample.labels.pairs.items():
+        for link_id, gt in sample.labels.items():
             if link_id not in choices:
                 raise DataError(f"{sample.sample_id}: no prediction for link {link_id}")
             hit = int(choices[link_id] == gt)
@@ -204,6 +203,8 @@ class SynthConfig:
     imprint_rate: float = 1.0
 
     def __post_init__(self) -> None:
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
         if not 2 <= self.max_persons <= 10:
             raise ValueError("max_persons must lie in [2, 10]")
         if self.d_vis < MIN_D_VIS:
@@ -349,7 +350,7 @@ def synth_generate(config: SynthConfig) -> list[Sample]:
                               height=config.height, persons=persons,
                               context_objects=objects),
             description=Description(tokens),
-            labels=GroundingLabel({1: gt}),
+            labels={1: gt},
             commonsense_type=ctype,
         ))
     return samples

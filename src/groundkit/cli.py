@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import benchkit, numcore as nc, rulekit
-from .core import (DataError, Description, GroundingLabel, PersonLink, Sample, Word,
-                   dataset_stats, read_dataset, read_header, write_dataset)
+from .core import (DataError, Description, PersonLink, Sample, Word, dataset_stats,
+                   filter_sample, read_dataset, read_header, write_dataset)
 from .grounder import GroundingModel, ModelConfig, TrainSchedule, read_config, train
 from .grounder.io import load_model, save_model
 from .numcore import CheckpointError, NumericError
@@ -149,7 +149,7 @@ def _cmd_filter(args) -> int:
     drops: dict[str, int] = {}
     drop_ids: dict[str, str] = {}
     for sample in samples:
-        reason = rulekit.filter_sample(sample)
+        reason = filter_sample(sample)
         if reason is None:
             kept.append(sample)
         else:
@@ -279,7 +279,7 @@ def gradient_fixture(d_vis: int, seed: int = 0) -> list[Sample]:
     picked[-1] = Sample(
         sample_id=last.sample_id, image=last.image,
         description=Description([PersonLink(1), Word("greets"), PersonLink(2)]),
-        labels=GroundingLabel({1: gt, 2: (gt + 1) % last.image.n_persons}),
+        labels={1: gt, 2: (gt + 1) % last.image.n_persons},
         commonsense_type=last.commonsense_type)
     return picked
 

@@ -233,19 +233,6 @@ def has_tied_links(tokens: Sequence[Token]) -> bool:
     return False
 
 
-@dataclass
-class GroundingLabel:
-    """Map from person-link id to the ground-truth person index."""
-
-    pairs: dict[int, int]
-
-    def __getitem__(self, link_id: int) -> int:
-        return self.pairs[link_id]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
 class CommonsenseType(str, Enum):
     CAUSAL = "causal"
     ACTIVITY = "activity"
@@ -261,42 +248,57 @@ class Sample:
     sample_id: str
     image: ImageRecord
     description: Description
-    labels: GroundingLabel
+    labels: dict[int, int]       # person-link id -> ground-truth person index
     commonsense_type: CommonsenseType
 
     def validate(self, header: "DatasetHeader | None" = None, strict: bool = True) -> None:
-        """Check structural invariants; with ``strict`` also the pipeline filters.
+        """Check structural invariants; with ``strict`` also that the sample is
+        finished: no object links left, and ``filter_sample`` keeps it.
 
         Structural problems (bad boxes, label out of range, missing labels)
-        always raise.  Filter-level conditions (person count bounds, tied
-        links, no links at all) only raise in strict mode, so that pre-filter
-        material can still be moved through the pipeline.
+        always raise.  The finished-sample conditions only raise in strict
+        mode, so that pre-filter material can still be moved through the
+        pipeline.  Feature-row lengths are the container's to check.
         """
         sid = self.sample_id
         self.image.validate(header)
         n = self.image.n_persons
         link_ids = self.description.link_ids
-        _require(set(self.labels.pairs) == set(link_ids),
-                 f"{sid}: labels {sorted(self.labels.pairs)} do not match "
+        _require(set(self.labels) == set(link_ids),
+                 f"{sid}: labels {sorted(self.labels)} do not match "
                  f"description links {link_ids}")
-        for link_id, idx in self.labels.pairs.items():
+        for link_id, idx in self.labels.items():
             _require(0 <= idx < n, f"{sid}: label out of range (link {link_id} -> {idx}, N={n})")
-        if header is not None:
-            for person in self.image.persons:
-                _require(person.feature.shape == (header.d_vis,),
-                         f"{sid}: person {person.index} feature length "
-                         f"{person.feature.shape[0]} != d_vis {header.d_vis}")
-            for pos, obj in enumerate(self.image.context_objects):
-                _require(obj.feature.shape == (header.d_vis,),
-                         f"{sid}: context object {pos} feature length "
-                         f"{obj.feature.shape[0]} != d_vis {header.d_vis}")
         if strict:
             _require(not self.description.has_object_links(),
                      f"{sid}: finished sample still contains object links")
-            _require(len(link_ids) >= 1, f"{sid}: no person link in description")
-            _require(MIN_PERSONS <= n <= MAX_PERSONS,
-                     f"{sid}: person count {n} outside [{MIN_PERSONS}, {MAX_PERSONS}]")
-            _require(not has_tied_links(self.description.tokens), f"{sid}: tied person links")
+            reason = filter_sample(self)
+            if reason is not None:
+                raise DataError(f"{sid}: dropped by filter_sample ({reason.value})")
+
+
+class DropReason(str, Enum):
+    NO_PERSON_LINK = "no_person_link"
+    NO_CANDIDATE = "no_candidate"
+    SINGLE_CANDIDATE = "single_candidate"
+    TOO_MANY_PERSONS = "too_many_persons"
+    TIED_LINKS = "tied_links"
+
+
+def filter_sample(sample: Sample) -> DropReason | None:
+    """First triggered drop reason, in fixed order; None (keep) when none fires."""
+    n = sample.image.n_persons
+    if sample.description.num_links < 1:
+        return DropReason.NO_PERSON_LINK
+    if n < 1:
+        return DropReason.NO_CANDIDATE
+    if n < MIN_PERSONS:
+        return DropReason.SINGLE_CANDIDATE
+    if n > MAX_PERSONS:
+        return DropReason.TOO_MANY_PERSONS
+    if has_tied_links(sample.description.tokens):
+        return DropReason.TIED_LINKS
+    return None
 
 
 @dataclass
@@ -323,7 +325,6 @@ class DatasetHeader:
     d_vis: int
     objectness_threshold: float = DEFAULT_OBJECTNESS_THRESHOLD
     max_context_objects: int = DEFAULT_MAX_CONTEXT_OBJECTS
-    format_version: int = FORMAT_VERSION
 
 
 def default_header(images: Iterable[ImageRecord]) -> DatasetHeader:
@@ -406,7 +407,7 @@ def sample_to_json(sample: Sample) -> dict:
         "sample_id": sample.sample_id,
         "image": image_to_json(sample.image),
         "tokens": [token_to_json(t) for t in sample.description.tokens],
-        "labels": {str(k): v for k, v in sorted(sample.labels.pairs.items())},
+        "labels": {str(k): v for k, v in sorted(sample.labels.items())},
         "commonsense_type": sample.commonsense_type.value,
     }
 
@@ -414,12 +415,20 @@ def sample_to_json(sample: Sample) -> dict:
 def sample_from_json(obj: dict, features: list[np.ndarray]) -> Sample:
     return Sample(sample_id=obj["sample_id"], image=image_from_json(obj["image"], features),
                   description=Description([token_from_json(t) for t in obj["tokens"]]),
-                  labels=GroundingLabel({int(k): int(v) for k, v in obj["labels"].items()}),
+                  labels={int(k): int(v) for k, v in obj["labels"].items()},
                   commonsense_type=CommonsenseType(obj["commonsense_type"]))
 
 
 def _json_line(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+
+
+def read_text(path: str | Path) -> str:
+    """A text file's content; a file that is not UTF-8 is a DataError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
 
 
 def replace_file(path: str | Path, data: bytes | bytearray) -> None:
@@ -457,7 +466,7 @@ def write_container(path: str | Path, header: DatasetHeader,
     """
     path = Path(path)
     lines = [_json_line({
-        "format_version": header.format_version,
+        "format_version": FORMAT_VERSION,
         "d_vis": header.d_vis,
         "objectness_threshold": header.objectness_threshold,
         "max_context_objects": header.max_context_objects,
@@ -576,12 +585,15 @@ def read_header(path: str | Path) -> DatasetHeader:
 def _parse_header(line: bytes, where: str) -> DatasetHeader:
     try:
         obj = json.loads(line)
-        return DatasetHeader(d_vis=int(obj["d_vis"]),
-                             objectness_threshold=float(obj["objectness_threshold"]),
-                             max_context_objects=int(obj["max_context_objects"]),
-                             format_version=int(obj["format_version"]))
+        version = int(obj["format_version"])
+        header = DatasetHeader(d_vis=int(obj["d_vis"]),
+                               objectness_threshold=float(obj["objectness_threshold"]),
+                               max_context_objects=int(obj["max_context_objects"]))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"{where}: bad dataset header ({exc})") from None
+    _require(version == FORMAT_VERSION,
+             f"{where}: unsupported format_version {version} (expected {FORMAT_VERSION})")
+    return header
 
 
 def write_dataset(samples: Sequence[Sample], path: str | Path,

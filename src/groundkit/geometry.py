@@ -32,15 +32,10 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 def location_feature(box: BoundingBox, width: float, height: float) -> np.ndarray:
     """7-vector [x1/W, y1/H, x2/W, y2/H, w/W, h/H, (w*h)/(W*H)] for a box.
 
-    The box must lie inside the W x H image; all entries land in [0, 1] and
-    the width/height/area entries are derived from the normalized corners.
+    The box must lie inside the W x H image (``ImageRecord.validate`` checks
+    that); all entries then land in [0, 1] and the width/height/area entries
+    are derived from the normalized corners.
     """
-    if width <= 0 or height <= 0:
-        raise ValueError(f"non-positive image size {width}x{height}")
-    for name, value, limit in (("x1", box.x1, width), ("x2", box.x2, width),
-                               ("y1", box.y1, height), ("y2", box.y2, height)):
-        if value > limit:
-            raise ValueError(f"box coordinate {name}={value} exceeds image bound {limit}")
     w_n = box.width / width
     h_n = box.height / height
     return np.array([box.x1 / width, box.y1 / height,

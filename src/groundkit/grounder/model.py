@@ -38,8 +38,8 @@ from typing import Mapping, Sequence, get_type_hints
 import numpy as np
 
 from .. import numcore as nc
-from ..core import (DataError, Description, GroundingLabel, PersonLink, Prediction, Sample,
-                    Word, replace_file, stable_rng)
+from ..core import (DataError, Description, PersonLink, Prediction, Sample, Word,
+                    read_text, replace_file, stable_rng)
 from ..geometry import iou, location_feature
 from ..numcore.encoder import EncoderConfig, layer_from_last
 
@@ -164,11 +164,7 @@ def read_config(path: str | Path) -> tuple[ModelConfig, TrainSchedule]:
         for f in fields(cls):
             schema[_FILE_KEYS.get(f.name, f.name)] = (cls, f.name, _PARSERS[types[f.name]])
     kwargs: dict[type, dict[str, object]] = {ModelConfig: {}, TrainSchedule: {}}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -336,7 +332,7 @@ class SampleLayout:
 
     words: list[str]
     link_positions: dict[int, int]
-    labels: GroundingLabel
+    labels: dict[int, int]
     word_ids: np.ndarray         # [T] vocabulary ids of ``words``
     n_persons: int
     features: np.ndarray         # [R, d_vis]
@@ -365,7 +361,7 @@ def loss_cls(q: nc.Tensor, labels: Sequence[int], mask: np.ndarray | None = None
     if weights is None:
         weights = np.full(len(labels), 1.0 / len(labels))
     logp = nc.log_softmax(q, axis=1, mask=mask)
-    return nc.neg(nc.dot_const(nc.take_per_row(logp, list(labels)), weights))
+    return nc.dot_const(nc.take_per_row(logp, list(labels)), -np.asarray(weights))
 
 
 def contrastive_loss_from_features(feats: nc.Tensor,
@@ -390,7 +386,7 @@ def contrastive_loss_from_features(feats: nc.Tensor,
     coef, _ = _pad(weights, dtype=np.float64)
     sims = nc.gather_dot(feats, feats, anchors, cols)
     logp = nc.log_softmax(nc.scale(sims, 1.0 / tau), axis=1, mask=mask)
-    return nc.neg(nc.dot_const(logp, coef))
+    return nc.dot_const(logp, -coef)
 
 
 def loss_con(encoded: EncodedBatch, sets: Sequence[Sequence[LinkContrast]], tau: float,

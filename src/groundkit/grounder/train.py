@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .. import numcore as nc
-from ..core import Sample
+from ..core import DataError, Sample
 from .model import (SUB_BATCH, UNK_TOKEN, GroundingModel, ModelConfig, TrainSchedule,
                     sequence_length)
 
@@ -76,7 +76,7 @@ def train(dataset: Sequence[Sample],
           on_step: Callable[[int, float], None] | None = None) -> TrainResult:
     """Train a fresh model; deterministic given (dataset, config, schedule)."""
     if not dataset:
-        raise ValueError("training needs a non-empty dataset")
+        raise DataError("training needs a non-empty dataset")
     vocab = build_vocab(dataset, config.neutral_names)
     model = GroundingModel.init(config, vocab, dtype=np.float32)
     state = nc.init_adam_state(model.params)

@@ -123,15 +123,6 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad = t.grad + g
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
 def _swap_last(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
@@ -141,17 +132,15 @@ def _swap_last(a: np.ndarray) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
+    """``a + b`` for two tensors of the same shape."""
+    if a.data.shape != b.data.shape:
+        raise NumericError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
 
     def back(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        _accum(a, g)
+        _accum(b, g)
 
-    return _out(data, "add", back)
-
-
-def neg(a: Tensor) -> Tensor:
-    return _out(-a.data, "neg", lambda g: _accum(a, -g))
+    return _out(a.data + b.data, "add", back)
 
 
 def scale(a: Tensor, s: float) -> Tensor:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -33,21 +32,19 @@ from .core import (
     DataError,
     DatasetHeader,
     Description,
-    GroundingLabel,
     ImageRecord,
-    MAX_PERSONS,
-    MIN_PERSONS,
     ObjectLink,
     PersonLink,
     Sample,
     Token,
     Word,
     default_header,
-    has_tied_links,
+    filter_sample,
     image_features,
     image_from_json,
     image_to_json,
     read_container,
+    read_text,
     token_from_json,
     token_to_json,
     write_container,
@@ -193,7 +190,7 @@ def parse_rules(text: str, origin: str = "<rules>") -> RuleSet:
 
 
 def load_rules(path: str | Path) -> RuleSet:
-    return parse_rules(Path(path).read_text(encoding="utf-8"), origin=str(path))
+    return parse_rules(read_text(path), origin=str(path))
 
 
 DEFAULT_RULES_TEXT = """\
@@ -203,10 +200,6 @@ DEFAULT_RULES_TEXT = """\
 rule why_person priority 90 type causal
 match: why <AUX> <PERSON> <REST...> ?
 emit: <PERSON> <AUX> <REST...> because <ANSWER>
-
-rule why_did_person priority 89 type causal
-match: why did <PERSON> <REST...> ?
-emit: <PERSON> <REST...> because <ANSWER>
 
 rule what_doing priority 85 type activity
 match: what <AUX> <PERSON> doing ?
@@ -372,34 +365,6 @@ def replace_object_links(tokens: Sequence[Token]) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# filters
-
-
-class DropReason(str, Enum):
-    NO_PERSON_LINK = "no_person_link"
-    NO_CANDIDATE = "no_candidate"
-    SINGLE_CANDIDATE = "single_candidate"
-    TOO_MANY_PERSONS = "too_many_persons"
-    TIED_LINKS = "tied_links"
-
-
-def filter_sample(sample: Sample) -> Optional[DropReason]:
-    """First triggered drop reason, in fixed order; None (keep) when none fires."""
-    n = sample.image.n_persons
-    if sample.description.num_links < 1:
-        return DropReason.NO_PERSON_LINK
-    if n < 1:
-        return DropReason.NO_CANDIDATE
-    if n < MIN_PERSONS:
-        return DropReason.SINGLE_CANDIDATE
-    if n > MAX_PERSONS:
-        return DropReason.TOO_MANY_PERSONS
-    if has_tied_links(sample.description.tokens):
-        return DropReason.TIED_LINKS
-    return None
-
-
-# ---------------------------------------------------------------------------
 # the full pipeline
 
 
@@ -485,7 +450,7 @@ def run_pipeline(corpus: Sequence[QAPair], rules: RuleSet,
                 raise DataError(f"{qa.sample_id}: no grounding label for link {link_id}")
             labels[link_id] = qa.labels[link_id]
         sample = Sample(sample_id=qa.sample_id, image=qa.image,
-                        description=description, labels=GroundingLabel(labels),
+                        description=description, labels=labels,
                         commonsense_type=rule.commonsense_type)
         reason = filter_sample(sample)
         if reason is not None:

@@ -6,7 +6,6 @@ from groundkit.core import (
     CommonsenseType,
     ContextObject,
     Description,
-    GroundingLabel,
     ImageRecord,
     PersonBox,
     PersonLink,
@@ -48,7 +47,7 @@ def make_sample(sample_id="s-0", n_persons=3, tokens=None, labels=None,
                                     height=height, persons=persons,
                                     context_objects=objects),
                   description=Description(list(tokens)),
-                  labels=GroundingLabel(dict(labels)),
+                  labels=dict(labels),
                   commonsense_type=ctype)
 
 

@@ -19,15 +19,14 @@ from groundkit.core import (
     CommonsenseType,
     DataError,
     Description,
-    GroundingLabel,
     ImageRecord,
     PersonBox,
     PersonLink,
     Prediction,
     Word,
+    filter_sample,
 )
 from groundkit.geometry import iou
-from groundkit.rulekit import filter_sample
 from groundkit.grounder.model import select_context_objects
 
 from conftest import make_sample
@@ -45,7 +44,7 @@ def sample_with_boxes(boxes, link_ids=(1,), labels=None, sample_id="b-0"):
                   image=ImageRecord(image_id=sample_id, width=1000, height=1000,
                                     persons=persons),
                   description=Description(tokens),
-                  labels=GroundingLabel(labels or {lid: 0 for lid in link_ids}),
+                  labels=labels or {lid: 0 for lid in link_ids},
                   commonsense_type=CommonsenseType.OTHER)
 
 
@@ -96,7 +95,7 @@ class TestHeuristics:
 class TestEvaluate:
     def test_all_correct(self):
         samples = [make_sample(f"e-{i}") for i in range(4)]
-        preds = [Prediction(dict(s.labels.pairs)) for s in samples]
+        preds = [Prediction(dict(s.labels)) for s in samples]
         assert evaluate(preds, samples).overall.accuracy == 1.0
 
     def test_three_of_four_links(self):
@@ -153,7 +152,7 @@ class TestSynth:
         for x, y in zip(a, b):
             assert x.sample_id == y.sample_id
             assert x.description.tokens == y.description.tokens
-            assert x.labels.pairs == y.labels.pairs
+            assert x.labels == y.labels
             for px, py in zip(x.image.persons, y.image.persons):
                 assert px.box == py.box
                 assert px.feature.tobytes() == py.feature.tobytes()

@@ -113,6 +113,40 @@ class TestExitCodes:
         assert "max_persons" in self._assert_usage_line(code, err)
         assert not (tmp_path / "s.jsonl").exists()
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_synth_without_samples_is_usage_error(self, capsys, tmp_path, n):
+        code, _, err = run_cli(capsys, "synth", "--n", n, "--out", str(tmp_path / "s.jsonl"))
+        assert "n_samples must be >= 1" in self._assert_usage_line(code, err)
+        assert not (tmp_path / "s.jsonl").exists()
+
+    def test_train_on_empty_dataset_is_data_error(self, capsys, tmp_path):
+        data = tmp_path / "empty.jsonl"
+        write_dataset([], data, header=DatasetHeader(d_vis=8))
+        code, _, err = run_cli(capsys, "train", "--data", str(data), "--config", str(TOY_CFG),
+                               "--out", str(tmp_path / "run"))
+        assert "non-empty dataset" in self._assert_error_line(code, err, "data")
+
+    def test_empty_dataset_scores_null(self, capsys, tmp_path):
+        data = tmp_path / "empty.jsonl"
+        write_dataset([], data, header=DatasetHeader(d_vis=8))
+        for argv in (("eval", "--name", "random"), ("baseline", "--name", "random")):
+            code, out, _ = run_cli(capsys, *argv, "--data", str(data))
+            assert code == 0
+            assert json.loads(out)["overall"]["accuracy"] is None
+        code, out, _ = run_cli(capsys, "stats", "--data", str(data))
+        assert code == 0
+        assert json.loads(out)["n_samples"] == 0
+
+    def test_non_utf8_rules_file_is_data_error(self, capsys, tmp_path):
+        qa = tmp_path / "qa.jsonl"
+        write_qa_corpus(fixture_corpus()[:3], qa)
+        rules = tmp_path / "rules.txt"
+        rules.write_bytes(b"\xff\xferule a priority 1 type other\n")
+        code, _, err = run_cli(capsys, "transform", "--data", str(qa), "--rules", str(rules),
+                               "--out", str(tmp_path / "out"))
+        detail = self._assert_error_line(code, err, "data")
+        assert f"{rules}: not a UTF-8 text file" in detail
+
     def test_non_finite_feature_is_data_error(self, capsys, tmp_path):
         path = write_tiny_dataset(tmp_path)
         fpath = feature_path(path)

@@ -18,7 +18,7 @@ from groundkit.core import (
     DataError,
     DatasetHeader,
     Description,
-    GroundingLabel,
+    ImageRecord,
     ObjectLink,
     PersonLink,
     Prediction,
@@ -34,7 +34,7 @@ from groundkit.core import (
 )
 from groundkit.rulekit import QAPair, read_qa_corpus, write_qa_corpus
 
-from conftest import make_sample
+from conftest import make_person, make_sample
 
 TESTS = Path(__file__).resolve().parent
 
@@ -124,6 +124,24 @@ class TestTypes:
             sample.validate(strict=True)
         sample.validate(strict=False)  # lenient mode lets it through
 
+    def test_strict_refuses_what_the_filter_drops(self):
+        for sample, reason in (
+                (make_sample("many", n_persons=11), "too_many_persons"),
+                (make_sample("one", n_persons=1), "single_candidate"),
+                (make_sample("none", tokens=[Word("hi")], labels={}), "no_person_link"),
+                (make_sample("tied", tokens=[PersonLink(1), Word("and"), PersonLink(2)],
+                             labels={1: 0, 2: 1}), "tied_links")):
+            with pytest.raises(DataError, match=rf"{sample.sample_id}: .*\({reason}\)"):
+                sample.validate(strict=True)
+            sample.validate(strict=False)
+
+    def test_box_outside_image_names_coordinate(self):
+        for x2, y2, coord in ((810, 120, "x2"), (60, 210, "y2")):
+            image = ImageRecord(image_id="img", width=800, height=200,
+                                persons=[make_person(0, 10, 10, x2, y2)])
+            with pytest.raises(DataError, match=f"box {coord}="):
+                image.validate()
+
 
 class TestRoundTrip:
     def test_write_read_identity(self, tmp_path):
@@ -135,7 +153,7 @@ class TestRoundTrip:
         for a, b in zip(samples, loaded):
             assert a.sample_id == b.sample_id
             assert a.description.tokens == b.description.tokens
-            assert a.labels.pairs == b.labels.pairs
+            assert a.labels == b.labels
             assert a.commonsense_type == b.commonsense_type
             assert a.image.width == b.image.width
             for pa, pb in zip(a.image.persons, b.image.persons):
@@ -209,6 +227,17 @@ class TestReadErrors:
             lines[0] = json.dumps(header, separators=(",", ":"))
             path.write_text("\n".join(lines) + "\n")
             with pytest.raises(DataError, match="d_vis"):
+                read_kind(kind, path)
+
+    def test_unknown_format_version_rejected(self, tmp_path):
+        for kind in KINDS:
+            path = write_kind(kind, tmp_path / f"{kind}.jsonl")
+            lines = path.read_text().splitlines()
+            header = json.loads(lines[0])
+            header["format_version"] = 99
+            lines[0] = json.dumps(header, separators=(",", ":"))
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(DataError, match=r":1: unsupported format_version 99"):
                 read_kind(kind, path)
 
     def test_corrupt_feature_magic_rejected(self, tmp_path):

@@ -90,10 +90,6 @@ class TestLocationFeature:
         feat = location_feature(box(0, 0, 640, 480), 640, 480)
         np.testing.assert_allclose(feat, [0, 0, 1, 1, 1, 1, 1], atol=1e-12)
 
-    def test_out_of_bounds_names_coordinate(self):
-        with pytest.raises(ValueError, match="y2"):
-            location_feature(box(0, 0, 60, 110), 100, 100)
-
     def test_internal_consistency_bulk(self):
         rng = np.random.default_rng(44)
         for _ in range(1000):

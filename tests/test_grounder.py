@@ -14,7 +14,6 @@ from groundkit.core import (
     CommonsenseType,
     DataError,
     Description,
-    GroundingLabel,
     ImageRecord,
     PersonLink,
     Prediction,
@@ -118,7 +117,7 @@ def scene_with_objects(objs, n_persons=3, labels=None):
                         context_objects=objs)
     return Sample(sample_id="scene", image=image,
                   description=Description([PersonLink(1), Word("waves")]),
-                  labels=GroundingLabel(labels or {1: 0}),
+                  labels=labels or {1: 0},
                   commonsense_type=CommonsenseType.OTHER)
 
 
@@ -391,7 +390,7 @@ class TestModelForward:
                             context_objects=sample.image.context_objects)
         permuted = Sample(sample_id=sample.sample_id, image=image,
                           description=sample.description,
-                          labels=GroundingLabel({1: perm.index(2)}),
+                          labels={1: perm.index(2)},
                           commonsense_type=sample.commonsense_type)
         pred_p = model.predict_sample(permuted)
         np.testing.assert_allclose(pred_p.scores[1], pred.scores[1][perm], atol=1e-8)
@@ -486,7 +485,7 @@ class TestBatching:
         assert len(batched) == len(samples)
         for sample, pred in zip(samples, batched):
             alone = model.predict_sample(sample)
-            assert set(alone.scores) == set(pred.scores) == set(sample.labels.pairs)
+            assert set(alone.scores) == set(pred.scores) == set(sample.labels)
             for link, vec in alone.scores.items():
                 assert vec.shape == (sample.image.n_persons,)
                 np.testing.assert_allclose(pred.scores[link], vec, rtol=0, atol=1e-6)

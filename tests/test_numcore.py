@@ -48,6 +48,8 @@ class TestOps:
     def test_shape_mismatch_reports_both_shapes(self):
         with pytest.raises(NumericError, match=r"\(2, 3\).*\(2, 3\)"):
             nc.matmul(nc.Tensor(np.ones((2, 3))), nc.Tensor(np.ones((2, 3))))
+        with pytest.raises(NumericError, match=r"\(2, 3\).*\(3,\)"):
+            nc.add(nc.Tensor(np.ones((2, 3))), nc.Tensor(np.ones(3)))
 
     def test_non_finite_is_hard_error(self):
         with pytest.raises(NumericError):
@@ -130,7 +132,7 @@ class TestBatchedOps:
             rows = nc.scatter_rows(p["r"], [0, 5, 2], 6)
             sims = nc.gather_dot(nc.add(mixed, rows), mixed, [0, 4], [[1, 2, 0], [3, 5, 5]])
             logp = nc.log_softmax(sims, axis=1, mask=np.array([[True] * 3, [True, True, False]]))
-            return nc.neg(nc.dot_const(logp, np.array([[0.5, 0.2, 0.0], [0.3, 0.0, 0.0]])))
+            return nc.dot_const(logp, -np.array([[0.5, 0.2, 0.0], [0.3, 0.0, 0.0]]))
 
         assert nc.grad_check(loss_wrapper(build), params, epsilon=1e-5) < 1e-6
 
@@ -266,8 +268,8 @@ class TestGradCheck:
             hs = [nc.reshape(h, (6, 16)) for h in nc.encode(nc.Tensor(x), cfg, p)]
             logits = nc.matmul(hs[-1], nc.transpose(hs[0], (1, 0)))
             lp = nc.log_softmax(logits, axis=1)
-            return nc.neg(nc.dot_const(nc.take_per_row(lp, [1, 2, 3, 4, 5, 0]),
-                                       np.full(6, 1.0 / 6)))
+            return nc.dot_const(nc.take_per_row(lp, [1, 2, 3, 4, 5, 0]),
+                                -np.full(6, 1.0 / 6))
 
         err = nc.grad_check(loss_wrapper(build), params, epsilon=1e-5,
                             max_entries_per_param=12,

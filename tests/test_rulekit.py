@@ -6,23 +6,22 @@ from groundkit.core import (
     CommonsenseType,
     DataError,
     Description,
-    GroundingLabel,
+    DropReason,
     ImageRecord,
     ObjectLink,
     PersonBox,
     PersonLink,
     Sample,
     Word,
+    filter_sample,
 )
 from groundkit import rulekit
 from groundkit.rulekit import (
-    DropReason,
     QAPair,
     Rule,
     SplitSpec,
     TemplateItem,
     default_rules,
-    filter_sample,
     match_pattern,
     match_rule,
     parse_rules,
@@ -73,8 +72,21 @@ def make_qa(sample_id, question, answer, n_persons=3, labels=None,
 class TestDsl:
     def test_default_rules_parse(self):
         rules = default_rules()
-        assert len(rules.rules) == 15
-        assert len({r.rule_id for r in rules.rules}) == 15
+        assert len(rules.rules) == 14
+        assert len({r.rule_id for r in rules.rules}) == 14
+
+    def test_every_default_rule_wins_on_its_own_question(self):
+        # a rule that loses even on the question its own pattern spells out is
+        # shadowed by a higher-priority rule and can never fire
+        fill = {"person": "PERSON1", "aux": "is", "rest": "x"}
+        rules = default_rules()
+        losers = []
+        for rule in rules.rules:
+            question = " ".join(fill.get(a.kind, a.name) for a in rule.pattern)
+            winner, _ = match_rule(make_qa("w", question, "yes"), rules)
+            if winner.rule_id != rule.rule_id:
+                losers.append((rule.rule_id, question, winner.rule_id))
+        assert losers == []
 
     def test_duplicate_ids_rejected(self):
         text = """\
