@@ -19,7 +19,7 @@ import numpy as np
 
 from . import benchkit, numcore as nc, rulekit
 from .core import (DataError, Description, PersonLink, Sample, Word, dataset_stats,
-                   filter_sample, read_dataset, read_header, write_dataset)
+                   filter_sample, read_dataset, read_header, replace_file, write_dataset)
 from .grounder import GroundingModel, ModelConfig, TrainSchedule, read_config, train
 from .grounder.io import load_model, save_model
 from .numcore import CheckpointError, NumericError
@@ -136,8 +136,8 @@ def _cmd_transform(args) -> int:
                           ("test", result.test)):
         write_dataset(samples, out / f"{name}.jsonl", header=header)
     report = result.report.to_json()
-    (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2),
-                                     encoding="utf-8")
+    replace_file(out / "report.json",
+                 json.dumps(report, sort_keys=True, indent=2).encode("utf-8"))
     _emit(report)
     return EXIT_OK
 
@@ -198,16 +198,25 @@ def _cmd_train(args) -> int:
     except ValueError as exc:
         raise UsageError(f"bad option: {exc}") from None
 
+    # the run directory and its log appear at the first step, once train has
+    # accepted the data, so a refused run leaves nothing behind
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    log_path = out / "loss_log.jsonl"
-    with open(log_path, "w", encoding="utf-8") as log_fh:
-        def on_step(step: int, loss: float) -> None:
-            log_fh.write(json.dumps({"step": step, "loss": loss}) + "\n")
-            if step % 25 == 0:
-                _log(f"step {step}: loss {loss:.4f}")
+    log_fh = None
 
+    def on_step(step: int, loss: float) -> None:
+        nonlocal log_fh
+        if log_fh is None:
+            out.mkdir(parents=True, exist_ok=True)
+            log_fh = open(out / "loss_log.jsonl", "w", encoding="utf-8")
+        log_fh.write(json.dumps({"step": step, "loss": loss}) + "\n")
+        if step % 25 == 0:
+            _log(f"step {step}: loss {loss:.4f}")
+
+    try:
         result = train(samples, config, schedule, on_step=on_step)
+    finally:
+        if log_fh is not None:
+            log_fh.close()
     ckpt = save_model(result.model, out)
     _emit({"checkpoint": str(ckpt), "steps": len(result.losses),
            "final_loss": result.losses[-1]})

@@ -538,16 +538,15 @@ class GroundingModel:
             person_pos.append(list(range(n_text, n_before_objects)))
             object_pos.append(list(range(n_before_objects, n)))
 
-        text = nc.layer_norm(
-            nc.add(nc.gather_rows(p["embed.word"],
-                                  np.concatenate([x.word_ids for x in layouts])),
-                   nc.gather_rows(p["embed.pos"], np.concatenate(positions))),
+        text = nc.add_layer_norm(
+            nc.gather_rows(p["embed.word"], np.concatenate([x.word_ids for x in layouts])),
+            nc.gather_rows(p["embed.pos"], np.concatenate(positions)),
             p["embed.text_ln.gain"], p["embed.text_ln.bias"])
-        region = nc.layer_norm(
-            nc.add(nc.linear(nc.Tensor(np.concatenate([x.features for x in layouts])),
-                             p["embed.feat.w"], p["embed.feat.b"]),
-                   nc.linear(nc.Tensor(np.concatenate([x.locations for x in layouts])),
-                             p["embed.loc.w"], p["embed.loc.b"])),
+        region = nc.add_layer_norm(
+            nc.linear(nc.Tensor(np.concatenate([x.features for x in layouts])),
+                      p["embed.feat.w"], p["embed.feat.b"]),
+            nc.linear(nc.Tensor(np.concatenate([x.locations for x in layouts])),
+                      p["embed.loc.w"], p["embed.loc.b"]),
             p["embed.region_ln.gain"], p["embed.region_ln.bias"])
         flat = nc.scatter_rows(nc.concat_rows([text, region]),
                                np.concatenate(text_rows + region_rows),

@@ -5,22 +5,20 @@ from .tensor import (
     NumericError,
     Tensor,
     add,
+    add_layer_norm,
     concat_rows,
     dot_const,
+    feed_forward,
     gather_dot,
     gather_rows,
-    gelu,
     l2_normalize_rows,
-    layer_norm,
     linear,
     log_softmax,
-    matmul,
     reshape,
     scale,
     scatter_rows,
-    softmax,
+    self_attention,
     take_per_row,
-    transpose,
 )
 from .encoder import EncoderConfig, attention_layer, encode, init_encoder_params
 from .optim import AdamState, init_adam_state, optimizer_step
@@ -29,10 +27,9 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 __all__ = [
     "AdamState", "CheckpointError", "EncoderConfig", "Graph", "NumericError",
-    "Tensor", "add", "attention_layer", "concat_rows", "dot_const", "encode",
-    "gather_dot", "gather_rows", "gelu", "grad_check", "init_adam_state",
-    "init_encoder_params", "l2_normalize_rows", "layer_norm", "linear",
-    "load_checkpoint", "log_softmax", "matmul", "optimizer_step", "reshape",
-    "save_checkpoint", "scale", "scatter_rows", "softmax", "take_per_row",
-    "transpose",
+    "Tensor", "add", "add_layer_norm", "attention_layer", "concat_rows", "dot_const",
+    "encode", "feed_forward", "gather_dot", "gather_rows", "grad_check",
+    "init_adam_state", "init_encoder_params", "l2_normalize_rows", "linear",
+    "load_checkpoint", "log_softmax", "optimizer_step", "reshape", "save_checkpoint",
+    "scale", "scatter_rows", "self_attention", "take_per_row",
 ]

@@ -1,34 +1,21 @@
 """Post-norm self-attention encoder built on the autodiff kernel.
 
-One layer is: multi-head self-attention, residual, layer norm, position-wise
-feed-forward (GELU), residual, layer norm.  It runs on a padded batch
-``[B, L, d]``: the heads are split into a batch axis by reshape and
-transpose, and a key-padding mask keeps every position from attending to
-padding.  ``encode`` keeps the hidden state after every layer so downstream
-losses can read intermediate layers.
+One layer is four fused ops, four tape nodes: multi-head self-attention,
+residual plus layer norm, position-wise feed-forward (GELU), residual plus
+layer norm.  Each op runs a hand-written backward.  It runs on a padded
+batch ``[B, L, d]``, and a key-padding mask keeps every position from
+attending to padding.  ``encode`` keeps the hidden state after every layer
+so downstream losses can read intermediate layers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .tensor import (
-    NumericError,
-    Tensor,
-    add,
-    gelu,
-    layer_norm,
-    linear,
-    matmul,
-    reshape,
-    scale,
-    softmax,
-    transpose,
-)
+from .tensor import NumericError, Tensor, add_layer_norm, feed_forward, self_attention
 
 INIT_STD = 0.02
 LN_EPS = 1e-5
@@ -92,31 +79,14 @@ def attention_layer(x: Tensor, params: Mapping[str, Tensor], prefix: str,
     ``mask`` (``[B, L]``, True on real tokens) hides padding keys; padding
     queries still produce rows, which nothing downstream reads.
     """
-    batch, length, d = x.data.shape
-    if d % n_heads != 0:
-        raise NumericError(f"width {d} not divisible by {n_heads} heads")
-    dh = d // n_heads
-    inv_sqrt = 1.0 / math.sqrt(dh)
+    def p(name: str) -> Tensor:
+        return params[f"{prefix}.{name}"]
 
-    def heads(t: Tensor, axes: tuple[int, ...]) -> Tensor:
-        return transpose(reshape(t, (batch, length, n_heads, dh)), axes)
-
-    q = heads(linear(x, params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.bq"]),
-              (0, 2, 1, 3))                                   # [B, H, L, dh]
-    k_t = heads(linear(x, params[f"{prefix}.attn.wk"]), (0, 2, 3, 1))  # [B, H, dh, L]
-    v = heads(linear(x, params[f"{prefix}.attn.wv"], params[f"{prefix}.attn.bv"]),
-              (0, 2, 1, 3))
-    key_mask = None if mask is None else mask[:, None, None, :]
-    attn = softmax(scale(matmul(q, k_t), inv_sqrt), axis=-1, mask=key_mask)
-    merged = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (batch, length, d))
-    attn_out = linear(merged, params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"])
-
-    h1 = layer_norm(add(x, attn_out),
-                    params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"], eps=LN_EPS)
-    ff = linear(gelu(linear(h1, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"])),
-                params[f"{prefix}.ffn.w2"], params[f"{prefix}.ffn.b2"])
-    return layer_norm(add(h1, ff),
-                      params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"], eps=LN_EPS)
+    attn_out = self_attention(x, p("attn.wq"), p("attn.bq"), p("attn.wk"), p("attn.wv"),
+                              p("attn.bv"), p("attn.wo"), p("attn.bo"), n_heads, mask)
+    h1 = add_layer_norm(x, attn_out, p("ln1.gain"), p("ln1.bias"), eps=LN_EPS)
+    ff = feed_forward(h1, p("ffn.w1"), p("ffn.b1"), p("ffn.w2"), p("ffn.b2"))
+    return add_layer_norm(h1, ff, p("ln2.gain"), p("ln2.bias"), eps=LN_EPS)
 
 
 def encode(x: Tensor, config: EncoderConfig, params: Mapping[str, Tensor],

@@ -5,12 +5,15 @@ Ops executed inside a ``with Graph():`` block record themselves on the tape;
 gradients additively into ``Tensor.grad`` (so fan-out just works).  Outside a
 graph the same ops run as plain numpy, which is what inference uses.
 
-Ops work on batches: ``matmul`` takes stacked operands, ``linear`` folds
-leading axes into one matrix product, ``reshape`` and
-``transpose`` move attention heads into a batch axis, and the softmaxes take
-a mask that hides padding.  Every op checks its output for NaN/Inf and
-raises NumericError on the spot, so numerical blow-ups surface where they
-happen instead of steps later.
+Ops work on batches: ``linear`` folds leading axes into one matrix product,
+and the softmaxes take a mask that hides padding.  An encoder layer is built
+from three fused ops, ``self_attention``, ``add_layer_norm`` and
+``feed_forward``: each records one tape node, keeps its forward
+intermediates and runs a hand-written backward, so the attention heads
+never appear on the tape.
+Every op checks its outputs for NaN/Inf and raises NumericError on the spot,
+naming the step that failed, so numerical blow-ups surface where they happen
+instead of steps later.
 """
 
 from __future__ import annotations
@@ -147,21 +150,6 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _out(a.data * s, "scale", lambda g: _accum(a, g * s))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` for two matrices or two stacks of them with the same leading axes."""
-    x, w = a.data, b.data
-    if (x.ndim < 2 or w.ndim != x.ndim or x.shape[:-2] != w.shape[:-2]
-            or x.shape[-1] != w.shape[-2]):
-        raise NumericError(f"matmul shape mismatch: {x.shape} @ {w.shape}")
-    data = x @ w
-
-    def back(g):
-        _accum(a, g @ _swap_last(w))
-        _accum(b, _swap_last(x) @ g)
-
-    return _out(data, "matmul", back)
-
-
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """``x @ weight + bias`` over the last axis of ``x``, as one op.
 
@@ -193,13 +181,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = a.data.reshape(shape)
     return _out(data, "reshape", lambda g: _accum(a, g.reshape(a.data.shape)))
-
-
-def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    """Permute the axes of ``a`` as ``np.transpose`` does."""
-    inverse = tuple(np.argsort(axes))
-    return _out(a.data.transpose(axes), "transpose",
-                lambda g: _accum(a, g.transpose(inverse)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +274,6 @@ def _masked(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return x if mask is None else np.where(mask, x, -np.inf)
 
 
-def softmax(a: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax along ``axis``; entries where the broadcast ``mask`` is False get 0.
-
-    A row with no unmasked entry has no distribution and fails the finite check.
-    """
-    x = _masked(a.data, mask)
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def back(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
-        _accum(a, data * (g - inner))
-
-    return _out(data, "softmax", back)
-
-
 def log_softmax(a: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
     """Log-softmax along ``axis`` over the entries the broadcast ``mask`` keeps.
 
@@ -328,52 +293,6 @@ def log_softmax(a: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Te
         _accum(a, g - probs * g.sum(axis=axis, keepdims=True))
 
     return _out(data, "log_softmax", back)
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize along the last axis, then apply the affine gain/bias."""
-    d = x.data.shape[-1]
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise NumericError(f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} "
-                           f"do not match feature dim {d}")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv
-    data = xhat * gain.data + bias.data
-
-    def back(g):
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, inv * (dxhat - m1 - xhat * m2))
-        lead = tuple(range(g.ndim - 1))
-        _accum(gain, (g * xhat).sum(axis=lead))
-        _accum(bias, g.sum(axis=lead))
-
-    return _out(data, "layer_norm", back)
-
-
-_GELU_C = math.sqrt(2.0 / math.pi)
-_GELU_A = 0.044715
-
-
-def gelu(x: Tensor) -> Tensor:
-    """tanh-form GELU; smooth everywhere, which keeps gradient checks clean.
-
-    Powers are written as products: numpy's ``**`` on float32 arrays is
-    two orders of magnitude slower than ``x * x``.
-    """
-    v = x.data
-    t = np.tanh(_GELU_C * (v + _GELU_A * (v * v * v)))
-    data = 0.5 * v * (1.0 + t)
-
-    def back(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * (v * v))
-        local = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du
-        _accum(x, g * local)
-
-    return _out(data, "gelu", back)
 
 
 def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
@@ -398,3 +317,171 @@ def dot_const(a: Tensor, weights: np.ndarray) -> Tensor:
         _accum(a, g * w)
 
     return _out(data, "dot_const", back)
+
+
+# ---------------------------------------------------------------------------
+# fused encoder blocks: one tape node each, with a hand-written backward.
+# Each one evaluates the numpy expressions of the op chain it replaces, in the
+# same order and on the same array layouts, so its outputs and gradients keep
+# every bit: reductions are the ufunc calls that ``ndarray.mean`` makes, each
+# gradient that chain copied to C order is copied here too, and each input
+# receives its gradients in the chain's tape order.
+
+
+def _mean_last(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=-1, keepdims=True)`` without the Python-level wrapper."""
+    total = np.add.reduce(a, axis=-1, keepdims=True)
+    return np.true_divide(total, np.intp(a.shape[-1]), out=total, casting="unsafe")
+
+
+def _check_shapes(op: str, *pairs: tuple[Tensor, tuple[int, ...]]) -> None:
+    for t, shape in pairs:
+        if t.data.shape != shape:
+            raise NumericError(f"{op}: parameter shape {t.data.shape}, expected {shape}")
+
+
+def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Tensor,
+                   wo: Tensor, bo: Tensor, n_heads: int,
+                   mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head self-attention over ``x`` (``[B, L, d]``), as one op.
+
+    Projects queries, keys (no bias) and values, splits them into
+    ``n_heads`` heads, takes the softmax of the scaled dot products over the
+    keys ``mask`` (``[B, L]``, True on real tokens) keeps, and projects the
+    merged context.  A query row with no key to attend to fails the finite
+    check as "softmax".
+    """
+    if x.data.ndim != 3 or x.data.shape[2] % n_heads != 0:
+        raise NumericError(f"self_attention input {x.data.shape} is not [B, L, d] "
+                           f"with d divisible by {n_heads} heads")
+    batch, length, d = x.data.shape
+    if mask is not None and mask.shape != (batch, length):
+        raise NumericError(f"self_attention mask shape {mask.shape} does not match "
+                           f"input {x.data.shape[:2]}")
+    _check_shapes("self_attention", (wq, (d, d)), (wk, (d, d)), (wv, (d, d)),
+                  (wo, (d, d)), (bq, (d,)), (bv, (d,)), (bo, (d,)))
+    dh = d // n_heads
+    s = 1.0 / math.sqrt(dh)
+    rows = x.data.reshape(-1, d)
+
+    def project(w: Tensor, b: Tensor | None) -> np.ndarray:
+        out = rows @ w.data
+        if b is not None:
+            out += b.data
+        _check_finite(out, "linear")
+        return out.reshape(batch, length, n_heads, dh)
+
+    q = project(wq, bq).transpose(0, 2, 1, 3)              # [B, H, L, dh]
+    k_t = project(wk, None).transpose(0, 2, 3, 1)          # [B, H, dh, L]
+    v = project(wv, bv).transpose(0, 2, 1, 3)              # [B, H, L, dh]
+    scores = q @ k_t
+    _check_finite(scores, "matmul")
+    scores = scores * s
+    _check_finite(scores, "scale")
+    if mask is not None:
+        scores = np.where(mask[:, None, None, :], scores, -np.inf)
+    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    attn = e / np.add.reduce(e, axis=-1, keepdims=True)
+    _check_finite(attn, "softmax")
+    context = attn @ v
+    _check_finite(context, "matmul")
+    merged = context.transpose(0, 2, 1, 3).reshape(-1, d)
+    out = merged @ wo.data
+    out += bo.data
+
+    def back(g):
+        g2 = g.reshape(-1, d)
+        g_merged = g2 @ wo.data.T
+        _accum(wo, merged.T @ g2)
+        _accum(bo, g2.sum(axis=0))
+        # copied to C order before the matmuls, as the op chain's gradient was:
+        # BLAS rounds a product differently when an operand is a strided view
+        g_context = g_merged.reshape(batch, length, n_heads, dh).transpose(0, 2, 1, 3).copy()
+        g_attn = g_context @ _swap_last(v)
+        g_v = _swap_last(attn) @ g_context
+        inner = (g_attn * attn).sum(axis=-1, keepdims=True)
+        g_scores = attn * (g_attn - inner) * s
+        g_q = g_scores @ _swap_last(k_t)
+        g_k_t = _swap_last(q) @ g_scores
+        # back through each projection in tape order: values, keys, queries.
+        # With B = 1 the transposed key gradient reshapes to a Fortran-ordered
+        # view without a copy, so each is made C-contiguous first
+        for gh, axes, w, b in ((g_v, (0, 2, 1, 3), wv, bv), (g_k_t, (0, 3, 1, 2), wk, None),
+                               (g_q, (0, 2, 1, 3), wq, bq)):
+            gr = np.ascontiguousarray(gh.transpose(axes)).reshape(-1, d)
+            _accum(x, (gr @ w.data.T).reshape(x.data.shape))
+            _accum(w, rows.T @ gr)
+            if b is not None:
+                _accum(b, gr.sum(axis=0))
+
+    return _out(out.reshape(batch, length, d), "linear", back)
+
+
+def add_layer_norm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor,
+                   eps: float = 1e-5) -> Tensor:
+    """``a + b``, normalized along the last axis, then the affine gain/bias, as one op."""
+    if a.data.shape != b.data.shape:
+        raise NumericError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
+    d = a.data.shape[-1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise NumericError(f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} "
+                           f"do not match feature dim {d}")
+    total = a.data + b.data
+    _check_finite(total, "add")
+    centred = total - _mean_last(total)
+    inv = 1.0 / np.sqrt(_mean_last(centred * centred) + eps)
+    xhat = centred * inv
+    data = xhat * gain.data + bias.data
+
+    def back(g):
+        dxhat = g * gain.data
+        m1 = _mean_last(dxhat)
+        m2 = _mean_last(dxhat * xhat)
+        g_total = inv * (dxhat - m1 - xhat * m2)
+        lead = tuple(range(g.ndim - 1))
+        _accum(gain, (g * xhat).sum(axis=lead))
+        _accum(bias, g.sum(axis=lead))
+        _accum(a, g_total)
+        _accum(b, g_total)
+
+    return _out(data, "layer_norm", back)
+
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``linear(gelu(linear(x, w1, b1)), w2, b2)`` over the last axis, as one op.
+
+    GELU is the tanh form, smooth everywhere, which keeps gradient checks
+    clean.  Its powers are written as products: numpy's ``**`` on float32
+    arrays is two orders of magnitude slower than ``x * x``.
+    """
+    d = x.data.shape[-1]
+    if w1.data.ndim != 2 or w1.data.shape[0] != d:
+        raise NumericError(f"feed_forward shape mismatch: {x.data.shape} @ {w1.data.shape}")
+    f = w1.data.shape[1]
+    _check_shapes("feed_forward", (b1, (f,)), (w2, (f, d)), (b2, (d,)))
+    rows = x.data.reshape(-1, d)
+    h = rows @ w1.data
+    h += b1.data
+    _check_finite(h, "linear")
+    t = np.tanh(_GELU_C * (h + _GELU_A * (h * h * h)))
+    act = 0.5 * h * (1.0 + t)
+    _check_finite(act, "gelu")
+    out = act @ w2.data
+    out += b2.data
+
+    def back(g):
+        g2 = g.reshape(-1, d)
+        g_act = g2 @ w2.data.T
+        _accum(w2, act.T @ g2)
+        _accum(b2, g2.sum(axis=0))
+        du = _GELU_C * (1.0 + 3.0 * _GELU_A * (h * h))
+        g_h = g_act * (0.5 * (1.0 + t) + 0.5 * h * (1.0 - t * t) * du)
+        _accum(x, (g_h @ w1.data.T).reshape(x.data.shape))
+        _accum(w1, rows.T @ g_h)
+        _accum(b1, g_h.sum(axis=0))
+
+    return _out(out.reshape(x.data.shape), "linear", back)

@@ -126,6 +126,14 @@ class TestExitCodes:
                                "--out", str(tmp_path / "run"))
         assert "non-empty dataset" in self._assert_error_line(code, err, "data")
 
+    def test_refused_train_leaves_no_run_directory(self, capsys, tmp_path):
+        data = tmp_path / "empty.jsonl"
+        write_dataset([], data, header=DatasetHeader(d_vis=8))
+        code, _, err = run_cli(capsys, "train", "--data", str(data), "--steps", "1",
+                               "--out", str(tmp_path / "run"))
+        self._assert_error_line(code, err, "data")
+        assert not (tmp_path / "run").exists()
+
     def test_empty_dataset_scores_null(self, capsys, tmp_path):
         data = tmp_path / "empty.jsonl"
         write_dataset([], data, header=DatasetHeader(d_vis=8))
@@ -244,6 +252,29 @@ class TestTransformAndFilter:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
         assert feature_path(outs[0] / "train.jsonl").read_bytes() == \
                feature_path(outs[1] / "train.jsonl").read_bytes()
+
+    def test_failed_report_write_keeps_previous_report(self, capsys, tmp_path, monkeypatch):
+        qa_path = tmp_path / "qa.jsonl"
+        write_qa_corpus(fixture_corpus(), qa_path)
+        out_dir = tmp_path / "out"
+        assert run_cli(capsys, "transform", "--data", str(qa_path),
+                       "--out", str(out_dir))[0] == 0
+        old = (out_dir / "report.json").read_bytes()
+        real_write = Path.write_bytes
+
+        def half_write(path, data):
+            # a partial temp report, then a full disk
+            if path.name == "report.json.tmp":
+                real_write(path, data[:8])
+                raise OSError("no space left on device")
+            return real_write(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", half_write)
+        code, _, err = run_cli(capsys, "transform", "--data", str(qa_path),
+                               "--out", str(out_dir), "--split", "0.5,0.25,0.25")
+        assert code == 2 and "no space left" in err
+        assert (out_dir / "report.json").read_bytes() == old
+        assert not (out_dir / "report.json.tmp").exists()
 
     def test_filter_command(self, capsys, tmp_path):
         # a pre-filter dataset containing an overcrowded image, which

@@ -29,27 +29,55 @@ def loss_wrapper(build):
     return loss_fn
 
 
+def attention_probs(logits, mask=None):
+    """The attention weights ``self_attention`` computes from ``[B, L, K]`` query-key
+    logits, ``K <= L <= 8``, read off its output.
+
+    One head of width 16: each token carries its logits row in the first 8
+    features and its one-hot position in the last 8.  The query projection
+    scales the logits by 4 = sqrt(16), the key and value projections take the
+    one-hot position, and the output projection is the identity, so every
+    product is exact and output row ``i`` holds the softmax of logits row
+    ``i`` over the keys ``mask`` keeps.
+    """
+    batch, length, width = logits.shape
+    x = np.zeros((batch, length, 16))
+    x[:, :, :width] = logits
+    x[:, :, 8:8 + length] = np.eye(length)
+    lower, upper = np.zeros((16, 16)), np.zeros((16, 16))
+    lower[8:, :8] = np.eye(8)
+    upper[:8, :8] = 4 * np.eye(8)
+    zero = nc.Tensor(np.zeros(16))
+    out = nc.self_attention(nc.Tensor(x), nc.Tensor(upper), zero, nc.Tensor(lower),
+                            nc.Tensor(lower), zero, nc.Tensor(np.eye(16)), zero,
+                            n_heads=1, mask=mask)
+    return out.data[:, :, :length]
+
+
 class TestOps:
     def test_softmax_symmetric(self):
-        out = nc.softmax(nc.Tensor([0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [0.5, 0.5])
+        out = attention_probs(np.zeros((1, 2, 2)))
+        np.testing.assert_allclose(out, np.full((1, 2, 2), 0.5))
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
-        out = nc.softmax(nc.Tensor(rng.normal(0, 5, (20, 7))), axis=-1)
-        np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(20), atol=1e-9)
-        assert np.all(out.data > 0) and np.all(out.data < 1)
+        out = attention_probs(rng.normal(0, 5, (3, 8, 8)))
+        np.testing.assert_allclose(out.sum(axis=-1), np.ones((3, 8)), atol=1e-9)
+        assert np.all(out > 0) and np.all(out < 1)
 
     def test_layer_norm_constant_vector_is_zero(self):
-        out = nc.layer_norm(nc.Tensor(np.full((3, 8), 2.5)),
-                            nc.Tensor(np.ones(8)), nc.Tensor(np.zeros(8)))
+        out = nc.add_layer_norm(nc.Tensor(np.full((3, 8), 1.0)), nc.Tensor(np.full((3, 8), 1.5)),
+                                nc.Tensor(np.ones(8)), nc.Tensor(np.zeros(8)))
         assert np.max(np.abs(out.data)) < 1e-6
 
     def test_shape_mismatch_reports_both_shapes(self):
         with pytest.raises(NumericError, match=r"\(2, 3\).*\(2, 3\)"):
-            nc.matmul(nc.Tensor(np.ones((2, 3))), nc.Tensor(np.ones((2, 3))))
+            nc.linear(nc.Tensor(np.ones((2, 3))), nc.Tensor(np.ones((2, 3))))
         with pytest.raises(NumericError, match=r"\(2, 3\).*\(3,\)"):
             nc.add(nc.Tensor(np.ones((2, 3))), nc.Tensor(np.ones(3)))
+        with pytest.raises(NumericError, match=r"\(2, 3\).*\(3,\)"):
+            nc.add_layer_norm(nc.Tensor(np.ones((2, 3))), nc.Tensor(np.ones(3)),
+                              nc.Tensor(np.ones(3)), nc.Tensor(np.zeros(3)))
 
     def test_non_finite_is_hard_error(self):
         with pytest.raises(NumericError):
@@ -64,26 +92,33 @@ class TestBatchedOps:
         rng = np.random.default_rng(0)
         x = rng.normal(0, 1, (3, 5, 4))
         w = rng.normal(0, 1, (4, 6))
-        y = rng.normal(0, 1, (3, 4, 2))
         proj = nc.linear(nc.Tensor(x), nc.Tensor(w)).data
-        stacked = nc.matmul(nc.Tensor(x), nc.Tensor(y)).data
         for b in range(3):
             np.testing.assert_allclose(proj[b], x[b] @ w, atol=1e-12)
-            np.testing.assert_allclose(stacked[b], x[b] @ y[b], atol=1e-12)
-        with pytest.raises(NumericError, match=r"\(3, 5, 4\).*\(2, 4, 2\)"):
-            nc.matmul(nc.Tensor(x), nc.Tensor(y[:2]))
-        with pytest.raises(NumericError, match=r"\(3, 5, 4\).*\(4, 6\)"):
-            nc.matmul(nc.Tensor(x), nc.Tensor(w))
+        # the attention heads are stacked matrix products: each sample and
+        # head matches its own slice
+        weights = attention_weights(rng, 4)
+        mask = np.array([[True] * 5, [True] * 3 + [False] * 2, [True] * 4 + [False]])
+        stacked = nc.self_attention(nc.Tensor(x), *map(nc.Tensor, weights), n_heads=2,
+                                    mask=mask).data
+        np.testing.assert_allclose(stacked, ref_self_attention(x, *weights, 2, mask),
+                                   atol=1e-12)
+        with pytest.raises(NumericError, match=r"\(3, 4\).*\(4, 4\)"):
+            nc.self_attention(nc.Tensor(x), nc.Tensor(np.ones((3, 4))),
+                              *map(nc.Tensor, weights[1:]), n_heads=2)
+        with pytest.raises(NumericError, match=r"\(2, 5\).*\(3, 5\)"):
+            nc.self_attention(nc.Tensor(x), *map(nc.Tensor, weights), n_heads=2,
+                              mask=mask[:2])
 
     def test_masked_softmax_matches_softmax_of_kept_entries(self):
         rng = np.random.default_rng(1)
-        x = rng.normal(0, 3, (2, 5))
+        x = rng.normal(0, 3, (2, 5, 5))
         mask = np.array([[True, True, True, False, False], [True] * 5])
-        out = nc.softmax(nc.Tensor(x), axis=-1, mask=mask).data
-        np.testing.assert_allclose(out[0, :3], nc.softmax(nc.Tensor(x[0, :3])).data,
+        out = attention_probs(x, mask=mask)
+        np.testing.assert_allclose(out[0, :3, :3], attention_probs(x[:1, :3, :3])[0],
                                    atol=1e-15)
-        np.testing.assert_array_equal(out[0, 3:], [0.0, 0.0])
-        np.testing.assert_allclose(out[1], nc.softmax(nc.Tensor(x[1])).data, atol=1e-15)
+        np.testing.assert_array_equal(out[0, :, 3:], np.zeros((5, 2)))
+        np.testing.assert_allclose(out[1], attention_probs(x[1:])[0], atol=1e-15)
 
     def test_masked_log_softmax_reads_zero_on_padding(self):
         x = np.array([[1.0, 2.0, 50.0]])
@@ -101,7 +136,7 @@ class TestBatchedOps:
 
     def test_fully_masked_row_is_a_numeric_error(self):
         with pytest.raises(NumericError, match="softmax"):
-            nc.softmax(nc.Tensor(np.ones((2, 3))), mask=np.array([[True] * 3, [False] * 3]))
+            attention_probs(np.ones((2, 3, 3)), mask=np.array([[True] * 3, [False] * 3]))
 
     def test_gather_dot_and_scatter_rows(self):
         a = nc.Tensor(np.arange(12.0).reshape(4, 3))
@@ -112,23 +147,30 @@ class TestBatchedOps:
         np.testing.assert_array_equal(placed.sum(axis=1), [0.0, 3.0, 0.0, 3.0])
 
     def test_batched_ops_gradients(self):
-        # every new op on one tape: linear, stacked matmul, head reshape and
-        # transpose, masked softmax and log-softmax, scatter and
-        # gather-dot
+        # the batched ops on one tape: linear, masked self-attention,
+        # residual plus layer norm, feed-forward, scatter, gather-dot and
+        # masked log-softmax
         rng = np.random.default_rng(2)
         x = rng.normal(0, 1, (2, 3, 4))
         mask = np.array([[True, True, False], [True, True, True]])
+        names = ("wq", "bq", "wk", "wv", "bv", "wo", "bo")
         params = {"w": nc.Tensor(rng.normal(0, 1, (4, 4))),
                   "b": nc.Tensor(rng.normal(0, 1, 4)),
-                  "r": nc.Tensor(rng.normal(0, 1, (3, 4)))}
+                  "r": nc.Tensor(rng.normal(0, 1, (3, 4))),
+                  "gain": nc.Tensor(rng.normal(1, 0.2, 4)),
+                  "bias": nc.Tensor(rng.normal(0, 0.2, 4)),
+                  "w1": nc.Tensor(rng.normal(0, 1, (4, 8))),
+                  "b1": nc.Tensor(rng.normal(0, 1, 8)),
+                  "w2": nc.Tensor(rng.normal(0, 1, (8, 4))),
+                  "b2": nc.Tensor(rng.normal(0, 1, 4)),
+                  **{n: nc.Tensor(w) for n, w in zip(names, attention_weights(rng, 4))}}
 
         def build(p):
-            h = nc.add(nc.linear(nc.Tensor(x), p["w"], p["b"]),
-                       nc.linear(nc.Tensor(x), nc.scale(p["w"], 0.5)))  # [2, 3, 4]
-            heads = nc.transpose(nc.reshape(h, (2, 3, 2, 2)), (0, 2, 1, 3))
-            scores = nc.matmul(heads, nc.transpose(heads, (0, 1, 3, 2)))  # [2, 2, 3, 3]
-            attn = nc.softmax(scores, axis=-1, mask=mask[:, None, None, :])
-            mixed = nc.reshape(nc.transpose(nc.matmul(attn, heads), (0, 2, 1, 3)), (6, 4))
+            h = nc.linear(nc.Tensor(x), p["w"], p["b"])                # [2, 3, 4]
+            attn = nc.self_attention(h, *(p[n] for n in names), n_heads=2, mask=mask)
+            h1 = nc.add_layer_norm(h, attn, p["gain"], p["bias"])
+            mixed = nc.reshape(nc.feed_forward(h1, p["w1"], p["b1"], p["w2"], p["b2"]),
+                               (6, 4))
             rows = nc.scatter_rows(p["r"], [0, 5, 2], 6)
             sims = nc.gather_dot(nc.add(mixed, rows), mixed, [0, 4], [[1, 2, 0], [3, 5, 5]])
             logp = nc.log_softmax(sims, axis=1, mask=np.array([[True] * 3, [True, True, False]]))
@@ -138,7 +180,8 @@ class TestBatchedOps:
 
     def test_gelu_products_match_powers(self):
         # the cube as a product stays within 2 ulp of ``x ** 3``, and GELU and
-        # its derivative stay with the power form to float32 rounding
+        # its derivative stay with the power form to float32 rounding; identity
+        # weights make the feed-forward block GELU alone
         x = np.random.default_rng(3).normal(0, 2, (1024, 64)).astype(np.float32)
         assert np.max(np.abs(x * x * x - x ** 3) / np.spacing(np.abs(x ** 3))) <= 2
         c, a = math.sqrt(2.0 / math.pi), 0.044715
@@ -146,8 +189,9 @@ class TestBatchedOps:
         ref = 0.5 * x * (1.0 + t)
         ref_grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * c * (1.0 + 3.0 * a * x ** 2)
         xt = nc.Tensor(x)
+        eye, zero = nc.Tensor(np.eye(64, dtype=np.float32)), nc.Tensor(np.zeros(64, np.float32))
         with nc.Graph() as g:
-            out = nc.gelu(xt)
+            out = nc.feed_forward(xt, eye, zero, eye, zero)
             g.backward(total(out))
         assert out.data.dtype == np.float32
         np.testing.assert_allclose(out.data, ref, rtol=1e-6, atol=1e-6)
@@ -156,14 +200,129 @@ class TestBatchedOps:
     def test_backward_releases_tape_but_counts_it(self):
         w = nc.Tensor(np.ones((3, 3)))
         x = nc.Tensor(np.arange(9.0).reshape(3, 3))
+        zero = nc.Tensor(np.zeros(3))
         with nc.Graph() as g:
-            h = nc.matmul(x, w)
-            loss = total(nc.gelu(h))
+            h = nc.linear(x, w)
+            loss = total(nc.feed_forward(h, w, zero, w, zero))
         g.backward(loss)
         assert len(g.nodes) == 3
         assert all(node is None for node in g.nodes)
         assert h.grad is None and loss.grad is None
         assert w.grad is not None and w.grad.shape == (3, 3)
+
+
+def attention_weights(rng, d):
+    """Random ``wq, bq, wk, wv, bv, wo, bo`` for a width-``d`` ``self_attention``."""
+    return [rng.normal(0, 0.7, shape) for shape in
+            ((d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,))]
+
+
+def ref_self_attention(x, wq, bq, wk, wv, bv, wo, bo, n_heads, mask=None):
+    """Plain-numpy attention: one sample and one head at a time, over the kept keys."""
+    batch, length, d = x.shape
+    dh = d // n_heads
+    out = np.empty_like(x)
+    for b in range(batch):
+        keys = x[b] if mask is None else x[b][mask[b]]
+        context = np.empty((length, d))
+        for h in range(n_heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            q = x[b] @ wq[:, cols] + bq[cols]
+            k = keys @ wk[:, cols]
+            v = keys @ wv[:, cols] + bv[cols]
+            z = q @ k.T / math.sqrt(dh)
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            context[:, cols] = (e / e.sum(axis=1, keepdims=True)) @ v
+        out[b] = context @ wo + bo
+    return out
+
+
+def ref_add_layer_norm(a, b, gain, bias, eps=1e-5):
+    s = a + b
+    return (s - s.mean(axis=-1, keepdims=True)) / np.sqrt(s.var(axis=-1, keepdims=True)
+                                                          + eps) * gain + bias
+
+
+def ref_feed_forward(x, w1, b1, w2, b2):
+    h = x @ w1 + b1
+    c = math.sqrt(2.0 / math.pi)
+    return 0.5 * h * (1.0 + np.tanh(c * (h + 0.044715 * h ** 3))) @ w2 + b2
+
+
+# batch shapes for the fused-op checks: padding hidden by a mask, a batch of
+# one, and a batch with no padding
+BATCHES = {"padded": (np.array([[True] * 4, [True, True, False, False]]), (2, 4)),
+           "single": (None, (1, 3)),
+           "unpadded": (np.ones((3, 2), dtype=bool), (3, 2))}
+
+
+def fused_case(op, batch, rng):
+    """``(inputs, mask, reference)`` for one fused op on one batch shape, d = 4."""
+    mask, lead = BATCHES[batch]
+    x = rng.normal(0, 1, lead + (4,))
+    if op == "self_attention":
+        inputs = [x] + attention_weights(rng, 4)
+        return inputs, mask, lambda v: ref_self_attention(*v, 2, mask)
+    if op == "add_layer_norm":
+        inputs = [x, rng.normal(0, 1, x.shape), rng.normal(1, 0.2, 4), rng.normal(0, 0.2, 4)]
+        return inputs, mask, lambda v: ref_add_layer_norm(*v)
+    inputs = [x, rng.normal(0, 0.7, (4, 8)), rng.normal(0, 0.5, 8), rng.normal(0, 0.7, (8, 4)),
+              rng.normal(0, 0.5, 4)]
+    return inputs, mask, lambda v: ref_feed_forward(*v)
+
+
+def run_fused(op, tensors, mask):
+    if op == "self_attention":
+        return nc.self_attention(*tensors, n_heads=2, mask=mask)
+    return getattr(nc, op)(*tensors)
+
+
+FUSED_OPS = ("self_attention", "add_layer_norm", "feed_forward")
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    @pytest.mark.parametrize("op", FUSED_OPS)
+    def test_forward_matches_numpy_reference(self, op, batch):
+        inputs, mask, reference = fused_case(op, batch, np.random.default_rng(10))
+        out = run_fused(op, [nc.Tensor(v) for v in inputs], mask).data
+        np.testing.assert_allclose(out, reference(inputs), atol=1e-12)
+
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    @pytest.mark.parametrize("op", FUSED_OPS)
+    def test_gradients(self, op, batch):
+        # every input, activations included, against central differences
+        rng = np.random.default_rng(11)
+        inputs, mask, _ = fused_case(op, batch, rng)
+        params = {f"in{i}": nc.Tensor(v) for i, v in enumerate(inputs)}
+        coef = rng.normal(0, 1, inputs[0].shape)
+        build = lambda p: nc.dot_const(run_fused(op, list(p.values()), mask), coef)
+        assert nc.grad_check(loss_wrapper(build), params, epsilon=1e-5) < 1e-4
+
+    @pytest.mark.parametrize("op, position, value, name", [
+        ("self_attention", 0, np.nan, "linear"),
+        ("self_attention", 1, 1e200, "matmul"),
+        ("add_layer_norm", 1, np.nan, "add"),
+        ("add_layer_norm", 2, np.nan, "layer_norm"),
+        ("feed_forward", 0, np.nan, "linear"),
+        ("feed_forward", 3, np.nan, "linear"),
+    ])
+    def test_non_finite_names_inner_op(self, op, position, value, name):
+        inputs, mask, _ = fused_case(op, "padded", np.random.default_rng(12))
+        tensors = [nc.Tensor(v) for v in inputs]
+        tensors[position].data.flat[0] = value   # past Tensor's own check
+        if op == "self_attention":
+            tensors[3].data.flat[0] = value      # keys as large as the queries
+        with pytest.raises(NumericError, match=f"produced by {name}$"):
+            run_fused(op, tensors, mask)
+
+    def test_encode_records_four_nodes_per_layer(self):
+        cfg = nc.EncoderConfig(d_model=8, n_heads=2, n_layers=3, d_ff=16)
+        params = nc.init_encoder_params(cfg, np.random.default_rng(0), dtype=np.float64)
+        with nc.Graph() as g:
+            nc.encode(nc.Tensor(np.ones((2, 3, 8))), cfg, params,
+                      mask=np.array([[True] * 3, [True, False, False]]))
+        assert len(g.nodes) == 4 * 3
 
 
 class TestEncoder:
@@ -249,9 +408,10 @@ class TestGradCheck:
         params = {"w": nc.Tensor(rng.normal(0, 1, (4, 3)))}
 
         def build(p):
-            y = nc.matmul(nc.Tensor(x), p["w"])
-            # half the sum of squares: the trace of y^T y / 2
-            return nc.dot_const(nc.matmul(nc.transpose(y, (1, 0)), y), 0.5 * np.eye(3))
+            y = nc.linear(nc.Tensor(x), p["w"])
+            # half the sum of squares: each row of y against itself
+            return nc.dot_const(nc.gather_dot(y, y, range(6), [[i] for i in range(6)]),
+                                np.full((6, 1), 0.5))
 
         assert nc.grad_check(loss_wrapper(build), params, epsilon=1e-5) < 1e-8
 
@@ -266,7 +426,7 @@ class TestGradCheck:
 
         def build(p):
             hs = [nc.reshape(h, (6, 16)) for h in nc.encode(nc.Tensor(x), cfg, p)]
-            logits = nc.matmul(hs[-1], nc.transpose(hs[0], (1, 0)))
+            logits = nc.gather_dot(hs[-1], hs[0], range(6), [range(6)] * 6)
             lp = nc.log_softmax(logits, axis=1)
             return nc.dot_const(nc.take_per_row(lp, [1, 2, 3, 4, 5, 0]),
                                 -np.full(6, 1.0 / 6))
@@ -280,10 +440,10 @@ class TestGradCheck:
         rng = np.random.default_rng(1)
         x = rng.normal(0, 1, (5, 4))
         params = {"w": nc.Tensor(rng.normal(0, 1, (4, 4)))}
-        # the sum of squares of x @ w: the trace of (x @ w)^T (x @ w)
+        # the sum of squares of x @ w: each row against itself
         base = loss_wrapper(lambda p: nc.dot_const(
-            nc.matmul(nc.transpose(nc.matmul(nc.Tensor(x), p["w"]), (1, 0)),
-                      nc.matmul(nc.Tensor(x), p["w"])), np.eye(4)))
+            nc.gather_dot(nc.linear(nc.Tensor(x), p["w"]), nc.linear(nc.Tensor(x), p["w"]),
+                          range(5), [[i] for i in range(5)]), np.ones((5, 1))))
 
         def corrupted(params, need_grads=True):
             loss, grads = base(params, need_grads=need_grads)
