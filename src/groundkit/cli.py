@@ -164,7 +164,7 @@ def _cmd_filter(args) -> int:
 
 def _cmd_stats(args) -> int:
     samples = read_dataset(_resolve_dataset(args.data))
-    _emit(dataset_stats(samples).to_json())
+    _emit(dataset_stats(samples))
     return EXIT_OK
 
 
@@ -190,7 +190,9 @@ def _cmd_train(args) -> int:
     header = read_header(_resolve_dataset(args.data))
     config, schedule = (read_config(args.config) if args.config
                         else (ModelConfig(), TrainSchedule()))
-    if config.d_vis != header.d_vis:
+    # an empty dataset has no features to match (its header may say d_vis
+    # 0); train refuses it without the adjustment
+    if samples and config.d_vis != header.d_vis:
         _log(f"adjusting d_vis {config.d_vis} -> {header.d_vis} to match the dataset")
         config = replace(config, d_vis=header.d_vis)
     try:
@@ -257,7 +259,12 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     config = ModelConfig.from_file(args.config)
-    report = run_gradient_suite(config, seed=args.seed, epsilon=args.epsilon)
+    try:
+        report = run_gradient_suite(config, seed=args.seed, epsilon=args.epsilon)
+    except ValueError as exc:
+        # the config has passed its checks: what is left to refuse is the
+        # flags, an --epsilon outside grad_check's range or a negative --seed
+        raise UsageError(f"bad gradcheck option: {exc}") from None
     _emit(report)
     worst = max(report["max_rel_error"].values())
     if worst > GRADCHECK_THRESHOLD:
@@ -271,8 +278,12 @@ def gradient_fixture(d_vis: int, seed: int = 0) -> list[Sample]:
 
     Person counts and object counts differ pairwise, and the last scene is
     rewritten to carry two links in a shorter text, so a batch of them
-    exercises padding rows, both masks and per-sample link weights.
+    exercises padding rows, both masks and per-sample link weights.  A
+    ``d_vis`` too small for synthetic scenes is a DataError.
     """
+    if d_vis < benchkit.MIN_D_VIS:
+        raise DataError(f"the gradient check needs d_vis >= {benchkit.MIN_D_VIS}, "
+                        f"the config has {d_vis}")
     pool = benchkit.synth_generate(benchkit.SynthConfig(
         n_samples=64, max_persons=4, d_vis=d_vis, context_rate=1.0, seed=seed))
     picked: list[Sample] = []
@@ -300,46 +311,26 @@ def run_gradient_suite(config: ModelConfig, seed: int = 0, epsilon: float = 1e-5
     The model is checked in float64 at a rescaled parameter point (weights
     x10) so that gradient magnitudes are well clear of finite-difference
     noise; gradient correctness is point-independent.  The batch is
-    ``gradient_fixture``, so the check covers padding and masking too.
+    ``gradient_fixture``, so the check covers padding and masking too.  A
+    config with lambda 0 checks the total at lambda 1.
     """
     from .grounder.train import build_vocab
 
     fixture = gradient_fixture(config.d_vis, seed)
-    vocab = build_vocab(fixture, config.neutral_names)
-    model = GroundingModel.init(config, vocab, dtype=np.float64)
+    config = replace(config, lam=config.lam if config.lam > 0 else 1.0)
+    model = GroundingModel.init(config, build_vocab(fixture, config.neutral_names),
+                                dtype=np.float64)
     for p in model.params.values():
         if p.data.ndim == 2:
             p.data = p.data * 10.0
-    lam = config.lam if config.lam > 0 else 1.0
     layouts = model.prepare(fixture, contrast=True)
-
-    def make_loss(kind: str):
-        def loss_fn(params, need_grads=True):
-            for p in params.values():
-                p.zero_grad()
-            with nc.Graph() as graph:
-                cls_term, con_term = model.loss_terms(layouts)
-                if kind == "cls":
-                    loss = cls_term
-                elif kind == "con":
-                    loss = con_term
-                else:
-                    loss = nc.add(cls_term, nc.scale(con_term, lam))
-                if need_grads:
-                    graph.backward(loss)
-                    grads = {k: (p.grad.copy() if p.grad is not None
-                                 else np.zeros_like(p.data))
-                             for k, p in params.items()}
-                    return float(loss.data), grads
-                return float(loss.data), None
-        return loss_fn
-
-    errors = {}
-    for kind in ("cls", "con", "total"):
-        errors[kind] = nc.grad_check(
-            make_loss(kind), model.params, epsilon=epsilon,
-            max_entries_per_param=max_entries_per_param,
-            rng=np.random.default_rng(seed + 17))
+    losses = {"cls": lambda: model.loss_terms(layouts)[0],
+              "con": lambda: model.loss_terms(layouts)[1],
+              "total": lambda: model.batch_loss(layouts)}
+    errors = {kind: nc.grad_check(build, model.params, epsilon=epsilon,
+                                  max_entries_per_param=max_entries_per_param,
+                                  rng=np.random.default_rng(seed + 17))
+              for kind, build in losses.items()}
     return {"epsilon": epsilon, "seed": seed, "threshold": GRADCHECK_THRESHOLD,
             "max_rel_error": errors}
 

@@ -54,10 +54,15 @@ def _require(cond: bool, message: str) -> None:
         raise DataError(message)
 
 
-def stable_rng(seed: int, tag: str) -> np.random.Generator:
-    """Generator seeded by (seed, tag), e.g. a sample id; independent of PYTHONHASHSEED."""
+def stable_hash(seed: int, tag: str) -> int:
+    """64-bit digest of (seed, tag), e.g. a sample id; independent of PYTHONHASHSEED."""
     digest = hashlib.sha256(f"{seed}:{tag}".encode("utf-8")).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+    return int.from_bytes(digest[:8], "little")
+
+
+def stable_rng(seed: int, tag: str) -> np.random.Generator:
+    """Generator seeded by ``stable_hash(seed, tag)``."""
+    return np.random.default_rng(stable_hash(seed, tag))
 
 
 # ---------------------------------------------------------------------------
@@ -630,42 +635,21 @@ def read_dataset(path: str | Path, strict: bool = True) -> list[Sample]:
 # statistics
 
 
-@dataclass
-class DatasetStats:
-    n_samples: int
-    n_images: int
-    n_links: int
-    mean_tokens: float | None
-    mean_persons_per_image: float | None
-    mean_links_per_description: float | None
-    type_histogram: dict[str, int]
-
-    def to_json(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "n_images": self.n_images,
-            "n_links": self.n_links,
-            "mean_tokens": self.mean_tokens,
-            "mean_persons_per_image": self.mean_persons_per_image,
-            "mean_links_per_description": self.mean_links_per_description,
-            "type_histogram": dict(sorted(self.type_histogram.items())),
-        }
-
-
-def dataset_stats(samples: Sequence[Sample]) -> DatasetStats:
-    """Corpus-level counts; permutation-invariant over the sample list."""
+def dataset_stats(samples: Sequence[Sample]) -> dict:
+    """Corpus-level counts as a JSON-ready dict; permutation-invariant over the
+    sample list.  Means over no samples are None."""
     hist = Counter(s.commonsense_type.value for s in samples)
     images: dict[str, int] = {}
     for s in samples:
         images.setdefault(s.image.image_id, s.image.n_persons)
     n_links = sum(len(s.labels) for s in samples)
     n = len(samples)
-    return DatasetStats(
-        n_samples=n,
-        n_images=len(images),
-        n_links=n_links,
-        mean_tokens=(sum(len(s.description) for s in samples) / n) if n else None,
-        mean_persons_per_image=(sum(images.values()) / len(images)) if images else None,
-        mean_links_per_description=(n_links / n) if n else None,
-        type_histogram=dict(hist),
-    )
+    return {
+        "n_samples": n,
+        "n_images": len(images),
+        "n_links": n_links,
+        "mean_tokens": (sum(len(s.description) for s in samples) / n) if n else None,
+        "mean_persons_per_image": (sum(images.values()) / len(images)) if images else None,
+        "mean_links_per_description": (n_links / n) if n else None,
+        "type_histogram": dict(sorted(hist.items())),
+    }

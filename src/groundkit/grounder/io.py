@@ -3,9 +3,9 @@
 A run directory holds ``model.ckpt`` (binary checkpoint), ``vocab.json``
 (word-to-id map), ``config.cfg`` (the resolved model config), and whatever
 logs the caller adds.  Loading validates tensor names and shapes against the
-config before constructing the model.  Each file is written through
-``<name>.tmp`` plus ``os.replace``, so a failed save never leaves a partly
-written file behind.
+config before constructing the model.  Each file, the checkpoint included,
+is written through ``core.replace_file`` (``<name>.tmp`` plus ``os.replace``),
+so a failed save never leaves a partly written file behind.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ CONFIG_NAME = "config.cfg"
 def save_model(model: GroundingModel, run_dir: str | Path) -> Path:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    nc.save_checkpoint(model.params, run_dir / CHECKPOINT_NAME)
+    replace_file(run_dir / CHECKPOINT_NAME, nc.checkpoint_bytes(model.params))
     replace_file(run_dir / VOCAB_NAME,
                  json.dumps(model.vocab, sort_keys=True, indent=0).encode("utf-8"))
     model.config.to_file(run_dir / CONFIG_NAME)

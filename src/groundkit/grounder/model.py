@@ -78,6 +78,11 @@ class ModelConfig:
             raise ValueError("IoU thresholds must lie in [0, 1]")
         if not self.lam >= 0:
             raise ValueError("contrastive weight must be >= 0")
+        self.encoder  # refuses sizes below 1 and heads that do not divide d_model
+        if self.max_text_len < 1:
+            raise ValueError("max_text_len must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 1 <= self.contrast_layer <= self.n_layers:
             raise ValueError(f"contrast_layer {self.contrast_layer} outside "
                              f"1..{self.n_layers}")
@@ -87,7 +92,7 @@ class ModelConfig:
     @property
     def encoder(self) -> EncoderConfig:
         return EncoderConfig(d_model=self.d_model, n_heads=self.n_heads,
-                             n_layers=self.n_layers, d_ff=self.d_ff, seed=self.seed)
+                             n_layers=self.n_layers, d_ff=self.d_ff)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ModelConfig":
@@ -257,7 +262,6 @@ class EncodedBatch:
     link_positions: list[dict[int, int]]
     person_positions: list[list[int]]
     object_positions: list[list[int]]
-    words: list[list[str]]
     hidden: list[nc.Tensor] = field(default_factory=list)
 
     @property
@@ -548,15 +552,13 @@ class GroundingModel:
             nc.linear(nc.Tensor(np.concatenate([x.locations for x in layouts])),
                       p["embed.loc.w"], p["embed.loc.b"]),
             p["embed.region_ln.gain"], p["embed.region_ln.bias"])
-        flat = nc.scatter_rows(nc.concat_rows([text, region]),
-                               np.concatenate(text_rows + region_rows),
+        flat = nc.scatter_rows([text, region], np.concatenate(text_rows + region_rows),
                                len(layouts) * width)
         return EncodedBatch(
             sequence=nc.reshape(flat, (len(layouts), width, self.config.d_model)),
             mask=np.arange(width) < np.array(lengths)[:, None],
             link_positions=[x.link_positions for x in layouts],
-            person_positions=person_pos, object_positions=object_pos,
-            words=[x.words for x in layouts])
+            person_positions=person_pos, object_positions=object_pos)
 
     def forward(self, layouts: Sequence[SampleLayout]) -> EncodedBatch:
         encoded = self.embed(layouts)

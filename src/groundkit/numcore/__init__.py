@@ -6,7 +6,6 @@ from .tensor import (
     Tensor,
     add,
     add_layer_norm,
-    concat_rows,
     dot_const,
     feed_forward,
     gather_dot,
@@ -23,13 +22,13 @@ from .tensor import (
 from .encoder import EncoderConfig, attention_layer, encode, init_encoder_params
 from .optim import AdamState, init_adam_state, optimizer_step
 from .gradcheck import grad_check
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, checkpoint_bytes, load_checkpoint
 
 __all__ = [
     "AdamState", "CheckpointError", "EncoderConfig", "Graph", "NumericError",
-    "Tensor", "add", "add_layer_norm", "attention_layer", "concat_rows", "dot_const",
+    "Tensor", "add", "add_layer_norm", "attention_layer", "checkpoint_bytes", "dot_const",
     "encode", "feed_forward", "gather_dot", "gather_rows", "grad_check",
     "init_adam_state", "init_encoder_params", "l2_normalize_rows", "linear",
-    "load_checkpoint", "log_softmax", "optimizer_step", "reshape", "save_checkpoint",
-    "scale", "scatter_rows", "self_attention", "take_per_row",
+    "load_checkpoint", "log_softmax", "optimizer_step", "reshape", "scale",
+    "scatter_rows", "self_attention", "take_per_row",
 ]

@@ -3,14 +3,12 @@
 Little-endian layout: magic ``CGW1``, ``u32`` tensor count, then per tensor:
 ``u32`` name length, name bytes (UTF-8), ``u32`` rank, ``u32`` dims, float32
 values in row-major order.  Values are stored as float32, so float32
-parameters round-trip bitwise.  A checkpoint is written to ``<name>.tmp`` and
-moved over ``<name>`` when complete, so a failed save leaves the old file (and
-removes the temp file).
+parameters round-trip bitwise.  ``checkpoint_bytes`` encodes; writing the
+bytes to disk is the caller's job.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from pathlib import Path
 from typing import Mapping
@@ -26,27 +24,17 @@ class CheckpointError(Exception):
     """Corrupt checkpoint files or name/shape mismatches on load."""
 
 
-def save_checkpoint(params: Mapping[str, "Tensor | np.ndarray"], path: str | Path) -> None:
-    names = sorted(params)
-    tmp = Path(path).with_name(Path(path).name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", len(names)))
-            for name in names:
-                value = params[name]
-                arr = value.data if isinstance(value, Tensor) else np.asarray(value)
-                arr = np.ascontiguousarray(arr, dtype="<f4")
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<I", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+def checkpoint_bytes(params: Mapping[str, "Tensor | np.ndarray"]) -> bytes:
+    """The checkpoint of ``params``, tensors sorted by name."""
+    parts = [CHECKPOINT_MAGIC, struct.pack("<I", len(params))]
+    for name in sorted(params):
+        value = params[name]
+        arr = value.data if isinstance(value, Tensor) else np.asarray(value)
+        arr = np.ascontiguousarray(arr, dtype="<f4")
+        encoded = name.encode("utf-8")
+        parts += [struct.pack("<I", len(encoded)), encoded, struct.pack("<I", arr.ndim),
+                  struct.pack(f"<{arr.ndim}I", *arr.shape), arr.tobytes()]
+    return b"".join(parts)
 
 
 def load_checkpoint(path: str | Path,

@@ -27,13 +27,13 @@ class EncoderConfig:
     n_heads: int
     n_layers: int
     d_ff: int
-    seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("d_model", "n_heads", "n_layers", "d_ff"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if self.n_layers < 1:
-            raise ValueError("n_layers must be >= 1")
 
 
 def init_encoder_params(config: EncoderConfig,

@@ -6,23 +6,23 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .tensor import NumericError, Tensor
-
-LossFn = Callable[..., tuple[float, "dict[str, np.ndarray] | None"]]
+from .tensor import Graph, NumericError, Tensor
 
 
-def grad_check(loss_fn: LossFn,
+def grad_check(build: Callable[[], Tensor],
                params: Mapping[str, Tensor],
                epsilon: float = 1e-5,
                max_entries_per_param: int | None = None,
                rng: np.random.Generator | None = None) -> float:
-    """Max relative error between analytic gradients and central differences.
+    """Max relative error between the tape's gradients and central differences.
 
-    ``loss_fn(params, need_grads=...)`` must return ``(loss, grads)`` where
-    ``grads`` maps parameter names to arrays (``None`` allowed when
-    ``need_grads`` is false).  Parameters must be float64; probes perturb one
-    entry at a time, so runtime is linear in the number of entries checked.
-    ``max_entries_per_param`` subsamples entries (seeded) for large models.
+    ``build()`` returns the scalar loss of the current ``params``.  One pass
+    runs under a ``Graph`` and its backward leaves the analytic gradients in
+    ``p.grad`` (zeroed first, and still there on return); each probe then
+    calls ``build()`` outside any graph.  Parameters must be float64; probes
+    perturb one entry at a time, so runtime is linear in the number of
+    entries checked.  ``max_entries_per_param`` subsamples entries (seeded)
+    for large models.
     """
     if not 1e-7 <= epsilon <= 1e-4:
         raise ValueError(f"epsilon {epsilon} outside [1e-7, 1e-4]")
@@ -30,34 +30,32 @@ def grad_check(loss_fn: LossFn,
         if p.data.dtype != np.float64:
             raise NumericError(f"grad_check requires float64 parameters ({name!r} is "
                                f"{p.data.dtype})")
+        p.zero_grad()
 
-    loss0, grads = loss_fn(params, need_grads=True)
-    if not np.isfinite(loss0):
-        raise NumericError("loss is non-finite at the checked point")
-    if grads is None:
-        raise NumericError("loss_fn returned no gradients")
+    with Graph() as graph:
+        loss = build()
+        if not np.isfinite(loss.data).all():
+            raise NumericError("loss is non-finite at the checked point")
+        graph.backward(loss)
 
     if rng is None:
         rng = np.random.default_rng(0)
     worst = 0.0
     for name in sorted(params):
         p = params[name]
-        analytic = grads.get(name)
-        if analytic is None:
-            analytic = np.zeros_like(p.data)
         flat = p.data.reshape(-1)
+        a_flat = np.zeros_like(flat) if p.grad is None else p.grad.reshape(-1)
         n = flat.shape[0]
         if max_entries_per_param is not None and n > max_entries_per_param:
             picks = rng.choice(n, size=max_entries_per_param, replace=False)
         else:
             picks = np.arange(n)
-        a_flat = np.asarray(analytic).reshape(-1)
         for i in picks:
             orig = flat[i]
             flat[i] = orig + epsilon
-            plus, _ = loss_fn(params, need_grads=False)
+            plus = float(build().data)
             flat[i] = orig - epsilon
-            minus, _ = loss_fn(params, need_grads=False)
+            minus = float(build().data)
             flat[i] = orig
             if not (np.isfinite(plus) and np.isfinite(minus)):
                 raise NumericError(f"non-finite loss while probing {name}[{i}]")

@@ -49,9 +49,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -199,17 +196,26 @@ def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
     return _out(data, "gather_rows", back)
 
 
-def scatter_rows(a: Tensor, indices: Sequence[int], n_rows: int) -> Tensor:
-    """``n_rows`` rows with ``out[indices[i]] = a[i]``; rows no index names stay zero.
+def scatter_rows(parts: Sequence[Tensor], indices: Sequence[int], n_rows: int) -> Tensor:
+    """``n_rows`` rows holding the rows of ``parts``, taken in order: the ``i``-th
+    of them lands at ``out[indices[i]]``.  Rows no index names stay zero.
 
     Indices must be distinct.
     """
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.shape != a.data.shape[:1]:
-        raise NumericError(f"scatter_rows: {idx.shape[0]} indices for {a.data.shape[0]} rows")
-    data = np.zeros((n_rows,) + a.data.shape[1:], dtype=a.data.dtype)
-    data[idx] = a.data
-    return _out(data, "scatter_rows", lambda g: _accum(a, g[idx]))
+    sizes = [p.data.shape[0] for p in parts]
+    if idx.shape != (sum(sizes),):
+        raise NumericError(f"scatter_rows: {idx.shape[0]} indices for {sum(sizes)} rows")
+    data = np.zeros((n_rows,) + parts[0].data.shape[1:], dtype=parts[0].data.dtype)
+    spans = np.split(idx, np.cumsum(sizes[:-1]))
+    for p, span in zip(parts, spans):
+        data[span] = p.data
+
+    def back(g):
+        for p, span in zip(parts, spans):
+            _accum(p, g[span])
+
+    return _out(data, "scatter_rows", back)
 
 
 def take_per_row(a: Tensor, indices: Sequence[int]) -> Tensor:
@@ -251,19 +257,6 @@ def gather_dot(a: Tensor, b: Tensor, rows: Sequence[int],
         _accum(b, gb)
 
     return _out(data, "gather_dot", back)
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    data = np.concatenate([p.data for p in parts], axis=0)
-    sizes = [p.data.shape[0] for p in parts]
-
-    def back(g):
-        off = 0
-        for p, size in zip(parts, sizes):
-            _accum(p, g[off:off + size])
-            off += size
-
-    return _out(data, "concat_rows", back)
 
 
 # ---------------------------------------------------------------------------

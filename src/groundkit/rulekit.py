@@ -19,7 +19,6 @@ the first match wins, so a rule set is a deterministic function.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,6 +44,7 @@ from .core import (
     image_to_json,
     read_container,
     read_text,
+    stable_hash,
     token_from_json,
     token_to_json,
     write_container,
@@ -384,8 +384,7 @@ class SplitSpec:
 
 
 def _split_of(sample_id: str, spec: SplitSpec) -> str:
-    digest = hashlib.sha256(f"{spec.seed}:{sample_id}".encode("utf-8")).digest()
-    u = int.from_bytes(digest[:8], "little") / 2.0 ** 64
+    u = stable_hash(spec.seed, sample_id) / 2.0 ** 64
     if u < spec.train:
         return "train"
     if u < spec.train + spec.validation:

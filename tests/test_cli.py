@@ -7,7 +7,7 @@ import pytest
 from groundkit.cli import run
 from groundkit.core import (DatasetHeader, feature_path, image_features, read_dataset,
                             sample_to_json, write_container, write_dataset)
-from groundkit.rulekit import SplitSpec, write_qa_corpus
+from groundkit.rulekit import DEFAULT_RULES_TEXT, SplitSpec, write_qa_corpus
 
 from conftest import make_sample
 from test_rulekit import fixture_corpus
@@ -85,6 +85,12 @@ class TestExitCodes:
         ("adam_eps = -1", "Adam epsilon must be positive"),
         ("adam_eps = 0", "Adam epsilon must be positive"),
         ("adam_eps = nan", "Adam epsilon must be positive"),
+        ("n_heads = 3", "d_model 32 not divisible by n_heads 3"),
+        ("n_heads = 0", "n_heads must be >= 1"),
+        ("d_model = 0", "d_model must be >= 1"),
+        ("d_ff = 0", "d_ff must be >= 1"),
+        ("max_text_len = 0", "max_text_len must be >= 1"),
+        ("seed = -1", "seed must be >= 0"),
     ])
     def test_bad_config_file_is_data_error(self, capsys, tmp_path, line, detail):
         data = write_tiny_dataset(tmp_path)
@@ -100,6 +106,13 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "train", "--data", str(data), "--config", str(TOY_CFG),
                                "--out", str(tmp_path / "run"), "--lr", "-1")
         assert "learning rate" in self._assert_usage_line(code, err)
+
+    def test_negative_train_seed_is_usage_error(self, capsys, tmp_path):
+        data = write_tiny_dataset(tmp_path)
+        code, _, err = run_cli(capsys, "train", "--data", str(data), "--config", str(TOY_CFG),
+                               "--out", str(tmp_path / "run"), "--seed", "-5")
+        assert "seed must be >= 0" in self._assert_usage_line(code, err)
+        assert not (tmp_path / "run").exists()
 
     def test_zero_token_budget_is_usage_error(self, capsys, tmp_path):
         data = write_tiny_dataset(tmp_path)
@@ -119,12 +132,22 @@ class TestExitCodes:
         assert "n_samples must be >= 1" in self._assert_usage_line(code, err)
         assert not (tmp_path / "s.jsonl").exists()
 
+    def test_negative_synth_seed_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "synth", "--n", "5", "--seed", "-1",
+                               "--out", str(tmp_path / "s.jsonl"))
+        assert "seed must be >= 0" in self._assert_usage_line(code, err)
+        assert not (tmp_path / "s.jsonl").exists()
+
     def test_train_on_empty_dataset_is_data_error(self, capsys, tmp_path):
-        data = tmp_path / "empty.jsonl"
-        write_dataset([], data, header=DatasetHeader(d_vis=8))
-        code, _, err = run_cli(capsys, "train", "--data", str(data), "--config", str(TOY_CFG),
-                               "--out", str(tmp_path / "run"))
-        assert "non-empty dataset" in self._assert_error_line(code, err, "data")
+        # with a header, and without one, whose d_vis then reads 0: the
+        # refusal comes before any d_vis adjustment
+        for name, header in (("empty.jsonl", DatasetHeader(d_vis=8)), ("bare.jsonl", None)):
+            data = tmp_path / name
+            write_dataset([], data, header=header)
+            code, _, err = run_cli(capsys, "train", "--data", str(data),
+                                   "--config", str(TOY_CFG), "--out", str(tmp_path / "run"))
+            assert "non-empty dataset" in self._assert_error_line(code, err, "data")
+            assert "adjusting" not in err
 
     def test_refused_train_leaves_no_run_directory(self, capsys, tmp_path):
         data = tmp_path / "empty.jsonl"
@@ -144,6 +167,24 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "stats", "--data", str(data))
         assert code == 0
         assert json.loads(out)["n_samples"] == 0
+
+    @pytest.mark.parametrize("flag, value, detail", [
+        ("--epsilon", "1e-3", "epsilon 0.001 outside"),
+        ("--epsilon", "nan", "epsilon nan outside"),
+        ("--seed", "-1", "seed must be >= 0"),
+    ])
+    def test_gradcheck_bad_option_is_usage_error(self, capsys, flag, value, detail):
+        code, out, err = run_cli(capsys, "gradcheck", "--config", str(TOY_CFG), flag, value)
+        assert detail in self._assert_usage_line(code, err)
+        assert out == ""
+
+    def test_gradcheck_small_d_vis_is_data_error(self, capsys, tmp_path):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(TOY_CFG.read_text() + "d_vis = 8\n")
+        code, out, err = run_cli(capsys, "gradcheck", "--config", str(cfg))
+        detail = self._assert_error_line(code, err, "data")
+        assert "needs d_vis >= 17, the config has 8" in detail
+        assert out == ""
 
     def test_non_utf8_rules_file_is_data_error(self, capsys, tmp_path):
         qa = tmp_path / "qa.jsonl"
@@ -340,6 +381,66 @@ class TestTrainEvalGradcheck:
         code, _, err = run_cli(capsys, "eval", "--data", str(data),
                                "--checkpoint", str(run_dir))
         assert code == 2
+
+    @pytest.mark.parametrize("mutation, expected", [
+        ("truncated", 2), ("extended", 2), ("count", 2), ("name", 2), ("rank", 2),
+        ("mantissa", 0),
+    ])
+    def test_eval_on_mutated_checkpoint(self, capsys, tmp_path, mutation, expected):
+        data = tmp_path / "s.jsonl"
+        run_cli(capsys, "synth", "--n", "6", "--seed", "2", "--out", str(data))
+        run_dir = tmp_path / "run"
+        run_cli(capsys, "train", "--data", str(data), "--config", str(TOY_CFG),
+                "--out", str(run_dir), "--steps", "1")
+        ckpt = run_dir / "model.ckpt"
+        blob = bytearray(ckpt.read_bytes())
+        name_len = int.from_bytes(blob[8:12], "little")
+        if mutation == "truncated":
+            blob = blob[:len(blob) // 2]
+        elif mutation == "extended":
+            blob += b"\x00" * 5
+        elif mutation == "count":
+            blob[4] ^= 1
+        elif mutation == "name":
+            blob[12] ^= 0x80               # not UTF-8 any more
+        elif mutation == "rank":
+            blob[12 + name_len] ^= 0x10
+        else:
+            blob[-4] ^= 1                  # lowest mantissa bit of the last value
+        ckpt.write_bytes(bytes(blob))
+        code, out, err = run_cli(capsys, "eval", "--data", str(data),
+                                 "--checkpoint", str(run_dir))
+        assert code == expected
+        assert "Traceback" not in err
+        if expected:
+            assert json.loads(err.splitlines()[0])["error"] == "data"
+
+    @pytest.mark.parametrize("mutation, expected", [
+        ("no emit", 2), ("priority", 2), ("type", 2), ("truncated", 2), ("junk", 2),
+        ("template word", 0),
+    ])
+    def test_transform_with_mutated_rules(self, capsys, tmp_path, mutation, expected):
+        qa = tmp_path / "qa.jsonl"
+        write_qa_corpus(fixture_corpus(), qa)
+        text = DEFAULT_RULES_TEXT
+        text = {
+            "no emit": text.replace("emit: <PERSON> <AUX> <REST...> because <ANSWER>\n", "", 1),
+            "priority": text.replace("priority 90", "priority high", 1),
+            "type": text.replace("type causal", "type causel", 1),
+            "truncated": text[:text.index("emit: <ANSWER>")],
+            "junk": text + "\x00 junk\n",
+            "template word": text.replace("because", "since", 1),
+        }[mutation]
+        rules = tmp_path / "rules.txt"
+        rules.write_text(text)
+        code, out, err = run_cli(capsys, "transform", "--data", str(qa), "--rules", str(rules),
+                                 "--out", str(tmp_path / "out"))
+        assert code == expected
+        assert "Traceback" not in err
+        if expected:
+            assert json.loads(err.splitlines()[0])["error"] == "data"
+        else:
+            assert json.loads(out)["kept"] == 12
 
     def test_gradcheck_toy_config_passes(self, capsys):
         code, out, _ = run_cli(capsys, "gradcheck", "--config", str(TOY_CFG))

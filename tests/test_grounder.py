@@ -32,7 +32,6 @@ from groundkit.grounder import (
     train,
 )
 from groundkit.grounder import model as model_module
-from groundkit.numcore import checkpoint as checkpoint_module
 from groundkit.grounder.io import (CHECKPOINT_NAME, CONFIG_NAME, VOCAB_NAME, load_model,
                                   save_model)
 from groundkit.cli import gradient_fixture, run_gradient_suite
@@ -204,7 +203,7 @@ def fake_encoded(feats, link_pos=0, person_positions=None, object_positions=None
                         link_positions=[{1: link_pos}],
                         person_positions=[person_positions or []],
                         object_positions=[object_positions or []],
-                        words=[[]], hidden=[t])
+                        hidden=[t])
 
 
 class TestLossCon:
@@ -266,7 +265,7 @@ class TestLossCon:
                                link_positions=[{1: 0, 2: 1}, {1: 0}],
                                person_positions=[[2, 3, 4], [1, 2, 3]],
                                object_positions=[[5], [4, 5]],
-                               words=[[], []], hidden=[t])
+                               hidden=[t])
         sets = [[LinkContrast(1, 0, [0], np.array([1.0, 0.6]), [1, 2]),
                  LinkContrast(2, 1, [], np.array([1.0]), [0])],
                 [LinkContrast(1, 2, [0, 1], np.array([1.0, 0.5, 0.3]), [0, 1])]]
@@ -332,7 +331,7 @@ class TestModelForward:
         sample = make_sample("m-1", n_persons=3, n_objects=2)
         model, config = toy_model([sample])
         encoded = model.embed_sample(sample)
-        n_text = len(encoded.words[0])
+        n_text = len(model.prepare([sample])[0].words)
         assert encoded.sequence.data.shape == (1, n_text + 3 + 2, config.d_model)
         assert encoded.person_positions == [[n_text, n_text + 1, n_text + 2]]
         assert encoded.object_positions == [[n_text + 3, n_text + 4]]
@@ -342,7 +341,7 @@ class TestModelForward:
         model, config = toy_model([sample], use_context_objects=False)
         encoded = model.embed_sample(sample)
         assert encoded.object_positions == [[]]
-        assert encoded.sequence.data.shape[1] == len(encoded.words[0]) + 3
+        assert encoded.sequence.data.shape[1] == len(model.prepare([sample])[0].words) + 3
 
     def test_hundred_context_objects_all_included(self):
         sample = make_sample("m-3", n_persons=2, n_objects=100)
@@ -428,22 +427,6 @@ class TestGradientsThroughModel:
     # object count and link count
     fixture = gradient_fixture(d_vis=24, seed=12)
 
-    def _loss_fn(self, model, samples):
-        layouts = model.prepare(samples, contrast=True)
-
-        def loss_fn(params, need_grads=True):
-            for p in params.values():
-                p.zero_grad()
-            with nc.Graph() as g:
-                loss = model.batch_loss(layouts)
-                if need_grads:
-                    g.backward(loss)
-                    return float(loss.data), {
-                        k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                        for k, p in params.items()}
-                return float(loss.data), None
-        return loss_fn
-
     def test_fixture_pads_unevenly(self):
         lengths = {len(s.description.tokens) for s in self.fixture}
         persons = {s.image.n_persons for s in self.fixture}
@@ -454,7 +437,8 @@ class TestGradientsThroughModel:
 
     def test_full_loss_gradient_matches_finite_differences(self):
         model, _config = rescaled_model(self.fixture)
-        err = nc.grad_check(self._loss_fn(model, self.fixture), model.params,
+        layouts = model.prepare(self.fixture, contrast=True)
+        err = nc.grad_check(lambda: model.batch_loss(layouts), model.params,
                             epsilon=1e-5, max_entries_per_param=10,
                             rng=np.random.default_rng(0))
         assert err < 1e-4
@@ -531,9 +515,9 @@ class TestPreparedLayouts:
         used, new = model.embed(layouts), model.embed(fresh)
         assert used.sequence.data.tobytes() == new.sequence.data.tobytes()
         assert used.mask.tobytes() == new.mask.tobytes()
-        assert (used.link_positions, used.person_positions, used.object_positions,
-                used.words) == (new.link_positions, new.person_positions,
-                                new.object_positions, new.words)
+        assert (used.link_positions, used.person_positions, used.object_positions) == \
+               (new.link_positions, new.person_positions, new.object_positions)
+        assert [x.words for x in layouts] == [x.words for x in fresh]
 
     def test_contrastive_loss_needs_prepared_sets(self):
         samples = [make_sample("n-0")]
@@ -615,25 +599,6 @@ class TestTrainingLoop:
         assert result.losses[-1] < 0.1
 
 
-class _FullDisk:
-    """A binary file that takes ``room`` bytes, then fails like a full disk."""
-
-    def __init__(self, fh, room):
-        self.fh, self.room = fh, room
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, data):
-        if len(data) > self.room:
-            raise OSError("no space left on device")
-        self.room -= len(data)
-        return self.fh.write(data)
-
-
 class TestPersistence:
     def test_save_load_roundtrip_preserves_predictions(self, tmp_path):
         samples = [make_sample(f"p-{i}") for i in range(3)]
@@ -678,7 +643,7 @@ class TestPersistence:
         old = {name: (tmp_path / "run" / name).read_bytes() for name in names}
         assert all(old[name] != new[name] for name in names)
 
-        real_replace, real_open, real_write = os.replace, open, Path.write_bytes
+        real_replace, real_write = os.replace, Path.write_bytes
         tmp_name = failing + ".tmp"
 
         def flaky_replace(src, dst):
@@ -695,10 +660,6 @@ class TestPersistence:
 
         if stage == "replace":
             monkeypatch.setattr(os, "replace", flaky_replace)
-        elif failing == CHECKPOINT_NAME:
-            # the checkpoint streams into an open file
-            monkeypatch.setattr(checkpoint_module, "open", lambda path, mode: _FullDisk(
-                real_open(path, mode), room=8), raising=False)
         else:
             monkeypatch.setattr(Path, "write_bytes", half_write)
         with pytest.raises(OSError):

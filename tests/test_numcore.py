@@ -1,32 +1,21 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from groundkit import numcore as nc
 from groundkit.numcore import CheckpointError, NumericError
 from groundkit.numcore.encoder import layer_from_last
+from groundkit.numcore.tensor import _accum, _out
 
 
 def total(t):
     """Sum of every entry, as a differentiable scalar."""
     return nc.dot_const(t, np.ones(t.data.shape))
-
-
-def loss_wrapper(build):
-    """Adapt a graph-building closure to the grad_check protocol."""
-    def loss_fn(params, need_grads=True):
-        for p in params.values():
-            p.zero_grad()
-        with nc.Graph() as g:
-            loss = build(params)
-            if need_grads:
-                g.backward(loss)
-                grads = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                         for k, p in params.items()}
-                return float(loss.data), grads
-            return float(loss.data), None
-    return loss_fn
 
 
 def attention_probs(logits, mask=None):
@@ -130,9 +119,9 @@ class TestBatchedOps:
         # masked entries are constants: gradient reaching them goes nowhere
         params = {"x": nc.Tensor(x.copy())}
         build = lambda p: total(nc.log_softmax(p["x"], axis=1, mask=mask))
-        assert nc.grad_check(loss_wrapper(build), params, epsilon=1e-5) < 1e-6
-        _loss, grads = loss_wrapper(build)(params)
-        assert grads["x"][0, 2] == 0.0
+        assert nc.grad_check(lambda: build(params), params, epsilon=1e-5) < 1e-6
+        # grad_check leaves the tape's gradients in place
+        assert params["x"].grad[0, 2] == 0.0
 
     def test_fully_masked_row_is_a_numeric_error(self):
         with pytest.raises(NumericError, match="softmax"):
@@ -143,8 +132,11 @@ class TestBatchedOps:
         b = nc.Tensor(np.eye(3))
         out = nc.gather_dot(a, b, [2, 0], [[0, 1], [2, 2]]).data
         np.testing.assert_array_equal(out, [[6.0, 7.0], [2.0, 2.0]])
-        placed = nc.scatter_rows(nc.Tensor(np.ones((2, 3))), [3, 1], 4).data
-        np.testing.assert_array_equal(placed.sum(axis=1), [0.0, 3.0, 0.0, 3.0])
+        placed = nc.scatter_rows([nc.Tensor(np.ones((2, 3))), nc.Tensor(np.full((1, 3), 2.0))],
+                                 [3, 1, 0], 4).data
+        np.testing.assert_array_equal(placed.sum(axis=1), [6.0, 3.0, 0.0, 3.0])
+        with pytest.raises(NumericError, match="2 indices for 3 rows"):
+            nc.scatter_rows([nc.Tensor(np.ones((2, 3))), nc.Tensor(np.ones((1, 3)))], [0, 1], 4)
 
     def test_batched_ops_gradients(self):
         # the batched ops on one tape: linear, masked self-attention,
@@ -171,12 +163,12 @@ class TestBatchedOps:
             h1 = nc.add_layer_norm(h, attn, p["gain"], p["bias"])
             mixed = nc.reshape(nc.feed_forward(h1, p["w1"], p["b1"], p["w2"], p["b2"]),
                                (6, 4))
-            rows = nc.scatter_rows(p["r"], [0, 5, 2], 6)
+            rows = nc.scatter_rows([p["r"], nc.reshape(p["b"], (1, 4))], [0, 5, 2, 3], 6)
             sims = nc.gather_dot(nc.add(mixed, rows), mixed, [0, 4], [[1, 2, 0], [3, 5, 5]])
             logp = nc.log_softmax(sims, axis=1, mask=np.array([[True] * 3, [True, True, False]]))
             return nc.dot_const(logp, -np.array([[0.5, 0.2, 0.0], [0.3, 0.0, 0.0]]))
 
-        assert nc.grad_check(loss_wrapper(build), params, epsilon=1e-5) < 1e-6
+        assert nc.grad_check(lambda: build(params), params, epsilon=1e-5) < 1e-6
 
     def test_gelu_products_match_powers(self):
         # the cube as a product stays within 2 ulp of ``x ** 3``, and GELU and
@@ -297,7 +289,7 @@ class TestFusedOps:
         params = {f"in{i}": nc.Tensor(v) for i, v in enumerate(inputs)}
         coef = rng.normal(0, 1, inputs[0].shape)
         build = lambda p: nc.dot_const(run_fused(op, list(p.values()), mask), coef)
-        assert nc.grad_check(loss_wrapper(build), params, epsilon=1e-5) < 1e-4
+        assert nc.grad_check(lambda: build(params), params, epsilon=1e-5) < 1e-4
 
     @pytest.mark.parametrize("op, position, value, name", [
         ("self_attention", 0, np.nan, "linear"),
@@ -327,12 +319,12 @@ class TestFusedOps:
 
 class TestEncoder:
     def _config(self, n_layers=2):
-        return nc.EncoderConfig(d_model=8, n_heads=2, n_layers=n_layers, d_ff=16, seed=5)
+        return nc.EncoderConfig(d_model=8, n_heads=2, n_layers=n_layers, d_ff=16)
 
     def test_zeroed_projections_reduce_to_double_layer_norm(self):
         # hand-trace oracle: with value/output and feed-forward weights all
         # zero, one layer is x -> LN(LN(x)) with unit gain and zero bias
-        cfg = nc.EncoderConfig(d_model=4, n_heads=1, n_layers=1, d_ff=8, seed=0)
+        cfg = nc.EncoderConfig(d_model=4, n_heads=1, n_layers=1, d_ff=8)
         rng = np.random.default_rng(1)
         params = nc.init_encoder_params(cfg, rng, dtype=np.float64)
         for name in ("attn.wv", "attn.wo", "ffn.w1", "ffn.w2"):
@@ -413,10 +405,10 @@ class TestGradCheck:
             return nc.dot_const(nc.gather_dot(y, y, range(6), [[i] for i in range(6)]),
                                 np.full((6, 1), 0.5))
 
-        assert nc.grad_check(loss_wrapper(build), params, epsilon=1e-5) < 1e-8
+        assert nc.grad_check(lambda: build(params), params, epsilon=1e-5) < 1e-8
 
     def test_encoder_cross_entropy(self):
-        cfg = nc.EncoderConfig(d_model=16, n_heads=2, n_layers=2, d_ff=32, seed=9)
+        cfg = nc.EncoderConfig(d_model=16, n_heads=2, n_layers=2, d_ff=32)
         rng = np.random.default_rng(9)
         params = nc.init_encoder_params(cfg, rng, dtype=np.float64)
         for p in params.values():
@@ -431,7 +423,7 @@ class TestGradCheck:
             return nc.dot_const(nc.take_per_row(lp, [1, 2, 3, 4, 5, 0]),
                                 -np.full(6, 1.0 / 6))
 
-        err = nc.grad_check(loss_wrapper(build), params, epsilon=1e-5,
+        err = nc.grad_check(lambda: build(params), params, epsilon=1e-5,
                             max_entries_per_param=12,
                             rng=np.random.default_rng(3))
         assert err < 1e-4
@@ -440,29 +432,33 @@ class TestGradCheck:
         rng = np.random.default_rng(1)
         x = rng.normal(0, 1, (5, 4))
         params = {"w": nc.Tensor(rng.normal(0, 1, (4, 4)))}
-        # the sum of squares of x @ w: each row against itself
-        base = loss_wrapper(lambda p: nc.dot_const(
-            nc.gather_dot(nc.linear(nc.Tensor(x), p["w"]), nc.linear(nc.Tensor(x), p["w"]),
-                          range(5), [[i] for i in range(5)]), np.ones((5, 1))))
 
-        def corrupted(params, need_grads=True):
-            loss, grads = base(params, need_grads=need_grads)
-            if grads is not None:
-                idx = np.unravel_index(np.argmax(np.abs(grads["w"])), grads["w"].shape)
-                grads["w"][idx] *= 2.0
-            return loss, grads
+        def doubled_peak(a):
+            """``a`` unchanged, with a backward that doubles the largest gradient entry."""
+            def back(g):
+                g = g.copy()
+                g[np.unravel_index(np.argmax(np.abs(g)), g.shape)] *= 2.0
+                _accum(a, g)
+            return _out(a.data.copy(), "doubled_peak", back)
 
-        assert nc.grad_check(corrupted, params, epsilon=1e-5) > 0.3
+        def build():
+            # the sum of squares of x @ w: each row against itself
+            w = doubled_peak(params["w"])
+            y = nc.linear(nc.Tensor(x), w)
+            return nc.dot_const(nc.gather_dot(y, y, range(5), [[i] for i in range(5)]),
+                                np.ones((5, 1)))
+
+        assert nc.grad_check(build, params, epsilon=1e-5) > 0.3
 
     def test_requires_float64(self):
         params = {"w": nc.Tensor(np.ones((2, 2), dtype=np.float32))}
         with pytest.raises(NumericError, match="float64"):
-            nc.grad_check(loss_wrapper(lambda p: total(p["w"])), params)
+            nc.grad_check(lambda: total(params["w"]), params)
 
     def test_epsilon_bounds(self):
         params = {"w": nc.Tensor(np.ones((2, 2)))}
         with pytest.raises(ValueError):
-            nc.grad_check(loss_wrapper(lambda p: total(p["w"])), params,
+            nc.grad_check(lambda: total(params["w"]), params,
                           epsilon=1e-3)
 
 
@@ -515,16 +511,16 @@ class TestCheckpoint:
                   "b": rng.normal(0, 1, 7).astype(np.float32)}
         p1 = tmp_path / "m1.ckpt"
         p2 = tmp_path / "m2.ckpt"
-        nc.save_checkpoint(params, p1)
+        p1.write_bytes(nc.checkpoint_bytes(params))
         loaded = nc.load_checkpoint(p1)
         for name in params:
             assert loaded[name].tobytes() == params[name].tobytes()
-        nc.save_checkpoint(loaded, p2)
+        p2.write_bytes(nc.checkpoint_bytes(loaded))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        nc.save_checkpoint({"w": np.ones(3, dtype=np.float32)}, path)
+        path.write_bytes(nc.checkpoint_bytes({"w": np.ones(3, dtype=np.float32)}))
         blob = bytearray(path.read_bytes())
         blob[:4] = b"NOPE"
         path.write_bytes(bytes(blob))
@@ -533,7 +529,7 @@ class TestCheckpoint:
 
     def test_shape_validation(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        nc.save_checkpoint({"w": np.ones((2, 3), dtype=np.float32)}, path)
+        path.write_bytes(nc.checkpoint_bytes({"w": np.ones((2, 3), dtype=np.float32)}))
         with pytest.raises(CheckpointError, match="shape"):
             nc.load_checkpoint(path, expected_shapes={"w": (3, 2)})
         with pytest.raises(CheckpointError, match="names"):
@@ -541,8 +537,36 @@ class TestCheckpoint:
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        nc.save_checkpoint({"w": np.ones((4, 4), dtype=np.float32)}, path)
+        path.write_bytes(nc.checkpoint_bytes({"w": np.ones((4, 4), dtype=np.float32)}))
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(CheckpointError):
             nc.load_checkpoint(path)
+
+
+# the checkpoint of a one-layer encoder: several names, ranks and shapes
+FUZZ_PARAMS = nc.init_encoder_params(nc.EncoderConfig(d_model=4, n_heads=1, n_layers=1, d_ff=8),
+                                     np.random.default_rng(0))
+FUZZ_CHECKPOINT = nc.checkpoint_bytes(FUZZ_PARAMS)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_checkpoint_loads_or_raises_checkpoint_error(data):
+    blob = bytearray(FUZZ_CHECKPOINT)
+    flips = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                         st.integers(1, 255)), max_size=3))
+    for offset, bits in flips:
+        blob[offset] ^= bits
+    cut = data.draw(st.integers(0, len(blob)) | st.just(len(blob)))
+    blob = blob[:cut] + data.draw(st.binary(max_size=12))
+    expected = data.draw(st.sampled_from([None, {name: p.data.shape
+                                                 for name, p in FUZZ_PARAMS.items()}]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        path.write_bytes(bytes(blob))
+        try:
+            nc.load_checkpoint(path, expected_shapes=expected)
+        except CheckpointError:
+            pass
+

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from groundkit.core import (
     BoundingBox,
@@ -21,6 +23,7 @@ from groundkit.rulekit import (
     Rule,
     SplitSpec,
     TemplateItem,
+    DEFAULT_RULES_TEXT,
     default_rules,
     match_pattern,
     match_rule,
@@ -357,3 +360,25 @@ class TestQaCorpusIo:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             read_qa_corpus(tmp_path / "nope.jsonl")
+
+
+# rule-file fragments, so that mutations also build lines the parser accepts
+RULE_WORDS = st.sampled_from(["rule", "priority", "type", "match:", "emit:", "<PERSON>",
+                              "<AUX>", "<REST...>", "<ANSWER>", "<PERSON2>", "causal",
+                              "-7", "90", "#", "?", "\n", " "])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_rules_text_parses_or_raises_data_error(data):
+    text = DEFAULT_RULES_TEXT
+    for _ in range(data.draw(st.integers(1, 4))):
+        start = data.draw(st.integers(0, len(text)))
+        end = data.draw(st.integers(start, min(len(text), start + 40)))
+        insert = data.draw(st.text(max_size=8) | RULE_WORDS)
+        text = text[:start] + insert + text[end:]
+    try:
+        parse_rules(text)
+    except DataError:
+        pass
+
