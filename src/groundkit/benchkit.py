@@ -7,7 +7,7 @@ set) while a model that reads the features and context objects can solve it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -87,52 +87,36 @@ def run_baseline(name: str, samples: Sequence[Sample], seed: int = 0) -> list[Pr
 # evaluation
 
 
-@dataclass
-class Bucket:
-    correct: int = 0
-    total: int = 0
-
-    @property
-    def accuracy(self) -> float | None:
-        return self.correct / self.total if self.total else None
-
-    def to_json(self) -> dict:
-        return {"correct": self.correct, "total": self.total, "accuracy": self.accuracy}
+def _bucket(correct: int, total: int) -> dict:
+    return {"correct": correct, "total": total, "accuracy": correct / total if total else None}
 
 
-@dataclass
-class EvalReport:
-    overall: Bucket = field(default_factory=Bucket)
-    by_type: dict[str, Bucket] = field(default_factory=dict)
-    by_n: dict[int, Bucket] = field(default_factory=dict)
+def evaluate(predictions: Sequence[Prediction], samples: Sequence[Sample]) -> dict:
+    """Link-level accuracy with commonsense-type and person-count breakdowns.
 
-    def to_json(self) -> dict:
-        return {
-            "overall": self.overall.to_json(),
-            "by_type": {k: v.to_json() for k, v in sorted(self.by_type.items())},
-            "by_n": {str(k): v.to_json() for k, v in sorted(self.by_n.items())},
-        }
-
-
-def evaluate(predictions: Sequence[Prediction], samples: Sequence[Sample]) -> EvalReport:
-    """Link-level accuracy with commonsense-type and person-count breakdowns."""
+    The report is ``{"overall": bucket, "by_type": {type: bucket}, "by_n":
+    {str(n_persons): bucket}}``, each bucket ``{"correct", "total",
+    "accuracy"}``; the accuracy of an empty bucket is None.
+    """
     if len(predictions) != len(samples):
         raise DataError(f"{len(predictions)} predictions for {len(samples)} samples")
-    report = EvalReport()
+    overall = [0, 0]
+    by_type: dict[str, list[int]] = {}
+    by_n: dict[int, list[int]] = {}
     for pred, sample in zip(predictions, samples):
         choices = pred.chosen
-        n = sample.image.n_persons
-        tname = sample.commonsense_type.value
-        type_bucket = report.by_type.setdefault(tname, Bucket())
-        n_bucket = report.by_n.setdefault(n, Bucket())
+        tallies = (overall, by_type.setdefault(sample.commonsense_type.value, [0, 0]),
+                   by_n.setdefault(sample.image.n_persons, [0, 0]))
         for link_id, gt in sample.labels.items():
             if link_id not in choices:
                 raise DataError(f"{sample.sample_id}: no prediction for link {link_id}")
             hit = int(choices[link_id] == gt)
-            for bucket in (report.overall, type_bucket, n_bucket):
-                bucket.correct += hit
-                bucket.total += 1
-    return report
+            for tally in tallies:
+                tally[0] += hit
+                tally[1] += 1
+    return {"overall": _bucket(*overall),
+            "by_type": {t: _bucket(*c) for t, c in sorted(by_type.items())},
+            "by_n": {str(n): _bucket(*c) for n, c in sorted(by_n.items())}}
 
 
 def expected_chance(samples: Sequence[Sample]) -> float:
@@ -146,22 +130,19 @@ def expected_chance(samples: Sequence[Sample]) -> float:
 # result tables
 
 
-def render_table(named_reports: Sequence[tuple[str, EvalReport]]) -> str:
-    """Aligned text table, rows in the given order."""
+def render_table(named_reports: Sequence[tuple[str, dict]]) -> str:
+    """Aligned text table of ``evaluate`` reports, rows in the given order."""
     if not named_reports:
         raise DataError("render_table needs at least one report")
-    type_names = sorted({t for _, r in named_reports for t in r.by_type})
+    type_names = sorted({t for _, r in named_reports for t in r["by_type"]})
     headers = ["model", "accuracy", "correct", "total"] + [f"acc[{t}]" for t in type_names]
     rows = []
     for name, report in named_reports:
-        acc = report.overall.accuracy
-        row = [name,
-               f"{acc:.4f}" if acc is not None else "-",
-               str(report.overall.correct), str(report.overall.total)]
-        for t in type_names:
-            bucket = report.by_type.get(t)
-            row.append(f"{bucket.accuracy:.4f}" if bucket and bucket.accuracy is not None else "-")
-        rows.append(row)
+        overall = report["overall"]
+        accuracies = [overall["accuracy"]] + [report["by_type"].get(t, {}).get("accuracy")
+                                              for t in type_names]
+        cells = ["-" if acc is None else f"{acc:.4f}" for acc in accuracies]
+        rows.append([name, cells[0], str(overall["correct"]), str(overall["total"])] + cells[1:])
     widths = [max(len(headers[i]), *(len(r[i]) for r in rows)) for i in range(len(headers))]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
     lines = [fmt.format(*headers), fmt.format(*["-" * w for w in widths])]

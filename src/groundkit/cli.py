@@ -95,12 +95,9 @@ def build_parser() -> _Parser:
                    action="store_false", default=None,
                    help="drop detected context objects from the input sequence")
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint or a named baseline")
+    p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", help="run directory produced by train")
-    p.add_argument("--name", choices=sorted(benchkit.BASELINES),
-                   help="heuristic baseline name")
-    p.add_argument("--seed", type=int, default=0, help="seed for the random baseline")
+    p.add_argument("--checkpoint", required=True, help="run directory produced by train")
 
     p = sub.add_parser("baseline", help="run a heuristic baseline")
     p.add_argument("--data", required=True)
@@ -186,15 +183,19 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    samples = read_dataset(_resolve_dataset(args.data))
-    header = read_header(_resolve_dataset(args.data))
+    data = _resolve_dataset(args.data)
+    samples, header = read_dataset(data), read_header(data)
     config, schedule = (read_config(args.config) if args.config
                         else (ModelConfig(), TrainSchedule()))
     # an empty dataset has no features to match (its header may say d_vis
     # 0); train refuses it without the adjustment
     if samples and config.d_vis != header.d_vis:
+        try:
+            adjusted = replace(config, d_vis=header.d_vis)
+        except ValueError as exc:
+            raise DataError(f"{data}: header d_vis {header.d_vis} ({exc})") from None
         _log(f"adjusting d_vis {config.d_vis} -> {header.d_vis} to match the dataset")
-        config = replace(config, d_vis=header.d_vis)
+        config = adjusted
     try:
         config, schedule = _with_flags(config, args), _with_flags(schedule, args)
     except ValueError as exc:
@@ -232,33 +233,27 @@ def _with_flags(config, args):
     return replace(config, **given)
 
 
-def _cmd_eval(args) -> int:
-    if bool(args.checkpoint) == bool(args.name):
-        raise UsageError("eval needs exactly one of --checkpoint or --name")
-    samples = read_dataset(_resolve_dataset(args.data))
-    if args.checkpoint:
-        model = load_model(args.checkpoint)
-        predictions = model.predict(samples)
-        label = Path(args.checkpoint).name or "model"
-    else:
-        predictions = benchkit.run_baseline(args.name, samples, seed=args.seed)
-        label = args.name
+def _score(label: str, predictions, samples) -> int:
+    """The accuracy report: a table on stderr, the JSON on stdout."""
     report = benchkit.evaluate(predictions, samples)
     _log(benchkit.render_table([(label, report)]))
-    _emit(report.to_json())
+    _emit(report)
     return EXIT_OK
+
+
+def _cmd_eval(args) -> int:
+    samples = read_dataset(_resolve_dataset(args.data))
+    predictions = load_model(args.checkpoint).predict(samples)
+    return _score(Path(args.checkpoint).name or "model", predictions, samples)
 
 
 def _cmd_baseline(args) -> int:
     samples = read_dataset(_resolve_dataset(args.data))
-    predictions = benchkit.run_baseline(args.name, samples, seed=args.seed)
-    report = benchkit.evaluate(predictions, samples)
-    _emit(report.to_json())
-    return EXIT_OK
+    return _score(args.name, benchkit.run_baseline(args.name, samples, seed=args.seed), samples)
 
 
 def _cmd_gradcheck(args) -> int:
-    config = ModelConfig.from_file(args.config)
+    config = read_config(args.config)[0]
     try:
         report = run_gradient_suite(config, seed=args.seed, epsilon=args.epsilon)
     except ValueError as exc:

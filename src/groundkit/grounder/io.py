@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import numcore as nc
 from ..core import DataError, replace_file
-from .model import GroundingModel, ModelConfig
+from .model import GroundingModel, read_config
 
 CHECKPOINT_NAME = "model.ckpt"
 VOCAB_NAME = "vocab.json"
@@ -42,14 +42,15 @@ def load_model(run_dir: str | Path) -> GroundingModel:
     for path in (config_path, vocab_path, ckpt_path):
         if not path.exists():
             raise DataError(f"{path}: missing from run directory")
-    config = ModelConfig.from_file(config_path)
+    config = read_config(config_path)[0]
     try:
         vocab = {str(k): int(v) for k, v in
                  json.loads(vocab_path.read_text(encoding="utf-8")).items()}
     except (json.JSONDecodeError, ValueError) as exc:
         raise DataError(f"{vocab_path}: bad vocabulary file ({exc})") from None
     template = GroundingModel.init(config, vocab, dtype=np.float32)
-    loaded = nc.load_checkpoint(ckpt_path, expected_shapes=template.param_shapes())
+    loaded = nc.load_checkpoint(ckpt_path, expected_shapes={
+        name: p.data.shape for name, p in template.params.items()})
     for name, arr in loaded.items():
         template.params[name].data = arr
     return template

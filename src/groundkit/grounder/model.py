@@ -41,7 +41,7 @@ from .. import numcore as nc
 from ..core import (DataError, Description, PersonLink, Prediction, Sample, Word,
                     read_text, replace_file, stable_rng)
 from ..geometry import iou, location_feature
-from ..numcore.encoder import EncoderConfig, layer_from_last
+from ..numcore.encoder import EncoderConfig, layer_from_last, param_initializers
 
 UNK_TOKEN = "<unk>"
 
@@ -66,7 +66,6 @@ class ModelConfig:
     contrast_layer: int = 3
     neutral_names: tuple[str, ...] = DEFAULT_NEUTRAL_NAMES
     seed: int = 0
-    normalize_similarity: bool = False
     use_context_objects: bool = True
     max_text_len: int = 64
 
@@ -79,6 +78,8 @@ class ModelConfig:
         if not self.lam >= 0:
             raise ValueError("contrastive weight must be >= 0")
         self.encoder  # refuses sizes below 1 and heads that do not divide d_model
+        if self.d_vis < 1:
+            raise ValueError("d_vis must be >= 1")
         if self.max_text_len < 1:
             raise ValueError("max_text_len must be >= 1")
         if self.seed < 0:
@@ -93,10 +94,6 @@ class ModelConfig:
     def encoder(self) -> EncoderConfig:
         return EncoderConfig(d_model=self.d_model, n_heads=self.n_heads,
                              n_layers=self.n_layers, d_ff=self.d_ff)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ModelConfig":
-        return read_config(path)[0]
 
     def to_file(self, path: str | Path) -> None:
         """Write the fields as ``key = value`` lines, sorted by key, through a temp file."""
@@ -139,6 +136,8 @@ class TrainSchedule:
 
 # field name -> file key, where the two differ
 _FILE_KEYS = {"lam": "lambda"}
+# a retired key: older run directories' config.cfg says it is false
+_RETIRED_KEY = "normalize_similarity"
 
 
 def _parse_bool(text: str) -> bool:
@@ -161,7 +160,9 @@ def read_config(path: str | Path) -> tuple[ModelConfig, TrainSchedule]:
     """Read one config file into a ModelConfig and a TrainSchedule.
 
     Fields the file leaves out keep their defaults.  An unknown key, a value
-    its field's type cannot parse, or an invalid config is a DataError.
+    its field's type cannot parse, or an invalid config is a DataError.  The
+    retired ``normalize_similarity`` key is skipped when false and refused
+    when true: similarities are dot products only.
     """
     schema = {}
     for cls in (ModelConfig, TrainSchedule):
@@ -177,6 +178,11 @@ def read_config(path: str | Path) -> tuple[ModelConfig, TrainSchedule]:
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise DataError(f"{where}: expected 'key = value'")
+        if key == _RETIRED_KEY:
+            if value.lower() not in ("false", "0", "no"):
+                raise DataError(f"{where}: {key} = {value} is no longer supported "
+                                f"(similarities are dot products)")
+            continue
         if key not in schema:
             raise DataError(f"{where}: unknown config key {key!r}")
         cls, name, parse = schema[key]
@@ -263,10 +269,6 @@ class EncodedBatch:
     person_positions: list[list[int]]
     object_positions: list[list[int]]
     hidden: list[nc.Tensor] = field(default_factory=list)
-
-    @property
-    def final(self) -> nc.Tensor:
-        return self.hidden[-1]
 
     def row(self, b: int, position: int) -> int:
         return b * self.sequence.data.shape[1] + position
@@ -372,8 +374,7 @@ def contrastive_loss_from_features(feats: nc.Tensor,
                                    anchors: Sequence[int],
                                    candidates: Sequence[Sequence[int]],
                                    weights: Sequence[Sequence[float]],
-                                   tau: float,
-                                   normalize: bool = False) -> nc.Tensor:
+                                   tau: float) -> nc.Tensor:
     """Contrastive terms of several links on one ``[n, d]`` feature matrix.
 
     Link ``i`` compares row ``anchors[i]`` with its rows ``candidates[i]``
@@ -384,8 +385,6 @@ def contrastive_loss_from_features(feats: nc.Tensor,
     """
     if tau <= 0:
         raise nc.NumericError(f"temperature must be positive, got {tau}")
-    if normalize:
-        feats = nc.l2_normalize_rows(feats)
     cols, mask = _pad(candidates)
     coef, _ = _pad(weights, dtype=np.float64)
     sims = nc.gather_dot(feats, feats, anchors, cols)
@@ -394,7 +393,7 @@ def contrastive_loss_from_features(feats: nc.Tensor,
 
 
 def loss_con(encoded: EncodedBatch, sets: Sequence[Sequence[LinkContrast]], tau: float,
-             contrast_layer: int, normalize: bool = False) -> nc.Tensor:
+             contrast_layer: int) -> nc.Tensor:
     """IoU-weighted context contrastive loss: the mean over each sample's
     links, then over the samples (``sets[b]`` belongs to sample ``b``).
 
@@ -415,8 +414,7 @@ def loss_con(encoded: EncodedBatch, sets: Sequence[Sequence[LinkContrast]], tau:
             anchors.append(encoded.row(b, encoded.link_positions[b][lc.link_id]))
             candidates.append([encoded.row(b, position) for position in pos + neg])
             weights.append([w * share for w in lc.weights] + [0.0] * len(neg))
-    return contrastive_loss_from_features(feats, anchors, candidates, weights, tau,
-                                          normalize=normalize)
+    return contrastive_loss_from_features(feats, anchors, candidates, weights, tau)
 
 
 def classification_logits(encoded: EncodedBatch, w1: nc.Tensor,
@@ -427,7 +425,7 @@ def classification_logits(encoded: EncodedBatch, w1: nc.Tensor,
     columns past a sample's person count, whose scores mean nothing.
     Context objects never enter the classifier.
     """
-    final = encoded.flat(encoded.final)
+    final = encoded.flat(encoded.hidden[-1])
     links = encoded.links()
     rows = [encoded.row(b, encoded.link_positions[b][link]) for b, link in links]
     cols, mask = _pad([[encoded.row(b, j) for j in encoded.person_positions[b]]
@@ -456,16 +454,7 @@ class GroundingModel:
         rng = np.random.default_rng(config.seed)
         params = nc.init_encoder_params(config.encoder, rng, prefix="enc", dtype=dtype)
         d = config.d_model
-
-        def w(name, shape):
-            params[name] = nc.Tensor(rng.normal(0.0, 0.02, shape).astype(dtype))
-
-        def zeros(name, shape):
-            params[name] = nc.Tensor(np.zeros(shape, dtype=dtype))
-
-        def ones(name, shape):
-            params[name] = nc.Tensor(np.ones(shape, dtype=dtype))
-
+        w, zeros, ones = param_initializers(params, rng, dtype)
         w("embed.word", (len(vocab), d))
         w("embed.pos", (config.max_text_len, d))
         w("embed.feat.w", (config.d_vis, d))
@@ -480,9 +469,6 @@ class GroundingModel:
         w("cls.w2", (d, d))
         return cls(config, params, dict(vocab))
 
-    def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        return {name: tuple(p.data.shape) for name, p in self.params.items()}
-
     # -- forward -----------------------------------------------------------
 
     def prepare(self, samples: Sequence[Sample], contrast: bool = False) -> list[SampleLayout]:
@@ -492,7 +478,7 @@ class GroundingModel:
         not ``d_vis`` is a DataError.
         """
         cfg = self.config
-        dtype = self.params["embed.feat.w"].dtype
+        dtype = self.params["embed.feat.w"].data.dtype
         unk = self.vocab.get(UNK_TOKEN, 0)
         layouts = []
         for sample in samples:
@@ -566,10 +552,6 @@ class GroundingModel:
                                    self.params, prefix="enc", mask=encoded.mask)
         return encoded
 
-    def class_logits(self, encoded: EncodedBatch) -> tuple[nc.Tensor, np.ndarray]:
-        """Link-vs-person logits and their padding mask (see ``classification_logits``)."""
-        return classification_logits(encoded, self.params["cls.w1"], self.params["cls.w2"])
-
     # -- losses / inference -------------------------------------------------
 
     def loss_terms(self, layouts: Sequence[SampleLayout]
@@ -586,7 +568,7 @@ class GroundingModel:
         if any((layout.sets is not None) != contrast for layout in layouts):
             raise ValueError("layouts mix prepare(..., contrast=True) and contrast=False")
         encoded = self.forward(layouts)
-        q, mask = self.class_logits(encoded)
+        q, mask = classification_logits(encoded, self.params["cls.w1"], self.params["cls.w2"])
         links = encoded.links()
         labels = [layouts[b].labels[link] for b, link in links]
         weights = [1.0 / (len(layouts) * len(encoded.link_positions[b])) for b, _ in links]
@@ -594,7 +576,7 @@ class GroundingModel:
         if not contrast:
             return cls_term, None
         con_term = loss_con(encoded, [layout.sets for layout in layouts], cfg.tau,
-                            cfg.contrast_layer, normalize=cfg.normalize_similarity)
+                            cfg.contrast_layer)
         return cls_term, con_term
 
     def batch_loss(self, layouts: Sequence[SampleLayout]) -> nc.Tensor:
@@ -614,7 +596,8 @@ class GroundingModel:
         predictions: list[Prediction] = []
         for start in range(0, len(samples), SUB_BATCH):
             encoded = self.forward(self.prepare(samples[start:start + SUB_BATCH]))
-            q, _mask = self.class_logits(encoded)
+            q, _mask = classification_logits(encoded, self.params["cls.w1"],
+                                             self.params["cls.w2"])
             scores: list[dict[int, np.ndarray]] = [{} for _ in encoded.link_positions]
             for k, (b, link) in enumerate(encoded.links()):
                 scores[b][link] = q.data[k, :len(encoded.person_positions[b])].copy()

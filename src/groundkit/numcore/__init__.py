@@ -10,7 +10,6 @@ from .tensor import (
     feed_forward,
     gather_dot,
     gather_rows,
-    l2_normalize_rows,
     linear,
     log_softmax,
     reshape,
@@ -28,7 +27,6 @@ __all__ = [
     "AdamState", "CheckpointError", "EncoderConfig", "Graph", "NumericError",
     "Tensor", "add", "add_layer_norm", "attention_layer", "checkpoint_bytes", "dot_const",
     "encode", "feed_forward", "gather_dot", "gather_rows", "grad_check",
-    "init_adam_state", "init_encoder_params", "l2_normalize_rows", "linear",
-    "load_checkpoint", "log_softmax", "optimizer_step", "reshape", "scale",
-    "scatter_rows", "self_attention", "take_per_row",
+    "init_adam_state", "init_encoder_params", "linear", "load_checkpoint", "log_softmax",
+    "optimizer_step", "reshape", "scale", "scatter_rows", "self_attention", "take_per_row",
 ]

@@ -40,7 +40,8 @@ def checkpoint_bytes(params: Mapping[str, "Tensor | np.ndarray"]) -> bytes:
 def load_checkpoint(path: str | Path,
                     expected_shapes: Mapping[str, tuple[int, ...]] | None = None
                     ) -> dict[str, np.ndarray]:
-    """Load float32 tensors; optionally validate names and shapes."""
+    """Load float32 tensors; optionally validate names and shapes.  A NaN or
+    infinite value is a CheckpointError naming its tensor."""
     blob = Path(path).read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad checkpoint magic {blob[:4]!r}")
@@ -61,6 +62,8 @@ def load_checkpoint(path: str | Path,
             size = int(np.prod(shape)) if rank else 1
             arr = np.frombuffer(blob, dtype="<f4", count=size, offset=off).copy()
             off += 4 * size
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
             out[name] = arr.reshape(shape)
     except (struct.error, UnicodeDecodeError, ValueError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint ({exc})") from None

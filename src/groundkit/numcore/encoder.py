@@ -36,14 +36,9 @@ class EncoderConfig:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
 
 
-def init_encoder_params(config: EncoderConfig,
-                        rng: np.random.Generator,
-                        prefix: str = "enc",
-                        dtype=np.float32) -> dict[str, Tensor]:
-    """Seeded initialization: normal(0, 0.02) weights, zero biases, unit LN gain."""
-    d, f = config.d_model, config.d_ff
-    params: dict[str, Tensor] = {}
-
+def param_initializers(params: dict[str, Tensor], rng: np.random.Generator, dtype):
+    """``w``, ``zeros`` and ``ones``: each adds a tensor ``name`` of ``shape`` to
+    ``params``, normal(0, 0.02) drawn from ``rng``, zeros or ones."""
     def w(name, shape):
         params[name] = Tensor(rng.normal(0.0, INIT_STD, shape).astype(dtype))
 
@@ -53,6 +48,17 @@ def init_encoder_params(config: EncoderConfig,
     def ones(name, shape):
         params[name] = Tensor(np.ones(shape, dtype=dtype))
 
+    return w, zeros, ones
+
+
+def init_encoder_params(config: EncoderConfig,
+                        rng: np.random.Generator,
+                        prefix: str = "enc",
+                        dtype=np.float32) -> dict[str, Tensor]:
+    """Seeded initialization: normal(0, 0.02) weights, zero biases, unit LN gain."""
+    d, f = config.d_model, config.d_ff
+    params: dict[str, Tensor] = {}
+    w, zeros, ones = param_initializers(params, rng, dtype)
     for i in range(config.n_layers):
         p = f"{prefix}.layer{i}"
         for mat in ("wq", "wk", "wv", "wo"):

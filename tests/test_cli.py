@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from groundkit.benchkit import evaluate, render_table, run_baseline
 from groundkit.cli import run
 from groundkit.core import (DatasetHeader, feature_path, image_features, read_dataset,
                             sample_to_json, write_container, write_dataset)
@@ -91,6 +92,8 @@ class TestExitCodes:
         ("d_ff = 0", "d_ff must be >= 1"),
         ("max_text_len = 0", "max_text_len must be >= 1"),
         ("seed = -1", "seed must be >= 0"),
+        ("d_vis = 0", "d_vis must be >= 1"),
+        ("normalize_similarity = true", "normalize_similarity = true is no longer supported"),
     ])
     def test_bad_config_file_is_data_error(self, capsys, tmp_path, line, detail):
         data = write_tiny_dataset(tmp_path)
@@ -149,6 +152,21 @@ class TestExitCodes:
             assert "non-empty dataset" in self._assert_error_line(code, err, "data")
             assert "adjusting" not in err
 
+    def test_train_on_zero_width_features_is_data_error(self, capsys, tmp_path):
+        # the header of a dataset written from zero-length feature rows says
+        # d_vis 0, which no model config accepts
+        samples = [make_sample(f"z-{i}") for i in range(3)]
+        for s in samples:
+            for region in s.image.persons + s.image.context_objects:
+                region.feature = np.zeros(0, dtype=np.float32)
+        data = tmp_path / "zero.jsonl"
+        write_dataset(samples, data)
+        code, _, err = run_cli(capsys, "train", "--data", str(data), "--config", str(TOY_CFG),
+                               "--steps", "1", "--out", str(tmp_path / "run"))
+        assert "header d_vis 0 (d_vis must be >= 1)" in self._assert_error_line(code, err, "data")
+        assert "adjusting" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_refused_train_leaves_no_run_directory(self, capsys, tmp_path):
         data = tmp_path / "empty.jsonl"
         write_dataset([], data, header=DatasetHeader(d_vis=8))
@@ -158,9 +176,12 @@ class TestExitCodes:
         assert not (tmp_path / "run").exists()
 
     def test_empty_dataset_scores_null(self, capsys, tmp_path):
+        run_dir = tmp_path / "run"
+        run_cli(capsys, "train", "--data", str(write_tiny_dataset(tmp_path)),
+                "--config", str(TOY_CFG), "--steps", "1", "--out", str(run_dir))
         data = tmp_path / "empty.jsonl"
         write_dataset([], data, header=DatasetHeader(d_vis=8))
-        for argv in (("eval", "--name", "random"), ("baseline", "--name", "random")):
+        for argv in (("eval", "--checkpoint", str(run_dir)), ("baseline", "--name", "random")):
             code, out, _ = run_cli(capsys, *argv, "--data", str(data))
             assert code == 0
             assert json.loads(out)["overall"]["accuracy"] is None
@@ -263,6 +284,17 @@ class TestStatsAndSynth:
         chance = sum(1 / s.image.n_persons for s in samples) / len(samples)
         assert abs(report["overall"]["accuracy"] - chance) < 0.08
 
+    def test_baseline_prints_table_and_report(self, capsys, tmp_path):
+        data = tmp_path / "s.jsonl"
+        run_cli(capsys, "synth", "--n", "40", "--seed", "1", "--out", str(data))
+        code, out, err = run_cli(capsys, "baseline", "--data", str(data), "--name", "random",
+                                 "--seed", "4")
+        assert code == 0
+        samples = read_dataset(data)
+        report = evaluate(run_baseline("random", samples, seed=4), samples)
+        assert out == json.dumps(report, sort_keys=True) + "\n"
+        assert err == render_table([("random", report)]) + "\n"
+
 
 class TestTransformAndFilter:
     def test_transform_pipeline(self, capsys, tmp_path):
@@ -363,10 +395,33 @@ class TestTrainEvalGradcheck:
         assert "accuracy" in err  # the table goes to stderr
 
     def test_eval_needs_exactly_one_source(self, capsys, tmp_path):
+        # a checkpoint; the heuristics run through baseline, not eval --name
         data = tmp_path / "s.jsonl"
         run_cli(capsys, "synth", "--n", "5", "--seed", "2", "--out", str(data))
         code, _, err = run_cli(capsys, "eval", "--data", str(data))
         assert code == 1
+        for extra in (("--name", "random"), ("--seed", "3")):
+            code, out, err = run_cli(capsys, "eval", "--data", str(data),
+                                     "--checkpoint", str(tmp_path / "run"), *extra)
+            assert code == 1 and out == ""
+            assert json.loads(err.splitlines()[0])["error"] == "usage"
+
+    def test_eval_on_edited_config_is_data_error(self, capsys, tmp_path):
+        data = tmp_path / "s.jsonl"
+        run_cli(capsys, "synth", "--n", "5", "--seed", "2", "--out", str(data))
+        run_dir = tmp_path / "run"
+        run_cli(capsys, "train", "--data", str(data), "--config", str(TOY_CFG),
+                "--out", str(run_dir), "--steps", "1")
+        cfg = run_dir / "config.cfg"
+        text = cfg.read_text()
+        for value in ("0", "-1"):
+            cfg.write_text(text.replace("d_vis = 32", f"d_vis = {value}"))
+            code, out, err = run_cli(capsys, "eval", "--data", str(data),
+                                     "--checkpoint", str(run_dir))
+            assert code == 2 and out == ""
+            assert "Traceback" not in err
+            detail = json.loads(err.splitlines()[0])["detail"]
+            assert "config.cfg: invalid config (d_vis must be >= 1)" in detail
 
     def test_train_rejects_corrupt_checkpoint_on_eval(self, capsys, tmp_path):
         data = tmp_path / "s.jsonl"
@@ -384,7 +439,7 @@ class TestTrainEvalGradcheck:
 
     @pytest.mark.parametrize("mutation, expected", [
         ("truncated", 2), ("extended", 2), ("count", 2), ("name", 2), ("rank", 2),
-        ("mantissa", 0),
+        ("mantissa", 0), ("nan", 2),
     ])
     def test_eval_on_mutated_checkpoint(self, capsys, tmp_path, mutation, expected):
         data = tmp_path / "s.jsonl"
@@ -405,6 +460,8 @@ class TestTrainEvalGradcheck:
             blob[12] ^= 0x80               # not UTF-8 any more
         elif mutation == "rank":
             blob[12 + name_len] ^= 0x10
+        elif mutation == "nan":
+            blob[-4:] = np.array(np.nan, dtype="<f4").tobytes()
         else:
             blob[-4] ^= 1                  # lowest mantissa bit of the last value
         ckpt.write_bytes(bytes(blob))
@@ -414,6 +471,9 @@ class TestTrainEvalGradcheck:
         assert "Traceback" not in err
         if expected:
             assert json.loads(err.splitlines()[0])["error"] == "data"
+        if mutation == "nan":
+            detail = json.loads(err.splitlines()[0])["detail"]
+            assert f"{ckpt}: tensor 'enc.layer1.ln2.gain' holds non-finite values" in detail
 
     @pytest.mark.parametrize("mutation, expected", [
         ("no emit", 2), ("priority", 2), ("type", 2), ("truncated", 2), ("junk", 2),

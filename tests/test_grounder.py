@@ -355,7 +355,7 @@ class TestModelForward:
         with nc.Graph():
             total = model.sample_loss(sample)
         encoded = model.forward(model.prepare([sample]))
-        q, mask = model.class_logits(encoded)
+        q, mask = classification_logits(encoded, model.params["cls.w1"], model.params["cls.w2"])
         cls = loss_cls(q, [sample.labels[l] for _b, l in encoded.links()], mask=mask)
         assert float(total.data) == float(cls.data)
 
@@ -365,7 +365,7 @@ class TestModelForward:
         assert config.lam == 1.0
         total = model.sample_loss(sample)
         encoded = model.forward(model.prepare([sample]))
-        q, mask = model.class_logits(encoded)
+        q, mask = classification_logits(encoded, model.params["cls.w1"], model.params["cls.w2"])
         cls = loss_cls(q, [sample.labels[l] for _b, l in encoded.links()], mask=mask)
         sets = select_context_objects(sample, config.t1, config.t2)
         con = loss_con(encoded, [sets], config.tau, config.contrast_layer)
@@ -403,13 +403,11 @@ class TestModelForward:
 
 
 # the configurations whose gradients must check out: the full loss, the
-# classification loss alone, objects dropped from the input, cosine
-# similarities in the contrastive term
+# classification loss alone, objects dropped from the input
 GRADIENT_VARIANTS = {
     "full": {},
     "lambda0": {"lam": 0.0},
     "no_context_objects": {"use_context_objects": False},
-    "normalized": {"normalize_similarity": True},
 }
 
 
@@ -579,7 +577,7 @@ class TestTrainingLoop:
         # sub-batched tape, freed as backward runs, keeps the peak small
         from groundkit import benchkit
         samples = benchkit.synth_generate(benchkit.SynthConfig(n_samples=64, seed=5))
-        config = ModelConfig.from_file(TOY_CFG)
+        config = read_config(TOY_CFG)[0]
         sched = TrainSchedule(steps=1, lr=5e-4, token_budget=100_000)
         tracemalloc.start()
         try:
@@ -671,12 +669,23 @@ class TestPersistence:
 
     def test_config_file_feeds_both_dataclasses(self):
         config, schedule = read_config(TOY_CFG)
-        assert (config.d_model, config.lam, config.normalize_similarity) == (32, 1.0, False)
+        assert (config.d_model, config.lam, config.use_context_objects) == (32, 1.0, True)
         assert (schedule.steps, schedule.lr, schedule.token_budget) == (400, 5e-4, 800)
         assert schedule.beta1 == TrainSchedule().beta1  # keys left out keep defaults
 
     def test_config_file_roundtrip(self, tmp_path):
-        config = toy_config(tau=0.5, lam=2.0, normalize_similarity=True)
+        config = toy_config(tau=0.5, lam=2.0, use_context_objects=False)
         path = tmp_path / "m.cfg"
         config.to_file(path)
-        assert ModelConfig.from_file(path) == config
+        assert read_config(path)[0] == config
+
+    def test_retired_similarity_key(self, tmp_path):
+        # run directories written before cosine similarity was retired say
+        # "normalize_similarity = False"; they load as if the line were absent
+        path = tmp_path / "m.cfg"
+        for value in ("false", "False"):
+            path.write_text(TOY_CFG.read_text() + f"normalize_similarity = {value}\n")
+            assert read_config(path) == read_config(TOY_CFG)
+        path.write_text(TOY_CFG.read_text() + "normalize_similarity = true\n")
+        with pytest.raises(DataError, match="normalize_similarity = true is no longer"):
+            read_config(path)
