@@ -130,24 +130,18 @@ def expected_chance(samples: Sequence[Sample]) -> float:
 # result tables
 
 
-def render_table(named_reports: Sequence[tuple[str, dict]]) -> str:
-    """Aligned text table of ``evaluate`` reports, rows in the given order."""
-    if not named_reports:
-        raise DataError("render_table needs at least one report")
-    type_names = sorted({t for _, r in named_reports for t in r["by_type"]})
+def render_table(name: str, report: dict) -> str:
+    """Aligned text table of one ``evaluate`` report, in a row labelled ``name``."""
+    type_names = sorted(report["by_type"])
     headers = ["model", "accuracy", "correct", "total"] + [f"acc[{t}]" for t in type_names]
-    rows = []
-    for name, report in named_reports:
-        overall = report["overall"]
-        accuracies = [overall["accuracy"]] + [report["by_type"].get(t, {}).get("accuracy")
-                                              for t in type_names]
-        cells = ["-" if acc is None else f"{acc:.4f}" for acc in accuracies]
-        rows.append([name, cells[0], str(overall["correct"]), str(overall["total"])] + cells[1:])
-    widths = [max(len(headers[i]), *(len(r[i]) for r in rows)) for i in range(len(headers))]
+    overall = report["overall"]
+    accuracies = [overall["accuracy"]] + [report["by_type"][t]["accuracy"] for t in type_names]
+    cells = ["-" if acc is None else f"{acc:.4f}" for acc in accuracies]
+    row = [name, cells[0], str(overall["correct"]), str(overall["total"])] + cells[1:]
+    widths = [max(len(h), len(c)) for h, c in zip(headers, row)]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    lines = [fmt.format(*headers), fmt.format(*["-" * w for w in widths])]
-    lines += [fmt.format(*row) for row in rows]
-    return "\n".join(lines)
+    return "\n".join([fmt.format(*headers), fmt.format(*["-" * w for w in widths]),
+                      fmt.format(*row)])
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +157,16 @@ _ATTR_OFFSET = 1
 _CLASS_OFFSET = _ATTR_OFFSET + len(ATTRIBUTES)
 MIN_D_VIS = _CLASS_OFFSET + len(OBJECT_CLASSES)
 
+# the image canvas, in pixels
+WIDTH, HEIGHT = 640, 480
+# IoU above which an object on a person counts as that person's context object
+T1 = 0.3
+# standard deviation of the feature noise
+NOISE = 0.05
+# pooled-ROI behavior: an object overlapping a person leaves a faint class
+# imprint of this size on that person's feature vector (crops overlap)
+IMPRINT = 0.4
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -171,16 +175,8 @@ class SynthConfig:
     d_vis: int = 32
     context_rate: float = 0.5
     seed: int = 0
-    width: int = 640
-    height: int = 480
-    t1: float = 0.3
-    t2: float = 0.1
-    noise: float = 0.05
-    # pooled-ROI behavior: an object overlapping a person leaves a faint
-    # class imprint on that person's feature vector (crops overlap);
-    # imprint_rate < 1 would leave some scenes readable only through the
-    # object tokens
-    imprint: float = 0.4
+    # the share of scenes that get the imprint; imprint_rate < 1 leaves some
+    # scenes readable only through the object tokens
     imprint_rate: float = 1.0
 
     def __post_init__(self) -> None:
@@ -200,7 +196,7 @@ def _disjoint(box: BoundingBox, others: Sequence[BoundingBox]) -> bool:
     return all(iou(box, other) == 0.0 for other in others)
 
 
-def _place_persons(rng: np.random.Generator, cfg: SynthConfig, n: int) -> list[BoundingBox]:
+def _place_persons(rng: np.random.Generator, n: int) -> list[BoundingBox]:
     """``n`` pairwise disjoint boxes.  A box that finds no free spot in 200
     draws means the earlier boxes jammed the canvas, so the scene's placement
     starts over (at most 100 times) with the generator where it stands."""
@@ -210,8 +206,8 @@ def _place_persons(rng: np.random.Generator, cfg: SynthConfig, n: int) -> list[B
             for _attempt in range(200):
                 w = float(rng.uniform(80, 150))
                 h = float(rng.uniform(100, 180))
-                x1 = float(rng.uniform(0, cfg.width - w))
-                y1 = float(rng.uniform(0, cfg.height - h))
+                x1 = float(rng.uniform(0, WIDTH - w))
+                y1 = float(rng.uniform(0, HEIGHT - h))
                 box = BoundingBox(x1, y1, x1 + w, y1 + h)
                 if _disjoint(box, boxes):
                     boxes.append(box)
@@ -236,25 +232,25 @@ def _inner_box(rng: np.random.Generator, outer: BoundingBox) -> BoundingBox:
     return BoundingBox(x1, y1, x1 + w, y1 + h)
 
 
-def _background_box(rng: np.random.Generator, cfg: SynthConfig) -> BoundingBox:
+def _background_box(rng: np.random.Generator) -> BoundingBox:
     # Small enough that IoU against any person box stays below the selection
     # threshold (decoys are scene clutter, not context tied to a person).
     w = float(rng.uniform(24, 40))
     h = float(rng.uniform(24, 40))
-    x1 = float(rng.uniform(0, cfg.width - w))
-    y1 = float(rng.uniform(0, cfg.height - h))
+    x1 = float(rng.uniform(0, WIDTH - w))
+    y1 = float(rng.uniform(0, HEIGHT - h))
     return BoundingBox(x1, y1, x1 + w, y1 + h)
 
 
 def _person_feature(rng: np.random.Generator, cfg: SynthConfig, attr_idx: int) -> np.ndarray:
-    vec = rng.normal(0.0, cfg.noise, cfg.d_vis)
+    vec = rng.normal(0.0, NOISE, cfg.d_vis)
     vec[0] += 1.0
     vec[_ATTR_OFFSET + attr_idx] += 1.0
     return vec.astype(np.float32)
 
 
 def _object_feature(rng: np.random.Generator, cfg: SynthConfig, class_idx: int) -> np.ndarray:
-    vec = rng.normal(0.0, cfg.noise, cfg.d_vis)
+    vec = rng.normal(0.0, NOISE, cfg.d_vis)
     vec[_CLASS_OFFSET + class_idx] += 1.0
     return vec.astype(np.float32)
 
@@ -272,7 +268,7 @@ def synth_generate(config: SynthConfig) -> list[Sample]:
     samples: list[Sample] = []
     for i in range(config.n_samples):
         n = int(rng.integers(2, config.max_persons + 1))
-        boxes = _place_persons(rng, config, n)
+        boxes = _place_persons(rng, n)
         gt = int(rng.integers(n))
         context_driven = bool(rng.random() < config.context_rate)
 
@@ -304,7 +300,7 @@ def synth_generate(config: SynthConfig) -> list[Sample]:
             allowed = [c for c in range(len(OBJECT_CLASSES)) if c != cue_class]
             cls_idx = int(rng.choice(allowed))
             objects.append(ContextObject(
-                box=_background_box(rng, config),
+                box=_background_box(rng),
                 feature=_object_feature(rng, config, cls_idx),
                 objectness=float(rng.uniform(0.2, 1.0)),
                 class_name=OBJECT_CLASSES[cls_idx]))
@@ -315,8 +311,8 @@ def synth_generate(config: SynthConfig) -> list[Sample]:
             for obj in objects:
                 cls_idx = OBJECT_CLASSES.index(obj.class_name)
                 for person in persons:
-                    if iou(obj.box, person.box) > config.t1:
-                        person.feature[_CLASS_OFFSET + cls_idx] += config.imprint
+                    if iou(obj.box, person.box) > T1:
+                        person.feature[_CLASS_OFFSET + cls_idx] += IMPRINT
 
         if context_driven:
             tokens = [PersonLink(1), Word("next"), Word("to"), Word("the"),
@@ -329,8 +325,8 @@ def synth_generate(config: SynthConfig) -> list[Sample]:
 
         samples.append(Sample(
             sample_id=f"synth-{i:06d}",
-            image=ImageRecord(image_id=f"img-{i:06d}", width=config.width,
-                              height=config.height, persons=persons,
+            image=ImageRecord(image_id=f"img-{i:06d}", width=WIDTH,
+                              height=HEIGHT, persons=persons,
                               context_objects=objects),
             description=Description(tokens),
             labels={1: gt},

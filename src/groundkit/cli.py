@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +49,9 @@ def _emit(payload: object) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _resolve_dataset(path: str, default_name: str = "dataset.jsonl") -> Path:
+def _resolve_dataset(path: str) -> Path:
     p = Path(path)
-    return p / default_name if p.is_dir() else p
+    return p / "dataset.jsonl" if p.is_dir() else p
 
 
 def build_parser() -> _Parser:
@@ -132,7 +132,7 @@ def _cmd_transform(args) -> int:
     for name, samples in (("train", result.train), ("validation", result.validation),
                           ("test", result.test)):
         write_dataset(samples, out / f"{name}.jsonl", header=header)
-    report = result.report.to_json()
+    report = asdict(result.report)
     replace_file(out / "report.json",
                  json.dumps(report, sort_keys=True, indent=2).encode("utf-8"))
     _emit(report)
@@ -236,7 +236,7 @@ def _with_flags(config, args):
 def _score(label: str, predictions, samples) -> int:
     """The accuracy report: a table on stderr, the JSON on stdout."""
     report = benchkit.evaluate(predictions, samples)
-    _log(benchkit.render_table([(label, report)]))
+    _log(benchkit.render_table(label, report))
     _emit(report)
     return EXIT_OK
 
@@ -313,8 +313,7 @@ def run_gradient_suite(config: ModelConfig, seed: int = 0, epsilon: float = 1e-5
 
     fixture = gradient_fixture(config.d_vis, seed)
     config = replace(config, lam=config.lam if config.lam > 0 else 1.0)
-    model = GroundingModel.init(config, build_vocab(fixture, config.neutral_names),
-                                dtype=np.float64)
+    model = GroundingModel.init(config, build_vocab(fixture), dtype=np.float64)
     for p in model.params.values():
         if p.data.ndim == 2:
             p.data = p.data * 10.0

@@ -50,6 +50,8 @@ DEFAULT_NEUTRAL_NAMES = (
     "linda", "david", "elizabeth", "william", "barbara", "richard", "susan",
     "joseph", "jessica",
 )
+# text tokens a sample may hold: the rows of the position embedding
+MAX_TEXT_LEN = 64
 
 
 @dataclass(frozen=True)
@@ -64,10 +66,8 @@ class ModelConfig:
     t2: float = 0.1
     lam: float = 1.0
     contrast_layer: int = 3
-    neutral_names: tuple[str, ...] = DEFAULT_NEUTRAL_NAMES
     seed: int = 0
     use_context_objects: bool = True
-    max_text_len: int = 64
 
     def __post_init__(self) -> None:
         # written as "not > 0" so that NaN is refused too
@@ -80,15 +80,11 @@ class ModelConfig:
         self.encoder  # refuses sizes below 1 and heads that do not divide d_model
         if self.d_vis < 1:
             raise ValueError("d_vis must be >= 1")
-        if self.max_text_len < 1:
-            raise ValueError("max_text_len must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not 1 <= self.contrast_layer <= self.n_layers:
             raise ValueError(f"contrast_layer {self.contrast_layer} outside "
                              f"1..{self.n_layers}")
-        if len(self.neutral_names) < 10:
-            raise ValueError("neutral name pool needs at least 10 names")
 
     @property
     def encoder(self) -> EncoderConfig:
@@ -98,8 +94,7 @@ class ModelConfig:
     def to_file(self, path: str | Path) -> None:
         """Write the fields as ``key = value`` lines, sorted by key, through a temp file."""
         values = {_FILE_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
-        lines = [f"{key} = {','.join(value) if isinstance(value, tuple) else value}"
-                 for key, value in sorted(values.items())]
+        lines = [f"{key} = {value}" for key, value in sorted(values.items())]
         replace_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -109,9 +104,6 @@ class TrainSchedule:
     lr: float = 6e-5
     token_budget: int = 4000
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
         # written as "not ..." so that NaN is refused too
@@ -123,10 +115,6 @@ class TrainSchedule:
             raise ValueError("token budget must be >= 1")
         if not self.weight_decay >= 0:
             raise ValueError("weight decay must be >= 0")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("Adam betas must lie in [0, 1)")
-        if not self.adam_eps > 0:
-            raise ValueError("Adam epsilon must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +124,6 @@ class TrainSchedule:
 
 # field name -> file key, where the two differ
 _FILE_KEYS = {"lam": "lambda"}
-# a retired key: older run directories' config.cfg says it is false
-_RETIRED_KEY = "normalize_similarity"
 
 
 def _parse_bool(text: str) -> bool:
@@ -149,20 +135,24 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_names(text: str) -> tuple[str, ...]:
-    return tuple(n.strip() for n in text.split(",") if n.strip())
+_PARSERS = {int: int, float: float, bool: _parse_bool}
 
-
-_PARSERS = {int: int, float: float, bool: _parse_bool, tuple[str, ...]: _parse_names}
+# retired keys: the parser, the one value that still loads (every config.cfg
+# written before the key's retirement holds it) and why no other does
+_RETIRED_KEYS = {
+    "normalize_similarity": (_parse_bool, False, "similarities are dot products"),
+    "neutral_names": (str, ",".join(DEFAULT_NEUTRAL_NAMES), "the name pool is fixed"),
+    "max_text_len": (int, MAX_TEXT_LEN, f"texts hold at most {MAX_TEXT_LEN} tokens"),
+}
 
 
 def read_config(path: str | Path) -> tuple[ModelConfig, TrainSchedule]:
     """Read one config file into a ModelConfig and a TrainSchedule.
 
     Fields the file leaves out keep their defaults.  An unknown key, a value
-    its field's type cannot parse, or an invalid config is a DataError.  The
-    retired ``normalize_similarity`` key is skipped when false and refused
-    when true: similarities are dot products only.
+    its field's type cannot parse, or an invalid config is a DataError.  A
+    retired key is skipped when it holds the one value it still loads with
+    and is a DataError otherwise.
     """
     schema = {}
     for cls in (ModelConfig, TrainSchedule):
@@ -178,10 +168,14 @@ def read_config(path: str | Path) -> tuple[ModelConfig, TrainSchedule]:
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise DataError(f"{where}: expected 'key = value'")
-        if key == _RETIRED_KEY:
-            if value.lower() not in ("false", "0", "no"):
-                raise DataError(f"{where}: {key} = {value} is no longer supported "
-                                f"(similarities are dot products)")
+        if key in _RETIRED_KEYS:
+            parse, kept, reason = _RETIRED_KEYS[key]
+            try:
+                loads = parse(value) == kept
+            except ValueError:
+                loads = False
+            if not loads:
+                raise DataError(f"{where}: {key} = {value} is no longer supported ({reason})")
             continue
         if key not in schema:
             raise DataError(f"{where}: unknown config key {key!r}")
@@ -200,10 +194,8 @@ def read_config(path: str | Path) -> tuple[ModelConfig, TrainSchedule]:
 # neutral-name substitution
 
 
-def substitute_neutral_names(description: Description,
-                             pool: Sequence[str],
-                             seed: int,
-                             sample_id: str = "") -> tuple[list[str], dict[int, int]]:
+def substitute_neutral_names(description: Description, pool: Sequence[str], seed: int,
+                             sample_id: str) -> tuple[list[str], dict[int, int]]:
     """Replace person links with distinct neutral names.
 
     Returns the lowercase word list and a map from link id to the position of
@@ -213,7 +205,7 @@ def substitute_neutral_names(description: Description,
     """
     link_ids = description.link_ids
     if len(link_ids) > len(pool):
-        raise DataError(f"{sample_id or 'sample'}: {len(link_ids)} links exceed "
+        raise DataError(f"{sample_id}: {len(link_ids)} links exceed "
                         f"name pool of {len(pool)}")
     rng = stable_rng(seed, sample_id)
     order = rng.permutation(len(pool))
@@ -229,7 +221,7 @@ def substitute_neutral_names(description: Description,
         elif isinstance(token, Word):
             words.append(token.text.lower())
         else:
-            raise DataError(f"{sample_id or 'sample'}: object link present at embed time")
+            raise DataError(f"{sample_id}: object link present at embed time")
     return words, positions
 
 
@@ -331,7 +323,8 @@ class SampleLayout:
     """One sample's parameter-free model inputs, prepared once and reused.
 
     ``features`` and ``locations`` hold one row per region in sequence order
-    (persons, then the context objects the config keeps), in the parameters'
+    (persons, then the context objects the config keeps): ``features`` the
+    sample's own feature rows, ``locations`` one array in the parameters'
     dtype.  ``sets`` is None unless the layout was prepared for the
     contrastive loss.
     """
@@ -341,7 +334,7 @@ class SampleLayout:
     labels: dict[int, int]
     word_ids: np.ndarray         # [T] vocabulary ids of ``words``
     n_persons: int
-    features: np.ndarray         # [R, d_vis]
+    features: list[np.ndarray]   # R rows of d_vis
     locations: np.ndarray        # [R, 7]
     sets: list[LinkContrast] | None = None
 
@@ -366,7 +359,7 @@ def loss_cls(q: nc.Tensor, labels: Sequence[int], mask: np.ndarray | None = None
         raise nc.NumericError(f"logits {q.data.shape} do not match {len(labels)} labels")
     if weights is None:
         weights = np.full(len(labels), 1.0 / len(labels))
-    logp = nc.log_softmax(q, axis=1, mask=mask)
+    logp = nc.log_softmax(q, mask=mask)
     return nc.dot_const(nc.take_per_row(logp, list(labels)), -np.asarray(weights))
 
 
@@ -388,7 +381,7 @@ def contrastive_loss_from_features(feats: nc.Tensor,
     cols, mask = _pad(candidates)
     coef, _ = _pad(weights, dtype=np.float64)
     sims = nc.gather_dot(feats, feats, anchors, cols)
-    logp = nc.log_softmax(nc.scale(sims, 1.0 / tau), axis=1, mask=mask)
+    logp = nc.log_softmax(nc.scale(sims, 1.0 / tau), mask=mask)
     return nc.dot_const(logp, -coef)
 
 
@@ -452,11 +445,11 @@ class GroundingModel:
     def init(cls, config: ModelConfig, vocab: Mapping[str, int],
              dtype=np.float32) -> "GroundingModel":
         rng = np.random.default_rng(config.seed)
-        params = nc.init_encoder_params(config.encoder, rng, prefix="enc", dtype=dtype)
+        params = nc.init_encoder_params(config.encoder, rng, dtype=dtype)
         d = config.d_model
         w, zeros, ones = param_initializers(params, rng, dtype)
         w("embed.word", (len(vocab), d))
-        w("embed.pos", (config.max_text_len, d))
+        w("embed.pos", (MAX_TEXT_LEN, d))
         w("embed.feat.w", (config.d_vis, d))
         zeros("embed.feat.b", (d,))
         w("embed.loc.w", (7, d))
@@ -474,7 +467,7 @@ class GroundingModel:
     def prepare(self, samples: Sequence[Sample], contrast: bool = False) -> list[SampleLayout]:
         """Each sample's ``SampleLayout``, with its contrastive sets if ``contrast``.
 
-        A text longer than ``max_text_len`` or a feature row whose length is
+        A text longer than ``MAX_TEXT_LEN`` or a feature row whose length is
         not ``d_vis`` is a DataError.
         """
         cfg = self.config
@@ -483,18 +476,18 @@ class GroundingModel:
         layouts = []
         for sample in samples:
             words, link_positions = substitute_neutral_names(
-                sample.description, cfg.neutral_names, cfg.seed, sample.sample_id)
-            if len(words) > cfg.max_text_len:
+                sample.description, DEFAULT_NEUTRAL_NAMES, cfg.seed, sample.sample_id)
+            if len(words) > MAX_TEXT_LEN:
                 raise DataError(f"{sample.sample_id}: {len(words)} text tokens exceed "
-                                f"max_text_len {cfg.max_text_len}")
+                                f"max_text_len {MAX_TEXT_LEN}")
             image = sample.image
             regions = list(image.persons)
             if cfg.use_context_objects:
                 regions += image.context_objects
-            features = np.stack([r.feature for r in regions]).astype(dtype, copy=False)
-            if features.shape[1] != cfg.d_vis:
-                raise DataError(f"{sample.sample_id}: feature dim {features.shape[1]} "
-                                f"!= d_vis {cfg.d_vis}")
+            for r in regions:
+                if len(r.feature) != cfg.d_vis:
+                    raise DataError(f"{sample.sample_id}: feature dim {len(r.feature)} "
+                                    f"!= d_vis {cfg.d_vis}")
             locations = np.stack([location_feature(r.box, image.width, image.height)
                                   for r in regions]).astype(dtype)
             sets = select_context_objects(sample, cfg.t1, cfg.t2) if contrast else None
@@ -507,13 +500,15 @@ class GroundingModel:
             layouts.append(SampleLayout(
                 words=words, link_positions=link_positions, labels=sample.labels,
                 word_ids=np.array([self.vocab.get(w, unk) for w in words], dtype=np.intp),
-                n_persons=image.n_persons, features=features, locations=locations,
-                sets=sets))
+                n_persons=image.n_persons, features=[r.feature for r in regions],
+                locations=locations, sets=sets))
         return layouts
 
     def embed(self, layouts: Sequence[SampleLayout]) -> EncodedBatch:
         """Embed ``layouts`` into one zero-padded ``[B, L, d]`` sequence."""
         p = self.params
+        features = np.array([f for x in layouts for f in x.features],
+                            dtype=p["embed.feat.w"].data.dtype)
         lengths = [sequence_length(layout) for layout in layouts]
         width = max(lengths)
 
@@ -533,7 +528,7 @@ class GroundingModel:
             nc.gather_rows(p["embed.pos"], np.concatenate(positions)),
             p["embed.text_ln.gain"], p["embed.text_ln.bias"])
         region = nc.add_layer_norm(
-            nc.linear(nc.Tensor(np.concatenate([x.features for x in layouts])),
+            nc.linear(nc.Tensor(features),
                       p["embed.feat.w"], p["embed.feat.b"]),
             nc.linear(nc.Tensor(np.concatenate([x.locations for x in layouts])),
                       p["embed.loc.w"], p["embed.loc.b"]),
@@ -548,8 +543,8 @@ class GroundingModel:
 
     def forward(self, layouts: Sequence[SampleLayout]) -> EncodedBatch:
         encoded = self.embed(layouts)
-        encoded.hidden = nc.encode(encoded.sequence, self.config.encoder,
-                                   self.params, prefix="enc", mask=encoded.mask)
+        encoded.hidden = nc.encode(encoded.sequence, self.config.encoder, self.params,
+                                   mask=encoded.mask)
         return encoded
 
     # -- losses / inference -------------------------------------------------

@@ -26,8 +26,8 @@ import numpy as np
 
 from .. import numcore as nc
 from ..core import DataError, Sample
-from .model import (SUB_BATCH, UNK_TOKEN, GroundingModel, ModelConfig, TrainSchedule,
-                    sequence_length)
+from .model import (DEFAULT_NEUTRAL_NAMES, SUB_BATCH, UNK_TOKEN, GroundingModel,
+                    ModelConfig, TrainSchedule, sequence_length)
 
 log = logging.getLogger(__name__)
 
@@ -38,11 +38,9 @@ class TrainResult:
     losses: list[float] = field(default_factory=list)
 
 
-def build_vocab(samples: Sequence[Sample], pool: Sequence[str]) -> dict[str, int]:
+def build_vocab(samples: Sequence[Sample]) -> dict[str, int]:
     """Sorted corpus vocabulary plus the neutral-name pool; id 0 is <unk>."""
-    words: set[str] = set()
-    for name in pool:
-        words.update(str(name).lower().split())
+    words = set(DEFAULT_NEUTRAL_NAMES)
     for sample in samples:
         for w in sample.description.words():
             words.add(w.lower())
@@ -77,7 +75,7 @@ def train(dataset: Sequence[Sample],
     """Train a fresh model; deterministic given (dataset, config, schedule)."""
     if not dataset:
         raise DataError("training needs a non-empty dataset")
-    vocab = build_vocab(dataset, config.neutral_names)
+    vocab = build_vocab(dataset)
     model = GroundingModel.init(config, vocab, dtype=np.float32)
     state = nc.init_adam_state(model.params)
     layouts = model.prepare(dataset, contrast=config.lam != 0.0)
@@ -100,15 +98,11 @@ def train(dataset: Sequence[Sample],
                     # backward each would have accumulated
                     graph.backward(nc.scale(loss, len(chunk)))
                 total += float(loss.data) * len(chunk)
-            if not np.isfinite(total):
-                raise nc.NumericError(f"non-finite loss at step {step}")
             inv = 1.0 / len(batch)
             for p in model.params.values():
                 if p.grad is not None:
                     p.grad = p.grad * inv
             nc.optimizer_step(model.params, state, lr=schedule.lr,
-                              betas=(schedule.beta1, schedule.beta2),
-                              eps=schedule.adam_eps,
                               weight_decay=schedule.weight_decay)
             mean_loss = total * inv
             losses.append(mean_loss)

@@ -18,7 +18,8 @@ import numpy as np
 from .tensor import NumericError, Tensor, add_layer_norm, feed_forward, self_attention
 
 INIT_STD = 0.02
-LN_EPS = 1e-5
+# parameter names: "enc.layer<i>.<block>.<tensor>"
+PREFIX = "enc"
 
 
 @dataclass(frozen=True)
@@ -51,16 +52,14 @@ def param_initializers(params: dict[str, Tensor], rng: np.random.Generator, dtyp
     return w, zeros, ones
 
 
-def init_encoder_params(config: EncoderConfig,
-                        rng: np.random.Generator,
-                        prefix: str = "enc",
+def init_encoder_params(config: EncoderConfig, rng: np.random.Generator,
                         dtype=np.float32) -> dict[str, Tensor]:
     """Seeded initialization: normal(0, 0.02) weights, zero biases, unit LN gain."""
     d, f = config.d_model, config.d_ff
     params: dict[str, Tensor] = {}
     w, zeros, ones = param_initializers(params, rng, dtype)
     for i in range(config.n_layers):
-        p = f"{prefix}.layer{i}"
+        p = f"{PREFIX}.layer{i}"
         for mat in ("wq", "wk", "wv", "wo"):
             w(f"{p}.attn.{mat}", (d, d))
         # no key bias: softmax is invariant to a per-row shift, so a key
@@ -90,13 +89,13 @@ def attention_layer(x: Tensor, params: Mapping[str, Tensor], prefix: str,
 
     attn_out = self_attention(x, p("attn.wq"), p("attn.bq"), p("attn.wk"), p("attn.wv"),
                               p("attn.bv"), p("attn.wo"), p("attn.bo"), n_heads, mask)
-    h1 = add_layer_norm(x, attn_out, p("ln1.gain"), p("ln1.bias"), eps=LN_EPS)
+    h1 = add_layer_norm(x, attn_out, p("ln1.gain"), p("ln1.bias"))
     ff = feed_forward(h1, p("ffn.w1"), p("ffn.b1"), p("ffn.w2"), p("ffn.b2"))
-    return add_layer_norm(h1, ff, p("ln2.gain"), p("ln2.bias"), eps=LN_EPS)
+    return add_layer_norm(h1, ff, p("ln2.gain"), p("ln2.bias"))
 
 
 def encode(x: Tensor, config: EncoderConfig, params: Mapping[str, Tensor],
-           prefix: str = "enc", mask: np.ndarray | None = None) -> list[Tensor]:
+           mask: np.ndarray | None = None) -> list[Tensor]:
     """Run all layers over ``x`` (``[B, L, d]``); returns the hidden state after each one.
 
     ``mask`` (``[B, L]`` booleans, True on real tokens) marks padding; without
@@ -112,7 +111,7 @@ def encode(x: Tensor, config: EncoderConfig, params: Mapping[str, Tensor],
     hidden: list[Tensor] = []
     h = x
     for i in range(config.n_layers):
-        h = attention_layer(h, params, f"{prefix}.layer{i}", config.n_heads, mask)
+        h = attention_layer(h, params, f"{PREFIX}.layer{i}", config.n_heads, mask)
         hidden.append(h)
     return hidden
 

@@ -13,6 +13,10 @@ import numpy as np
 
 from .tensor import NumericError, Tensor
 
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -29,18 +33,13 @@ def init_adam_state(params: Mapping[str, Tensor]) -> AdamState:
     return state
 
 
-def optimizer_step(params: Mapping[str, Tensor],
-                   state: AdamState,
-                   lr: float,
-                   betas: tuple[float, float] = (0.9, 0.999),
-                   eps: float = 1e-8,
+def optimizer_step(params: Mapping[str, Tensor], state: AdamState, lr: float,
                    weight_decay: float = 0.0) -> None:
     """One in-place update; a missing gradient counts as zero."""
-    b1, b2 = betas
     state.step += 1
     t = state.step
-    bias1 = 1.0 - b1 ** t
-    bias2 = 1.0 - b2 ** t
+    bias1 = 1.0 - BETA1 ** t
+    bias2 = 1.0 - BETA2 ** t
     for name in sorted(params):
         p = params[name]
         g = p.grad
@@ -52,11 +51,11 @@ def optimizer_step(params: Mapping[str, Tensor],
             g = g.astype(p.data.dtype, copy=False)
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        update = (m / bias1) / (np.sqrt(v / bias2) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
         if weight_decay:
             update = update + weight_decay * p.data
         p.data = p.data - lr * update

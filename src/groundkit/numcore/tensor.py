@@ -33,8 +33,8 @@ class Tensor:
 
     __slots__ = ("data", "grad")
 
-    def __init__(self, data, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         _check_finite(arr, "tensor init")
@@ -256,14 +256,14 @@ def _masked(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return x if mask is None else np.where(mask, x, -np.inf)
 
 
-def log_softmax(a: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
-    """Log-softmax along ``axis`` over the entries the broadcast ``mask`` keeps.
+def log_softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Log-softmax along the last axis over the entries the broadcast ``mask`` keeps.
 
     Masked entries read 0 and receive no gradient.
     """
     x = _masked(a.data, mask)
-    shifted = x - x.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = x - x.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     data = shifted - lse
     probs = np.exp(data)
     if mask is not None:
@@ -272,7 +272,7 @@ def log_softmax(a: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Te
     def back(g):
         if mask is not None:
             g = np.where(mask, g, 0.0)
-        _accum(a, g - probs * g.sum(axis=axis, keepdims=True))
+        _accum(a, g - probs * g.sum(axis=-1, keepdims=True))
 
     return _out(data, "log_softmax", back)
 
@@ -388,8 +388,10 @@ def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv
     return _out(out.reshape(batch, length, d), "linear", back)
 
 
-def add_layer_norm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor,
-                   eps: float = 1e-5) -> Tensor:
+LN_EPS = 1e-5
+
+
+def add_layer_norm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """``a + b``, normalized along the last axis, then the affine gain/bias, as one op."""
     if a.data.shape != b.data.shape:
         raise NumericError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
@@ -400,7 +402,7 @@ def add_layer_norm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor,
     total = a.data + b.data
     _check_finite(total, "add")
     centred = total - _mean_last(total)
-    inv = 1.0 / np.sqrt(_mean_last(centred * centred) + eps)
+    inv = 1.0 / np.sqrt(_mean_last(centred * centred) + LN_EPS)
     xhat = centred * inv
     data = xhat * gain.data + bias.data
 

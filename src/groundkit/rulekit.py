@@ -403,16 +403,6 @@ class PipelineReport:
     kept: int = 0
     split_sizes: dict[str, int] = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "total": self.total, "matched": self.matched, "kept": self.kept,
-            "unmatched_ids": list(self.unmatched_ids),
-            "per_question_type": dict(sorted(self.per_question_type.items())),
-            "drops": dict(sorted(self.drops.items())),
-            "drop_ids": dict(sorted(self.drop_ids.items())),
-            "split_sizes": dict(sorted(self.split_sizes.items())),
-        }
-
 
 @dataclass
 class PipelineResult:

@@ -79,18 +79,19 @@ class TestExitCodes:
         ("stpes = 1", "unknown config key 'stpes'"),
         ("weight_decay = nan", "weight decay must be >= 0"),
         ("weight_decay = -0.01", "weight decay must be >= 0"),
-        ("beta1 = 1.5", "Adam betas must lie in [0, 1)"),
-        ("beta1 = -0.1", "Adam betas must lie in [0, 1)"),
-        ("beta2 = 1", "Adam betas must lie in [0, 1)"),
-        ("beta2 = nan", "Adam betas must lie in [0, 1)"),
-        ("adam_eps = -1", "Adam epsilon must be positive"),
-        ("adam_eps = 0", "Adam epsilon must be positive"),
-        ("adam_eps = nan", "Adam epsilon must be positive"),
+        # the Adam constants are not config keys
+        ("beta1 = 1.5", "unknown config key 'beta1'"),
+        ("beta1 = -0.1", "unknown config key 'beta1'"),
+        ("beta2 = 1", "unknown config key 'beta2'"),
+        ("beta2 = nan", "unknown config key 'beta2'"),
+        ("adam_eps = -1", "unknown config key 'adam_eps'"),
+        ("adam_eps = 0", "unknown config key 'adam_eps'"),
+        ("adam_eps = nan", "unknown config key 'adam_eps'"),
         ("n_heads = 3", "d_model 32 not divisible by n_heads 3"),
         ("n_heads = 0", "n_heads must be >= 1"),
         ("d_model = 0", "d_model must be >= 1"),
         ("d_ff = 0", "d_ff must be >= 1"),
-        ("max_text_len = 0", "max_text_len must be >= 1"),
+        ("max_text_len = 0", "max_text_len = 0 is no longer supported"),
         ("seed = -1", "seed must be >= 0"),
         ("d_vis = 0", "d_vis must be >= 1"),
         ("normalize_similarity = true", "normalize_similarity = true is no longer supported"),
@@ -293,7 +294,7 @@ class TestStatsAndSynth:
         samples = read_dataset(data)
         report = evaluate(run_baseline("random", samples, seed=4), samples)
         assert out == json.dumps(report, sort_keys=True) + "\n"
-        assert err == render_table([("random", report)]) + "\n"
+        assert err == render_table("random", report) + "\n"
 
 
 class TestTransformAndFilter:
@@ -422,6 +423,40 @@ class TestTrainEvalGradcheck:
             assert "Traceback" not in err
             detail = json.loads(err.splitlines()[0])["detail"]
             assert "config.cfg: invalid config (d_vis must be >= 1)" in detail
+
+    # the config.cfg that earlier versions wrote for a toy.cfg run: three keys
+    # since retired, each with the one value that still loads
+    EARLIER_CONFIG = (
+        "contrast_layer = 2\nd_ff = 64\nd_model = 32\nd_vis = 32\nlambda = 1.0\n"
+        "max_text_len = 64\nn_heads = 2\nn_layers = 2\nnormalize_similarity = False\n"
+        "neutral_names = james,mary,john,patricia,robert,jennifer,michael,linda,david,"
+        "elizabeth,william,barbara,richard,susan,joseph,jessica\n"
+        "seed = 0\nt1 = 0.3\nt2 = 0.1\ntau = 1.0\nuse_context_objects = True\n")
+
+    def test_earlier_run_directory_evaluates(self, capsys, tmp_path):
+        data = tmp_path / "s.jsonl"
+        run_cli(capsys, "synth", "--n", "20", "--seed", "2", "--out", str(data))
+        run_dir = tmp_path / "run"
+        run_cli(capsys, "train", "--data", str(data), "--config", str(TOY_CFG),
+                "--out", str(run_dir), "--steps", "2")
+        cfg = run_dir / "config.cfg"
+        eval_argv = ("eval", "--data", str(data), "--checkpoint", str(run_dir))
+        current = run_cli(capsys, *eval_argv)
+        assert current[0] == 0
+        cfg.write_text(self.EARLIER_CONFIG)
+        assert run_cli(capsys, *eval_argv) == current
+
+        lines = self.EARLIER_CONFIG.splitlines()
+        for key, value in (("normalize_similarity", "true"), ("neutral_names", "amy,bob"),
+                           ("max_text_len", "32"), ("max_text_len", "many")):
+            lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(key))
+            edited = lines[:lineno - 1] + [f"{key} = {value}"] + lines[lineno:]
+            cfg.write_text("\n".join(edited) + "\n")
+            code, out, err = run_cli(capsys, *eval_argv)
+            assert code == 2 and out == ""
+            assert "Traceback" not in err
+            detail = json.loads(err.splitlines()[0])["detail"]
+            assert f"{cfg}:{lineno}: {key} = {value} is no longer supported" in detail
 
     def test_train_rejects_corrupt_checkpoint_on_eval(self, capsys, tmp_path):
         data = tmp_path / "s.jsonl"

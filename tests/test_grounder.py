@@ -61,8 +61,7 @@ def toy_config(**kw):
 
 def toy_model(samples, **kw):
     config = toy_config(**kw)
-    vocab = build_vocab(samples, config.neutral_names)
-    return GroundingModel.init(config, vocab, dtype=np.float64), config
+    return GroundingModel.init(config, build_vocab(samples), dtype=np.float64), config
 
 
 class TestNameSubstitution:
@@ -452,8 +451,7 @@ class TestGradientsThroughModel:
 class TestBatching:
     def _model(self, samples):
         config = toy_config(d_vis=24)
-        return GroundingModel.init(config, build_vocab(samples, config.neutral_names),
-                                   dtype=np.float32)
+        return GroundingModel.init(config, build_vocab(samples), dtype=np.float32)
 
     def test_scores_alone_and_in_padded_batch_agree(self):
         # more samples than one forward pass takes, so the split is covered
@@ -501,8 +499,7 @@ class TestPreparedLayouts:
     def test_forward_backward_leaves_each_layout_unchanged(self):
         samples = gradient_fixture(d_vis=24, seed=3)
         config = toy_config(d_vis=24)
-        model = GroundingModel.init(config, build_vocab(samples, config.neutral_names),
-                                    dtype=np.float32)
+        model = GroundingModel.init(config, build_vocab(samples), dtype=np.float32)
         layouts = model.prepare(samples, contrast=True)
         with nc.Graph() as graph:
             loss = model.batch_loss(layouts)
@@ -532,9 +529,9 @@ class TestPreparedLayouts:
         steps = []
         monkeypatch.setattr(nc, "optimizer_step", lambda *a, **kw: steps.append(kw))
         samples = [make_sample(f"l-{i}") for i in range(6)]
-        samples.append(make_sample("l-long", tokens=[PersonLink(1)] + [Word("very")] * 20))
-        with pytest.raises(DataError, match="l-long: 21 text tokens exceed max_text_len 16"):
-            train(samples, toy_config(d_vis=8, max_text_len=16),
+        samples.append(make_sample("l-long", tokens=[PersonLink(1)] + [Word("very")] * 64))
+        with pytest.raises(DataError, match="l-long: 65 text tokens exceed max_text_len 64"):
+            train(samples, toy_config(d_vis=8),
                   TrainSchedule(steps=5, lr=1e-3, token_budget=16))
         assert steps == []
 
@@ -542,7 +539,7 @@ class TestPreparedLayouts:
 class TestTrainingLoop:
     def test_build_vocab_sorted_with_unk(self):
         samples = [make_sample("v-1", tokens=[PersonLink(1), Word("Zebra"), Word("apple")])]
-        vocab = build_vocab(samples, ("mary", "james"))
+        vocab = build_vocab(samples)
         assert vocab["<unk>"] == 0
         assert list(vocab) == sorted(vocab, key=vocab.get)
         assert {"zebra", "apple", "mary", "james"} <= set(vocab)
@@ -667,11 +664,13 @@ class TestPersistence:
             assert (tmp_path / "run" / name).read_bytes() in (old[name], new[name])
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(names)
 
-    def test_config_file_feeds_both_dataclasses(self):
+    def test_config_file_feeds_both_dataclasses(self, tmp_path):
         config, schedule = read_config(TOY_CFG)
         assert (config.d_model, config.lam, config.use_context_objects) == (32, 1.0, True)
         assert (schedule.steps, schedule.lr, schedule.token_budget) == (400, 5e-4, 800)
-        assert schedule.beta1 == TrainSchedule().beta1  # keys left out keep defaults
+        path = tmp_path / "m.cfg"
+        path.write_text("steps = 7\n")  # keys left out keep defaults
+        assert read_config(path) == (ModelConfig(), TrainSchedule(steps=7))
 
     def test_config_file_roundtrip(self, tmp_path):
         config = toy_config(tau=0.5, lam=2.0, use_context_objects=False)

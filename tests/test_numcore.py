@@ -112,13 +112,13 @@ class TestBatchedOps:
     def test_masked_log_softmax_reads_zero_on_padding(self):
         x = np.array([[1.0, 2.0, 50.0]])
         mask = np.array([[True, True, False]])
-        out = nc.log_softmax(nc.Tensor(x), axis=1, mask=mask).data
+        out = nc.log_softmax(nc.Tensor(x), mask=mask).data
         np.testing.assert_allclose(out[0, :2], np.log([1 / (1 + np.e), np.e / (1 + np.e)]),
                                    atol=1e-12)
         assert out[0, 2] == 0.0
         # masked entries are constants: gradient reaching them goes nowhere
         params = {"x": nc.Tensor(x.copy())}
-        build = lambda p: total(nc.log_softmax(p["x"], axis=1, mask=mask))
+        build = lambda p: total(nc.log_softmax(p["x"], mask=mask))
         assert nc.grad_check(lambda: build(params), params, epsilon=1e-5) < 1e-6
         # grad_check leaves the tape's gradients in place
         assert params["x"].grad[0, 2] == 0.0
@@ -165,7 +165,7 @@ class TestBatchedOps:
                                (6, 4))
             rows = nc.scatter_rows([p["r"], nc.reshape(p["b"], (1, 4))], [0, 5, 2, 3], 6)
             sims = nc.gather_dot(nc.add(mixed, rows), mixed, [0, 4], [[1, 2, 0], [3, 5, 5]])
-            logp = nc.log_softmax(sims, axis=1, mask=np.array([[True] * 3, [True, True, False]]))
+            logp = nc.log_softmax(sims, mask=np.array([[True] * 3, [True, True, False]]))
             return nc.dot_const(logp, -np.array([[0.5, 0.2, 0.0], [0.3, 0.0, 0.0]]))
 
         assert nc.grad_check(lambda: build(params), params, epsilon=1e-5) < 1e-6
@@ -419,7 +419,7 @@ class TestGradCheck:
         def build(p):
             hs = [nc.reshape(h, (6, 16)) for h in nc.encode(nc.Tensor(x), cfg, p)]
             logits = nc.gather_dot(hs[-1], hs[0], range(6), [range(6)] * 6)
-            lp = nc.log_softmax(logits, axis=1)
+            lp = nc.log_softmax(logits)
             return nc.dot_const(nc.take_per_row(lp, [1, 2, 3, 4, 5, 0]),
                                 -np.full(6, 1.0 / 6))
 
