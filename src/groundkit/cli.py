@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .grounder.io import load_model, save_model
 from .numcore import CheckpointError, NumericError
 
 GRADCHECK_THRESHOLD = 1e-4
+GRADCHECK_ENTRIES = 8
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -142,20 +144,12 @@ def _cmd_transform(args) -> int:
 def _cmd_filter(args) -> int:
     samples = read_dataset(_resolve_dataset(args.data), strict=False)
     header = read_header(_resolve_dataset(args.data))
-    kept = []
-    drops: dict[str, int] = {}
-    drop_ids: dict[str, str] = {}
-    for sample in samples:
-        reason = filter_sample(sample)
-        if reason is None:
-            kept.append(sample)
-        else:
-            drops[reason.value] = drops.get(reason.value, 0) + 1
-            drop_ids[sample.sample_id] = reason.value
+    reasons = {sample.sample_id: filter_sample(sample) for sample in samples}
+    kept = [sample for sample in samples if reasons[sample.sample_id] is None]
+    drop_ids = {sid: reason.value for sid, reason in reasons.items() if reason is not None}
     write_dataset(kept, args.out, header=header)
     _emit({"input": len(samples), "kept": len(kept),
-           "drops": dict(sorted(drops.items())),
-           "drop_ids": dict(sorted(drop_ids.items()))})
+           "drops": Counter(drop_ids.values()), "drop_ids": drop_ids})
     return EXIT_OK
 
 
@@ -299,8 +293,7 @@ def gradient_fixture(d_vis: int, seed: int = 0) -> list[Sample]:
     return picked
 
 
-def run_gradient_suite(config: ModelConfig, seed: int = 0, epsilon: float = 1e-5,
-                       max_entries_per_param: int = 8) -> dict:
+def run_gradient_suite(config: ModelConfig, seed: int = 0, epsilon: float = 1e-5) -> dict:
     """grad_check L_cls / L_con / L_cls + lambda L_con on a seeded padded batch.
 
     The model is checked in float64 at a rescaled parameter point (weights
@@ -322,7 +315,7 @@ def run_gradient_suite(config: ModelConfig, seed: int = 0, epsilon: float = 1e-5
               "con": lambda: model.loss_terms(layouts)[1],
               "total": lambda: model.batch_loss(layouts)}
     errors = {kind: nc.grad_check(build, model.params, epsilon=epsilon,
-                                  max_entries_per_param=max_entries_per_param,
+                                  max_entries_per_param=GRADCHECK_ENTRIES,
                                   rng=np.random.default_rng(seed + 17))
               for kind, build in losses.items()}
     return {"epsilon": epsilon, "seed": seed, "threshold": GRADCHECK_THRESHOLD,

@@ -194,9 +194,9 @@ def read_config(path: str | Path) -> tuple[ModelConfig, TrainSchedule]:
 # neutral-name substitution
 
 
-def substitute_neutral_names(description: Description, pool: Sequence[str], seed: int,
+def substitute_neutral_names(description: Description, seed: int,
                              sample_id: str) -> tuple[list[str], dict[int, int]]:
-    """Replace person links with distinct neutral names.
+    """Replace person links with distinct names from ``DEFAULT_NEUTRAL_NAMES``.
 
     Returns the lowercase word list and a map from link id to the position of
     the first word of its substituted name.  The draw is without replacement
@@ -204,12 +204,12 @@ def substitute_neutral_names(description: Description, pool: Sequence[str], seed
     name, and its map entry points at the first occurrence.
     """
     link_ids = description.link_ids
-    if len(link_ids) > len(pool):
+    if len(link_ids) > len(DEFAULT_NEUTRAL_NAMES):
         raise DataError(f"{sample_id}: {len(link_ids)} links exceed "
-                        f"name pool of {len(pool)}")
+                        f"name pool of {len(DEFAULT_NEUTRAL_NAMES)}")
     rng = stable_rng(seed, sample_id)
-    order = rng.permutation(len(pool))
-    assigned = {link: str(pool[order[i]]).lower() for i, link in enumerate(link_ids)}
+    order = rng.permutation(len(DEFAULT_NEUTRAL_NAMES))
+    assigned = {link: DEFAULT_NEUTRAL_NAMES[order[i]] for i, link in enumerate(link_ids)}
 
     words: list[str] = []
     positions: dict[int, int] = {}
@@ -348,17 +348,14 @@ def sequence_length(layout: SampleLayout) -> int:
 # losses
 
 
-def loss_cls(q: nc.Tensor, labels: Sequence[int], mask: np.ndarray | None = None,
-             weights: Sequence[float] | None = None) -> nc.Tensor:
+def loss_cls(q: nc.Tensor, labels: Sequence[int], mask: np.ndarray,
+             weights: Sequence[float]) -> nc.Tensor:
     """Weighted cross-entropy of each logit row against its labeled column.
 
-    ``mask`` hides padding columns; ``weights`` (one per row) default to the
-    mean over rows.
+    ``mask`` hides padding columns; ``weights`` holds one coefficient per row.
     """
     if q.data.ndim != 2 or not labels or len(labels) != q.data.shape[0]:
         raise nc.NumericError(f"logits {q.data.shape} do not match {len(labels)} labels")
-    if weights is None:
-        weights = np.full(len(labels), 1.0 / len(labels))
     logp = nc.log_softmax(q, mask=mask)
     return nc.dot_const(nc.take_per_row(logp, list(labels)), -np.asarray(weights))
 
@@ -476,7 +473,7 @@ class GroundingModel:
         layouts = []
         for sample in samples:
             words, link_positions = substitute_neutral_names(
-                sample.description, DEFAULT_NEUTRAL_NAMES, cfg.seed, sample.sample_id)
+                sample.description, cfg.seed, sample.sample_id)
             if len(words) > MAX_TEXT_LEN:
                 raise DataError(f"{sample.sample_id}: {len(words)} text tokens exceed "
                                 f"max_text_len {MAX_TEXT_LEN}")

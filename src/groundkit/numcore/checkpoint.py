@@ -24,13 +24,11 @@ class CheckpointError(Exception):
     """Corrupt checkpoint files or name/shape mismatches on load."""
 
 
-def checkpoint_bytes(params: Mapping[str, "Tensor | np.ndarray"]) -> bytes:
+def checkpoint_bytes(params: Mapping[str, Tensor]) -> bytes:
     """The checkpoint of ``params``, tensors sorted by name."""
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", len(params))]
     for name in sorted(params):
-        value = params[name]
-        arr = value.data if isinstance(value, Tensor) else np.asarray(value)
-        arr = np.ascontiguousarray(arr, dtype="<f4")
+        arr = np.ascontiguousarray(params[name].data, dtype="<f4")
         encoded = name.encode("utf-8")
         parts += [struct.pack("<I", len(encoded)), encoded, struct.pack("<I", arr.ndim),
                   struct.pack(f"<{arr.ndim}I", *arr.shape), arr.tobytes()]
@@ -38,10 +36,9 @@ def checkpoint_bytes(params: Mapping[str, "Tensor | np.ndarray"]) -> bytes:
 
 
 def load_checkpoint(path: str | Path,
-                    expected_shapes: Mapping[str, tuple[int, ...]] | None = None
-                    ) -> dict[str, np.ndarray]:
-    """Load float32 tensors; optionally validate names and shapes.  A NaN or
-    infinite value is a CheckpointError naming its tensor."""
+                    expected_shapes: Mapping[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Load float32 tensors whose names and shapes are ``expected_shapes``.  A
+    NaN or infinite value is a CheckpointError naming its tensor."""
     blob = Path(path).read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad checkpoint magic {blob[:4]!r}")
@@ -69,14 +66,13 @@ def load_checkpoint(path: str | Path,
         raise CheckpointError(f"{path}: corrupt checkpoint ({exc})") from None
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
-    if expected_shapes is not None:
-        missing = sorted(set(expected_shapes) - set(out))
-        extra = sorted(set(out) - set(expected_shapes))
-        if missing or extra:
-            raise CheckpointError(f"{path}: tensor names do not match the config "
-                                  f"(missing {missing}, unexpected {extra})")
-        for name, shape in expected_shapes.items():
-            if out[name].shape != tuple(shape):
-                raise CheckpointError(f"{path}: tensor {name!r} has shape "
-                                      f"{out[name].shape}, expected {tuple(shape)}")
+    missing = sorted(set(expected_shapes) - set(out))
+    extra = sorted(set(out) - set(expected_shapes))
+    if missing or extra:
+        raise CheckpointError(f"{path}: tensor names do not match the config "
+                              f"(missing {missing}, unexpected {extra})")
+    for name, shape in expected_shapes.items():
+        if out[name].shape != tuple(shape):
+            raise CheckpointError(f"{path}: tensor {name!r} has shape "
+                                  f"{out[name].shape}, expected {tuple(shape)}")
     return out

@@ -78,7 +78,7 @@ def init_encoder_params(config: EncoderConfig, rng: np.random.Generator,
 
 
 def attention_layer(x: Tensor, params: Mapping[str, Tensor], prefix: str,
-                    n_heads: int, mask: np.ndarray | None = None) -> Tensor:
+                    n_heads: int, mask: np.ndarray) -> Tensor:
     """One layer over ``x`` of shape ``[B, L, d]``.
 
     ``mask`` (``[B, L]``, True on real tokens) hides padding keys; padding
@@ -95,17 +95,17 @@ def attention_layer(x: Tensor, params: Mapping[str, Tensor], prefix: str,
 
 
 def encode(x: Tensor, config: EncoderConfig, params: Mapping[str, Tensor],
-           mask: np.ndarray | None = None) -> list[Tensor]:
+           mask: np.ndarray) -> list[Tensor]:
     """Run all layers over ``x`` (``[B, L, d]``); returns the hidden state after each one.
 
-    ``mask`` (``[B, L]`` booleans, True on real tokens) marks padding; without
-    it every position is real.  ``hidden[-1]`` is the final output; counting
-    layers from the last, layer ``l`` (1-based) is ``hidden[-l]``.
+    ``mask`` (``[B, L]`` booleans, True on real tokens) marks padding.
+    ``hidden[-1]`` is the final output; counting layers from the last, layer
+    ``l`` (1-based) is ``hidden[-l]``.
     """
     if x.data.ndim != 3 or x.data.shape[2] != config.d_model:
         raise NumericError(f"encoder input shape {x.data.shape} is not [B, L, "
                            f"{config.d_model}]")
-    if mask is not None and mask.shape != x.data.shape[:2]:
+    if mask.shape != x.data.shape[:2]:
         raise NumericError(f"padding mask shape {mask.shape} does not match input "
                            f"{x.data.shape[:2]}")
     hidden: list[Tensor] = []

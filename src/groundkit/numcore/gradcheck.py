@@ -11,9 +11,9 @@ from .tensor import Graph, NumericError, Tensor
 
 def grad_check(build: Callable[[], Tensor],
                params: Mapping[str, Tensor],
-               epsilon: float = 1e-5,
-               max_entries_per_param: int | None = None,
-               rng: np.random.Generator | None = None) -> float:
+               epsilon: float = 1e-5, *,
+               max_entries_per_param: int,
+               rng: np.random.Generator) -> float:
     """Max relative error between the tape's gradients and central differences.
 
     ``build()`` returns the scalar loss of the current ``params``.  One pass
@@ -21,8 +21,8 @@ def grad_check(build: Callable[[], Tensor],
     ``p.grad`` (zeroed first, and still there on return); each probe then
     calls ``build()`` outside any graph.  Parameters must be float64; probes
     perturb one entry at a time, so runtime is linear in the number of
-    entries checked.  ``max_entries_per_param`` subsamples entries (seeded)
-    for large models.
+    entries checked: a parameter with more than ``max_entries_per_param``
+    entries has that many drawn from ``rng``, without replacement.
     """
     if not 1e-7 <= epsilon <= 1e-4:
         raise ValueError(f"epsilon {epsilon} outside [1e-7, 1e-4]")
@@ -38,15 +38,13 @@ def grad_check(build: Callable[[], Tensor],
             raise NumericError("loss is non-finite at the checked point")
         graph.backward(loss)
 
-    if rng is None:
-        rng = np.random.default_rng(0)
     worst = 0.0
     for name in sorted(params):
         p = params[name]
         flat = p.data.reshape(-1)
         a_flat = np.zeros_like(flat) if p.grad is None else p.grad.reshape(-1)
         n = flat.shape[0]
-        if max_entries_per_param is not None and n > max_entries_per_param:
+        if n > max_entries_per_param:
             picks = rng.choice(n, size=max_entries_per_param, replace=False)
         else:
             picks = np.arange(n)

@@ -252,26 +252,20 @@ def gather_dot(a: Tensor, b: Tensor, rows: Sequence[int],
 # nonlinearities and reductions
 
 
-def _masked(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    return x if mask is None else np.where(mask, x, -np.inf)
-
-
-def log_softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
+def log_softmax(a: Tensor, mask: np.ndarray) -> Tensor:
     """Log-softmax along the last axis over the entries the broadcast ``mask`` keeps.
 
     Masked entries read 0 and receive no gradient.
     """
-    x = _masked(a.data, mask)
+    x = np.where(mask, a.data, -np.inf)
     shifted = x - x.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     data = shifted - lse
     probs = np.exp(data)
-    if mask is not None:
-        data = np.where(mask, data, 0.0)
+    data = np.where(mask, data, 0.0)
 
     def back(g):
-        if mask is not None:
-            g = np.where(mask, g, 0.0)
+        g = np.where(mask, g, 0.0)
         _accum(a, g - probs * g.sum(axis=-1, keepdims=True))
 
     return _out(data, "log_softmax", back)
@@ -312,8 +306,7 @@ def _check_shapes(op: str, *pairs: tuple[Tensor, tuple[int, ...]]) -> None:
 
 
 def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Tensor,
-                   wo: Tensor, bo: Tensor, n_heads: int,
-                   mask: np.ndarray | None = None) -> Tensor:
+                   wo: Tensor, bo: Tensor, n_heads: int, mask: np.ndarray) -> Tensor:
     """Multi-head self-attention over ``x`` (``[B, L, d]``), as one op.
 
     Projects queries, keys (no bias) and values, splits them into
@@ -326,7 +319,7 @@ def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv
         raise NumericError(f"self_attention input {x.data.shape} is not [B, L, d] "
                            f"with d divisible by {n_heads} heads")
     batch, length, d = x.data.shape
-    if mask is not None and mask.shape != (batch, length):
+    if mask.shape != (batch, length):
         raise NumericError(f"self_attention mask shape {mask.shape} does not match "
                            f"input {x.data.shape[:2]}")
     _check_shapes("self_attention", (wq, (d, d)), (wk, (d, d)), (wv, (d, d)),
@@ -349,8 +342,7 @@ def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv
     _check_finite(scores, "matmul")
     scores = scores * s
     _check_finite(scores, "scale")
-    if mask is not None:
-        scores = np.where(mask[:, None, None, :], scores, -np.inf)
+    scores = np.where(mask[:, None, None, :], scores, -np.inf)
     e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
     attn = e / np.add.reduce(e, axis=-1, keepdims=True)
     _check_finite(attn, "softmax")

@@ -20,6 +20,7 @@ the first match wins, so a rule set is a deterministic function.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -376,10 +377,11 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # written as "not ..." so that NaN is refused too
         total = self.train + self.validation + self.test
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"split fractions sum to {total}, expected 1")
-        if min(self.train, self.validation, self.test) < 0:
+        if not min(self.train, self.validation, self.test) >= 0:
             raise ValueError("split fractions must be non-negative")
 
 
@@ -443,12 +445,12 @@ def run_pipeline(corpus: Sequence[QAPair], rules: RuleSet,
                         commonsense_type=rule.commonsense_type)
         reason = filter_sample(sample)
         if reason is not None:
-            report.drops[reason.value] = report.drops.get(reason.value, 0) + 1
             report.drop_ids[qa.sample_id] = reason.value
             continue
         sample.validate(strict=True)
         report.kept += 1
         splits[_split_of(qa.sample_id, split)].append(sample)
+    report.drops = dict(Counter(report.drop_ids.values()))
     for name, bucket in splits.items():
         bucket.sort(key=lambda s: s.sample_id)
         report.split_sizes[name] = len(bucket)

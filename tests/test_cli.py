@@ -200,6 +200,22 @@ class TestExitCodes:
         assert detail in self._assert_usage_line(code, err)
         assert out == ""
 
+    @pytest.mark.parametrize("split, detail", [
+        ("nan,nan,nan", "sum to nan"),
+        ("0.8,0.1,nan", "sum to nan"),
+        ("1.2,-0.1,-0.1", "must be non-negative"),
+        ("0.5,0.25,0.125", "sum to 0.875,"),
+        ("0.5,0.5", "exactly three fractions"),
+        ("0.8,0.1,x", "could not convert"),
+    ])
+    def test_transform_bad_split_is_usage_error(self, capsys, tmp_path, split, detail):
+        qa = tmp_path / "qa.jsonl"
+        write_qa_corpus(fixture_corpus(), qa)
+        code, out, err = run_cli(capsys, "transform", "--data", str(qa),
+                                 "--out", str(tmp_path / "out"), "--split", split)
+        assert detail in self._assert_usage_line(code, err)
+        assert out == "" and not (tmp_path / "out").exists()
+
     def test_gradcheck_small_d_vis_is_data_error(self, capsys, tmp_path):
         cfg = tmp_path / "small.cfg"
         cfg.write_text(TOY_CFG.read_text() + "d_vis = 8\n")

@@ -67,9 +67,9 @@ def toy_model(samples, **kw):
 class TestNameSubstitution:
     def test_deterministic_per_seed_and_sample(self):
         d = Description([PersonLink(1), Word("waves")])
-        a = substitute_neutral_names(d, DEFAULT_NEUTRAL_NAMES, 3, "s-1")
-        b = substitute_neutral_names(d, DEFAULT_NEUTRAL_NAMES, 3, "s-1")
-        c = substitute_neutral_names(d, DEFAULT_NEUTRAL_NAMES, 4, "s-1")
+        a = substitute_neutral_names(d, 3, "s-1")
+        b = substitute_neutral_names(d, 3, "s-1")
+        c = substitute_neutral_names(d, 4, "s-1")
         assert a == b
         assert a[0][0] in DEFAULT_NEUTRAL_NAMES
         assert a != c or a[0] != c[0]  # another seed draws another name (almost surely)
@@ -77,7 +77,7 @@ class TestNameSubstitution:
     def test_distinct_names_without_replacement(self):
         d = Description([PersonLink(1), Word("meets"), PersonLink(2),
                          Word("near"), PersonLink(3)])
-        words, positions = substitute_neutral_names(d, DEFAULT_NEUTRAL_NAMES, 0, "x")
+        words, positions = substitute_neutral_names(d, 0, "x")
         names = [words[positions[i]] for i in (1, 2, 3)]
         assert len(set(names)) == 3
         assert sorted(positions) == [1, 2, 3]
@@ -86,24 +86,26 @@ class TestNameSubstitution:
     def test_repeated_link_reuses_name_and_first_position(self):
         d = Description([PersonLink(1), Word("wins"), Word("so"), PersonLink(1),
                          Word("smiles")])
-        words, positions = substitute_neutral_names(d, DEFAULT_NEUTRAL_NAMES, 0, "x")
+        words, positions = substitute_neutral_names(d, 0, "x")
         assert words[0] == words[3]
         assert positions == {1: 0}
 
     def test_zero_links_identity(self):
         d = Description([Word("Nothing"), Word("HAPPENS")])
-        words, positions = substitute_neutral_names(d, DEFAULT_NEUTRAL_NAMES, 0, "x")
+        words, positions = substitute_neutral_names(d, 0, "x")
         assert words == ["nothing", "happens"]
         assert positions == {}
 
-    def test_pool_exhausted(self):
+    def test_pool_exhausted(self, monkeypatch):
+        monkeypatch.setattr(model_module, "DEFAULT_NEUTRAL_NAMES", ("amy", "bob"))
         d = Description([PersonLink(i) for i in range(3)])
         with pytest.raises(DataError, match="pool"):
-            substitute_neutral_names(d, ("amy", "bob"), 0, "x")
+            substitute_neutral_names(d, 0, "x")
 
-    def test_multiword_name_position(self):
+    def test_multiword_name_position(self, monkeypatch):
+        monkeypatch.setattr(model_module, "DEFAULT_NEUTRAL_NAMES", ("mary jo",) * 12)
         d = Description([Word("hello"), PersonLink(1), Word("waves")])
-        words, positions = substitute_neutral_names(d, ("mary jo",) * 12, 0, "x")
+        words, positions = substitute_neutral_names(d, 0, "x")
         assert words == ["hello", "mary", "jo", "waves"]
         assert positions == {1: 1}
 
@@ -160,14 +162,20 @@ class TestSelectContextObjects:
             assert sizes[(t1, 0.5)] >= sizes[(t1, 0.2)] >= sizes[(t1, 0.05)]
 
 
+def mean_loss_cls(q, labels):
+    """``loss_cls`` over every column, each row weighted 1/K."""
+    return loss_cls(q, labels, np.ones(q.data.shape, dtype=bool),
+                    [1.0 / len(labels)] * len(labels))
+
+
 class TestLossCls:
     def test_singleton_softmax_is_zero(self):
         q = nc.Tensor(np.array([[3.7]]))
-        assert float(loss_cls(q, [0]).data) == pytest.approx(0.0, abs=1e-12)
+        assert float(mean_loss_cls(q, [0]).data) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_two_way_is_ln2(self):
         q = nc.Tensor(np.array([[1.0, 1.0]]))
-        assert float(loss_cls(q, [0]).data) == pytest.approx(math.log(2), abs=1e-9)
+        assert float(mean_loss_cls(q, [0]).data) == pytest.approx(math.log(2), abs=1e-9)
 
     def test_two_row_closed_form(self):
         # rows [2,0] label 0 and [0,1] label 1:
@@ -175,14 +183,14 @@ class TestLossCls:
         q = nc.Tensor(np.array([[2.0, 0.0], [0.0, 1.0]]))
         expected = (math.log(1 + math.exp(-2)) + math.log(1 + math.exp(-1))) / 2
         assert expected == pytest.approx(0.2200948, abs=1e-6)
-        assert float(loss_cls(q, [0, 1]).data) == pytest.approx(expected, abs=1e-9)
+        assert float(mean_loss_cls(q, [0, 1]).data) == pytest.approx(expected, abs=1e-9)
 
     def test_non_negative(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             q = nc.Tensor(rng.normal(0, 3, (3, 5)))
             labels = rng.integers(0, 5, 3).tolist()
-            assert float(loss_cls(q, labels).data) >= 0.0
+            assert float(mean_loss_cls(q, labels).data) >= 0.0
 
     def test_masked_padding_columns_change_nothing(self):
         # row 1 has two candidates; its padded third column must not count
@@ -190,8 +198,8 @@ class TestLossCls:
         mask = np.array([[True, True, True], [True, True, False]])
         weights = [0.25, 0.75]
         loss = loss_cls(nc.Tensor(q), [0, 1], mask=mask, weights=weights)
-        row0 = float(loss_cls(nc.Tensor(q[:1]), [0]).data)
-        row1 = float(loss_cls(nc.Tensor(q[1:, :2]), [1]).data)
+        row0 = float(mean_loss_cls(nc.Tensor(q[:1]), [0]).data)
+        row1 = float(mean_loss_cls(nc.Tensor(q[1:, :2]), [1]).data)
         assert float(loss.data) == pytest.approx(0.25 * row0 + 0.75 * row1, abs=1e-12)
 
 
@@ -355,7 +363,8 @@ class TestModelForward:
             total = model.sample_loss(sample)
         encoded = model.forward(model.prepare([sample]))
         q, mask = classification_logits(encoded, model.params["cls.w1"], model.params["cls.w2"])
-        cls = loss_cls(q, [sample.labels[l] for _b, l in encoded.links()], mask=mask)
+        labels = [sample.labels[l] for _b, l in encoded.links()]
+        cls = loss_cls(q, labels, mask=mask, weights=[1.0 / len(labels)] * len(labels))
         assert float(total.data) == float(cls.data)
 
     def test_loss_total_is_sum_of_parts(self):
@@ -365,7 +374,8 @@ class TestModelForward:
         total = model.sample_loss(sample)
         encoded = model.forward(model.prepare([sample]))
         q, mask = classification_logits(encoded, model.params["cls.w1"], model.params["cls.w2"])
-        cls = loss_cls(q, [sample.labels[l] for _b, l in encoded.links()], mask=mask)
+        labels = [sample.labels[l] for _b, l in encoded.links()]
+        cls = loss_cls(q, labels, mask=mask, weights=[1.0 / len(labels)] * len(labels))
         sets = select_context_objects(sample, config.t1, config.t2)
         con = loss_con(encoded, [sets], config.tau, config.contrast_layer)
         assert float(total.data) == pytest.approx(float(cls.data) + float(con.data),

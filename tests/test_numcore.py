@@ -18,6 +18,18 @@ def total(t):
     return nc.dot_const(t, np.ones(t.data.shape))
 
 
+def all_real(x):
+    """The padding mask of a ``[B, L, ...]`` batch that holds no padding."""
+    return np.ones(x.shape[:2], dtype=bool)
+
+
+def every_entry_error(build, params):
+    """``grad_check`` at epsilon 1e-5, probing every entry of every parameter."""
+    return nc.grad_check(build, params, epsilon=1e-5,
+                         max_entries_per_param=max(p.data.size for p in params.values()),
+                         rng=np.random.default_rng(0))
+
+
 def attention_probs(logits, mask=None):
     """The attention weights ``self_attention`` computes from ``[B, L, K]`` query-key
     logits, ``K <= L <= 8``, read off its output.
@@ -27,8 +39,9 @@ def attention_probs(logits, mask=None):
     scales the logits by 4 = sqrt(16), the key and value projections take the
     one-hot position, and the output projection is the identity, so every
     product is exact and output row ``i`` holds the softmax of logits row
-    ``i`` over the keys ``mask`` keeps.
+    ``i`` over the keys ``mask`` keeps, all of them when it is None.
     """
+    mask = all_real(logits) if mask is None else mask
     batch, length, width = logits.shape
     x = np.zeros((batch, length, 16))
     x[:, :, :width] = logits
@@ -94,7 +107,7 @@ class TestBatchedOps:
                                    atol=1e-12)
         with pytest.raises(NumericError, match=r"\(3, 4\).*\(4, 4\)"):
             nc.self_attention(nc.Tensor(x), nc.Tensor(np.ones((3, 4))),
-                              *map(nc.Tensor, weights[1:]), n_heads=2)
+                              *map(nc.Tensor, weights[1:]), n_heads=2, mask=mask)
         with pytest.raises(NumericError, match=r"\(2, 5\).*\(3, 5\)"):
             nc.self_attention(nc.Tensor(x), *map(nc.Tensor, weights), n_heads=2,
                               mask=mask[:2])
@@ -119,7 +132,7 @@ class TestBatchedOps:
         # masked entries are constants: gradient reaching them goes nowhere
         params = {"x": nc.Tensor(x.copy())}
         build = lambda p: total(nc.log_softmax(p["x"], mask=mask))
-        assert nc.grad_check(lambda: build(params), params, epsilon=1e-5) < 1e-6
+        assert every_entry_error(lambda: build(params), params) < 1e-6
         # grad_check leaves the tape's gradients in place
         assert params["x"].grad[0, 2] == 0.0
 
@@ -168,7 +181,7 @@ class TestBatchedOps:
             logp = nc.log_softmax(sims, mask=np.array([[True] * 3, [True, True, False]]))
             return nc.dot_const(logp, -np.array([[0.5, 0.2, 0.0], [0.3, 0.0, 0.0]]))
 
-        assert nc.grad_check(lambda: build(params), params, epsilon=1e-5) < 1e-6
+        assert every_entry_error(lambda: build(params), params) < 1e-6
 
     def test_gelu_products_match_powers(self):
         # the cube as a product stays within 2 ulp of ``x ** 3``, and GELU and
@@ -209,13 +222,13 @@ def attention_weights(rng, d):
             ((d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,))]
 
 
-def ref_self_attention(x, wq, bq, wk, wv, bv, wo, bo, n_heads, mask=None):
+def ref_self_attention(x, wq, bq, wk, wv, bv, wo, bo, n_heads, mask):
     """Plain-numpy attention: one sample and one head at a time, over the kept keys."""
     batch, length, d = x.shape
     dh = d // n_heads
     out = np.empty_like(x)
     for b in range(batch):
-        keys = x[b] if mask is None else x[b][mask[b]]
+        keys = x[b][mask[b]]
         context = np.empty((length, d))
         for h in range(n_heads):
             cols = slice(h * dh, (h + 1) * dh)
@@ -244,7 +257,7 @@ def ref_feed_forward(x, w1, b1, w2, b2):
 # batch shapes for the fused-op checks: padding hidden by a mask, a batch of
 # one, and a batch with no padding
 BATCHES = {"padded": (np.array([[True] * 4, [True, True, False, False]]), (2, 4)),
-           "single": (None, (1, 3)),
+           "single": (np.ones((1, 3), dtype=bool), (1, 3)),
            "unpadded": (np.ones((3, 2), dtype=bool), (3, 2))}
 
 
@@ -289,7 +302,7 @@ class TestFusedOps:
         params = {f"in{i}": nc.Tensor(v) for i, v in enumerate(inputs)}
         coef = rng.normal(0, 1, inputs[0].shape)
         build = lambda p: nc.dot_const(run_fused(op, list(p.values()), mask), coef)
-        assert nc.grad_check(lambda: build(params), params, epsilon=1e-5) < 1e-4
+        assert every_entry_error(lambda: build(params), params) < 1e-4
 
     @pytest.mark.parametrize("op, position, value, name", [
         ("self_attention", 0, np.nan, "linear"),
@@ -330,7 +343,7 @@ class TestEncoder:
         for name in ("attn.wv", "attn.wo", "ffn.w1", "ffn.w2"):
             params[f"enc.layer0.{name}"].data[:] = 0.0
         x = rng.normal(0, 1, (1, 2, 4))
-        out = nc.encode(nc.Tensor(x), cfg, params)[-1]
+        out = nc.encode(nc.Tensor(x), cfg, params, mask=all_real(x))[-1]
 
         def ln(v, eps=1e-5):
             m = v.mean(axis=-1, keepdims=True)
@@ -342,15 +355,16 @@ class TestEncoder:
     def test_single_layer_final_equals_only_layer(self):
         cfg = self._config(n_layers=1)
         params = nc.init_encoder_params(cfg, np.random.default_rng(0), dtype=np.float64)
-        hidden = nc.encode(nc.Tensor(np.random.default_rng(2).normal(0, 1, (1, 3, 8))),
-                           cfg, params)
+        x = np.random.default_rng(2).normal(0, 1, (1, 3, 8))
+        hidden = nc.encode(nc.Tensor(x), cfg, params, mask=all_real(x))
         assert len(hidden) == 1
         assert layer_from_last(hidden, 1) is hidden[0]
 
     def test_layer_from_last_bounds(self):
         cfg = self._config()
         params = nc.init_encoder_params(cfg, np.random.default_rng(0), dtype=np.float64)
-        hidden = nc.encode(nc.Tensor(np.zeros((1, 2, 8)) + np.arange(8)), cfg, params)
+        x = np.zeros((1, 2, 8)) + np.arange(8)
+        hidden = nc.encode(nc.Tensor(x), cfg, params, mask=all_real(x))
         with pytest.raises(NumericError):
             layer_from_last(hidden, 3)
 
@@ -361,8 +375,8 @@ class TestEncoder:
         params = nc.init_encoder_params(cfg, np.random.default_rng(3), dtype=np.float64)
         x = np.random.default_rng(4).normal(0, 1, (1, 5, 8))
         perm = [3, 0, 4, 1, 2]
-        out = nc.encode(nc.Tensor(x), cfg, params)[-1].data
-        out_p = nc.encode(nc.Tensor(x[:, perm]), cfg, params)[-1].data
+        out = nc.encode(nc.Tensor(x), cfg, params, mask=all_real(x))[-1].data
+        out_p = nc.encode(nc.Tensor(x[:, perm]), cfg, params, mask=all_real(x))[-1].data
         np.testing.assert_allclose(out_p, out[:, perm], atol=1e-9)
 
     def test_deterministic_bitwise(self):
@@ -372,8 +386,8 @@ class TestEncoder:
         for name in p1:
             assert p1[name].data.tobytes() == p2[name].data.tobytes()
         x = np.random.default_rng(8).normal(0, 1, (1, 4, 8)).astype(np.float32)
-        a = nc.encode(nc.Tensor(x), cfg, p1)[-1].data
-        b = nc.encode(nc.Tensor(x), cfg, p2)[-1].data
+        a = nc.encode(nc.Tensor(x), cfg, p1, mask=all_real(x))[-1].data
+        b = nc.encode(nc.Tensor(x), cfg, p2, mask=all_real(x))[-1].data
         assert a.tobytes() == b.tobytes()
 
     def test_padding_leaves_real_positions_unchanged(self):
@@ -387,10 +401,11 @@ class TestEncoder:
                                 long])
         mask = np.array([[True] * 3 + [False] * 2, [True] * 5])
         out = nc.encode(nc.Tensor(batch), cfg, params, mask=mask)[-1].data
-        alone = nc.encode(nc.Tensor(short), cfg, params)[-1].data
+        alone = nc.encode(nc.Tensor(short), cfg, params, mask=all_real(short))[-1].data
         np.testing.assert_allclose(out[0, :3], alone[0], atol=1e-12)
-        np.testing.assert_allclose(out[1], nc.encode(nc.Tensor(long), cfg, params)[-1].data[0],
-                                   atol=1e-12)
+        np.testing.assert_allclose(
+            out[1], nc.encode(nc.Tensor(long), cfg, params, mask=all_real(long))[-1].data[0],
+            atol=1e-12)
 
 
 class TestGradCheck:
@@ -405,7 +420,7 @@ class TestGradCheck:
             return nc.dot_const(nc.gather_dot(y, y, range(6), [[i] for i in range(6)]),
                                 np.full((6, 1), 0.5))
 
-        assert nc.grad_check(lambda: build(params), params, epsilon=1e-5) < 1e-8
+        assert every_entry_error(lambda: build(params), params) < 1e-8
 
     def test_encoder_cross_entropy(self):
         cfg = nc.EncoderConfig(d_model=16, n_heads=2, n_layers=2, d_ff=32)
@@ -417,9 +432,10 @@ class TestGradCheck:
         x = rng.normal(0, 1, (1, 6, 16))
 
         def build(p):
-            hs = [nc.reshape(h, (6, 16)) for h in nc.encode(nc.Tensor(x), cfg, p)]
+            hs = [nc.reshape(h, (6, 16))
+                  for h in nc.encode(nc.Tensor(x), cfg, p, mask=all_real(x))]
             logits = nc.gather_dot(hs[-1], hs[0], range(6), [range(6)] * 6)
-            lp = nc.log_softmax(logits)
+            lp = nc.log_softmax(logits, mask=np.ones((6, 6), dtype=bool))
             return nc.dot_const(nc.take_per_row(lp, [1, 2, 3, 4, 5, 0]),
                                 -np.full(6, 1.0 / 6))
 
@@ -448,18 +464,20 @@ class TestGradCheck:
             return nc.dot_const(nc.gather_dot(y, y, range(5), [[i] for i in range(5)]),
                                 np.ones((5, 1)))
 
-        assert nc.grad_check(build, params, epsilon=1e-5) > 0.3
+        assert every_entry_error(build, params) > 0.3
 
     def test_requires_float64(self):
         params = {"w": nc.Tensor(np.ones((2, 2), dtype=np.float32))}
         with pytest.raises(NumericError, match="float64"):
-            nc.grad_check(lambda: total(params["w"]), params)
+            nc.grad_check(lambda: total(params["w"]), params, max_entries_per_param=4,
+                          rng=np.random.default_rng(0))
 
     def test_epsilon_bounds(self):
         params = {"w": nc.Tensor(np.ones((2, 2)))}
         with pytest.raises(ValueError):
             nc.grad_check(lambda: total(params["w"]), params,
-                          epsilon=1e-3)
+                          epsilon=1e-3, max_entries_per_param=4,
+                          rng=np.random.default_rng(0))
 
 
 class TestOptimizer:
@@ -504,6 +522,16 @@ class TestOptimizer:
         np.testing.assert_allclose(params["w"].data, [2.0 - 0.1 * 0.5 * 2.0])
 
 
+def tensors(arrays):
+    """Named arrays as the named ``Tensor``s ``checkpoint_bytes`` takes."""
+    return {name: nc.Tensor(a) for name, a in arrays.items()}
+
+
+def shapes(arrays):
+    """Named arrays as the ``expected_shapes`` ``load_checkpoint`` takes."""
+    return {name: a.shape for name, a in arrays.items()}
+
+
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -511,25 +539,26 @@ class TestCheckpoint:
                   "b": rng.normal(0, 1, 7).astype(np.float32)}
         p1 = tmp_path / "m1.ckpt"
         p2 = tmp_path / "m2.ckpt"
-        p1.write_bytes(nc.checkpoint_bytes(params))
-        loaded = nc.load_checkpoint(p1)
+        p1.write_bytes(nc.checkpoint_bytes(tensors(params)))
+        loaded = nc.load_checkpoint(p1, shapes(params))
         for name in params:
             assert loaded[name].tobytes() == params[name].tobytes()
-        p2.write_bytes(nc.checkpoint_bytes(loaded))
+        p2.write_bytes(nc.checkpoint_bytes(tensors(loaded)))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        path.write_bytes(nc.checkpoint_bytes({"w": np.ones(3, dtype=np.float32)}))
+        arrays = {"w": np.ones(3, dtype=np.float32)}
+        path.write_bytes(nc.checkpoint_bytes(tensors(arrays)))
         blob = bytearray(path.read_bytes())
         blob[:4] = b"NOPE"
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="magic"):
-            nc.load_checkpoint(path)
+            nc.load_checkpoint(path, shapes(arrays))
 
     def test_shape_validation(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        path.write_bytes(nc.checkpoint_bytes({"w": np.ones((2, 3), dtype=np.float32)}))
+        path.write_bytes(nc.checkpoint_bytes(tensors({"w": np.ones((2, 3), dtype=np.float32)})))
         with pytest.raises(CheckpointError, match="shape"):
             nc.load_checkpoint(path, expected_shapes={"w": (3, 2)})
         with pytest.raises(CheckpointError, match="names"):
@@ -537,17 +566,19 @@ class TestCheckpoint:
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        path.write_bytes(nc.checkpoint_bytes({"w": np.ones((4, 4), dtype=np.float32)}))
+        arrays = {"w": np.ones((4, 4), dtype=np.float32)}
+        path.write_bytes(nc.checkpoint_bytes(tensors(arrays)))
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(CheckpointError):
-            nc.load_checkpoint(path)
+            nc.load_checkpoint(path, shapes(arrays))
 
 
 # the checkpoint of a one-layer encoder: several names, ranks and shapes
 FUZZ_PARAMS = nc.init_encoder_params(nc.EncoderConfig(d_model=4, n_heads=1, n_layers=1, d_ff=8),
                                      np.random.default_rng(0))
 FUZZ_CHECKPOINT = nc.checkpoint_bytes(FUZZ_PARAMS)
+FUZZ_SHAPES = {name: p.data.shape for name, p in FUZZ_PARAMS.items()}
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -560,13 +591,11 @@ def test_mutated_checkpoint_loads_or_raises_checkpoint_error(data):
         blob[offset] ^= bits
     cut = data.draw(st.integers(0, len(blob)) | st.just(len(blob)))
     blob = blob[:cut] + data.draw(st.binary(max_size=12))
-    expected = data.draw(st.sampled_from([None, {name: p.data.shape
-                                                 for name, p in FUZZ_PARAMS.items()}]))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.ckpt"
         path.write_bytes(bytes(blob))
         try:
-            loaded = nc.load_checkpoint(path, expected_shapes=expected)
+            loaded = nc.load_checkpoint(path, expected_shapes=FUZZ_SHAPES)
         except CheckpointError:
             return
     assert all(np.isfinite(arr).all() for arr in loaded.values())
