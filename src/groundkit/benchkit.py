@@ -26,7 +26,7 @@ from .core import (
     Word,
     stable_rng,
 )
-from .geometry import iou
+from .geometry import T1, iou
 
 # ---------------------------------------------------------------------------
 # heuristic baselines
@@ -159,8 +159,6 @@ MIN_D_VIS = _CLASS_OFFSET + len(OBJECT_CLASSES)
 
 # the image canvas, in pixels
 WIDTH, HEIGHT = 640, 480
-# IoU above which an object on a person counts as that person's context object
-T1 = 0.3
 # standard deviation of the feature noise
 NOISE = 0.05
 # pooled-ROI behavior: an object overlapping a person leaves a faint class
@@ -220,7 +218,7 @@ def _place_persons(rng: np.random.Generator, n: int) -> list[BoundingBox]:
 
 
 def _inner_box(rng: np.random.Generator, outer: BoundingBox) -> BoundingBox:
-    # A concentric sub-box with area ratio s^2 in (t1, ~0.72]; being fully
+    # A concentric sub-box with area ratio s^2 in (T1, ~0.72]; being fully
     # inside the (disjoint) person box keeps IoU with every other person at 0.
     s = float(rng.uniform(0.65, 0.85))
     w = outer.width * s
@@ -261,7 +259,7 @@ def synth_generate(config: SynthConfig) -> list[Sample]:
     Attribute scenes: the target person's color attribute is unique in the
     image and is named in the description.  Context scenes: the description
     names an object class; the single object of that class sits inside the
-    target person's box (IoU above t1 with the target, 0 with everyone
+    target person's box (IoU above T1 with the target, 0 with everyone
     else), and person features are uninformative about the answer.
     """
     rng = np.random.default_rng(config.seed)

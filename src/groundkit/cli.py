@@ -130,7 +130,6 @@ def _cmd_transform(args) -> int:
     header = read_header(args.data)
     result = rulekit.run_pipeline(corpus, rules, spec)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for name, samples in (("train", result.train), ("validation", result.validation),
                           ("test", result.test)):
         write_dataset(samples, out / f"{name}.jsonl", header=header)
@@ -169,7 +168,6 @@ def _cmd_synth(args) -> int:
     samples = benchkit.synth_generate(config)
     out = Path(args.out)
     if out.suffix != ".jsonl":
-        out.mkdir(parents=True, exist_ok=True)
         out = out / "dataset.jsonl"
     write_dataset(samples, out)
     _emit({"path": str(out), "n_samples": len(samples)})

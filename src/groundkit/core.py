@@ -13,8 +13,10 @@ Datasets and QA corpora share one container of two files:
   context objects, in their stored order, and must run 0..n-1 per record;
   every row belongs to a record, and every value is finite.
 
-``write_container``/``read_container`` own this format; each record kind
-only encodes and decodes its JSON object.  Feature vectors are float32 and
+``write_container``/``read_container`` own this format and hold every
+record's image to the header (boxes inside the image, objectness at or above
+the threshold, at most the cap of objects); each record kind only encodes,
+decodes and checks its own JSON object.  Feature vectors are float32 and
 round-trip bitwise; everything numeric in the JSON side is plain
 floats/ints.  All records are read-only after load.
 """
@@ -30,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
+from typing import Callable, Mapping, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -42,16 +44,17 @@ DEFAULT_MAX_CONTEXT_OBJECTS = 100
 MIN_PERSONS = 2
 MAX_PERSONS = 10
 
-T = TypeVar("T")
+# a record kind: a sample or a QA pair, each with its ``sample_id`` and ``image``
+R = TypeVar("R")
 
 
 class DataError(Exception):
     """Malformed files, invariant violations, or inconsistent records."""
 
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond: bool, message: str, *args: object) -> None:
     if not cond:
-        raise DataError(message)
+        raise DataError(message % args if args else message)
 
 
 def stable_hash(seed: int, tag: str) -> int:
@@ -145,28 +148,27 @@ class ImageRecord:
     def n_persons(self) -> int:
         return len(self.persons)
 
-    def validate(self, header: "DatasetHeader | None" = None) -> None:
+    def validate(self, header: "DatasetHeader") -> None:
+        """Check the image and ``header``'s rules; the container runs this on every
+        record, so the per-region messages are formatted only on failure."""
         _require(self.width > 0 and self.height > 0, f"{self.image_id}: non-positive image size")
-        _require(bool(self.persons), f"{self.image_id}: image has no person boxes")
         for pos, person in enumerate(self.persons):
-            _require(person.index == pos,
-                     f"{self.image_id}: person indices not consecutive at position {pos}")
+            _require(person.index == pos, "%s: person indices not consecutive at position %s",
+                     self.image_id, pos)
             _check_box_inside(person.box, self.width, self.height, self.image_id)
         for obj in self.context_objects:
             _check_box_inside(obj.box, self.width, self.height, self.image_id)
-        if header is not None:
-            for obj in self.context_objects:
-                _require(obj.objectness >= header.objectness_threshold,
-                         f"{self.image_id}: objectness {obj.objectness} below declared "
-                         f"threshold {header.objectness_threshold}")
-            _require(len(self.context_objects) <= header.max_context_objects,
-                     f"{self.image_id}: {len(self.context_objects)} context objects exceed "
-                     f"declared cap {header.max_context_objects}")
+            _require(obj.objectness >= header.objectness_threshold,
+                     "%s: objectness %s below declared threshold %s",
+                     self.image_id, obj.objectness, header.objectness_threshold)
+        _require(len(self.context_objects) <= header.max_context_objects,
+                 f"{self.image_id}: {len(self.context_objects)} context objects exceed "
+                 f"declared cap {header.max_context_objects}")
 
 
 def _check_box_inside(box: BoundingBox, width: float, height: float, owner: str) -> None:
-    _require(box.x2 <= width, f"{owner}: box x2={box.x2} exceeds image width {width}")
-    _require(box.y2 <= height, f"{owner}: box y2={box.y2} exceeds image height {height}")
+    _require(box.x2 <= width, "%s: box x2=%s exceeds image width %s", owner, box.x2, width)
+    _require(box.y2 <= height, "%s: box y2=%s exceeds image height %s", owner, box.y2, height)
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +258,17 @@ class Sample:
     labels: dict[int, int]       # person-link id -> ground-truth person index
     commonsense_type: CommonsenseType
 
-    def validate(self, header: "DatasetHeader | None" = None, strict: bool = True) -> None:
+    def validate(self, strict: bool = True) -> None:
         """Check structural invariants; with ``strict`` also that the sample is
         finished: no object links left, and ``filter_sample`` keeps it.
 
-        Structural problems (bad boxes, label out of range, missing labels)
+        Structural problems (no person, label out of range, missing labels)
         always raise.  The finished-sample conditions only raise in strict
         mode, so that pre-filter material can still be moved through the
-        pipeline.  Feature-row lengths are the container's to check.
+        pipeline.  The image and its feature rows are the container's to check.
         """
         sid = self.sample_id
-        self.image.validate(header)
+        _require(bool(self.image.persons), f"{self.image.image_id}: image has no person boxes")
         n = self.image.n_persons
         link_ids = self.description.link_ids
         _require(set(self.labels) == set(link_ids),
@@ -330,12 +332,6 @@ class DatasetHeader:
     d_vis: int
     objectness_threshold: float = DEFAULT_OBJECTNESS_THRESHOLD
     max_context_objects: int = DEFAULT_MAX_CONTEXT_OBJECTS
-
-
-def default_header(images: Iterable[ImageRecord]) -> DatasetHeader:
-    """Default thresholds, with ``d_vis`` taken from the first feature row."""
-    rows = (row for image in images for row in image_features(image))
-    return DatasetHeader(d_vis=len(next(rows, ())))
 
 
 def feature_path(path: str | Path) -> Path:
@@ -439,9 +435,11 @@ def read_text(path: str | Path) -> str:
 def replace_file(path: str | Path, data: bytes | bytearray) -> None:
     """Write through ``<name>.tmp`` plus ``os.replace``, so ``path`` never holds
     a partial write: it keeps its old content until the new one is complete.
-    On failure the temp file is removed and the error re-raised."""
+    Missing parent directories are created.  On failure the temp file is
+    removed and the error re-raised."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
@@ -461,15 +459,20 @@ def _require_finite(where: str | Path, table: Mapping[str, Mapping[int, np.ndarr
     raise DataError(f"{where}: non-finite feature value in row ({sid!r}, {ordinal})")
 
 
-def write_container(path: str | Path, header: DatasetHeader,
-                    records: Iterable[tuple[str, dict, Sequence[np.ndarray]]]) -> None:
-    """Write a container: the ``.jsonl`` records and their ``.cgf`` feature rows.
+def write_container(path: str | Path, records: Sequence[R], encode: Callable[[R], dict],
+                    header: DatasetHeader | None = None) -> None:
+    """Write ``records`` (samples or QA pairs) as the ``.jsonl`` lines
+    ``encode`` makes of them plus their images' ``.cgf`` feature rows.
 
-    ``records`` yields ``(sample_id, JSON object, feature rows in ordinal
-    order)``.  Every record and row is checked and encoded before either file
-    is written, so a refused input leaves no partial output behind.
+    Without ``header`` the default thresholds apply, with ``d_vis`` taken
+    from the first feature row.  Every record's image is checked against the
+    header and every row encoded before either file is written, so a refused
+    input leaves no partial output behind.
     """
     path = Path(path)
+    if header is None:
+        first = next((row for r in records for row in image_features(r.image)), ())
+        header = DatasetHeader(d_vis=len(first))
     lines = [_json_line({
         "format_version": FORMAT_VERSION,
         "d_vis": header.d_vis,
@@ -478,12 +481,14 @@ def write_container(path: str | Path, header: DatasetHeader,
     })]
     blob = bytearray(FEATURE_MAGIC + struct.pack("<I", header.d_vis))
     written: dict[str, dict[int, np.ndarray]] = {}
-    for sample_id, obj, rows in records:
+    for record in records:
+        sample_id = record.sample_id
         _require(sample_id not in written, f"{path}: duplicate sample_id {sample_id!r}")
+        record.image.validate(header)
         written[sample_id] = {}
-        lines.append(_json_line(obj))
+        lines.append(_json_line(encode(record)))
         sid = sample_id.encode("utf-8")
-        for ordinal, vec in enumerate(rows):
+        for ordinal, vec in enumerate(image_features(record.image)):
             vec = np.ascontiguousarray(vec, dtype="<f4")
             if vec.shape != (header.d_vis,):
                 raise DataError(f"{sample_id}: feature row of shape {vec.shape}, "
@@ -526,16 +531,15 @@ def read_feature_file(path: str | Path) -> tuple[int, dict[str, dict[int, np.nda
     return d_vis, table
 
 
-def read_container(path: str | Path,
-                   decode: Callable[[dict, list[np.ndarray], DatasetHeader], T]) -> list[T]:
-    """Read a container, building each record with ``decode(obj, features, header)``.
+def read_container(path: str | Path, decode: Callable[[dict, list[np.ndarray]], R]) -> list[R]:
+    """Read a container, building each record with ``decode(obj, features)``.
 
     The container checks what every record kind shares: the header, the
     ``d_vis`` match, unique sample ids, consecutive feature ordinals per
-    record and no feature rows without a record.  ``decode`` builds and
-    validates one record; the errors malformed JSON values raise in it
-    (KeyError, TypeError, ValueError and kin) become a DataError naming
-    ``file:line``.
+    record, each record's image against the header and no feature rows
+    without a record.  ``decode`` builds and checks one record; the errors
+    malformed JSON values raise in it (KeyError, TypeError, ValueError and
+    kin) become a DataError naming ``file:line``, as does a refused image.
     """
     path = Path(path)
     _require(path.exists(), f"{path}: no such file")
@@ -543,7 +547,7 @@ def read_container(path: str | Path,
     _require(fpath.exists(), f"{fpath}: companion feature file missing")
     feat_d_vis, table = read_feature_file(fpath)
 
-    records: list[T] = []
+    records: list[R] = []
     seen: set[str] = set()
     header: DatasetHeader | None = None
     with open(path, "rb") as fh:
@@ -570,7 +574,9 @@ def read_container(path: str | Path,
             _require(set(rows) == set(range(len(rows))),
                      f"{where}: feature ordinals for {sid} are not consecutive")
             try:
-                records.append(decode(obj, [rows[i] for i in range(len(rows))], header))
+                record = decode(obj, [rows[i] for i in range(len(rows))])
+                record.image.validate(header)
+                records.append(record)
             except DataError as exc:
                 raise DataError(f"{where}: {exc}") from None
             except KeyError as exc:
@@ -608,12 +614,9 @@ def write_dataset(samples: Sequence[Sample], path: str | Path,
     Every sample is validated before anything touches the disk; an invalid
     input therefore leaves no partial output behind.
     """
-    if header is None:
-        header = default_header(s.image for s in samples)
     for sample in samples:
-        sample.validate(header)
-    write_container(path, header, ((s.sample_id, sample_to_json(s), image_features(s.image))
-                                   for s in samples))
+        sample.validate()
+    write_container(path, samples, sample_to_json, header)
 
 
 def read_dataset(path: str | Path, strict: bool = True) -> list[Sample]:
@@ -623,9 +626,9 @@ def read_dataset(path: str | Path, strict: bool = True) -> list[Sample]:
     material can be loaded for the ``filter`` stage; structural invariants
     (boxes, labels in range, feature dimensions) are always enforced.
     """
-    def decode(obj: dict, features: list[np.ndarray], header: DatasetHeader) -> Sample:
+    def decode(obj: dict, features: list[np.ndarray]) -> Sample:
         sample = sample_from_json(obj, features)
-        sample.validate(header, strict=strict)
+        sample.validate(strict=strict)
         return sample
 
     return read_container(path, decode)

@@ -11,6 +11,11 @@ import numpy as np
 
 from .core import BoundingBox
 
+# A context object belongs to a person when its IoU with that person exceeds
+# T1 while its IoU with every other person stays below T2.
+T1 = 0.3
+T2 = 0.1
+
 
 def intersection_area(a: BoundingBox, b: BoundingBox) -> float:
     iw = min(a.x2, b.x2) - max(a.x1, b.x1)

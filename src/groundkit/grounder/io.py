@@ -26,7 +26,6 @@ CONFIG_NAME = "config.cfg"
 
 def save_model(model: GroundingModel, run_dir: str | Path) -> Path:
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     replace_file(run_dir / CHECKPOINT_NAME, nc.checkpoint_bytes(model.params))
     replace_file(run_dir / VOCAB_NAME,
                  json.dumps(model.vocab, sort_keys=True, indent=0).encode("utf-8"))

@@ -40,7 +40,7 @@ import numpy as np
 from .. import numcore as nc
 from ..core import (DataError, Description, PersonLink, Prediction, Sample, Word,
                     read_text, replace_file, stable_rng)
-from ..geometry import iou, location_feature
+from ..geometry import T1, T2, iou, location_feature
 from ..numcore.encoder import EncoderConfig, layer_from_last, param_initializers
 
 UNK_TOKEN = "<unk>"
@@ -62,8 +62,6 @@ class ModelConfig:
     d_ff: int = 256
     d_vis: int = 32
     tau: float = 0.07
-    t1: float = 0.3
-    t2: float = 0.1
     lam: float = 1.0
     contrast_layer: int = 3
     seed: int = 0
@@ -73,8 +71,6 @@ class ModelConfig:
         # written as "not > 0" so that NaN is refused too
         if not self.tau > 0:
             raise ValueError("temperature must be positive")
-        if not (0.0 <= self.t1 <= 1.0 and 0.0 <= self.t2 <= 1.0):
-            raise ValueError("IoU thresholds must lie in [0, 1]")
         if not self.lam >= 0:
             raise ValueError("contrastive weight must be >= 0")
         self.encoder  # refuses sizes below 1 and heads that do not divide d_model
@@ -143,6 +139,8 @@ _RETIRED_KEYS = {
     "normalize_similarity": (_parse_bool, False, "similarities are dot products"),
     "neutral_names": (str, ",".join(DEFAULT_NEUTRAL_NAMES), "the name pool is fixed"),
     "max_text_len": (int, MAX_TEXT_LEN, f"texts hold at most {MAX_TEXT_LEN} tokens"),
+    "t1": (float, T1, f"the IoU thresholds are fixed at {T1} and {T2}"),
+    "t2": (float, T2, f"the IoU thresholds are fixed at {T1} and {T2}"),
 }
 
 
@@ -249,17 +247,15 @@ def _pad(lists: Sequence[Sequence[float]], dtype=np.intp) -> tuple[np.ndarray, n
 class EncodedBatch:
     """Samples embedded as one padded ``[B, L, d]`` sequence (and optionally encoded).
 
-    Row ``b`` holds sample ``b`` in its own layout (text, then persons, then
-    objects) from position 0; the positions after it are zero padding, False
-    in ``mask``.  Positions count within a sample; ``row`` turns one into an
-    index into the features flattened to ``[B * L, d]``.
+    Row ``b`` holds sample ``b``, laid out by ``layouts[b]`` (text, then
+    persons, then objects) from position 0; the positions after it are zero
+    padding, False in ``mask``.  Positions count within a sample; ``row``
+    turns one into an index into the features flattened to ``[B * L, d]``.
     """
 
     sequence: nc.Tensor
     mask: np.ndarray
-    link_positions: list[dict[int, int]]
-    person_positions: list[list[int]]
-    object_positions: list[list[int]]
+    layouts: Sequence[SampleLayout]
     hidden: list[nc.Tensor] = field(default_factory=list)
 
     def row(self, b: int, position: int) -> int:
@@ -267,8 +263,8 @@ class EncodedBatch:
 
     def links(self) -> list[tuple[int, int]]:
         """``(sample index, link id)`` of every link, by sample, then by link id."""
-        return [(b, link) for b, positions in enumerate(self.link_positions)
-                for link in sorted(positions)]
+        return [(b, link) for b, layout in enumerate(self.layouts)
+                for link in sorted(layout.link_positions)]
 
     @staticmethod
     def flat(t: nc.Tensor) -> nc.Tensor:
@@ -286,11 +282,11 @@ class LinkContrast:
     negatives: list[int]         # person indices other than the GT
 
 
-def select_context_objects(sample: Sample, t1: float, t2: float) -> list[LinkContrast]:
+def select_context_objects(sample: Sample) -> list[LinkContrast]:
     """Pick, per link, the context objects tied to its ground-truth person.
 
-    An object qualifies when its IoU with the GT person box exceeds ``t1``
-    while its best IoU against every other person box stays below ``t2``.
+    An object qualifies when its IoU with the GT person box exceeds ``T1``
+    while its best IoU against every other person box stays below ``T2``.
     Positives are the GT person (weight 1) plus the qualifying objects
     (weight = IoU against the GT box); negatives are the other persons.
     """
@@ -304,10 +300,10 @@ def select_context_objects(sample: Sample, t1: float, t2: float) -> list[LinkCon
         weights = [1.0]
         for idx, obj in enumerate(sample.image.context_objects):
             overlap_gt = iou(obj.box, gt_box)
-            if overlap_gt <= t1:
+            if overlap_gt <= T1:
                 continue
             worst = max((iou(obj.box, persons[j].box) for j in others), default=0.0)
-            if worst >= t2:
+            if worst >= T2:
                 continue
             chosen.append(idx)
             weights.append(overlap_gt)
@@ -326,7 +322,10 @@ class SampleLayout:
     (persons, then the context objects the config keeps): ``features`` the
     sample's own feature rows, ``locations`` one array in the parameters'
     dtype.  ``sets`` is None unless the layout was prepared for the
-    contrastive loss.
+    contrastive loss; then it holds one ``(anchor, candidates, weights)``
+    per link, in sequence positions: the link's token, its positives (the
+    ground-truth person, then its context objects in the sequence) followed
+    by the other persons, and the positives' IoU weights.
     """
 
     words: list[str]
@@ -336,7 +335,12 @@ class SampleLayout:
     n_persons: int
     features: list[np.ndarray]   # R rows of d_vis
     locations: np.ndarray        # [R, 7]
-    sets: list[LinkContrast] | None = None
+    sets: list[tuple[int, list[int], np.ndarray]] | None = None
+
+    @property
+    def persons(self) -> range:
+        """Sequence positions of the candidate persons, right after the text."""
+        return range(len(self.words), len(self.words) + self.n_persons)
 
 
 def sequence_length(layout: SampleLayout) -> int:
@@ -382,10 +386,9 @@ def contrastive_loss_from_features(feats: nc.Tensor,
     return nc.dot_const(logp, -coef)
 
 
-def loss_con(encoded: EncodedBatch, sets: Sequence[Sequence[LinkContrast]], tau: float,
-             contrast_layer: int) -> nc.Tensor:
-    """IoU-weighted context contrastive loss: the mean over each sample's
-    links, then over the samples (``sets[b]`` belongs to sample ``b``).
+def loss_con(encoded: EncodedBatch, tau: float, contrast_layer: int) -> nc.Tensor:
+    """IoU-weighted context contrastive loss over the layouts' ``sets``: the
+    mean over each sample's links, then over the samples.
 
     A link's positives (its ground-truth person, then its context objects)
     share the link's part of the mean by their IoU weights.
@@ -394,16 +397,13 @@ def loss_con(encoded: EncodedBatch, sets: Sequence[Sequence[LinkContrast]], tau:
     anchors: list[int] = []
     candidates: list[list[int]] = []
     weights: list[list[float]] = []
-    for b, sample_sets in enumerate(sets):
-        persons = encoded.person_positions[b]
-        objects = encoded.object_positions[b]
-        for lc in sample_sets:
-            pos = [persons[lc.gt_person]] + [objects[c] for c in lc.context_objects]
-            neg = [persons[j] for j in lc.negatives]
-            share = 1.0 / (len(pos) * len(sample_sets) * len(sets))
-            anchors.append(encoded.row(b, encoded.link_positions[b][lc.link_id]))
-            candidates.append([encoded.row(b, position) for position in pos + neg])
-            weights.append([w * share for w in lc.weights] + [0.0] * len(neg))
+    for b, layout in enumerate(encoded.layouts):
+        for anchor, positions, iou_weights in layout.sets:
+            share = 1.0 / (len(iou_weights) * len(layout.sets) * len(encoded.layouts))
+            anchors.append(encoded.row(b, anchor))
+            candidates.append([encoded.row(b, position) for position in positions])
+            weights.append([w * share for w in iou_weights]
+                           + [0.0] * (len(positions) - len(iou_weights)))
     return contrastive_loss_from_features(feats, anchors, candidates, weights, tau)
 
 
@@ -417,9 +417,9 @@ def classification_logits(encoded: EncodedBatch, w1: nc.Tensor,
     """
     final = encoded.flat(encoded.hidden[-1])
     links = encoded.links()
-    rows = [encoded.row(b, encoded.link_positions[b][link]) for b, link in links]
-    cols, mask = _pad([[encoded.row(b, j) for j in encoded.person_positions[b]]
-                       for b, _link in links])
+    layouts = encoded.layouts
+    rows = [encoded.row(b, layouts[b].link_positions[link]) for b, link in links]
+    cols, mask = _pad([[encoded.row(b, j) for j in layouts[b].persons] for b, _link in links])
     return nc.gather_dot(nc.linear(final, w1), nc.linear(final, w2), rows, cols), mask
 
 
@@ -487,13 +487,18 @@ class GroundingModel:
                                     f"!= d_vis {cfg.d_vis}")
             locations = np.stack([location_feature(r.box, image.width, image.height)
                                   for r in regions]).astype(dtype)
-            sets = select_context_objects(sample, cfg.t1, cfg.t2) if contrast else None
-            if sets is not None and not cfg.use_context_objects:
-                # objects are absent from the input sequence, so the positive
-                # set shrinks to the ground-truth person alone
-                for lc in sets:
-                    lc.context_objects = []
-                    lc.weights = lc.weights[:1]
+            sets = None
+            if contrast:
+                sets = []
+                persons = range(len(words), len(words) + image.n_persons)
+                for lc in select_context_objects(sample):
+                    # objects absent from the input sequence have no position,
+                    # so the positives shrink to the ground-truth person alone
+                    kept = lc.context_objects if cfg.use_context_objects else []
+                    sets.append((link_positions[lc.link_id],
+                                 [persons[lc.gt_person]] + [persons.stop + c for c in kept]
+                                 + [persons[j] for j in lc.negatives],
+                                 lc.weights[:1 + len(kept)]))
             layouts.append(SampleLayout(
                 words=words, link_positions=link_positions, labels=sample.labels,
                 word_ids=np.array([self.vocab.get(w, unk) for w in words], dtype=np.intp),
@@ -510,15 +515,11 @@ class GroundingModel:
         width = max(lengths)
 
         positions, text_rows, region_rows = [], [], []
-        person_pos, object_pos = [], []
         for b, (layout, n) in enumerate(zip(layouts, lengths)):
             n_text = len(layout.words)
-            n_before_objects = n_text + layout.n_persons
             positions.append(np.arange(n_text))
             text_rows.append(np.arange(b * width, b * width + n_text))
             region_rows.append(np.arange(b * width + n_text, b * width + n))
-            person_pos.append(list(range(n_text, n_before_objects)))
-            object_pos.append(list(range(n_before_objects, n)))
 
         text = nc.add_layer_norm(
             nc.gather_rows(p["embed.word"], np.concatenate([x.word_ids for x in layouts])),
@@ -534,9 +535,7 @@ class GroundingModel:
                                len(layouts) * width)
         return EncodedBatch(
             sequence=nc.reshape(flat, (len(layouts), width, self.config.d_model)),
-            mask=np.arange(width) < np.array(lengths)[:, None],
-            link_positions=[x.link_positions for x in layouts],
-            person_positions=person_pos, object_positions=object_pos)
+            mask=np.arange(width) < np.array(lengths)[:, None], layouts=layouts)
 
     def forward(self, layouts: Sequence[SampleLayout]) -> EncodedBatch:
         encoded = self.embed(layouts)
@@ -563,13 +562,11 @@ class GroundingModel:
         q, mask = classification_logits(encoded, self.params["cls.w1"], self.params["cls.w2"])
         links = encoded.links()
         labels = [layouts[b].labels[link] for b, link in links]
-        weights = [1.0 / (len(layouts) * len(encoded.link_positions[b])) for b, _ in links]
+        weights = [1.0 / (len(layouts) * len(layouts[b].link_positions)) for b, _ in links]
         cls_term = loss_cls(q, labels, mask=mask, weights=weights)
         if not contrast:
             return cls_term, None
-        con_term = loss_con(encoded, [layout.sets for layout in layouts], cfg.tau,
-                            cfg.contrast_layer)
-        return cls_term, con_term
+        return cls_term, loss_con(encoded, cfg.tau, cfg.contrast_layer)
 
     def batch_loss(self, layouts: Sequence[SampleLayout]) -> nc.Tensor:
         """Mean over ``layouts`` of ``L_cls + lam * L_con`` (``lam`` from the
@@ -590,9 +587,9 @@ class GroundingModel:
             encoded = self.forward(self.prepare(samples[start:start + SUB_BATCH]))
             q, _mask = classification_logits(encoded, self.params["cls.w1"],
                                              self.params["cls.w2"])
-            scores: list[dict[int, np.ndarray]] = [{} for _ in encoded.link_positions]
+            scores: list[dict[int, np.ndarray]] = [{} for _ in encoded.layouts]
             for k, (b, link) in enumerate(encoded.links()):
-                scores[b][link] = q.data[k, :len(encoded.person_positions[b])].copy()
+                scores[b][link] = q.data[k, :encoded.layouts[b].n_persons].copy()
             predictions += [Prediction.from_scores(s) for s in scores]
         return predictions
 

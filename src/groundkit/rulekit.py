@@ -38,9 +38,7 @@ from .core import (
     Sample,
     Token,
     Word,
-    default_header,
     filter_sample,
-    image_features,
     image_from_json,
     image_to_json,
     read_container,
@@ -485,11 +483,8 @@ def qa_from_json(obj: dict, features: list[np.ndarray]) -> QAPair:
 
 def write_qa_corpus(corpus: Sequence[QAPair], path: str | Path,
                     header: DatasetHeader | None = None) -> None:
-    if header is None:
-        header = default_header(qa.image for qa in corpus)
-    write_container(path, header, ((qa.sample_id, qa_to_json(qa), image_features(qa.image))
-                                   for qa in corpus))
+    write_container(path, corpus, qa_to_json, header)
 
 
 def read_qa_corpus(path: str | Path) -> list[QAPair]:
-    return read_container(path, lambda obj, features, _header: qa_from_json(obj, features))
+    return read_container(path, qa_from_json)

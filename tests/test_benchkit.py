@@ -3,7 +3,6 @@ import pytest
 
 from groundkit.benchkit import (
     ATTRIBUTES,
-    T1,
     SynthConfig,
     _ATTR_OFFSET,
     baseline_big_to_small,
@@ -181,7 +180,7 @@ class TestSynth:
         spatial = [s for s in samples if s.commonsense_type == CommonsenseType.SPATIAL]
         assert spatial
         for s in spatial:
-            sets = select_context_objects(s, T1, 0.1)
+            sets = select_context_objects(s)
             assert len(sets[0].context_objects) >= 1
             # the described class appears among the qualifying objects
             cue = s.description.tokens[4].text

@@ -6,11 +6,11 @@ import pytest
 
 from groundkit.benchkit import evaluate, render_table, run_baseline
 from groundkit.cli import run
-from groundkit.core import (DatasetHeader, feature_path, image_features, read_dataset,
+from groundkit.core import (DatasetHeader, feature_path, read_dataset,
                             sample_to_json, write_container, write_dataset)
 from groundkit.rulekit import DEFAULT_RULES_TEXT, SplitSpec, write_qa_corpus
 
-from conftest import make_sample
+from conftest import make_object, make_sample
 from test_rulekit import fixture_corpus
 
 REPO = Path(__file__).resolve().parent.parent
@@ -366,16 +366,46 @@ class TestTransformAndFilter:
         assert (out_dir / "report.json").read_bytes() == old
         assert not (out_dir / "report.json.tmp").exists()
 
+    @pytest.mark.parametrize("index, edit", [
+        # a matched question whose object falls below the header's objectness
+        # threshold, and an unmatched one whose person box passes the image edge
+        (0, lambda image: image["context_objects"][0].update(objectness=0.05)),
+        (19, lambda image: image["persons"][0].update(x2=900)),
+    ], ids=["low_objectness", "box_past_edge"])
+    def test_transform_refuses_corpus_breaking_header_rules(self, capsys, tmp_path,
+                                                            index, edit):
+        corpus = fixture_corpus()
+        corpus[0].image.context_objects.append(make_object(10, 130, 60, 170))
+        qa_path = tmp_path / "qa.jsonl"
+        write_qa_corpus(corpus, qa_path)
+        lines = qa_path.read_text().splitlines()
+        obj = json.loads(lines[index + 1])
+        edit(obj["image"])
+        lines[index + 1] = json.dumps(obj)
+        qa_path.write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "transform", "--data", str(qa_path),
+                                 "--out", str(out_dir))
+        assert code == 2 and out == ""
+        assert f"qa.jsonl:{index + 2}: " in json.loads(err.splitlines()[0])["detail"]
+        assert not out_dir.exists()
+
+    def test_synth_and_filter_into_missing_directories(self, capsys, tmp_path):
+        data = tmp_path / "nodir" / "sub" / "x.jsonl"
+        assert run_cli(capsys, "synth", "--n", "5", "--out", str(data))[0] == 0
+        out = tmp_path / "nodir2" / "f.jsonl"
+        assert run_cli(capsys, "filter", "--data", str(data), "--out", str(out))[0] == 0
+        assert [s.sample_id for s in read_dataset(out)] == \
+               [s.sample_id for s in read_dataset(data)]
+
     def test_filter_command(self, capsys, tmp_path):
         # a pre-filter dataset containing an overcrowded image, which
-        # write_dataset would refuse; the container writer does not validate
+        # write_dataset would refuse; the container writer checks images only
         samples = [make_sample("keep-0"), make_sample("toomany", n_persons=11)]
         path = tmp_path / "raw.jsonl"
         for s in samples:
             s.validate(strict=False)
-        write_container(path, DatasetHeader(d_vis=8),
-                        ((s.sample_id, sample_to_json(s), image_features(s.image))
-                         for s in samples))
+        write_container(path, samples, sample_to_json, DatasetHeader(d_vis=8))
 
         out_path = tmp_path / "filtered.jsonl"
         code, out, _ = run_cli(capsys, "filter", "--data", str(path),
@@ -440,7 +470,7 @@ class TestTrainEvalGradcheck:
             detail = json.loads(err.splitlines()[0])["detail"]
             assert "config.cfg: invalid config (d_vis must be >= 1)" in detail
 
-    # the config.cfg that earlier versions wrote for a toy.cfg run: three keys
+    # the config.cfg that earlier versions wrote for a toy.cfg run: five keys
     # since retired, each with the one value that still loads
     EARLIER_CONFIG = (
         "contrast_layer = 2\nd_ff = 64\nd_model = 32\nd_vis = 32\nlambda = 1.0\n"
@@ -464,7 +494,8 @@ class TestTrainEvalGradcheck:
 
         lines = self.EARLIER_CONFIG.splitlines()
         for key, value in (("normalize_similarity", "true"), ("neutral_names", "amy,bob"),
-                           ("max_text_len", "32"), ("max_text_len", "many")):
+                           ("max_text_len", "32"), ("max_text_len", "many"),
+                           ("t1", "0.2"), ("t2", "0.5")):
             lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(key))
             edited = lines[:lineno - 1] + [f"{key} = {value}"] + lines[lineno:]
             cfg.write_text("\n".join(edited) + "\n")

@@ -50,22 +50,34 @@ def make_qa(sample_id, n_persons=3):
                   correct_index=0, labels={1: 0})
 
 
-# record kind -> (write records with these ids to a path, read a path)
+# record kind -> (make a record with this id, write records to a path, read a path)
 KINDS = {
-    "dataset": (lambda path, ids: write_dataset([make_sample(i) for i in ids], path),
-                read_dataset),
-    "qa": (lambda path, ids: write_qa_corpus([make_qa(i) for i in ids], path),
-           read_qa_corpus),
+    "dataset": (make_sample, write_dataset, read_dataset),
+    "qa": (make_qa, write_qa_corpus, read_qa_corpus),
 }
 
 
 def write_kind(kind, path, ids=("s-0",)):
-    KINDS[kind][0](path, ids)
+    make, write, _read = KINDS[kind]
+    write([make(i) for i in ids], path)
     return path
 
 
 def read_kind(kind, path):
-    return KINDS[kind][1](path)
+    return KINDS[kind][2](path)
+
+
+# breaches of the default header's rules: (the edit of an image's JSON, the
+# same edit of an ImageRecord, the error it raises)
+HEADER_BREACHES = {
+    "low_objectness": (lambda image: image["context_objects"][0].update(objectness=0.05),
+                       lambda image: setattr(image.context_objects[0], "objectness", 0.05),
+                       "objectness 0.05 below declared threshold 0.2"),
+    "box_past_edge": (lambda image: image["persons"][0].update(x2=900),
+                      lambda image: setattr(image.persons[0], "box",
+                                            BoundingBox(10, 10, 900, 120)),
+                      "box x2=900 exceeds image width 800"),
+}
 
 
 def rewrite_rows(path, edit):
@@ -151,7 +163,7 @@ class TestTypes:
             image = ImageRecord(image_id="img", width=800, height=200,
                                 persons=[make_person(0, 10, 10, x2, y2)])
             with pytest.raises(DataError, match=f"box {coord}="):
-                image.validate()
+                image.validate(DatasetHeader(d_vis=8))
 
 
 class TestRoundTrip:
@@ -319,10 +331,32 @@ class TestContainerIntegrity:
             write_kind(kind, path, ids=("s-0", "s-1"))
 
     def test_non_finite_feature_refused_on_write(self, kind, tmp_path):
-        records = [make_sample(i) if kind == "dataset" else make_qa(i) for i in ("s-0", "s-1")]
+        make, write, _read = KINDS[kind]
+        records = [make(i) for i in ("s-0", "s-1")]
         records[1].image.persons[2].feature[0] = np.nan
-        write = write_dataset if kind == "dataset" else write_qa_corpus
         with pytest.raises(DataError, match=r"non-finite feature value in row \('s-1', 2\)"):
+            write(records, tmp_path / "c.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("breach", sorted(HEADER_BREACHES))
+    def test_header_rules_refused_on_read(self, kind, breach, tmp_path):
+        edit_json, _edit_record, message = HEADER_BREACHES[breach]
+        path = write_kind(kind, tmp_path / "c.jsonl", ids=("s-0", "s-1"))
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[2])
+        edit_json(obj["image"])
+        lines[2] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"c.jsonl:3: .*{message}"):
+            read_kind(kind, path)
+
+    @pytest.mark.parametrize("breach", sorted(HEADER_BREACHES))
+    def test_header_rules_refused_on_write(self, kind, breach, tmp_path):
+        _edit_json, edit_record, message = HEADER_BREACHES[breach]
+        make, write, _read = KINDS[kind]
+        records = [make(i) for i in ("s-0", "s-1")]
+        edit_record(records[1].image)
+        with pytest.raises(DataError, match=message):
             write(records, tmp_path / "c.jsonl")
         assert list(tmp_path.iterdir()) == []
 

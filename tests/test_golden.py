@@ -3,8 +3,10 @@
 The commands below run in-process at toy size, and the SHA-256 of each file
 they write and of their stdout (for ``baseline`` also its stderr) must match
 ``golden_digests.json``.  These bytes come from the dataset codec, the
-synthetic generator, the rule pipeline, the filters and the heuristics; no
-BLAS call shapes them, so they are the same on every machine.  After a change
+synthetic generator, the rule pipeline, the filters, the heuristics and, for
+``train``, the config and vocabulary files of the run directory (not its
+checkpoint, log or stdout); no BLAS call shapes them, so they are the same on
+every machine.  After a change
 that alters one of these outputs on purpose, rewrite the manifest with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -22,13 +24,14 @@ from pathlib import Path
 
 from groundkit import benchkit
 from groundkit.cli import run
-from groundkit.core import (Description, PersonLink, Word, image_features, read_dataset,
-                            read_header, sample_to_json, write_container)
+from groundkit.core import (Description, PersonLink, Word, read_dataset, read_header,
+                            sample_to_json, write_container)
 from groundkit.rulekit import write_qa_corpus
 
 from test_rulekit import fixture_corpus
 
 MANIFEST = Path(__file__).with_name("golden_digests.json")
+TOY_CFG = Path(__file__).resolve().parent.parent / "configs" / "toy.cfg"
 SPLITS = ("train", "validation", "test")
 
 
@@ -47,21 +50,21 @@ def _write_prefilter_set(source: str, path: str) -> None:
     for s in samples[3::4]:
         s.description = Description([PersonLink(1), Word("and"), PersonLink(2), Word("wave")])
         s.labels = {1: 0, 2: 1}
-    write_container(path, read_header(source),
-                    ((s.sample_id, sample_to_json(s), image_features(s.image))
-                     for s in samples))
+    write_container(path, samples, sample_to_json, read_header(source))
 
 
 def golden_outputs(root: Path) -> dict[str, str]:
     """Run the commands inside ``root``; the digest of each output, by name."""
     digests: dict[str, str] = {}
 
-    def cli(name: str, *argv: str, stderr: bool = False, files: tuple[str, ...] = ()) -> None:
+    def cli(name: str, *argv: str, stdout: bool = True, stderr: bool = False,
+            files: tuple[str, ...] = ()) -> None:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = run(list(argv))
         assert code == 0, err.getvalue()
-        digests[f"{name} stdout"] = _sha(out.getvalue().encode("utf-8"))
+        if stdout:
+            digests[f"{name} stdout"] = _sha(out.getvalue().encode("utf-8"))
         if stderr:
             digests[f"{name} stderr"] = _sha(err.getvalue().encode("utf-8"))
         for path in files:
@@ -83,6 +86,8 @@ def golden_outputs(root: Path) -> dict[str, str]:
         _write_prefilter_set("data.jsonl", "prefilter.jsonl")
         cli("filter", "filter", "--data", "prefilter.jsonl", "--out", "filtered.jsonl",
             files=("filtered.jsonl", "filtered.cgf"))
+        cli("train", "train", "--data", "data.jsonl", "--config", str(TOY_CFG), "--out", "run",
+            "--steps", "1", stdout=False, files=("run/config.cfg", "run/vocab.json"))
     finally:
         os.chdir(cwd)
     return digests

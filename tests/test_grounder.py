@@ -35,11 +35,12 @@ from groundkit.grounder import model as model_module
 from groundkit.grounder.io import (CHECKPOINT_NAME, CONFIG_NAME, VOCAB_NAME, load_model,
                                   save_model)
 from groundkit.cli import gradient_fixture, run_gradient_suite
+from groundkit.geometry import T1
 from groundkit.grounder.model import (
     DEFAULT_NEUTRAL_NAMES,
     SUB_BATCH,
     EncodedBatch,
-    LinkContrast,
+    SampleLayout,
     classification_logits,
     contrastive_loss_from_features,
     loss_cls,
@@ -125,28 +126,28 @@ class TestSelectContextObjects:
     def test_qualifying_object_included(self):
         # IoU(obj, gt) = 0.5 > 0.3, IoU(obj, others) = 0 < 0.1
         obj = make_object(0, 0, 100, 50, class_name="cup")
-        sets = select_context_objects(scene_with_objects([obj]), t1=0.3, t2=0.1)
+        sets = select_context_objects(scene_with_objects([obj]))
         lc = sets[0]
         assert lc.context_objects == [0]
         np.testing.assert_allclose(lc.weights, [1.0, 0.5])
         assert lc.negatives == [1, 2]
 
     def test_straddling_object_excluded(self):
-        # overlaps the gt person but also 40% of person 1
-        obj = make_object(60, 0, 150, 100, class_name="bag")
+        # overlaps the gt person (IoU 0.40) but also person 1 (IoU 0.24)
+        obj = make_object(40, 0, 150, 100, class_name="bag")
         sample = scene_with_objects([obj])
-        gt_iou = 40 * 100 / (100 * 100 + 90 * 100 - 40 * 100)
-        assert gt_iou > 0.2
-        sets = select_context_objects(sample, t1=0.2, t2=0.1)
+        gt_iou = 60 * 100 / (100 * 100 + 110 * 100 - 60 * 100)
+        assert gt_iou > T1
+        sets = select_context_objects(sample)
         assert sets[0].context_objects == []
 
     def test_no_qualifying_objects_degenerate(self):
-        sets = select_context_objects(scene_with_objects([]), t1=0.3, t2=0.1)
+        sets = select_context_objects(scene_with_objects([]))
         lc = sets[0]
         assert lc.context_objects == []
         np.testing.assert_array_equal(lc.weights, [1.0])
 
-    def test_monotonic_in_thresholds(self):
+    def test_monotonic_in_thresholds(self, monkeypatch):
         rng = np.random.default_rng(5)
         objs = [make_object(x, y, x + 60, y + 60, seed=i)
                 for i, (x, y) in enumerate(rng.uniform(0, 300, (12, 2)))]
@@ -154,7 +155,9 @@ class TestSelectContextObjects:
         sizes = {}
         for t1 in (0.1, 0.2, 0.4):
             for t2 in (0.05, 0.2, 0.5):
-                sets = select_context_objects(sample, t1, t2)
+                monkeypatch.setattr(model_module, "T1", t1)
+                monkeypatch.setattr(model_module, "T2", t2)
+                sets = select_context_objects(sample)
                 sizes[(t1, t2)] = len(sets[0].context_objects)
         for t2 in (0.05, 0.2, 0.5):
             assert sizes[(0.1, t2)] >= sizes[(0.2, t2)] >= sizes[(0.4, t2)]
@@ -203,20 +206,33 @@ class TestLossCls:
         assert float(loss.data) == pytest.approx(0.25 * row0 + 0.75 * row1, abs=1e-12)
 
 
-def fake_encoded(feats, link_pos=0, person_positions=None, object_positions=None):
-    """A batch of one whose every hidden layer is ``feats`` ([L, d])."""
+def fake_layout(link_positions, n_text=0, n_persons=0, sets=None):
+    """A layout of ``n_text`` words, then ``n_persons`` persons, without feature rows."""
+    return SampleLayout(words=["w"] * n_text, link_positions=link_positions, labels={},
+                        word_ids=np.zeros(n_text, dtype=np.intp), n_persons=n_persons,
+                        features=[], locations=np.zeros((0, 7)), sets=sets)
+
+
+def fake_encoded(feats, layout):
+    """A batch of one, ``layout``, whose every hidden layer is ``feats`` ([L, d])."""
     t = nc.Tensor(np.asarray(feats, dtype=np.float64)[None])
     return EncodedBatch(sequence=t, mask=np.ones(t.data.shape[:2], dtype=bool),
-                        link_positions=[{1: link_pos}],
-                        person_positions=[person_positions or []],
-                        object_positions=[object_positions or []],
-                        hidden=[t])
+                        layouts=[layout], hidden=[t])
+
+
+def person_positions(encoded):
+    return [list(x.persons) for x in encoded.layouts]
+
+
+def object_positions(encoded):
+    return [list(range(x.persons.stop, sequence_length(x))) for x in encoded.layouts]
 
 
 class TestLossCon:
     # ``contrastive_loss_from_features`` takes the coefficients of the
     # log-softmax terms (0 for negatives); ``loss_con`` derives them from the
-    # IoU weights
+    # IoU weights.  A layout's sets hold positions: (link token, positives
+    # then negatives, IoU weights of the positives)
 
     def test_uniform_similarities_ln4(self):
         # P = {gt} weight 1, |N| = 3, all similarities equal -> ln 4
@@ -237,11 +253,10 @@ class TestLossCon:
     def test_weighted_positives_closed_form(self):
         # P = {gt (IoU 1), c (IoU 0.6)}, all sims equal, |N| = 2
         # -> ((1 + 0.6)/2) * ln 4 = 0.8 * ln 4
-        encoded = fake_encoded(np.ones((5, 3)), link_pos=0, person_positions=[1, 3, 4],
-                               object_positions=[2])
-        sets = [[LinkContrast(link_id=1, gt_person=0, context_objects=[0],
-                              weights=np.array([1.0, 0.6]), negatives=[1, 2])]]
-        loss = loss_con(encoded, sets, tau=1.0, contrast_layer=1)
+        # persons at 1, 3, 4, the gt person's object at 2
+        encoded = fake_encoded(np.ones((5, 3)), fake_layout(
+            {1: 0}, sets=[(0, [1, 2, 3, 4], np.array([1.0, 0.6]))]))
+        loss = loss_con(encoded, tau=1.0, contrast_layer=1)
         assert float(loss.data) == pytest.approx(0.8 * math.log(4), abs=1e-9)
         assert float(loss.data) == pytest.approx(1.109035, abs=1e-6)
 
@@ -250,11 +265,9 @@ class TestLossCon:
         rng = np.random.default_rng(2)
         feats = rng.normal(0, 0.05, (6, 8))
         weights = np.array([1.0, 0.7, 0.4])
-        encoded = fake_encoded(feats, link_pos=0, person_positions=[1, 4, 5],
-                               object_positions=[2, 3])
-        sets = [[LinkContrast(link_id=1, gt_person=0, context_objects=[0, 1],
-                              weights=weights, negatives=[1, 2])]]
-        loss = loss_con(encoded, sets, tau=1e6, contrast_layer=1)
+        # persons at 1, 4, 5, the gt person's objects at 2, 3
+        encoded = fake_encoded(feats, fake_layout({1: 0}, sets=[(0, [1, 2, 3, 4, 5], weights)]))
+        loss = loss_con(encoded, tau=1e6, contrast_layer=1)
         expected = weights.sum() / 3 * math.log(5)
         assert float(loss.data) == pytest.approx(expected, abs=1e-6)
 
@@ -268,15 +281,17 @@ class TestLossCon:
         feats[0, :6] = 1.0
         feats[1, :6] = 1.0
         t = nc.Tensor(feats)
+        # sample 0: persons at 2, 3, 4, an object at 5; sample 1: persons at
+        # 1, 2, 3, objects at 4, 5
+        layouts = [
+            fake_layout({1: 0, 2: 1}, n_text=2, n_persons=3,
+                        sets=[(0, [2, 5, 3, 4], np.array([1.0, 0.6])),
+                              (1, [3, 2], np.array([1.0]))]),
+            fake_layout({1: 0}, n_text=1, n_persons=3,
+                        sets=[(0, [3, 4, 5, 1, 2], np.array([1.0, 0.5, 0.3]))])]
         encoded = EncodedBatch(sequence=t, mask=np.abs(feats).sum(axis=2) > 0,
-                               link_positions=[{1: 0, 2: 1}, {1: 0}],
-                               person_positions=[[2, 3, 4], [1, 2, 3]],
-                               object_positions=[[5], [4, 5]],
-                               hidden=[t])
-        sets = [[LinkContrast(1, 0, [0], np.array([1.0, 0.6]), [1, 2]),
-                 LinkContrast(2, 1, [], np.array([1.0]), [0])],
-                [LinkContrast(1, 2, [0, 1], np.array([1.0, 0.5, 0.3]), [0, 1])]]
-        loss = loss_con(encoded, sets, tau=1.0, contrast_layer=1)
+                               layouts=layouts, hidden=[t])
+        loss = loss_con(encoded, tau=1.0, contrast_layer=1)
         expected = ((0.8 * math.log(4) + math.log(2)) / 2 + 0.6 * math.log(5)) / 2
         assert float(loss.data) == pytest.approx(expected, abs=1e-9)
         assert float(loss.data) == pytest.approx(0.933377, abs=1e-6)
@@ -314,8 +329,7 @@ class TestLossCon:
 class TestClassificationLogits:
     def test_shape_and_zero_weights(self):
         feats = np.random.default_rng(0).normal(0, 1, (6, 4))
-        es = fake_encoded(feats, link_pos=0, person_positions=[2, 3, 4])
-        es.link_positions = [{1: 0, 2: 1}]
+        es = fake_encoded(feats, fake_layout({1: 0, 2: 1}, n_text=2, n_persons=3))
         q, mask = classification_logits(es, nc.Tensor(np.zeros((4, 4))),
                                          nc.Tensor(np.eye(4)))
         assert q.data.shape == (2, 3)
@@ -328,7 +342,7 @@ class TestClassificationLogits:
         feats[2, 0] = 1.0   # person 0 -> e0
         feats[3, 1] = 1.0   # person 1 -> e1 (matches the link)
         feats[4, 2] = 1.0   # person 2 -> e2
-        es = fake_encoded(feats, link_pos=0, person_positions=[2, 3, 4])
+        es = fake_encoded(feats, fake_layout({1: 0}, n_text=2, n_persons=3))
         q, _mask = classification_logits(es, nc.Tensor(np.eye(4)), nc.Tensor(np.eye(4)))
         np.testing.assert_allclose(q.data, [[0.0, 1.0, 0.0]], atol=1e-12)
 
@@ -337,30 +351,45 @@ class TestModelForward:
     def test_sequence_layout(self):
         sample = make_sample("m-1", n_persons=3, n_objects=2)
         model, config = toy_model([sample])
-        encoded = model.embed_sample(sample)
+        encoded = model.embed(model.prepare([sample]))
         n_text = len(model.prepare([sample])[0].words)
         assert encoded.sequence.data.shape == (1, n_text + 3 + 2, config.d_model)
-        assert encoded.person_positions == [[n_text, n_text + 1, n_text + 2]]
-        assert encoded.object_positions == [[n_text + 3, n_text + 4]]
+        assert person_positions(encoded) == [[n_text, n_text + 1, n_text + 2]]
+        assert object_positions(encoded) == [[n_text + 3, n_text + 4]]
 
     def test_no_context_objects_excluded_from_sequence(self):
         sample = make_sample("m-2", n_persons=3, n_objects=2)
         model, config = toy_model([sample], use_context_objects=False)
-        encoded = model.embed_sample(sample)
-        assert encoded.object_positions == [[]]
+        encoded = model.embed(model.prepare([sample]))
+        assert object_positions(encoded) == [[]]
         assert encoded.sequence.data.shape[1] == len(model.prepare([sample])[0].words) + 3
 
     def test_hundred_context_objects_all_included(self):
         sample = make_sample("m-3", n_persons=2, n_objects=100)
         model, _ = toy_model([sample])
-        encoded = model.embed_sample(sample)
-        assert len(encoded.object_positions[0]) == 100
+        encoded = model.embed(model.prepare([sample]))
+        assert len(object_positions(encoded)[0]) == 100
+
+    def test_contrastive_sets_hold_sequence_positions(self):
+        # persons follow the text, the qualifying object (IoU 0.5 with the
+        # gt person) follows the persons; without objects in the sequence the
+        # gt person is the only positive
+        sample = scene_with_objects([make_object(0, 0, 100, 50)])
+        for use_objects, positives, weights in ((True, [0, 3], [1.0, 0.5]),
+                                                (False, [0], [1.0])):
+            model, _config = toy_model([sample], use_context_objects=use_objects)
+            layout = model.prepare([sample], contrast=True)[0]
+            n_text = len(layout.words)
+            [(anchor, candidates, iou_weights)] = layout.sets
+            assert anchor == layout.link_positions[1]
+            assert candidates == [n_text + j for j in positives + [1, 2]]
+            np.testing.assert_allclose(iou_weights, weights)
 
     def test_lambda_zero_equals_cls_loss(self):
         sample = make_sample("m-4")
         model, config = toy_model([sample], lam=0.0)
         with nc.Graph():
-            total = model.sample_loss(sample)
+            total = model.batch_loss(model.prepare([sample]))
         encoded = model.forward(model.prepare([sample]))
         q, mask = classification_logits(encoded, model.params["cls.w1"], model.params["cls.w2"])
         labels = [sample.labels[l] for _b, l in encoded.links()]
@@ -371,20 +400,20 @@ class TestModelForward:
         sample = make_sample("m-5")
         model, config = toy_model([sample])
         assert config.lam == 1.0
-        total = model.sample_loss(sample)
-        encoded = model.forward(model.prepare([sample]))
+        layouts = model.prepare([sample], contrast=True)
+        total = model.batch_loss(layouts)
+        encoded = model.forward(layouts)
         q, mask = classification_logits(encoded, model.params["cls.w1"], model.params["cls.w2"])
         labels = [sample.labels[l] for _b, l in encoded.links()]
         cls = loss_cls(q, labels, mask=mask, weights=[1.0 / len(labels)] * len(labels))
-        sets = select_context_objects(sample, config.t1, config.t2)
-        con = loss_con(encoded, [sets], config.tau, config.contrast_layer)
+        con = loss_con(encoded, config.tau, config.contrast_layer)
         assert float(total.data) == pytest.approx(float(cls.data) + float(con.data),
                                                   abs=1e-9)
 
     def test_predict_argmax_and_permutation_consistency(self):
         sample = make_sample("m-6", n_persons=4, labels={1: 2})
         model, config = toy_model([sample])
-        pred = model.predict_sample(sample)
+        pred = model.predict([sample])[0]
         assert set(pred.scores) == {1}
         assert pred.chosen[1] == int(np.argmax(pred.scores[1]))
 
@@ -400,7 +429,7 @@ class TestModelForward:
                           description=sample.description,
                           labels={1: perm.index(2)},
                           commonsense_type=sample.commonsense_type)
-        pred_p = model.predict_sample(permuted)
+        pred_p = model.predict([permuted])[0]
         np.testing.assert_allclose(pred_p.scores[1], pred.scores[1][perm], atol=1e-8)
         assert perm[pred_p.chosen[1]] == pred.chosen[1]
 
@@ -474,7 +503,7 @@ class TestBatching:
         batched = model.predict(samples)
         assert len(batched) == len(samples)
         for sample, pred in zip(samples, batched):
-            alone = model.predict_sample(sample)
+            alone = model.predict([sample])[0]
             assert set(alone.scores) == set(pred.scores) == set(sample.labels)
             for link, vec in alone.scores.items():
                 assert vec.shape == (sample.image.n_persons,)
@@ -485,7 +514,8 @@ class TestBatching:
         samples = gradient_fixture(d_vis=24, seed=5)
         model = self._model(samples)
         batch = float(model.batch_loss(model.prepare(samples, contrast=True)).data)
-        singles = [float(model.sample_loss(s).data) for s in samples]
+        singles = [float(model.batch_loss(model.prepare([s], contrast=True)).data)
+                   for s in samples]
         assert batch == pytest.approx(sum(singles) / len(singles), rel=1e-5)
 
 
@@ -520,8 +550,10 @@ class TestPreparedLayouts:
         used, new = model.embed(layouts), model.embed(fresh)
         assert used.sequence.data.tobytes() == new.sequence.data.tobytes()
         assert used.mask.tobytes() == new.mask.tobytes()
-        assert (used.link_positions, used.person_positions, used.object_positions) == \
-               (new.link_positions, new.person_positions, new.object_positions)
+        assert ([x.link_positions for x in used.layouts], person_positions(used),
+                object_positions(used)) == \
+               ([x.link_positions for x in new.layouts], person_positions(new),
+                object_positions(new))
         assert [x.words for x in layouts] == [x.words for x in fresh]
 
     def test_contrastive_loss_needs_prepared_sets(self):
@@ -613,8 +645,8 @@ class TestPersistence:
         save_model(result.model, tmp_path / "run")
         reloaded = load_model(tmp_path / "run")
         for s in samples:
-            a = result.model.predict_sample(s)
-            b = reloaded.predict_sample(s)
+            a = result.model.predict([s])[0]
+            b = reloaded.predict([s])[0]
             assert a.chosen == b.chosen
             for link in a.scores:
                 np.testing.assert_allclose(a.scores[link], b.scores[link], atol=1e-6)
