@@ -11,14 +11,19 @@ Datasets and QA corpora share one container of two files:
   ``u32`` byte length of sample_id, sample_id bytes, ``u32`` region ordinal,
   ``d_vis`` float32 values.  Region ordinals enumerate persons first, then
   context objects, in their stored order, and must run 0..n-1 per record;
-  every row belongs to a record, and every value is finite.
+  every row belongs to a record, and every value is finite.  Rows may come
+  in any order: the reader walks the row headers once and gathers every row
+  into one read-only ``[rows, d_vis]`` float32 array, whose rows the records
+  hold as views.
 
 ``write_container``/``read_container`` own this format and hold every
 record's image to the header (boxes inside the image, objectness at or above
 the threshold, at most the cap of objects); each record kind only encodes,
 decodes and checks its own JSON object.  Feature vectors are float32 and
 round-trip bitwise; everything numeric in the JSON side is plain
-floats/ints.  All records are read-only after load.
+floats/ints.  All records are read-only after load, and their feature rows
+cannot be written.  The per-record checks run on every record read or
+written, so they format their messages only on failure.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import json
 import math
 import os
 import struct
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -46,6 +52,10 @@ MAX_PERSONS = 10
 
 # a record kind: a sample or a QA pair, each with its ``sample_id`` and ``image``
 R = TypeVar("R")
+
+_FLOAT_MAX = sys.float_info.max
+# the u32 fields of the .cgf: id lengths, ordinals and d_vis
+_U32 = struct.Struct("<I")
 
 
 class DataError(Exception):
@@ -82,9 +92,14 @@ class BoundingBox:
     y2: float
 
     def __post_init__(self) -> None:
-        # every box of every read and every synth scene passes here, so the
-        # messages are built only on failure
-        coords = (self.x1, self.y1, self.x2, self.y2)
+        # every box of every read and every synth scene passes here: one chained
+        # comparison accepts a valid box, and the ordered checks below only word
+        # the error.  The bound is the largest float, not infinity, so that an
+        # integer too large for a float still meets ``math.isfinite``'s refusal.
+        x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
+        if 0 <= x1 < x2 <= _FLOAT_MAX and 0 <= y1 < y2 <= _FLOAT_MAX:
+            return
+        coords = (x1, y1, x2, y2)
         if not all(map(math.isfinite, coords)):
             raise DataError(f"non-finite box coordinate in {coords}")
         if min(coords) < 0:
@@ -132,7 +147,7 @@ class ContextObject:
     def __post_init__(self) -> None:
         self.feature = np.asarray(self.feature, dtype=np.float32)
         _require(self.feature.ndim == 1, "object feature must be a 1-d vector")
-        _require(0.0 <= self.objectness <= 1.0, f"objectness {self.objectness} outside [0, 1]")
+        _require(0.0 <= self.objectness <= 1.0, "objectness %s outside [0, 1]", self.objectness)
         _require(bool(self.class_name), "context object needs a class name")
 
 
@@ -149,21 +164,27 @@ class ImageRecord:
         return len(self.persons)
 
     def validate(self, header: "DatasetHeader") -> None:
-        """Check the image and ``header``'s rules; the container runs this on every
-        record, so the per-region messages are formatted only on failure."""
-        _require(self.width > 0 and self.height > 0, f"{self.image_id}: non-positive image size")
+        """Check the image and ``header``'s rules.  The container runs this on
+        every record, so each region passes one combined test, and the ordered
+        checks that word the error run only when it fails."""
+        width, height, threshold = self.width, self.height, header.objectness_threshold
+        _require(width > 0 and height > 0, "%s: non-positive image size", self.image_id)
         for pos, person in enumerate(self.persons):
-            _require(person.index == pos, "%s: person indices not consecutive at position %s",
-                     self.image_id, pos)
-            _check_box_inside(person.box, self.width, self.height, self.image_id)
+            box = person.box
+            if not (person.index == pos and box.x2 <= width and box.y2 <= height):
+                _require(person.index == pos,
+                         "%s: person indices not consecutive at position %s", self.image_id, pos)
+                _check_box_inside(box, width, height, self.image_id)
         for obj in self.context_objects:
-            _check_box_inside(obj.box, self.width, self.height, self.image_id)
-            _require(obj.objectness >= header.objectness_threshold,
-                     "%s: objectness %s below declared threshold %s",
-                     self.image_id, obj.objectness, header.objectness_threshold)
+            box = obj.box
+            if not (box.x2 <= width and box.y2 <= height and obj.objectness >= threshold):
+                _check_box_inside(box, width, height, self.image_id)
+                _require(obj.objectness >= threshold,
+                         "%s: objectness %s below declared threshold %s",
+                         self.image_id, obj.objectness, threshold)
         _require(len(self.context_objects) <= header.max_context_objects,
-                 f"{self.image_id}: {len(self.context_objects)} context objects exceed "
-                 f"declared cap {header.max_context_objects}")
+                 "%s: %s context objects exceed declared cap %s",
+                 self.image_id, len(self.context_objects), header.max_context_objects)
 
 
 def _check_box_inside(box: BoundingBox, width: float, height: float, owner: str) -> None:
@@ -268,17 +289,18 @@ class Sample:
         pipeline.  The image and its feature rows are the container's to check.
         """
         sid = self.sample_id
-        _require(bool(self.image.persons), f"{self.image.image_id}: image has no person boxes")
+        _require(bool(self.image.persons), "%s: image has no person boxes", self.image.image_id)
         n = self.image.n_persons
         link_ids = self.description.link_ids
-        _require(set(self.labels) == set(link_ids),
-                 f"{sid}: labels {sorted(self.labels)} do not match "
-                 f"description links {link_ids}")
+        if self.labels.keys() != set(link_ids):
+            raise DataError(f"{sid}: labels {sorted(self.labels)} do not match "
+                            f"description links {link_ids}")
         for link_id, idx in self.labels.items():
-            _require(0 <= idx < n, f"{sid}: label out of range (link {link_id} -> {idx}, N={n})")
+            _require(0 <= idx < n, "%s: label out of range (link %s -> %s, N=%s)",
+                     sid, link_id, idx, n)
         if strict:
             _require(not self.description.has_object_links(),
-                     f"{sid}: finished sample still contains object links")
+                     "%s: finished sample still contains object links", sid)
             reason = filter_sample(self)
             if reason is not None:
                 raise DataError(f"{sid}: dropped by filter_sample ({reason.value})")
@@ -378,8 +400,8 @@ def image_from_json(obj: dict, features: list[np.ndarray]) -> ImageRecord:
     persons_raw = obj["persons"]
     objects_raw = obj.get("context_objects", [])
     n_regions = len(persons_raw) + len(objects_raw)
-    _require(len(features) == n_regions,
-             f"{n_regions} regions but {len(features)} feature rows")
+    _require(len(features) == n_regions, "%s regions but %s feature rows",
+             n_regions, len(features))
     persons = [
         PersonBox(index=i,
                   box=BoundingBox(b["x1"], b["y1"], b["x2"], b["y2"]),
@@ -448,14 +470,14 @@ def replace_file(path: str | Path, data: bytes | bytearray) -> None:
         raise
 
 
-def _require_finite(where: str | Path, table: Mapping[str, Mapping[int, np.ndarray]]) -> None:
-    """Refuse non-finite values in ``{sample_id: {ordinal: row}}``, naming the first
-    row that holds one; a single check covers all rows."""
-    rows = [vec for per_sample in table.values() for vec in per_sample.values()]
-    if not rows or np.isfinite(np.concatenate(rows)).all():
+def _require_finite(where: str | Path, keys: Sequence[tuple[str, int]],
+                    values: np.ndarray) -> None:
+    """Refuse non-finite values in the feature rows ``values``, naming the first
+    row that holds one by its ``(sample_id, ordinal)`` in ``keys``; valid input
+    costs one check over all rows."""
+    if np.isfinite(values).all():
         return
-    sid, ordinal = next((sid, ordinal) for sid, per_sample in table.items()
-                        for ordinal, vec in per_sample.items() if not np.isfinite(vec).all())
+    sid, ordinal = keys[int(np.argmin(np.isfinite(values).all(axis=1)))]
     raise DataError(f"{where}: non-finite feature value in row ({sid!r}, {ordinal})")
 
 
@@ -479,55 +501,68 @@ def write_container(path: str | Path, records: Sequence[R], encode: Callable[[R]
         "objectness_threshold": header.objectness_threshold,
         "max_context_objects": header.max_context_objects,
     })]
-    blob = bytearray(FEATURE_MAGIC + struct.pack("<I", header.d_vis))
-    written: dict[str, dict[int, np.ndarray]] = {}
+    pack = _U32.pack
+    parts: list[bytes | np.ndarray] = [FEATURE_MAGIC, pack(header.d_vis)]
+    keys: list[tuple[str, int]] = []
+    vecs: list[np.ndarray] = []
+    seen: set[str] = set()
     for record in records:
         sample_id = record.sample_id
-        _require(sample_id not in written, f"{path}: duplicate sample_id {sample_id!r}")
+        _require(sample_id not in seen, "%s: duplicate sample_id %r", path, sample_id)
+        seen.add(sample_id)
         record.image.validate(header)
-        written[sample_id] = {}
         lines.append(_json_line(encode(record)))
         sid = sample_id.encode("utf-8")
+        sid_head = pack(len(sid)) + sid
         for ordinal, vec in enumerate(image_features(record.image)):
             vec = np.ascontiguousarray(vec, dtype="<f4")
             if vec.shape != (header.d_vis,):
                 raise DataError(f"{sample_id}: feature row of shape {vec.shape}, "
                                 f"expected d_vis={header.d_vis}")
-            written[sample_id][ordinal] = vec
-            blob += struct.pack("<I", len(sid)) + sid + struct.pack("<I", ordinal)
-            blob += vec.tobytes()
-    _require_finite(path, written)
+            keys.append((sample_id, ordinal))
+            vecs.append(vec)
+            parts += (sid_head, pack(ordinal), vec)
+    _require_finite(path, keys, np.array(vecs))
     replace_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
-    replace_file(feature_path(path), blob)
+    replace_file(feature_path(path), b"".join(parts))
 
 
 def read_feature_file(path: str | Path) -> tuple[int, dict[str, dict[int, np.ndarray]]]:
-    """Return (d_vis, {sample_id: {ordinal: float32 vector}})."""
+    """Return (d_vis, {sample_id: {ordinal: float32 vector}}).
+
+    One walk over the row headers finds every row; one join of the row slices
+    and one ``np.frombuffer`` gather them into a single read-only
+    ``[rows, d_vis]`` array, and the vectors returned are views of its rows.
+    """
     blob = Path(path).read_bytes()
     if blob[:4] != FEATURE_MAGIC:
         raise DataError(f"{path}: bad feature-file magic {blob[:4]!r}")
-    off = 4
+    unpack, view, end = _U32.unpack_from, memoryview(blob), len(blob)
+    keys: list[tuple[str, int]] = []
+    slices: list[memoryview] = []
     try:
-        (d_vis,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        table: dict[str, dict[int, np.ndarray]] = {}
-        while off < len(blob):
-            (sid_len,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            sid = blob[off:off + sid_len].decode("utf-8")
-            off += sid_len
-            (ordinal,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            # raises ValueError when fewer than d_vis values are left
-            vec = np.frombuffer(blob, dtype="<f4", count=d_vis, offset=off).copy()
-            off += 4 * d_vis
-            rows = table.setdefault(sid, {})
-            if ordinal in rows:
-                raise DataError(f"{path}: duplicate feature row ({sid!r}, {ordinal})")
-            rows[ordinal] = vec
+        (d_vis,) = unpack(blob, 4)
+        size, off = 4 * d_vis, 8
+        while off < end:
+            (sid_len,) = unpack(blob, off)
+            sid_end = off + 4 + sid_len
+            (ordinal,) = unpack(blob, sid_end)
+            keys.append((blob[off + 4:sid_end].decode("utf-8"), ordinal))
+            off = sid_end + 4
+            slices.append(view[off:off + size])
+            off += size
     except (struct.error, ValueError) as exc:
         raise DataError(f"{path}: corrupt feature file ({exc})") from None
-    _require_finite(path, table)
+    if off > end:
+        raise DataError(f"{path}: corrupt feature file (the last row holds "
+                        f"{len(slices[-1])} of {size} value bytes)")
+    values = np.frombuffer(b"".join(slices), dtype="<f4").reshape(len(keys), d_vis)
+    table: dict[str, dict[int, np.ndarray]] = {}
+    for (sid, ordinal), row in zip(keys, values):
+        rows = table.setdefault(sid, {})
+        _require(ordinal not in rows, "%s: duplicate feature row (%r, %s)", path, sid, ordinal)
+        rows[ordinal] = row
+    _require_finite(path, keys, values)
     return d_vis, table
 
 
@@ -540,11 +575,12 @@ def read_container(path: str | Path, decode: Callable[[dict, list[np.ndarray]], 
     without a record.  ``decode`` builds and checks one record; the errors
     malformed JSON values raise in it (KeyError, TypeError, ValueError and
     kin) become a DataError naming ``file:line``, as does a refused image.
+    Every message is formatted only on failure.
     """
     path = Path(path)
-    _require(path.exists(), f"{path}: no such file")
+    _require(path.exists(), "%s: no such file", path)
     fpath = feature_path(path)
-    _require(fpath.exists(), f"{fpath}: companion feature file missing")
+    _require(fpath.exists(), "%s: companion feature file missing", fpath)
     feat_d_vis, table = read_feature_file(fpath)
 
     records: list[R] = []
@@ -554,37 +590,40 @@ def read_container(path: str | Path, decode: Callable[[dict, list[np.ndarray]], 
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            where = f"{path}:{lineno}"
             if header is None:
-                header = _parse_header(line, where)
+                header = _parse_header(line, f"{path}:{lineno}")
                 _require(header.d_vis == feat_d_vis,
-                         f"{path}: header d_vis {header.d_vis} != feature file "
-                         f"d_vis {feat_d_vis}")
+                         "%s: header d_vis %s != feature file d_vis %s",
+                         path, header.d_vis, feat_d_vis)
                 continue
             try:
                 obj = json.loads(line)
             except ValueError as exc:
-                raise DataError(f"{where}: malformed JSON ({exc})") from None
-            _require(isinstance(obj, dict), f"{where}: record is not a JSON object")
+                raise DataError(f"{path}:{lineno}: malformed JSON ({exc})") from None
+            _require(isinstance(obj, dict), "%s:%s: record is not a JSON object", path, lineno)
             sid = obj.get("sample_id")
-            _require(isinstance(sid, str), f"{where}: sample_id missing or not a string")
-            _require(sid not in seen, f"{where}: duplicate sample_id {sid!r}")
+            _require(isinstance(sid, str), "%s:%s: sample_id missing or not a string",
+                     path, lineno)
+            _require(sid not in seen, "%s:%s: duplicate sample_id %r", path, lineno, sid)
             seen.add(sid)
             rows = table.pop(sid, {})
-            _require(set(rows) == set(range(len(rows))),
-                     f"{where}: feature ordinals for {sid} are not consecutive")
             try:
-                record = decode(obj, [rows[i] for i in range(len(rows))])
+                features = [rows[i] for i in range(len(rows))]
+            except KeyError:
+                raise DataError(f"{path}:{lineno}: feature ordinals for {sid} "
+                                f"are not consecutive") from None
+            try:
+                record = decode(obj, features)
                 record.image.validate(header)
                 records.append(record)
             except DataError as exc:
-                raise DataError(f"{where}: {exc}") from None
+                raise DataError(f"{path}:{lineno}: {exc}") from None
             except KeyError as exc:
-                raise DataError(f"{where}: missing field {exc}") from None
+                raise DataError(f"{path}:{lineno}: missing field {exc}") from None
             except (AttributeError, IndexError, OverflowError, TypeError, ValueError) as exc:
-                raise DataError(f"{where}: malformed record ({exc})") from None
-    _require(header is not None, f"{path}: empty file, missing header")
-    _require(not table, f"{fpath}: feature rows for {sorted(table)[:3]} have no record")
+                raise DataError(f"{path}:{lineno}: malformed record ({exc})") from None
+    _require(header is not None, "%s: empty file, missing header", path)
+    _require(not table, "%s: feature rows for %s have no record", fpath, sorted(table)[:3])
     return records
 
 

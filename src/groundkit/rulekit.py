@@ -445,7 +445,9 @@ def run_pipeline(corpus: Sequence[QAPair], rules: RuleSet,
         if reason is not None:
             report.drop_ids[qa.sample_id] = reason.value
             continue
-        sample.validate(strict=True)
+        # the filters just kept it and no object link is left, so only the
+        # structural checks (labels against the persons) can still refuse it
+        sample.validate(strict=False)
         report.kept += 1
         splits[_split_of(qa.sample_id, split)].append(sample)
     report.drops = dict(Counter(report.drop_ids.values()))

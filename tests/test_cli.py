@@ -390,6 +390,18 @@ class TestTransformAndFilter:
         assert f"qa.jsonl:{index + 2}: " in json.loads(err.splitlines()[0])["detail"]
         assert not out_dir.exists()
 
+    def test_transform_refuses_label_past_the_persons(self, capsys, tmp_path):
+        corpus = fixture_corpus()
+        corpus[0].labels = {1: corpus[0].image.n_persons}
+        qa_path = tmp_path / "qa.jsonl"
+        write_qa_corpus(corpus, qa_path)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "transform", "--data", str(qa_path),
+                                 "--out", str(out_dir))
+        assert code == 2 and out == ""
+        assert "ok-00: label out of range" in json.loads(err.splitlines()[0])["detail"]
+        assert not out_dir.exists()
+
     def test_synth_and_filter_into_missing_directories(self, capsys, tmp_path):
         data = tmp_path / "nodir" / "sub" / "x.jsonl"
         assert run_cli(capsys, "synth", "--n", "5", "--out", str(data))[0] == 0

@@ -57,6 +57,10 @@ KINDS = {
 }
 
 
+# ids of unequal byte length (3, 4 and 4 bytes in UTF-8), one of them not ASCII
+MIXED_IDS = ("s-0", "s-10", "é-2")
+
+
 def write_kind(kind, path, ids=("s-0",)):
     make, write, _read = KINDS[kind]
     write([make(i) for i in ids], path)
@@ -187,11 +191,11 @@ class TestRoundTrip:
                 assert oa.class_name == ob.class_name
                 assert oa.feature.tobytes() == ob.feature.tobytes()
 
-    def test_file_level_bitwise_roundtrip(self, tmp_path):
-        samples = [make_sample(f"s-{i}") for i in range(3)]
-        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_dataset(samples, p1)
-        write_dataset(read_dataset(p1), p2, header=read_header(p1))
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_file_level_bitwise_roundtrip(self, kind, tmp_path):
+        _make, write, read = KINDS[kind]
+        p1, p2 = write_kind(kind, tmp_path / "a.jsonl", ids=MIXED_IDS), tmp_path / "b.jsonl"
+        write(read(p1), p2, header=read_header(p1))
         assert p1.read_bytes() == p2.read_bytes()
         assert feature_path(p1).read_bytes() == feature_path(p2).read_bytes()
 
@@ -312,6 +316,28 @@ class TestContainerIntegrity:
         with pytest.raises(DataError, match=r"c.jsonl:2: feature ordinals for s-0"):
             read_kind(kind, path)
 
+    def test_reordered_rows_read_to_the_same_records(self, kind, tmp_path):
+        # rows reversed within each record and interleaved across records
+        path = write_kind(kind, tmp_path / "c.jsonl", ids=MIXED_IDS)
+        canonical = feature_path(path).read_bytes()
+        rewrite_rows(path, lambda rows: sorted(rows, key=lambda row: (-row[1], row[0])))
+        assert feature_path(path).read_bytes() != canonical
+        again = tmp_path / "again.jsonl"
+        KINDS[kind][1](read_kind(kind, path), again, header=read_header(path))
+        assert again.read_bytes() == path.read_bytes()
+        assert feature_path(again).read_bytes() == canonical
+
+    @pytest.mark.parametrize("cut", ["values", "header"])
+    def test_truncated_feature_file_rejected(self, kind, cut, tmp_path):
+        path = write_kind(kind, tmp_path / "c.jsonl", ids=("s-0", "s-1"))
+        blob = feature_path(path).read_bytes()
+        last_row = len(blob) - (4 + len(b"s-1") + 4 + 4 * read_header(path).d_vis)
+        # inside the last row's values, or inside its ordinal field
+        end = {"values": len(blob) - 5, "header": last_row + 9}[cut]
+        feature_path(path).write_bytes(blob[:end])
+        with pytest.raises(DataError, match=r"c\.cgf: corrupt feature file"):
+            read_kind(kind, path)
+
     def test_duplicate_sample_id_refused_on_write(self, kind, tmp_path):
         with pytest.raises(DataError, match="duplicate sample_id"):
             write_kind(kind, tmp_path / "c.jsonl", ids=("s-0", "s-0"))
@@ -413,6 +439,8 @@ def test_mutated_container_loads_or_raises_data_error(kind, data):
                                              st.integers(1, 255)), max_size=3))
         for offset, bits in flips:
             blob[offset] ^= bits
+        if data.draw(st.booleans()):
+            del blob[data.draw(st.integers(0, len(blob))):]
         feature_path(path).write_bytes(bytes(blob))
         try:
             read_kind(kind, path)

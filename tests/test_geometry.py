@@ -48,6 +48,11 @@ class TestIou:
         with pytest.raises(DataError, match="non-finite|negative"):
             box(*coords)
 
+    def test_integer_past_the_float_range_rejected(self):
+        # a JSON integer no float holds; the container reports it as a malformed record
+        with pytest.raises(OverflowError):
+            box(0, 0, 10**400, 1)
+
     def test_symmetry_range_identity_bulk(self):
         # >= 1000 random pairs: symmetry, range, translation invariance
         rng = np.random.default_rng(42)
