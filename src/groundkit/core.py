@@ -16,27 +16,30 @@ Datasets and QA corpora share one container of two files:
   into one read-only ``[rows, d_vis]`` float32 array, whose rows the records
   hold as views.
 
-``write_container``/``read_container`` own this format and hold every
-record's image to the header (boxes inside the image, objectness at or above
-the threshold, at most the cap of objects); each record kind only encodes,
-decodes and checks its own JSON object.  Feature vectors are float32 and
-round-trip bitwise; everything numeric in the JSON side is plain
-floats/ints.  All records are read-only after load, and their feature rows
-cannot be written.  The per-record checks run on every record read or
-written, so they format their messages only on failure.
+``write_container``/``read_container`` own this format and run
+``ImageRecord.validate``, the one owner of the region rules, on every record:
+each region lies inside its image (``0 <= x1 < x2 <= width``, likewise in y),
+a context object also has ``threshold <= objectness <= 1`` and a class name,
+and an image holds at most the header's cap of objects.  The region types
+check nothing, and each record kind only encodes, decodes and checks its own
+JSON object.  Feature vectors are float32 and round-trip bitwise; everything
+numeric in the JSON side is plain floats/ints.  All records are read-only
+after load, and their feature rows cannot be written.  The per-record checks
+run on every record read or written, so they format their messages only on
+failure.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import struct
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar, Union
 
@@ -91,24 +94,6 @@ class BoundingBox:
     x2: float
     y2: float
 
-    def __post_init__(self) -> None:
-        # every box of every read and every synth scene passes here: one chained
-        # comparison accepts a valid box, and the ordered checks below only word
-        # the error.  The bound is the largest float, not infinity, so that an
-        # integer too large for a float still meets ``math.isfinite``'s refusal.
-        x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
-        if 0 <= x1 < x2 <= _FLOAT_MAX and 0 <= y1 < y2 <= _FLOAT_MAX:
-            return
-        coords = (x1, y1, x2, y2)
-        if not all(map(math.isfinite, coords)):
-            raise DataError(f"non-finite box coordinate in {coords}")
-        if min(coords) < 0:
-            raise DataError(f"negative box coordinate in {coords}")
-        if not self.x2 > self.x1:
-            raise DataError(f"degenerate box: x2 <= x1 ({self.x1}, {self.x2})")
-        if not self.y2 > self.y1:
-            raise DataError(f"degenerate box: y2 <= y1 ({self.y1}, {self.y2})")
-
     @property
     def width(self) -> float:
         return self.x2 - self.x1
@@ -130,10 +115,6 @@ class PersonBox:
     box: BoundingBox
     feature: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.feature = np.asarray(self.feature, dtype=np.float32)
-        _require(self.feature.ndim == 1, "person feature must be a 1-d vector")
-
 
 @dataclass
 class ContextObject:
@@ -143,12 +124,6 @@ class ContextObject:
     feature: np.ndarray
     objectness: float
     class_name: str
-
-    def __post_init__(self) -> None:
-        self.feature = np.asarray(self.feature, dtype=np.float32)
-        _require(self.feature.ndim == 1, "object feature must be a 1-d vector")
-        _require(0.0 <= self.objectness <= 1.0, "objectness %s outside [0, 1]", self.objectness)
-        _require(bool(self.class_name), "context object needs a class name")
 
 
 @dataclass
@@ -164,32 +139,58 @@ class ImageRecord:
         return len(self.persons)
 
     def validate(self, header: "DatasetHeader") -> None:
-        """Check the image and ``header``'s rules.  The container runs this on
-        every record, so each region passes one combined test, and the ordered
-        checks that word the error run only when it fails."""
-        width, height, threshold = self.width, self.height, header.objectness_threshold
-        _require(width > 0 and height > 0, "%s: non-positive image size", self.image_id)
+        """Hold the image and its regions to the region rules, ``header``'s
+        included.  Each region passes one chained comparison, which NaN, an
+        infinity and an integer past the float range all fail; the messages
+        are worded by ``_region_error`` and only when that test fails."""
+        image_id, width, height = self.image_id, self.width, self.height
+        if not (0 < width <= _FLOAT_MAX and 0 < height <= _FLOAT_MAX):
+            _require(width > 0 and height > 0, "%s: non-positive image size", image_id)
+            raise DataError(f"{image_id}: image size past the float range")
         for pos, person in enumerate(self.persons):
-            box = person.box
-            if not (person.index == pos and box.x2 <= width and box.y2 <= height):
+            b = person.box
+            if not (person.index == pos
+                    and 0 <= b.x1 < b.x2 <= width and 0 <= b.y1 < b.y2 <= height):
                 _require(person.index == pos,
-                         "%s: person indices not consecutive at position %s", self.image_id, pos)
-                _check_box_inside(box, width, height, self.image_id)
+                         "%s: person indices not consecutive at position %s", image_id, pos)
+                raise _region_error(self, b)
+        # objectness lies in [0, 1] whatever threshold the header declares
+        lowest = max(header.objectness_threshold, 0.0)
         for obj in self.context_objects:
-            box = obj.box
-            if not (box.x2 <= width and box.y2 <= height and obj.objectness >= threshold):
-                _check_box_inside(box, width, height, self.image_id)
-                _require(obj.objectness >= threshold,
-                         "%s: objectness %s below declared threshold %s",
-                         self.image_id, obj.objectness, threshold)
+            b = obj.box
+            if not (0 <= b.x1 < b.x2 <= width and 0 <= b.y1 < b.y2 <= height
+                    and lowest <= obj.objectness <= 1 and obj.class_name):
+                raise _region_error(self, b, obj, header.objectness_threshold)
         _require(len(self.context_objects) <= header.max_context_objects,
                  "%s: %s context objects exceed declared cap %s",
-                 self.image_id, len(self.context_objects), header.max_context_objects)
+                 image_id, len(self.context_objects), header.max_context_objects)
 
 
-def _check_box_inside(box: BoundingBox, width: float, height: float, owner: str) -> None:
-    _require(box.x2 <= width, "%s: box x2=%s exceeds image width %s", owner, box.x2, width)
-    _require(box.y2 <= height, "%s: box y2=%s exceeds image height %s", owner, box.y2, height)
+def _region_error(image: ImageRecord, box: BoundingBox, obj: ContextObject | None = None,
+                  threshold: float = 0.0) -> DataError:
+    """The first region rule that ``box`` (and ``obj``) breaks in ``image``."""
+    owner, coords = image.image_id, (box.x1, box.y1, box.x2, box.y2)
+    for name, value in zip(("x1", "y1", "x2", "y2"), coords):
+        if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            if isinstance(value, int):  # named, not printed: it has hundreds of digits
+                return DataError(f"{owner}: box {name} is an integer past the float range")
+            return DataError(f"{owner}: non-finite box coordinate in {coords}")
+    if min(coords) < 0:
+        return DataError(f"{owner}: negative box coordinate in {coords}")
+    if not box.x2 > box.x1:
+        return DataError(f"{owner}: degenerate box: x2 <= x1 ({box.x1}, {box.x2})")
+    if not box.y2 > box.y1:
+        return DataError(f"{owner}: degenerate box: y2 <= y1 ({box.y1}, {box.y2})")
+    if not box.x2 <= image.width:
+        return DataError(f"{owner}: box x2={box.x2} exceeds image width {image.width}")
+    if not box.y2 <= image.height:
+        return DataError(f"{owner}: box y2={box.y2} exceeds image height {image.height}")
+    if not 0 <= obj.objectness <= 1:
+        return DataError(f"{owner}: objectness {obj.objectness} outside [0, 1]")
+    if not obj.objectness >= threshold:
+        return DataError(f"{owner}: objectness {obj.objectness} below declared "
+                         f"threshold {threshold}")
+    return DataError(f"{owner}: context object needs a class name")
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +228,15 @@ class Description:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
+    @cached_property
     def link_ids(self) -> list[int]:
-        """Distinct person-link ids in order of first appearance."""
+        """Distinct person-link ids in order of first appearance; computed once,
+        as nothing changes ``tokens`` after construction."""
         seen: list[int] = []
         for tok in self.tokens:
             if isinstance(tok, PersonLink) and tok.link_id not in seen:
                 seen.append(tok.link_id)
         return seen
-
-    @property
-    def num_links(self) -> int:
-        return len(self.link_ids)
 
     def has_object_links(self) -> bool:
         return any(isinstance(t, ObjectLink) for t in self.tokens)
@@ -317,7 +315,7 @@ class DropReason(str, Enum):
 def filter_sample(sample: Sample) -> DropReason | None:
     """First triggered drop reason, in fixed order; None (keep) when none fires."""
     n = sample.image.n_persons
-    if sample.description.num_links < 1:
+    if not sample.description.link_ids:
         return DropReason.NO_PERSON_LINK
     if n < 1:
         return DropReason.NO_CANDIDATE

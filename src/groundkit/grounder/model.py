@@ -482,9 +482,9 @@ class GroundingModel:
             if cfg.use_context_objects:
                 regions += image.context_objects
             for r in regions:
-                if len(r.feature) != cfg.d_vis:
-                    raise DataError(f"{sample.sample_id}: feature dim {len(r.feature)} "
-                                    f"!= d_vis {cfg.d_vis}")
+                if np.shape(r.feature) != (cfg.d_vis,):
+                    raise DataError(f"{sample.sample_id}: feature row of shape "
+                                    f"{np.shape(r.feature)}, expected d_vis={cfg.d_vis}")
             locations = np.stack([location_feature(r.box, image.width, image.height)
                                   for r in regions]).astype(dtype)
             sets = None

@@ -94,12 +94,8 @@ class RuleSet:
         dupes = {i for i in ids if ids.count(i) > 1}
         if dupes:
             raise DataError(f"duplicate rule ids: {sorted(dupes)}")
-        # descending priority; file order breaks ties
-        self._ordered = sorted(range(len(self.rules)),
-                               key=lambda i: (-self.rules[i].priority, i))
-
-    def ordered(self) -> list[Rule]:
-        return [self.rules[i] for i in self._ordered]
+        # descending priority; the sort is stable, so file order breaks ties
+        self.ordered = tuple(sorted(self.rules, key=lambda r: -r.priority))
 
 
 _ATOM_RE = re.compile(r"<([A-Z]+)(\d*)(\.\.\.)?>$")
@@ -326,7 +322,7 @@ def match_pattern(pattern: Sequence[PatternAtom],
 
 def match_rule(qa: QAPair, rules: RuleSet) -> Optional[tuple[Rule, Captures]]:
     """The highest-priority rule whose pattern matches the question, with its captures."""
-    for rule in rules.ordered():
+    for rule in rules.ordered:
         captures = match_pattern(rule.pattern, qa.question)
         if captures is not None:
             return rule, captures

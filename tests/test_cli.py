@@ -247,6 +247,25 @@ class TestExitCodes:
             assert "non-finite feature value in row ('d-5', " in detail
         assert not (tmp_path / "run").exists()
 
+    def test_image_size_past_the_float_range_is_data_error(self, capsys, tmp_path):
+        data, run_dir = tmp_path / "s.jsonl", tmp_path / "run"
+        run_cli(capsys, "synth", "--n", "20", "--seed", "1", "--out", str(data))
+        run_cli(capsys, "train", "--data", str(data), "--config", str(TOY_CFG),
+                "--steps", "1", "--out", str(run_dir))
+        lines = data.read_text().splitlines()
+        obj = json.loads(lines[5])
+        obj["image"]["width"] = 10**400
+        lines[5] = json.dumps(obj)
+        data.write_text("\n".join(lines) + "\n")
+        for argv in (("stats",), ("eval", "--checkpoint", str(run_dir)),
+                     ("train", "--config", str(TOY_CFG), "--steps", "2",
+                      "--out", str(tmp_path / "run2"))):
+            code, _, err = run_cli(capsys, *argv, "--data", str(data))
+            detail = self._assert_error_line(code, err, "data")
+            assert detail.startswith(f"{data}:6: ")
+            assert detail.endswith(": image size past the float range")
+        assert not (tmp_path / "run2").exists()
+
     def test_corrupted_magic_is_data_error(self, capsys, tmp_path):
         path = write_tiny_dataset(tmp_path)
         fpath = feature_path(path)

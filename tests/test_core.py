@@ -1,10 +1,13 @@
 import hashlib
 import json
+import math
 import os
+import re
 import struct
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,6 @@ from hypothesis import strategies as st
 
 from groundkit.core import (
     FEATURE_MAGIC,
-    BoundingBox,
     CommonsenseType,
     DataError,
     DatasetHeader,
@@ -71,17 +73,59 @@ def read_kind(kind, path):
     return KINDS[kind][2](path)
 
 
-# breaches of the default header's rules: (the edit of an image's JSON, the
-# same edit of an ImageRecord, the error it raises)
-HEADER_BREACHES = {
-    "low_objectness": (lambda image: image["context_objects"][0].update(objectness=0.05),
-                       lambda image: setattr(image.context_objects[0], "objectness", 0.05),
+# breaches of the region rules, the default header's included: (the region
+# edited -- the first person, the first context object or the image --, the
+# fields changed, the error it raises).  The first person's box is
+# (10, 10, 60, 120), the first object's (20, 130, 50, 170), the image 800 x 200.
+REGION_BREACHES = {
+    "low_objectness": ("object", {"objectness": 0.05},
                        "objectness 0.05 below declared threshold 0.2"),
-    "box_past_edge": (lambda image: image["persons"][0].update(x2=900),
-                      lambda image: setattr(image.persons[0], "box",
-                                            BoundingBox(10, 10, 900, 120)),
-                      "box x2=900 exceeds image width 800"),
+    "objectness_above_one": ("object", {"objectness": 1.5}, "objectness 1.5 outside [0, 1]"),
+    "empty_class_name": ("object", {"class_name": ""}, "context object needs a class name"),
+    "box_past_edge": ("person", {"x2": 900}, "box x2=900 exceeds image width 800"),
+    "degenerate_x": ("person", {"x2": 10}, "degenerate box: x2 <= x1 (10, 10)"),
+    "degenerate_y": ("person", {"y2": 10}, "degenerate box: y2 <= y1 (10, 10)"),
+    "nan_coordinate": ("person", {"x1": math.nan},
+                       "non-finite box coordinate in (nan, 10, 60, 120)"),
+    "infinite_coordinate": ("person", {"x2": math.inf},
+                            "non-finite box coordinate in (10, 10, inf, 120)"),
+    "minus_infinite_coordinate": ("person", {"y1": -math.inf},
+                                  "non-finite box coordinate in (10, -inf, 60, 120)"),
+    "negative_x1": ("person", {"x1": -1}, "negative box coordinate in (-1, 10, 60, 120)"),
+    "negative_y1": ("person", {"y1": -0.5}, "negative box coordinate in (10, -0.5, 60, 120)"),
+    "integer_past_the_float_range": ("person", {"x2": 10**400},
+                                     "box x2 is an integer past the float range"),
+    "object_past_right_edge": ("object", {"x2": 801}, "box x2=801 exceeds image width 800"),
+    "object_past_bottom_edge": ("object", {"y2": 201}, "box y2=201 exceeds image height 200"),
+    "object_degenerate_x": ("object", {"x1": 50}, "degenerate box: x2 <= x1 (50, 50)"),
+    "object_degenerate_y": ("object", {"y2": 120}, "degenerate box: y2 <= y1 (130, 120)"),
+    "object_negative_x1": ("object", {"x1": -3}, "negative box coordinate in (-3, 130, 50, 170)"),
+    "object_negative_y1": ("object", {"y1": -2.5},
+                           "negative box coordinate in (20, -2.5, 50, 170)"),
+    "zero_width": ("image", {"width": 0}, "non-positive image size"),
+    "negative_height": ("image", {"height": -5}, "non-positive image size"),
+    "width_past_the_float_range": ("image", {"width": 10**400},
+                                   "image size past the float range"),
+    "height_past_the_float_range": ("image", {"height": 10**400},
+                                    "image size past the float range"),
 }
+
+
+def breach_json(image, region, edit):
+    """Apply a ``REGION_BREACHES`` edit to an image's JSON object."""
+    {"person": image["persons"][0], "object": image["context_objects"][0],
+     "image": image}[region].update(edit)
+
+
+def breach_record(image, region, edit):
+    """Apply a ``REGION_BREACHES`` edit to an ``ImageRecord``."""
+    target = {"person": image.persons[0], "object": image.context_objects[0],
+              "image": image}[region]
+    for name, value in edit.items():
+        if name in ("x1", "y1", "x2", "y2"):
+            target.box = replace(target.box, **{name: value})
+        else:
+            setattr(target, name, value)
 
 
 def rewrite_rows(path, edit):
@@ -127,7 +171,7 @@ class TestTypes:
         d = Description([PersonLink(3), Word("and"), Word("then"), PersonLink(1),
                          Word("met"), PersonLink(3)])
         assert d.link_ids == [3, 1]
-        assert d.num_links == 2
+        assert len(d.link_ids) == 2
 
     def test_tied_links_detection(self):
         tied = [PersonLink(1), Word("and"), PersonLink(2), Word("dance")]
@@ -364,25 +408,25 @@ class TestContainerIntegrity:
             write(records, tmp_path / "c.jsonl")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("breach", sorted(HEADER_BREACHES))
+    @pytest.mark.parametrize("breach", sorted(REGION_BREACHES))
     def test_header_rules_refused_on_read(self, kind, breach, tmp_path):
-        edit_json, _edit_record, message = HEADER_BREACHES[breach]
+        region, edit, message = REGION_BREACHES[breach]
         path = write_kind(kind, tmp_path / "c.jsonl", ids=("s-0", "s-1"))
         lines = path.read_text().splitlines()
         obj = json.loads(lines[2])
-        edit_json(obj["image"])
+        breach_json(obj["image"], region, edit)
         lines[2] = json.dumps(obj)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match=rf"c.jsonl:3: .*{message}"):
+        with pytest.raises(DataError, match=rf"c\.jsonl:3: img-s-1: {re.escape(message)}$"):
             read_kind(kind, path)
 
-    @pytest.mark.parametrize("breach", sorted(HEADER_BREACHES))
+    @pytest.mark.parametrize("breach", sorted(REGION_BREACHES))
     def test_header_rules_refused_on_write(self, kind, breach, tmp_path):
-        _edit_json, edit_record, message = HEADER_BREACHES[breach]
+        region, edit, message = REGION_BREACHES[breach]
         make, write, _read = KINDS[kind]
         records = [make(i) for i in ("s-0", "s-1")]
-        edit_record(records[1].image)
-        with pytest.raises(DataError, match=message):
+        breach_record(records[1].image, region, edit)
+        with pytest.raises(DataError, match=rf"^img-s-1: {re.escape(message)}$"):
             write(records, tmp_path / "c.jsonl")
         assert list(tmp_path.iterdir()) == []
 

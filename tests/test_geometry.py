@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groundkit.core import BoundingBox, DataError
+from groundkit.core import BoundingBox
 from groundkit.geometry import intersection_area, iou, location_feature
 
 
@@ -33,25 +33,6 @@ class TestIou:
 
     def test_edge_touching_is_zero(self):
         assert iou(box(0, 0, 1, 1), box(1, 0, 2, 1)) == 0.0
-
-    def test_degenerate_box_rejected(self):
-        with pytest.raises(DataError):
-            box(5, 0, 5, 1)
-        with pytest.raises(DataError):
-            box(0, 3, 1, 3)
-
-    @pytest.mark.parametrize("coords", [
-        (float("nan"), 0, 1, 1), (0, 0, float("inf"), 1), (0, float("-inf"), 1, 1),
-        (-1, 0, 1, 1), (0, -0.5, 1, 1),
-    ])
-    def test_non_finite_or_negative_box_rejected(self, coords):
-        with pytest.raises(DataError, match="non-finite|negative"):
-            box(*coords)
-
-    def test_integer_past_the_float_range_rejected(self):
-        # a JSON integer no float holds; the container reports it as a malformed record
-        with pytest.raises(OverflowError):
-            box(0, 0, 10**400, 1)
 
     def test_symmetry_range_identity_bulk(self):
         # >= 1000 random pairs: symmetry, range, translation invariance

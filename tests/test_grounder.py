@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -363,6 +364,16 @@ class TestModelForward:
         encoded = model.embed(model.prepare([sample]))
         assert object_positions(encoded) == [[]]
         assert encoded.sequence.data.shape[1] == len(model.prepare([sample])[0].words) + 3
+
+    @pytest.mark.parametrize("shape", [(7,), (8, 1)])
+    def test_prepare_refuses_a_feature_row_of_another_shape(self, shape):
+        # the records check no rows: a row built in memory meets its first check here
+        sample = make_sample("m-4", n_persons=2)
+        model, _ = toy_model([sample])
+        sample.image.persons[1].feature = np.zeros(shape, np.float32)
+        with pytest.raises(DataError, match=re.escape(
+                f"m-4: feature row of shape {shape}, expected d_vis=8")):
+            model.prepare([sample])
 
     def test_hundred_context_objects_all_included(self):
         sample = make_sample("m-3", n_persons=2, n_objects=100)
