@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from groundkit import numcore as nc
 from groundkit.numcore import CheckpointError, NumericError
 from groundkit.numcore.encoder import layer_from_last
+from groundkit.numcore.optim import ADAM_EPS, BETA1, BETA2
 from groundkit.numcore.tensor import _accum, _out
 
 
@@ -508,11 +509,55 @@ class TestOptimizer:
         assert run() == run()
 
     def test_non_finite_gradient_rejected(self):
-        params = {"w": nc.Tensor(np.ones(2))}
+        params = {"a": nc.Tensor(np.ones(3)), "w": nc.Tensor(np.ones(2)),
+                  "z": nc.Tensor(np.ones(1))}
         state = nc.init_adam_state(params)
-        params["w"].grad = np.array([np.inf, 0.0])
-        with pytest.raises(NumericError):
+        params["w"].grad = np.array([0.0, np.inf])
+        with pytest.raises(NumericError, match="parameter 'w'"):
             nc.optimizer_step(params, state, lr=0.1)
+        # refused before any parameter moved
+        assert all(p.data.tobytes() == np.ones(p.data.size).tobytes()
+                   for p in params.values())
+
+    def test_flat_update_matches_per_parameter_reference(self):
+        # the per-parameter loop the flat buffer replaced, in sorted-name order
+        def reference_step(data, grads, m, v, t, lr, weight_decay):
+            bias1, bias2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
+            for name in sorted(data):
+                g = grads[name]
+                g = np.zeros_like(data[name]) if g is None else g.astype(data[name].dtype)
+                m[name] *= BETA1
+                m[name] += (1.0 - BETA1) * g
+                v[name] *= BETA2
+                v[name] += (1.0 - BETA2) * g * g
+                update = (m[name] / bias1) / (np.sqrt(v[name] / bias2) + ADAM_EPS)
+                if weight_decay:
+                    update = update + weight_decay * data[name]
+                data[name] = data[name] - lr * update
+
+        rng = np.random.default_rng(21)
+        shapes = {"b": (3, 4), "a": (5,), "c": (2, 3, 2)}
+        data = {n: rng.normal(0, 1, s).astype(np.float32) for n, s in shapes.items()}
+        params = {n: nc.Tensor(x.copy()) for n, x in data.items()}
+        state = nc.init_adam_state(params)
+        m = {n: np.zeros_like(x) for n, x in data.items()}
+        v = {n: np.zeros_like(x) for n, x in data.items()}
+        for t in range(1, 6):
+            # float64 gradients are cast to the parameters' float32; "a" has none
+            grads = {n: rng.normal(0, 1, s) for n, s in shapes.items()}
+            grads["a"] = None
+            for n, p in params.items():
+                p.grad = grads[n]
+            nc.optimizer_step(params, state, lr=1e-2, weight_decay=0.01)
+            reference_step(data, grads, m, v, t, lr=1e-2, weight_decay=0.01)
+            for n, p in params.items():
+                assert p.data.shape == shapes[n] and p.data.dtype == np.float32
+                assert p.data.tobytes() == data[n].tobytes()
+
+    def test_parameters_must_share_one_dtype(self):
+        params = {"a": nc.Tensor(np.ones(2)), "b": nc.Tensor(np.ones(2, np.float32))}
+        with pytest.raises(ValueError, match="one dtype"):
+            nc.init_adam_state(params)
 
     def test_decoupled_weight_decay_applies_without_gradient(self):
         params = {"w": nc.Tensor(np.array([2.0]))}
