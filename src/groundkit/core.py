@@ -5,7 +5,8 @@ Datasets and QA corpora share one container of two files:
 - ``<name>.jsonl`` -- UTF-8 JSON lines.  Line 1 is a header object
   ``{"format_version", "d_vis", "objectness_threshold", "max_context_objects"}``;
   every following line is one record (a sample, or a QA pair) with a unique
-  ``sample_id``.
+  ``sample_id``.  The header's ``objectness_threshold`` lies in [0, 1] and
+  its ``max_context_objects`` is at least 0, on read and on write.
 - ``<name>.cgf`` -- the companion binary feature file (little-endian).
   Layout: magic ``CGF1``, ``u32 d_vis``, then per region in file order:
   ``u32`` byte length of sample_id, sample_id bytes, ``u32`` region ordinal,
@@ -154,13 +155,13 @@ class ImageRecord:
                 _require(person.index == pos,
                          "%s: person indices not consecutive at position %s", image_id, pos)
                 raise _region_error(self, b)
-        # objectness lies in [0, 1] whatever threshold the header declares
-        lowest = max(header.objectness_threshold, 0.0)
+        # the container holds every header to a threshold in [0, 1]
+        threshold = header.objectness_threshold
         for obj in self.context_objects:
             b = obj.box
             if not (0 <= b.x1 < b.x2 <= width and 0 <= b.y1 < b.y2 <= height
-                    and lowest <= obj.objectness <= 1 and obj.class_name):
-                raise _region_error(self, b, obj, header.objectness_threshold)
+                    and threshold <= obj.objectness <= 1 and obj.class_name):
+                raise _region_error(self, b, obj, threshold)
         _require(len(self.context_objects) <= header.max_context_objects,
                  "%s: %s context objects exceed declared cap %s",
                  image_id, len(self.context_objects), header.max_context_objects)
@@ -493,6 +494,7 @@ def write_container(path: str | Path, records: Sequence[R], encode: Callable[[R]
     if header is None:
         first = next((row for r in records for row in image_features(r.image)), ())
         header = DatasetHeader(d_vis=len(first))
+    _check_header(header, f"{path}:1")
     lines = [_json_line({
         "format_version": FORMAT_VERSION,
         "d_vis": header.d_vis,
@@ -641,7 +643,17 @@ def _parse_header(line: bytes, where: str) -> DatasetHeader:
         raise DataError(f"{where}: bad dataset header ({exc})") from None
     _require(version == FORMAT_VERSION,
              f"{where}: unsupported format_version {version} (expected {FORMAT_VERSION})")
+    _check_header(header, where)
     return header
+
+
+def _check_header(header: DatasetHeader, where: str) -> None:
+    """Refuse an objectness threshold outside [0, 1] (NaN included) or a
+    negative context-object cap, naming ``where`` and the field."""
+    threshold, cap = header.objectness_threshold, header.max_context_objects
+    _require(0 <= threshold <= 1,
+             "%s: objectness_threshold %s outside [0, 1]", where, threshold)
+    _require(cap >= 0, "%s: max_context_objects %s is negative", where, cap)
 
 
 def write_dataset(samples: Sequence[Sample], path: str | Path,

@@ -11,6 +11,7 @@ from .model import (
     TrainSchedule,
     classification_logits,
     contrastive_loss_from_features,
+    forward_passes,
     loss_cls,
     loss_con,
     read_config,
@@ -24,7 +25,7 @@ __all__ = [
     "DEFAULT_NEUTRAL_NAMES", "EncodedBatch",
     "GroundingModel", "LinkContrast", "ModelConfig", "SUB_BATCH", "SampleLayout",
     "TrainResult", "TrainSchedule", "build_vocab", "classification_logits",
-    "contrastive_loss_from_features", "loss_cls", "loss_con", "make_batches",
+    "contrastive_loss_from_features", "forward_passes", "loss_cls", "loss_con", "make_batches",
     "read_config", "select_context_objects", "sequence_length", "substitute_neutral_names",
     "train",
 ]

@@ -25,8 +25,10 @@ training, its contrastive sets) is a ``SampleLayout``, made by
 ``GroundingModel.prepare``.  The batch entry points (``embed``, ``forward``,
 ``loss_terms``, ``batch_loss``) take layouts only: training prepares each
 sample once and reuses its layout on every visit.  ``predict`` takes samples
-and prepares each forward pass's slice; the per-sample entry points take one
-sample and run a batch of one.  The contrastive weight is ``config.lam``.
+and prepares them all once.  Training and ``predict`` both run their layouts
+in the passes ``forward_passes`` cuts: sorted by sequence length, near-equal
+in size, about ``SUB_BATCH`` samples each.  The per-sample entry points take
+one sample and run a batch of one.  The contrastive weight is ``config.lam``.
 """
 
 from __future__ import annotations
@@ -226,9 +228,10 @@ def substitute_neutral_names(description: Description, seed: int,
 # ---------------------------------------------------------------------------
 # encoded batch and contrastive sets
 
-# Samples per forward/backward pass, in training and in inference.  A pass
-# keeps every activation of its batch until backward, so a larger batch is
-# barely faster but holds proportionally more memory.
+# Samples per forward/backward pass, in training and in inference, before
+# ``forward_passes`` evens the cut.  A pass keeps every activation of its
+# batch until backward, so a larger batch is barely faster but holds
+# proportionally more memory.
 SUB_BATCH = 16
 
 
@@ -346,6 +349,23 @@ class SampleLayout:
 def sequence_length(layout: SampleLayout) -> int:
     """Tokens the sample takes in the input sequence: text, then regions."""
     return len(layout.words) + len(layout.features)
+
+
+def forward_passes(layouts: Sequence[SampleLayout]) -> list[list[int]]:
+    """Positions in ``layouts`` of each forward pass, shortest sequences first.
+
+    The positions are sorted by ``(sequence_length, position)`` and cut into
+    ``max(1, round(n / SUB_BATCH))`` passes whose sizes differ by at most
+    one, so each pass pads to a near neighbour's length, a pass holds at
+    most about 1.5 ``SUB_BATCH`` samples and no short tail pass is left.  No
+    layouts make no pass.
+    """
+    if not layouts:
+        return []
+    order = sorted(range(len(layouts)), key=lambda i: (sequence_length(layouts[i]), i))
+    k = max(1, round(len(order) / SUB_BATCH))
+    cuts = [j * len(order) // k for j in range(k + 1)]
+    return [order[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -581,17 +601,21 @@ class GroundingModel:
         return nc.add(cls_term, nc.scale(con_term, lam))
 
     def predict(self, samples: Sequence[Sample]) -> list[Prediction]:
-        """Predictions in input order, ``SUB_BATCH`` samples per forward pass."""
-        predictions: list[Prediction] = []
-        for start in range(0, len(samples), SUB_BATCH):
-            encoded = self.forward(self.prepare(samples[start:start + SUB_BATCH]))
+        """Predictions in input order.
+
+        The samples are prepared once and run in ``forward_passes`` order:
+        each pass pads to its longest sample only, and padding never reaches
+        a real position's scores.
+        """
+        layouts = self.prepare(samples)
+        scores: list[dict[int, np.ndarray]] = [{} for _ in layouts]
+        for positions in forward_passes(layouts):
+            encoded = self.forward([layouts[i] for i in positions])
             q, _mask = classification_logits(encoded, self.params["cls.w1"],
                                              self.params["cls.w2"])
-            scores: list[dict[int, np.ndarray]] = [{} for _ in encoded.layouts]
             for k, (b, link) in enumerate(encoded.links()):
-                scores[b][link] = q.data[k, :encoded.layouts[b].n_persons].copy()
-            predictions += [Prediction.from_scores(s) for s in scores]
-        return predictions
+                scores[positions[b]][link] = q.data[k, :encoded.layouts[b].n_persons].copy()
+        return [Prediction.from_scores(s) for s in scores]
 
     # batches of one, for callers that hold a single sample
 

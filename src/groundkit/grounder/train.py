@@ -2,10 +2,11 @@
 
 Batches are formed by accumulating shuffled samples until the next one would
 push the summed sequence length past the token budget (a batch always takes
-at least one sample).  A batch runs as consecutive sub-batches of at most
-``SUB_BATCH`` samples, each one padded forward and backward pass; their
-gradients accumulate in a fixed order and are averaged over the batch before
-the single optimizer step, so a seed pins the whole run.
+at least one sample).  ``forward_passes`` cuts a batch into passes of
+near-equal size, its samples sorted by sequence length, so each pass pads
+to a near neighbour's length; each pass is one padded forward and backward
+pass.  Their gradients accumulate in a fixed order and are averaged over
+the batch before the single optimizer step, so a seed pins the whole run.
 
 Each sample is prepared once per ``train`` call, before step 0: its
 ``SampleLayout`` (neutral-name substitution, word ids, feature and location
@@ -26,8 +27,8 @@ import numpy as np
 
 from .. import numcore as nc
 from ..core import DataError, Sample
-from .model import (DEFAULT_NEUTRAL_NAMES, SUB_BATCH, UNK_TOKEN, GroundingModel,
-                    ModelConfig, TrainSchedule, sequence_length)
+from .model import (DEFAULT_NEUTRAL_NAMES, UNK_TOKEN, GroundingModel, ModelConfig,
+                    TrainSchedule, forward_passes, sequence_length)
 
 log = logging.getLogger(__name__)
 
@@ -90,8 +91,9 @@ def train(dataset: Sequence[Sample],
             for p in model.params.values():
                 p.zero_grad()
             total = 0.0
-            for start in range(0, len(batch), SUB_BATCH):
-                chunk = [layouts[idx] for idx in batch[start:start + SUB_BATCH]]
+            members = [layouts[idx] for idx in batch]
+            for positions in forward_passes(members):
+                chunk = [members[i] for i in positions]
                 with nc.Graph() as graph:
                     loss = model.batch_loss(chunk)
                     # the gradient of the chunk's summed loss, as one per-sample

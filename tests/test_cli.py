@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from groundkit.benchkit import evaluate, render_table, run_baseline
 from groundkit.cli import run
-from groundkit.core import (DatasetHeader, feature_path, read_dataset,
+from groundkit.core import (DataError, DatasetHeader, feature_path, read_dataset,
                             sample_to_json, write_container, write_dataset)
 from groundkit.rulekit import DEFAULT_RULES_TEXT, SplitSpec, write_qa_corpus
 
@@ -265,6 +266,29 @@ class TestExitCodes:
             assert detail.startswith(f"{data}:6: ")
             assert detail.endswith(": image size past the float range")
         assert not (tmp_path / "run2").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("objectness_threshold", float("nan"), "objectness_threshold nan outside [0, 1]"),
+        ("objectness_threshold", 2.0, "objectness_threshold 2.0 outside [0, 1]"),
+        ("max_context_objects", -3, "max_context_objects -3 is negative"),
+    ], ids=["threshold-nan", "threshold-2", "cap-negative"])
+    def test_header_out_of_bounds_is_data_error(self, capsys, tmp_path, field, value, message):
+        data = tmp_path / "h.jsonl"
+        run_cli(capsys, "synth", "--n", "5", "--seed", "1", "--out", str(data))
+        lines = data.read_text().splitlines()
+        header = json.loads(lines[0])
+        header[field] = value
+        lines[0] = json.dumps(header)
+        data.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "stats", "--data", str(data))
+        assert self._assert_error_line(code, err, "data") == f"{data}:1: {message}"
+        # the same header is refused on write, before either file exists
+        out = tmp_path / "w.jsonl"
+        bad = replace(DatasetHeader(d_vis=8), **{field: value})
+        with pytest.raises(DataError) as exc:
+            write_dataset([], out, header=bad)
+        assert str(exc.value) == f"{out}:1: {message}"
+        assert not out.exists() and not feature_path(out).exists()
 
     def test_corrupted_magic_is_data_error(self, capsys, tmp_path):
         path = write_tiny_dataset(tmp_path)

@@ -44,6 +44,7 @@ from groundkit.grounder.model import (
     SampleLayout,
     classification_logits,
     contrastive_loss_from_features,
+    forward_passes,
     loss_cls,
     loss_con,
     select_context_objects,
@@ -520,6 +521,39 @@ class TestBatching:
                 assert vec.shape == (sample.image.n_persons,)
                 np.testing.assert_allclose(pred.scores[link], vec, rtol=0, atol=1e-6)
             assert pred.chosen == alone.chosen
+
+    @pytest.mark.parametrize("n, n_passes", [(8, 1), (23, 1), (24, 2), (65, 4)])
+    def test_forward_passes_sort_and_cut_evenly(self, n, n_passes):
+        from groundkit import benchkit
+        samples = benchkit.synth_generate(
+            benchkit.SynthConfig(n_samples=n, max_persons=6, d_vis=24, seed=6))
+        layouts = self._model(samples).prepare(samples)
+        passes = forward_passes(layouts)
+        assert len(passes) == n_passes
+        assert sorted(i for positions in passes for i in positions) == list(range(n))
+        keys = [(sequence_length(layouts[i]), i) for positions in passes for i in positions]
+        assert keys == sorted(keys)
+        sizes = [len(positions) for positions in passes]
+        assert max(sizes) - min(sizes) <= 1
+        assert forward_passes([]) == []
+
+    def test_predict_returns_input_order(self):
+        from groundkit import benchkit
+        samples = benchkit.synth_generate(
+            benchkit.SynthConfig(n_samples=2 * SUB_BATCH + 5, max_persons=6, d_vis=24, seed=7))
+        model = self._model(samples)
+        forward = model.predict(samples)
+        backward = model.predict(samples[::-1])[::-1]
+        for a, b in zip(forward, backward, strict=True):
+            assert a.chosen == b.chosen
+            assert set(a.scores) == set(b.scores)
+            for link, vec in a.scores.items():
+                np.testing.assert_allclose(b.scores[link], vec, rtol=1e-5, atol=1e-6)
+
+    def test_predict_of_no_samples_runs_no_pass(self, monkeypatch):
+        model = self._model([make_sample("e-0")])
+        monkeypatch.setattr(model, "forward", lambda layouts: pytest.fail("forward ran"))
+        assert model.predict([]) == []
 
     def test_batch_loss_is_mean_of_single_losses(self):
         samples = gradient_fixture(d_vis=24, seed=5)
