@@ -10,7 +10,9 @@ from equal state stay bitwise equal.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping
 
 import numpy as np
@@ -62,12 +64,12 @@ def optimizer_step(params: Mapping[str, Tensor], state: AdamState, lr: float,
             raise NumericError(f"gradient of shape {g.shape} for parameter {name!r} "
                                f"of shape {p.data.shape}")
         grads.append(g.reshape(-1))
+    ends = list(accumulate(x.size for x in grads))
     g = np.concatenate(grads, dtype=dtype)
     if not np.isfinite(g).all():
-        offsets = np.cumsum([x.size for x in grads])
         first = int(np.flatnonzero(~np.isfinite(g))[0])
-        name = names[int(np.searchsorted(offsets, first, side="right"))]
-        raise NumericError(f"non-finite gradient for parameter {name!r}")
+        raise NumericError(f"non-finite gradient for parameter "
+                           f"{names[bisect_right(ends, first)]!r}")
     m, v = state.m, state.v
     m *= BETA1
     m += (1.0 - BETA1) * g
@@ -78,8 +80,6 @@ def optimizer_step(params: Mapping[str, Tensor], state: AdamState, lr: float,
     if weight_decay:
         update = update + weight_decay * flat
     flat = flat - lr * update
-    start = 0
-    for name, x in zip(names, grads):
+    for name, start, end in zip(names, [0] + ends, ends):
         p = params[name]
-        p.data = flat[start:start + x.size].reshape(p.data.shape)
-        start += x.size
+        p.data = flat[start:end].reshape(p.data.shape)

@@ -505,12 +505,12 @@ class TestBatching:
         return GroundingModel.init(config, build_vocab(samples), dtype=np.float32)
 
     def test_scores_alone_and_in_padded_batch_agree(self):
-        # more samples than one forward pass takes, so the split is covered
+        # enough samples for two forward passes, so the split is covered
         # too; float64 keeps the rounding of the two summation orders far
         # below the tolerance, which anything leaking through padding is not
         from groundkit import benchkit
         samples = gradient_fixture(d_vis=24, seed=3) + benchkit.synth_generate(
-            benchkit.SynthConfig(n_samples=SUB_BATCH + 3, max_persons=6, d_vis=24, seed=4))
+            benchkit.SynthConfig(n_samples=2 * SUB_BATCH, max_persons=6, d_vis=24, seed=4))
         model, _config = rescaled_model(samples)
         batched = model.predict(samples)
         assert len(batched) == len(samples)
@@ -656,11 +656,11 @@ class TestTrainingLoop:
             assert r1.model.params[name].data.tobytes() == \
                    r2.model.params[name].data.tobytes()
 
-    def test_step_memory_peak_under_4mb(self):
-        # one optimizer step on a 64-sample batch of the toy config: the
-        # sub-batched tape, freed as backward runs, keeps the peak small
+    @staticmethod
+    def _one_step_peak(n_samples):
+        """tracemalloc's peak over one toy-config step on one batch of ``n_samples``."""
         from groundkit import benchkit
-        samples = benchkit.synth_generate(benchkit.SynthConfig(n_samples=64, seed=5))
+        samples = benchkit.synth_generate(benchkit.SynthConfig(n_samples=n_samples, seed=5))
         config = read_config(TOY_CFG)[0]
         sched = TrainSchedule(steps=1, lr=5e-4, token_budget=100_000)
         tracemalloc.start()
@@ -670,7 +670,16 @@ class TestTrainingLoop:
         finally:
             tracemalloc.stop()
         assert len(result.losses) == 1
-        assert peak < 4 * 2**20
+        return peak
+
+    def test_step_memory_peak_under_4mb(self):
+        # one optimizer step on a 64-sample batch of the toy config: the
+        # sub-batched tape, freed as backward runs, keeps the peak small
+        assert self._one_step_peak(64) < 4 * 2**20
+
+    def test_largest_pass_memory_peak_under_4mb(self):
+        # 23 samples make one pass, the largest forward_passes cuts
+        assert self._one_step_peak(23) < 4 * 2**20
 
     def test_overfit_single_sample(self):
         sample = make_sample("o-1", n_persons=3)

@@ -554,6 +554,14 @@ class TestOptimizer:
                 assert p.data.shape == shapes[n] and p.data.dtype == np.float32
                 assert p.data.tobytes() == data[n].tobytes()
 
+    def test_gradient_of_another_shape_rejected(self):
+        # the flat buffer would take a transposed gradient of the same size silently
+        params = {"w": nc.Tensor(np.ones((2, 3)))}
+        state = nc.init_adam_state(params)
+        params["w"].grad = np.ones((3, 2))
+        with pytest.raises(NumericError, match=r"shape \(3, 2\) for parameter 'w'"):
+            nc.optimizer_step(params, state, lr=0.1)
+
     def test_parameters_must_share_one_dtype(self):
         params = {"a": nc.Tensor(np.ones(2)), "b": nc.Tensor(np.ones(2, np.float32))}
         with pytest.raises(ValueError, match="one dtype"):
