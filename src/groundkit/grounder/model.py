@@ -17,7 +17,8 @@ terms weighted by IoU against the ground-truth box.
 Samples run in batches: their sequences are zero-padded to a common length
 ``L`` into one ``[B, L, d]`` tensor, a key-padding mask keeps attention off
 the padding, and the losses gather link, person and context-object rows by
-flat index, so one forward and one backward pass serve the whole batch.
+flat index (``b * L`` plus the position within sample ``b``, added to whole
+arrays of positions), so one forward and one backward pass serve the batch.
 
 Everything about a sample that no parameter touches (its substituted words,
 their vocabulary ids, its region feature and location rows and, for
@@ -235,25 +236,14 @@ def substitute_neutral_names(description: Description, seed: int,
 SUB_BATCH = 16
 
 
-def _pad(lists: Sequence[Sequence[float]], dtype=np.intp) -> tuple[np.ndarray, np.ndarray]:
-    """Ragged lists as one zero-padded ``[K, C]`` array plus the mask of real entries."""
-    width = max(len(x) for x in lists)
-    out = np.zeros((len(lists), width), dtype=dtype)
-    mask = np.zeros((len(lists), width), dtype=bool)
-    for i, x in enumerate(lists):
-        out[i, :len(x)] = x
-        mask[i, :len(x)] = True
-    return out, mask
-
-
 @dataclass
 class EncodedBatch:
     """Samples embedded as one padded ``[B, L, d]`` sequence (and optionally encoded).
 
     Row ``b`` holds sample ``b``, laid out by ``layouts[b]`` (text, then
     persons, then objects) from position 0; the positions after it are zero
-    padding, False in ``mask``.  Positions count within a sample; ``row``
-    turns one into an index into the features flattened to ``[B * L, d]``.
+    padding, False in ``mask``.  Positions count within a sample: position
+    ``p`` of sample ``b`` is row ``offsets()[b] + p`` of the ``flat`` rows.
     """
 
     sequence: nc.Tensor
@@ -261,8 +251,8 @@ class EncodedBatch:
     layouts: Sequence[SampleLayout]
     hidden: list[nc.Tensor] = field(default_factory=list)
 
-    def row(self, b: int, position: int) -> int:
-        return b * self.sequence.data.shape[1] + position
+    def offsets(self) -> np.ndarray:
+        return np.arange(len(self.layouts)) * self.mask.shape[1]
 
     def links(self) -> list[tuple[int, int]]:
         """``(sample index, link id)`` of every link, by sample, then by link id."""
@@ -326,9 +316,9 @@ class SampleLayout:
     sample's own feature rows, ``locations`` one array in the parameters'
     dtype.  ``sets`` is None unless the layout was prepared for the
     contrastive loss; then it holds one ``(anchor, candidates, weights)``
-    per link, in sequence positions: the link's token, its positives (the
-    ground-truth person, then its context objects in the sequence) followed
-    by the other persons, and the positives' IoU weights.
+    per link, in sequence positions: the link's token, an ``intp`` array of
+    its positives (the ground-truth person, then its context objects in the
+    sequence) followed by the other persons, and the positives' IoU weights.
     """
 
     words: list[str]
@@ -338,7 +328,7 @@ class SampleLayout:
     n_persons: int
     features: list[np.ndarray]   # R rows of d_vis
     locations: np.ndarray        # [R, 7]
-    sets: list[tuple[int, list[int], np.ndarray]] | None = None
+    sets: list[tuple[int, np.ndarray, np.ndarray]] | None = None
 
     @property
     def persons(self) -> range:
@@ -393,14 +383,19 @@ def contrastive_loss_from_features(feats: nc.Tensor,
 
     Link ``i`` compares row ``anchors[i]`` with its rows ``candidates[i]``
     (positives and negatives alike) by dot product over ``tau``.  The
-    log-softmax over its candidates is read at each candidate with
-    coefficient ``weights[i][j]`` (0 for a negative), and the weighted sum
+    log-softmax over its candidates is read at the first ones with the
+    coefficients ``weights[i]`` and at the rest with 0, and the weighted sum
     over all links is negated.  Candidate lists may differ in length.
     """
     if tau <= 0:
         raise nc.NumericError(f"temperature must be positive, got {tau}")
-    cols, mask = _pad(candidates)
-    coef, _ = _pad(weights, dtype=np.float64)
+    n_cols = np.array([len(c) for c in candidates])
+    columns = np.arange(n_cols.max())
+    mask = columns < n_cols[:, None]
+    cols = np.zeros(mask.shape, dtype=np.intp)
+    cols[mask] = np.concatenate(candidates)
+    coef = np.zeros(mask.shape)
+    coef[columns < np.array([len(w) for w in weights])[:, None]] = np.concatenate(weights)
     sims = nc.gather_dot(feats, feats, anchors, cols)
     logp = nc.log_softmax(nc.scale(sims, 1.0 / tau), mask=mask)
     return nc.dot_const(logp, -coef)
@@ -415,15 +410,14 @@ def loss_con(encoded: EncodedBatch, tau: float, contrast_layer: int) -> nc.Tenso
     """
     feats = encoded.flat(layer_from_last(encoded.hidden, contrast_layer))
     anchors: list[int] = []
-    candidates: list[list[int]] = []
-    weights: list[list[float]] = []
-    for b, layout in enumerate(encoded.layouts):
+    candidates: list[np.ndarray] = []
+    weights: list[np.ndarray] = []
+    for offset, layout in zip(encoded.offsets(), encoded.layouts):
         for anchor, positions, iou_weights in layout.sets:
             share = 1.0 / (len(iou_weights) * len(layout.sets) * len(encoded.layouts))
-            anchors.append(encoded.row(b, anchor))
-            candidates.append([encoded.row(b, position) for position in positions])
-            weights.append([w * share for w in iou_weights]
-                           + [0.0] * (len(positions) - len(iou_weights)))
+            anchors.append(offset + anchor)
+            candidates.append(offset + positions)
+            weights.append(iou_weights * share)
     return contrastive_loss_from_features(feats, anchors, candidates, weights, tau)
 
 
@@ -438,8 +432,13 @@ def classification_logits(encoded: EncodedBatch, w1: nc.Tensor,
     final = encoded.flat(encoded.hidden[-1])
     links = encoded.links()
     layouts = encoded.layouts
-    rows = [encoded.row(b, layouts[b].link_positions[link]) for b, link in links]
-    cols, mask = _pad([[encoded.row(b, j) for j in layouts[b].persons] for b, _link in links])
+    sample = [b for b, _link in links]
+    offsets = encoded.offsets()[sample]
+    rows = offsets + [layouts[b].link_positions[link] for b, link in links]
+    first = offsets + np.array([x.persons.start for x in layouts])[sample]
+    n_persons = np.array([x.n_persons for x in layouts])[sample]
+    mask = np.arange(n_persons.max()) < n_persons[:, None]
+    cols = np.where(mask, first[:, None] + np.arange(mask.shape[1]), 0)
     return nc.gather_dot(nc.linear(final, w1), nc.linear(final, w2), rows, cols), mask
 
 
@@ -516,8 +515,9 @@ class GroundingModel:
                     # so the positives shrink to the ground-truth person alone
                     kept = lc.context_objects if cfg.use_context_objects else []
                     sets.append((link_positions[lc.link_id],
-                                 [persons[lc.gt_person]] + [persons.stop + c for c in kept]
-                                 + [persons[j] for j in lc.negatives],
+                                 np.array([persons[lc.gt_person]]
+                                          + [persons.stop + c for c in kept]
+                                          + [persons[j] for j in lc.negatives], dtype=np.intp),
                                  lc.weights[:1 + len(kept)]))
             layouts.append(SampleLayout(
                 words=words, link_positions=link_positions, labels=sample.labels,
@@ -533,17 +533,13 @@ class GroundingModel:
                             dtype=p["embed.feat.w"].data.dtype)
         lengths = [sequence_length(layout) for layout in layouts]
         width = max(lengths)
-
-        positions, text_rows, region_rows = [], [], []
-        for b, (layout, n) in enumerate(zip(layouts, lengths)):
-            n_text = len(layout.words)
-            positions.append(np.arange(n_text))
-            text_rows.append(np.arange(b * width, b * width + n_text))
-            region_rows.append(np.arange(b * width + n_text, b * width + n))
+        # the real positions of each row, then those of its text: the rest are regions
+        mask = np.arange(width) < np.array(lengths)[:, None]
+        is_text = np.arange(width) < np.array([len(x.words) for x in layouts])[:, None]
 
         text = nc.add_layer_norm(
             nc.gather_rows(p["embed.word"], np.concatenate([x.word_ids for x in layouts])),
-            nc.gather_rows(p["embed.pos"], np.concatenate(positions)),
+            nc.gather_rows(p["embed.pos"], np.nonzero(is_text)[1]),
             p["embed.text_ln.gain"], p["embed.text_ln.bias"])
         region = nc.add_layer_norm(
             nc.linear(nc.Tensor(features),
@@ -551,11 +547,13 @@ class GroundingModel:
             nc.linear(nc.Tensor(np.concatenate([x.locations for x in layouts])),
                       p["embed.loc.w"], p["embed.loc.b"]),
             p["embed.region_ln.gain"], p["embed.region_ln.bias"])
-        flat = nc.scatter_rows([text, region], np.concatenate(text_rows + region_rows),
-                               len(layouts) * width)
+        flat = nc.scatter_rows(
+            [text, region], np.concatenate([np.flatnonzero(is_text),
+                                            np.flatnonzero(mask & ~is_text)]),
+            len(layouts) * width)
         return EncodedBatch(
             sequence=nc.reshape(flat, (len(layouts), width, self.config.d_model)),
-            mask=np.arange(width) < np.array(lengths)[:, None], layouts=layouts)
+            mask=mask, layouts=layouts)
 
     def forward(self, layouts: Sequence[SampleLayout]) -> EncodedBatch:
         encoded = self.embed(layouts)

@@ -209,7 +209,13 @@ class TestLossCls:
 
 
 def fake_layout(link_positions, n_text=0, n_persons=0, sets=None):
-    """A layout of ``n_text`` words, then ``n_persons`` persons, without feature rows."""
+    """A layout of ``n_text`` words, then ``n_persons`` persons, without feature rows.
+
+    Each set's candidate positions may be given as a list.
+    """
+    if sets is not None:
+        sets = [(anchor, np.array(candidates, dtype=np.intp), weights)
+                for anchor, candidates, weights in sets]
     return SampleLayout(words=["w"] * n_text, link_positions=link_positions, labels={},
                         word_ids=np.zeros(n_text, dtype=np.intp), n_persons=n_persons,
                         features=[], locations=np.zeros((0, 7)), sets=sets)
@@ -349,6 +355,43 @@ class TestClassificationLogits:
         np.testing.assert_allclose(q.data, [[0.0, 1.0, 0.0]], atol=1e-12)
 
 
+def test_padded_batch_reads_each_sample_at_its_offset():
+    # three layouts of different text lengths, person counts and candidate
+    # counts in one padded batch, every row (padding included) random: a link
+    # or candidate read at another sample's offset gets other features
+    layouts = [
+        # 2 text, persons at 2-4, an object at 5
+        fake_layout({1: 0, 2: 1}, n_text=2, n_persons=3,
+                    sets=[(0, [2, 5, 3, 4], np.array([1.0, 0.6])),
+                          (1, [3, 2, 4], np.array([1.0]))]),
+        # 4 text, persons at 4-5
+        fake_layout({1: 2}, n_text=4, n_persons=2, sets=[(2, [5, 4], np.array([1.0]))]),
+        # 1 text, persons at 1-4, objects at 5, 6
+        fake_layout({3: 0}, n_text=1, n_persons=4,
+                    sets=[(0, [2, 5, 6, 1, 3, 4], np.array([1.0, 0.5, 0.3]))]),
+    ]
+    lengths = [6, 6, 7]
+    rng = np.random.default_rng(5)
+    feats = rng.normal(0, 1, (3, 8, 4))      # one padding position past the longest
+    w1, w2 = (nc.Tensor(rng.normal(0, 1, (4, 4))) for _ in range(2))
+    t = nc.Tensor(feats)
+    batch = EncodedBatch(sequence=t, mask=np.arange(8) < np.array(lengths)[:, None],
+                         layouts=layouts, hidden=[t])
+    q, mask = classification_logits(batch, w1, w2)
+    alone = [fake_encoded(feats[b, :n], layout)
+             for b, (layout, n) in enumerate(zip(layouts, lengths))]
+    expected = [classification_logits(one, w1, w2)[0].data for one in alone]
+    assert [b for b, _link in batch.links()] == [0, 0, 1, 2]
+    for k, (b, row) in enumerate(((0, 0), (0, 1), (1, 0), (2, 0))):
+        n = layouts[b].n_persons
+        assert mask[k].tolist() == [True] * n + [False] * (4 - n)
+        np.testing.assert_allclose(q.data[k, :n], expected[b][row], rtol=1e-12)
+    # the batch loss is the mean over samples of each sample's own loss
+    per_sample = [float(loss_con(one, tau=0.5, contrast_layer=1).data) for one in alone]
+    assert float(loss_con(batch, tau=0.5, contrast_layer=1).data) == pytest.approx(
+        sum(per_sample) / 3, rel=1e-12)
+
+
 class TestModelForward:
     def test_sequence_layout(self):
         sample = make_sample("m-1", n_persons=3, n_objects=2)
@@ -394,7 +437,8 @@ class TestModelForward:
             n_text = len(layout.words)
             [(anchor, candidates, iou_weights)] = layout.sets
             assert anchor == layout.link_positions[1]
-            assert candidates == [n_text + j for j in positives + [1, 2]]
+            assert candidates.dtype == np.intp
+            assert candidates.tolist() == [n_text + j for j in positives + [1, 2]]
             np.testing.assert_allclose(iou_weights, weights)
 
     def test_lambda_zero_equals_cls_loss(self):
