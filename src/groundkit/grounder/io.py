@@ -2,8 +2,8 @@
 
 A run directory holds ``model.ckpt`` (binary checkpoint), ``vocab.json``
 (word-to-id map), ``config.cfg`` (the resolved model config), and whatever
-logs the caller adds.  Loading validates tensor names and shapes against the
-config before constructing the model.  Each file, the checkpoint included,
+logs the caller adds.  Loading validates the vocabulary, then tensor names
+and shapes against the config, before constructing the model.  Each file, the checkpoint included,
 is written through ``core.replace_file`` (``<name>.tmp`` plus ``os.replace``),
 so a failed save never leaves a partly written file behind.
 """
@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .. import numcore as nc
-from ..core import DataError, replace_file
-from .model import GroundingModel, read_config
+from ..core import DataError, read_text, replace_file
+from .model import UNK_TOKEN, GroundingModel, read_config
 
 CHECKPOINT_NAME = "model.ckpt"
 VOCAB_NAME = "vocab.json"
@@ -33,6 +33,28 @@ def save_model(model: GroundingModel, run_dir: str | Path) -> Path:
     return run_dir / CHECKPOINT_NAME
 
 
+def _read_vocab(path: Path) -> dict[str, int]:
+    """A ``vocab.json``: a JSON object mapping words to integer ids that are
+    exactly ``0..n-1``, each once, with ``<unk>`` at 0.  Anything else,
+    booleans as ids included, is a DataError naming the file."""
+    try:
+        vocab = json.loads(read_text(path))
+    except ValueError as exc:
+        raise DataError(f"{path}: bad vocabulary file ({exc})") from None
+    if not isinstance(vocab, dict):
+        problem = f"a JSON {type(vocab).__name__}, not an object of word ids"
+    elif any(type(i) is not int for i in vocab.values()):
+        word = next(w for w, i in vocab.items() if type(i) is not int)
+        problem = f"{word!r} has the id {vocab[word]!r}, not an integer"
+    elif sorted(vocab.values()) != list(range(len(vocab))):
+        problem = f"the ids are not 0..{len(vocab) - 1}, each once"
+    elif vocab.get(UNK_TOKEN) != 0:
+        problem = f"{UNK_TOKEN!r} does not have the id 0"
+    else:
+        return vocab
+    raise DataError(f"{path}: bad vocabulary file ({problem})")
+
+
 def load_model(run_dir: str | Path) -> GroundingModel:
     run_dir = Path(run_dir)
     config_path = run_dir / CONFIG_NAME
@@ -42,12 +64,7 @@ def load_model(run_dir: str | Path) -> GroundingModel:
         if not path.exists():
             raise DataError(f"{path}: missing from run directory")
     config = read_config(config_path)[0]
-    try:
-        vocab = {str(k): int(v) for k, v in
-                 json.loads(vocab_path.read_text(encoding="utf-8")).items()}
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise DataError(f"{vocab_path}: bad vocabulary file ({exc})") from None
-    template = GroundingModel.init(config, vocab, dtype=np.float32)
+    template = GroundingModel.init(config, _read_vocab(vocab_path), dtype=np.float32)
     loaded = nc.load_checkpoint(ckpt_path, expected_shapes={
         name: p.data.shape for name, p in template.params.items()})
     for name, arr in loaded.items():

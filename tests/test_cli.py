@@ -560,6 +560,43 @@ class TestTrainEvalGradcheck:
             detail = json.loads(err.splitlines()[0])["detail"]
             assert f"{cfg}:{lineno}: {key} = {value} is no longer supported" in detail
 
+    @pytest.mark.parametrize("edit, problem", [
+        pytest.param(edit, problem, id=edit) for edit, problem in (
+            ("list", "a JSON list, not an object of word ids"),
+            ("id past the end", "the ids are not 0..{last}, each once"),
+            ("id past int64", "the ids are not 0..{last}, each once"),
+            ("id of <unk>", "the ids are not 0..{last}, each once"),
+            ("float id", "'the' has the id 1.7, not an integer"),
+            ("boolean id", "'the' has the id True, not an integer"),
+            ("negative id", "the ids are not 0..{last}, each once"),
+            ("no <unk>", "'<unk>' does not have the id 0"))])
+    def test_eval_on_edited_vocab_is_data_error(self, capsys, tmp_path, edit, problem):
+        data = tmp_path / "s.jsonl"
+        run_cli(capsys, "synth", "--n", "6", "--seed", "2", "--out", str(data))
+        run_dir = tmp_path / "run"
+        run_cli(capsys, "train", "--data", str(data), "--config", str(TOY_CFG),
+                "--out", str(run_dir), "--steps", "1")
+        path = run_dir / "vocab.json"
+        vocab = json.loads(path.read_text())
+        assert vocab["the"] > 0
+        if edit == "no <unk>":
+            # the ids still run 0..n-1, with another word at 0
+            vocab[next(w for w, i in vocab.items() if i == len(vocab) - 1)] = 0
+            del vocab["<unk>"]
+        else:
+            vocab["the"] = {"id past the end": 1000000, "id past int64": 10**30,
+                            "id of <unk>": 0, "float id": 1.7, "boolean id": True,
+                            "negative id": -5}.get(edit)
+        path.write_text(json.dumps([1, 2] if edit == "list" else vocab))
+        code, out, err = run_cli(capsys, "eval", "--data", str(data),
+                                 "--checkpoint", str(run_dir))
+        assert code == 2 and out == ""
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "data"
+        last = len(vocab) - 1
+        assert error["detail"] == f"{path}: bad vocabulary file ({problem.format(last=last)})"
+
     def test_train_rejects_corrupt_checkpoint_on_eval(self, capsys, tmp_path):
         data = tmp_path / "s.jsonl"
         run_cli(capsys, "synth", "--n", "10", "--seed", "2", "--out", str(data))
