@@ -3,9 +3,10 @@
 A run directory holds ``model.ckpt`` (binary checkpoint), ``vocab.json``
 (word-to-id map), ``config.cfg`` (the resolved model config), and whatever
 logs the caller adds.  Loading validates the vocabulary, then tensor names
-and shapes against the config, before constructing the model.  Each file, the checkpoint included,
-is written through ``core.replace_file`` (``<name>.tmp`` plus ``os.replace``),
-so a failed save never leaves a partly written file behind.
+and shapes against the config, before constructing the model.  Each file,
+the checkpoint included, is written through ``core.replace_file``
+(``<name>.tmp`` plus ``os.replace``), so a failed save never leaves a partly
+written file behind.
 """
 
 from __future__ import annotations

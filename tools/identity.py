@@ -21,7 +21,8 @@ same list of CLI commands, each from its own ``src``, ``configs`` and
 Every file written, each command's stdout included (as ``stdout/NAME``), is
 compared byte for byte, one line per file.  Stderr is not compared: it holds
 wall times.  The exit code is 0 when every file is identical, 1 when any file
-differs or exists on one side only, and 2 when a command fails.
+differs or exists on one side only, and 2 when REV cannot be checked out or a
+command fails.
 
 Training, eval and gradcheck bytes depend on the BLAS kernel, so the result
 holds for this machine; both trees run with ``OPENBLAS_NUM_THREADS=1``.
@@ -36,6 +37,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NoReturn
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = "configs/toy.cfg"   # read from each tree
@@ -81,6 +83,11 @@ def commands(tree: Path) -> list[tuple[str, list[str]]]:
     return steps
 
 
+def fail(message: str) -> NoReturn:
+    print(f"identity: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def run_all(tree: Path, out: Path) -> None:
     """Run every step with ``tree``'s code in ``out``, stdout to ``out/stdout``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
@@ -89,7 +96,7 @@ def run_all(tree: Path, out: Path) -> None:
         done = subprocess.run(argv, cwd=out, env=env, capture_output=True)
         if done.returncode != 0:
             sys.stderr.write(done.stderr.decode("utf-8", "replace"))
-            raise SystemExit(f"identity: {name} exited {done.returncode} on {tree}")
+            fail(f"{name} exited {done.returncode} on {tree}")
         (out / "stdout" / name).write_bytes(done.stdout)
 
 
@@ -116,8 +123,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
         tmp = Path(tmp)
         parent = tmp / "parent-tree"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach",
-                        str(parent), args.parent], check=True)
+        added = subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet",
+                                "--detach", str(parent), args.parent])
+        if added.returncode != 0:
+            fail(f"cannot check out {args.parent!r}")
         try:
             run_all(ROOT, tmp / "this")
             run_all(parent, tmp / "parent")
