@@ -30,13 +30,20 @@ and prepares them all once.  Training and ``predict`` both run their layouts
 in the passes ``forward_passes`` cuts: sorted by sequence length, near-equal
 in size, about ``SUB_BATCH`` samples each.  The per-sample entry points take
 one sample and run a batch of one.  The contrastive weight is ``config.lam``.
+
+Training and ``predict`` run a pass under ``nc.deferred_checks`` and check
+only its loss or scores; ``replay_pass`` runs a failing pass again with the
+per-op checks on.  ``forward``, ``link_scores`` and ``loss_terms`` name the
+part of the model a NumericError came from (``embed``,
+``classification_logits``, ``loss_cls``, ``loss_con``; ``encode`` names
+``enc.layer<i>``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Sequence, get_type_hints
+from typing import Callable, Mapping, NoReturn, Sequence, get_type_hints
 
 import numpy as np
 
@@ -358,6 +365,14 @@ def forward_passes(layouts: Sequence[SampleLayout]) -> list[list[int]]:
     return [order[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
+def replay_pass(run: Callable[[], object]) -> NoReturn:
+    """Run a pass whose output check failed again, outside
+    ``nc.deferred_checks``, so that the op making its first non-finite value
+    raises its NumericError."""
+    run()
+    raise nc.NumericError("non-finite pass output that no op made")
+
+
 # ---------------------------------------------------------------------------
 # losses
 
@@ -556,10 +571,16 @@ class GroundingModel:
             mask=mask, layouts=layouts)
 
     def forward(self, layouts: Sequence[SampleLayout]) -> EncodedBatch:
-        encoded = self.embed(layouts)
+        with nc.located("embed"):
+            encoded = self.embed(layouts)
         encoded.hidden = nc.encode(encoded.sequence, self.config.encoder, self.params,
                                    mask=encoded.mask)
         return encoded
+
+    def link_scores(self, encoded: EncodedBatch) -> tuple[nc.Tensor, np.ndarray]:
+        """``classification_logits`` of ``encoded`` under the model's classifier."""
+        with nc.located("classification_logits"):
+            return classification_logits(encoded, self.params["cls.w1"], self.params["cls.w2"])
 
     # -- losses / inference -------------------------------------------------
 
@@ -577,14 +598,16 @@ class GroundingModel:
         if any((layout.sets is not None) != contrast for layout in layouts):
             raise ValueError("layouts mix prepare(..., contrast=True) and contrast=False")
         encoded = self.forward(layouts)
-        q, mask = classification_logits(encoded, self.params["cls.w1"], self.params["cls.w2"])
+        q, mask = self.link_scores(encoded)
         links = encoded.links()
         labels = [layouts[b].labels[link] for b, link in links]
         weights = [1.0 / (len(layouts) * len(layouts[b].link_positions)) for b, _ in links]
-        cls_term = loss_cls(q, labels, mask=mask, weights=weights)
+        with nc.located("loss_cls"):
+            cls_term = loss_cls(q, labels, mask=mask, weights=weights)
         if not contrast:
             return cls_term, None
-        return cls_term, loss_con(encoded, cfg.tau, cfg.contrast_layer)
+        with nc.located("loss_con"):
+            return cls_term, loss_con(encoded, cfg.tau, cfg.contrast_layer)
 
     def batch_loss(self, layouts: Sequence[SampleLayout]) -> nc.Tensor:
         """Mean over ``layouts`` of ``L_cls + lam * L_con`` (``lam`` from the
@@ -603,16 +626,26 @@ class GroundingModel:
 
         The samples are prepared once and run in ``forward_passes`` order:
         each pass pads to its longest sample only, and padding never reaches
-        a real position's scores.
+        a real position's scores.  A pass runs under ``nc.deferred_checks``
+        and its ``[K, N]`` scores are checked once; if they are not finite,
+        ``replay_pass`` runs it again with the per-op checks on, and the
+        NumericError names the op, the part of the model it ran in and the
+        pass's sample ids.
         """
         layouts = self.prepare(samples)
         scores: list[dict[int, np.ndarray]] = [{} for _ in layouts]
-        for positions in forward_passes(layouts):
-            encoded = self.forward([layouts[i] for i in positions])
-            q, _mask = classification_logits(encoded, self.params["cls.w1"],
-                                             self.params["cls.w2"])
-            for k, (b, link) in enumerate(encoded.links()):
-                scores[positions[b]][link] = q.data[k, :encoded.layouts[b].n_persons].copy()
+        with np.errstate(all="ignore"):
+            for positions in forward_passes(layouts):
+                chunk = [layouts[i] for i in positions]
+                ids = ", ".join(samples[i].sample_id for i in positions)
+                with nc.located(f"the pass over samples {ids}"):
+                    with nc.deferred_checks():
+                        encoded = self.forward(chunk)
+                        q, _mask = self.link_scores(encoded)
+                    if not np.isfinite(q.data).all():
+                        replay_pass(lambda: self.link_scores(self.forward(chunk)))
+                for k, (b, link) in enumerate(encoded.links()):
+                    scores[positions[b]][link] = q.data[k, :chunk[b].n_persons].copy()
         return [Prediction.from_scores(s) for s in scores]
 
     # batches of one, for callers that hold a single sample

@@ -15,6 +15,12 @@ every visit, so a step only gathers the rows of its sub-batch.  An
 unembeddable sample therefore fails before the first step.  The contrastive
 weight comes from the config alone; ``dataclasses.replace(config, lam=...)``
 sets another.
+
+A pass runs forward and backward under ``nc.deferred_checks`` and is
+checked once, at its loss, before ``backward``; ``optimizer_step`` checks
+the step's gradients once, in its flat buffer.  A non-finite loss replays
+the pass with the per-op checks on (``replay_pass``), so the NumericError
+names the op, the part of the model, the step and the pass's sample ids.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 from .. import numcore as nc
 from ..core import DataError, Sample
 from .model import (DEFAULT_NEUTRAL_NAMES, UNK_TOKEN, GroundingModel, ModelConfig,
-                    TrainSchedule, forward_passes, sequence_length)
+                    TrainSchedule, forward_passes, replay_pass, sequence_length)
 
 log = logging.getLogger(__name__)
 
@@ -92,20 +98,28 @@ def train(dataset: Sequence[Sample],
                 p.zero_grad()
             total = 0.0
             members = [layouts[idx] for idx in batch]
-            for positions in forward_passes(members):
-                chunk = [members[i] for i in positions]
-                with nc.Graph() as graph:
-                    loss = model.batch_loss(chunk)
-                    # the gradient of the chunk's summed loss, as one per-sample
-                    # backward each would have accumulated
-                    graph.backward(nc.scale(loss, len(chunk)))
-                total += float(loss.data) * len(chunk)
+            with np.errstate(all="ignore"):
+                for positions in forward_passes(members):
+                    chunk = [members[i] for i in positions]
+                    ids = ", ".join(dataset[batch[i]].sample_id for i in positions)
+                    with nc.located(f"step {step}, pass over samples {ids}"):
+                        with nc.deferred_checks(), nc.Graph() as graph:
+                            loss = model.batch_loss(chunk)
+                            finite = np.isfinite(loss.data)
+                            if finite:
+                                # the gradient of the chunk's summed loss, as one
+                                # per-sample backward each would have accumulated
+                                graph.backward(nc.scale(loss, len(chunk)))
+                        if not finite:
+                            replay_pass(lambda: model.batch_loss(chunk))
+                    total += float(loss.data) * len(chunk)
             inv = 1.0 / len(batch)
             for p in model.params.values():
                 if p.grad is not None:
                     p.grad = p.grad * inv
-            nc.optimizer_step(model.params, state, lr=schedule.lr,
-                              weight_decay=schedule.weight_decay)
+            with nc.located(f"step {step}"):
+                nc.optimizer_step(model.params, state, lr=schedule.lr,
+                                  weight_decay=schedule.weight_decay)
             mean_loss = total * inv
             losses.append(mean_loss)
             if on_step is not None:

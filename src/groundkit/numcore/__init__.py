@@ -6,11 +6,13 @@ from .tensor import (
     Tensor,
     add,
     add_layer_norm,
+    deferred_checks,
     dot_const,
     feed_forward,
     gather_dot,
     gather_rows,
     linear,
+    located,
     log_softmax,
     reshape,
     scale,
@@ -25,8 +27,9 @@ from .checkpoint import CheckpointError, checkpoint_bytes, load_checkpoint
 
 __all__ = [
     "AdamState", "CheckpointError", "EncoderConfig", "Graph", "NumericError",
-    "Tensor", "add", "add_layer_norm", "attention_layer", "checkpoint_bytes", "dot_const",
-    "encode", "feed_forward", "gather_dot", "gather_rows", "grad_check",
-    "init_adam_state", "init_encoder_params", "linear", "load_checkpoint", "log_softmax",
-    "optimizer_step", "reshape", "scale", "scatter_rows", "self_attention", "take_per_row",
+    "Tensor", "add", "add_layer_norm", "attention_layer", "checkpoint_bytes",
+    "deferred_checks", "dot_const", "encode", "feed_forward", "gather_dot", "gather_rows",
+    "grad_check", "init_adam_state", "init_encoder_params", "linear", "load_checkpoint",
+    "located", "log_softmax", "optimizer_step", "reshape", "scale", "scatter_rows",
+    "self_attention", "take_per_row",
 ]

@@ -15,7 +15,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .tensor import NumericError, Tensor, add_layer_norm, feed_forward, self_attention
+from .tensor import (NumericError, Tensor, add_layer_norm, feed_forward, located,
+                     self_attention)
 
 INIT_STD = 0.02
 # parameter names: "enc.layer<i>.<block>.<tensor>"
@@ -100,7 +101,8 @@ def encode(x: Tensor, config: EncoderConfig, params: Mapping[str, Tensor],
 
     ``mask`` (``[B, L]`` booleans, True on real tokens) marks padding.
     ``hidden[-1]`` is the final output; counting layers from the last, layer
-    ``l`` (1-based) is ``hidden[-l]``.
+    ``l`` (1-based) is ``hidden[-l]``.  A NumericError raised in layer ``i``
+    names ``enc.layer<i>``.
     """
     if x.data.ndim != 3 or x.data.shape[2] != config.d_model:
         raise NumericError(f"encoder input shape {x.data.shape} is not [B, L, "
@@ -111,7 +113,9 @@ def encode(x: Tensor, config: EncoderConfig, params: Mapping[str, Tensor],
     hidden: list[Tensor] = []
     h = x
     for i in range(config.n_layers):
-        h = attention_layer(h, params, f"{PREFIX}.layer{i}", config.n_heads, mask)
+        prefix = f"{PREFIX}.layer{i}"
+        with located(prefix):
+            h = attention_layer(h, params, prefix, config.n_heads, mask)
         hidden.append(h)
     return hidden
 

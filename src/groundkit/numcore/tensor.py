@@ -11,15 +11,20 @@ from three fused ops, ``self_attention``, ``add_layer_norm`` and
 ``feed_forward``: each records one tape node, keeps its forward
 intermediates and runs a hand-written backward, so the attention heads
 never appear on the tape.
-Every op checks its outputs for NaN/Inf and raises NumericError on the spot,
-naming the step that failed, so numerical blow-ups surface where they happen
-instead of steps later.
+Every op checks its output for NaN/Inf and raises NumericError naming
+itself ("non-finite value produced by linear").  Inside
+``with deferred_checks():`` the ops skip that check: training and
+``predict`` check a whole pass once, at its loss or its scores, and run a
+failing pass again outside the block, so that the op making the first
+non-finite value raises.  ``located`` adds where an error came from to its
+message.  ``Tensor(...)`` always checks the data it is given.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,8 +99,44 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NumericError(f"non-finite value produced by {op}")
 
 
+# open ``deferred_checks`` blocks; the ops check their outputs while it is 0
+_deferred = 0
+
+
+@contextmanager
+def deferred_checks() -> Iterator[None]:
+    """Skip the ops' finite checks inside the block.
+
+    The caller checks what the block made (a pass's loss or scores) and,
+    if that is non-finite, runs the block's work again outside it, so the
+    op that made the first non-finite value raises.  Numpy's floating-point
+    warnings are the caller's to silence.
+    """
+    global _deferred
+    _deferred += 1
+    try:
+        yield
+    finally:
+        _deferred -= 1
+
+
+def _check_op(arr: np.ndarray, op: str) -> None:
+    if not _deferred:
+        _check_finite(arr, op)
+
+
+@contextmanager
+def located(where: str) -> Iterator[None]:
+    """Re-raise a NumericError from the block with `` in <where>`` added,
+    ``where`` naming the part of a model that ran."""
+    try:
+        yield
+    except NumericError as exc:
+        raise NumericError(f"{exc} in {where}") from None
+
+
 def _out(data: np.ndarray, op: str, back: Callable[[np.ndarray], None]) -> Tensor:
-    _check_finite(data, op)
+    _check_op(data, op)
     t = Tensor.__new__(Tensor)
     t.data = data
     t.grad = None
@@ -332,22 +373,22 @@ def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv
         out = rows @ w.data
         if b is not None:
             out += b.data
-        _check_finite(out, "linear")
+        _check_op(out, "linear")
         return out.reshape(batch, length, n_heads, dh)
 
     q = project(wq, bq).transpose(0, 2, 1, 3)              # [B, H, L, dh]
     k_t = project(wk, None).transpose(0, 2, 3, 1)          # [B, H, dh, L]
     v = project(wv, bv).transpose(0, 2, 1, 3)              # [B, H, L, dh]
     scores = q @ k_t
-    _check_finite(scores, "matmul")
+    _check_op(scores, "matmul")
     scores = scores * s
-    _check_finite(scores, "scale")
+    _check_op(scores, "scale")
     scores = np.where(mask[:, None, None, :], scores, -np.inf)
     e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
     attn = e / np.add.reduce(e, axis=-1, keepdims=True)
-    _check_finite(attn, "softmax")
+    _check_op(attn, "softmax")
     context = attn @ v
-    _check_finite(context, "matmul")
+    _check_op(context, "matmul")
     merged = context.transpose(0, 2, 1, 3).reshape(-1, d)
     out = merged @ wo.data
     out += bo.data
@@ -392,7 +433,7 @@ def add_layer_norm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise NumericError(f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} "
                            f"do not match feature dim {d}")
     total = a.data + b.data
-    _check_finite(total, "add")
+    _check_op(total, "add")
     centred = total - _mean_last(total)
     inv = 1.0 / np.sqrt(_mean_last(centred * centred) + LN_EPS)
     xhat = centred * inv
@@ -432,7 +473,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     rows = x.data.reshape(-1, d)
     h = rows @ w1.data
     h += b1.data
-    _check_finite(h, "linear")
+    _check_op(h, "linear")
     t = np.tanh(_GELU_C * (h + _GELU_A * (h * h * h)))
     act = 0.5 * h * (1.0 + t)
     out = act @ w2.data

@@ -1,17 +1,29 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
+from groundkit import numcore as nc
 from groundkit.benchkit import evaluate, render_table, run_baseline
 from groundkit.cli import run
 from groundkit.core import (DataError, DatasetHeader, feature_path, read_dataset,
                             sample_to_json, write_container, write_dataset)
+from groundkit.grounder.io import (CHECKPOINT_NAME, CONFIG_NAME, VOCAB_NAME, load_model,
+                                   save_model)
+from groundkit.numcore import CheckpointError
 from groundkit.rulekit import DEFAULT_RULES_TEXT, SplitSpec, write_qa_corpus
 
 from conftest import make_object, make_sample
+from test_core import mutate
 from test_rulekit import fixture_corpus
 
 REPO = Path(__file__).resolve().parent.parent
@@ -47,7 +59,7 @@ class TestExitCodes:
         assert json.loads(err.splitlines()[0])["error"] == "data"
 
     def _assert_error_line(self, code, err, error):
-        assert code == {"usage": 1, "data": 2}[error]
+        assert code == {"usage": 1, "data": 2, "numeric": 3}[error]
         assert "Traceback" not in err
         lines = [line for line in err.splitlines() if line.startswith("{")]
         assert len(lines) == 1
@@ -247,6 +259,42 @@ class TestExitCodes:
             detail = self._assert_error_line(code, err, "data")
             assert "non-finite feature value in row ('d-5', " in detail
         assert not (tmp_path / "run").exists()
+
+    def test_train_that_overflows_exits_3_naming_step_and_samples(self, capsys, tmp_path):
+        data, run_dir = tmp_path / "s.jsonl", tmp_path / "run"
+        run_cli(capsys, "synth", "--n", "12", "--seed", "2", "--out", str(data))
+        # the first update moves every weight by about 1e38, so step 1 overflows
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "train", "--data", str(data), "--config",
+                                     str(TOY_CFG), "--out", str(run_dir), "--steps", "5",
+                                     "--lr", "1e38")
+        detail = self._assert_error_line(code, err, "numeric")
+        assert out == "" and caught == [] and "Warning" not in err
+        match = re.fullmatch(r"non-finite value produced by \w+ in (embed|enc\.layer\d) "
+                             r"in step 1, pass over samples (.*)", detail)
+        assert match, detail
+        assert sorted(match[2].split(", ")) == [f"synth-{i:06d}" for i in range(12)]
+        assert not (run_dir / CHECKPOINT_NAME).exists()
+
+    def test_eval_of_overflowing_weights_exits_3_naming_samples(self, capsys, tmp_path):
+        data, run_dir = tmp_path / "s.jsonl", tmp_path / "run"
+        run_cli(capsys, "synth", "--n", "12", "--seed", "2", "--out", str(data))
+        run_cli(capsys, "train", "--data", str(data), "--config", str(TOY_CFG),
+                "--out", str(run_dir), "--steps", "1")
+        model = load_model(run_dir)
+        for name in ("enc.layer0.attn.wq", "enc.layer0.attn.wk"):
+            model.params[name].data = model.params[name].data * np.float32(1e20)
+        save_model(model, run_dir)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "eval", "--data", str(data),
+                                     "--checkpoint", str(run_dir))
+        detail = self._assert_error_line(code, err, "numeric")
+        assert out == "" and caught == [] and "Warning" not in err
+        prefix = "non-finite value produced by matmul in enc.layer0 in the pass over samples "
+        assert detail.startswith(prefix)
+        assert sorted(detail[len(prefix):].split(", ")) == [f"synth-{i:06d}" for i in range(12)]
 
     def test_image_size_past_the_float_range_is_data_error(self, capsys, tmp_path):
         data, run_dir = tmp_path / "s.jsonl", tmp_path / "run"
@@ -693,3 +741,89 @@ class TestTrainEvalGradcheck:
         assert code == 0
         cfg_text = (run_dir / "config.cfg").read_text()
         assert "use_context_objects = False" in cfg_text
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A six-scene dataset, the files of a one-step run trained on it and its weights."""
+    root = tmp_path_factory.mktemp("tiny_run")
+    data, run_dir = root / "s.jsonl", root / "run"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run(["synth", "--n", "6", "--seed", "2", "--out", str(data)]) == 0
+        assert run(["train", "--data", str(data), "--config", str(TOY_CFG),
+                    "--out", str(run_dir), "--steps", "1"]) == 0
+    files = {name: (run_dir / name).read_bytes()
+             for name in (CONFIG_NAME, VOCAB_NAME, CHECKPOINT_NAME)}
+    return data, files, {name: p.data for name, p in load_model(run_dir).params.items()}
+
+
+CONFIG_VALUES = (st.sampled_from(["0", "-1", "1", "2", "3", "64", "1e38", "nan", "inf",
+                                  "true", "false", "", "x", "1.5"])
+                 | st.integers(-2, 70).map(str) | st.floats().map(str))
+
+
+EDITS = {CONFIG_NAME: ["value", "no line", "bytes"], VOCAB_NAME: ["json", "bytes"],
+         CHECKPOINT_NAME: ["saturate", "entry", "bytes"]}
+
+
+def mutate_run_file(data, name, blob, weights):
+    """``blob``, the bytes of run file ``name``, with one drawn edit; ``weights``
+    are the arrays ``blob`` holds when ``name`` is the checkpoint."""
+    edit = data.draw(st.sampled_from(EDITS[name]))
+    if edit in ("value", "no line"):
+        lines = blob.decode().splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if edit == "no line":
+            del lines[i]
+        else:
+            lines[i] = f"{lines[i].partition(' = ')[0]} = {data.draw(CONFIG_VALUES)}"
+        return ("\n".join(lines) + "\n").encode()
+    if edit == "json":
+        return json.dumps(mutate(data, json.loads(blob))).encode()
+    if edit in ("saturate", "entry"):
+        # finite weights of any size, so that a pass can overflow
+        arrays = {k: v.copy() for k, v in weights.items()}
+        target = data.draw(st.sampled_from(sorted(arrays)))
+        if edit == "saturate":
+            # each nonzero weight at the edge of the float32 range
+            arrays[target] = np.sign(arrays[target]) * np.finfo(np.float32).max
+        else:
+            value = data.draw(st.floats(width=32, allow_nan=False, allow_infinity=False))
+            arrays[target].flat[data.draw(st.integers(0, arrays[target].size - 1))] = value
+        return nc.checkpoint_bytes({k: nc.Tensor(v) for k, v in arrays.items()})
+    blob = bytearray(blob)
+    flips = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                         st.integers(1, 255)), min_size=1, max_size=3))
+    for offset, bits in flips:
+        blob[offset] ^= bits
+    if data.draw(st.booleans()):
+        del blob[data.draw(st.integers(0, len(blob))):]
+    return bytes(blob)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from([CONFIG_NAME, VOCAB_NAME, CHECKPOINT_NAME]), data=st.data())
+def test_mutated_run_directory_loads_or_fails_cleanly(tiny_run, name, data):
+    dataset, files, weights = tiny_run
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp)
+        for file, blob in files.items():
+            (run_dir / file).write_bytes(mutate_run_file(data, name, blob, weights)
+                                         if file == name else blob)
+        try:
+            load_model(run_dir)
+        except (DataError, CheckpointError):
+            pass
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = run(["eval", "--data", str(dataset), "--checkpoint", str(run_dir)])
+    err = err.getvalue()
+    event(f"{name} exit {code}")
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err and caught == []
+    errors = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+    assert len(errors) == (code != 0)
+    if code == 3:
+        assert re.search(r" in \S+ in the pass over samples synth-\d{6}", errors[0]["detail"])

@@ -33,9 +33,9 @@ from groundkit.grounder import (
     train,
 )
 from groundkit.grounder import model as model_module
+from groundkit.grounder.gradients import gradient_fixture, run_gradient_suite
 from groundkit.grounder.io import (CHECKPOINT_NAME, CONFIG_NAME, VOCAB_NAME, load_model,
                                   save_model)
-from groundkit.cli import gradient_fixture, run_gradient_suite
 from groundkit.geometry import T1
 from groundkit.grounder.model import (
     DEFAULT_NEUTRAL_NAMES,
@@ -732,6 +732,106 @@ class TestTrainingLoop:
         result = train([sample], replace(config, lam=0.0), sched)
         assert result.losses[-1] < result.losses[0]
         assert result.losses[-1] < 0.1
+
+
+class TestNumericFailures:
+    """A pass is checked once, at its loss or its scores; a failing pass runs
+    again with the per-op checks on, and the error names the op, the part of
+    the model, the training step and the pass's samples."""
+
+    @staticmethod
+    def _samples(n=8):
+        return [make_sample(f"f-{i}", n_persons=2 + i % 3) for i in range(n)]
+
+    @staticmethod
+    def _passes(message):
+        """The sample ids a NumericError names."""
+        return message.split("pass over samples ", 1)[1].split(", ")
+
+    def test_nan_feature_row_names_step_sample_and_embed(self):
+        samples = self._samples()
+        samples[6].image.persons[1].feature[3] = np.nan       # past the reader
+        steps = []
+        with pytest.raises(nc.NumericError) as info:
+            train(samples, toy_config(d_vis=8), TrainSchedule(steps=8, lr=1e-3, token_budget=16),
+                  on_step=lambda step, loss: steps.append(step))
+        assert steps, "the poisoned sample should not be in the first step"
+        message = str(info.value)
+        assert message.startswith("non-finite value produced by tensor init in embed in "
+                                  f"step {len(steps)}, pass over samples ")
+        assert "f-6" in self._passes(message)
+
+    @pytest.mark.parametrize("name, op", [("enc.layer0.attn.wq", "linear"),
+                                          ("enc.layer1.ln1.gain", "layer_norm"),
+                                          ("enc.layer1.ffn.w2", "linear")])
+    def test_nan_encoder_parameter_names_layer_and_op(self, monkeypatch, name, op):
+        init = GroundingModel.init
+
+        def poisoned(config, vocab, dtype):
+            model = init(config, vocab, dtype=dtype)
+            model.params[name].data.flat[0] = np.nan
+            return model
+
+        monkeypatch.setattr(GroundingModel, "init", staticmethod(poisoned))
+        samples = self._samples()
+        with pytest.raises(nc.NumericError) as info:
+            train(samples, toy_config(d_vis=8), TrainSchedule(steps=2, lr=1e-3))
+        layer = name.rsplit(".", 2)[0]
+        assert str(info.value).startswith(
+            f"non-finite value produced by {op} in {layer} in step 0, pass over samples ")
+        assert sorted(self._passes(str(info.value))) == sorted(s.sample_id for s in samples)
+
+    def test_non_finite_gradient_names_parameter_and_step(self, monkeypatch):
+        step = nc.optimizer_step
+        calls = []
+
+        def poisoned(params, state, **kw):
+            calls.append(None)
+            if len(calls) == 3:
+                params["cls.w1"].grad = np.full_like(params["cls.w1"].data, np.inf)
+            step(params, state, **kw)
+
+        monkeypatch.setattr(nc, "optimizer_step", poisoned)
+        with pytest.raises(nc.NumericError,
+                           match=r"^non-finite gradient for parameter 'cls\.w1' in step 2$"):
+            train(self._samples(), toy_config(d_vis=8),
+                  TrainSchedule(steps=4, lr=1e-3, token_budget=16))
+
+    def test_predict_names_the_pass_of_a_poisoned_sample(self):
+        samples = self._samples(40)
+        model, _config = toy_model(samples)
+        passes = [[samples[i].sample_id for i in positions]
+                  for positions in forward_passes(model.prepare(samples))]
+        assert len(passes) == 2
+        samples[17].image.context_objects[0].feature[0] = np.inf
+        with pytest.raises(nc.NumericError) as info:
+            model.predict(samples)
+        assert str(info.value).startswith(
+            "non-finite value produced by tensor init in embed in the pass over samples ")
+        assert self._passes(str(info.value)) == next(p for p in passes if "f-17" in p)
+
+    @pytest.mark.parametrize("name, op, where", [
+        ("embed.word", "gather_rows", "embed"),
+        ("enc.layer1.attn.wv", "linear", "enc.layer1"),
+        ("cls.w2", "linear", "classification_logits")])
+    def test_predict_replays_a_non_finite_pass(self, name, op, where):
+        samples = self._samples()
+        model, _config = toy_model(samples)
+        model.params[name].data[...] = np.nan
+        with pytest.raises(nc.NumericError) as info:
+            model.predict(samples)
+        assert str(info.value).startswith(
+            f"non-finite value produced by {op} in {where} in the pass over samples ")
+        assert sorted(self._passes(str(info.value))) == sorted(s.sample_id for s in samples)
+
+    def test_deferred_checks_change_no_value(self):
+        samples = gradient_fixture(d_vis=24, seed=3)
+        model = GroundingModel.init(toy_config(d_vis=24), build_vocab(samples), np.float32)
+        layouts = model.prepare(samples, contrast=True)
+        checked = model.batch_loss(layouts).data
+        with nc.deferred_checks():
+            deferred = model.batch_loss(layouts).data
+        assert deferred.tobytes() == checked.tobytes()
 
 
 class TestPersistence:

@@ -89,6 +89,26 @@ class TestOps:
         with pytest.raises(NumericError):
             nc.add(big, big)
 
+    def test_deferred_checks_skip_op_checks_but_not_tensor_init(self):
+        big = nc.Tensor(np.full(4, 1e308))
+        with np.errstate(over="ignore"), nc.deferred_checks():
+            with nc.deferred_checks():
+                assert np.isinf(nc.add(big, big).data).all()
+            assert np.isinf(nc.scale(big, 10.0).data).all()
+            with pytest.raises(NumericError, match="tensor init"):
+                nc.Tensor([np.nan])
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match="^non-finite value produced by add$"):
+            nc.add(big, big)
+
+    def test_located_names_where_an_error_was_raised(self):
+        with pytest.raises(NumericError, match="^non-finite value produced by add in a in b$"):
+            with np.errstate(over="ignore"), nc.located("b"), nc.located("a"):
+                nc.add(nc.Tensor([1e308]), nc.Tensor([1e308]))
+        with pytest.raises(ValueError, match="^other$"):
+            with nc.located("a"):
+                raise ValueError("other")
+
 
 class TestBatchedOps:
     def test_matmul_stacks_match_per_slice_products(self):

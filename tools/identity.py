@@ -18,6 +18,8 @@ same list of CLI commands, each from its own ``src``, ``configs`` and
 - ``transform`` of ``bench/qa_corpus.generate(400, 101)``, then ``filter``
   of its ``train`` split.
 
+REV runs under ``PYTHONHASHSEED=0`` and this tree under ``PYTHONHASHSEED=1``,
+so ``--parent HEAD`` also shows that no output depends on the hash seed.
 Every file written, each command's stdout included (as ``stdout/NAME``), is
 compared byte for byte, one line per file.  Stderr is not compared: it holds
 wall times.  The exit code is 0 when every file is identical, 1 when any file
@@ -88,9 +90,10 @@ def fail(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
-def run_all(tree: Path, out: Path) -> None:
+def run_all(tree: Path, out: Path, hash_seed: str) -> None:
     """Run every step with ``tree``'s code in ``out``, stdout to ``out/stdout``."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+               PYTHONHASHSEED=hash_seed)
     (out / "stdout").mkdir(parents=True)
     for name, argv in commands(tree):
         done = subprocess.run(argv, cwd=out, env=env, capture_output=True)
@@ -128,8 +131,8 @@ def main() -> int:
         if added.returncode != 0:
             fail(f"cannot check out {args.parent!r}")
         try:
-            run_all(ROOT, tmp / "this")
-            run_all(parent, tmp / "parent")
+            run_all(ROOT, tmp / "this", hash_seed="1")
+            run_all(parent, tmp / "parent", hash_seed="0")
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
                             str(parent)], check=True)
