@@ -275,7 +275,8 @@ def synth_generate(config: SynthConfig) -> list[Sample]:
         else:
             gt_attr = int(rng.integers(len(ATTRIBUTES)))
             rest = [a for a in range(len(ATTRIBUTES)) if a != gt_attr]
-            attr_ids = [int(rng.choice(rest)) for _ in range(n)]
+            # ``rng.integers`` draws the index ``rng.choice`` would, at a fifth of its cost
+            attr_ids = [rest[int(rng.integers(len(rest)))] for _ in range(n)]
             attr_ids[gt] = gt_attr
         persons = [
             PersonBox(index=j, box=boxes[j], feature=_person_feature(rng, config, attr_ids[j]))
@@ -296,7 +297,7 @@ def synth_generate(config: SynthConfig) -> list[Sample]:
             # decoys never reuse the cue class, so the described object
             # stays unique and the answer unambiguous
             allowed = [c for c in range(len(OBJECT_CLASSES)) if c != cue_class]
-            cls_idx = int(rng.choice(allowed))
+            cls_idx = allowed[int(rng.integers(len(allowed)))]
             objects.append(ContextObject(
                 box=_background_box(rng),
                 feature=_object_feature(rng, config, cls_idx),

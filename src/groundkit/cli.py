@@ -10,6 +10,7 @@ tables go to stderr.  Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -52,7 +53,9 @@ def _resolve_dataset(path: str) -> Path:
     return p / "dataset.jsonl" if p.is_dir() else p
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once per process: a parse leaves no state in it."""
     parser = _Parser(prog="groundkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 

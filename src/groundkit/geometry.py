@@ -1,4 +1,4 @@
-"""Axis-aligned box arithmetic: areas, IoU, and the normalized location vector.
+"""Axis-aligned box arithmetic: areas, IoU, and the normalized location rows.
 
 Boxes are treated as real-valued half-open intervals, so ``area = (x2-x1) *
 (y2-y1)`` with no pixel off-by-one conventions, ``iou(b, b) == 1.0`` exactly,
@@ -34,15 +34,17 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / union
 
 
-def location_feature(box: BoundingBox, width: float, height: float) -> np.ndarray:
-    """7-vector [x1/W, y1/H, x2/W, y2/H, w/W, h/H, (w*h)/(W*H)] for a box.
+def location_feature(boxes, width, height) -> np.ndarray:
+    """``[n, 7]`` rows [x1/W, y1/H, x2/W, y2/H, w/W, h/H, (w*h)/(W*H)] for ``[n, 4]`` boxes.
 
-    The box must lie inside the W x H image (``ImageRecord.validate`` checks
-    that); all entries then land in [0, 1] and the width/height/area entries
-    are derived from the normalized corners.
+    ``width`` and ``height`` are each row's image size, ``[n]`` or scalars;
+    all inputs are read as float64.  Each box must lie inside its image
+    (``ImageRecord.validate`` checks that), so every entry lands in [0, 1].
     """
-    w_n = box.width / width
-    h_n = box.height / height
-    return np.array([box.x1 / width, box.y1 / height,
-                     box.x2 / width, box.y2 / height,
-                     w_n, h_n, w_n * h_n], dtype=np.float64)
+    x1, y1, x2, y2 = np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T
+    width = np.asarray(width, dtype=np.float64)
+    height = np.asarray(height, dtype=np.float64)
+    w_n = (x2 - x1) / width
+    h_n = (y2 - y1) / height
+    return np.stack([x1 / width, y1 / height, x2 / width, y2 / height,
+                     w_n, h_n, w_n * h_n], axis=1)

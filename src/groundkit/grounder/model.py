@@ -23,9 +23,10 @@ arrays of positions), so one forward and one backward pass serve the batch.
 Everything about a sample that no parameter touches (its substituted words,
 their vocabulary ids, its region feature and location rows and, for
 training, its contrastive sets) is a ``SampleLayout``, made by
-``GroundingModel.prepare``.  The batch entry points (``embed``, ``forward``,
-``loss_terms``, ``batch_loss``) take layouts only: training prepares each
-sample once and reuses its layout on every visit.  ``predict`` takes samples
+``GroundingModel.prepare``, which lays out all regions of its call in one
+array pass.  The batch entry points (``embed``, ``forward``, ``loss_terms``,
+``batch_loss``) take layouts only: training prepares each sample once and
+reuses its layout on every visit.  ``predict`` takes samples
 and prepares them all once.  Training and ``predict`` both run their layouts
 in the passes ``forward_passes`` cuts: sorted by sequence length, near-equal
 in size, about ``SUB_BATCH`` samples each.  The per-sample entry points take
@@ -48,8 +49,8 @@ from typing import Callable, Mapping, NoReturn, Sequence, get_type_hints
 import numpy as np
 
 from .. import numcore as nc
-from ..core import (DataError, Description, PersonLink, Prediction, Sample, Word,
-                    read_text, replace_file, stable_rng)
+from ..core import (ContextObject, DataError, Description, PersonBox, PersonLink, Prediction,
+                    Sample, Word, read_text, replace_file, stable_rng)
 from ..geometry import T1, T2, iou, location_feature
 from ..numcore.encoder import EncoderConfig, layer_from_last, param_initializers
 
@@ -319,13 +320,14 @@ class SampleLayout:
     """One sample's parameter-free model inputs, prepared once and reused.
 
     ``features`` and ``locations`` hold one row per region in sequence order
-    (persons, then the context objects the config keeps): ``features`` the
-    sample's own feature rows, ``locations`` one array in the parameters'
-    dtype.  ``sets`` is None unless the layout was prepared for the
-    contrastive loss; then it holds one ``(anchor, candidates, weights)``
-    per link, in sequence positions: the link's token, an ``intp`` array of
-    its positives (the ground-truth person, then its context objects in the
-    sequence) followed by the other persons, and the positives' IoU weights.
+    (persons, then the context objects the config keeps), in the parameters'
+    dtype: each is the sample's view of the one block that ``prepare`` made
+    for all the samples of its call.  ``sets`` is None unless the layout was
+    prepared for the contrastive loss; then it holds one ``(anchor,
+    candidates, weights)`` per link, in sequence positions: the link's token,
+    an ``intp`` array of its positives (the ground-truth person, then its
+    context objects in the sequence) followed by the other persons, and the
+    positives' IoU weights.
     """
 
     words: list[str]
@@ -333,7 +335,7 @@ class SampleLayout:
     labels: dict[int, int]
     word_ids: np.ndarray         # [T] vocabulary ids of ``words``
     n_persons: int
-    features: list[np.ndarray]   # R rows of d_vis
+    features: np.ndarray         # [R, d_vis]
     locations: np.ndarray        # [R, 7]
     sets: list[tuple[int, np.ndarray, np.ndarray]] | None = None
 
@@ -341,6 +343,29 @@ class SampleLayout:
     def persons(self) -> range:
         """Sequence positions of the candidate persons, right after the text."""
         return range(len(self.words), len(self.words) + self.n_persons)
+
+
+def _feature_block(samples: Sequence[Sample],
+                   regions: Sequence[Sequence[PersonBox | ContextObject]],
+                   d_vis: int, dtype) -> np.ndarray:
+    """The feature rows of ``regions`` (one list per sample) as one
+    ``[R, d_vis]`` array of ``dtype``.  A row of another shape is a DataError
+    naming the first such row's sample."""
+    rows = [r.feature for rs in regions for r in rs]
+    try:
+        block = np.array(rows, dtype=dtype)
+    except ValueError:  # rows of different shapes
+        block = None
+    if block is None or block.shape != (len(rows), d_vis):
+        for sample, rs in zip(samples, regions):
+            for r in rs:
+                if np.shape(r.feature) != (d_vis,):
+                    raise DataError(f"{sample.sample_id}: feature row of shape "
+                                    f"{np.shape(r.feature)}, expected d_vis={d_vis}")
+        # every row has d_vis entries: there are no rows, or a value is no
+        # number and this raises its ValueError
+        block = np.array(rows, dtype=dtype).reshape(len(rows), d_vis)
+    return block
 
 
 def sequence_length(layout: SampleLayout) -> int:
@@ -498,33 +523,32 @@ class GroundingModel:
     def prepare(self, samples: Sequence[Sample], contrast: bool = False) -> list[SampleLayout]:
         """Each sample's ``SampleLayout``, with its contrastive sets if ``contrast``.
 
-        A text longer than ``MAX_TEXT_LEN`` or a feature row whose length is
-        not ``d_vis`` is a DataError.
+        A feature row whose length is not ``d_vis``, then a text longer than
+        ``MAX_TEXT_LEN``, is a DataError naming the first sample holding one.
         """
         cfg = self.config
         dtype = self.params["embed.feat.w"].data.dtype
         unk = self.vocab.get(UNK_TOKEN, 0)
-        layouts = []
-        for sample in samples:
+        regions = [s.image.persons + s.image.context_objects if cfg.use_context_objects
+                   else s.image.persons for s in samples]
+        features = _feature_block(samples, regions, cfg.d_vis, dtype)
+        # one row per region: its box, then its image's width and height
+        rows = np.array([(b.x1, b.y1, b.x2, b.y2, s.image.width, s.image.height)
+                         for s, rs in zip(samples, regions) for b in (r.box for r in rs)],
+                        dtype=np.float64).reshape(-1, 6)
+        locations = location_feature(rows[:, :4], rows[:, 4], rows[:, 5]).astype(dtype)
+        layouts, stop = [], 0
+        for sample, rs in zip(samples, regions):
             words, link_positions = substitute_neutral_names(
                 sample.description, cfg.seed, sample.sample_id)
             if len(words) > MAX_TEXT_LEN:
                 raise DataError(f"{sample.sample_id}: {len(words)} text tokens exceed "
                                 f"max_text_len {MAX_TEXT_LEN}")
-            image = sample.image
-            regions = list(image.persons)
-            if cfg.use_context_objects:
-                regions += image.context_objects
-            for r in regions:
-                if np.shape(r.feature) != (cfg.d_vis,):
-                    raise DataError(f"{sample.sample_id}: feature row of shape "
-                                    f"{np.shape(r.feature)}, expected d_vis={cfg.d_vis}")
-            locations = np.stack([location_feature(r.box, image.width, image.height)
-                                  for r in regions]).astype(dtype)
+            start, stop = stop, stop + len(rs)
             sets = None
             if contrast:
                 sets = []
-                persons = range(len(words), len(words) + image.n_persons)
+                persons = range(len(words), len(words) + sample.image.n_persons)
                 for lc in select_context_objects(sample):
                     # objects absent from the input sequence have no position,
                     # so the positives shrink to the ground-truth person alone
@@ -537,15 +561,13 @@ class GroundingModel:
             layouts.append(SampleLayout(
                 words=words, link_positions=link_positions, labels=sample.labels,
                 word_ids=np.array([self.vocab.get(w, unk) for w in words], dtype=np.intp),
-                n_persons=image.n_persons, features=[r.feature for r in regions],
-                locations=locations, sets=sets))
+                n_persons=sample.image.n_persons, features=features[start:stop],
+                locations=locations[start:stop], sets=sets))
         return layouts
 
     def embed(self, layouts: Sequence[SampleLayout]) -> EncodedBatch:
         """Embed ``layouts`` into one zero-padded ``[B, L, d]`` sequence."""
         p = self.params
-        features = np.array([f for x in layouts for f in x.features],
-                            dtype=p["embed.feat.w"].data.dtype)
         lengths = [sequence_length(layout) for layout in layouts]
         width = max(lengths)
         # the real positions of each row, then those of its text: the rest are regions
@@ -557,7 +579,7 @@ class GroundingModel:
             nc.gather_rows(p["embed.pos"], np.nonzero(is_text)[1]),
             p["embed.text_ln.gain"], p["embed.text_ln.bias"])
         region = nc.add_layer_norm(
-            nc.linear(nc.Tensor(features),
+            nc.linear(nc.Tensor(np.concatenate([x.features for x in layouts])),
                       p["embed.feat.w"], p["embed.feat.b"]),
             nc.linear(nc.Tensor(np.concatenate([x.locations for x in layouts])),
                       p["embed.loc.w"], p["embed.loc.b"]),

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -346,6 +349,38 @@ class TestExitCodes:
         fpath.write_bytes(bytes(blob))
         code, _, err = run_cli(capsys, "stats", "--data", str(path))
         assert code == 2
+
+
+class TestOneParserPerProcess:
+    # run builds its parser once per process; these calls share it
+
+    def test_calls_in_one_process_report_as_fresh_processes_do(self, capsys, tmp_path,
+                                                              monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to it
+        data = write_tiny_dataset(tmp_path)
+        calls = [("stats", "--dta", str(data)), ("stats", "--data", str(data)),
+                 ("stats", "--dta", str(data))]
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        results = []
+        for argv in calls:
+            fresh = subprocess.run([sys.executable, "-m", "groundkit.cli", *argv],
+                                   env=env, capture_output=True, text=True)
+            results.append(run_cli(capsys, *argv))
+            assert results[-1] == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert [code for code, _out, _err in results] == [1, 0, 1]
+        assert json.loads(results[2][2].splitlines()[0])["error"] == "usage"
+        assert json.loads(results[1][1])["n_samples"] == 6
+
+    def test_a_flag_of_one_call_does_not_reach_the_next(self, capsys, tmp_path):
+        data = tmp_path / "s.jsonl"
+        run_cli(capsys, "synth", "--n", "6", "--seed", "4", "--out", str(data))
+        for name, flags in (("nco", ["--no-context-objects"]), ("plain", [])):
+            code, _, _ = run_cli(capsys, "train", "--data", str(data), "--config",
+                                 str(TOY_CFG), "--out", str(tmp_path / name),
+                                 "--steps", "1", *flags)
+            assert code == 0
+        assert "use_context_objects = False" in (tmp_path / "nco" / "config.cfg").read_text()
+        assert "use_context_objects = True" in (tmp_path / "plain" / "config.cfg").read_text()
 
 
 class TestStatsAndSynth:

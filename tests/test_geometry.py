@@ -11,6 +11,18 @@ def box(x1, y1, x2, y2):
     return BoundingBox(x1, y1, x2, y2)
 
 
+def location_row(b, width, height):
+    """``location_feature`` of the one box ``b``."""
+    return location_feature([[b.x1, b.y1, b.x2, b.y2]], width, height)[0]
+
+
+def per_box_location(b, width, height):
+    """The location vector of one box in Python arithmetic, entry by entry."""
+    w_n = (b.x2 - b.x1) / width
+    h_n = (b.y2 - b.y1) / height
+    return [b.x1 / width, b.y1 / height, b.x2 / width, b.y2 / height, w_n, h_n, w_n * h_n]
+
+
 def random_box(rng, span=100.0):
     x1, y1 = rng.uniform(0, span, 2)
     w, h = rng.uniform(0.5, span, 2)
@@ -68,12 +80,12 @@ class TestIou:
 
 class TestLocationFeature:
     def test_known_values(self):
-        feat = location_feature(box(10, 20, 30, 60), 100, 100)
+        feat = location_row(box(10, 20, 30, 60), 100, 100)
         np.testing.assert_allclose(feat, [0.1, 0.2, 0.3, 0.6, 0.2, 0.4, 0.08],
                                    atol=1e-12)
 
     def test_full_image_box(self):
-        feat = location_feature(box(0, 0, 640, 480), 640, 480)
+        feat = location_row(box(0, 0, 640, 480), 640, 480)
         np.testing.assert_allclose(feat, [0, 0, 1, 1, 1, 1, 1], atol=1e-12)
 
     def test_internal_consistency_bulk(self):
@@ -83,8 +95,51 @@ class TestLocationFeature:
             x1 = rng.uniform(0, w_img * 0.5)
             y1 = rng.uniform(0, h_img * 0.5)
             b = BoundingBox(x1, y1, rng.uniform(x1 + 0.1, w_img), rng.uniform(y1 + 0.1, h_img))
-            f = location_feature(b, w_img, h_img)
+            f = location_row(b, w_img, h_img)
             assert np.all((f >= 0) & (f <= 1))
             assert abs(f[4] - (f[2] - f[0])) < 1e-9
             assert abs(f[5] - (f[3] - f[1])) < 1e-9
             assert f[6] == f[4] * f[5]
+
+    def assert_rows_match_per_box(self, boxes, sizes):
+        got = location_feature([[b.x1, b.y1, b.x2, b.y2] for b in boxes],
+                               [w for w, _h in sizes], [h for _w, h in sizes])
+        want = np.array([per_box_location(b, w, h) for b, (w, h) in zip(boxes, sizes)])
+        assert got.dtype == np.float64 and got.shape == (len(boxes), 7)
+        assert got.tobytes() == want.tobytes()
+
+    def test_random_float_boxes_match_the_per_box_formula_bitwise(self):
+        rng = np.random.default_rng(45)
+        boxes, sizes = [], []
+        for _ in range(1000):
+            w_img, h_img = rng.uniform(1, 5000, 2)
+            x1, y1 = rng.uniform(0, w_img * 0.9), rng.uniform(0, h_img * 0.9)
+            boxes.append(BoundingBox(float(x1), float(y1), float(rng.uniform(x1, w_img)),
+                                     float(rng.uniform(y1, h_img))))
+            sizes.append((float(w_img), float(h_img)))
+        self.assert_rows_match_per_box(boxes, sizes)
+
+    def test_integer_boxes_below_2_53_match_the_per_box_formula_bitwise(self):
+        # Python divides two ints exactly rounded; below 2**53 so does float64
+        rng = np.random.default_rng(46)
+        boxes, sizes = [], []
+        for top in (10**3, 10**9, 2**53 - 1):
+            for _ in range(300):
+                w_img, h_img = (int(v) for v in rng.integers(2, top, 2, endpoint=True))
+                x1, y1 = int(rng.integers(0, w_img - 1)), int(rng.integers(0, h_img - 1))
+                boxes.append(BoundingBox(x1, y1, int(rng.integers(x1 + 1, w_img, endpoint=True)),
+                                         int(rng.integers(y1 + 1, h_img, endpoint=True))))
+                sizes.append((w_img, h_img))
+        self.assert_rows_match_per_box(boxes, sizes)
+
+    def test_boxes_on_the_image_edge_match_the_per_box_formula_bitwise(self):
+        boxes = [box(0, 0, 640, 480), box(0.5, 0, 640, 1.25), box(639, 479, 640, 480),
+                 box(0, 0, 1e-300, 480), box(0.1, 0.2, 2**53 - 1, 0.7)]
+        sizes = [(640, 480), (640, 480), (640, 480), (640, 480), (2**53 - 1, 0.7)]
+        self.assert_rows_match_per_box(boxes, sizes)
+        edge = location_feature([[b.x1, b.y1, b.x2, b.y2] for b in boxes[:3]], 640, 480)
+        assert edge[0].tolist() == [0, 0, 1, 1, 1, 1, 1]
+        assert (edge[:, 2] == 1.0).all() and edge[2, 3] == 1.0
+
+    def test_no_boxes_make_no_rows(self):
+        assert location_feature([], [], []).shape == (0, 7)

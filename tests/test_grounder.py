@@ -51,6 +51,7 @@ from groundkit.grounder.model import (
 )
 
 from conftest import make_object, make_person, make_sample
+from test_geometry import location_row
 
 TOY_CFG = Path(__file__).resolve().parent.parent / "configs" / "toy.cfg"
 
@@ -665,6 +666,55 @@ class TestPreparedLayouts:
             train(samples, toy_config(d_vis=8),
                   TrainSchedule(steps=5, lr=1e-3, token_budget=16))
         assert steps == []
+
+
+class TestRegionBlock:
+    # prepare lays out the regions of all its samples in one feature block
+    # and one location_feature call; each layout keeps its own rows
+
+    @staticmethod
+    def samples():
+        return [make_sample(f"r-{i}", n_persons=2 + i % 3, n_objects=i % 4,
+                            width=300 + 100 * i, height=200 + 7 * i) for i in range(5)]
+
+    def test_a_bad_row_names_the_first_sample_that_holds_one(self):
+        samples = self.samples()
+        model, _ = toy_model(samples)
+        samples[2].image.context_objects[1].feature = np.zeros(9, np.float32)
+        samples[3].image.persons[0].feature = np.zeros(7, np.float32)
+        with pytest.raises(DataError) as raised:
+            model.prepare(samples)
+        assert str(raised.value) == "r-2: feature row of shape (9,), expected d_vis=8"
+
+    def test_prepare_of_no_samples_is_empty(self):
+        model, _ = toy_model(self.samples())
+        assert model.prepare([]) == [] and model.prepare([], contrast=True) == []
+
+    @pytest.mark.parametrize("use_objects", [True, False])
+    def test_layouts_hold_views_of_one_block_of_their_regions(self, use_objects):
+        samples = self.samples()
+        model, _ = toy_model(samples, use_context_objects=use_objects)
+        layouts = model.prepare(samples)
+        block = layouts[0].features.base
+        for sample, layout in zip(samples, layouts):
+            image = sample.image
+            regions = image.persons + (image.context_objects if use_objects else [])
+            assert layout.features.base is block and layout.locations.shape == (len(regions), 7)
+            rows = np.array([r.feature for r in regions], dtype=np.float64)  # the model's dtype
+            assert layout.features.tobytes() == rows.tobytes()
+            want = [location_row(r.box, image.width, image.height) for r in regions]
+            assert layout.locations.tobytes() == np.array(want).tobytes()
+        n_regions = sum(s.image.n_persons + use_objects * len(s.image.context_objects)
+                        for s in samples)
+        assert block.shape == (n_regions, 8)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_carry_the_parameters_dtype(self, dtype):
+        samples = gradient_fixture(d_vis=24, seed=5)  # the gradient suite's batch
+        model = GroundingModel.init(toy_config(d_vis=24), build_vocab(samples), dtype=dtype)
+        for layout in model.prepare(samples, contrast=True):
+            assert layout.features.dtype == layout.locations.dtype == dtype
+        assert model.embed(model.prepare(samples)).sequence.data.dtype == dtype
 
 
 class TestTrainingLoop:
