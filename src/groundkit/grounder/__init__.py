@@ -5,7 +5,6 @@ from .model import (
     SUB_BATCH,
     EncodedBatch,
     GroundingModel,
-    LinkContrast,
     ModelConfig,
     SampleLayout,
     TrainSchedule,
@@ -23,7 +22,7 @@ from .train import TrainResult, build_vocab, make_batches, train
 
 __all__ = [
     "DEFAULT_NEUTRAL_NAMES", "EncodedBatch",
-    "GroundingModel", "LinkContrast", "ModelConfig", "SUB_BATCH", "SampleLayout",
+    "GroundingModel", "ModelConfig", "SUB_BATCH", "SampleLayout",
     "TrainResult", "TrainSchedule", "build_vocab", "classification_logits",
     "contrastive_loss_from_features", "forward_passes", "loss_cls", "loss_con", "make_batches",
     "read_config", "select_context_objects", "sequence_length", "substitute_neutral_names",

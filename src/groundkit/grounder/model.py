@@ -274,44 +274,29 @@ class EncodedBatch:
         return nc.reshape(t, (b * length, d))
 
 
-@dataclass
-class LinkContrast:
-    link_id: int
-    gt_person: int
-    context_objects: list[int]
-    weights: np.ndarray          # over positives: GT person first (weight 1.0)
-    negatives: list[int]         # person indices other than the GT
-
-
-def select_context_objects(sample: Sample) -> list[LinkContrast]:
-    """Pick, per link, the context objects tied to its ground-truth person.
+def select_context_objects(sample: Sample) -> list[tuple[list[int], list[float]]]:
+    """One ``(objects, ious)`` per link, in ``description.link_ids`` order: the
+    indices of the context objects tied to the link's ground-truth person and
+    each one's IoU with that person's box.
 
     An object qualifies when its IoU with the GT person box exceeds ``T1``
     while its best IoU against every other person box stays below ``T2``.
-    Positives are the GT person (weight 1) plus the qualifying objects
-    (weight = IoU against the GT box); negatives are the other persons.
     """
     persons = sample.image.persons
-    per_link: list[LinkContrast] = []
+    per_link = []
     for link_id in sample.description.link_ids:
         gt = sample.labels[link_id]
-        gt_box = persons[gt].box
-        others = [p.index for p in persons if p.index != gt]
-        chosen: list[int] = []
-        weights = [1.0]
+        objects, weights = [], []
         for idx, obj in enumerate(sample.image.context_objects):
-            overlap_gt = iou(obj.box, gt_box)
+            overlap_gt = iou(obj.box, persons[gt].box)
             if overlap_gt <= T1:
                 continue
-            worst = max((iou(obj.box, persons[j].box) for j in others), default=0.0)
-            if worst >= T2:
+            if max((iou(obj.box, p.box) for p in persons if p.index != gt),
+                   default=0.0) >= T2:
                 continue
-            chosen.append(idx)
+            objects.append(idx)
             weights.append(overlap_gt)
-        per_link.append(LinkContrast(link_id=link_id, gt_person=gt,
-                                     context_objects=chosen,
-                                     weights=np.asarray(weights, dtype=np.float64),
-                                     negatives=others))
+        per_link.append((objects, weights))
     return per_link
 
 
@@ -326,8 +311,9 @@ class SampleLayout:
     prepared for the contrastive loss; then it holds one ``(anchor,
     candidates, weights)`` per link, in sequence positions: the link's token,
     an ``intp`` array of its positives (the ground-truth person, then its
-    context objects in the sequence) followed by the other persons, and the
-    positives' IoU weights.
+    context objects in the sequence) followed by the other persons in index
+    order, and the positives' float64 weights: 1 for the ground-truth person,
+    then each object's IoU with its box.
     """
 
     words: list[str]
@@ -549,15 +535,16 @@ class GroundingModel:
             if contrast:
                 sets = []
                 persons = range(len(words), len(words) + sample.image.n_persons)
-                for lc in select_context_objects(sample):
+                for link_id, (objects, weights) in zip(sample.description.link_ids,
+                                                       select_context_objects(sample)):
                     # objects absent from the input sequence have no position,
                     # so the positives shrink to the ground-truth person alone
-                    kept = lc.context_objects if cfg.use_context_objects else []
-                    sets.append((link_positions[lc.link_id],
-                                 np.array([persons[lc.gt_person]]
-                                          + [persons.stop + c for c in kept]
-                                          + [persons[j] for j in lc.negatives], dtype=np.intp),
-                                 lc.weights[:1 + len(kept)]))
+                    kept = objects if cfg.use_context_objects else []
+                    gt = persons[sample.labels[link_id]]
+                    sets.append((link_positions[link_id],
+                                 np.array([gt] + [persons.stop + c for c in kept]
+                                          + [p for p in persons if p != gt], dtype=np.intp),
+                                 np.array([1.0] + weights[:len(kept)], dtype=np.float64)))
             layouts.append(SampleLayout(
                 words=words, link_positions=link_positions, labels=sample.labels,
                 word_ids=np.array([self.vocab.get(w, unk) for w in words], dtype=np.intp),
@@ -670,7 +657,8 @@ class GroundingModel:
                     scores[positions[b]][link] = q.data[k, :chunk[b].n_persons].copy()
         return [Prediction.from_scores(s) for s in scores]
 
-    # batches of one, for callers that hold a single sample
+    # batches of one: no caller in this package uses them; they stay because
+    # bench/tracing.py patches them, until the tracer moves to the batched methods
 
     def embed_sample(self, sample: Sample) -> EncodedBatch:
         return self.embed(self.prepare([sample]))

@@ -16,7 +16,8 @@ itself ("non-finite value produced by linear").  Inside
 ``with deferred_checks():`` the ops skip that check: training and
 ``predict`` check a whole pass once, at its loss or its scores, and run a
 failing pass again outside the block, so that the op making the first
-non-finite value raises.  ``located`` adds where an error came from to its
+non-finite value raises.  ``add_layer_norm`` checks its variance for
+overflow in either mode.  ``located`` adds where an error came from to its
 message.  ``Tensor(...)`` always checks the data it is given.
 """
 
@@ -435,7 +436,12 @@ def add_layer_norm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     total = a.data + b.data
     _check_op(total, "add")
     centred = total - _mean_last(total)
-    inv = 1.0 / np.sqrt(_mean_last(centred * centred) + LN_EPS)
+    var = _mean_last(centred * centred)
+    # an overflowing variance would make the row its bias, a finite output that
+    # no later check sees; a NaN comes from upstream, for the replay to name
+    if np.isinf(var).any():
+        raise NumericError("non-finite value produced by layer_norm")
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centred * inv
     data = xhat * gain.data + bias.data
 

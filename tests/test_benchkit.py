@@ -180,12 +180,11 @@ class TestSynth:
         spatial = [s for s in samples if s.commonsense_type == CommonsenseType.SPATIAL]
         assert spatial
         for s in spatial:
-            sets = select_context_objects(s)
-            assert len(sets[0].context_objects) >= 1
+            [(objects, _weights)] = select_context_objects(s)
+            assert len(objects) >= 1
             # the described class appears among the qualifying objects
             cue = s.description.tokens[4].text
-            classes = {s.image.context_objects[i].class_name
-                       for i in sets[0].context_objects}
+            classes = {s.image.context_objects[i].class_name for i in objects}
             assert cue in classes
 
     def test_ground_truth_independent_of_geometry(self):

@@ -299,6 +299,32 @@ class TestExitCodes:
         assert detail.startswith(prefix)
         assert sorted(detail[len(prefix):].split(", ")) == [f"synth-{i:06d}" for i in range(12)]
 
+    def test_feature_overflowing_layer_norm_exits_3(self, capsys, tmp_path):
+        data, run_dir = tmp_path / "s.jsonl", tmp_path / "run"
+        run_cli(capsys, "synth", "--n", "12", "--seed", "2", "--out", str(data))
+        run_cli(capsys, "train", "--data", str(data), "--config", str(TOY_CFG),
+                "--out", str(run_dir), "--steps", "1")
+        # finite, so the reader takes it, but its region's variance overflows
+        samples = read_dataset(data)
+        person = samples[3].image.persons[0]
+        person.feature = person.feature.copy()
+        person.feature[5] = 3e38
+        write_dataset(samples, data)
+        for argv, where in (
+                (("train", "--config", str(TOY_CFG), "--steps", "5",
+                  "--out", str(tmp_path / "run2")), "step 0, pass over samples"),
+                (("eval", "--checkpoint", str(run_dir)), "the pass over samples")):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run_cli(capsys, *argv, "--data", str(data))
+            detail = self._assert_error_line(code, err, "numeric")
+            assert out == "" and caught == [] and "Warning" not in err
+            prefix = f"non-finite value produced by layer_norm in embed in {where} "
+            assert detail.startswith(prefix), detail
+            assert sorted(detail[len(prefix):].split(", ")) == [
+                f"synth-{i:06d}" for i in range(12)]
+        assert not (tmp_path / "run2").exists()
+
     def test_image_size_past_the_float_range_is_data_error(self, capsys, tmp_path):
         data, run_dir = tmp_path / "s.jsonl", tmp_path / "run"
         run_cli(capsys, "synth", "--n", "20", "--seed", "1", "--out", str(data))

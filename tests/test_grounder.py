@@ -129,11 +129,9 @@ class TestSelectContextObjects:
     def test_qualifying_object_included(self):
         # IoU(obj, gt) = 0.5 > 0.3, IoU(obj, others) = 0 < 0.1
         obj = make_object(0, 0, 100, 50, class_name="cup")
-        sets = select_context_objects(scene_with_objects([obj]))
-        lc = sets[0]
-        assert lc.context_objects == [0]
-        np.testing.assert_allclose(lc.weights, [1.0, 0.5])
-        assert lc.negatives == [1, 2]
+        [(objects, weights)] = select_context_objects(scene_with_objects([obj]))
+        assert objects == [0]
+        np.testing.assert_allclose(weights, [0.5])
 
     def test_straddling_object_excluded(self):
         # overlaps the gt person (IoU 0.40) but also person 1 (IoU 0.24)
@@ -141,14 +139,13 @@ class TestSelectContextObjects:
         sample = scene_with_objects([obj])
         gt_iou = 60 * 100 / (100 * 100 + 110 * 100 - 60 * 100)
         assert gt_iou > T1
-        sets = select_context_objects(sample)
-        assert sets[0].context_objects == []
+        [(objects, _weights)] = select_context_objects(sample)
+        assert objects == []
 
     def test_no_qualifying_objects_degenerate(self):
-        sets = select_context_objects(scene_with_objects([]))
-        lc = sets[0]
-        assert lc.context_objects == []
-        np.testing.assert_array_equal(lc.weights, [1.0])
+        [(objects, weights)] = select_context_objects(scene_with_objects([]))
+        assert objects == []
+        assert weights == []
 
     def test_monotonic_in_thresholds(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -160,8 +157,8 @@ class TestSelectContextObjects:
             for t2 in (0.05, 0.2, 0.5):
                 monkeypatch.setattr(model_module, "T1", t1)
                 monkeypatch.setattr(model_module, "T2", t2)
-                sets = select_context_objects(sample)
-                sizes[(t1, t2)] = len(sets[0].context_objects)
+                [(objects, _weights)] = select_context_objects(sample)
+                sizes[(t1, t2)] = len(objects)
         for t2 in (0.05, 0.2, 0.5):
             assert sizes[(0.1, t2)] >= sizes[(0.2, t2)] >= sizes[(0.4, t2)]
         for t1 in (0.1, 0.2, 0.4):
@@ -441,6 +438,28 @@ class TestModelForward:
             assert candidates.dtype == np.intp
             assert candidates.tolist() == [n_text + j for j in positives + [1, 2]]
             np.testing.assert_allclose(iou_weights, weights)
+
+    def test_contrastive_sets_follow_each_links_ground_truth(self):
+        # link 1 is person 0 and link 2 is person 2; object 0 sits on person 0
+        # (IoU 0.5) and object 1 on person 2 (IoU 0.8), each clear of the rest
+        sample = replace(
+            scene_with_objects([make_object(0, 0, 100, 50), make_object(220, 0, 320, 80)]),
+            description=Description([PersonLink(1), Word("and"), PersonLink(2), Word("wave")]),
+            labels={1: 0, 2: 2})
+        assert select_context_objects(sample) == [([0], [0.5]), ([1], [0.8])]
+        for use_objects, expected in (
+                (True, [([0, 3, 1, 2], [1.0, 0.5]), ([2, 4, 0, 1], [1.0, 0.8])]),
+                (False, [([0, 1, 2], [1.0]), ([2, 0, 1], [1.0])])):
+            model, _config = toy_model([sample], use_context_objects=use_objects)
+            layout = model.prepare([sample], contrast=True)[0]
+            n_text = len(layout.words)
+            assert [anchor for anchor, _c, _w in layout.sets] == [
+                layout.link_positions[1], layout.link_positions[2]]
+            for (_anchor, candidates, iou_weights), (positions, weights) in zip(
+                    layout.sets, expected, strict=True):
+                assert candidates.tolist() == [n_text + j for j in positions]
+                assert iou_weights.dtype == np.float64
+                assert iou_weights.tolist() == weights
 
     def test_lambda_zero_equals_cls_loss(self):
         sample = make_sample("m-4")

@@ -101,6 +101,20 @@ class TestOps:
                 pytest.raises(NumericError, match="^non-finite value produced by add$"):
             nc.add(big, big)
 
+    def test_layer_norm_variance_overflow_raises_inside_deferred_checks(self):
+        # finite input whose variance overflows: the output would be the bias
+        row = np.zeros((2, 8), np.float32)
+        row[1, 5] = 3e38
+        args = (nc.Tensor(row), nc.Tensor(np.zeros((2, 8), np.float32)),
+                nc.Tensor(np.ones(8, np.float32)), nc.Tensor(np.zeros(8, np.float32)))
+        with np.errstate(all="ignore"), nc.deferred_checks(), \
+                pytest.raises(NumericError, match="^non-finite value produced by layer_norm$"):
+            nc.add_layer_norm(*args)
+        # a NaN from upstream passes, so the replay can name the op that made it
+        row[1, 5] = np.nan
+        with np.errstate(all="ignore"), nc.deferred_checks():
+            assert np.isnan(nc.add_layer_norm(*args).data[1]).all()
+
     def test_located_names_where_an_error_was_raised(self):
         with pytest.raises(NumericError, match="^non-finite value produced by add in a in b$"):
             with np.errstate(over="ignore"), nc.located("b"), nc.located("a"):
