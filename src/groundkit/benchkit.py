@@ -17,13 +17,11 @@ from .core import (
     CommonsenseType,
     ContextObject,
     DataError,
-    Description,
     ImageRecord,
     PersonBox,
     PersonLink,
     Prediction,
     Sample,
-    Word,
     stable_rng,
 )
 from .geometry import T1, iou
@@ -35,7 +33,7 @@ from .geometry import T1, iou
 def baseline_random(sample: Sample, seed: int = 0) -> Prediction:
     rng = stable_rng(seed, sample.sample_id)
     n = sample.image.n_persons
-    return Prediction({link: int(rng.integers(n)) for link in sample.description.link_ids})
+    return Prediction({link: int(rng.integers(n)) for link in sample.link_ids})
 
 
 def _assign_in_order(link_ids: Sequence[int], ordered_boxes: Sequence[int]) -> Prediction:
@@ -49,7 +47,7 @@ def baseline_big_to_small(sample: Sample) -> Prediction:
     """Links in description order onto boxes sorted by decreasing area."""
     persons = sample.image.persons
     order = sorted(range(len(persons)), key=lambda i: (-persons[i].box.area, i))
-    return _assign_in_order(sample.description.link_ids, order)
+    return _assign_in_order(sample.link_ids, order)
 
 
 def baseline_left_to_right(sample: Sample, top_k_only: bool = False) -> Prediction:
@@ -60,7 +58,7 @@ def baseline_left_to_right(sample: Sample, top_k_only: bool = False) -> Predicti
     """
     persons = sample.image.persons
     candidates = list(range(len(persons)))
-    link_ids = sample.description.link_ids
+    link_ids = sample.link_ids
     if top_k_only:
         by_area = sorted(candidates, key=lambda i: (-persons[i].box.area, i))
         candidates = by_area[:max(1, min(len(link_ids), len(candidates)))]
@@ -314,12 +312,11 @@ def synth_generate(config: SynthConfig) -> list[Sample]:
                         person.feature[_CLASS_OFFSET + cls_idx] += IMPRINT
 
         if context_driven:
-            tokens = [PersonLink(1), Word("next"), Word("to"), Word("the"),
-                      Word(OBJECT_CLASSES[cue_class]), Word("feels"), Word("upset")]
+            tokens = [PersonLink(1), "next", "to", "the", OBJECT_CLASSES[cue_class],
+                      "feels", "upset"]
             ctype = CommonsenseType.SPATIAL
         else:
-            tokens = [PersonLink(1), Word("who"), Word("is"),
-                      Word(ATTRIBUTES[attr_ids[gt]]), Word("will"), Word("leave")]
+            tokens = [PersonLink(1), "who", "is", ATTRIBUTES[attr_ids[gt]], "will", "leave"]
             ctype = CommonsenseType.ATTRIBUTE
 
         samples.append(Sample(
@@ -327,7 +324,7 @@ def synth_generate(config: SynthConfig) -> list[Sample]:
             image=ImageRecord(image_id=f"img-{i:06d}", width=WIDTH,
                               height=HEIGHT, persons=persons,
                               context_objects=objects),
-            description=Description(tokens),
+            tokens=tokens,
             labels={1: gt},
             commonsense_type=ctype,
         ))

@@ -24,10 +24,11 @@ a context object also has ``threshold <= objectness <= 1`` and a class name,
 and an image holds at most the header's cap of objects.  The region types
 check nothing, and each record kind only encodes, decodes and checks its own
 JSON object.  Feature vectors are float32 and round-trip bitwise; everything
-numeric in the JSON side is plain floats/ints.  All records are read-only
-after load, and their feature rows cannot be written.  The per-record checks
-run on every record read or written, so they format their messages only on
-failure.
+numeric in the JSON side is plain floats/ints, an integer never coerced from
+another type, and a word token is a non-empty string.  All records are
+read-only after load, and their feature rows cannot be written.  The
+per-record checks run on every record read or written, so they format their
+messages only on failure.
 """
 
 from __future__ import annotations
@@ -198,12 +199,8 @@ def _region_error(image: ImageRecord, box: BoundingBox, obj: ContextObject | Non
 # text tokens
 
 
-@dataclass(frozen=True)
-class Word:
-    text: str
-
-    def __post_init__(self) -> None:
-        _require(bool(self.text), "empty word token")
+# a word token is its text; the name reads ``isinstance(t, Word)`` as "is a word"
+Word = str
 
 
 @dataclass(frozen=True)
@@ -222,28 +219,9 @@ class ObjectLink:
 Token = Union[Word, PersonLink, ObjectLink]
 
 
-@dataclass
-class Description:
-    tokens: list[Token]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    @cached_property
-    def link_ids(self) -> list[int]:
-        """Distinct person-link ids in order of first appearance; computed once,
-        as nothing changes ``tokens`` after construction."""
-        seen: list[int] = []
-        for tok in self.tokens:
-            if isinstance(tok, PersonLink) and tok.link_id not in seen:
-                seen.append(tok.link_id)
-        return seen
-
-    def has_object_links(self) -> bool:
-        return any(isinstance(t, ObjectLink) for t in self.tokens)
-
-    def words(self) -> list[str]:
-        return [t.text for t in self.tokens if isinstance(t, Word)]
+def person_link_ids(tokens: Sequence[Token]) -> list[int]:
+    """Distinct person-link ids in order of first appearance."""
+    return list(dict.fromkeys(t.link_id for t in tokens if isinstance(t, PersonLink)))
 
 
 def has_tied_links(tokens: Sequence[Token]) -> bool:
@@ -252,12 +230,9 @@ def has_tied_links(tokens: Sequence[Token]) -> bool:
     Such links are syntactically exchangeable, which makes the grounding
     labels ambiguous, so finished samples must not contain the pattern.
     """
-    for i in range(len(tokens) - 2):
-        a, b, c = tokens[i], tokens[i + 1], tokens[i + 2]
-        if (isinstance(a, PersonLink) and isinstance(c, PersonLink)
-                and isinstance(b, Word) and b.text.lower() in ("and", "or")):
-            return True
-    return False
+    return any(isinstance(a, PersonLink) and isinstance(c, PersonLink)
+               and isinstance(b, Word) and b.lower() in ("and", "or")
+               for a, b, c in zip(tokens, tokens[1:], tokens[2:]))
 
 
 class CommonsenseType(str, Enum):
@@ -274,9 +249,15 @@ class CommonsenseType(str, Enum):
 class Sample:
     sample_id: str
     image: ImageRecord
-    description: Description
+    tokens: list[Token]
     labels: dict[int, int]       # person-link id -> ground-truth person index
     commonsense_type: CommonsenseType
+
+    @cached_property
+    def link_ids(self) -> list[int]:
+        """``person_link_ids(tokens)``, computed once, as nothing replaces or
+        changes ``tokens`` after construction."""
+        return person_link_ids(self.tokens)
 
     def validate(self, strict: bool = True) -> None:
         """Check structural invariants; with ``strict`` also that the sample is
@@ -290,7 +271,7 @@ class Sample:
         sid = self.sample_id
         _require(bool(self.image.persons), "%s: image has no person boxes", self.image.image_id)
         n = self.image.n_persons
-        link_ids = self.description.link_ids
+        link_ids = self.link_ids
         if self.labels.keys() != set(link_ids):
             raise DataError(f"{sid}: labels {sorted(self.labels)} do not match "
                             f"description links {link_ids}")
@@ -298,7 +279,7 @@ class Sample:
             _require(0 <= idx < n, "%s: label out of range (link %s -> %s, N=%s)",
                      sid, link_id, idx, n)
         if strict:
-            _require(not self.description.has_object_links(),
+            _require(not any(isinstance(t, ObjectLink) for t in self.tokens),
                      "%s: finished sample still contains object links", sid)
             reason = filter_sample(self)
             if reason is not None:
@@ -316,7 +297,7 @@ class DropReason(str, Enum):
 def filter_sample(sample: Sample) -> DropReason | None:
     """First triggered drop reason, in fixed order; None (keep) when none fires."""
     n = sample.image.n_persons
-    if not sample.description.link_ids:
+    if not sample.link_ids:
         return DropReason.NO_PERSON_LINK
     if n < 1:
         return DropReason.NO_CANDIDATE
@@ -324,7 +305,7 @@ def filter_sample(sample: Sample) -> DropReason | None:
         return DropReason.SINGLE_CANDIDATE
     if n > MAX_PERSONS:
         return DropReason.TOO_MANY_PERSONS
-    if has_tied_links(sample.description.tokens):
+    if has_tied_links(sample.tokens):
         return DropReason.TIED_LINKS
     return None
 
@@ -361,28 +342,51 @@ def feature_path(path: str | Path) -> Path:
 
 def token_to_json(token: Token) -> object:
     if isinstance(token, Word):
-        return token.text
+        _require(token != "", "empty word token")
+        return token
     if isinstance(token, PersonLink):
-        return {"person": token.link_id}
-    return {"object": token.region_id, "class": token.class_name}
+        return {"person": json_int(token.link_id, "person link")}
+    return {"object": json_int(token.region_id, "object link"), "class": token.class_name}
 
 
 def token_from_json(obj: object) -> Token:
     if isinstance(obj, str):
-        return Word(obj)
+        _require(obj != "", "empty word token")
+        return obj
     if isinstance(obj, dict):
         if "person" in obj:
-            return PersonLink(int(obj["person"]))
+            return PersonLink(json_int(obj["person"], "person link"))
         if "object" in obj:
-            return ObjectLink(int(obj["object"]), str(obj.get("class", "")))
+            return ObjectLink(json_int(obj["object"], "object link"), str(obj.get("class", "")))
     raise DataError(f"unrecognized token {obj!r}")
+
+
+def json_int(value: object, what: str) -> int:
+    """``value`` if it is an integer; a float, string or bool is a DataError naming ``what``."""
+    if type(value) is not int:
+        raise DataError(f"{what} is {value!r}, not an integer")
+    return value
+
+
+def labels_to_json(labels: Mapping[int, int]) -> dict[str, int]:
+    """``labels`` by link id as a JSON object: decimal keys, integer values."""
+    return {str(json_int(k, "label key")): json_int(v, f"label of link {k}")
+            for k, v in sorted(labels.items())}
+
+
+def labels_from_json(obj: dict) -> dict[int, int]:
+    """The inverse of ``labels_to_json``: a key must be ``str(int(k))``."""
+    labels = {int(k): json_int(v, f"label of link {k}") for k, v in obj.items()}
+    _require([str(k) for k in labels] == list(obj), "label keys %s are not all decimal "
+             "link ids", list(obj))
+    return labels
 
 
 def image_to_json(image: ImageRecord) -> dict:
     return {
         "image_id": image.image_id,
-        "width": image.width,
-        "height": image.height,
+        "width": json_int(image.width, "width"),
+        "height": json_int(image.height, "height"),
         "persons": [
             {"x1": p.box.x1, "y1": p.box.y1, "x2": p.box.x2, "y2": p.box.y2}
             for p in image.persons
@@ -414,8 +418,8 @@ def image_from_json(obj: dict, features: list[np.ndarray]) -> ImageRecord:
                       class_name=str(b["class_name"]))
         for j, b in enumerate(objects_raw)
     ]
-    return ImageRecord(image_id=str(obj["image_id"]), width=int(obj["width"]),
-                       height=int(obj["height"]), persons=persons,
+    return ImageRecord(image_id=str(obj["image_id"]), width=json_int(obj["width"], "width"),
+                       height=json_int(obj["height"], "height"), persons=persons,
                        context_objects=objects)
 
 
@@ -428,16 +432,16 @@ def sample_to_json(sample: Sample) -> dict:
     return {
         "sample_id": sample.sample_id,
         "image": image_to_json(sample.image),
-        "tokens": [token_to_json(t) for t in sample.description.tokens],
-        "labels": {str(k): v for k, v in sorted(sample.labels.items())},
+        "tokens": [token_to_json(t) for t in sample.tokens],
+        "labels": labels_to_json(sample.labels),
         "commonsense_type": sample.commonsense_type.value,
     }
 
 
 def sample_from_json(obj: dict, features: list[np.ndarray]) -> Sample:
     return Sample(sample_id=obj["sample_id"], image=image_from_json(obj["image"], features),
-                  description=Description([token_from_json(t) for t in obj["tokens"]]),
-                  labels={int(k): int(v) for k, v in obj["labels"].items()},
+                  tokens=[token_from_json(t) for t in obj["tokens"]],
+                  labels=labels_from_json(obj["labels"]),
                   commonsense_type=CommonsenseType(obj["commonsense_type"]))
 
 
@@ -700,7 +704,7 @@ def dataset_stats(samples: Sequence[Sample]) -> dict:
         "n_samples": n,
         "n_images": len(images),
         "n_links": n_links,
-        "mean_tokens": (sum(len(s.description) for s in samples) / n) if n else None,
+        "mean_tokens": (sum(len(s.tokens) for s in samples) / n) if n else None,
         "mean_persons_per_image": (sum(images.values()) / len(images)) if images else None,
         "mean_links_per_description": (n_links / n) if n else None,
         "type_histogram": dict(sorted(hist.items())),

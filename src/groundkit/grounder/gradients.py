@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from .. import benchkit, numcore as nc
-from ..core import DataError, Description, PersonLink, Sample, Word
+from ..core import DataError, PersonLink, Sample
 from .model import GroundingModel, ModelConfig
 from .train import build_vocab
 
@@ -42,7 +42,7 @@ def gradient_fixture(d_vis: int, seed: int = 0) -> list[Sample]:
     gt = last.labels[1]
     picked[-1] = Sample(
         sample_id=last.sample_id, image=last.image,
-        description=Description([PersonLink(1), Word("greets"), PersonLink(2)]),
+        tokens=[PersonLink(1), "greets", PersonLink(2)],
         labels={1: gt, 2: (gt + 1) % last.image.n_persons},
         commonsense_type=last.commonsense_type)
     return picked

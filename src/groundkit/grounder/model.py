@@ -3,7 +3,7 @@
 Input layout per sample is one flat sequence: substituted text tokens first,
 then one token per candidate person, then one per context object.  Person
 links are replaced by neutral first names drawn deterministically per
-(sample_id, seed); each link is represented by the first word token of its
+(sample_id, seed); each link is represented by the word token of its
 substituted name.  Region tokens are LN(feature projection + location
 projection) and carry no position embedding; text tokens are
 LN(word embedding + position embedding).
@@ -20,8 +20,8 @@ the padding, and the losses gather link, person and context-object rows by
 flat index (``b * L`` plus the position within sample ``b``, added to whole
 arrays of positions), so one forward and one backward pass serve the batch.
 
-Everything about a sample that no parameter touches (its substituted words,
-their vocabulary ids, its region feature and location rows and, for
+Everything about a sample that no parameter touches (the vocabulary ids of
+its substituted words, its region feature and location rows and, for
 training, its contrastive sets) is a ``SampleLayout``, made by
 ``GroundingModel.prepare``, which lays out all regions of its call in one
 array pass.  The batch entry points (``embed``, ``forward``, ``loss_terms``,
@@ -49,13 +49,14 @@ from typing import Callable, Mapping, NoReturn, Sequence, get_type_hints
 import numpy as np
 
 from .. import numcore as nc
-from ..core import (ContextObject, DataError, Description, PersonBox, PersonLink, Prediction,
-                    Sample, Word, read_text, replace_file, stable_rng)
+from ..core import (ContextObject, DataError, PersonBox, PersonLink, Prediction, Sample,
+                    Token, Word, person_link_ids, read_text, replace_file, stable_rng)
 from ..geometry import T1, T2, iou, location_feature
 from ..numcore.encoder import EncoderConfig, layer_from_last, param_initializers
 
 UNK_TOKEN = "<unk>"
 
+# one lowercase word each, so that a substituted link is one text token
 DEFAULT_NEUTRAL_NAMES = (
     "james", "mary", "john", "patricia", "robert", "jennifer", "michael",
     "linda", "david", "elizabeth", "william", "barbara", "richard", "susan",
@@ -203,16 +204,17 @@ def read_config(path: str | Path) -> tuple[ModelConfig, TrainSchedule]:
 # neutral-name substitution
 
 
-def substitute_neutral_names(description: Description, seed: int,
+def substitute_neutral_names(tokens: Sequence[Token], seed: int,
                              sample_id: str) -> tuple[list[str], dict[int, int]]:
-    """Replace person links with distinct names from ``DEFAULT_NEUTRAL_NAMES``.
+    """Replace person links with distinct names from ``DEFAULT_NEUTRAL_NAMES``,
+    one word each.
 
     Returns the lowercase word list and a map from link id to the position of
-    the first word of its substituted name.  The draw is without replacement
-    and deterministic per (sample_id, seed); a repeated link id reuses its
-    name, and its map entry points at the first occurrence.
+    its substituted name.  The draw is without replacement and deterministic
+    per (sample_id, seed); a repeated link id reuses its name, and its map
+    entry points at the first occurrence.
     """
-    link_ids = description.link_ids
+    link_ids = person_link_ids(tokens)
     if len(link_ids) > len(DEFAULT_NEUTRAL_NAMES):
         raise DataError(f"{sample_id}: {len(link_ids)} links exceed "
                         f"name pool of {len(DEFAULT_NEUTRAL_NAMES)}")
@@ -222,13 +224,13 @@ def substitute_neutral_names(description: Description, seed: int,
 
     words: list[str] = []
     positions: dict[int, int] = {}
-    for token in description.tokens:
+    for token in tokens:
         if isinstance(token, PersonLink):
             if token.link_id not in positions:
                 positions[token.link_id] = len(words)
-            words.extend(assigned[token.link_id].split())
+            words.append(assigned[token.link_id])
         elif isinstance(token, Word):
-            words.append(token.text.lower())
+            words.append(token.lower())
         else:
             raise DataError(f"{sample_id}: object link present at embed time")
     return words, positions
@@ -275,7 +277,7 @@ class EncodedBatch:
 
 
 def select_context_objects(sample: Sample) -> list[tuple[list[int], list[float]]]:
-    """One ``(objects, ious)`` per link, in ``description.link_ids`` order: the
+    """One ``(objects, ious)`` per link, in ``sample.link_ids`` order: the
     indices of the context objects tied to the link's ground-truth person and
     each one's IoU with that person's box.
 
@@ -284,7 +286,7 @@ def select_context_objects(sample: Sample) -> list[tuple[list[int], list[float]]
     """
     persons = sample.image.persons
     per_link = []
-    for link_id in sample.description.link_ids:
+    for link_id in sample.link_ids:
         gt = sample.labels[link_id]
         objects, weights = [], []
         for idx, obj in enumerate(sample.image.context_objects):
@@ -316,10 +318,9 @@ class SampleLayout:
     then each object's IoU with its box.
     """
 
-    words: list[str]
     link_positions: dict[int, int]
     labels: dict[int, int]
-    word_ids: np.ndarray         # [T] vocabulary ids of ``words``
+    word_ids: np.ndarray         # [T] vocabulary ids of the substituted words
     n_persons: int
     features: np.ndarray         # [R, d_vis]
     locations: np.ndarray        # [R, 7]
@@ -328,7 +329,7 @@ class SampleLayout:
     @property
     def persons(self) -> range:
         """Sequence positions of the candidate persons, right after the text."""
-        return range(len(self.words), len(self.words) + self.n_persons)
+        return range(len(self.word_ids), len(self.word_ids) + self.n_persons)
 
 
 def _feature_block(samples: Sequence[Sample],
@@ -356,7 +357,7 @@ def _feature_block(samples: Sequence[Sample],
 
 def sequence_length(layout: SampleLayout) -> int:
     """Tokens the sample takes in the input sequence: text, then regions."""
-    return len(layout.words) + len(layout.features)
+    return len(layout.word_ids) + len(layout.features)
 
 
 def forward_passes(layouts: Sequence[SampleLayout]) -> list[list[int]]:
@@ -526,7 +527,7 @@ class GroundingModel:
         layouts, stop = [], 0
         for sample, rs in zip(samples, regions):
             words, link_positions = substitute_neutral_names(
-                sample.description, cfg.seed, sample.sample_id)
+                sample.tokens, cfg.seed, sample.sample_id)
             if len(words) > MAX_TEXT_LEN:
                 raise DataError(f"{sample.sample_id}: {len(words)} text tokens exceed "
                                 f"max_text_len {MAX_TEXT_LEN}")
@@ -535,7 +536,7 @@ class GroundingModel:
             if contrast:
                 sets = []
                 persons = range(len(words), len(words) + sample.image.n_persons)
-                for link_id, (objects, weights) in zip(sample.description.link_ids,
+                for link_id, (objects, weights) in zip(sample.link_ids,
                                                        select_context_objects(sample)):
                     # objects absent from the input sequence have no position,
                     # so the positives shrink to the ground-truth person alone
@@ -546,7 +547,7 @@ class GroundingModel:
                                           + [p for p in persons if p != gt], dtype=np.intp),
                                  np.array([1.0] + weights[:len(kept)], dtype=np.float64)))
             layouts.append(SampleLayout(
-                words=words, link_positions=link_positions, labels=sample.labels,
+                link_positions=link_positions, labels=sample.labels,
                 word_ids=np.array([self.vocab.get(w, unk) for w in words], dtype=np.intp),
                 n_persons=sample.image.n_persons, features=features[start:stop],
                 locations=locations[start:stop], sets=sets))
@@ -559,7 +560,7 @@ class GroundingModel:
         width = max(lengths)
         # the real positions of each row, then those of its text: the rest are regions
         mask = np.arange(width) < np.array(lengths)[:, None]
-        is_text = np.arange(width) < np.array([len(x.words) for x in layouts])[:, None]
+        is_text = np.arange(width) < np.array([len(x.word_ids) for x in layouts])[:, None]
 
         text = nc.add_layer_norm(
             nc.gather_rows(p["embed.word"], np.concatenate([x.word_ids for x in layouts])),

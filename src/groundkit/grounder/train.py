@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .. import numcore as nc
-from ..core import DataError, Sample
+from ..core import DataError, Sample, Word
 from .model import (DEFAULT_NEUTRAL_NAMES, UNK_TOKEN, GroundingModel, ModelConfig,
                     TrainSchedule, forward_passes, replay_pass, sequence_length)
 
@@ -49,8 +49,7 @@ def build_vocab(samples: Sequence[Sample]) -> dict[str, int]:
     """Sorted corpus vocabulary plus the neutral-name pool; id 0 is <unk>."""
     words = set(DEFAULT_NEUTRAL_NAMES)
     for sample in samples:
-        for w in sample.description.words():
-            words.add(w.lower())
+        words.update(t.lower() for t in sample.tokens if isinstance(t, Word))
     vocab = {UNK_TOKEN: 0}
     for i, w in enumerate(sorted(words), start=1):
         vocab[w] = i

@@ -31,7 +31,6 @@ from .core import (
     CommonsenseType,
     DataError,
     DatasetHeader,
-    Description,
     ImageRecord,
     ObjectLink,
     PersonLink,
@@ -41,6 +40,10 @@ from .core import (
     filter_sample,
     image_from_json,
     image_to_json,
+    json_int,
+    labels_from_json,
+    labels_to_json,
+    person_link_ids,
     read_container,
     read_text,
     stable_hash,
@@ -282,11 +285,11 @@ class QAPair:
 
 def _atom_matches(atom: PatternAtom, token: Token) -> bool:
     if atom.kind == "word":
-        return isinstance(token, Word) and token.text.lower() == atom.name
+        return isinstance(token, Word) and token.lower() == atom.name
     if atom.kind == "person":
         return isinstance(token, PersonLink)
     if atom.kind == "aux":
-        return isinstance(token, Word) and token.text.lower() in AUX_WORDS
+        return isinstance(token, Word) and token.lower() in AUX_WORDS
     raise AssertionError(atom.kind)
 
 
@@ -335,7 +338,7 @@ def transform(qa: QAPair, rule: Rule, captures: Captures) -> list[Token]:
     out: list[Token] = []
     for item in rule.template:
         if item.kind == "word":
-            out.append(Word(item.value))
+            out.append(item.value)
         elif item.kind == "answer":
             out.extend(qa.correct_answer)
         else:
@@ -348,15 +351,10 @@ def transform(qa: QAPair, rule: Rule, captures: Captures) -> list[Token]:
 
 def replace_object_links(tokens: Sequence[Token]) -> list[Token]:
     """Turn every object-region link into its detector class name."""
-    out: list[Token] = []
     for token in tokens:
-        if isinstance(token, ObjectLink):
-            if not token.class_name:
-                raise DataError(f"object link {token.region_id} has no class name")
-            out.append(Word(token.class_name))
-        else:
-            out.append(token)
-    return out
+        if isinstance(token, ObjectLink) and not token.class_name:
+            raise DataError(f"object link {token.region_id} has no class name")
+    return [t.class_name if isinstance(t, ObjectLink) else t for t in tokens]
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +426,13 @@ def run_pipeline(corpus: Sequence[QAPair], rules: RuleSet,
         report.per_question_type[qtype] = report.per_question_type.get(qtype, 0) + 1
 
         tokens = replace_object_links(transform(qa, rule, captures))
-        description = Description(tokens)
         labels = {}
-        for link_id in description.link_ids:
+        for link_id in person_link_ids(tokens):
             if link_id not in qa.labels:
                 raise DataError(f"{qa.sample_id}: no grounding label for link {link_id}")
             labels[link_id] = qa.labels[link_id]
         sample = Sample(sample_id=qa.sample_id, image=qa.image,
-                        description=description, labels=labels,
+                        tokens=tokens, labels=labels,
                         commonsense_type=rule.commonsense_type)
         reason = filter_sample(sample)
         if reason is not None:
@@ -465,8 +462,8 @@ def qa_to_json(qa: QAPair) -> dict:
         "image": image_to_json(qa.image),
         "question": [token_to_json(t) for t in qa.question],
         "answers": [[token_to_json(t) for t in ans] for ans in qa.answers],
-        "correct_index": qa.correct_index,
-        "labels": {str(k): v for k, v in sorted(qa.labels.items())},
+        "correct_index": json_int(qa.correct_index, "correct_index"),
+        "labels": labels_to_json(qa.labels),
     }
 
 
@@ -475,8 +472,8 @@ def qa_from_json(obj: dict, features: list[np.ndarray]) -> QAPair:
     return QAPair(sample_id=obj["sample_id"], image=image_from_json(obj["image"], features),
                   question=[token_from_json(t) for t in obj["question"]],
                   answers=[[token_from_json(t) for t in ans] for ans in obj["answers"]],
-                  correct_index=int(obj["correct_index"]),
-                  labels={int(k): int(v) for k, v in obj["labels"].items()})
+                  correct_index=json_int(obj["correct_index"], "correct_index"),
+                  labels=labels_from_json(obj["labels"]))
 
 
 def write_qa_corpus(corpus: Sequence[QAPair], path: str | Path,

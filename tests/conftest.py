@@ -5,7 +5,6 @@ from groundkit.core import (
     BoundingBox,
     CommonsenseType,
     ContextObject,
-    Description,
     ImageRecord,
     PersonBox,
     PersonLink,
@@ -46,7 +45,7 @@ def make_sample(sample_id="s-0", n_persons=3, tokens=None, labels=None,
                   image=ImageRecord(image_id=f"img-{sample_id}", width=width,
                                     height=height, persons=persons,
                                     context_objects=objects),
-                  description=Description(list(tokens)),
+                  tokens=list(tokens),
                   labels=dict(labels),
                   commonsense_type=ctype)
 

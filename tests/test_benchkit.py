@@ -18,7 +18,6 @@ from groundkit.core import (
     BoundingBox,
     CommonsenseType,
     DataError,
-    Description,
     ImageRecord,
     PersonBox,
     PersonLink,
@@ -43,7 +42,7 @@ def sample_with_boxes(boxes, link_ids=(1,), labels=None, sample_id="b-0"):
     return Sample(sample_id=sample_id,
                   image=ImageRecord(image_id=sample_id, width=1000, height=1000,
                                     persons=persons),
-                  description=Description(tokens),
+                  tokens=tokens,
                   labels=labels or {lid: 0 for lid in link_ids},
                   commonsense_type=CommonsenseType.OTHER)
 
@@ -151,7 +150,7 @@ class TestSynth:
         assert len(a) == len(b) == 50
         for x, y in zip(a, b):
             assert x.sample_id == y.sample_id
-            assert x.description.tokens == y.description.tokens
+            assert x.tokens == y.tokens
             assert x.labels == y.labels
             for px, py in zip(x.image.persons, y.image.persons):
                 assert px.box == py.box
@@ -169,7 +168,7 @@ class TestSynth:
                         if s.commonsense_type == CommonsenseType.ATTRIBUTE]
         assert attr_samples
         for s in attr_samples:
-            word = s.description.tokens[3].text
+            word = s.tokens[3]
             dim = _ATTR_OFFSET + ATTRIBUTES.index(word)
             decoded = int(np.argmax([p.feature[dim] for p in s.image.persons]))
             assert decoded == s.labels[1]
@@ -183,7 +182,7 @@ class TestSynth:
             [(objects, _weights)] = select_context_objects(s)
             assert len(objects) >= 1
             # the described class appears among the qualifying objects
-            cue = s.description.tokens[4].text
+            cue = s.tokens[4]
             classes = {s.image.context_objects[i].class_name for i in objects}
             assert cue in classes
 

@@ -344,6 +344,27 @@ class TestExitCodes:
             assert detail.endswith(": image size past the float range")
         assert not (tmp_path / "run2").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: obj.update(labels={"1": 1.9}), "label of link 1 is 1.9, not an integer"),
+        (lambda obj: obj.update(labels={" 1": 0}),
+         "label keys [' 1'] are not all decimal link ids"),
+        (lambda obj: obj["tokens"].__setitem__(0, {"person": True}),
+         "person link is True, not an integer"),
+        (lambda obj: obj["image"].update(width=640.7), "width is 640.7, not an integer"),
+        (lambda obj: obj["tokens"].__setitem__(1, ""), "empty word token"),
+    ], ids=["label-float", "label-key", "link-bool", "width-float", "empty-word"])
+    def test_non_integer_field_or_empty_word_is_data_error(self, capsys, tmp_path, edit,
+                                                           message):
+        data = tmp_path / "s.jsonl"
+        run_cli(capsys, "synth", "--n", "3", "--seed", "1", "--out", str(data))
+        lines = data.read_text().splitlines()
+        obj = json.loads(lines[2])
+        edit(obj)
+        lines[2] = json.dumps(obj)
+        data.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "stats", "--data", str(data))
+        assert self._assert_error_line(code, err, "data") == f"{data}:3: {message}"
+
     @pytest.mark.parametrize("field, value, message", [
         ("objectness_threshold", float("nan"), "objectness_threshold nan outside [0, 1]"),
         ("objectness_threshold", 2.0, "objectness_threshold 2.0 outside [0, 1]"),

@@ -20,7 +20,6 @@ from groundkit.core import (
     CommonsenseType,
     DataError,
     DatasetHeader,
-    Description,
     ImageRecord,
     ObjectLink,
     PersonLink,
@@ -30,11 +29,14 @@ from groundkit.core import (
     dataset_stats,
     feature_path,
     has_tied_links,
+    person_link_ids,
     read_dataset,
     read_feature_file,
     read_header,
     stable_hash,
     stable_rng,
+    token_from_json,
+    token_to_json,
     write_dataset,
 )
 from groundkit.rulekit import QAPair, read_qa_corpus, write_qa_corpus
@@ -164,14 +166,17 @@ class TestTypes:
                 == np.random.default_rng(expected).integers(2**62, size=4).tolist())
 
     def test_word_must_be_nonempty(self):
-        with pytest.raises(DataError):
-            Word("")
+        # a word is its string; the codec refuses the empty one both ways
+        assert Word("waves") == token_from_json("waves") == token_to_json("waves") == "waves"
+        for codec in (token_from_json, token_to_json):
+            with pytest.raises(DataError, match="^empty word token$"):
+                codec("")
 
     def test_description_link_ids_distinct_in_order(self):
-        d = Description([PersonLink(3), Word("and"), Word("then"), PersonLink(1),
-                         Word("met"), PersonLink(3)])
-        assert d.link_ids == [3, 1]
-        assert len(d.link_ids) == 2
+        tokens = [PersonLink(3), Word("and"), Word("then"), PersonLink(1),
+                  Word("met"), PersonLink(3)]
+        assert person_link_ids(tokens) == [3, 1]
+        assert make_sample(tokens=tokens, labels={3: 0, 1: 1}).link_ids == [3, 1]
 
     def test_tied_links_detection(self):
         tied = [PersonLink(1), Word("and"), PersonLink(2), Word("dance")]
@@ -223,7 +228,7 @@ class TestRoundTrip:
         assert len(loaded) == len(samples)
         for a, b in zip(samples, loaded):
             assert a.sample_id == b.sample_id
-            assert a.description.tokens == b.description.tokens
+            assert a.tokens == b.tokens
             assert a.labels == b.labels
             assert a.commonsense_type == b.commonsense_type
             assert a.image.width == b.image.width
@@ -427,6 +432,105 @@ class TestContainerIntegrity:
         records = [make(i) for i in ("s-0", "s-1")]
         breach_record(records[1].image, region, edit)
         with pytest.raises(DataError, match=rf"^img-s-1: {re.escape(message)}$"):
+            write(records, tmp_path / "c.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
+
+def edit_record(path, lineno, edit):
+    """Rewrite line ``lineno`` of ``path`` (a record) after ``edit(obj)``."""
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[lineno - 1])
+    edit(obj)
+    lines[lineno - 1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+class TestIntegerFields:
+    """An integer field holds a JSON integer; a float, a string or a boolean is
+    refused naming ``file:line``, never read as another number."""
+
+    def assert_refused(self, kind, tmp_path, edit, message):
+        path = write_kind(kind, tmp_path / "c.jsonl", ids=("s-0", "s-1"))
+        edit_record(path, 3, edit)
+        with pytest.raises(DataError, match=rf"c\.jsonl:3: {re.escape(message)}$"):
+            read_kind(kind, path)
+
+    @pytest.mark.parametrize("value", [1.9, 0.7, 4.7, 1.0, True, "1"])
+    def test_label_value(self, kind, value, tmp_path):
+        self.assert_refused(kind, tmp_path, lambda obj: obj.update(labels={"1": value}),
+                            f"label of link 1 is {value!r}, not an integer")
+
+    @pytest.mark.parametrize("key", [" 1", "0_1", "01", "+1", "1 "])
+    def test_label_key(self, kind, key, tmp_path):
+        self.assert_refused(kind, tmp_path, lambda obj: obj.update(labels={key: 0}),
+                            f"label keys [{key!r}] are not all decimal link ids")
+
+    @pytest.mark.parametrize("link", ["person", "object"])
+    @pytest.mark.parametrize("value", [1.5, True, "1"])
+    def test_link_id(self, kind, link, value, tmp_path):
+        def edit(obj):
+            tokens = obj["tokens"] if kind == "dataset" else obj["question"]
+            tokens[tokens.index({"person": 1})] = {link: value, "class": "cup"}
+        self.assert_refused(kind, tmp_path, edit, f"{link} link is {value!r}, not an integer")
+
+    @pytest.mark.parametrize("field", ["width", "height"])
+    @pytest.mark.parametrize("value", [640.7, 640.0, "640", True])
+    def test_image_size(self, kind, field, value, tmp_path):
+        self.assert_refused(kind, tmp_path, lambda obj: obj["image"].update({field: value}),
+                            f"{field} is {value!r}, not an integer")
+
+    @pytest.mark.parametrize("field", ["width", "label"])
+    def test_refused_on_write(self, kind, field, tmp_path):
+        # what a writer writes, the reader reads: a float is refused before any file
+        make, write, _read = KINDS[kind]
+        records = [make(i) for i in ("s-0", "s-1")]
+        if field == "width":
+            records[1].image.width = 800.0
+        else:
+            records[1].labels[1] = 0.0
+        message = {"width": "width is 800.0", "label": "label of link 1 is 0.0"}[field]
+        with pytest.raises(DataError, match=f"^{message}, not an integer$"):
+            write(records, tmp_path / "c.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, True, "1"])
+def test_correct_index_must_be_an_integer(value, tmp_path):
+    path = write_kind("qa", tmp_path / "c.jsonl", ids=("s-0", "s-1"))
+    edit_record(path, 3, lambda obj: obj.update(correct_index=value))
+    message = f"correct_index is {value!r}, not an integer"
+    with pytest.raises(DataError, match=rf"c\.jsonl:3: {re.escape(message)}$"):
+        read_qa_corpus(path)
+    qa = make_qa("s-2")
+    qa.correct_index = value
+    with pytest.raises(DataError, match=rf"^{re.escape(message)}$"):
+        write_qa_corpus([qa], tmp_path / "w.jsonl")
+    assert not (tmp_path / "w.jsonl").exists()
+
+
+class TestEmptyWord:
+    """The token codec refuses an empty word on read and on write."""
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_refused_on_read(self, kind, tmp_path):
+        path = write_kind(kind, tmp_path / "c.jsonl", ids=("s-0", "s-1"))
+        # a dataset description's second token, or a QA record's third answer
+        edit = {"dataset": lambda obj: obj["tokens"].__setitem__(1, ""),
+                "qa": lambda obj: obj["answers"][2].__setitem__(0, "")}[kind]
+        edit_record(path, 3, edit)
+        with pytest.raises(DataError, match=r"c\.jsonl:3: empty word token$"):
+            read_kind(kind, path)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_refused_on_write(self, kind, tmp_path):
+        make, write, _read = KINDS[kind]
+        records = [make(i) for i in ("s-0", "s-1")]
+        if kind == "dataset":
+            records[1] = replace(records[1], tokens=[PersonLink(1), Word("")])
+        else:
+            records[1].answers[2] = [Word("")]
+        with pytest.raises(DataError, match="^empty word token$"):
             write(records, tmp_path / "c.jsonl")
         assert list(tmp_path.iterdir()) == []
 

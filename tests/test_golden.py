@@ -20,12 +20,13 @@ import os
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 from groundkit import benchkit
 from groundkit.cli import run
-from groundkit.core import (Description, PersonLink, Word, read_dataset, read_header,
-                            sample_to_json, write_container)
+from groundkit.core import (PersonLink, Word, read_dataset, read_header, sample_to_json,
+                            write_container)
 from groundkit.rulekit import write_qa_corpus
 
 from test_rulekit import fixture_corpus
@@ -40,16 +41,17 @@ def _sha(data: bytes) -> str:
 
 
 def _write_prefilter_set(source: str, path: str) -> None:
-    """``source``'s scenes, three in every four edited to trip a filter."""
+    """``source``'s scenes, three in every four edited to trip a filter.  New
+    tokens make new samples, so that no cached ``link_ids`` goes stale."""
     samples = read_dataset(source)
     for s in samples[1::4]:
         s.image.persons = s.image.persons[:1]
         s.labels = {link: 0 for link in s.labels}
-    for s in samples[2::4]:
-        s.description, s.labels = Description([Word("nobody"), Word("waves")]), {}
-    for s in samples[3::4]:
-        s.description = Description([PersonLink(1), Word("and"), PersonLink(2), Word("wave")])
-        s.labels = {1: 0, 2: 1}
+    for i in range(2, len(samples), 4):
+        samples[i] = replace(samples[i], tokens=[Word("nobody"), Word("waves")], labels={})
+    for i in range(3, len(samples), 4):
+        samples[i] = replace(samples[i], tokens=[PersonLink(1), Word("and"), PersonLink(2),
+                                                 Word("wave")], labels={1: 0, 2: 1})
     write_container(path, samples, sample_to_json, read_header(source))
 
 

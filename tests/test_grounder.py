@@ -14,7 +14,6 @@ from groundkit.core import (
     BoundingBox,
     CommonsenseType,
     DataError,
-    Description,
     ImageRecord,
     PersonLink,
     Prediction,
@@ -70,7 +69,7 @@ def toy_model(samples, **kw):
 
 class TestNameSubstitution:
     def test_deterministic_per_seed_and_sample(self):
-        d = Description([PersonLink(1), Word("waves")])
+        d = [PersonLink(1), Word("waves")]
         a = substitute_neutral_names(d, 3, "s-1")
         b = substitute_neutral_names(d, 3, "s-1")
         c = substitute_neutral_names(d, 4, "s-1")
@@ -79,8 +78,7 @@ class TestNameSubstitution:
         assert a != c or a[0] != c[0]  # another seed draws another name (almost surely)
 
     def test_distinct_names_without_replacement(self):
-        d = Description([PersonLink(1), Word("meets"), PersonLink(2),
-                         Word("near"), PersonLink(3)])
+        d = [PersonLink(1), Word("meets"), PersonLink(2), Word("near"), PersonLink(3)]
         words, positions = substitute_neutral_names(d, 0, "x")
         names = [words[positions[i]] for i in (1, 2, 3)]
         assert len(set(names)) == 3
@@ -88,30 +86,28 @@ class TestNameSubstitution:
         assert positions[1] == 0 and positions[2] == 2 and positions[3] == 4
 
     def test_repeated_link_reuses_name_and_first_position(self):
-        d = Description([PersonLink(1), Word("wins"), Word("so"), PersonLink(1),
-                         Word("smiles")])
+        d = [PersonLink(1), Word("wins"), Word("so"), PersonLink(1), Word("smiles")]
         words, positions = substitute_neutral_names(d, 0, "x")
         assert words[0] == words[3]
         assert positions == {1: 0}
 
     def test_zero_links_identity(self):
-        d = Description([Word("Nothing"), Word("HAPPENS")])
+        d = [Word("Nothing"), Word("HAPPENS")]
         words, positions = substitute_neutral_names(d, 0, "x")
         assert words == ["nothing", "happens"]
         assert positions == {}
 
     def test_pool_exhausted(self, monkeypatch):
         monkeypatch.setattr(model_module, "DEFAULT_NEUTRAL_NAMES", ("amy", "bob"))
-        d = Description([PersonLink(i) for i in range(3)])
+        d = [PersonLink(i) for i in range(3)]
         with pytest.raises(DataError, match="pool"):
             substitute_neutral_names(d, 0, "x")
 
-    def test_multiword_name_position(self, monkeypatch):
-        monkeypatch.setattr(model_module, "DEFAULT_NEUTRAL_NAMES", ("mary jo",) * 12)
-        d = Description([Word("hello"), PersonLink(1), Word("waves")])
-        words, positions = substitute_neutral_names(d, 0, "x")
-        assert words == ["hello", "mary", "jo", "waves"]
-        assert positions == {1: 1}
+    def test_every_pool_name_is_one_lowercase_word(self):
+        # a substituted link is one text token, which ``link_positions`` points at
+        assert len(set(DEFAULT_NEUTRAL_NAMES)) == len(DEFAULT_NEUTRAL_NAMES)
+        for name in DEFAULT_NEUTRAL_NAMES:
+            assert name.split() == [name] and name == name.lower() and name.isalpha()
 
 
 def scene_with_objects(objs, n_persons=3, labels=None):
@@ -120,7 +116,7 @@ def scene_with_objects(objs, n_persons=3, labels=None):
     image = ImageRecord(image_id="img", width=400, height=120, persons=persons,
                         context_objects=objs)
     return Sample(sample_id="scene", image=image,
-                  description=Description([PersonLink(1), Word("waves")]),
+                  tokens=[PersonLink(1), Word("waves")],
                   labels=labels or {1: 0},
                   commonsense_type=CommonsenseType.OTHER)
 
@@ -214,7 +210,7 @@ def fake_layout(link_positions, n_text=0, n_persons=0, sets=None):
     if sets is not None:
         sets = [(anchor, np.array(candidates, dtype=np.intp), weights)
                 for anchor, candidates, weights in sets]
-    return SampleLayout(words=["w"] * n_text, link_positions=link_positions, labels={},
+    return SampleLayout(link_positions=link_positions, labels={},
                         word_ids=np.zeros(n_text, dtype=np.intp), n_persons=n_persons,
                         features=[], locations=np.zeros((0, 7)), sets=sets)
 
@@ -395,7 +391,7 @@ class TestModelForward:
         sample = make_sample("m-1", n_persons=3, n_objects=2)
         model, config = toy_model([sample])
         encoded = model.embed(model.prepare([sample]))
-        n_text = len(model.prepare([sample])[0].words)
+        n_text = len(model.prepare([sample])[0].word_ids)
         assert encoded.sequence.data.shape == (1, n_text + 3 + 2, config.d_model)
         assert person_positions(encoded) == [[n_text, n_text + 1, n_text + 2]]
         assert object_positions(encoded) == [[n_text + 3, n_text + 4]]
@@ -405,7 +401,7 @@ class TestModelForward:
         model, config = toy_model([sample], use_context_objects=False)
         encoded = model.embed(model.prepare([sample]))
         assert object_positions(encoded) == [[]]
-        assert encoded.sequence.data.shape[1] == len(model.prepare([sample])[0].words) + 3
+        assert encoded.sequence.data.shape[1] == len(model.prepare([sample])[0].word_ids) + 3
 
     @pytest.mark.parametrize("shape", [(7,), (8, 1)])
     def test_prepare_refuses_a_feature_row_of_another_shape(self, shape):
@@ -432,7 +428,7 @@ class TestModelForward:
                                                 (False, [0], [1.0])):
             model, _config = toy_model([sample], use_context_objects=use_objects)
             layout = model.prepare([sample], contrast=True)[0]
-            n_text = len(layout.words)
+            n_text = len(layout.word_ids)
             [(anchor, candidates, iou_weights)] = layout.sets
             assert anchor == layout.link_positions[1]
             assert candidates.dtype == np.intp
@@ -444,7 +440,7 @@ class TestModelForward:
         # (IoU 0.5) and object 1 on person 2 (IoU 0.8), each clear of the rest
         sample = replace(
             scene_with_objects([make_object(0, 0, 100, 50), make_object(220, 0, 320, 80)]),
-            description=Description([PersonLink(1), Word("and"), PersonLink(2), Word("wave")]),
+            tokens=[PersonLink(1), Word("and"), PersonLink(2), Word("wave")],
             labels={1: 0, 2: 2})
         assert select_context_objects(sample) == [([0], [0.5]), ([1], [0.8])]
         for use_objects, expected in (
@@ -452,7 +448,7 @@ class TestModelForward:
                 (False, [([0, 1, 2], [1.0]), ([2, 0, 1], [1.0])])):
             model, _config = toy_model([sample], use_context_objects=use_objects)
             layout = model.prepare([sample], contrast=True)[0]
-            n_text = len(layout.words)
+            n_text = len(layout.word_ids)
             assert [anchor for anchor, _c, _w in layout.sets] == [
                 layout.link_positions[1], layout.link_positions[2]]
             for (_anchor, candidates, iou_weights), (positions, weights) in zip(
@@ -502,7 +498,7 @@ class TestModelForward:
                             height=sample.image.height, persons=persons,
                             context_objects=sample.image.context_objects)
         permuted = Sample(sample_id=sample.sample_id, image=image,
-                          description=sample.description,
+                          tokens=sample.tokens,
                           labels={1: perm.index(2)},
                           commonsense_type=sample.commonsense_type)
         pred_p = model.predict([permuted])[0]
@@ -540,7 +536,7 @@ class TestGradientsThroughModel:
     fixture = gradient_fixture(d_vis=24, seed=12)
 
     def test_fixture_pads_unevenly(self):
-        lengths = {len(s.description.tokens) for s in self.fixture}
+        lengths = {len(s.tokens) for s in self.fixture}
         persons = {s.image.n_persons for s in self.fixture}
         objects = {len(s.image.context_objects) for s in self.fixture}
         assert len(self.fixture) >= 3
@@ -663,7 +659,7 @@ class TestPreparedLayouts:
                 object_positions(used)) == \
                ([x.link_positions for x in new.layouts], person_positions(new),
                 object_positions(new))
-        assert [x.words for x in layouts] == [x.words for x in fresh]
+        assert [x.word_ids.tolist() for x in layouts] == [x.word_ids.tolist() for x in fresh]
 
     def test_contrastive_loss_needs_prepared_sets(self):
         samples = [make_sample("n-0")]

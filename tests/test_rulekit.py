@@ -7,7 +7,6 @@ from groundkit.core import (
     BoundingBox,
     CommonsenseType,
     DataError,
-    Description,
     DropReason,
     ImageRecord,
     ObjectLink,

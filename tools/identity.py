@@ -16,7 +16,9 @@ same list of CLI commands, each from its own ``src``, ``configs`` and
   held-out sets;
 - ``stats``, ``baseline --name random`` and ``gradcheck``;
 - ``transform`` of ``bench/qa_corpus.generate(400, 101)``, then ``filter``
-  of its ``train`` split.
+  of its ``train`` split, ``train --steps 30`` on that split and ``eval`` of
+  that run on the ``test`` split, so that words the rule pipeline writes
+  reach the model.
 
 REV runs under ``PYTHONHASHSEED=0`` and this tree under ``PYTHONHASHSEED=1``,
 so ``--parent HEAD`` also shows that no output depends on the hash seed.
@@ -81,6 +83,10 @@ def commands(tree: Path) -> list[tuple[str, list[str]]]:
         ("transform", cli + ["transform", "--data", "qa.jsonl", "--out", "transformed"]),
         ("filter", cli + ["filter", "--data", "transformed/train.jsonl",
                           "--out", "filtered.jsonl"]),
+        ("train_qa", cli + ["train", "--data", "transformed/train.jsonl", "--config", config,
+                            "--out", "run_qa", "--steps", "30"]),
+        ("eval_qa", cli + ["eval", "--data", "transformed/test.jsonl",
+                           "--checkpoint", "run_qa"]),
     ]
     return steps
 
