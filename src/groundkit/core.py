@@ -1,12 +1,12 @@
-"""Domain types, dataset invariants, and the on-disk container format.
+"""Domain types, dataset invariants, and the on-disk format of both record kinds.
 
-Datasets and QA corpora share one container of two files:
+Datasets (``Sample``) and QA corpora (``QAPair``) share one container of two files:
 
-- ``<name>.jsonl`` -- UTF-8 JSON lines.  Line 1 is a header object
-  ``{"format_version", "d_vis", "objectness_threshold", "max_context_objects"}``;
+- ``<name>.jsonl`` -- UTF-8 JSON lines.  Line 1 is a header object: the
+  integer ``format_version`` and exactly the fields of ``DatasetHeader``;
   every following line is one record (a sample, or a QA pair) with a unique
-  ``sample_id``.  The header's ``objectness_threshold`` lies in [0, 1] and
-  its ``max_context_objects`` is at least 0, on read and on write.
+  ``sample_id``.  The header's ``d_vis`` and cap are integers, the cap at
+  least 0, and its threshold a number in [0, 1], on read and on write.
 - ``<name>.cgf`` -- the companion binary feature file (little-endian).
   Layout: magic ``CGF1``, ``u32 d_vis``, then per region in file order:
   ``u32`` byte length of sample_id, sample_id bytes, ``u32`` region ordinal,
@@ -23,12 +23,12 @@ each region lies inside its image (``0 <= x1 < x2 <= width``, likewise in y),
 a context object also has ``threshold <= objectness <= 1`` and a class name,
 and an image holds at most the header's cap of objects.  The region types
 check nothing, and each record kind only encodes, decodes and checks its own
-JSON object.  Feature vectors are float32 and round-trip bitwise; everything
-numeric in the JSON side is plain floats/ints, an integer never coerced from
-another type, and a word token is a non-empty string.  All records are
-read-only after load, and their feature rows cannot be written.  The
-per-record checks run on every record read or written, so they format their
-messages only on failure.
+JSON object.  Feature vectors are float32 and round-trip bitwise; an integer,
+number or string field of the JSON side holds that JSON kind and is never
+coerced from another (``json_value``), and a word token is a non-empty string.
+All records are read-only after load, and their feature rows cannot be
+written.  The per-record checks run on every record read or written, so they
+format their messages only on failure.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import os
 import struct
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -57,6 +57,7 @@ MAX_PERSONS = 10
 
 # a record kind: a sample or a QA pair, each with its ``sample_id`` and ``image``
 R = TypeVar("R")
+V = TypeVar("V")
 
 _FLOAT_MAX = sys.float_info.max
 # the u32 fields of the .cgf: id lengths, ordinals and d_vis
@@ -286,6 +287,28 @@ class Sample:
                 raise DataError(f"{sid}: dropped by filter_sample ({reason.value})")
 
 
+@dataclass
+class QAPair:
+    sample_id: str
+    image: ImageRecord
+    question: list[Token]
+    answers: list[list[Token]]
+    correct_index: int
+    labels: dict[int, int]
+
+    def __post_init__(self) -> None:
+        if len(self.answers) != 4:
+            raise DataError(f"{self.sample_id}: expected 4 answers, got {len(self.answers)}")
+        if not 0 <= self.correct_index < 4:
+            raise DataError(f"{self.sample_id}: correct_index {self.correct_index} invalid")
+        if not self.question:
+            raise DataError(f"{self.sample_id}: empty question")
+
+    @property
+    def correct_answer(self) -> list[Token]:
+        return self.answers[self.correct_index]
+
+
 class DropReason(str, Enum):
     NO_PERSON_LINK = "no_person_link"
     NO_CANDIDATE = "no_candidate"
@@ -331,6 +354,8 @@ class Prediction:
 
 @dataclass(frozen=True)
 class DatasetHeader:
+    """The header's fields as written; the defaults are for writers only."""
+
     d_vis: int
     objectness_threshold: float = DEFAULT_OBJECTNESS_THRESHOLD
     max_context_objects: int = DEFAULT_MAX_CONTEXT_OBJECTS
@@ -345,8 +370,9 @@ def token_to_json(token: Token) -> object:
         _require(token != "", "empty word token")
         return token
     if isinstance(token, PersonLink):
-        return {"person": json_int(token.link_id, "person link")}
-    return {"object": json_int(token.region_id, "object link"), "class": token.class_name}
+        return {"person": json_value(token.link_id, int, "person link")}
+    return {"object": json_value(token.region_id, int, "object link"),
+            "class": json_value(token.class_name, str, "object link class")}
 
 
 def token_from_json(obj: object) -> Token:
@@ -355,28 +381,32 @@ def token_from_json(obj: object) -> Token:
         return obj
     if isinstance(obj, dict):
         if "person" in obj:
-            return PersonLink(json_int(obj["person"], "person link"))
+            return PersonLink(json_value(obj["person"], int, "person link"))
         if "object" in obj:
-            return ObjectLink(json_int(obj["object"], "object link"), str(obj.get("class", "")))
+            return ObjectLink(json_value(obj["object"], int, "object link"),
+                              json_value(obj["class"], str, "object link class"))
     raise DataError(f"unrecognized token {obj!r}")
 
 
-def json_int(value: object, what: str) -> int:
-    """``value`` if it is an integer; a float, string or bool is a DataError naming ``what``."""
-    if type(value) is not int:
-        raise DataError(f"{what} is {value!r}, not an integer")
-    return value
+def json_value(value: object, kind: type[V], what: str) -> V:
+    """``value`` if it holds the JSON kind ``kind``: ``int`` an integer,
+    ``float`` a number (an integer or a float), ``str`` a string.  A bool is
+    none of them; anything else is a DataError naming ``what``."""
+    if type(value) is kind or (kind is float and type(value) is int):
+        return value
+    name = {int: "an integer", float: "a number", str: "a string"}[kind]
+    raise DataError(f"{what} is {value!r}, not {name}")
 
 
 def labels_to_json(labels: Mapping[int, int]) -> dict[str, int]:
     """``labels`` by link id as a JSON object: decimal keys, integer values."""
-    return {str(json_int(k, "label key")): json_int(v, f"label of link {k}")
+    return {str(json_value(k, int, "label key")): json_value(v, int, f"label of link {k}")
             for k, v in sorted(labels.items())}
 
 
 def labels_from_json(obj: dict) -> dict[int, int]:
     """The inverse of ``labels_to_json``: a key must be ``str(int(k))``."""
-    labels = {int(k): json_int(v, f"label of link {k}") for k, v in obj.items()}
+    labels = {int(k): json_value(v, int, f"label of link {k}") for k, v in obj.items()}
     _require([str(k) for k in labels] == list(obj), "label keys %s are not all decimal "
              "link ids", list(obj))
     return labels
@@ -384,16 +414,17 @@ def labels_from_json(obj: dict) -> dict[int, int]:
 
 def image_to_json(image: ImageRecord) -> dict:
     return {
-        "image_id": image.image_id,
-        "width": json_int(image.width, "width"),
-        "height": json_int(image.height, "height"),
+        "image_id": json_value(image.image_id, str, "image_id"),
+        "width": json_value(image.width, int, "width"),
+        "height": json_value(image.height, int, "height"),
         "persons": [
             {"x1": p.box.x1, "y1": p.box.y1, "x2": p.box.x2, "y2": p.box.y2}
             for p in image.persons
         ],
         "context_objects": [
             {"x1": o.box.x1, "y1": o.box.y1, "x2": o.box.x2, "y2": o.box.y2,
-             "objectness": o.objectness, "class_name": o.class_name}
+             "objectness": json_value(o.objectness, float, "objectness"),
+             "class_name": json_value(o.class_name, str, "class_name")}
             for o in image.context_objects
         ],
     }
@@ -401,7 +432,7 @@ def image_to_json(image: ImageRecord) -> dict:
 
 def image_from_json(obj: dict, features: list[np.ndarray]) -> ImageRecord:
     persons_raw = obj["persons"]
-    objects_raw = obj.get("context_objects", [])
+    objects_raw = obj["context_objects"]
     n_regions = len(persons_raw) + len(objects_raw)
     _require(len(features) == n_regions, "%s regions but %s feature rows",
              n_regions, len(features))
@@ -414,13 +445,14 @@ def image_from_json(obj: dict, features: list[np.ndarray]) -> ImageRecord:
     objects = [
         ContextObject(box=BoundingBox(b["x1"], b["y1"], b["x2"], b["y2"]),
                       feature=features[len(persons_raw) + j],
-                      objectness=float(b["objectness"]),
-                      class_name=str(b["class_name"]))
+                      objectness=json_value(b["objectness"], float, "objectness"),
+                      class_name=json_value(b["class_name"], str, "class_name"))
         for j, b in enumerate(objects_raw)
     ]
-    return ImageRecord(image_id=str(obj["image_id"]), width=json_int(obj["width"], "width"),
-                       height=json_int(obj["height"], "height"), persons=persons,
-                       context_objects=objects)
+    return ImageRecord(image_id=json_value(obj["image_id"], str, "image_id"),
+                       width=json_value(obj["width"], int, "width"),
+                       height=json_value(obj["height"], int, "height"),
+                       persons=persons, context_objects=objects)
 
 
 def image_features(image: ImageRecord) -> list[np.ndarray]:
@@ -443,6 +475,26 @@ def sample_from_json(obj: dict, features: list[np.ndarray]) -> Sample:
                   tokens=[token_from_json(t) for t in obj["tokens"]],
                   labels=labels_from_json(obj["labels"]),
                   commonsense_type=CommonsenseType(obj["commonsense_type"]))
+
+
+def qa_to_json(qa: QAPair) -> dict:
+    return {
+        "sample_id": qa.sample_id,
+        "image": image_to_json(qa.image),
+        "question": [token_to_json(t) for t in qa.question],
+        "answers": [[token_to_json(t) for t in ans] for ans in qa.answers],
+        "correct_index": json_value(qa.correct_index, int, "correct_index"),
+        "labels": labels_to_json(qa.labels),
+    }
+
+
+def qa_from_json(obj: dict, features: list[np.ndarray]) -> QAPair:
+    """One QA record; images may hold any person count, the filters judge that."""
+    return QAPair(sample_id=obj["sample_id"], image=image_from_json(obj["image"], features),
+                  question=[token_from_json(t) for t in obj["question"]],
+                  answers=[[token_from_json(t) for t in ans] for ans in obj["answers"]],
+                  correct_index=json_value(obj["correct_index"], int, "correct_index"),
+                  labels=labels_from_json(obj["labels"]))
 
 
 def _json_line(obj: dict) -> str:
@@ -499,12 +551,7 @@ def write_container(path: str | Path, records: Sequence[R], encode: Callable[[R]
         first = next((row for r in records for row in image_features(r.image)), ())
         header = DatasetHeader(d_vis=len(first))
     _check_header(header, f"{path}:1")
-    lines = [_json_line({
-        "format_version": FORMAT_VERSION,
-        "d_vis": header.d_vis,
-        "objectness_threshold": header.objectness_threshold,
-        "max_context_objects": header.max_context_objects,
-    })]
+    lines = [_json_line({"format_version": FORMAT_VERSION, **asdict(header)})]
     pack = _U32.pack
     parts: list[bytes | np.ndarray] = [FEATURE_MAGIC, pack(header.d_vis)]
     keys: list[tuple[str, int]] = []
@@ -637,24 +684,32 @@ def read_header(path: str | Path) -> DatasetHeader:
 
 
 def _parse_header(line: bytes, where: str) -> DatasetHeader:
+    """``DatasetHeader(**fields)`` of the JSON object on ``line``, its integer
+    ``format_version`` popped; a field it leaves out is not defaulted."""
     try:
-        obj = json.loads(line)
-        version = int(obj["format_version"])
-        header = DatasetHeader(d_vis=int(obj["d_vis"]),
-                               objectness_threshold=float(obj["objectness_threshold"]),
-                               max_context_objects=int(obj["max_context_objects"]))
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        fields = json.loads(line)
+        version = fields.pop("format_version")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{where}: bad dataset header ({exc})") from None
+    names = DatasetHeader.__dataclass_fields__
+    for name in names:
+        _require(name in fields, "%s: bad dataset header (%r)", where, name)
+    _require(len(fields) == len(names), "%s: unknown header keys %s",
+             where, sorted(fields.keys() - names))
+    json_value(version, int, f"{where}: format_version")
     _require(version == FORMAT_VERSION,
              f"{where}: unsupported format_version {version} (expected {FORMAT_VERSION})")
+    header = DatasetHeader(**fields)
     _check_header(header, where)
     return header
 
 
 def _check_header(header: DatasetHeader, where: str) -> None:
-    """Refuse an objectness threshold outside [0, 1] (NaN included) or a
-    negative context-object cap, naming ``where`` and the field."""
-    threshold, cap = header.objectness_threshold, header.max_context_objects
+    """Refuse a ``d_vis`` or cap that is not a JSON integer, a threshold that is not
+    a number or lies outside [0, 1] (NaN included) or a negative cap, naming the field."""
+    json_value(header.d_vis, int, f"{where}: d_vis")
+    threshold = json_value(header.objectness_threshold, float, f"{where}: objectness_threshold")
+    cap = json_value(header.max_context_objects, int, f"{where}: max_context_objects")
     _require(0 <= threshold <= 1,
              "%s: objectness_threshold %s outside [0, 1]", where, threshold)
     _require(cap >= 0, "%s: max_context_objects %s is negative", where, cap)
@@ -685,6 +740,15 @@ def read_dataset(path: str | Path, strict: bool = True) -> list[Sample]:
         return sample
 
     return read_container(path, decode)
+
+
+def write_qa_corpus(corpus: Sequence[QAPair], path: str | Path,
+                    header: DatasetHeader | None = None) -> None:
+    write_container(path, corpus, qa_to_json, header)
+
+
+def read_qa_corpus(path: str | Path) -> list[QAPair]:
+    return read_container(path, qa_from_json)
 
 
 # ---------------------------------------------------------------------------

@@ -25,31 +25,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
+# ``QAPair`` and the QA corpus I/O are core's, and importable from here too
 from .core import (
     CommonsenseType,
     DataError,
-    DatasetHeader,
-    ImageRecord,
     ObjectLink,
     PersonLink,
+    QAPair,
     Sample,
     Token,
     Word,
     filter_sample,
-    image_from_json,
-    image_to_json,
-    json_int,
-    labels_from_json,
-    labels_to_json,
     person_link_ids,
-    read_container,
+    read_qa_corpus,
     read_text,
     stable_hash,
-    token_from_json,
-    token_to_json,
-    write_container,
+    write_qa_corpus,
 )
 
 AUX_WORDS = ("is", "are", "was", "were", "will", "would", "does", "did", "can", "could")
@@ -261,28 +252,6 @@ def default_rules() -> RuleSet:
 # matching and transformation
 
 
-@dataclass
-class QAPair:
-    sample_id: str
-    image: ImageRecord
-    question: list[Token]
-    answers: list[list[Token]]
-    correct_index: int
-    labels: dict[int, int]
-
-    def __post_init__(self) -> None:
-        if len(self.answers) != 4:
-            raise DataError(f"{self.sample_id}: expected 4 answers, got {len(self.answers)}")
-        if not 0 <= self.correct_index < 4:
-            raise DataError(f"{self.sample_id}: correct_index {self.correct_index} invalid")
-        if not self.question:
-            raise DataError(f"{self.sample_id}: empty question")
-
-    @property
-    def correct_answer(self) -> list[Token]:
-        return self.answers[self.correct_index]
-
-
 def _atom_matches(atom: PatternAtom, token: Token) -> bool:
     if atom.kind == "word":
         return isinstance(token, Word) and token.lower() == atom.name
@@ -449,37 +418,3 @@ def run_pipeline(corpus: Sequence[QAPair], rules: RuleSet,
         report.split_sizes[name] = len(bucket)
     return PipelineResult(train=splits["train"], validation=splits["validation"],
                           test=splits["test"], report=report)
-
-
-# ---------------------------------------------------------------------------
-# QA corpus files: core's container, with question/answers/correct_index
-# records in place of samples
-
-
-def qa_to_json(qa: QAPair) -> dict:
-    return {
-        "sample_id": qa.sample_id,
-        "image": image_to_json(qa.image),
-        "question": [token_to_json(t) for t in qa.question],
-        "answers": [[token_to_json(t) for t in ans] for ans in qa.answers],
-        "correct_index": json_int(qa.correct_index, "correct_index"),
-        "labels": labels_to_json(qa.labels),
-    }
-
-
-def qa_from_json(obj: dict, features: list[np.ndarray]) -> QAPair:
-    """One QA record; images may hold any person count, the filters judge that."""
-    return QAPair(sample_id=obj["sample_id"], image=image_from_json(obj["image"], features),
-                  question=[token_from_json(t) for t in obj["question"]],
-                  answers=[[token_from_json(t) for t in ans] for ans in obj["answers"]],
-                  correct_index=json_int(obj["correct_index"], "correct_index"),
-                  labels=labels_from_json(obj["labels"]))
-
-
-def write_qa_corpus(corpus: Sequence[QAPair], path: str | Path,
-                    header: DatasetHeader | None = None) -> None:
-    write_container(path, corpus, qa_to_json, header)
-
-
-def read_qa_corpus(path: str | Path) -> list[QAPair]:
-    return read_container(path, qa_from_json)

@@ -31,6 +31,8 @@ from test_rulekit import fixture_corpus
 
 REPO = Path(__file__).resolve().parent.parent
 TOY_CFG = REPO / "configs" / "toy.cfg"
+# an edit value that deletes the field
+MISSING = object()
 
 
 def run_cli(capsys, *argv):
@@ -352,7 +354,22 @@ class TestExitCodes:
          "person link is True, not an integer"),
         (lambda obj: obj["image"].update(width=640.7), "width is 640.7, not an integer"),
         (lambda obj: obj["tokens"].__setitem__(1, ""), "empty word token"),
-    ], ids=["label-float", "label-key", "link-bool", "width-float", "empty-word"])
+        (lambda obj: obj["image"]["context_objects"][0].update(objectness="0.5"),
+         "objectness is '0.5', not a number"),
+        (lambda obj: obj["image"]["context_objects"][0].update(objectness=True),
+         "objectness is True, not a number"),
+        (lambda obj: obj["image"]["context_objects"][0].update(class_name=7),
+         "class_name is 7, not a string"),
+        (lambda obj: obj["image"]["context_objects"][0].update(class_name=None),
+         "class_name is None, not a string"),
+        (lambda obj: obj["image"].update(image_id=12), "image_id is 12, not a string"),
+        (lambda obj: obj["tokens"].__setitem__(1, {"object": 0, "class": 7}),
+         "object link class is 7, not a string"),
+        (lambda obj: obj["tokens"].__setitem__(1, {"object": 0}), "missing field 'class'"),
+        (lambda obj: obj["image"].pop("context_objects"), "missing field 'context_objects'"),
+    ], ids=["label-float", "label-key", "link-bool", "width-float", "empty-word",
+            "objectness-string", "objectness-bool", "class-int", "class-null", "image-id-int",
+            "link-class-int", "link-class-missing", "no-context-objects"])
     def test_non_integer_field_or_empty_word_is_data_error(self, capsys, tmp_path, edit,
                                                            message):
         data = tmp_path / "s.jsonl"
@@ -365,22 +382,48 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "stats", "--data", str(data))
         assert self._assert_error_line(code, err, "data") == f"{data}:3: {message}"
 
+    def test_string_field_refused_on_write(self, capsys, tmp_path):
+        # what a writer writes, the reader reads: a class name of 7 leaves no file
+        data, out = tmp_path / "s.jsonl", tmp_path / "w.jsonl"
+        run_cli(capsys, "synth", "--n", "3", "--seed", "1", "--out", str(data))
+        samples = read_dataset(data)
+        samples[1].image.context_objects[0].class_name = 7
+        with pytest.raises(DataError, match="^class_name is 7, not a string$"):
+            write_dataset(samples, out)
+        assert not out.exists() and not feature_path(out).exists()
+
     @pytest.mark.parametrize("field, value, message", [
         ("objectness_threshold", float("nan"), "objectness_threshold nan outside [0, 1]"),
         ("objectness_threshold", 2.0, "objectness_threshold 2.0 outside [0, 1]"),
         ("max_context_objects", -3, "max_context_objects -3 is negative"),
-    ], ids=["threshold-nan", "threshold-2", "cap-negative"])
+        ("format_version", True, "format_version is True, not an integer"),
+        ("d_vis", 32.0, "d_vis is 32.0, not an integer"),
+        ("max_context_objects", "100", "max_context_objects is '100', not an integer"),
+        ("max_context_objects", 2.7, "max_context_objects is 2.7, not an integer"),
+        ("objectness_threshold", "0.2", "objectness_threshold is '0.2', not a number"),
+        ("objectness_threshold", True, "objectness_threshold is True, not a number"),
+        ("bogus", 1, "unknown header keys ['bogus']"),
+        # the header's defaults are for writers: a field the file leaves out is an error
+        ("max_context_objects", MISSING, "bad dataset header ('max_context_objects')"),
+    ], ids=["threshold-nan", "threshold-2", "cap-negative", "version-bool", "d-vis-float",
+            "cap-string", "cap-float", "threshold-string", "threshold-bool", "unknown-key",
+            "cap-missing"])
     def test_header_out_of_bounds_is_data_error(self, capsys, tmp_path, field, value, message):
         data = tmp_path / "h.jsonl"
         run_cli(capsys, "synth", "--n", "5", "--seed", "1", "--out", str(data))
         lines = data.read_text().splitlines()
         header = json.loads(lines[0])
-        header[field] = value
+        if value is MISSING:
+            del header[field]
+        else:
+            header[field] = value
         lines[0] = json.dumps(header)
         data.write_text("\n".join(lines) + "\n")
         code, _, err = run_cli(capsys, "stats", "--data", str(data))
         assert self._assert_error_line(code, err, "data") == f"{data}:1: {message}"
-        # the same header is refused on write, before either file exists
+        if value is MISSING or field not in DatasetHeader.__dataclass_fields__:
+            return
+        # the same header field is refused on write, before either file exists
         out = tmp_path / "w.jsonl"
         bad = replace(DatasetHeader(d_vis=8), **{field: value})
         with pytest.raises(DataError) as exc:
