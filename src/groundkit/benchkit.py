@@ -184,6 +184,8 @@ class SynthConfig:
             raise ValueError(f"d_vis must be >= {MIN_D_VIS}")
         if not 0.0 <= self.context_rate <= 1.0:
             raise ValueError("context_rate must lie in [0, 1]")
+        if not 0.0 <= self.imprint_rate <= 1.0:
+            raise ValueError("imprint_rate must lie in [0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

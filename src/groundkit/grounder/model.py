@@ -80,11 +80,11 @@ class ModelConfig:
     use_context_objects: bool = True
 
     def __post_init__(self) -> None:
-        # written as "not > 0" so that NaN is refused too
-        if not self.tau > 0:
-            raise ValueError("temperature must be positive")
-        if not self.lam >= 0:
-            raise ValueError("contrastive weight must be >= 0")
+        # written as "not 0 < x < inf" so that NaN is refused too
+        if not 0 < self.tau < np.inf:
+            raise ValueError("temperature must be positive and finite")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("contrastive weight must be >= 0 and finite")
         self.encoder  # refuses sizes below 1 and heads that do not divide d_model
         if self.d_vis < 1:
             raise ValueError("d_vis must be >= 1")
@@ -117,12 +117,12 @@ class TrainSchedule:
         # written as "not ..." so that NaN is refused too
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if not self.lr > 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("learning rate must be positive and finite")
         if self.token_budget < 1:
             raise ValueError("token budget must be >= 1")
-        if not self.weight_decay >= 0:
-            raise ValueError("weight decay must be >= 0")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError("weight decay must be >= 0 and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +159,10 @@ _RETIRED_KEYS = {
 def read_config(path: str | Path) -> tuple[ModelConfig, TrainSchedule]:
     """Read one config file into a ModelConfig and a TrainSchedule.
 
-    Fields the file leaves out keep their defaults.  An unknown key, a value
-    its field's type cannot parse, or an invalid config is a DataError.  A
-    retired key is skipped when it holds the one value it still loads with
-    and is a DataError otherwise.
+    Fields the file leaves out keep their defaults.  An unknown or repeated
+    key, a value its field's type cannot parse, or an invalid config is a
+    DataError.  A retired key is skipped when it holds the one value it still
+    loads with and is a DataError otherwise.
     """
     schema = {}
     for cls in (ModelConfig, TrainSchedule):
@@ -170,6 +170,7 @@ def read_config(path: str | Path) -> tuple[ModelConfig, TrainSchedule]:
         for f in fields(cls):
             schema[_FILE_KEYS.get(f.name, f.name)] = (cls, f.name, _PARSERS[types[f.name]])
     kwargs: dict[type, dict[str, object]] = {ModelConfig: {}, TrainSchedule: {}}
+    seen: dict[str, int] = {}   # key -> the line it was first on
     for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -178,6 +179,9 @@ def read_config(path: str | Path) -> tuple[ModelConfig, TrainSchedule]:
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise DataError(f"{where}: expected 'key = value'")
+        if key in seen:
+            raise DataError(f"{where}: config key {key!r} repeated (first on line {seen[key]})")
+        seen[key] = lineno
         if key in _RETIRED_KEYS:
             parse, kept, reason = _RETIRED_KEYS[key]
             try:
@@ -253,7 +257,7 @@ class EncodedBatch:
     Row ``b`` holds sample ``b``, laid out by ``layouts[b]`` (text, then
     persons, then objects) from position 0; the positions after it are zero
     padding, False in ``mask``.  Positions count within a sample: position
-    ``p`` of sample ``b`` is row ``offsets()[b] + p`` of the ``flat`` rows.
+    ``p`` of sample ``b`` is flat row ``offsets()[b] + p`` of a ``[B, L, d]`` state.
     """
 
     sequence: nc.Tensor
@@ -268,12 +272,6 @@ class EncodedBatch:
         """``(sample index, link id)`` of every link, by sample, then by link id."""
         return [(b, link) for b, layout in enumerate(self.layouts)
                 for link in sorted(layout.link_positions)]
-
-    @staticmethod
-    def flat(t: nc.Tensor) -> nc.Tensor:
-        """A ``[B, L, d]`` tensor as ``[B * L, d]`` rows."""
-        b, length, d = t.data.shape
-        return nc.reshape(t, (b * length, d))
 
 
 def select_context_objects(sample: Sample) -> list[tuple[list[int], list[float]]]:
@@ -406,9 +404,9 @@ def contrastive_loss_from_features(feats: nc.Tensor,
                                    candidates: Sequence[Sequence[int]],
                                    weights: Sequence[Sequence[float]],
                                    tau: float) -> nc.Tensor:
-    """Contrastive terms of several links on one ``[n, d]`` feature matrix.
+    """Contrastive terms of several links on one ``[..., d]`` feature state.
 
-    Link ``i`` compares row ``anchors[i]`` with its rows ``candidates[i]``
+    Link ``i`` compares flat row ``anchors[i]`` with its rows ``candidates[i]``
     (positives and negatives alike) by dot product over ``tau``.  The
     log-softmax over its candidates is read at the first ones with the
     coefficients ``weights[i]`` and at the rest with 0, and the weighted sum
@@ -435,7 +433,7 @@ def loss_con(encoded: EncodedBatch, tau: float, contrast_layer: int) -> nc.Tenso
     A link's positives (its ground-truth person, then its context objects)
     share the link's part of the mean by their IoU weights.
     """
-    feats = encoded.flat(layer_from_last(encoded.hidden, contrast_layer))
+    feats = layer_from_last(encoded.hidden, contrast_layer)
     anchors: list[int] = []
     candidates: list[np.ndarray] = []
     weights: list[np.ndarray] = []
@@ -456,7 +454,7 @@ def classification_logits(encoded: EncodedBatch, w1: nc.Tensor,
     columns past a sample's person count, whose scores mean nothing.
     Context objects never enter the classifier.
     """
-    final = encoded.flat(encoded.hidden[-1])
+    final = encoded.hidden[-1]
     links = encoded.links()
     layouts = encoded.layouts
     sample = [b for b, _link in links]
@@ -572,13 +570,11 @@ class GroundingModel:
             nc.linear(nc.Tensor(np.concatenate([x.locations for x in layouts])),
                       p["embed.loc.w"], p["embed.loc.b"]),
             p["embed.region_ln.gain"], p["embed.region_ln.bias"])
-        flat = nc.scatter_rows(
+        sequence = nc.scatter_rows(
             [text, region], np.concatenate([np.flatnonzero(is_text),
                                             np.flatnonzero(mask & ~is_text)]),
-            len(layouts) * width)
-        return EncodedBatch(
-            sequence=nc.reshape(flat, (len(layouts), width, self.config.d_model)),
-            mask=mask, layouts=layouts)
+            (len(layouts), width, self.config.d_model))
+        return EncodedBatch(sequence=sequence, mask=mask, layouts=layouts)
 
     def forward(self, layouts: Sequence[SampleLayout]) -> EncodedBatch:
         with nc.located("embed"):

@@ -14,7 +14,6 @@ from .tensor import (
     linear,
     located,
     log_softmax,
-    reshape,
     scale,
     scatter_rows,
     self_attention,
@@ -30,6 +29,6 @@ __all__ = [
     "Tensor", "add", "add_layer_norm", "attention_layer", "checkpoint_bytes",
     "deferred_checks", "dot_const", "encode", "feed_forward", "gather_dot", "gather_rows",
     "grad_check", "init_adam_state", "init_encoder_params", "linear", "load_checkpoint",
-    "located", "log_softmax", "optimizer_step", "reshape", "scale", "scatter_rows",
+    "located", "log_softmax", "optimizer_step", "scale", "scatter_rows",
     "self_attention", "take_per_row",
 ]

@@ -102,14 +102,8 @@ def encode(x: Tensor, config: EncoderConfig, params: Mapping[str, Tensor],
     ``mask`` (``[B, L]`` booleans, True on real tokens) marks padding.
     ``hidden[-1]`` is the final output; counting layers from the last, layer
     ``l`` (1-based) is ``hidden[-l]``.  A NumericError raised in layer ``i``
-    names ``enc.layer<i>``.
+    names ``enc.layer<i>``; so does a shape error, which ``self_attention`` raises.
     """
-    if x.data.ndim != 3 or x.data.shape[2] != config.d_model:
-        raise NumericError(f"encoder input shape {x.data.shape} is not [B, L, "
-                           f"{config.d_model}]")
-    if mask.shape != x.data.shape[:2]:
-        raise NumericError(f"padding mask shape {mask.shape} does not match input "
-                           f"{x.data.shape[:2]}")
     hidden: list[Tensor] = []
     h = x
     for i in range(config.n_layers):

@@ -5,12 +5,12 @@ Ops executed inside a ``with Graph():`` block record themselves on the tape;
 gradients additively into ``Tensor.grad`` (so fan-out just works).  Outside a
 graph the same ops run as plain numpy, which is what inference uses.
 
-Ops work on batches: ``linear`` folds leading axes into one matrix product,
-and the softmaxes take a mask that hides padding.  An encoder layer is built
-from three fused ops, ``self_attention``, ``add_layer_norm`` and
-``feed_forward``: each records one tape node, keeps its forward
-intermediates and runs a hand-written backward, so the attention heads
-never appear on the tape.
+Ops work on batches: ``linear``, ``gather_dot`` and ``scatter_rows`` fold
+leading axes into rows, and the softmaxes take a mask that hides padding.  An
+encoder layer is built from three fused ops, ``self_attention``,
+``add_layer_norm`` and ``feed_forward``: each records one tape node, keeps
+its forward intermediates and runs a hand-written backward, so the
+attention heads never appear on the tape.
 Every op checks its output for NaN/Inf and raises NumericError naming
 itself ("non-finite value produced by linear").  Inside
 ``with deferred_checks():`` the ops skip that check: training and
@@ -206,11 +206,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _out(data, "linear", back)
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    data = a.data.reshape(shape)
-    return _out(data, "reshape", lambda g: _accum(a, g.reshape(a.data.shape)))
-
-
 # ---------------------------------------------------------------------------
 # indexing
 
@@ -227,24 +222,26 @@ def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
     return _out(data, "gather_rows", back)
 
 
-def scatter_rows(parts: Sequence[Tensor], indices: Sequence[int], n_rows: int) -> Tensor:
-    """``n_rows`` rows holding the rows of ``parts``, taken in order: the ``i``-th
-    of them lands at ``out[indices[i]]``.  Rows no index names stay zero.
-
-    Indices must be distinct.
+def scatter_rows(parts: Sequence[Tensor], indices: Sequence[int], shape: tuple) -> Tensor:
+    """A zero array of ``shape`` holding the rows of ``parts``, taken in order:
+    the ``i``-th of them lands at flat row ``indices[i]``, leading axes folded
+    into rows as in ``linear``.  Indices must be distinct.
     """
     idx = np.asarray(indices, dtype=np.intp)
-    sizes = [p.data.shape[0] for p in parts]
+    d = shape[-1]
+    if any(p.data.shape[-1:] != (d,) for p in parts):
+        raise NumericError(f"scatter_rows: parts {[p.data.shape for p in parts]} into {shape}")
+    sizes = [p.data.size // d for p in parts]
     if idx.shape != (sum(sizes),):
         raise NumericError(f"scatter_rows: {idx.shape[0]} indices for {sum(sizes)} rows")
-    data = np.zeros((n_rows,) + parts[0].data.shape[1:], dtype=parts[0].data.dtype)
+    data = np.zeros(shape, dtype=parts[0].data.dtype)
     spans = np.split(idx, np.cumsum(sizes[:-1]))
     for p, span in zip(parts, spans):
-        data[span] = p.data
+        data.reshape(-1, d)[span] = p.data.reshape(-1, d)
 
     def back(g):
         for p, span in zip(parts, spans):
-            _accum(p, g[span])
+            _accum(p, g.reshape(-1, d)[span].reshape(p.data.shape))
 
     return _out(data, "scatter_rows", back)
 
@@ -268,22 +265,24 @@ def take_per_row(a: Tensor, indices: Sequence[int]) -> Tensor:
 def gather_dot(a: Tensor, b: Tensor, rows: Sequence[int],
                cols: Sequence[Sequence[int]]) -> Tensor:
     """``out[i, j] = a[rows[i]] . b[cols[i][j]]``: each gathered row of ``a``
-    against its own set of gathered rows of ``b``."""
+    against its own set of gathered rows of ``b``, leading axes folded into
+    rows as in ``linear``."""
     r = np.asarray(rows, dtype=np.intp)
     c = np.asarray(cols, dtype=np.intp)
-    if (a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]
-            or r.ndim != 1 or c.ndim != 2 or c.shape[0] != r.shape[0]):
+    d = a.data.shape[-1]
+    if b.data.shape[-1] != d or r.ndim != 1 or c.ndim != 2 or c.shape[0] != r.shape[0]:
         raise NumericError(f"gather_dot mismatch: {a.data.shape} rows {r.shape} against "
                            f"{b.data.shape} rows {c.shape}")
-    left = a.data[r]                                  # [K, d]
-    right = b.data[c]                                 # [K, C, d]
+    left = a.data.reshape(-1, d)[r]                   # [K, d]
+    right = b.data.reshape(-1, d)[c]                  # [K, C, d]
     data = (right * left[:, None, :]).sum(axis=-1)    # [K, C]
 
     def back(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, r, (g[:, :, None] * right).sum(axis=1))
-        gb = np.zeros_like(b.data)
-        np.add.at(gb, c, g[:, :, None] * left[:, None, :])
+        # C-ordered zeros, so that the reshaped rows are views of them
+        ga = np.zeros(a.data.shape, a.data.dtype)
+        np.add.at(ga.reshape(-1, d), r, (g[:, :, None] * right).sum(axis=1))
+        gb = np.zeros(b.data.shape, b.data.dtype)
+        np.add.at(gb.reshape(-1, d), c, g[:, :, None] * left[:, None, :])
         _accum(a, ga)
         _accum(b, gb)
 

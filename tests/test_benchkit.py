@@ -199,6 +199,9 @@ class TestSynth:
             SynthConfig(n_samples=1, max_persons=1)
         with pytest.raises(ValueError):
             SynthConfig(n_samples=1, d_vis=4)
+        for rate in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="imprint_rate must lie in"):
+                SynthConfig(n_samples=1, imprint_rate=rate)
 
 
 class TestRenderTable:

@@ -113,11 +113,20 @@ class TestExitCodes:
         ("seed = -1", "seed must be >= 0"),
         ("d_vis = 0", "d_vis must be >= 1"),
         ("normalize_similarity = true", "normalize_similarity = true is no longer supported"),
+        ("tau = inf", "temperature must be positive and finite"),
+        ("lambda = inf", "contrastive weight must be >= 0 and finite"),
+        ("lr = inf", "learning rate must be positive and finite"),
+        ("weight_decay = inf", "weight decay must be >= 0 and finite"),
+        ("lambda = 0.5\nlambda = 2.0", "config key 'lambda' repeated"),
     ])
     def test_bad_config_file_is_data_error(self, capsys, tmp_path, line, detail):
         data = write_tiny_dataset(tmp_path)
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(TOY_CFG.read_text() + line + "\n")
+        # the lines take the place of the toy config's line for their key: a
+        # key may appear once
+        key = line.partition("=")[0].strip()
+        kept = [x for x in TOY_CFG.read_text().splitlines() if x.partition("=")[0].strip() != key]
+        cfg.write_text("\n".join(kept + [line]) + "\n")
         code, _, err = run_cli(capsys, "train", "--data", str(data), "--config", str(cfg),
                                "--out", str(tmp_path / "run"))
         assert detail in self._assert_error_line(code, err, "data")
@@ -128,6 +137,17 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "train", "--data", str(data), "--config", str(TOY_CFG),
                                "--out", str(tmp_path / "run"), "--lr", "-1")
         assert "learning rate" in self._assert_usage_line(code, err)
+
+    @pytest.mark.parametrize("flag, detail", [
+        ("--lr", "learning rate must be positive and finite"),
+        ("--lambda", "contrastive weight must be >= 0 and finite"),
+    ])
+    def test_infinite_flag_is_usage_error(self, capsys, tmp_path, flag, detail):
+        data = write_tiny_dataset(tmp_path)
+        code, _, err = run_cli(capsys, "train", "--data", str(data), "--config", str(TOY_CFG),
+                               "--out", str(tmp_path / "run"), flag, "inf")
+        assert detail in self._assert_usage_line(code, err)
+        assert not (tmp_path / "run").exists()
 
     def test_negative_train_seed_is_usage_error(self, capsys, tmp_path):
         data = write_tiny_dataset(tmp_path)
@@ -236,7 +256,7 @@ class TestExitCodes:
 
     def test_gradcheck_small_d_vis_is_data_error(self, capsys, tmp_path):
         cfg = tmp_path / "small.cfg"
-        cfg.write_text(TOY_CFG.read_text() + "d_vis = 8\n")
+        cfg.write_text(TOY_CFG.read_text().replace("d_vis = 32", "d_vis = 8"))
         code, out, err = run_cli(capsys, "gradcheck", "--config", str(cfg))
         detail = self._assert_error_line(code, err, "data")
         assert "needs d_vis >= 17, the config has 8" in detail

@@ -482,6 +482,19 @@ class TestModelForward:
         assert float(total.data) == pytest.approx(float(cls.data) + float(con.data),
                                                   abs=1e-9)
 
+    def test_toy_pass_records_27_tape_nodes(self):
+        # embed 7 (two gathers, two linears, two layer norms, one scatter), 4
+        # per encoder layer, then 12: the classifier's two linears, gather-dot,
+        # log-softmax, take and dot, the contrastive gather-dot, scale,
+        # log-softmax and dot, and the weighted sum's scale and add
+        from groundkit import benchkit
+        samples = benchkit.synth_generate(benchkit.SynthConfig(n_samples=16, seed=5))
+        config = read_config(TOY_CFG)[0]
+        model = GroundingModel.init(config, build_vocab(samples))
+        with nc.Graph() as g:
+            model.batch_loss(model.prepare(samples, contrast=True))
+        assert len(g.nodes) == 7 + 4 * config.n_layers + 12 == 27
+
     def test_predict_argmax_and_permutation_consistency(self):
         sample = make_sample("m-6", n_persons=4, labels={1: 2})
         model, config = toy_model([sample])
@@ -982,6 +995,13 @@ class TestPersistence:
         path = tmp_path / "m.cfg"
         config.to_file(path)
         assert read_config(path)[0] == config
+
+    def test_repeated_key_names_its_second_line(self, tmp_path):
+        path = tmp_path / "m.cfg"
+        path.write_text("lambda = 1.0\n# comment\nsteps = 7\nlambda = 2.0\n")
+        with pytest.raises(DataError, match=r"m\.cfg:4: config key 'lambda' repeated "
+                                             r"\(first on line 1\)"):
+            read_config(path)
 
     def test_retired_similarity_key(self, tmp_path):
         # run directories written before cosine similarity was retired say

@@ -181,10 +181,19 @@ class TestBatchedOps:
         out = nc.gather_dot(a, b, [2, 0], [[0, 1], [2, 2]]).data
         np.testing.assert_array_equal(out, [[6.0, 7.0], [2.0, 2.0]])
         placed = nc.scatter_rows([nc.Tensor(np.ones((2, 3))), nc.Tensor(np.full((1, 3), 2.0))],
-                                 [3, 1, 0], 4).data
+                                 [3, 1, 0], (4, 3)).data
         np.testing.assert_array_equal(placed.sum(axis=1), [6.0, 3.0, 0.0, 3.0])
         with pytest.raises(NumericError, match="2 indices for 3 rows"):
-            nc.scatter_rows([nc.Tensor(np.ones((2, 3))), nc.Tensor(np.ones((1, 3)))], [0, 1], 4)
+            nc.scatter_rows([nc.Tensor(np.ones((2, 3))), nc.Tensor(np.ones((1, 3)))], [0, 1],
+                            (4, 3))
+        # leading axes fold into rows: a [2, 2, 3] tensor reads and writes as its [4, 3] rows
+        a3 = nc.Tensor(a.data.reshape(2, 2, 3))
+        b3 = nc.Tensor(np.eye(3).reshape(3, 1, 3))
+        np.testing.assert_array_equal(nc.gather_dot(a3, b3, [2, 0], [[0, 1], [2, 2]]).data,
+                                      out)
+        placed3 = nc.scatter_rows([nc.Tensor(np.ones((1, 2, 3))),
+                                   nc.Tensor(np.full((1, 3), 2.0))], [3, 1, 0], (2, 2, 3)).data
+        np.testing.assert_array_equal(placed3.reshape(4, 3), placed)
 
     def test_batched_ops_gradients(self):
         # the batched ops on one tape: linear, masked self-attention,
@@ -209,9 +218,8 @@ class TestBatchedOps:
             h = nc.linear(nc.Tensor(x), p["w"], p["b"])                # [2, 3, 4]
             attn = nc.self_attention(h, *(p[n] for n in names), n_heads=2, mask=mask)
             h1 = nc.add_layer_norm(h, attn, p["gain"], p["bias"])
-            mixed = nc.reshape(nc.feed_forward(h1, p["w1"], p["b1"], p["w2"], p["b2"]),
-                               (6, 4))
-            rows = nc.scatter_rows([p["r"], nc.reshape(p["b"], (1, 4))], [0, 5, 2, 3], 6)
+            mixed = nc.feed_forward(h1, p["w1"], p["b1"], p["w2"], p["b2"])
+            rows = nc.scatter_rows([p["r"], p["b"]], [0, 5, 2, 3], (2, 3, 4))
             sims = nc.gather_dot(nc.add(mixed, rows), mixed, [0, 4], [[1, 2, 0], [3, 5, 5]])
             logp = nc.log_softmax(sims, mask=np.array([[True] * 3, [True, True, False]]))
             return nc.dot_const(logp, -np.array([[0.5, 0.2, 0.0], [0.3, 0.0, 0.0]]))
@@ -467,8 +475,7 @@ class TestGradCheck:
         x = rng.normal(0, 1, (1, 6, 16))
 
         def build(p):
-            hs = [nc.reshape(h, (6, 16))
-                  for h in nc.encode(nc.Tensor(x), cfg, p, mask=all_real(x))]
+            hs = nc.encode(nc.Tensor(x), cfg, p, mask=all_real(x))
             logits = nc.gather_dot(hs[-1], hs[0], range(6), [range(6)] * 6)
             lp = nc.log_softmax(logits, mask=np.ones((6, 6), dtype=bool))
             return nc.dot_const(nc.take_per_row(lp, [1, 2, 3, 4, 5, 0]),

@@ -15,6 +15,9 @@ same list of CLI commands, each from its own ``src``, ``configs`` and
 - ``eval`` of each of those four runs on the training set and on both
   held-out sets;
 - ``stats``, ``baseline --name random`` and ``gradcheck``;
+- a copy of ``configs/toy.cfg`` with ``contrast_layer = 1``, where both
+  losses' gradients meet on the final hidden state: ``train --steps 30`` on
+  it, ``eval`` of that run on the first held-out set and ``gradcheck``;
 - ``transform`` of ``bench/qa_corpus.generate(400, 101)``, then ``filter``
   of its ``train`` split, ``train --steps 30`` on that split and ``eval`` of
   that run on the ``test`` split, so that words the rule pipeline writes
@@ -57,6 +60,11 @@ WRITE_QA = ("import sys; sys.path.insert(0, sys.argv[1]); import qa_corpus\n"
             "from groundkit.rulekit import write_qa_corpus\n"
             "corpus, _key, header = qa_corpus.generate(400, 101)\n"
             "write_qa_corpus(corpus, sys.argv[2], header)")
+WRITE_LAST_LAYER_CFG = ("import re, sys, pathlib\n"
+                        "text, n = re.subn(r'(?m)^contrast_layer = .*$', 'contrast_layer = 1',\n"
+                        "                  pathlib.Path(sys.argv[1]).read_text())\n"
+                        "assert n == 1, 'no single contrast_layer line'\n"
+                        "pathlib.Path(sys.argv[2]).write_text(text)")
 
 
 def commands(tree: Path) -> list[tuple[str, list[str]]]:
@@ -79,6 +87,11 @@ def commands(tree: Path) -> list[tuple[str, list[str]]]:
         ("stats", cli + ["stats", "--data", "data"]),
         ("baseline_random", cli + ["baseline", "--data", "data", "--name", "random"]),
         ("gradcheck", cli + ["gradcheck", "--config", config]),
+        ("last_layer_cfg", [sys.executable, "-c", WRITE_LAST_LAYER_CFG, config, "last.cfg"]),
+        ("train_last", cli + ["train", "--data", "data", "--config", "last.cfg",
+                              "--out", "run_last", "--steps", "30"]),
+        ("eval_last_held", cli + ["eval", "--data", "held", "--checkpoint", "run_last"]),
+        ("gradcheck_last", cli + ["gradcheck", "--config", "last.cfg"]),
         ("qa_corpus", [sys.executable, "-c", WRITE_QA, str(tree / "bench"), "qa.jsonl"]),
         ("transform", cli + ["transform", "--data", "qa.jsonl", "--out", "transformed"]),
         ("filter", cli + ["filter", "--data", "transformed/train.jsonl",
