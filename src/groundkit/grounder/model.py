@@ -395,8 +395,9 @@ def loss_cls(q: nc.Tensor, labels: Sequence[int], mask: np.ndarray,
     """
     if q.data.ndim != 2 or not labels or len(labels) != q.data.shape[0]:
         raise nc.NumericError(f"logits {q.data.shape} do not match {len(labels)} labels")
-    logp = nc.log_softmax(q, mask=mask)
-    return nc.dot_const(nc.take_per_row(logp, list(labels)), -np.asarray(weights))
+    coef = np.zeros(q.data.shape)
+    coef[np.arange(len(labels)), labels] = weights
+    return nc.dot_const(nc.log_softmax(q, mask=mask), -coef)
 
 
 def contrastive_loss_from_features(feats: nc.Tensor,
@@ -412,8 +413,8 @@ def contrastive_loss_from_features(feats: nc.Tensor,
     coefficients ``weights[i]`` and at the rest with 0, and the weighted sum
     over all links is negated.  Candidate lists may differ in length.
     """
-    if tau <= 0:
-        raise nc.NumericError(f"temperature must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise nc.NumericError(f"temperature must be positive and finite, got {tau}")
     n_cols = np.array([len(c) for c in candidates])
     columns = np.arange(n_cols.max())
     mask = columns < n_cols[:, None]

@@ -5,8 +5,9 @@ push the summed sequence length past the token budget (a batch always takes
 at least one sample).  ``forward_passes`` cuts a batch into passes of
 near-equal size, its samples sorted by sequence length, so each pass pads
 to a near neighbour's length; each pass is one padded forward and backward
-pass.  Their gradients accumulate in a fixed order and are averaged over
-the batch before the single optimizer step, so a seed pins the whole run.
+pass.  A pass backpropagates its mean loss weighted by its share of the
+batch, so its gradients add up, in a fixed order, to those of the batch's
+mean loss before the single optimizer step, and a seed pins the whole run.
 
 Each sample is prepared once per ``train`` call, before step 0: its
 ``SampleLayout`` (neutral-name substitution, word ids, feature and location
@@ -106,20 +107,14 @@ def train(dataset: Sequence[Sample],
                             loss = model.batch_loss(chunk)
                             finite = np.isfinite(loss.data)
                             if finite:
-                                # the gradient of the chunk's summed loss, as one
-                                # per-sample backward each would have accumulated
-                                graph.backward(nc.scale(loss, len(chunk)))
+                                graph.backward(nc.scale(loss, len(chunk) / len(batch)))
                         if not finite:
                             replay_pass(lambda: model.batch_loss(chunk))
                     total += float(loss.data) * len(chunk)
-            inv = 1.0 / len(batch)
-            for p in model.params.values():
-                if p.grad is not None:
-                    p.grad = p.grad * inv
             with nc.located(f"step {step}"):
                 nc.optimizer_step(model.params, state, lr=schedule.lr,
                                   weight_decay=schedule.weight_decay)
-            mean_loss = total * inv
+            mean_loss = total / len(batch)
             losses.append(mean_loss)
             if on_step is not None:
                 on_step(step, mean_loss)

@@ -17,7 +17,6 @@ from .tensor import (
     scale,
     scatter_rows,
     self_attention,
-    take_per_row,
 )
 from .encoder import EncoderConfig, attention_layer, encode, init_encoder_params
 from .optim import AdamState, init_adam_state, optimizer_step
@@ -30,5 +29,5 @@ __all__ = [
     "deferred_checks", "dot_const", "encode", "feed_forward", "gather_dot", "gather_rows",
     "grad_check", "init_adam_state", "init_encoder_params", "linear", "load_checkpoint",
     "located", "log_softmax", "optimizer_step", "scale", "scatter_rows",
-    "self_attention", "take_per_row",
+    "self_attention",
 ]

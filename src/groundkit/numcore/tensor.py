@@ -10,7 +10,8 @@ leading axes into rows, and the softmaxes take a mask that hides padding.  An
 encoder layer is built from three fused ops, ``self_attention``,
 ``add_layer_norm`` and ``feed_forward``: each records one tape node, keeps
 its forward intermediates and runs a hand-written backward, so the
-attention heads never appear on the tape.
+attention heads never appear on the tape.  Their rounding is their own, not
+that of the op-by-op chain they stand for; every run repeats it bit for bit.
 Every op checks its output for NaN/Inf and raises NumericError naming
 itself ("non-finite value produced by linear").  Inside
 ``with deferred_checks():`` the ops skip that check: training and
@@ -246,22 +247,6 @@ def scatter_rows(parts: Sequence[Tensor], indices: Sequence[int], shape: tuple) 
     return _out(data, "scatter_rows", back)
 
 
-def take_per_row(a: Tensor, indices: Sequence[int]) -> Tensor:
-    """out[i] = a[i, indices[i]]"""
-    idx = np.asarray(indices, dtype=np.intp)
-    if a.data.ndim != 2 or idx.shape[0] != a.data.shape[0]:
-        raise NumericError(f"take_per_row mismatch: {a.data.shape} with {idx.shape[0]} indices")
-    rows = np.arange(a.data.shape[0])
-    data = a.data[rows, idx]
-
-    def back(g):
-        ga = np.zeros_like(a.data)
-        ga[rows, idx] = g
-        _accum(a, ga)
-
-    return _out(data, "take_per_row", back)
-
-
 def gather_dot(a: Tensor, b: Tensor, rows: Sequence[int],
                cols: Sequence[Sequence[int]]) -> Tensor:
     """``out[i, j] = a[rows[i]] . b[cols[i][j]]``: each gathered row of ``a``
@@ -327,17 +312,6 @@ def dot_const(a: Tensor, weights: np.ndarray) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # fused encoder blocks: one tape node each, with a hand-written backward.
-# Each one evaluates the numpy expressions of the op chain it replaces, in the
-# same order and on the same array layouts, so its outputs and gradients keep
-# every bit: reductions are the ufunc calls that ``ndarray.mean`` makes, each
-# gradient that chain copied to C order is copied here too, and each input
-# receives its gradients in the chain's tape order.
-
-
-def _mean_last(a: np.ndarray) -> np.ndarray:
-    """``a.mean(axis=-1, keepdims=True)`` without the Python-level wrapper."""
-    total = np.add.reduce(a, axis=-1, keepdims=True)
-    return np.true_divide(total, np.intp(a.shape[-1]), out=total, casting="unsafe")
 
 
 def _check_shapes(op: str, *pairs: tuple[Tensor, tuple[int, ...]]) -> None:
@@ -398,21 +372,16 @@ def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv
         g_merged = g2 @ wo.data.T
         _accum(wo, merged.T @ g2)
         _accum(bo, g2.sum(axis=0))
-        # copied to C order before the matmuls, as the op chain's gradient was:
-        # BLAS rounds a product differently when an operand is a strided view
-        g_context = g_merged.reshape(batch, length, n_heads, dh).transpose(0, 2, 1, 3).copy()
+        g_context = g_merged.reshape(batch, length, n_heads, dh).transpose(0, 2, 1, 3)
         g_attn = g_context @ _swap_last(v)
         g_v = _swap_last(attn) @ g_context
         inner = (g_attn * attn).sum(axis=-1, keepdims=True)
         g_scores = attn * (g_attn - inner) * s
         g_q = g_scores @ _swap_last(k_t)
         g_k_t = _swap_last(q) @ g_scores
-        # back through each projection in tape order: values, keys, queries.
-        # With B = 1 the transposed key gradient reshapes to a Fortran-ordered
-        # view without a copy, so each is made C-contiguous first
         for gh, axes, w, b in ((g_v, (0, 2, 1, 3), wv, bv), (g_k_t, (0, 3, 1, 2), wk, None),
                                (g_q, (0, 2, 1, 3), wq, bq)):
-            gr = np.ascontiguousarray(gh.transpose(axes)).reshape(-1, d)
+            gr = gh.transpose(axes).reshape(-1, d)
             _accum(x, (gr @ w.data.T).reshape(x.data.shape))
             _accum(w, rows.T @ gr)
             if b is not None:
@@ -434,8 +403,8 @@ def add_layer_norm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
                            f"do not match feature dim {d}")
     total = a.data + b.data
     _check_op(total, "add")
-    centred = total - _mean_last(total)
-    var = _mean_last(centred * centred)
+    centred = total - total.sum(axis=-1, keepdims=True) / d
+    var = (centred * centred).sum(axis=-1, keepdims=True) / d
     # an overflowing variance would make the row its bias, a finite output that
     # no later check sees; a NaN comes from upstream, for the replay to name
     if np.isinf(var).any():
@@ -446,8 +415,8 @@ def add_layer_norm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     def back(g):
         dxhat = g * gain.data
-        m1 = _mean_last(dxhat)
-        m2 = _mean_last(dxhat * xhat)
+        m1 = dxhat.sum(axis=-1, keepdims=True) / d
+        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
         g_total = inv * (dxhat - m1 - xhat * m2)
         lead = tuple(range(g.ndim - 1))
         _accum(gain, (g * xhat).sum(axis=lead))

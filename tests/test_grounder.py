@@ -298,11 +298,12 @@ class TestLossCon:
         assert float(loss.data) == pytest.approx(expected, abs=1e-9)
         assert float(loss.data) == pytest.approx(0.933377, abs=1e-6)
 
-    def test_temperature_must_be_positive(self):
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
+    def test_temperature_must_be_positive(self, tau):
         feats = np.ones((3, 2))
-        with pytest.raises(nc.NumericError):
+        with pytest.raises(nc.NumericError, match="temperature"):
             contrastive_loss_from_features(nc.Tensor(feats), [0], [[1, 2]],
-                                           [[1.0, 0.0]], tau=0.0)
+                                           [[1.0, 0.0]], tau=tau)
 
     def test_non_negative(self):
         rng = np.random.default_rng(3)
@@ -482,18 +483,18 @@ class TestModelForward:
         assert float(total.data) == pytest.approx(float(cls.data) + float(con.data),
                                                   abs=1e-9)
 
-    def test_toy_pass_records_27_tape_nodes(self):
+    def test_toy_pass_records_26_tape_nodes(self):
         # embed 7 (two gathers, two linears, two layer norms, one scatter), 4
-        # per encoder layer, then 12: the classifier's two linears, gather-dot,
-        # log-softmax, take and dot, the contrastive gather-dot, scale,
-        # log-softmax and dot, and the weighted sum's scale and add
+        # per encoder layer, then 11: the classifier's two linears, gather-dot,
+        # log-softmax and dot, the contrastive gather-dot, scale, log-softmax
+        # and dot, and the weighted sum's scale and add
         from groundkit import benchkit
         samples = benchkit.synth_generate(benchkit.SynthConfig(n_samples=16, seed=5))
         config = read_config(TOY_CFG)[0]
         model = GroundingModel.init(config, build_vocab(samples))
         with nc.Graph() as g:
             model.batch_loss(model.prepare(samples, contrast=True))
-        assert len(g.nodes) == 7 + 4 * config.n_layers + 12 == 27
+        assert len(g.nodes) == 7 + 4 * config.n_layers + 11 == 26
 
     def test_predict_argmax_and_permutation_consistency(self):
         sample = make_sample("m-6", n_persons=4, labels={1: 2})
@@ -802,6 +803,27 @@ class TestTrainingLoop:
     def test_largest_pass_memory_peak_under_4mb(self):
         # 23 samples make one pass, the largest forward_passes cuts
         assert self._one_step_peak(23) < 4 * 2**20
+
+    def test_step_gradient_is_that_of_the_batch_mean_loss(self, monkeypatch):
+        # one batch of 40 samples, which forward_passes cuts into two passes:
+        # the gradients they accumulate are those of one pass over the batch
+        from groundkit import benchkit
+        samples = benchkit.synth_generate(benchkit.SynthConfig(n_samples=40, seed=5))
+        config = read_config(TOY_CFG)[0]
+        grads = {}
+        monkeypatch.setattr(nc, "optimizer_step", lambda params, state, **kw: grads.update(
+            {name: p.grad.copy() for name, p in params.items()}))
+        train(samples, config, TrainSchedule(steps=1, lr=5e-4, token_budget=100_000))
+
+        model = GroundingModel.init(config, build_vocab(samples), dtype=np.float32)
+        layouts = model.prepare(samples, contrast=True)
+        assert len(forward_passes(layouts)) == 2
+        with nc.Graph() as graph:
+            graph.backward(model.batch_loss(layouts))
+        assert grads.keys() == model.params.keys()
+        for name, p in model.params.items():
+            np.testing.assert_allclose(grads[name], p.grad, rtol=1e-4, atol=1e-6,
+                                       err_msg=name)
 
     def test_overfit_single_sample(self):
         sample = make_sample("o-1", n_persons=3)
