@@ -55,7 +55,10 @@ def run_gradient_suite(config: ModelConfig, seed: int = 0, epsilon: float = 1e-5
     x10) so that gradient magnitudes are well clear of finite-difference
     noise; gradient correctness is point-independent.  The batch is
     ``gradient_fixture``, so the check covers padding and masking too.  A
-    config with lambda 0 checks the total at lambda 1.
+    config with lambda 0 checks the total at lambda 1.  ``max_rel_error``
+    holds each loss's worst relative error over the probed entries that
+    central differences can resolve, ``below_noise`` the number of probed
+    entries they cannot (``numcore.gradcheck.noise_bound``).
     """
     fixture = gradient_fixture(config.d_vis, seed)
     config = replace(config, lam=config.lam if config.lam > 0 else 1.0)
@@ -67,9 +70,10 @@ def run_gradient_suite(config: ModelConfig, seed: int = 0, epsilon: float = 1e-5
     losses = {"cls": lambda: model.loss_terms(layouts)[0],
               "con": lambda: model.loss_terms(layouts)[1],
               "total": lambda: model.batch_loss(layouts)}
-    errors = {kind: nc.grad_check(build, model.params, epsilon=epsilon,
+    checks = {kind: nc.grad_check(build, model.params, epsilon=epsilon,
                                   max_entries_per_param=GRADCHECK_ENTRIES,
                                   rng=np.random.default_rng(seed + 17))
               for kind, build in losses.items()}
     return {"epsilon": epsilon, "seed": seed, "threshold": GRADCHECK_THRESHOLD,
-            "max_rel_error": errors}
+            "max_rel_error": {kind: c.max_rel_error for kind, c in checks.items()},
+            "below_noise": {kind: c.below_noise for kind, c in checks.items()}}

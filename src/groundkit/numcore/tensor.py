@@ -10,8 +10,13 @@ leading axes into rows, and the softmaxes take a mask that hides padding.  An
 encoder layer is built from three fused ops, ``self_attention``,
 ``add_layer_norm`` and ``feed_forward``: each records one tape node, keeps
 its forward intermediates and runs a hand-written backward, so the
-attention heads never appear on the tape.  Their rounding is their own, not
-that of the op-by-op chain they stand for; every run repeats it bit for bit.
+attention heads never appear on the tape.  At toy size a pass costs numpy
+calls, not flops, so these ops make few and large ones: one product for the
+three attention projections, LayerNorm's row means as a product with a
+``1/d`` column, ``gather_dot``'s backward as one-hot products over the
+pass's own rows, and buffers updated in place.  Their rounding is their
+own, not that of the op-by-op chain they stand for; every run repeats it
+bit for bit.
 Every op checks its output for NaN/Inf and raises NumericError naming
 itself ("non-finite value produced by linear").  Inside
 ``with deferred_checks():`` the ops skip that check: training and
@@ -149,10 +154,12 @@ def _out(data: np.ndarray, op: str, back: Callable[[np.ndarray], None]) -> Tenso
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to ``t.grad``: the first gradient is copied, so that the
+    gradient is ``t``'s own, and later ones are added to it in place."""
     if t.grad is None:
         t.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
     else:
-        t.grad = t.grad + g
+        t.grad += g
 
 
 def _swap_last(a: np.ndarray) -> np.ndarray:
@@ -216,6 +223,8 @@ def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
     data = a.data[idx]
 
     def back(g):
+        # np.add.at, not gather_dot's one-hot product: ``a`` is a vocabulary
+        # table here, and a one-hot would grow with its rows times the tokens
         ga = np.zeros_like(a.data)
         np.add.at(ga, idx, g)
         _accum(a, ga)
@@ -263,13 +272,19 @@ def gather_dot(a: Tensor, b: Tensor, rows: Sequence[int],
     data = (right * left[:, None, :]).sum(axis=-1)    # [K, C]
 
     def back(g):
-        # C-ordered zeros, so that the reshaped rows are views of them
-        ga = np.zeros(a.data.shape, a.data.dtype)
-        np.add.at(ga.reshape(-1, d), r, (g[:, :, None] * right).sum(axis=1))
-        gb = np.zeros(b.data.shape, b.data.dtype)
-        np.add.at(gb.reshape(-1, d), c, g[:, :, None] * left[:, None, :])
-        _accum(a, ga)
-        _accum(b, gb)
+        # each source row's gradient is one product over the pass's own rows,
+        # never a vocabulary: a's is a one-hot of ``rows`` [A, K] times each
+        # link's gradient row, b's is ``g`` spread over ``cols`` and summed
+        # per link [B, K] (bincount adds repeated rows) times the link rows
+        k = np.arange(r.size)
+        hot = np.zeros((a.data.size // d, r.size), a.data.dtype)
+        hot[r, k] = 1
+        _accum(a, (hot @ np.matmul(g[:, None, :], right)[:, 0]).reshape(a.data.shape))
+        n_b = b.data.size // d
+        spread = np.bincount((c * r.size + k[:, None]).reshape(-1), weights=g.reshape(-1),
+                             minlength=n_b * r.size)
+        _accum(b, (spread.reshape(n_b, r.size).astype(b.data.dtype, copy=False) @ left)
+               .reshape(b.data.shape))
 
     return _out(data, "gather_dot", back)
 
@@ -328,7 +343,9 @@ def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv
     ``n_heads`` heads, takes the softmax of the scaled dot products over the
     keys ``mask`` (``[B, L]``, True on real tokens) keeps, and projects the
     merged context.  A query row with no key to attend to fails the finite
-    check as "softmax".
+    check as "softmax".  The three projections are one ``[d, 3d]`` product,
+    and backward writes their gradients into one ``[N, 3d]`` buffer, so that
+    ``x`` and the three weights each take one product.
     """
     if x.data.ndim != 3 or x.data.shape[2] % n_heads != 0:
         raise NumericError(f"self_attention input {x.data.shape} is not [B, L, d] "
@@ -342,26 +359,25 @@ def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv
     dh = d // n_heads
     s = 1.0 / math.sqrt(dh)
     rows = x.data.reshape(-1, d)
-
-    def project(w: Tensor, b: Tensor | None) -> np.ndarray:
-        out = rows @ w.data
-        if b is not None:
-            out += b.data
-        _check_op(out, "linear")
-        return out.reshape(batch, length, n_heads, dh)
-
-    q = project(wq, bq).transpose(0, 2, 1, 3)              # [B, H, L, dh]
-    k_t = project(wk, None).transpose(0, 2, 3, 1)          # [B, H, dh, L]
-    v = project(wv, bv).transpose(0, 2, 1, 3)              # [B, H, L, dh]
-    scores = q @ k_t
-    _check_op(scores, "matmul")
-    scores = scores * s
-    _check_op(scores, "scale")
-    scores = np.where(mask[:, None, None, :], scores, -np.inf)
-    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
-    attn = e / np.add.reduce(e, axis=-1, keepdims=True)
-    _check_op(attn, "softmax")
-    context = attn @ v
+    w_qkv = np.concatenate((wq.data, wk.data, wv.data), axis=1)         # [d, 3d]
+    qkv = rows @ w_qkv
+    qkv += np.concatenate((bq.data, np.zeros_like(bq.data), bv.data))
+    _check_op(qkv, "linear")
+    # [3, B, H, L, dh]: queries, keys and values, each a view of qkv
+    q, k, v = qkv.reshape(batch, length, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    # the weights are held keys by queries, [B, H, L_k, L_q], so that the
+    # softmax reduces over the second-last axis, where numpy is fast
+    attn_t = k @ _swap_last(q)
+    _check_op(attn_t, "matmul")
+    attn_t *= s
+    _check_op(attn_t, "scale")
+    # 0 on the keys mask keeps, -inf on the rest; then the softmax in place
+    attn_t += np.where(mask, 0.0, -np.inf).astype(attn_t.dtype)[:, None, :, None]
+    attn_t -= np.maximum.reduce(attn_t, axis=-2, keepdims=True)
+    np.exp(attn_t, out=attn_t)
+    attn_t /= np.ones((1, length), attn_t.dtype) @ attn_t
+    _check_op(attn_t, "softmax")
+    context = _swap_last(attn_t) @ v                                      # [B, H, L, dh]
     _check_op(context, "matmul")
     merged = context.transpose(0, 2, 1, 3).reshape(-1, d)
     out = merged @ wo.data
@@ -369,23 +385,27 @@ def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv
 
     def back(g):
         g2 = g.reshape(-1, d)
-        g_merged = g2 @ wo.data.T
         _accum(wo, merged.T @ g2)
-        _accum(bo, g2.sum(axis=0))
-        g_context = g_merged.reshape(batch, length, n_heads, dh).transpose(0, 2, 1, 3)
-        g_attn = g_context @ _swap_last(v)
-        g_v = _swap_last(attn) @ g_context
-        inner = (g_attn * attn).sum(axis=-1, keepdims=True)
-        g_scores = attn * (g_attn - inner) * s
-        g_q = g_scores @ _swap_last(k_t)
-        g_k_t = _swap_last(q) @ g_scores
-        for gh, axes, w, b in ((g_v, (0, 2, 1, 3), wv, bv), (g_k_t, (0, 3, 1, 2), wk, None),
-                               (g_q, (0, 2, 1, 3), wq, bq)):
-            gr = gh.transpose(axes).reshape(-1, d)
-            _accum(x, (gr @ w.data.T).reshape(x.data.shape))
-            _accum(w, rows.T @ gr)
-            if b is not None:
-                _accum(b, gr.sum(axis=0))
+        _accum(bo, np.add.reduce(g2, axis=0))
+        g_context = (g2 @ wo.data.T).reshape(batch, length, n_heads, dh).transpose(0, 2, 1, 3)
+        # the three heads' gradients, written into one [N, 3d] buffer
+        g_qkv = np.empty(qkv.shape, qkv.dtype)
+        g_q, g_k, g_v = g_qkv.reshape(batch, length, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+        np.matmul(attn_t, g_context, out=g_v)
+        g_scores_t = v @ _swap_last(g_context)
+        g_scores_t -= np.einsum("...kq,...kq->...q", g_scores_t, attn_t)[..., None, :]
+        g_scores_t *= attn_t
+        g_scores_t *= s
+        np.matmul(_swap_last(g_scores_t), k, out=g_q)
+        np.matmul(g_scores_t, q, out=g_k)
+        _accum(x, (g_qkv @ w_qkv.T).reshape(x.data.shape))
+        g_w = rows.T @ g_qkv
+        g_b = np.add.reduce(g_qkv, axis=0)
+        _accum(wq, g_w[:, :d])
+        _accum(wk, g_w[:, d:2 * d])
+        _accum(wv, g_w[:, 2 * d:])
+        _accum(bq, g_b[:d])
+        _accum(bv, g_b[2 * d:])
 
     return _out(out.reshape(batch, length, d), "linear", back)
 
@@ -394,7 +414,12 @@ LN_EPS = 1e-5
 
 
 def add_layer_norm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """``a + b``, normalized along the last axis, then the affine gain/bias, as one op."""
+    """``a + b``, normalized along the last axis, then the affine gain/bias, as one op.
+
+    The rows are one ``[N, d]`` view: their means are one product with a
+    ``1/d`` column and their sums of squares one ``einsum``, and backward
+    works in place on buffers of its own.
+    """
     if a.data.shape != b.data.shape:
         raise NumericError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
     d = a.data.shape[-1]
@@ -403,28 +428,36 @@ def add_layer_norm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
                            f"do not match feature dim {d}")
     total = a.data + b.data
     _check_op(total, "add")
-    centred = total - total.sum(axis=-1, keepdims=True) / d
-    var = (centred * centred).sum(axis=-1, keepdims=True) / d
+    mean = np.full((d, 1), 1.0 / d, total.dtype)
+    xhat = total.reshape(-1, d)
+    xhat -= xhat @ mean
+    var = np.einsum("ij,ij->i", xhat, xhat)[:, None]
+    var /= d
     # an overflowing variance would make the row its bias, a finite output that
     # no later check sees; a NaN comes from upstream, for the replay to name
     if np.isinf(var).any():
         raise NumericError("non-finite value produced by layer_norm")
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = centred * inv
-    data = xhat * gain.data + bias.data
+    var += LN_EPS
+    inv = 1.0 / np.sqrt(var)
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def back(g):
-        dxhat = g * gain.data
-        m1 = dxhat.sum(axis=-1, keepdims=True) / d
-        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
-        g_total = inv * (dxhat - m1 - xhat * m2)
-        lead = tuple(range(g.ndim - 1))
-        _accum(gain, (g * xhat).sum(axis=lead))
-        _accum(bias, g.sum(axis=lead))
+        g2 = g.reshape(-1, d)
+        _accum(gain, np.einsum("ij,ij->j", g2, xhat))
+        _accum(bias, np.add.reduce(g2, axis=0))
+        g_total = g2 * gain.data
+        m2 = np.einsum("ij,ij->i", g_total, xhat)[:, None]
+        m2 /= d
+        g_total -= g_total @ mean
+        g_total -= xhat * m2
+        g_total *= inv
+        g_total = g_total.reshape(a.data.shape)
         _accum(a, g_total)
         _accum(b, g_total)
 
-    return _out(data, "layer_norm", back)
+    return _out(out.reshape(a.data.shape), "layer_norm", back)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -448,20 +481,37 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     h = rows @ w1.data
     h += b1.data
     _check_op(h, "linear")
-    t = np.tanh(_GELU_C * (h + _GELU_A * (h * h * h)))
-    act = 0.5 * h * (1.0 + t)
+    # t = tanh(c (h + a h^3)) and act = h (1 + t) / 2, in place
+    t = h * h
+    t *= h
+    t *= _GELU_A
+    t += h
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    act = t + 1.0
+    act *= h
+    act *= 0.5
     out = act @ w2.data
     out += b2.data
 
     def back(g):
         g2 = g.reshape(-1, d)
-        g_act = g2 @ w2.data.T
         _accum(w2, act.T @ g2)
-        _accum(b2, g2.sum(axis=0))
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * (h * h))
-        g_h = g_act * (0.5 * (1.0 + t) + 0.5 * h * (1.0 - t * t) * du)
+        _accum(b2, np.add.reduce(g2, axis=0))
+        # gelu'(h) = (1 + t) / 2 + h (1 - t^2) c (1 + 3 a h^2) / 2, in place
+        g_h = t * t
+        np.subtract(1.0, g_h, out=g_h)
+        g_h *= h
+        du = h * h
+        du *= 3.0 * _GELU_A * _GELU_C
+        du += _GELU_C
+        g_h *= du
+        g_h += t
+        g_h += 1.0
+        g_h *= 0.5
+        g_h *= g2 @ w2.data.T
         _accum(x, (g_h @ w1.data.T).reshape(x.data.shape))
         _accum(w1, rows.T @ g_h)
-        _accum(b1, g_h.sum(axis=0))
+        _accum(b1, np.add.reduce(g_h, axis=0))
 
     return _out(out.reshape(x.data.shape), "linear", back)

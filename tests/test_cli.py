@@ -875,6 +875,24 @@ class TestTrainEvalGradcheck:
         payload = json.loads(out)
         assert max(payload["max_rel_error"].values()) < 1e-4
 
+    def test_gradcheck_skips_entries_under_the_noise_bound(self, capsys, tmp_path):
+        # at d_model 2 LayerNorm maps each row to +-1, so nearly every
+        # gradient entry is structurally zero and central differences read
+        # one rounding of the loss: those entries count as below_noise
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(re.sub(
+            r"(?m)^(d_model|n_heads|n_layers|d_ff|lambda|contrast_layer|seed) = .*$",
+            lambda m: f"{m[1]} = " + {"d_model": "2", "n_heads": "1", "n_layers": "1",
+                                      "d_ff": "3", "lambda": "0.5", "contrast_layer": "1",
+                                      "seed": "1"}[m[1]],
+            TOY_CFG.read_text()))
+        code, out, _ = run_cli(capsys, "gradcheck", "--config", str(cfg), "--seed", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload["below_noise"]) == {"cls", "con", "total"}
+        assert min(payload["below_noise"].values()) > 0
+        assert max(payload["max_rel_error"].values()) < 1e-4
+
     def test_lambda_and_no_context_flags(self, capsys, tmp_path):
         data = tmp_path / "s.jsonl"
         run_cli(capsys, "synth", "--n", "12", "--seed", "4", "--out", str(data))

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from groundkit import numcore as nc
+from groundkit import benchkit, numcore as nc
 from groundkit.core import (
     BoundingBox,
     CommonsenseType,
@@ -562,7 +564,7 @@ class TestGradientsThroughModel:
         layouts = model.prepare(self.fixture, contrast=True)
         err = nc.grad_check(lambda: model.batch_loss(layouts), model.params,
                             epsilon=1e-5, max_entries_per_param=10,
-                            rng=np.random.default_rng(0))
+                            rng=np.random.default_rng(0)).max_rel_error
         assert err < 1e-4
 
     @pytest.mark.parametrize("variant", sorted(GRADIENT_VARIANTS))
@@ -571,6 +573,27 @@ class TestGradientsThroughModel:
         assert set(report["max_rel_error"]) == {"cls", "con", "total"}
         for kind, err in report["max_rel_error"].items():
             assert err < 1e-4, kind
+
+
+@st.composite
+def tiny_configs(draw):
+    """Small model configs: 1, 2 or 4 heads of width 1 to 4, up to 3 layers."""
+    n_heads = draw(st.sampled_from([1, 2, 4]))
+    n_layers = draw(st.integers(1, 3))
+    return ModelConfig(
+        d_model=n_heads * draw(st.integers(1 if n_heads > 1 else 2, 4)), n_heads=n_heads,
+        n_layers=n_layers, d_ff=draw(st.integers(1, 16)), d_vis=benchkit.MIN_D_VIS,
+        contrast_layer=draw(st.integers(1, n_layers)), tau=draw(st.floats(0.05, 2.0)),
+        lam=draw(st.floats(0.0, 2.0)), use_context_objects=draw(st.booleans()),
+        seed=draw(st.integers(0, 3)))
+
+
+# each example runs the whole gradient suite, about half a second
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(config=tiny_configs())
+def test_gradient_suite_passes_on_tiny_configs(config):
+    report = run_gradient_suite(config)
+    assert max(report["max_rel_error"].values()) < report["threshold"], config
 
 
 class TestBatching:

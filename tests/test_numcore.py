@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from groundkit import numcore as nc
 from groundkit.numcore import CheckpointError, NumericError
+from groundkit.numcore import gradcheck as nc_gradcheck
 from groundkit.numcore.encoder import layer_from_last
 from groundkit.numcore.optim import ADAM_EPS, BETA1, BETA2
 from groundkit.numcore.tensor import _accum, _out
@@ -28,7 +29,7 @@ def every_entry_error(build, params):
     """``grad_check`` at epsilon 1e-5, probing every entry of every parameter."""
     return nc.grad_check(build, params, epsilon=1e-5,
                          max_entries_per_param=max(p.data.size for p in params.values()),
-                         rng=np.random.default_rng(0))
+                         rng=np.random.default_rng(0)).max_rel_error
 
 
 def attention_probs(logits, mask=None):
@@ -194,6 +195,26 @@ class TestBatchedOps:
         placed3 = nc.scatter_rows([nc.Tensor(np.ones((1, 2, 3))),
                                    nc.Tensor(np.full((1, 3), 2.0))], [3, 1, 0], (2, 2, 3)).data
         np.testing.assert_array_equal(placed3.reshape(4, 3), placed)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gather_dot_backward_matches_add_at(self, dtype):
+        # one tensor on both sides, as the contrastive loss has it, repeated
+        # rows and candidates, and leading axes folded into rows
+        rng = np.random.default_rng(5)
+        a = nc.Tensor(rng.normal(0, 1, (2, 3, 4)).astype(dtype))
+        rows = [4, 0, 4]
+        cols = [[1, 1, 5], [4, 2, 2], [0, 0, 0]]
+        coef = rng.normal(0, 1, (3, 3)).astype(dtype)
+        with nc.Graph() as g:
+            g.backward(nc.dot_const(nc.gather_dot(a, a, rows, cols), coef))
+        flat = a.data.reshape(-1, 4)
+        left, right = flat[rows], flat[np.array(cols)]
+        ref = np.zeros((6, 4), np.float64)
+        np.add.at(ref, rows, (coef[:, :, None] * right).sum(axis=1))
+        np.add.at(ref, np.array(cols), coef[:, :, None] * left[:, None, :])
+        assert a.grad.dtype == dtype and a.grad.shape == (2, 3, 4)
+        np.testing.assert_allclose(a.grad.reshape(6, 4), ref,
+                                   rtol=1e-5 if dtype == np.float32 else 1e-12, atol=1e-6)
 
     def test_batched_ops_gradients(self):
         # the batched ops on one tape: linear, masked self-attention,
@@ -364,6 +385,37 @@ class TestFusedOps:
         with pytest.raises(NumericError, match=f"produced by {name}$"):
             run_fused(op, tensors, mask)
 
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_attention_matches_reference_forward_and_gradients(self, n_heads):
+        # float64, d = 8: the fused op's output, and the gradients its backward
+        # leaves on every input, against the per-sample, per-head reference
+        # and central differences of that reference
+        rng = np.random.default_rng(20 + n_heads)
+        mask = np.array([[True] * 4, [True, True, False, False]])
+        inputs = [rng.normal(0, 1, (2, 4, 8))] + attention_weights(rng, 8)
+        coef = rng.normal(0, 1, (2, 4, 8))
+        tensors = [nc.Tensor(v.copy()) for v in inputs]
+        with nc.Graph() as g:
+            out = nc.self_attention(*tensors, n_heads=n_heads, mask=mask)
+            g.backward(nc.dot_const(out, coef))
+        np.testing.assert_allclose(out.data, ref_self_attention(*inputs, n_heads, mask),
+                                   rtol=1e-12, atol=1e-12)
+
+        def ref_loss(values):
+            return float((ref_self_attention(*values, n_heads, mask) * coef).sum())
+
+        for t, v in zip(tensors, inputs):
+            numeric = np.empty_like(v)
+            for i in np.ndindex(v.shape):
+                orig = v[i]
+                v[i] = orig + 1e-6
+                plus = ref_loss(inputs)
+                v[i] = orig - 1e-6
+                minus = ref_loss(inputs)
+                v[i] = orig
+                numeric[i] = (plus - minus) / 2e-6
+            np.testing.assert_allclose(t.grad, numeric, rtol=1e-6, atol=1e-7)
+
     def test_encode_records_four_nodes_per_layer(self):
         cfg = nc.EncoderConfig(d_model=8, n_heads=2, n_layers=3, d_ff=16)
         params = nc.init_encoder_params(cfg, np.random.default_rng(0), dtype=np.float64)
@@ -482,7 +534,7 @@ class TestGradCheck:
 
         err = nc.grad_check(lambda: build(params), params, epsilon=1e-5,
                             max_entries_per_param=12,
-                            rng=np.random.default_rng(3))
+                            rng=np.random.default_rng(3)).max_rel_error
         assert err < 1e-4
 
     def test_corrupted_gradient_detected(self):
@@ -506,6 +558,19 @@ class TestGradCheck:
                                 np.ones((5, 1)))
 
         assert every_entry_error(build, params) > 0.3
+
+    def test_entries_under_the_noise_bound_are_counted_not_scored(self):
+        # L = 1000 + w0 + 1e-11 w1: the loss's rounding, about 1e-13, swamps
+        # w1's part of a central difference, so w1 is counted as below_noise
+        # and w0 alone is scored
+        params = {"w": nc.Tensor(np.array([0.3, 0.5]))}
+        offset = nc.Tensor(np.array([1000.0, 0.0]))
+        check = nc.grad_check(
+            lambda: nc.dot_const(nc.add(params["w"], offset), np.array([1.0, 1e-11])),
+            params, epsilon=1e-5, max_entries_per_param=2, rng=np.random.default_rng(0))
+        assert check.below_noise == 1
+        assert check.max_rel_error < 1e-6
+        assert 1e-11 < nc_gradcheck.noise_bound(1000.0, 1e-5) < 1.0
 
     def test_requires_float64(self):
         params = {"w": nc.Tensor(np.ones((2, 2), dtype=np.float32))}
