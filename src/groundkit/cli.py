@@ -246,7 +246,7 @@ def _cmd_baseline(args) -> int:
 def _cmd_gradcheck(args) -> int:
     config = read_config(args.config)[0]
     try:
-        report = run_gradient_suite(config, seed=args.seed, epsilon=args.epsilon)
+        report = run_gradient_suite(config, seed=args.seed, epsilon=args.epsilon, warn=_log)
     except ValueError as exc:
         # the config has passed its checks: what is left to refuse is the
         # flags, an --epsilon outside grad_check's range or a negative --seed

@@ -88,7 +88,7 @@ def stable_rng(seed: int, tag: str) -> np.random.Generator:
 # geometry-bearing records
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BoundingBox:
     """Axis-aligned box in pixel space; coordinates are half-open reals."""
 
@@ -110,7 +110,7 @@ class BoundingBox:
         return self.width * self.height
 
 
-@dataclass
+@dataclass(slots=True)
 class PersonBox:
     """A candidate person region: its box plus the precomputed feature row."""
 
@@ -119,7 +119,7 @@ class PersonBox:
     feature: np.ndarray
 
 
-@dataclass
+@dataclass(slots=True)
 class ContextObject:
     """An extra detected region with objectness score and detector class."""
 
@@ -436,17 +436,13 @@ def image_from_json(obj: dict, features: list[np.ndarray]) -> ImageRecord:
     n_regions = len(persons_raw) + len(objects_raw)
     _require(len(features) == n_regions, "%s regions but %s feature rows",
              n_regions, len(features))
-    persons = [
-        PersonBox(index=i,
-                  box=BoundingBox(b["x1"], b["y1"], b["x2"], b["y2"]),
-                  feature=features[i])
-        for i, b in enumerate(persons_raw)
-    ]
+    persons = [PersonBox(i, BoundingBox(b["x1"], b["y1"], b["x2"], b["y2"]), features[i])
+               for i, b in enumerate(persons_raw)]
     objects = [
-        ContextObject(box=BoundingBox(b["x1"], b["y1"], b["x2"], b["y2"]),
-                      feature=features[len(persons_raw) + j],
-                      objectness=json_value(b["objectness"], float, "objectness"),
-                      class_name=json_value(b["class_name"], str, "class_name"))
+        ContextObject(BoundingBox(b["x1"], b["y1"], b["x2"], b["y2"]),
+                      features[len(persons_raw) + j],
+                      json_value(b["objectness"], float, "objectness"),
+                      json_value(b["class_name"], str, "class_name"))
         for j, b in enumerate(objects_raw)
     ]
     return ImageRecord(image_id=json_value(obj["image_id"], str, "image_id"),

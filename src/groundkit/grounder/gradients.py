@@ -5,6 +5,7 @@ that pads unevenly."""
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
@@ -48,7 +49,8 @@ def gradient_fixture(d_vis: int, seed: int = 0) -> list[Sample]:
     return picked
 
 
-def run_gradient_suite(config: ModelConfig, seed: int = 0, epsilon: float = 1e-5) -> dict:
+def run_gradient_suite(config: ModelConfig, seed: int = 0, epsilon: float = 1e-5,
+                       warn: Callable[[str], None] = lambda message: None) -> dict:
     """grad_check L_cls / L_con / L_cls + lambda L_con on a seeded padded batch.
 
     The model is checked in float64 at a rescaled parameter point (weights
@@ -58,7 +60,9 @@ def run_gradient_suite(config: ModelConfig, seed: int = 0, epsilon: float = 1e-5
     config with lambda 0 checks the total at lambda 1.  ``max_rel_error``
     holds each loss's worst relative error over the probed entries that
     central differences can resolve, ``below_noise`` the number of probed
-    entries they cannot (``numcore.gradcheck.noise_bound``).
+    entries they cannot (``numcore.gradcheck.noise_bound``).  A loss none of
+    whose probed entries could be scored gets one ``warn`` line: its
+    ``max_rel_error`` of 0 checks nothing.
     """
     fixture = gradient_fixture(config.d_vis, seed)
     config = replace(config, lam=config.lam if config.lam > 0 else 1.0)
@@ -74,6 +78,10 @@ def run_gradient_suite(config: ModelConfig, seed: int = 0, epsilon: float = 1e-5
                                   max_entries_per_param=GRADCHECK_ENTRIES,
                                   rng=np.random.default_rng(seed + 17))
               for kind, build in losses.items()}
+    for kind, check in checks.items():
+        if not check.scored:
+            warn(f"gradient check of {kind}: all {check.below_noise} probed entries are "
+                 f"below the noise bound, so its max_rel_error checks nothing")
     return {"epsilon": epsilon, "seed": seed, "threshold": GRADCHECK_THRESHOLD,
             "max_rel_error": {kind: c.max_rel_error for kind, c in checks.items()},
             "below_noise": {kind: c.below_noise for kind, c in checks.items()}}

@@ -14,8 +14,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .. import numcore as nc
 from ..core import DataError, read_text, replace_file
 from .model import UNK_TOKEN, GroundingModel, read_config
@@ -65,9 +63,9 @@ def load_model(run_dir: str | Path) -> GroundingModel:
         if not path.exists():
             raise DataError(f"{path}: missing from run directory")
     config = read_config(config_path)[0]
-    template = GroundingModel.init(config, _read_vocab(vocab_path), dtype=np.float32)
+    vocab = _read_vocab(vocab_path)
+    table = GroundingModel.param_table(config, len(vocab))
     loaded = nc.load_checkpoint(ckpt_path, expected_shapes={
-        name: p.data.shape for name, p in template.params.items()})
-    for name, arr in loaded.items():
-        template.params[name].data = arr
-    return template
+        name: shape for name, shape, _init in table})
+    return GroundingModel(config, {name: nc.Tensor(loaded[name]) for name, _s, _i in table},
+                          vocab)

@@ -52,7 +52,8 @@ from .. import numcore as nc
 from ..core import (ContextObject, DataError, PersonBox, PersonLink, Prediction, Sample,
                     Token, Word, person_link_ids, read_text, replace_file, stable_rng)
 from ..geometry import T1, T2, iou, location_feature
-from ..numcore.encoder import EncoderConfig, layer_from_last, param_initializers
+from ..numcore.encoder import (EncoderConfig, ParamTable, encoder_param_table,
+                               init_params, layer_from_last)
 
 UNK_TOKEN = "<unk>"
 
@@ -358,19 +359,25 @@ def sequence_length(layout: SampleLayout) -> int:
     return len(layout.word_ids) + len(layout.features)
 
 
+def pass_count(n: int) -> int:
+    """The passes ``forward_passes`` cuts ``n >= 1`` layouts into; it never
+    falls as ``n`` grows."""
+    return max(1, round(n / SUB_BATCH))
+
+
 def forward_passes(layouts: Sequence[SampleLayout]) -> list[list[int]]:
     """Positions in ``layouts`` of each forward pass, shortest sequences first.
 
     The positions are sorted by ``(sequence_length, position)`` and cut into
-    ``max(1, round(n / SUB_BATCH))`` passes whose sizes differ by at most
-    one, so each pass pads to a near neighbour's length, a pass holds at
-    most about 1.5 ``SUB_BATCH`` samples and no short tail pass is left.  No
-    layouts make no pass.
+    ``pass_count(n)`` passes whose sizes differ by at most one, so each pass
+    pads to a near neighbour's length, a pass holds at most about 1.5
+    ``SUB_BATCH`` samples and no short tail pass is left.  No layouts make
+    no pass.
     """
     if not layouts:
         return []
     order = sorted(range(len(layouts)), key=lambda i: (sequence_length(layouts[i]), i))
-    k = max(1, round(len(order) / SUB_BATCH))
+    k = pass_count(len(order))
     cuts = [j * len(order) // k for j in range(k + 1)]
     return [order[a:b] for a, b in zip(cuts, cuts[1:])]
 
@@ -483,25 +490,30 @@ class GroundingModel:
 
     # -- construction ------------------------------------------------------
 
+    @staticmethod
+    def param_table(config: ModelConfig, vocab_size: int) -> ParamTable:
+        """Name, shape and initialisation of every parameter, in draw order."""
+        d = config.d_model
+        return encoder_param_table(config.encoder) + [
+            ("embed.word", (vocab_size, d), "normal"),
+            ("embed.pos", (MAX_TEXT_LEN, d), "normal"),
+            ("embed.feat.w", (config.d_vis, d), "normal"),
+            ("embed.feat.b", (d,), "zeros"),
+            ("embed.loc.w", (7, d), "normal"),
+            ("embed.loc.b", (d,), "zeros"),
+            ("embed.text_ln.gain", (d,), "ones"),
+            ("embed.text_ln.bias", (d,), "zeros"),
+            ("embed.region_ln.gain", (d,), "ones"),
+            ("embed.region_ln.bias", (d,), "zeros"),
+            ("cls.w1", (d, d), "normal"),
+            ("cls.w2", (d, d), "normal"),
+        ]
+
     @classmethod
     def init(cls, config: ModelConfig, vocab: Mapping[str, int],
              dtype=np.float32) -> "GroundingModel":
-        rng = np.random.default_rng(config.seed)
-        params = nc.init_encoder_params(config.encoder, rng, dtype=dtype)
-        d = config.d_model
-        w, zeros, ones = param_initializers(params, rng, dtype)
-        w("embed.word", (len(vocab), d))
-        w("embed.pos", (MAX_TEXT_LEN, d))
-        w("embed.feat.w", (config.d_vis, d))
-        zeros("embed.feat.b", (d,))
-        w("embed.loc.w", (7, d))
-        zeros("embed.loc.b", (d,))
-        ones("embed.text_ln.gain", (d,))
-        zeros("embed.text_ln.bias", (d,))
-        ones("embed.region_ln.gain", (d,))
-        zeros("embed.region_ln.bias", (d,))
-        w("cls.w1", (d, d))
-        w("cls.w2", (d, d))
+        params = init_params(cls.param_table(config, len(vocab)),
+                             np.random.default_rng(config.seed), dtype)
         return cls(config, params, dict(vocab))
 
     # -- forward -----------------------------------------------------------

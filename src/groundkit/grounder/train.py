@@ -22,6 +22,10 @@ checked once, at its loss, before ``backward``; ``optimizer_step`` checks
 the step's gradients once, in its flat buffer.  A non-finite loss replays
 the pass with the per-op checks on (``replay_pass``), so the NumericError
 names the op, the part of the model, the step and the pass's sample ids.
+
+A step's passes run in a ``workers.PassPool``, spread over forked processes
+when more than one CPU is usable; their gradients are summed in pass order,
+so the process count changes no byte of a run.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ import numpy as np
 
 from .. import numcore as nc
 from ..core import DataError, Sample, Word
+from . import workers
 from .model import (DEFAULT_NEUTRAL_NAMES, UNK_TOKEN, GroundingModel, ModelConfig,
-                    TrainSchedule, forward_passes, replay_pass, sequence_length)
+                    TrainSchedule, pass_count, sequence_length)
 
 log = logging.getLogger(__name__)
 
@@ -75,11 +80,25 @@ def make_batches(order: Sequence[int], lengths: Sequence[int],
     return batches
 
 
+def most_samples(lengths: Sequence[int], token_budget: int) -> int:
+    """The most samples a batch ``make_batches`` forms can hold: a batch of
+    two or more stays within the budget, so it holds no more samples than
+    the shortest ones that fit in it."""
+    fit = used = 0
+    for n in sorted(lengths):
+        used += n
+        if used > token_budget:
+            break
+        fit += 1
+    return max(1, fit)
+
+
 def train(dataset: Sequence[Sample],
           config: ModelConfig,
           schedule: TrainSchedule,
           on_step: Callable[[int, float], None] | None = None) -> TrainResult:
-    """Train a fresh model; deterministic given (dataset, config, schedule)."""
+    """Train a fresh model; deterministic given (dataset, config, schedule),
+    whatever the number of processes its passes run in."""
     if not dataset:
         raise DataError("training needs a non-empty dataset")
     vocab = build_vocab(dataset)
@@ -88,37 +107,25 @@ def train(dataset: Sequence[Sample],
     layouts = model.prepare(dataset, contrast=config.lam != 0.0)
     lengths = [sequence_length(layout) for layout in layouts]
     rng = np.random.default_rng(config.seed)
+    most_passes = pass_count(most_samples(lengths, schedule.token_budget))
 
     losses: list[float] = []
     step = 0
-    while step < schedule.steps:
-        order = rng.permutation(len(dataset))
-        for batch in make_batches(order, lengths, schedule.token_budget):
-            for p in model.params.values():
-                p.zero_grad()
-            total = 0.0
-            members = [layouts[idx] for idx in batch]
-            with np.errstate(all="ignore"):
-                for positions in forward_passes(members):
-                    chunk = [members[i] for i in positions]
-                    ids = ", ".join(dataset[batch[i]].sample_id for i in positions)
-                    with nc.located(f"step {step}, pass over samples {ids}"):
-                        with nc.deferred_checks(), nc.Graph() as graph:
-                            loss = model.batch_loss(chunk)
-                            finite = np.isfinite(loss.data)
-                            if finite:
-                                graph.backward(nc.scale(loss, len(chunk) / len(batch)))
-                        if not finite:
-                            replay_pass(lambda: model.batch_loss(chunk))
-                    total += float(loss.data) * len(chunk)
-            with nc.located(f"step {step}"):
-                nc.optimizer_step(model.params, state, lr=schedule.lr,
-                                  weight_decay=schedule.weight_decay)
-            mean_loss = total / len(batch)
-            losses.append(mean_loss)
-            if on_step is not None:
-                on_step(step, mean_loss)
-            step += 1
-            if step >= schedule.steps:
-                break
+    with workers.blas_held_to_one_thread() as held:
+        processes = workers.process_count(most_passes) if held else 1
+        with workers.PassPool(model, dataset, layouts, processes, most_passes) as pool:
+            while step < schedule.steps:
+                order = rng.permutation(len(dataset))
+                for batch in make_batches(order, lengths, schedule.token_budget):
+                    total = pool.run(step, batch)
+                    with nc.located(f"step {step}"):
+                        nc.optimizer_step(model.params, state, lr=schedule.lr,
+                                          weight_decay=schedule.weight_decay)
+                    mean_loss = total / len(batch)
+                    losses.append(mean_loss)
+                    if on_step is not None:
+                        on_step(step, mean_loss)
+                    step += 1
+                    if step >= schedule.steps:
+                        break
     return TrainResult(model=model, losses=losses)

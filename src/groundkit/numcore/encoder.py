@@ -38,44 +38,45 @@ class EncoderConfig:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
 
 
-def param_initializers(params: dict[str, Tensor], rng: np.random.Generator, dtype):
-    """``w``, ``zeros`` and ``ones``: each adds a tensor ``name`` of ``shape`` to
-    ``params``, normal(0, 0.02) drawn from ``rng``, zeros or ones."""
-    def w(name, shape):
-        params[name] = Tensor(rng.normal(0.0, INIT_STD, shape).astype(dtype))
+# how a parameter starts: "normal" (drawn, std INIT_STD), "zeros" or "ones"
+ParamTable = list[tuple[str, tuple[int, ...], str]]
 
-    def zeros(name, shape):
-        params[name] = Tensor(np.zeros(shape, dtype=dtype))
 
-    def ones(name, shape):
-        params[name] = Tensor(np.ones(shape, dtype=dtype))
+def init_params(table: ParamTable, rng: np.random.Generator, dtype) -> dict[str, Tensor]:
+    """One tensor per ``(name, shape, init)`` of ``table``, drawn from
+    ``rng`` in table order."""
+    params: dict[str, Tensor] = {}
+    for name, shape, init in table:
+        if init == "normal":
+            data = rng.normal(0.0, INIT_STD, shape).astype(dtype)
+        else:
+            data = {"zeros": np.zeros, "ones": np.ones}[init](shape, dtype=dtype)
+        params[name] = Tensor(data)
+    return params
 
-    return w, zeros, ones
+
+def encoder_param_table(config: EncoderConfig) -> ParamTable:
+    """Name, shape and initialisation of every encoder parameter, in draw
+    order: normal(0, 0.02) weights, zero biases, unit LN gains."""
+    d, f = config.d_model, config.d_ff
+    table: ParamTable = []
+    for i in range(config.n_layers):
+        p = f"{PREFIX}.layer{i}"
+        table += [(f"{p}.attn.{mat}", (d, d), "normal") for mat in ("wq", "wk", "wv", "wo")]
+        # no key bias: softmax is invariant to a per-row shift, so a key
+        # bias is a dead parameter (and breaks finite-difference checks)
+        table += [(f"{p}.attn.{vec}", (d,), "zeros") for vec in ("bq", "bv", "bo")]
+        table += [(f"{p}.ln1.gain", (d,), "ones"), (f"{p}.ln1.bias", (d,), "zeros"),
+                  (f"{p}.ffn.w1", (d, f), "normal"), (f"{p}.ffn.b1", (f,), "zeros"),
+                  (f"{p}.ffn.w2", (f, d), "normal"), (f"{p}.ffn.b2", (d,), "zeros"),
+                  (f"{p}.ln2.gain", (d,), "ones"), (f"{p}.ln2.bias", (d,), "zeros")]
+    return table
 
 
 def init_encoder_params(config: EncoderConfig, rng: np.random.Generator,
                         dtype=np.float32) -> dict[str, Tensor]:
-    """Seeded initialization: normal(0, 0.02) weights, zero biases, unit LN gain."""
-    d, f = config.d_model, config.d_ff
-    params: dict[str, Tensor] = {}
-    w, zeros, ones = param_initializers(params, rng, dtype)
-    for i in range(config.n_layers):
-        p = f"{PREFIX}.layer{i}"
-        for mat in ("wq", "wk", "wv", "wo"):
-            w(f"{p}.attn.{mat}", (d, d))
-        # no key bias: softmax is invariant to a per-row shift, so a key
-        # bias is a dead parameter (and breaks finite-difference checks)
-        for vec in ("bq", "bv", "bo"):
-            zeros(f"{p}.attn.{vec}", (d,))
-        ones(f"{p}.ln1.gain", (d,))
-        zeros(f"{p}.ln1.bias", (d,))
-        w(f"{p}.ffn.w1", (d, f))
-        zeros(f"{p}.ffn.b1", (f,))
-        w(f"{p}.ffn.w2", (f, d))
-        zeros(f"{p}.ffn.b2", (d,))
-        ones(f"{p}.ln2.gain", (d,))
-        zeros(f"{p}.ln2.bias", (d,))
-    return params
+    """Seeded initialization of ``encoder_param_table(config)``."""
+    return init_params(encoder_param_table(config), rng, dtype)
 
 
 def attention_layer(x: Tensor, params: Mapping[str, Tensor], prefix: str,

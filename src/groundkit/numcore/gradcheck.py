@@ -15,11 +15,13 @@ RESOLUTION = 1e-4
 
 
 class GradCheck(NamedTuple):
-    """The worst relative error over the scored entries, and the number of
-    probed entries skipped as ``below_noise``."""
+    """The worst relative error over the ``scored`` entries, and the number
+    of probed entries skipped as ``below_noise``.  With none scored,
+    ``max_rel_error`` is 0 and checks nothing."""
 
     max_rel_error: float
     below_noise: int
+    scored: int
 
 
 def noise_bound(loss: float, epsilon: float) -> float:
@@ -68,7 +70,7 @@ def grad_check(build: Callable[[], Tensor],
     bound = noise_bound(float(loss.data), epsilon)
 
     worst = 0.0
-    below_noise = 0
+    below_noise = scored = 0
     for name in sorted(params):
         p = params[name]
         flat = p.data.reshape(-1)
@@ -92,7 +94,8 @@ def grad_check(build: Callable[[], Tensor],
             if scale <= bound:
                 below_noise += 1
                 continue
+            scored += 1
             rel = abs(a_flat[i] - numeric) / scale
             if rel > worst:
                 worst = rel
-    return GradCheck(float(worst), below_noise)
+    return GradCheck(float(worst), below_noise, scored)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,16 @@ from groundkit.core import (
     Word,
     stable_rng,
 )
+from groundkit.grounder import (GroundingModel, build_vocab, forward_passes, make_batches,
+                                read_config, sequence_length, workers)
 
 D_VIS = 8
+
+# tests that force a process count for train's passes: where the BLAS
+# thread count cannot be held to one, every run takes one process
+needs_workers = pytest.mark.skipif(
+    not hasattr(os, "fork") or workers._openblas_threads() is None,
+    reason="no fork, or no OpenBLAS whose thread count can be held to one")
 
 
 def make_person(index, x1, y1, x2, y2, rng=None, d_vis=D_VIS):
@@ -53,3 +63,16 @@ def make_sample(sample_id="s-0", n_persons=3, tokens=None, labels=None,
 @pytest.fixture
 def simple_sample():
     return make_sample()
+
+
+def first_step_passes(samples, config_path):
+    """The sample indices of each pass of ``train``'s step 0 on ``samples``
+    under the config file ``config_path``."""
+    config, schedule = read_config(config_path)
+    model = GroundingModel.init(config, build_vocab(samples), dtype=np.float32)
+    layouts = model.prepare(samples, contrast=config.lam != 0.0)
+    order = np.random.default_rng(config.seed).permutation(len(samples))
+    batch = make_batches(order, [sequence_length(x) for x in layouts],
+                         schedule.token_budget)[0]
+    return [[batch[i] for i in positions]
+            for positions in forward_passes([layouts[i] for i in batch])]

@@ -20,12 +20,13 @@ from groundkit.benchkit import evaluate, render_table, run_baseline
 from groundkit.cli import run
 from groundkit.core import (DataError, DatasetHeader, feature_path, read_dataset,
                             sample_to_json, write_container, write_dataset)
+from groundkit.grounder import workers
 from groundkit.grounder.io import (CHECKPOINT_NAME, CONFIG_NAME, VOCAB_NAME, load_model,
                                    save_model)
 from groundkit.numcore import CheckpointError
 from groundkit.rulekit import DEFAULT_RULES_TEXT, SplitSpec, write_qa_corpus
 
-from conftest import make_object, make_sample
+from conftest import first_step_passes, make_object, make_sample, needs_workers
 from test_core import mutate
 from test_rulekit import fixture_corpus
 
@@ -346,6 +347,26 @@ class TestExitCodes:
             assert sorted(detail[len(prefix):].split(", ")) == [
                 f"synth-{i:06d}" for i in range(12)]
         assert not (tmp_path / "run2").exists()
+
+    @needs_workers
+    def test_a_failing_pass_in_a_worker_exits_3(self, capsys, monkeypatch, tmp_path):
+        data = tmp_path / "s.jsonl"
+        run_cli(capsys, "synth", "--n", "120", "--seed", "3", "--out", str(data))
+        samples = read_dataset(data)
+        passes = first_step_passes(samples, TOY_CFG)
+        # finite, so the reader takes it; pass 1 of step 0 runs in the worker
+        person = samples[passes[1][0]].image.persons[0]
+        person.feature = person.feature.copy()
+        person.feature[5] = 3e38
+        write_dataset(samples, data)
+        details = []
+        for n in (1, 2):
+            code, out, err = train_in(monkeypatch, capsys, n, data, tmp_path / f"run{n}")
+            details.append(self._assert_error_line(code, err, "numeric"))
+            assert out == ""
+        assert details[0] == details[1] == (
+            "non-finite value produced by layer_norm in embed in step 0, pass over samples "
+            + ", ".join(samples[i].sample_id for i in passes[1]))
 
     def test_image_size_past_the_float_range_is_data_error(self, capsys, tmp_path):
         data, run_dir = tmp_path / "s.jsonl", tmp_path / "run"
@@ -875,7 +896,8 @@ class TestTrainEvalGradcheck:
         payload = json.loads(out)
         assert max(payload["max_rel_error"].values()) < 1e-4
 
-    def test_gradcheck_skips_entries_under_the_noise_bound(self, capsys, tmp_path):
+    @staticmethod
+    def tiny_gradcheck_config(tmp_path):
         # at d_model 2 LayerNorm maps each row to +-1, so nearly every
         # gradient entry is structurally zero and central differences read
         # one rounding of the loss: those entries count as below_noise
@@ -886,12 +908,32 @@ class TestTrainEvalGradcheck:
                                       "d_ff": "3", "lambda": "0.5", "contrast_layer": "1",
                                       "seed": "1"}[m[1]],
             TOY_CFG.read_text()))
+        return cfg
+
+    def test_gradcheck_skips_entries_under_the_noise_bound(self, capsys, tmp_path):
+        cfg = self.tiny_gradcheck_config(tmp_path)
         code, out, _ = run_cli(capsys, "gradcheck", "--config", str(cfg), "--seed", "1")
         assert code == 0
         payload = json.loads(out)
         assert set(payload["below_noise"]) == {"cls", "con", "total"}
         assert min(payload["below_noise"].values()) > 0
         assert max(payload["max_rel_error"].values()) < 1e-4
+
+    def test_gradcheck_says_when_no_entry_could_be_scored(self, capsys, tmp_path):
+        # every probed entry of this config is below the noise bound, so each
+        # loss's max_rel_error of 0 checks nothing: one stderr line says so
+        # per loss, and the exit code and stdout stay those of a clean check
+        cfg = self.tiny_gradcheck_config(tmp_path)
+        code, out, err = run_cli(capsys, "gradcheck", "--config", str(cfg), "--seed", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["max_rel_error"] == {"cls": 0.0, "con": 0.0, "total": 0.0}
+        assert err.splitlines() == [
+            f"gradient check of {kind}: all {payload['below_noise'][kind]} probed entries "
+            "are below the noise bound, so its max_rel_error checks nothing"
+            for kind in ("cls", "con", "total")]
+        code, _out, err = run_cli(capsys, "gradcheck", "--config", str(TOY_CFG))
+        assert code == 0 and err == ""
 
     def test_lambda_and_no_context_flags(self, capsys, tmp_path):
         data = tmp_path / "s.jsonl"
@@ -904,6 +946,29 @@ class TestTrainEvalGradcheck:
         assert code == 0
         cfg_text = (run_dir / "config.cfg").read_text()
         assert "use_context_objects = False" in cfg_text
+
+
+def train_in(monkeypatch, capsys, processes, data, run_dir):
+    """A 3-step ``train`` on ``configs/toy.cfg`` with its passes in ``processes``
+    processes, forced through the usable-CPU count."""
+    monkeypatch.setattr(workers, "usable_cpus", lambda: processes)
+    return run_cli(capsys, "train", "--data", str(data), "--config", str(TOY_CFG),
+                   "--out", str(run_dir), "--steps", "3")
+
+
+@needs_workers
+def test_process_count_changes_no_byte_of_the_run(capsys, monkeypatch, tmp_path):
+    data = tmp_path / "s.jsonl"
+    run_cli(capsys, "synth", "--n", "120", "--seed", "3", "--out", str(data))
+    runs = []
+    for n in (1, 2, 3):
+        run_dir = tmp_path / f"run{n}"
+        code, out, _err = train_in(monkeypatch, capsys, n, data, run_dir)
+        assert code == 0
+        runs.append((out.replace(str(run_dir), "RUN"),
+                     (run_dir / CHECKPOINT_NAME).read_bytes(),
+                     (run_dir / "loss_log.jsonl").read_bytes()))
+    assert runs[0] == runs[1] == runs[2]
 
 
 @pytest.fixture(scope="module")

@@ -33,7 +33,7 @@ from groundkit.grounder import (
     substitute_neutral_names,
     train,
 )
-from groundkit.grounder import model as model_module
+from groundkit.grounder import model as model_module, workers
 from groundkit.grounder.gradients import gradient_fixture, run_gradient_suite
 from groundkit.grounder.io import (CHECKPOINT_NAME, CONFIG_NAME, VOCAB_NAME, load_model,
                                   save_model)
@@ -51,7 +51,8 @@ from groundkit.grounder.model import (
     select_context_objects,
 )
 
-from conftest import make_object, make_person, make_sample
+from conftest import (first_step_passes, make_object, make_person, make_sample,
+                      needs_workers)
 from test_geometry import location_row
 
 TOY_CFG = Path(__file__).resolve().parent.parent / "configs" / "toy.cfg"
@@ -828,9 +829,17 @@ class TestTrainingLoop:
         assert self._one_step_peak(23) < 4 * 2**20
 
     def test_step_gradient_is_that_of_the_batch_mean_loss(self, monkeypatch):
+        self.check_step_gradient(monkeypatch)
+
+    @needs_workers
+    def test_step_gradient_of_passes_in_two_processes(self, monkeypatch):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        self.check_step_gradient(monkeypatch)
+
+    @staticmethod
+    def check_step_gradient(monkeypatch):
         # one batch of 40 samples, which forward_passes cuts into two passes:
         # the gradients they accumulate are those of one pass over the batch
-        from groundkit import benchkit
         samples = benchkit.synth_generate(benchkit.SynthConfig(n_samples=40, seed=5))
         config = read_config(TOY_CFG)[0]
         grads = {}
@@ -955,6 +964,65 @@ class TestNumericFailures:
         with nc.deferred_checks():
             deferred = model.batch_loss(layouts).data
         assert deferred.tobytes() == checked.tobytes()
+
+
+@needs_workers
+class TestPassWorkers:
+    """A step's passes run in forked workers; the process count changes no
+    byte of a run and no error message, and no worker outlives ``train``."""
+
+    @staticmethod
+    def run(monkeypatch, processes, samples, steps=3):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: processes)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        config, schedule = read_config(TOY_CFG)
+        try:
+            return train(samples, config, replace(schedule, steps=steps))
+        finally:
+            assert len(forks) == processes - 1
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    def test_one_two_and_three_processes_train_the_same_bytes(self, monkeypatch):
+        samples = benchkit.synth_generate(benchkit.SynthConfig(n_samples=120, seed=3))
+        assert len(first_step_passes(samples, TOY_CFG)) == 4
+        runs = [self.run(monkeypatch, n, samples) for n in (1, 2, 3)]
+        for result in runs[1:]:
+            assert result.losses == runs[0].losses
+            assert nc.checkpoint_bytes(result.model.params) == \
+                   nc.checkpoint_bytes(runs[0].model.params)
+
+    def test_lowest_failing_pass_names_the_error_in_any_process(self, monkeypatch):
+        samples = benchkit.synth_generate(benchkit.SynthConfig(n_samples=120, seed=3))
+        passes = first_step_passes(samples, TOY_CFG)
+        # passes 1 and 2 of step 0 fail: with two processes the first runs in
+        # the worker and the second here, with three each in its own worker
+        for p in passes[1:3]:
+            samples[p[0]].image.persons[0].feature[5] = 3e38
+        messages = []
+        for n in (1, 2, 3):
+            with pytest.raises(nc.NumericError) as info:
+                self.run(monkeypatch, n, samples)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == messages[2]
+        prefix = "non-finite value produced by layer_norm in embed in step 0, pass over samples "
+        assert messages[0] == prefix + ", ".join(samples[i].sample_id for i in passes[1])
+
+    def test_blas_runs_one_thread_in_train_and_its_count_is_restored(self):
+        get, put = workers._openblas_threads()
+        before = get()
+        seen = []
+        samples = benchkit.synth_generate(benchkit.SynthConfig(n_samples=40, seed=3))
+        config, schedule = read_config(TOY_CFG)
+        try:
+            put(2)
+            train(samples, config, replace(schedule, steps=2),
+                  on_step=lambda step, loss: seen.append(get()))
+            assert seen == [1, 1] and get() == 2
+        finally:
+            put(before)
 
 
 class TestPersistence:
