@@ -23,6 +23,7 @@ from .core import (DataError, dataset_stats, filter_sample, read_dataset, read_h
 from .grounder import ModelConfig, TrainSchedule, read_config, train
 from .grounder.gradients import GRADCHECK_THRESHOLD, run_gradient_suite
 from .grounder.io import load_model, save_model
+from .grounder.workers import blas_held_to_one_thread
 from .numcore import CheckpointError, NumericError
 
 EXIT_OK = 0
@@ -281,7 +282,10 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if not args.command:
             raise UsageError("missing subcommand")
-        return _COMMANDS[args.command](args)
+        # toy-sized products gain no time from more BLAS threads, and
+        # train's pass workers need the count at one
+        with blas_held_to_one_thread():
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(json.dumps({"error": "usage", "detail": str(exc)}), file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -29,7 +29,7 @@ array pass.  The batch entry points (``embed``, ``forward``, ``loss_terms``,
 reuses its layout on every visit.  ``predict`` takes samples
 and prepares them all once.  Training and ``predict`` both run their layouts
 in the passes ``forward_passes`` cuts: sorted by sequence length, near-equal
-in size, about ``SUB_BATCH`` samples each.  The per-sample entry points take
+in tokens, about ``SUB_BATCH`` samples each.  The per-sample entry points take
 one sample and run a batch of one.  The contrastive weight is ``config.lam``.
 
 Training and ``predict`` run a pass under ``nc.deferred_checks`` and check
@@ -245,10 +245,12 @@ def substitute_neutral_names(tokens: Sequence[Token], seed: int,
 # encoded batch and contrastive sets
 
 # Samples per forward/backward pass, in training and in inference, before
-# ``forward_passes`` evens the cut.  A pass keeps every activation of its
-# batch until backward, so a larger batch is barely faster but holds
-# proportionally more memory.
-SUB_BATCH = 16
+# ``forward_passes`` cuts at equal token counts.  A pass pays a fixed cost
+# per numpy call, whatever its size, so fewer, larger passes are faster; but
+# a pass keeps every activation of its batch until backward, so its memory
+# grows with its tokens.  At 32 the toy config's step (about 63 samples) is
+# two passes of equal cost, one per CPU of a two-CPU machine.
+SUB_BATCH = 32
 
 
 @dataclass
@@ -360,25 +362,34 @@ def sequence_length(layout: SampleLayout) -> int:
 
 
 def pass_count(n: int) -> int:
-    """The passes ``forward_passes`` cuts ``n >= 1`` layouts into; it never
-    falls as ``n`` grows."""
+    """The passes ``forward_passes`` cuts ``n >= 1`` layouts into, about one
+    per ``SUB_BATCH`` layouts; it never falls as ``n`` grows."""
     return max(1, round(n / SUB_BATCH))
 
 
 def forward_passes(layouts: Sequence[SampleLayout]) -> list[list[int]]:
     """Positions in ``layouts`` of each forward pass, shortest sequences first.
 
-    The positions are sorted by ``(sequence_length, position)`` and cut into
-    ``pass_count(n)`` passes whose sizes differ by at most one, so each pass
-    pads to a near neighbour's length, a pass holds at most about 1.5
-    ``SUB_BATCH`` samples and no short tail pass is left.  No layouts make
+    The positions are sorted by ``(sequence_length, position)``, so each
+    pass pads to a near neighbour's length, and cut into ``pass_count(n)``
+    non-empty passes of near-equal tokens: cut ``j`` follows the first
+    position at which the running sum of ``sequence_length`` reaches ``j/k``
+    of the total, so each pass's tokens lie within one longest sequence of
+    the total over ``k``.  Short sequences come first, so the first passes
+    hold the most samples; a batch of one pass holds at most about 1.5
+    ``SUB_BATCH``.  The cut depends on the layouts alone.  No layouts make
     no pass.
     """
     if not layouts:
         return []
-    order = sorted(range(len(layouts)), key=lambda i: (sequence_length(layouts[i]), i))
-    k = pass_count(len(order))
-    cuts = [j * len(order) // k for j in range(k + 1)]
+    lengths = [sequence_length(layout) for layout in layouts]
+    order = sorted(range(len(layouts)), key=lambda i: (lengths[i], i))
+    n, k = len(order), pass_count(len(order))
+    sums = np.cumsum([lengths[i] for i in order])
+    # cut j: after the sample at which the running sum reaches j/k of the
+    # tokens, but early enough to leave each later pass a sample
+    cuts = [0] + [min(int(np.searchsorted(k * sums, j * sums[-1])) + 1, n - k + j)
+                  for j in range(1, k)] + [n]
     return [order[a:b] for a, b in zip(cuts, cuts[1:])]
 
 

@@ -3,9 +3,9 @@
 Batches are formed by accumulating shuffled samples until the next one would
 push the summed sequence length past the token budget (a batch always takes
 at least one sample).  ``forward_passes`` cuts a batch into passes of
-near-equal size, its samples sorted by sequence length, so each pass pads
-to a near neighbour's length; each pass is one padded forward and backward
-pass.  A pass backpropagates its mean loss weighted by its share of the
+near-equal token counts, its samples sorted by sequence length, so each
+pass pads to a near neighbour's length; each pass is one padded forward and
+backward pass.  A pass backpropagates its mean loss weighted by its share of the
 batch, so its gradients add up, in a fixed order, to those of the batch's
 mean loss before the single optimizer step, and a seed pins the whole run.
 

@@ -17,14 +17,19 @@ buffer, and the calling process adds the slots in pass order.  Every
 parameter gets one gradient per pass, so the sum makes the same additions,
 in the same order, as accumulating ``Tensor.grad`` pass by pass: the
 process count changes no byte of a run.  When passes fail, the exception of
-the lowest-numbered one is raised, as it would be in one process.
+the lowest-numbered one is raised, as it would be in one process.  For the
+same reason a worker that cannot be forked, or that is lost (killed, or its
+pipe broken), costs only time: its rank's passes run in the calling process
+from then on, after one warning naming it, and the run writes the bytes of
+a one-process run.  A lost worker is reaped at once.
 
 ``process_count`` bounds the count by the usable CPUs and by the most passes
 a step can have.  While ``train`` runs, ``blas_held_to_one_thread`` holds
-the loaded OpenBLAS to one thread: two processes running two BLAS threads
-each on two CPUs were about four times slower than one process.  Where the
-thread count cannot be held (no OpenBLAS found, or no ``/proc/self/maps``)
-or ``os.fork`` is missing, training runs in one process.
+the loaded OpenBLAS to one thread (``cli.run`` holds it for every command):
+two processes running two BLAS threads each on two CPUs were about four
+times slower than one process.  Where the thread count cannot be held (no
+OpenBLAS found, or no ``/proc/self/maps``) or ``os.fork`` is missing,
+training runs in one process.
 """
 
 from __future__ import annotations
@@ -124,6 +129,12 @@ class _Worker:
     conn: Connection   # the calling process's end of the worker's pipe
 
 
+def _reap(worker: _Worker) -> None:
+    _pid, status, usage = os.wait4(worker.pid, 0)
+    log.debug("pass worker %d: exit status %d, peak RSS %.1f MB",
+              worker.pid, status, usage.ru_maxrss / 1024.0)
+
+
 class PassPool:
     """Runs the passes of ``train``'s steps in ``processes`` processes.
 
@@ -147,14 +158,17 @@ class PassPool:
         self.slots = _shared(shape, dtype) if processes > 1 else np.empty(shape, dtype)
         self.shared = _shared((self.ends[-1],), dtype) if processes > 1 else None
         self.total = np.empty(self.ends[-1], dtype)
-        self.workers: list[_Worker] = []
+        self.workers: dict[int, _Worker] = {}   # by rank; a rank without one runs here
 
     # -- processes ---------------------------------------------------------
 
     def __enter__(self) -> "PassPool":
         try:
-            for _ in range(1, self.processes):
-                self._fork()
+            for rank in range(1, self.processes):
+                self.workers[rank] = self._fork(rank)
+        except OSError as exc:
+            log.warning("cannot fork a pass worker (%s): the passes of %d of %d workers "
+                        "run in this process", exc, self.processes - rank, self.processes - 1)
         except BaseException:
             self._stop()
             raise
@@ -163,7 +177,7 @@ class PassPool:
     def __exit__(self, *exc) -> None:
         self._stop()
 
-    def _fork(self) -> None:
+    def _fork(self, rank: int) -> _Worker:
         # imported here: it costs every command about 5 ms, and only a
         # train with workers needs it
         from multiprocessing.connection import Pipe
@@ -178,25 +192,30 @@ class PassPool:
             code = 1
             try:
                 here.close()
-                for other in self.workers:
+                for other in self.workers.values():
                     other.conn.close()
-                self._serve(len(self.workers) + 1, there)
+                self._serve(rank, there)
                 code = 0
             finally:
                 os._exit(code)
         there.close()
-        self.workers.append(_Worker(pid, here))
+        return _Worker(pid, here)
 
     def _stop(self) -> None:
         """Close the pipes, so each worker reads the end of its input and
         exits, and wait for every worker."""
-        for worker in self.workers:
+        for worker in self.workers.values():
             worker.conn.close()
-        for worker in self.workers:
-            _pid, status, usage = os.wait4(worker.pid, 0)
-            log.debug("pass worker %d: exit status %d, peak RSS %.1f MB",
-                      worker.pid, status, usage.ru_maxrss / 1024.0)
-        self.workers = []
+        for worker in self.workers.values():
+            _reap(worker)
+        self.workers = {}
+
+    def _lose(self, rank: int) -> None:
+        """Run ``rank``'s passes here from now on: its worker is gone."""
+        worker = self.workers.pop(rank)
+        log.warning("pass worker %d exited: its passes run in this process", worker.pid)
+        worker.conn.close()
+        _reap(worker)
 
     def _serve(self, rank: int, conn: Connection) -> None:
         """A worker's loop: read a step's passes, run them, reply with
@@ -204,20 +223,12 @@ class PassPool:
         params = self.model.params
         for name, start, end in zip(self.names, [0] + self.ends, self.ends):
             params[name].data = self.shared[start:end].reshape(params[name].data.shape)
-        with np.errstate(all="ignore"):
-            while True:
-                try:
-                    step, batch_size, passes = conn.recv()
-                except EOFError:
-                    return
-                losses, failure = {}, None
-                for i in range(rank, len(passes), self.processes):
-                    try:
-                        losses[i] = self._pass(step, batch_size, passes[i], self.slots[i])
-                    except Exception as exc:
-                        failure = (i, exc)
-                        break
-                conn.send((losses, failure))
+        while True:
+            try:
+                step, batch_size, passes = conn.recv()
+            except EOFError:
+                return
+            conn.send(self._run_ranks(step, batch_size, passes, [rank]))
 
     # -- one step ----------------------------------------------------------
 
@@ -228,42 +239,56 @@ class PassPool:
         params = self.model.params
         passes = [[batch[i] for i in positions]
                   for positions in forward_passes([self.layouts[idx] for idx in batch])]
-        busy = self.workers[:len(passes) - 1]
-        if busy:
+        ranks = range(1, min(self.processes, len(passes)))
+        if any(rank in self.workers for rank in ranks):
             np.concatenate([params[name].data.reshape(-1) for name in self.names],
                            out=self.shared)
-        for worker in busy:
-            try:
-                worker.conn.send((step, len(batch), passes))
-            except OSError:
-                raise RuntimeError(f"pass worker {worker.pid} exited") from None
-        losses, failures = {}, []
-        with np.errstate(all="ignore"):
-            for i in range(0, len(passes), self.processes):
-                slot = self.slots[i if self.workers else 0]
+        busy, here = [], [0]
+        for rank in ranks:
+            if rank in self.workers:
                 try:
-                    losses[i] = self._pass(step, len(batch), passes[i], slot)
-                except Exception as exc:
-                    failures.append((i, exc))
-                    break
-                if not self.workers:
-                    self._add(i, slot)
-        for worker in busy:
+                    self.workers[rank].conn.send((step, len(batch), passes))
+                    busy.append(rank)
+                    continue
+                except OSError:
+                    self._lose(rank)
+            here.append(rank)
+        replies = [self._run_ranks(step, len(batch), passes, here)]
+        for rank in busy:
             try:
-                done, failure = worker.conn.recv()
+                replies.append(self.workers[rank].conn.recv())
             except (EOFError, OSError):
-                raise RuntimeError(f"pass worker {worker.pid} exited") from None
-            losses.update(done)
-            if failure is not None:
-                failures.append(failure)
+                self._lose(rank)
+                replies.append(self._run_ranks(step, len(batch), passes, [rank]))
+        losses = {i: loss for done, _failure in replies for i, loss in done.items()}
+        failures = [failure for _done, failure in replies if failure is not None]
         if failures:
             raise min(failures, key=lambda failure: failure[0])[1]
-        if self.workers:
+        if self.processes > 1:
             for i in range(len(passes)):
                 self._add(i, self.slots[i])
         for name, start, end in zip(self.names, [0] + self.ends, self.ends):
             params[name].grad = self.total[start:end].reshape(params[name].data.shape)
         return sum((losses[i] for i in range(len(passes))), 0.0)
+
+    def _run_ranks(self, step: int, batch_size: int, passes: list[list[int]],
+                   ranks: list[int]) -> tuple[dict[int, float], tuple[int, Exception] | None]:
+        """Run the passes of ``ranks`` in this process, in pass order, up to
+        the first that fails: their losses by pass and that failure.  With
+        more than one process pass ``i`` writes slot ``i``, for ``run`` to
+        add once all are in; with one, each pass is added when done."""
+        losses = {}
+        with np.errstate(all="ignore"):
+            for i in sorted(i for rank in ranks
+                            for i in range(rank, len(passes), self.processes)):
+                slot = self.slots[i if self.processes > 1 else 0]
+                try:
+                    losses[i] = self._pass(step, batch_size, passes[i], slot)
+                except Exception as exc:
+                    return losses, (i, exc)
+                if self.processes == 1:
+                    self._add(i, slot)
+        return losses, None
 
     def _add(self, i: int, flat: np.ndarray) -> None:
         if i == 0:

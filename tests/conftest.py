@@ -65,14 +65,14 @@ def simple_sample():
     return make_sample()
 
 
-def first_step_passes(samples, config_path):
+def first_step_passes(samples, config_path, token_budget=None):
     """The sample indices of each pass of ``train``'s step 0 on ``samples``
-    under the config file ``config_path``."""
+    under the config file ``config_path``, or under it with ``token_budget``."""
     config, schedule = read_config(config_path)
     model = GroundingModel.init(config, build_vocab(samples), dtype=np.float32)
     layouts = model.prepare(samples, contrast=config.lam != 0.0)
     order = np.random.default_rng(config.seed).permutation(len(samples))
     batch = make_batches(order, [sequence_length(x) for x in layouts],
-                         schedule.token_budget)[0]
+                         token_budget or schedule.token_budget)[0]
     return [[batch[i] for i in positions]
             for positions in forward_passes([layouts[i] for i in batch])]

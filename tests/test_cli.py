@@ -1,6 +1,8 @@
 import contextlib
+import errno
 import io
 import json
+import logging
 import os
 import re
 import subprocess
@@ -20,7 +22,7 @@ from groundkit.benchkit import evaluate, render_table, run_baseline
 from groundkit.cli import run
 from groundkit.core import (DataError, DatasetHeader, feature_path, read_dataset,
                             sample_to_json, write_container, write_dataset)
-from groundkit.grounder import workers
+from groundkit.grounder import GroundingModel, workers
 from groundkit.grounder.io import (CHECKPOINT_NAME, CONFIG_NAME, VOCAB_NAME, load_model,
                                    save_model)
 from groundkit.numcore import CheckpointError
@@ -969,6 +971,55 @@ def test_process_count_changes_no_byte_of_the_run(capsys, monkeypatch, tmp_path)
                      (run_dir / CHECKPOINT_NAME).read_bytes(),
                      (run_dir / "loss_log.jsonl").read_bytes()))
     assert runs[0] == runs[1] == runs[2]
+
+
+@needs_workers
+def test_a_failed_fork_trains_in_one_process_without_a_traceback(capsys, monkeypatch,
+                                                                 caplog, tmp_path):
+    data = tmp_path / "s.jsonl"
+    run_cli(capsys, "synth", "--n", "120", "--seed", "3", "--out", str(data))
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    runs = []
+    for n in (1, 2):
+        if n == 2:
+            monkeypatch.setattr(os, "fork", no_fork)
+        run_dir = tmp_path / f"run{n}"
+        code, out, err = train_in(monkeypatch, capsys, n, data, run_dir)
+        assert code == 0 and "Traceback" not in err
+        runs.append((out.replace(str(run_dir), "RUN"),
+                     (run_dir / CHECKPOINT_NAME).read_bytes(),
+                     (run_dir / "loss_log.jsonl").read_bytes()))
+    assert runs[0] == runs[1]
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+        f"cannot fork a pass worker ([Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}): "
+        "the passes of 1 of 1 workers run in this process"]
+
+
+def test_blas_runs_one_thread_in_eval_and_its_count_is_restored(capsys, monkeypatch,
+                                                                tiny_run, tmp_path):
+    threads = workers._openblas_threads()
+    if threads is None:
+        pytest.skip("no OpenBLAS whose thread count can be held to one")
+    get, put = threads
+    data, files, _weights = tiny_run
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    for name, blob in files.items():
+        (run_dir / name).write_bytes(blob)
+    seen, predict = [], GroundingModel.predict
+    monkeypatch.setattr(GroundingModel, "predict",
+                        lambda model, samples: seen.append(get()) or predict(model, samples))
+    before = get()
+    try:
+        put(2)
+        code, _out, _err = run_cli(capsys, "eval", "--data", str(data),
+                                   "--checkpoint", str(run_dir))
+        assert code == 0 and seen == [1] and get() == 2
+    finally:
+        put(before)
 
 
 @pytest.fixture(scope="module")
