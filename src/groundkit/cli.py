@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from collections import Counter
@@ -278,6 +279,11 @@ _COMMANDS = {
 
 def run(argv: list[str]) -> int:
     parser = build_parser()
+    # no command leaves cyclic garbage that grows with its input (train and
+    # transform leave the 33 objects of json's indent encoder), so collections
+    # would only walk the records a command holds; pass workers inherit this
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = parser.parse_args(argv)
         if not args.command:
@@ -296,6 +302,9 @@ def run(argv: list[str]) -> int:
     except NumericError as exc:
         print(json.dumps({"error": "numeric", "detail": str(exc)}), file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def main() -> None:

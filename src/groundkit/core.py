@@ -388,6 +388,12 @@ def token_from_json(obj: object) -> Token:
     raise DataError(f"unrecognized token {obj!r}")
 
 
+def tokens_from_json(objs: list) -> list[Token]:
+    """A token list: a non-empty string is its own word, anything else goes
+    through ``token_from_json``, which decodes links and refuses the rest."""
+    return [t if type(t) is str and t else token_from_json(t) for t in objs]
+
+
 def json_value(value: object, kind: type[V], what: str) -> V:
     """``value`` if it holds the JSON kind ``kind``: ``int`` an integer,
     ``float`` a number (an integer or a float), ``str`` a string.  A bool is
@@ -468,7 +474,7 @@ def sample_to_json(sample: Sample) -> dict:
 
 def sample_from_json(obj: dict, features: list[np.ndarray]) -> Sample:
     return Sample(sample_id=obj["sample_id"], image=image_from_json(obj["image"], features),
-                  tokens=[token_from_json(t) for t in obj["tokens"]],
+                  tokens=tokens_from_json(obj["tokens"]),
                   labels=labels_from_json(obj["labels"]),
                   commonsense_type=CommonsenseType(obj["commonsense_type"]))
 
@@ -487,14 +493,14 @@ def qa_to_json(qa: QAPair) -> dict:
 def qa_from_json(obj: dict, features: list[np.ndarray]) -> QAPair:
     """One QA record; images may hold any person count, the filters judge that."""
     return QAPair(sample_id=obj["sample_id"], image=image_from_json(obj["image"], features),
-                  question=[token_from_json(t) for t in obj["question"]],
-                  answers=[[token_from_json(t) for t in ans] for ans in obj["answers"]],
+                  question=tokens_from_json(obj["question"]),
+                  answers=[tokens_from_json(ans) for ans in obj["answers"]],
                   correct_index=json_value(obj["correct_index"], int, "correct_index"),
                   labels=labels_from_json(obj["labels"]))
 
 
-def _json_line(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+# one compact encoder for every line, not one per line
+_json_line = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 
 
 def read_text(path: str | Path) -> str:
@@ -607,7 +613,8 @@ def read_feature_file(path: str | Path) -> tuple[int, dict[str, dict[int, np.nda
     table: dict[str, dict[int, np.ndarray]] = {}
     for (sid, ordinal), row in zip(keys, values):
         rows = table.setdefault(sid, {})
-        _require(ordinal not in rows, "%s: duplicate feature row (%r, %s)", path, sid, ordinal)
+        if ordinal in rows:
+            raise DataError(f"{path}: duplicate feature row ({sid!r}, {ordinal})")
         rows[ordinal] = row
     _require_finite(path, keys, values)
     return d_vis, table

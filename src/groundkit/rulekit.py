@@ -90,6 +90,17 @@ class RuleSet:
             raise DataError(f"duplicate rule ids: {sorted(dupes)}")
         # descending priority; the sort is stable, so file order breaks ties
         self.ordered = tuple(sorted(self.rules, key=lambda r: -r.priority))
+        # by a question's first word, the rules it can match in priority order:
+        # those that start with that word and those that start with no literal
+        # word, which alone sit under None
+        self.by_first_word = {word: tuple(r for r in self.ordered
+                                          if _first_word(r) in (word, None))
+                              for word in {_first_word(r) for r in self.ordered} | {None}}
+
+
+def _first_word(rule: Rule) -> Optional[str]:
+    first = rule.pattern[0] if rule.pattern else None
+    return first.name if first is not None and first.kind == "word" else None
 
 
 _ATOM_RE = re.compile(r"<([A-Z]+)(\d*)(\.\.\.)?>$")
@@ -269,32 +280,37 @@ Captures = dict[str, list[Token]]
 def match_pattern(pattern: Sequence[PatternAtom],
                   tokens: Sequence[Token]) -> Optional[Captures]:
     """Backtracking matcher; wildcards are greedy (longest span first)."""
+    return _match_from(pattern, tokens, 0, 0, {})
 
-    def rec(pi: int, ti: int, captures: Captures):
-        if pi == len(pattern):
-            return captures if ti == len(tokens) else None
-        atom = pattern[pi]
-        if atom.kind == "rest":
-            # longest span first, at least one token
-            for end in range(len(tokens), ti, -1):
-                captures[atom.name] = list(tokens[ti:end])
-                result = rec(pi + 1, end, captures)
-                if result is not None:
-                    return result
-            captures.pop(atom.name, None)
-            return None
-        if ti < len(tokens) and _atom_matches(atom, tokens[ti]):
-            if atom.kind != "word":
-                captures[atom.name] = [tokens[ti]]
-            return rec(pi + 1, ti + 1, captures)
+
+def _match_from(pattern: Sequence[PatternAtom], tokens: Sequence[Token], pi: int, ti: int,
+                captures: Captures) -> Optional[Captures]:
+    # not a closure that names itself: a match leaves no reference cycle behind
+    if pi == len(pattern):
+        return captures if ti == len(tokens) else None
+    atom = pattern[pi]
+    if atom.kind == "rest":
+        # longest span first, at least one token
+        for end in range(len(tokens), ti, -1):
+            captures[atom.name] = list(tokens[ti:end])
+            result = _match_from(pattern, tokens, pi + 1, end, captures)
+            if result is not None:
+                return result
+        captures.pop(atom.name, None)
         return None
-
-    return rec(0, 0, {})
+    if ti < len(tokens) and _atom_matches(atom, tokens[ti]):
+        if atom.kind != "word":
+            captures[atom.name] = [tokens[ti]]
+        return _match_from(pattern, tokens, pi + 1, ti + 1, captures)
+    return None
 
 
 def match_rule(qa: QAPair, rules: RuleSet) -> Optional[tuple[Rule, Captures]]:
-    """The highest-priority rule whose pattern matches the question, with its captures."""
-    for rule in rules.ordered:
+    """The highest-priority rule whose pattern matches the question, with its
+    captures; only the rules indexed under the question's first word can."""
+    first = qa.question[0] if qa.question else None
+    key = first.lower() if isinstance(first, Word) else None
+    for rule in rules.by_first_word.get(key, rules.by_first_word[None]):
         captures = match_pattern(rule.pattern, qa.question)
         if captures is not None:
             return rule, captures

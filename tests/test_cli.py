@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import gc
 import io
 import json
 import logging
@@ -19,7 +20,9 @@ from hypothesis import strategies as st
 
 from groundkit import numcore as nc
 from groundkit.benchkit import evaluate, render_table, run_baseline
-from groundkit.cli import run
+from groundkit import cli
+from groundkit.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, UsageError,
+                           run)
 from groundkit.core import (DataError, DatasetHeader, feature_path, read_dataset,
                             sample_to_json, write_container, write_dataset)
 from groundkit.grounder import GroundingModel, workers
@@ -1020,6 +1023,116 @@ def test_blas_runs_one_thread_in_eval_and_its_count_is_restored(capsys, monkeypa
         assert code == 0 and seen == [1] and get() == 2
     finally:
         put(before)
+
+
+def cyclic_garbage(*argv):
+    """What ``gc.collect()`` finds after the command ``argv`` ran under ``gc.disable()``."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert run([str(a) for a in argv]) == 0
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def sized_corpus(n):
+    """``n`` QA pairs: the rulekit fixture corpus over and over, with fresh ids."""
+    base = fixture_corpus()
+    return [replace(base[k % len(base)], sample_id=f"{base[k % len(base)].sample_id}-{k}")
+            for k in range(n)]
+
+
+# the two input sizes of each command, in QA pairs or scenes, and in steps
+SIZES = {"small": (100, 2), "large": (400, 20)}
+
+
+@pytest.fixture(scope="module")
+def sized_inputs(tmp_path_factory):
+    """By size: a QA corpus, the train split ``transform`` makes of it, a
+    synthetic dataset and a run trained on it; and the tiny gradcheck config."""
+    root = tmp_path_factory.mktemp("sized")
+    inputs = {"root": root, "tiny_cfg": TestTrainEvalGradcheck.tiny_gradcheck_config(root)}
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for size, (n, steps) in SIZES.items():
+            qa, split, data, run_dir = (root / f"qa-{size}.jsonl", root / f"splits-{size}",
+                                        root / f"synth-{size}.jsonl", root / f"run-{size}")
+            write_qa_corpus(sized_corpus(n), qa)
+            assert run(["transform", "--data", str(qa), "--out", str(split)]) == 0
+            assert run(["synth", "--n", str(n), "--seed", "3", "--out", str(data)]) == 0
+            assert run(["train", "--data", str(data), "--config", str(TOY_CFG),
+                        "--out", str(run_dir), "--steps", "1"]) == 0
+            inputs[size] = {"qa": qa, "split": split / "train.jsonl", "data": data,
+                            "run": run_dir, "steps": steps}
+    return inputs
+
+
+COMMAND_ARGV = {
+    "transform": lambda d, out: ["transform", "--data", d["qa"], "--out", out],
+    "filter": lambda d, out: ["filter", "--data", d["split"], "--out", out / "f.jsonl"],
+    "stats": lambda d, out: ["stats", "--data", d["split"]],
+    "synth": lambda d, out: ["synth", "--n", d["steps"] * 20, "--seed", 4, "--out", out],
+    "eval": lambda d, out: ["eval", "--data", d["data"], "--checkpoint", d["run"]],
+    "baseline": lambda d, out: ["baseline", "--data", d["data"], "--name", "random"],
+}
+
+
+class TestNoCyclicGarbage:
+    # cli.run holds the collector off, which is safe only while no command
+    # leaves cyclic garbage that grows with its input; each command runs once
+    # first, since a process's first fork imports multiprocessing.connection
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+    def test_command_leaves_what_it_leaves_at_any_size(self, sized_inputs, command):
+        argv, root = COMMAND_ARGV[command], sized_inputs["root"]
+        cyclic_garbage(*argv(sized_inputs["small"], root / f"{command}-warm"))
+        assert (cyclic_garbage(*argv(sized_inputs["small"], root / f"{command}-small"))
+                == cyclic_garbage(*argv(sized_inputs["large"], root / f"{command}-large")))
+
+    @pytest.mark.parametrize("processes", [1, pytest.param(2, marks=needs_workers)])
+    def test_train_leaves_what_it_leaves_at_any_step_count(self, sized_inputs, monkeypatch,
+                                                           processes):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: processes)
+        data, root = sized_inputs["small"]["data"], sized_inputs["root"]
+        found = [cyclic_garbage("train", "--data", data, "--config", TOY_CFG,
+                                "--out", root / f"train-{processes}-{steps}",
+                                "--steps", steps) for steps in (1, 2, 20)]
+        assert found[1] == found[2]
+
+    def test_gradcheck_leaves_what_it_leaves_at_any_seed(self, sized_inputs):
+        found = [cyclic_garbage("gradcheck", "--config", sized_inputs["tiny_cfg"],
+                                "--seed", seed) for seed in (1, 1, 2)]
+        assert found[1] == found[2]
+
+
+@pytest.mark.parametrize("exit_code", [EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC])
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+def test_a_command_runs_with_the_collector_off_and_its_setting_is_restored(
+        capsys, monkeypatch, exit_code, collecting):
+    seen = []
+
+    def command(args):
+        seen.append(gc.isenabled())
+        if exit_code != EXIT_OK:
+            raise {EXIT_USAGE: UsageError, EXIT_DATA: DataError,
+                   EXIT_NUMERIC: nc.NumericError}[exit_code]("refused")
+        return EXIT_OK
+
+    monkeypatch.setitem(cli._COMMANDS, "stats", command)
+    enabled = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        code, _out, _err = run_cli(capsys, "stats", "--data", "unread.jsonl")
+        assert (code, seen, gc.isenabled()) == (exit_code, [False], collecting)
+        # a usage error before any command runs restores the setting too
+        assert run_cli(capsys, "frobnicate")[0] == EXIT_USAGE
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if enabled else gc.disable)()
 
 
 @pytest.fixture(scope="module")

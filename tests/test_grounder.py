@@ -843,6 +843,9 @@ class TestTrainingLoop:
         samples = benchkit.synth_generate(benchkit.SynthConfig(n_samples=n_samples, seed=5))
         config = read_config(TOY_CFG)[0]
         sched = TrainSchedule(steps=1, lr=5e-4, token_budget=100_000)
+        # a process's first fork imports this; imported inside the traced
+        # step it would count toward the peak of the first caller only
+        import multiprocessing.connection  # noqa: F401
         tracemalloc.start()
         try:
             result = train(samples, config, sched)

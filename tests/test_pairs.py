@@ -16,7 +16,8 @@ METRIC_KEYS = {"unit", "better", "bound", "parent", "change", "median_change_rel
 def result(rate, rss, failed=0):
     return {"correct": failed == 0, "attempted": 10, "failed": failed,
             "metrics": {"main.samples_per_s": {"value": rate, "unit": "1/s"},
-                        "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+                        "peak_rss_mb": {"value": rss, "unit": "MB"}},
+            "raw_rates": {"main": 2 * rate}}
 
 
 def test_summary_counts_wins_bounds_and_the_claim():
@@ -36,6 +37,9 @@ def test_summary_counts_wins_bounds_and_the_claim():
     assert rate["change_wins"] == 9 and rate["within_bound"]
     assert rate["parent"] == {"q1": 102.25, "median": 104.5, "q3": 106.75}
     assert rss["change_wins"] == 0 and not rss["within_bound"]   # +12% against a 10% bound
+    assert block["raw_rates"] == {"main": {"parent": {"q1": 204.5, "median": 209.0, "q3": 213.5},
+                                           "change": {"q1": 222.5, "median": 227.0,
+                                                      "q3": 231.5}}}
     assert pairs.claim(block, "train", "main.samples_per_s")["met"]
     runs[0]["change"] = result(99.0, 50.0)        # 8 wins in 10
     assert not pairs.claim(pairs.summarise(runs, list(range(10)), metrics), "train",
@@ -55,7 +59,11 @@ def test_toy_pairs_write_the_schema(tmp_path):
     runs = pairs.run_pairs(trees, "build", [3, 4], seconds=0.1, toy=True)
     block = pairs.summarise(runs, [3, 4], metrics)
     assert set(block) == {"pairs", "seeds", "first_in_pair", "all_correct", "failed",
-                          "attempted", "metrics"}
+                          "attempted", "metrics", "raw_rates"}
+    # build times transform as main, filter as aux and synth as synth
+    assert set(block["raw_rates"]) == {"main", "aux", "synth"}
+    for rates in block["raw_rates"].values():
+        assert all(rates[side]["q1"] > 0 for side in pairs.SIDES)
     assert block["pairs"] == 2 and block["first_in_pair"] == ["parent", "change"]
     assert all(block["attempted"][side] >= 2 for side in pairs.SIDES)
     assert set(block["metrics"]) == set(metrics)

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -164,6 +166,92 @@ emit: <ANSWER>
         qa = make_qa("q4", "why is PERSON1 smiling ?", "PERSON1 just won")
         rules = default_rules()
         assert match_rule(qa, rules) == match_rule(qa, rules)
+
+    def test_match_leaves_no_cyclic_garbage(self):
+        # hits, misses and backtracking <REST...> spans alike: a match that
+        # left a reference cycle would hand the collector work per rule tried
+        questions = [tok(q) for q in ("why is PERSON1 smiling at PERSON2 ?",
+                                      "what will happen next ?", "hmm ok ?", "")]
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for rule in default_rules().ordered:
+                for question in questions:
+                    match_pattern(rule.pattern, question)
+            found = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        assert found == 0
+
+
+def full_walk(qa, rules):
+    """``match_rule`` without the first-word index: every rule, by priority."""
+    for rule in rules.ordered:
+        captures = match_pattern(rule.pattern, qa.question)
+        if captures is not None:
+            return rule, captures
+    return None
+
+
+# a user rule set whose highest-priority rule starts with no literal word
+LINK_FIRST_RULES = """\
+rule person_first priority 99 type activity
+match: <PERSON> <REST...> ?
+emit: <PERSON> <REST...> <ANSWER>
+
+rule aux_first priority 50 type other
+match: <AUX> <PERSON> <REST...> ?
+emit: <PERSON> <AUX> <REST...> <ANSWER>
+
+rule why_any priority 40 type causal
+match: WHY <REST...> ?
+emit: <REST...> because <ANSWER>
+
+rule rest_any priority 1 type other
+match: <REST...> ?
+emit: <ANSWER>
+"""
+
+
+class TestFirstWordIndex:
+    QUESTIONS = ("why is PERSON1 smiling ?", "Why is PERSON1 smiling ?",
+                 "PERSON1 is smiling ?", "is PERSON2 smiling ?", "WHAT is PERSON1 doing ?",
+                 "what will happen next ?", "where is the cup ?", "hmm ok ?", "?",
+                 "OBJ3:cup is here ?")
+
+    def corpus(self):
+        return fixture_corpus() + [make_qa(f"i-{i}", q, "PERSON1 won")
+                                   for i, q in enumerate(self.QUESTIONS)]
+
+    @pytest.mark.parametrize("text", [DEFAULT_RULES_TEXT, LINK_FIRST_RULES],
+                             ids=["default", "link-first"])
+    def test_index_picks_what_a_full_walk_picks(self, text):
+        rules = parse_rules(text)
+        results = [match_rule(qa, rules) for qa in self.corpus()]
+        assert results == [full_walk(qa, rules) for qa in self.corpus()]
+        assert None in results and len({r[0].rule_id for r in results if r}) > 2
+
+    def test_a_link_first_rule_is_tried_for_every_question(self):
+        rules = parse_rules(LINK_FIRST_RULES)
+        unindexed = ("person_first", "aux_first", "rest_any")
+        assert [r.rule_id for r in rules.by_first_word[None]] == list(unindexed)
+        assert [r.rule_id for r in rules.by_first_word["why"]] == [
+            "person_first", "aux_first", "why_any", "rest_any"]
+        assert match_rule(make_qa("p", "PERSON1 is smiling ?", "yes"),
+                          rules)[0].rule_id == "person_first"
+
+    def test_a_question_tries_only_the_rules_of_its_first_word(self, monkeypatch):
+        tried = []
+        monkeypatch.setattr(rulekit, "match_pattern",
+                            lambda pattern, tokens: tried.append(pattern) or
+                            match_pattern(pattern, tokens))
+        rules = default_rules()
+        assert match_rule(make_qa("w", "why is PERSON1 smiling ?", "yes"),
+                          rules)[0].rule_id == "why_person"
+        assert match_rule(make_qa("h", "hmm ok ?", "yes"), rules) is None
+        assert tried == [rules.by_first_word["why"][0].pattern]
 
 
 class TestTransform:

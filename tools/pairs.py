@@ -21,6 +21,10 @@ per-layer ones with ``--trace``) it gives each side's quartiles (inclusive
 method) and median, the relative change of the median, the parent's
 interquartile range, the pairs the change wins (a strictly better value)
 and, for a metric with a bound, whether the change's median is within it.
+Under ``raw_rates`` it gives each side's quartiles of every phase's raw
+rate: the phase's units per second summed over the untraced rounds in the
+run's ``results.json``, seconds as measured, not normalised by the
+calibration kernel, so a gain that comes from the calibration shows.
 ``--claim METRIC`` adds a ``claim`` block, ``met`` when the change wins at
 least nine pairs in ten and its median is better by more than the parent's
 interquartile range.
@@ -42,6 +46,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from importlib.metadata import version
 from pathlib import Path
 from typing import NoReturn
@@ -74,7 +79,24 @@ def run_once(tree: Path, work: Path, workload: str, seed: int, seconds: float,
     if done.returncode != 0 or not lines:
         sys.stderr.write(done.stderr[-4000:])
         fail(f"bench/run.py exited {done.returncode} on {tree} (seed {seed})")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    record = work / ".bench_work" / f"{workload}-seed{seed}-trace{int(trace)}" / "results.json"
+    result["raw_rates"] = raw_rates(json.loads(record.read_text(encoding="utf-8")))
+    return result
+
+
+def raw_rates(record: dict) -> dict[str, float]:
+    """Σunits/Σseconds of each phase's requests in the untraced rounds of a
+    ``results.json`` record, seconds unnormalised."""
+    units: Counter[str] = Counter()
+    seconds: Counter[str] = Counter()
+    for r in record["rounds"]:
+        if not r["traced"]:
+            for phase, n, secs, _first_kernel in r["requests"].values():
+                units[phase] += n
+                seconds[phase] += secs
+    return {phase: units[phase] / seconds[phase] for phase in sorted(seconds)
+            if seconds[phase]}
 
 
 def run_pairs(trees: dict[str, Path], workload: str, seeds: list[int], seconds: float,
@@ -136,6 +158,10 @@ def summarise(pairs: list[dict[str, dict]], seeds: list[int], metrics: dict[str,
         "metrics": {name: metric_summary(spec, *([p[side]["metrics"][name]["value"]
                                                   for p in pairs] for side in SIDES))
                     for name, spec in metrics.items()},
+        "raw_rates": {phase: {side: quartiles([p[side]["raw_rates"][phase] for p in pairs])
+                              for side in SIDES}
+                      for phase in sorted(set.intersection(*(set(p[side]["raw_rates"])
+                                                             for p in pairs for side in SIDES)))},
     }
 
 
@@ -205,7 +231,8 @@ def main() -> int:
         "the parent first in even-numbered pairs counting from 0; one run at a time; "
         "OPENBLAS_NUM_THREADS=1. Quartiles are inclusive; a win is a strictly better "
         "value, ties count for neither side; within_bound compares the medians. failed "
-        "and attempted are summed over each side's runs.")
+        "and attempted are summed over each side's runs. raw_rates are each phase's "
+        "units per unnormalised second over a run's untraced rounds.")
     record["environment"] = {"cpus": len(os.sched_getaffinity(0)),
                              "python": platform.python_version(),
                              "numpy": version("numpy"), "OPENBLAS_NUM_THREADS": "1"}
