@@ -19,13 +19,15 @@ sets another.
 
 A pass runs forward and backward under ``nc.deferred_checks`` and is
 checked once, at its loss, before ``backward``; ``optimizer_step`` checks
-the step's gradients once, in its flat buffer.  A non-finite loss replays
-the pass with the per-op checks on (``replay_pass``), so the NumericError
-names the op, the part of the model, the step and the pass's sample ids.
+the step's flat gradient once.  A non-finite loss replays the pass with the
+per-op checks on (``replay_pass``), so the NumericError names the op, the
+part of the model, the step and the pass's sample ids.
 
 A step's passes run in a ``workers.PassPool``, spread over forked processes
 when more than one CPU is usable; their gradients are summed in pass order,
-so the process count changes no byte of a run.
+so the process count changes no byte of a run.  The parameters are views
+of Adam's ``AdamState.flat``, which the workers share and each step updates
+in place.
 """
 
 from __future__ import annotations
@@ -98,7 +100,9 @@ def train(dataset: Sequence[Sample],
           schedule: TrainSchedule,
           on_step: Callable[[int, float], None] | None = None) -> TrainResult:
     """Train a fresh model; deterministic given (dataset, config, schedule),
-    whatever the number of processes its passes run in."""
+    whatever the number of processes its passes run in.  The returned
+    parameters stay in Adam's shared ``mmap``: a process forked after
+    ``train`` that writes them writes them for its parent too."""
     if not dataset:
         raise DataError("training needs a non-empty dataset")
     vocab = build_vocab(dataset)
@@ -113,13 +117,13 @@ def train(dataset: Sequence[Sample],
     step = 0
     with workers.blas_held_to_one_thread() as held:
         processes = workers.process_count(most_passes) if held else 1
-        with workers.PassPool(model, dataset, layouts, processes, most_passes) as pool:
+        with workers.PassPool(model, state, dataset, layouts, processes, most_passes) as pool:
             while step < schedule.steps:
                 order = rng.permutation(len(dataset))
                 for batch in make_batches(order, lengths, schedule.token_budget):
-                    total = pool.run(step, batch)
+                    total, grad = pool.run(step, batch)
                     with nc.located(f"step {step}"):
-                        nc.optimizer_step(model.params, state, lr=schedule.lr,
+                        nc.optimizer_step(state, grad, lr=schedule.lr,
                                           weight_decay=schedule.weight_decay)
                     mean_loss = total / len(batch)
                     losses.append(mean_loss)

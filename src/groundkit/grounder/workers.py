@@ -6,14 +6,14 @@ calling process being process 0.  With one process nothing is forked.  With
 more, the pool forks its workers once, before step 0: they inherit the
 model, the dataset and the prepared layouts, so only a step's sample
 indices and each pass's loss cross a ``multiprocessing`` pipe.  The
-parameters live in one shared anonymous ``mmap`` buffer, in Adam's
-sorted-name order, which the calling process refreshes before each step.
-The workers are forked, not spawned, so that they need not pickle the
-layouts or import anew; OpenBLAS joins its own threads before a fork (its
-``pthread_atfork`` handler), so the process forks with one thread.
+parameters sit in Adam's shared ``AdamState.flat``, so the workers see each
+step's in-place update with no copy.  The workers are forked, not spawned,
+so that they need not pickle the layouts or import anew; OpenBLAS joins its
+own threads before a fork (its ``pthread_atfork`` handler), so the process
+forks with one thread.
 
-Each pass writes its flat gradient into its own slot of a second shared
-buffer, and the calling process adds the slots in pass order.  Every
+Each pass writes its flat gradient, in Adam's layout, into its own slot of
+a shared buffer, and the calling process adds the slots in pass order.  Every
 parameter gets one gradient per pass, so the sum makes the same additions,
 in the same order, as accumulating ``Tensor.grad`` pass by pass: the
 process count changes no byte of a run.  When passes fail, the exception of
@@ -37,7 +37,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import logging
-import mmap
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -116,13 +115,6 @@ def blas_held_to_one_thread() -> Iterator[bool]:
         put(before)
 
 
-def _shared(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """A zeroed array in an anonymous ``mmap`` that forked processes share."""
-    count = int(np.prod(shape))
-    buffer = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
-    return np.frombuffer(buffer, dtype, count=count).reshape(shape)
-
-
 @dataclass
 class _Worker:
     pid: int
@@ -143,21 +135,17 @@ class PassPool:
     workers on ``__exit__``; ``run`` does one step's passes.
     """
 
-    def __init__(self, model: GroundingModel, dataset: Sequence[Sample],
+    def __init__(self, model: GroundingModel, state: nc.AdamState, dataset: Sequence[Sample],
                  layouts: Sequence[SampleLayout], processes: int, slots: int):
         self.model = model
+        self.params = [model.params[name] for name in state.names]   # in Adam's layout
         self.dataset = dataset
         self.layouts = layouts
         self.processes = processes
-        self.names = sorted(model.params)
-        dtype = model.params[self.names[0]].data.dtype
-        sizes = [model.params[name].data.size for name in self.names]
-        self.ends = np.cumsum(sizes).tolist()
         # one slot serves every pass when they all run here, one after another
-        shape = (slots if processes > 1 else 1, self.ends[-1])
-        self.slots = _shared(shape, dtype) if processes > 1 else np.empty(shape, dtype)
-        self.shared = _shared((self.ends[-1],), dtype) if processes > 1 else None
-        self.total = np.empty(self.ends[-1], dtype)
+        shape, dtype = (slots if processes > 1 else 1, state.flat.size), state.flat.dtype
+        self.slots = nc.shared_array(shape, dtype) if processes > 1 else np.empty(shape, dtype)
+        self.total = np.empty(state.flat.size, dtype)
         self.workers: dict[int, _Worker] = {}   # by rank; a rank without one runs here
 
     # -- processes ---------------------------------------------------------
@@ -220,9 +208,6 @@ class PassPool:
     def _serve(self, rank: int, conn: Connection) -> None:
         """A worker's loop: read a step's passes, run them, reply with
         their losses and the first failure, until the pipe closes."""
-        params = self.model.params
-        for name, start, end in zip(self.names, [0] + self.ends, self.ends):
-            params[name].data = self.shared[start:end].reshape(params[name].data.shape)
         while True:
             try:
                 step, batch_size, passes = conn.recv()
@@ -232,17 +217,13 @@ class PassPool:
 
     # -- one step ----------------------------------------------------------
 
-    def run(self, step: int, batch: Sequence[int]) -> float:
-        """Run the passes of ``batch`` (dataset indices) at ``step``; leave
-        the batch's gradient in each ``Tensor.grad`` and return the sum of
-        each pass's mean loss times its sample count, added in pass order."""
-        params = self.model.params
+    def run(self, step: int, batch: Sequence[int]) -> tuple[float, np.ndarray]:
+        """Run the passes of ``batch`` (dataset indices) at ``step``; return
+        the sum of each pass's mean loss times its sample count, added in
+        pass order, and the batch's flat gradient, in Adam's layout."""
         passes = [[batch[i] for i in positions]
                   for positions in forward_passes([self.layouts[idx] for idx in batch])]
         ranks = range(1, min(self.processes, len(passes)))
-        if any(rank in self.workers for rank in ranks):
-            np.concatenate([params[name].data.reshape(-1) for name in self.names],
-                           out=self.shared)
         busy, here = [], [0]
         for rank in ranks:
             if rank in self.workers:
@@ -267,9 +248,7 @@ class PassPool:
         if self.processes > 1:
             for i in range(len(passes)):
                 self._add(i, self.slots[i])
-        for name, start, end in zip(self.names, [0] + self.ends, self.ends):
-            params[name].grad = self.total[start:end].reshape(params[name].data.shape)
-        return sum((losses[i] for i in range(len(passes))), 0.0)
+        return sum((losses[i] for i in range(len(passes))), 0.0), self.total
 
     def _run_ranks(self, step: int, batch_size: int, passes: list[list[int]],
                    ranks: list[int]) -> tuple[dict[int, float], tuple[int, Exception] | None]:
@@ -300,10 +279,8 @@ class PassPool:
               out: np.ndarray) -> float:
         """One pass over the samples ``indices`` of a ``batch_size`` batch:
         its flat gradient, of its mean loss weighted by its share of the
-        batch, goes to ``out``; returns the mean loss times the sample count."""
-        params = self.model.params
-        for p in params.values():
-            p.zero_grad()
+        batch, goes to ``out``, and each ``Tensor.grad`` is cleared; returns
+        the mean loss times the sample count."""
         chunk = [self.layouts[idx] for idx in indices]
         ids = ", ".join(self.dataset[idx].sample_id for idx in indices)
         with nc.located(f"step {step}, pass over samples {ids}"):
@@ -315,6 +292,7 @@ class PassPool:
             if not finite:
                 replay_pass(lambda: self.model.batch_loss(chunk))
         np.concatenate([np.zeros(p.data.size, out.dtype) if p.grad is None
-                        else p.grad.reshape(-1)
-                        for p in (params[name] for name in self.names)], out=out)
+                        else p.grad.reshape(-1) for p in self.params], out=out)
+        for p in self.params:
+            p.zero_grad()
         return float(loss.data) * len(chunk)

@@ -19,7 +19,7 @@ from .tensor import (
     self_attention,
 )
 from .encoder import EncoderConfig, attention_layer, encode, init_encoder_params
-from .optim import AdamState, init_adam_state, optimizer_step
+from .optim import AdamState, init_adam_state, optimizer_step, shared_array
 from .gradcheck import grad_check
 from .checkpoint import CheckpointError, checkpoint_bytes, load_checkpoint
 
@@ -29,5 +29,5 @@ __all__ = [
     "deferred_checks", "dot_const", "encode", "feed_forward", "gather_dot", "gather_rows",
     "grad_check", "init_adam_state", "init_encoder_params", "linear", "load_checkpoint",
     "located", "log_softmax", "optimizer_step", "scale", "scatter_rows",
-    "self_attention",
+    "self_attention", "shared_array",
 ]

@@ -883,8 +883,9 @@ class TestTrainingLoop:
             benchkit.SynthConfig(n_samples=2 * SUB_BATCH, seed=5))
         config = read_config(TOY_CFG)[0]
         grads = {}
-        monkeypatch.setattr(nc, "optimizer_step", lambda params, state, **kw: grads.update(
-            {name: p.grad.copy() for name, p in params.items()}))
+        monkeypatch.setattr(nc, "optimizer_step", lambda state, grad, **kw: grads.update(
+            {name: grad[start:end].copy()
+             for name, start, end in zip(state.names, [0] + state.ends, state.ends)}))
         train(samples, config, TrainSchedule(steps=1, lr=5e-4, token_budget=100_000))
 
         model = GroundingModel.init(config, build_vocab(samples), dtype=np.float32)
@@ -894,8 +895,8 @@ class TestTrainingLoop:
             graph.backward(model.batch_loss(layouts))
         assert grads.keys() == model.params.keys()
         for name, p in model.params.items():
-            np.testing.assert_allclose(grads[name], p.grad, rtol=1e-4, atol=1e-6,
-                                       err_msg=name)
+            np.testing.assert_allclose(grads[name], p.grad.reshape(-1), rtol=1e-4,
+                                       atol=1e-6, err_msg=name)
 
     def test_overfit_single_sample(self):
         sample = make_sample("o-1", n_persons=3)
@@ -957,11 +958,12 @@ class TestNumericFailures:
         step = nc.optimizer_step
         calls = []
 
-        def poisoned(params, state, **kw):
+        def poisoned(state, grad, **kw):
             calls.append(None)
             if len(calls) == 3:
-                params["cls.w1"].grad = np.full_like(params["cls.w1"].data, np.inf)
-            step(params, state, **kw)
+                i = state.names.index("cls.w1")
+                grad[([0] + state.ends)[i]:state.ends[i]] = np.inf
+            step(state, grad, **kw)
 
         monkeypatch.setattr(nc, "optimizer_step", poisoned)
         with pytest.raises(nc.NumericError,
@@ -1046,6 +1048,11 @@ class TestPassWorkers:
             assert result.losses == runs[0].losses
             assert nc.checkpoint_bytes(result.model.params) == \
                    nc.checkpoint_bytes(runs[0].model.params)
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_no_parameter_keeps_a_gradient_after_train(self, monkeypatch, processes):
+        result = self.run(monkeypatch, processes, self.samples(), steps=2)
+        assert all(p.grad is None for p in result.model.params.values())
 
     def test_lowest_failing_pass_names_the_error_in_any_process(self, monkeypatch):
         samples = self.samples()

@@ -586,19 +586,26 @@ class TestGradCheck:
                           rng=np.random.default_rng(0))
 
 
+def flat_gradient(state, grads):
+    """Named gradients in the layout of ``state.flat``; a missing one is zero."""
+    return np.concatenate([np.zeros(end - start) if grads.get(name) is None
+                           else np.reshape(grads[name], -1)
+                           for name, start, end in zip(state.names, [0] + state.ends,
+                                                       state.ends)],
+                          dtype=state.flat.dtype)
+
+
 class TestOptimizer:
     def test_zero_gradient_is_fixed_point(self):
         params = {"w": nc.Tensor(np.ones(4))}
-        params["w"].grad = np.zeros(4)
         state = nc.init_adam_state(params)
-        nc.optimizer_step(params, state, lr=0.1, weight_decay=0.0)
+        nc.optimizer_step(state, np.zeros(4), lr=0.1, weight_decay=0.0)
         np.testing.assert_array_equal(params["w"].data, np.ones(4))
 
     def test_descends_on_quadratic(self):
         params = {"w": nc.Tensor(np.array([1.0]))}
         state = nc.init_adam_state(params)
-        params["w"].grad = params["w"].data.copy()   # d(w^2/2)/dw = w
-        nc.optimizer_step(params, state, lr=0.1)
+        nc.optimizer_step(state, params["w"].data.copy(), lr=0.1)   # d(w^2/2)/dw = w
         assert params["w"].data[0] < 1.0
 
     def test_deterministic_bitwise(self):
@@ -607,8 +614,8 @@ class TestOptimizer:
             params = {"w": nc.Tensor(rng.normal(0, 1, (3, 3)))}
             state = nc.init_adam_state(params)
             for _ in range(5):
-                params["w"].grad = rng.normal(0, 1, (3, 3))
-                nc.optimizer_step(params, state, lr=1e-2, weight_decay=0.01)
+                nc.optimizer_step(state, rng.normal(0, 1, (3, 3)).reshape(-1), lr=1e-2,
+                                  weight_decay=0.01)
             return params["w"].data.tobytes()
 
         assert run() == run()
@@ -617,12 +624,58 @@ class TestOptimizer:
         params = {"a": nc.Tensor(np.ones(3)), "w": nc.Tensor(np.ones(2)),
                   "z": nc.Tensor(np.ones(1))}
         state = nc.init_adam_state(params)
-        params["w"].grad = np.array([0.0, np.inf])
+        grad = flat_gradient(state, {"w": np.array([0.0, np.inf])})
         with pytest.raises(NumericError, match="parameter 'w'"):
-            nc.optimizer_step(params, state, lr=0.1)
+            nc.optimizer_step(state, grad, lr=0.1)
         # refused before any parameter moved
         assert all(p.data.tobytes() == np.ones(p.data.size).tobytes()
                    for p in params.values())
+
+    def test_refused_step_changes_no_state(self):
+        rng = np.random.default_rng(4)
+        params = {"a": nc.Tensor(rng.normal(0, 1, 3)), "b": nc.Tensor(rng.normal(0, 1, 2))}
+        state = nc.init_adam_state(params)
+        nc.optimizer_step(state, rng.normal(0, 1, 5), lr=0.1, weight_decay=0.1)
+        before = [state.flat.tobytes(), state.m.tobytes(), state.v.tobytes()]
+        grad = rng.normal(0, 1, 5)
+        grad[3] = np.nan
+        with pytest.raises(NumericError, match="parameter 'b'"):
+            nc.optimizer_step(state, grad, lr=0.1, weight_decay=0.1)
+        assert state.step == 1
+        assert [state.flat.tobytes(), state.m.tobytes(), state.v.tobytes()] == before
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_at_either_end_names_its_parameter(self, bad):
+        # the first and last index of each parameter: bisect_right's boundaries
+        shapes = {"a": (3,), "b": (2, 2), "c": (1,), "d": (2,)}
+        params = {n: nc.Tensor(np.ones(s)) for n, s in shapes.items()}
+        state = nc.init_adam_state(params)
+        for name, start, end in zip(state.names, [0] + state.ends, state.ends):
+            for index in (start, end - 1):
+                grad = np.zeros(state.flat.size)
+                grad[index] = bad
+                with pytest.raises(NumericError, match=f"parameter '{name}'$"):
+                    nc.optimizer_step(state, grad, lr=0.1)
+        assert state.step == 0
+
+    def test_parameters_live_in_the_flat_buffer(self):
+        rng = np.random.default_rng(8)
+        shapes = {"b": (3, 4), "a": (5,), "c": (2, 3, 2)}
+        data = {n: rng.normal(0, 1, s).astype(np.float32) for n, s in shapes.items()}
+        params = {n: nc.Tensor(x.copy()) for n, x in data.items()}
+        state = nc.init_adam_state(params)
+        assert state.names == ["a", "b", "c"] and state.ends == [5, 17, 29]
+        arrays = {n: p.data for n, p in params.items()}
+        for name, start, end in zip(state.names, [0] + state.ends, state.ends):
+            p = params[name]
+            assert np.shares_memory(p.data, state.flat)
+            assert p.data.shape == shapes[name] and p.data.dtype == np.float32
+            assert p.data.tobytes() == data[name].tobytes()
+            assert state.flat[start:end].tobytes() == data[name].tobytes()
+        nc.optimizer_step(state, rng.normal(0, 1, 29).astype(np.float32), lr=0.1)
+        for name, p in params.items():
+            assert p.data is arrays[name]
+            assert p.data.tobytes() != data[name].tobytes()
 
     def test_flat_update_matches_per_parameter_reference(self):
         # the per-parameter loop the flat buffer replaced, in sorted-name order
@@ -651,21 +704,11 @@ class TestOptimizer:
             # float64 gradients are cast to the parameters' float32; "a" has none
             grads = {n: rng.normal(0, 1, s) for n, s in shapes.items()}
             grads["a"] = None
-            for n, p in params.items():
-                p.grad = grads[n]
-            nc.optimizer_step(params, state, lr=1e-2, weight_decay=0.01)
+            nc.optimizer_step(state, flat_gradient(state, grads), lr=1e-2, weight_decay=0.01)
             reference_step(data, grads, m, v, t, lr=1e-2, weight_decay=0.01)
             for n, p in params.items():
                 assert p.data.shape == shapes[n] and p.data.dtype == np.float32
                 assert p.data.tobytes() == data[n].tobytes()
-
-    def test_gradient_of_another_shape_rejected(self):
-        # the flat buffer would take a transposed gradient of the same size silently
-        params = {"w": nc.Tensor(np.ones((2, 3)))}
-        state = nc.init_adam_state(params)
-        params["w"].grad = np.ones((3, 2))
-        with pytest.raises(NumericError, match=r"shape \(3, 2\) for parameter 'w'"):
-            nc.optimizer_step(params, state, lr=0.1)
 
     def test_parameters_must_share_one_dtype(self):
         params = {"a": nc.Tensor(np.ones(2)), "b": nc.Tensor(np.ones(2, np.float32))}
@@ -674,9 +717,8 @@ class TestOptimizer:
 
     def test_decoupled_weight_decay_applies_without_gradient(self):
         params = {"w": nc.Tensor(np.array([2.0]))}
-        params["w"].grad = np.zeros(1)
         state = nc.init_adam_state(params)
-        nc.optimizer_step(params, state, lr=0.1, weight_decay=0.5)
+        nc.optimizer_step(state, np.zeros(1), lr=0.1, weight_decay=0.5)
         np.testing.assert_allclose(params["w"].data, [2.0 - 0.1 * 0.5 * 2.0])
 
 
