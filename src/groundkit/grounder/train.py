@@ -117,7 +117,7 @@ def train(dataset: Sequence[Sample],
     step = 0
     with workers.blas_held_to_one_thread() as held:
         processes = workers.process_count(most_passes) if held else 1
-        with workers.PassPool(model, state, dataset, layouts, processes, most_passes) as pool:
+        with workers.PassPool(model, state, dataset, layouts, processes) as pool:
             while step < schedule.steps:
                 order = rng.permutation(len(dataset))
                 for batch in make_batches(order, lengths, schedule.token_budget):

@@ -12,16 +12,17 @@ so that they need not pickle the layouts or import anew; OpenBLAS joins its
 own threads before a fork (its ``pthread_atfork`` handler), so the process
 forks with one thread.
 
-Each pass writes its flat gradient, in Adam's layout, into its own slot of
-a shared buffer, and the calling process adds the slots in pass order.  Every
-parameter gets one gradient per pass, so the sum makes the same additions,
-in the same order, as accumulating ``Tensor.grad`` pass by pass: the
-process count changes no byte of a run.  When passes fail, the exception of
-the lowest-numbered one is raised, as it would be in one process.  For the
-same reason a worker that cannot be forked, or that is lost (killed, or its
-pipe broken), costs only time: its rank's passes run in the calling process
-from then on, after one warning naming it, and the run writes the bytes of
-a one-process run.  A lost worker is reaped at once.
+Each process has one slot of a shared buffer for a pass's flat gradient, in
+Adam's layout.  The calling process walks a step's passes in pass order:
+it runs pass ``i`` or receives its loss, adds slot ``i % processes`` to the
+total, and lets that worker fill the slot with its next pass, which has run
+its backward meanwhile.  So memory is bounded by the process count, and the
+sum makes the same additions, in the same order, as accumulating
+``Tensor.grad`` pass by pass: the process count changes no byte of a run,
+and the first failing pass raises, as it would in one process.  A worker
+that cannot be forked, or that is lost (killed, or its pipe broken), costs
+only time: its passes run in the calling process from then on, in its slot,
+after one warning naming it.  A lost worker is reaped at once.
 
 ``process_count`` bounds the count by the usable CPUs and by the most passes
 a step can have.  While ``train`` runs, ``blas_held_to_one_thread`` holds
@@ -128,24 +129,19 @@ def _reap(worker: _Worker) -> None:
 
 
 class PassPool:
-    """Runs the passes of ``train``'s steps in ``processes`` processes.
-
-    ``slots`` bounds the passes of one step (``process_count``'s
-    ``most_passes``).  The pool forks on ``__enter__`` and waits for its
-    workers on ``__exit__``; ``run`` does one step's passes.
-    """
+    """Runs the passes of ``train``'s steps in ``processes`` processes,
+    with one gradient slot each.  The pool forks on ``__enter__`` and waits
+    for its workers on ``__exit__``; ``run`` does one step's passes."""
 
     def __init__(self, model: GroundingModel, state: nc.AdamState, dataset: Sequence[Sample],
-                 layouts: Sequence[SampleLayout], processes: int, slots: int):
+                 layouts: Sequence[SampleLayout], processes: int):
         self.model = model
         self.params = [model.params[name] for name in state.names]   # in Adam's layout
         self.dataset = dataset
         self.layouts = layouts
         self.processes = processes
-        # one slot serves every pass when they all run here, one after another
-        shape, dtype = (slots if processes > 1 else 1, state.flat.size), state.flat.dtype
-        self.slots = nc.shared_array(shape, dtype) if processes > 1 else np.empty(shape, dtype)
-        self.total = np.empty(state.flat.size, dtype)
+        self.slots = nc.shared_array((processes, state.flat.size), state.flat.dtype)
+        self.total = np.empty(state.flat.size, state.flat.dtype)
         self.workers: dict[int, _Worker] = {}   # by rank; a rank without one runs here
 
     # -- processes ---------------------------------------------------------
@@ -206,84 +202,75 @@ class PassPool:
         _reap(worker)
 
     def _serve(self, rank: int, conn: Connection) -> None:
-        """A worker's loop: read a step's passes, run them, reply with
-        their losses and the first failure, until the pipe closes."""
-        while True:
-            try:
+        """A worker's loop until the pipe closes: run its share of each
+        step's passes, and reply to each with its loss, its gradient in slot
+        ``rank``, or with its exception, which ends the step."""
+        slot = self.slots[rank]
+        try:
+            while True:
                 step, batch_size, passes = conn.recv()
-            except EOFError:
-                return
-            conn.send(self._run_ranks(step, batch_size, passes, [rank]))
+                for k, i in enumerate(range(rank, len(passes), self.processes)):
+                    try:
+                        reply = self._pass(step, batch_size, passes[i])
+                    except Exception as exc:
+                        reply = exc
+                    if k:
+                        conn.recv()   # the go-ahead: the slot's last pass is added
+                    if isinstance(reply, Exception):
+                        conn.send(reply)
+                        break
+                    self._take(slot)
+                    conn.send(reply)
+        except (EOFError, OSError):
+            return
 
     # -- one step ----------------------------------------------------------
 
     def run(self, step: int, batch: Sequence[int]) -> tuple[float, np.ndarray]:
         """Run the passes of ``batch`` (dataset indices) at ``step``; return
         the sum of each pass's mean loss times its sample count, added in
-        pass order, and the batch's flat gradient, in Adam's layout."""
+        pass order, and the batch's flat gradient, in Adam's layout.  Pass
+        ``i`` fills slot ``i % processes``, added as soon as the pass is in."""
         passes = [[batch[i] for i in positions]
                   for positions in forward_passes([self.layouts[idx] for idx in batch])]
-        ranks = range(1, min(self.processes, len(passes)))
-        busy, here = [], [0]
-        for rank in ranks:
+        for rank in [rank for rank in self.workers if rank < len(passes)]:
+            try:
+                self.workers[rank].conn.send((step, len(batch), passes))
+            except OSError:
+                self._lose(rank)
+        total = 0.0
+        for i, indices in enumerate(passes):
+            rank = i % self.processes
             if rank in self.workers:
                 try:
-                    self.workers[rank].conn.send((step, len(batch), passes))
-                    busy.append(rank)
-                    continue
+                    loss = self.workers[rank].conn.recv()
+                except (EOFError, OSError):
+                    self._lose(rank)
+            if rank not in self.workers:
+                loss = self._pass(step, len(batch), indices)
+                self._take(self.slots[rank])
+            if isinstance(loss, Exception):
+                raise loss
+            if i:
+                self.total += self.slots[rank]
+            else:
+                np.copyto(self.total, self.slots[rank])
+            total += loss
+            if rank in self.workers and i + self.processes < len(passes):
+                try:
+                    self.workers[rank].conn.send(None)   # the go-ahead: its slot is free
                 except OSError:
                     self._lose(rank)
-            here.append(rank)
-        replies = [self._run_ranks(step, len(batch), passes, here)]
-        for rank in busy:
-            try:
-                replies.append(self.workers[rank].conn.recv())
-            except (EOFError, OSError):
-                self._lose(rank)
-                replies.append(self._run_ranks(step, len(batch), passes, [rank]))
-        losses = {i: loss for done, _failure in replies for i, loss in done.items()}
-        failures = [failure for _done, failure in replies if failure is not None]
-        if failures:
-            raise min(failures, key=lambda failure: failure[0])[1]
-        if self.processes > 1:
-            for i in range(len(passes)):
-                self._add(i, self.slots[i])
-        return sum((losses[i] for i in range(len(passes))), 0.0), self.total
+        return total, self.total
 
-    def _run_ranks(self, step: int, batch_size: int, passes: list[list[int]],
-                   ranks: list[int]) -> tuple[dict[int, float], tuple[int, Exception] | None]:
-        """Run the passes of ``ranks`` in this process, in pass order, up to
-        the first that fails: their losses by pass and that failure.  With
-        more than one process pass ``i`` writes slot ``i``, for ``run`` to
-        add once all are in; with one, each pass is added when done."""
-        losses = {}
-        with np.errstate(all="ignore"):
-            for i in sorted(i for rank in ranks
-                            for i in range(rank, len(passes), self.processes)):
-                slot = self.slots[i if self.processes > 1 else 0]
-                try:
-                    losses[i] = self._pass(step, batch_size, passes[i], slot)
-                except Exception as exc:
-                    return losses, (i, exc)
-                if self.processes == 1:
-                    self._add(i, slot)
-        return losses, None
-
-    def _add(self, i: int, flat: np.ndarray) -> None:
-        if i == 0:
-            np.copyto(self.total, flat)
-        else:
-            self.total += flat
-
-    def _pass(self, step: int, batch_size: int, indices: Sequence[int],
-              out: np.ndarray) -> float:
+    def _pass(self, step: int, batch_size: int, indices: Sequence[int]) -> float:
         """One pass over the samples ``indices`` of a ``batch_size`` batch:
-        its flat gradient, of its mean loss weighted by its share of the
-        batch, goes to ``out``, and each ``Tensor.grad`` is cleared; returns
-        the mean loss times the sample count."""
+        backpropagates its mean loss, weighted by its share of the batch,
+        into each ``Tensor.grad``; returns the mean loss times the sample
+        count."""
         chunk = [self.layouts[idx] for idx in indices]
         ids = ", ".join(self.dataset[idx].sample_id for idx in indices)
-        with nc.located(f"step {step}, pass over samples {ids}"):
+        with np.errstate(all="ignore"), nc.located(f"step {step}, pass over samples {ids}"):
             with nc.deferred_checks(), nc.Graph() as graph:
                 loss = self.model.batch_loss(chunk)
                 finite = np.isfinite(loss.data)
@@ -291,8 +278,12 @@ class PassPool:
                     graph.backward(nc.scale(loss, len(chunk) / batch_size))
             if not finite:
                 replay_pass(lambda: self.model.batch_loss(chunk))
+        return float(loss.data) * len(chunk)
+
+    def _take(self, out: np.ndarray) -> None:
+        """Move the pass's gradient, flat in Adam's layout, from each
+        ``Tensor.grad`` into ``out``."""
         np.concatenate([np.zeros(p.data.size, out.dtype) if p.grad is None
                         else p.grad.reshape(-1) for p in self.params], out=out)
         for p in self.params:
             p.zero_grad()
-        return float(loss.data) * len(chunk)

@@ -4,10 +4,10 @@
 sorted-name order, is one slice of ``state.flat``, a buffer that forked
 processes share, and each ``Tensor.data`` is its reshaped view of that
 slice.  The moments are two more flat buffers of that layout, in the
-parameters' one dtype.  A step takes the step's gradient in the same layout,
-checks it once, and updates ``state.flat`` in place with one set of array
-ops.  Every op is elementwise, so the bytes equal a per-parameter loop's,
-and two runs from equal state stay bitwise equal.
+parameters' one dtype.  A step takes the step's gradient in the same layout
+and dtype, checks it, and updates ``state.flat`` in place with one set of
+array ops.  Every op is elementwise, so the bytes equal a per-parameter
+loop's, and two runs from equal state stay bitwise equal.
 """
 
 from __future__ import annotations
@@ -67,9 +67,12 @@ def optimizer_step(state: AdamState, grad: np.ndarray, lr: float,
     """One update of every parameter from ``grad``, the step's gradient in
     the layout of ``state.flat``.
 
-    A non-finite gradient is a NumericError naming its parameter, raised
-    before any state changes.
+    A gradient not of ``state.flat``'s shape and dtype, or a non-finite one
+    (named by its parameter), is a NumericError raised before any state changes.
     """
+    if grad.shape != state.flat.shape or grad.dtype != state.flat.dtype:
+        raise NumericError(f"gradient of shape {grad.shape} and dtype {grad.dtype} for "
+                           f"parameters of shape {state.flat.shape} and dtype {state.flat.dtype}")
     if not np.isfinite(grad).all():
         first = int(np.flatnonzero(~np.isfinite(grad))[0])
         raise NumericError(f"non-finite gradient for parameter "

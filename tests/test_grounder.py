@@ -1019,7 +1019,8 @@ class TestPassWorkers:
     byte of a run and no error message, and no worker outlives ``train``."""
 
     @staticmethod
-    def run(monkeypatch, processes, samples, steps=3, on_step=None, forks=None):
+    def run(monkeypatch, processes, samples, steps=3, on_step=None, forks=None,
+            token_budget=FOUR_PASS_BUDGET):
         monkeypatch.setattr(workers, "usable_cpus", lambda: processes)
         forks = [] if forks is None else forks
         fork = os.fork
@@ -1027,7 +1028,7 @@ class TestPassWorkers:
         config, schedule = read_config(TOY_CFG)
         try:
             return train(samples, config,
-                         replace(schedule, steps=steps, token_budget=FOUR_PASS_BUDGET),
+                         replace(schedule, steps=steps, token_budget=token_budget),
                          on_step=on_step)
         finally:
             assert len(forks) == processes - 1
@@ -1054,13 +1055,17 @@ class TestPassWorkers:
         result = self.run(monkeypatch, processes, self.samples(), steps=2)
         assert all(p.grad is None for p in result.model.params.values())
 
-    def test_lowest_failing_pass_names_the_error_in_any_process(self, monkeypatch):
+    # two passes of step 0 fail.  (0, 1): the calling process's first pass
+    # fails first.  (1, 2): with two processes the first runs in the worker
+    # and the second here, with three each in its own worker.  (2, 3): with
+    # two processes pass 3 is the worker's second pass, run after a go-ahead,
+    # and pass 2 the calling process's second
+    @pytest.mark.parametrize("failing", [(0, 1), (1, 2), (2, 3)], ids=["0-1", "1-2", "2-3"])
+    def test_lowest_failing_pass_names_the_error_in_any_process(self, monkeypatch, failing):
         samples = self.samples()
         passes = first_step_passes(samples, TOY_CFG, FOUR_PASS_BUDGET)
-        # passes 1 and 2 of step 0 fail: with two processes the first runs in
-        # the worker and the second here, with three each in its own worker
-        for p in passes[1:3]:
-            samples[p[0]].image.persons[0].feature[5] = 3e38
+        for i in failing:
+            samples[passes[i][0]].image.persons[0].feature[5] = 3e38
         messages = []
         for n in (1, 2, 3):
             with pytest.raises(nc.NumericError) as info:
@@ -1068,7 +1073,20 @@ class TestPassWorkers:
             messages.append(str(info.value))
         assert messages[0] == messages[1] == messages[2]
         prefix = "non-finite value produced by layer_norm in embed in step 0, pass over samples "
-        assert messages[0] == prefix + ", ".join(samples[i].sample_id for i in passes[1])
+        assert messages[0] == prefix + ", ".join(samples[i].sample_id
+                                                 for i in passes[failing[0]])
+
+    @pytest.mark.parametrize("token_budget", [None, FOUR_PASS_BUDGET], ids=["toy", "four-pass"])
+    def test_the_pool_holds_one_gradient_slot_per_process(self, monkeypatch, token_budget):
+        # the toy budget's steps have two passes, FOUR_PASS_BUDGET's four
+        samples = self.samples()
+        config, schedule = read_config(TOY_CFG)
+        token_budget = token_budget or schedule.token_budget
+        shapes, shared_array = [], nc.shared_array
+        monkeypatch.setattr(nc, "shared_array",
+                            lambda shape, dtype: shapes.append(shape) or shared_array(shape, dtype))
+        result = self.run(monkeypatch, 2, samples, steps=1, token_budget=token_budget)
+        assert shapes == [(2, sum(p.data.size for p in result.model.params.values()))]
 
     @staticmethod
     def assert_same_run(result, alone):

@@ -644,6 +644,21 @@ class TestOptimizer:
         assert state.step == 1
         assert [state.flat.tobytes(), state.m.tobytes(), state.v.tobytes()] == before
 
+    @pytest.mark.parametrize("grad, message", [
+        (np.ones(1, np.float32), r"shape \(1,\) and dtype float32 for parameters of shape \(5,\)"),
+        (np.ones(4, np.float32), r"shape \(4,\) and dtype float32 for parameters of shape \(5,\)"),
+        (np.ones(5), r"shape \(5,\) and dtype float64 for parameters of shape \(5,\) "
+                     r"and dtype float32$"),
+    ], ids=["one-element", "short", "float64"])
+    def test_gradient_outside_the_flat_layout_is_refused(self, grad, message):
+        params = {"a": nc.Tensor(np.ones(3, np.float32)), "b": nc.Tensor(np.ones(2, np.float32))}
+        state = nc.init_adam_state(params)
+        before = [state.flat.tobytes(), state.m.tobytes(), state.v.tobytes()]
+        with pytest.raises(NumericError, match=message):
+            nc.optimizer_step(state, grad, lr=0.1)
+        assert state.step == 0
+        assert [state.flat.tobytes(), state.m.tobytes(), state.v.tobytes()] == before
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_at_either_end_names_its_parameter(self, bad):
         # the first and last index of each parameter: bisect_right's boundaries
