@@ -22,7 +22,7 @@ from .core import (
     PersonLink,
     Prediction,
     Sample,
-    stable_rng,
+    stable_rngs,
 )
 from .geometry import T1, iou
 
@@ -30,10 +30,11 @@ from .geometry import T1, iou
 # heuristic baselines
 
 
-def baseline_random(sample: Sample, seed: int = 0) -> Prediction:
-    rng = stable_rng(seed, sample.sample_id)
-    n = sample.image.n_persons
-    return Prediction({link: int(rng.integers(n)) for link in sample.link_ids})
+def baseline_random(samples: Sequence[Sample], seed: int = 0) -> list[Prediction]:
+    """One uniform pick per link, drawn from the sample's own generator,
+    seeded per (seed, sample_id) (``stable_rngs``)."""
+    return [Prediction({link: int(rng.integers(s.image.n_persons)) for link in s.link_ids})
+            for s, rng in zip(samples, stable_rngs(seed, [s.sample_id for s in samples]))]
 
 
 def _assign_in_order(link_ids: Sequence[int], ordered_boxes: Sequence[int]) -> Prediction:
@@ -66,19 +67,22 @@ def baseline_left_to_right(sample: Sample, top_k_only: bool = False) -> Predicti
     return _assign_in_order(link_ids, candidates)
 
 
-BASELINES = {
-    "random": lambda sample, seed: baseline_random(sample, seed),
-    "big_to_small": lambda sample, seed: baseline_big_to_small(sample),
-    "left_to_right": lambda sample, seed: baseline_left_to_right(sample),
-    "left_to_right_biggest": lambda sample, seed: baseline_left_to_right(sample, top_k_only=True),
+# the deterministic baselines, one sample at a time; they draw nothing
+_HEURISTICS = {
+    "big_to_small": baseline_big_to_small,
+    "left_to_right": baseline_left_to_right,
+    "left_to_right_biggest": lambda sample: baseline_left_to_right(sample, top_k_only=True),
 }
+BASELINES = ("random", *_HEURISTICS)
 
 
 def run_baseline(name: str, samples: Sequence[Sample], seed: int = 0) -> list[Prediction]:
-    if name not in BASELINES:
+    """Baseline ``name``'s predictions in input order; only ``random`` reads ``seed``."""
+    if name == "random":
+        return baseline_random(samples, seed)
+    if name not in _HEURISTICS:
         raise DataError(f"unknown baseline {name!r}; choose from {sorted(BASELINES)}")
-    fn = BASELINES[name]
-    return [fn(s, seed) for s in samples]
+    return [_HEURISTICS[name](s) for s in samples]
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,17 @@ def _resolve_dataset(path: str) -> Path:
     return p / "dataset.jsonl" if p.is_dir() else p
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` flag that no config checks: an integer, at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("seed must be >= 0")
+    return value
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The parser, built once per process: a parse leaves no state in it."""
@@ -65,7 +76,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="QA corpus .jsonl")
     p.add_argument("--rules", help="rules file (default: built-in rule set)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="split seed")
+    p.add_argument("--seed", type=_seed, default=0, help="split seed")
     p.add_argument("--split", default="0.8,0.1,0.1",
                    help="train,validation,test fractions")
 
@@ -105,7 +116,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("baseline", help="run a heuristic baseline")
     p.add_argument("--data", required=True)
     p.add_argument("--name", required=True, choices=sorted(benchkit.BASELINES))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the loss gradients")
     p.add_argument("--config", required=True, help="model config file")

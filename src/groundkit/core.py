@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TypeVar, Union
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -82,6 +82,76 @@ def stable_hash(seed: int, tag: str) -> int:
 def stable_rng(seed: int, tag: str) -> np.random.Generator:
     """Generator seeded by ``stable_hash(seed, tag)``."""
     return np.random.default_rng(stable_hash(seed, tag))
+
+
+# numpy's SeedSequence hash: its constants, for a pool of 4 words and no spawn key
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_words(hashes: np.ndarray) -> np.ndarray:
+    """``[n, 4]`` uint64: ``SeedSequence(h).generate_state(4, np.uint64)`` for
+    each 64-bit ``h`` in ``hashes``, as one array pass per step of the hash.
+
+    The running constants are Python ints, so that no uint32 scalar overflows;
+    the array products wrap mod 2**32 as numpy's own uint32 arithmetic does.
+    """
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    with np.errstate(over="ignore"):
+        # a hash below 2**32 is one entropy word, whose missing high word
+        # hashes as the zero that pads the pool
+        zero = np.zeros(len(hashes), dtype=np.uint32)
+        pool = [hashmix(word) for word in ((hashes & _MASK32).astype(np.uint32),
+                                           (hashes >> 32).astype(np.uint32), zero, zero)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        const, words = _INIT_B, []
+        for i in range(8):
+            value = pool[i % 4] ^ const
+            const = const * _MULT_B & _MASK32
+            value = value * const
+            words.append(value ^ (value >> 16))
+    words64 = np.stack(words, axis=1).astype(np.uint64)
+    return words64[:, 0::2] | (words64[:, 1::2] << np.uint64(32))
+
+
+def stable_rngs(seed: int, tags: Sequence[str]) -> Iterator[np.random.Generator]:
+    """For each tag in turn, a generator that draws what ``stable_rng(seed, tag)`` would.
+
+    Every tag's seed words come from one array pass of numpy's SeedSequence
+    hash (``_seed_words``); each tag then sets one reused ``PCG64``'s state
+    as ``pcg64_set_seed`` does, two steps of its LCG.  The same Generator is
+    yielded each time, so draw from it before taking the next.
+    """
+    bit_generator = np.random.PCG64(0)   # a fixed seed reads no OS entropy
+    rng = np.random.Generator(bit_generator)
+    hashes = np.array([stable_hash(seed, tag) for tag in tags], dtype=np.uint64)
+    for seed_hi, seed_lo, inc_hi, inc_lo in _seed_words(hashes).tolist():
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +410,6 @@ class Prediction:
 
     chosen: dict[int, int]
     scores: dict[int, np.ndarray] = field(default_factory=dict)
-
-    @classmethod
-    def from_scores(cls, scores: Mapping[int, np.ndarray]) -> "Prediction":
-        # np.argmax returns the first maximum, which is the lowest index.
-        chosen = {link: int(np.argmax(vec)) for link, vec in scores.items()}
-        return cls(chosen=chosen, scores=dict(scores))
 
 
 # ---------------------------------------------------------------------------

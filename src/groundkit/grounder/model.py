@@ -42,6 +42,7 @@ part of the model a NumericError came from (``embed``,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping, NoReturn, Sequence, get_type_hints
@@ -50,7 +51,7 @@ import numpy as np
 
 from .. import numcore as nc
 from ..core import (ContextObject, DataError, PersonBox, PersonLink, Prediction, Sample,
-                    Token, Word, person_link_ids, read_text, replace_file, stable_rng)
+                    Token, Word, person_link_ids, read_text, replace_file, stable_rngs)
 from ..geometry import T1, T2, iou, location_feature
 from ..numcore.encoder import (EncoderConfig, ParamTable, encoder_param_table,
                                init_params, layer_from_last)
@@ -157,6 +158,17 @@ _RETIRED_KEYS = {
 }
 
 
+@functools.cache
+def _config_schema() -> dict[str, tuple[type, str, Callable[[str], object]]]:
+    """File key -> (dataclass, field name, value parser), built once per process."""
+    schema = {}
+    for cls in (ModelConfig, TrainSchedule):
+        types = get_type_hints(cls)
+        for f in fields(cls):
+            schema[_FILE_KEYS.get(f.name, f.name)] = (cls, f.name, _PARSERS[types[f.name]])
+    return schema
+
+
 def read_config(path: str | Path) -> tuple[ModelConfig, TrainSchedule]:
     """Read one config file into a ModelConfig and a TrainSchedule.
 
@@ -165,11 +177,7 @@ def read_config(path: str | Path) -> tuple[ModelConfig, TrainSchedule]:
     DataError.  A retired key is skipped when it holds the one value it still
     loads with and is a DataError otherwise.
     """
-    schema = {}
-    for cls in (ModelConfig, TrainSchedule):
-        types = get_type_hints(cls)
-        for f in fields(cls):
-            schema[_FILE_KEYS.get(f.name, f.name)] = (cls, f.name, _PARSERS[types[f.name]])
+    schema = _config_schema()
     kwargs: dict[type, dict[str, object]] = {ModelConfig: {}, TrainSchedule: {}}
     seen: dict[str, int] = {}   # key -> the line it was first on
     for lineno, raw in enumerate(read_text(path).splitlines(), 1):
@@ -209,21 +217,21 @@ def read_config(path: str | Path) -> tuple[ModelConfig, TrainSchedule]:
 # neutral-name substitution
 
 
-def substitute_neutral_names(tokens: Sequence[Token], seed: int,
+def substitute_neutral_names(tokens: Sequence[Token], rng: np.random.Generator,
                              sample_id: str) -> tuple[list[str], dict[int, int]]:
     """Replace person links with distinct names from ``DEFAULT_NEUTRAL_NAMES``,
     one word each.
 
     Returns the lowercase word list and a map from link id to the position of
-    its substituted name.  The draw is without replacement and deterministic
-    per (sample_id, seed); a repeated link id reuses its name, and its map
-    entry points at the first occurrence.
+    its substituted name.  The names are the first of one permutation of the
+    pool drawn from ``rng``, which ``prepare`` seeds per (seed, sample_id)
+    (``stable_rngs``); a repeated link id reuses its name, and its map entry
+    points at the first occurrence.  ``sample_id`` names the sample in errors.
     """
     link_ids = person_link_ids(tokens)
     if len(link_ids) > len(DEFAULT_NEUTRAL_NAMES):
         raise DataError(f"{sample_id}: {len(link_ids)} links exceed "
                         f"name pool of {len(DEFAULT_NEUTRAL_NAMES)}")
-    rng = stable_rng(seed, sample_id)
     order = rng.permutation(len(DEFAULT_NEUTRAL_NAMES))
     assigned = {link: DEFAULT_NEUTRAL_NAMES[order[i]] for i, link in enumerate(link_ids)}
 
@@ -547,9 +555,10 @@ class GroundingModel:
                         dtype=np.float64).reshape(-1, 6)
         locations = location_feature(rows[:, :4], rows[:, 4], rows[:, 5]).astype(dtype)
         layouts, stop = [], 0
-        for sample, rs in zip(samples, regions):
-            words, link_positions = substitute_neutral_names(
-                sample.tokens, cfg.seed, sample.sample_id)
+        rngs = stable_rngs(cfg.seed, [s.sample_id for s in samples])
+        for sample, rs, rng in zip(samples, regions, rngs):
+            words, link_positions = substitute_neutral_names(sample.tokens, rng,
+                                                             sample.sample_id)
             if len(words) > MAX_TEXT_LEN:
                 raise DataError(f"{sample.sample_id}: {len(words)} text tokens exceed "
                                 f"max_text_len {MAX_TEXT_LEN}")
@@ -663,7 +672,7 @@ class GroundingModel:
         pass's sample ids.
         """
         layouts = self.prepare(samples)
-        scores: list[dict[int, np.ndarray]] = [{} for _ in layouts]
+        predictions = [Prediction({}) for _ in layouts]
         with np.errstate(all="ignore"):
             for positions in forward_passes(layouts):
                 chunk = [layouts[i] for i in positions]
@@ -671,12 +680,17 @@ class GroundingModel:
                 with nc.located(f"the pass over samples {ids}"):
                     with nc.deferred_checks():
                         encoded = self.forward(chunk)
-                        q, _mask = self.link_scores(encoded)
+                        q, mask = self.link_scores(encoded)
                     if not np.isfinite(q.data).all():
                         replay_pass(lambda: self.link_scores(self.forward(chunk)))
+                # argmax takes the first maximum, the lowest index, and a
+                # padding column never wins
+                chosen = np.where(mask, q.data, -np.inf).argmax(axis=1).tolist()
                 for k, (b, link) in enumerate(encoded.links()):
-                    scores[positions[b]][link] = q.data[k, :chunk[b].n_persons].copy()
-        return [Prediction.from_scores(s) for s in scores]
+                    prediction = predictions[positions[b]]
+                    prediction.chosen[link] = chosen[k]
+                    prediction.scores[link] = q.data[k, :chunk[b].n_persons].copy()
+        return predictions
 
     # batches of one: no caller in this package uses them; they stay because
     # bench/tracing.py patches them, until the tracer moves to the batched methods

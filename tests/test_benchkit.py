@@ -80,8 +80,8 @@ class TestHeuristics:
     def test_random_seeded_and_uniform(self):
         samples = [sample_with_boxes([(0, 0, 10, 10), (20, 0, 30, 10)],
                                      sample_id=f"r-{i}") for i in range(10000)]
-        a1 = [baseline_random(s, seed=5) for s in samples]
-        a2 = [baseline_random(s, seed=5) for s in samples]
+        a1 = baseline_random(samples, seed=5)
+        a2 = baseline_random(samples, seed=5)
         assert all(x.chosen == y.chosen for x, y in zip(a1, a2))
         hits = np.mean([a.chosen[1] == 0 for a in a1])
         assert abs(hits - 0.5) < 0.02   # 4 sigma ~ 0.02 at n=10k

@@ -186,6 +186,20 @@ class TestExitCodes:
         assert "seed must be >= 0" in self._assert_usage_line(code, err)
         assert not (tmp_path / "s.jsonl").exists()
 
+    def test_negative_baseline_seed_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "baseline", "--data", str(write_tiny_dataset(tmp_path)),
+                                 "--name", "random", "--seed", "-5")
+        assert "seed must be >= 0" in self._assert_usage_line(code, err)
+        assert out == ""
+
+    def test_negative_transform_seed_is_usage_error(self, capsys, tmp_path):
+        qa = tmp_path / "qa.jsonl"
+        write_qa_corpus(fixture_corpus(), qa)
+        code, out, err = run_cli(capsys, "transform", "--data", str(qa),
+                                 "--out", str(tmp_path / "out"), "--seed", "-3")
+        assert "seed must be >= 0" in self._assert_usage_line(code, err)
+        assert out == "" and not (tmp_path / "out").exists()
+
     def test_train_on_empty_dataset_is_data_error(self, capsys, tmp_path):
         # with a header, and without one, whose d_vis then reads 0: the
         # refusal comes before any d_vis adjustment

@@ -23,7 +23,6 @@ from groundkit.core import (
     ImageRecord,
     ObjectLink,
     PersonLink,
-    Prediction,
     Sample,
     Word,
     dataset_stats,
@@ -33,8 +32,10 @@ from groundkit.core import (
     read_dataset,
     read_feature_file,
     read_header,
+    _seed_words,
     stable_hash,
     stable_rng,
+    stable_rngs,
     token_from_json,
     token_to_json,
     write_dataset,
@@ -165,6 +166,28 @@ class TestTypes:
         assert (stable_rng(3, "s-0").integers(2**62, size=4).tolist()
                 == np.random.default_rng(expected).integers(2**62, size=4).tolist())
 
+    @pytest.mark.parametrize("seed", [0, 7, -3, 2**40])
+    def test_stable_rngs_draw_what_stable_rng_draws(self, seed):
+        # each generator, reseeded in place, draws what a freshly built one
+        # does, for every draw the package takes from one
+        tags = [f"s-{i}" for i in range(2000)] + ["", "päivä", "x" * 300]
+        for tag, rng in zip(tags, stable_rngs(seed, tags), strict=True):
+            reference = np.random.default_rng(stable_hash(seed, tag))
+            assert rng.permutation(16).tolist() == reference.permutation(16).tolist()
+            assert rng.integers(10) == reference.integers(10)
+            assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("h", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_seed_words_are_seed_sequence_state(self, h):
+        # one-word (below 2**32) and two-word entropy, and both ends of the range
+        expected = np.random.SeedSequence(h).generate_state(4, np.uint64)
+        got = _seed_words(np.array([h, h], dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [expected.tolist()] * 2
+
+    def test_stable_rngs_of_no_tags_yield_nothing(self):
+        assert list(stable_rngs(0, [])) == []
+
     def test_word_must_be_nonempty(self):
         # a word is its string; the codec refuses the empty one both ways
         assert Word("waves") == token_from_json("waves") == token_to_json("waves") == "waves"
@@ -183,11 +206,6 @@ class TestTypes:
         loose = [PersonLink(1), Word("and"), Word("then"), PersonLink(2)]
         assert has_tied_links(tied)
         assert not has_tied_links(loose)
-
-    def test_prediction_argmax_lowest_index_tiebreak(self):
-        pred = Prediction.from_scores({1: np.array([1.0, 1.0]), 2: np.array([0.1, 2.0, -1.0])})
-        assert pred.chosen[1] == 0
-        assert pred.chosen[2] == 1
 
     def test_label_out_of_range_rejected(self):
         sample = make_sample(labels={1: 5}, n_persons=3)

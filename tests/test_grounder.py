@@ -21,9 +21,9 @@ from groundkit.core import (
     DataError,
     ImageRecord,
     PersonLink,
-    Prediction,
     Sample,
     Word,
+    stable_rng,
 )
 from groundkit.grounder import (
     GroundingModel,
@@ -77,16 +77,16 @@ def toy_model(samples, **kw):
 class TestNameSubstitution:
     def test_deterministic_per_seed_and_sample(self):
         d = [PersonLink(1), Word("waves")]
-        a = substitute_neutral_names(d, 3, "s-1")
-        b = substitute_neutral_names(d, 3, "s-1")
-        c = substitute_neutral_names(d, 4, "s-1")
+        a = substitute_neutral_names(d, stable_rng(3, "s-1"), "s-1")
+        b = substitute_neutral_names(d, stable_rng(3, "s-1"), "s-1")
+        c = substitute_neutral_names(d, stable_rng(4, "s-1"), "s-1")
         assert a == b
         assert a[0][0] in DEFAULT_NEUTRAL_NAMES
         assert a != c or a[0] != c[0]  # another seed draws another name (almost surely)
 
     def test_distinct_names_without_replacement(self):
         d = [PersonLink(1), Word("meets"), PersonLink(2), Word("near"), PersonLink(3)]
-        words, positions = substitute_neutral_names(d, 0, "x")
+        words, positions = substitute_neutral_names(d, stable_rng(0, "x"), "x")
         names = [words[positions[i]] for i in (1, 2, 3)]
         assert len(set(names)) == 3
         assert sorted(positions) == [1, 2, 3]
@@ -94,13 +94,13 @@ class TestNameSubstitution:
 
     def test_repeated_link_reuses_name_and_first_position(self):
         d = [PersonLink(1), Word("wins"), Word("so"), PersonLink(1), Word("smiles")]
-        words, positions = substitute_neutral_names(d, 0, "x")
+        words, positions = substitute_neutral_names(d, stable_rng(0, "x"), "x")
         assert words[0] == words[3]
         assert positions == {1: 0}
 
     def test_zero_links_identity(self):
         d = [Word("Nothing"), Word("HAPPENS")]
-        words, positions = substitute_neutral_names(d, 0, "x")
+        words, positions = substitute_neutral_names(d, stable_rng(0, "x"), "x")
         assert words == ["nothing", "happens"]
         assert positions == {}
 
@@ -108,7 +108,7 @@ class TestNameSubstitution:
         monkeypatch.setattr(model_module, "DEFAULT_NEUTRAL_NAMES", ("amy", "bob"))
         d = [PersonLink(i) for i in range(3)]
         with pytest.raises(DataError, match="pool"):
-            substitute_neutral_names(d, 0, "x")
+            substitute_neutral_names(d, stable_rng(0, "x"), "x")
 
     def test_every_pool_name_is_one_lowercase_word(self):
         # a substituted link is one text token, which ``link_positions`` points at
@@ -526,11 +526,22 @@ class TestModelForward:
         np.testing.assert_allclose(pred_p.scores[1], pred.scores[1][perm], atol=1e-8)
         assert perm[pred_p.chosen[1]] == pred.chosen[1]
 
-    def test_row_shift_invariance_of_argmax(self):
-        scores = {1: np.array([0.3, 1.2, -0.5])}
-        shifted = {1: scores[1] + 7.5}
-        assert Prediction.from_scores(scores).chosen == \
-               Prediction.from_scores(shifted).chosen
+    @pytest.mark.parametrize("classifier", ["trained", "zero"])
+    def test_predict_chooses_each_links_first_maximum(self, classifier):
+        # persons 2 to 5 per sample, so most passes pad their score columns;
+        # a zero classifier ties every score at 0, where the lowest index wins
+        samples = benchkit.synth_generate(benchkit.SynthConfig(n_samples=40, seed=3))
+        model = GroundingModel.init(read_config(TOY_CFG)[0], build_vocab(samples))
+        if classifier == "zero":
+            model.params["cls.w1"].data[...] = 0.0
+        predictions = model.predict(samples)
+        assert [sorted(p.chosen) for p in predictions] == [sorted(s.link_ids) for s in samples]
+        for pred, sample in zip(predictions, samples):
+            for link, scores in pred.scores.items():
+                assert len(scores) == sample.image.n_persons
+                assert pred.chosen[link] == int(np.argmax(scores))
+                if classifier == "zero":
+                    assert pred.chosen[link] == 0
 
 
 # the configurations whose gradients must check out: the full loss, the

@@ -14,7 +14,9 @@ same list of CLI commands, each from its own ``src``, ``configs`` and
   ``--lambda 0`` and with ``--no-context-objects``, on ``configs/toy.cfg``;
 - ``eval`` of each of those four runs on the training set and on both
   held-out sets;
-- ``stats``, ``baseline --name random`` and ``gradcheck``;
+- ``stats``, ``baseline --name random`` on the training set and
+  ``baseline --name random --seed 3`` on the first held-out set, so that a
+  seed other than 0 reaches the per-sample draws, and ``gradcheck``;
 - a copy of ``configs/toy.cfg`` with ``contrast_layer = 1``, where both
   losses' gradients meet on the final hidden state: ``train --steps 30`` on
   it, ``eval`` of that run on the first held-out set and ``gradcheck``;
@@ -86,6 +88,8 @@ def commands(tree: Path) -> list[tuple[str, list[str]]]:
     steps += [
         ("stats", cli + ["stats", "--data", "data"]),
         ("baseline_random", cli + ["baseline", "--data", "data", "--name", "random"]),
+        ("baseline_random_seed3", cli + ["baseline", "--data", "held", "--name", "random",
+                                         "--seed", "3"]),
         ("gradcheck", cli + ["gradcheck", "--config", config]),
         ("last_layer_cfg", [sys.executable, "-c", WRITE_LAST_LAYER_CFG, config, "last.cfg"]),
         ("train_last", cli + ["train", "--data", "data", "--config", "last.cfg",
