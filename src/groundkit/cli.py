@@ -3,8 +3,9 @@
 Subcommands: transform, filter, stats, synth, train, eval, baseline,
 gradcheck.  Machine-readable payloads go to stdout; human-readable logs and
 tables go to stderr.  Exit codes: 0 success, 1 usage error, 2 data error,
-3 numeric failure.  Errors are reported on stderr as one-line JSON
-``{"error": ..., "detail": ...}``.
+3 numeric failure, 130 interrupted.  Errors are reported on stderr as one-line
+JSON ``{"error": ..., "detail": ...}``; an interrupt as ``{"error":
+"interrupted"}``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_INTERRUPTED = 130   # 128 + SIGINT, as shells report it
 
 
 class UsageError(Exception):
@@ -313,6 +315,9 @@ def run(argv: list[str]) -> int:
     except NumericError as exc:
         print(json.dumps({"error": "numeric", "detail": str(exc)}), file=sys.stderr)
         return EXIT_NUMERIC
+    except KeyboardInterrupt:
+        print(json.dumps({"error": "interrupted"}), file=sys.stderr)
+        return EXIT_INTERRUPTED
     finally:
         if collecting:
             gc.enable()

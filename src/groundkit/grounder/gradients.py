@@ -70,10 +70,10 @@ def run_gradient_suite(config: ModelConfig, seed: int = 0, epsilon: float = 1e-5
     for p in model.params.values():
         if p.data.ndim == 2:
             p.data = p.data * 10.0
-    layouts = model.prepare(fixture, contrast=True)
-    losses = {"cls": lambda: model.loss_terms(layouts)[0],
-              "con": lambda: model.loss_terms(layouts)[1],
-              "total": lambda: model.batch_loss(layouts)}
+    inputs = model.prepare(fixture, contrast=True).gather()
+    losses = {"cls": lambda: model.loss_terms(inputs)[0],
+              "con": lambda: model.loss_terms(inputs)[1],
+              "total": lambda: model.batch_loss(inputs)}
     checks = {kind: nc.grad_check(build, model.params, epsilon=epsilon,
                                   max_entries_per_param=GRADCHECK_ENTRIES,
                                   rng=np.random.default_rng(seed + 17))

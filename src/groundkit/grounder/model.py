@@ -14,23 +14,20 @@ and pulls a link toward its ground-truth person plus that person's
 IoU-selected context objects, away from the other persons, with the positive
 terms weighted by IoU against the ground-truth box.
 
-Samples run in batches: their sequences are zero-padded to a common length
-``L`` into one ``[B, L, d]`` tensor, a key-padding mask keeps attention off
-the padding, and the losses gather link, person and context-object rows by
-flat index (``b * L`` plus the position within sample ``b``, added to whole
-arrays of positions), so one forward and one backward pass serve the batch.
+A pass's samples are zero-padded to a common length ``L`` into one ``[B, L,
+d]`` tensor, a key-padding mask keeps attention off the padding, and the
+losses read link, person and object rows by flat index (``b * L`` plus the
+position within sample ``b``), so one forward and one backward pass serve it.
 
-Everything about a sample that no parameter touches (the vocabulary ids of
-its substituted words, its region feature and location rows and, for
-training, its contrastive sets) is a ``SampleLayout``, made by
-``GroundingModel.prepare``, which lays out all regions of its call in one
-array pass.  The batch entry points (``embed``, ``forward``, ``loss_terms``,
-``batch_loss``) take layouts only: training prepares each sample once and
-reuses its layout on every visit.  ``predict`` takes samples
-and prepares them all once.  Training and ``predict`` both run their layouts
-in the passes ``forward_passes`` cuts: sorted by sequence length, near-equal
-in tokens, about ``SUB_BATCH`` samples each.  The per-sample entry points take
-one sample and run a batch of one.  The contrastive weight is ``config.lam``.
+``GroundingModel.prepare`` lays out, once, everything about its samples that
+no parameter touches (word ids, region rows, link rows and, for training,
+contrastive sets) as the flat columns of one ``Prepared``; ``Prepared.gather``
+builds a pass's ``PassInputs`` from them with a fixed number of array
+operations, whatever its sample count.  ``embed``, ``forward``, ``loss_terms``
+and ``batch_loss`` take ``PassInputs``.  Training and ``predict`` run the
+passes ``forward_passes`` cuts from the prepared lengths: sorted by length,
+near-equal in tokens, about ``SUB_BATCH`` samples each.  The per-sample entry
+points run a pass of one.  The contrastive weight is ``config.lam``.
 
 Training and ``predict`` run a pass under ``nc.deferred_checks`` and check
 only its loss or scores; ``replay_pass`` runs a failing pass again with the
@@ -250,7 +247,7 @@ def substitute_neutral_names(tokens: Sequence[Token], rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
-# encoded batch and contrastive sets
+# prepared columns and a pass's inputs
 
 # Samples per forward/backward pass, in training and in inference, before
 # ``forward_passes`` cuts at equal token counts.  A pass pays a fixed cost
@@ -259,30 +256,6 @@ def substitute_neutral_names(tokens: Sequence[Token], rng: np.random.Generator,
 # grows with its tokens.  At 32 the toy config's step (about 63 samples) is
 # two passes of equal cost, one per CPU of a two-CPU machine.
 SUB_BATCH = 32
-
-
-@dataclass
-class EncodedBatch:
-    """Samples embedded as one padded ``[B, L, d]`` sequence (and optionally encoded).
-
-    Row ``b`` holds sample ``b``, laid out by ``layouts[b]`` (text, then
-    persons, then objects) from position 0; the positions after it are zero
-    padding, False in ``mask``.  Positions count within a sample: position
-    ``p`` of sample ``b`` is flat row ``offsets()[b] + p`` of a ``[B, L, d]`` state.
-    """
-
-    sequence: nc.Tensor
-    mask: np.ndarray
-    layouts: Sequence[SampleLayout]
-    hidden: list[nc.Tensor] = field(default_factory=list)
-
-    def offsets(self) -> np.ndarray:
-        return np.arange(len(self.layouts)) * self.mask.shape[1]
-
-    def links(self) -> list[tuple[int, int]]:
-        """``(sample index, link id)`` of every link, by sample, then by link id."""
-        return [(b, link) for b, layout in enumerate(self.layouts)
-                for link in sorted(layout.link_positions)]
 
 
 def select_context_objects(sample: Sample) -> list[tuple[list[int], list[float]]]:
@@ -311,34 +284,128 @@ def select_context_objects(sample: Sample) -> list[tuple[list[int], list[float]]
     return per_link
 
 
-@dataclass(frozen=True, slots=True)
-class SampleLayout:
-    """One sample's parameter-free model inputs, prepared once and reused.
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(start, start + count)`` over the pairs."""
+    first = np.repeat(starts + counts - np.cumsum(counts), counts)
+    return first + np.arange(first.size)
 
-    ``features`` and ``locations`` hold one row per region in sequence order
-    (persons, then the context objects the config keeps), in the parameters'
-    dtype: each is the sample's view of the one block that ``prepare`` made
-    for all the samples of its call.  ``sets`` is None unless the layout was
-    prepared for the contrastive loss; then it holds one ``(anchor,
-    candidates, weights)`` per link, in sequence positions: the link's token,
-    an ``intp`` array of its positives (the ground-truth person, then its
-    context objects in the sequence) followed by the other persons in index
-    order, and the positives' float64 weights: 1 for the ground-truth person,
-    then each object's IoU with its box.
-    """
 
-    link_positions: dict[int, int]
-    labels: dict[int, int]
-    word_ids: np.ndarray         # [T] vocabulary ids of the substituted words
-    n_persons: int
+@dataclass(frozen=True)
+class ContrastSets:
+    """A ``Prepared`` set's contrastive sets, one row per link, by sample, then
+    in ``sample.link_ids`` (text) order.  Row ``k``'s candidates are
+    ``candidates[starts[k]:][:counts[k]]``: the ground-truth person, its
+    objects in the sequence, then the other persons.  Beside them run the
+    float64 ``weights``: 1, the objects' IoUs with its box, then 0."""
+
+    anchors: np.ndarray       # [K] position of the link token
+    n_positives: np.ndarray   # [K]
+    starts: np.ndarray        # [K]
+    counts: np.ndarray        # [K]
+    candidates: np.ndarray    # [C]
+    weights: np.ndarray       # [C]
+
+
+@dataclass(frozen=True)
+class PassInputs:
+    """One pass's parameter-free inputs, gathered from a ``Prepared``.  Row
+    ``b`` holds the pass's ``b``-th sample from position 0, then padding,
+    False in ``mask``; its position ``p`` is flat row ``b * L + p``.  Link
+    rows run by row, then by link id; contrastive rows by row, then in text
+    order, and are None unless the samples were prepared with ``contrast``."""
+
+    mask: np.ndarray             # [B, L]
+    word_ids: np.ndarray         # [T] the text tokens' vocabulary ids, row by row
+    text_positions: np.ndarray   # [T] each one's position: its position-embedding row
+    token_rows: np.ndarray       # [T + R] flat rows of the text, then of the region tokens
     features: np.ndarray         # [R, d_vis]
     locations: np.ndarray        # [R, 7]
-    sets: list[tuple[int, np.ndarray, np.ndarray]] | None = None
+    link_sample: np.ndarray      # [K] the row of each link
+    link_ids: np.ndarray         # [K]
+    link_rows: np.ndarray        # [K] flat row of the link token
+    person_rows: np.ndarray      # [K, N] flat rows of the row's persons, 0 past them
+    person_mask: np.ndarray      # [K, N] True on the row's persons
+    labels: np.ndarray           # [K]
+    link_weights: np.ndarray     # [K] float64: 1 / (B * the row's link count)
+    anchors: np.ndarray | None          # [S] flat row of each set's link token
+    candidates: np.ndarray | None       # [S, C] flat rows of its candidates, 0 past them
+    candidate_mask: np.ndarray | None   # [S, C]
+    coef: np.ndarray | None             # [S, C] float64: IoU weight * 1/(positives*links*B)
 
-    @property
-    def persons(self) -> range:
-        """Sequence positions of the candidate persons, right after the text."""
-        return range(len(self.word_ids), len(self.word_ids) + self.n_persons)
+
+@dataclass(frozen=True)
+class Prepared:
+    """One ``prepare`` call's inputs as columns.  Sample ``i`` is ``lengths[i]``
+    tokens: ``text_len[i]`` words (ids from ``word_ids[text_start[i]]``), then
+    ``n_persons[i]`` persons and the objects the config keeps (rows from
+    ``region_start[i]`` of the blocks ``features`` and ``locations``, in the
+    parameters' dtype).  Its links are the ``n_links[i]`` rows from
+    ``link_start[i]`` of the link columns, by link id, and of ``sets``."""
+
+    text_start: np.ndarray      # [n]
+    text_len: np.ndarray        # [n]
+    lengths: np.ndarray         # [n]
+    n_persons: np.ndarray       # [n]
+    region_start: np.ndarray    # [n]
+    link_start: np.ndarray      # [n]
+    n_links: np.ndarray         # [n]
+    word_ids: np.ndarray        # [T]
+    features: np.ndarray        # [R, d_vis]
+    locations: np.ndarray       # [R, 7]
+    link_ids: np.ndarray        # [K]
+    link_positions: np.ndarray  # [K] position of the link token
+    labels: np.ndarray          # [K] the ground-truth person's index
+    sets: ContrastSets | None
+
+    def gather(self, samples: Sequence[int] | None = None) -> PassInputs:
+        """The inputs of a pass over ``samples`` (positions here; all, in
+        order, if None), in a fixed number of array operations."""
+        idx = np.arange(len(self.lengths)) if samples is None else np.asarray(samples, np.intp)
+        n = len(idx)
+        text_len = self.text_len[idx]
+        columns = np.arange(self.lengths[idx].max())
+        mask = columns < self.lengths[idx][:, None]
+        is_text = columns < text_len[:, None]
+        offsets = np.arange(n) * len(columns)
+        tb, tp = np.nonzero(is_text)
+        rb, rp = np.nonzero(mask & ~is_text)
+        regions = (self.region_start[idx] - text_len)[rb] + rp
+        n_links = self.n_links[idx]
+        links = _ranges(self.link_start[idx], n_links)
+        lb = np.repeat(np.arange(n), n_links)
+        n_persons = self.n_persons[idx][lb]
+        persons = np.arange(n_persons.max(initial=0))
+        person_mask = persons < n_persons[:, None]
+        person_rows = np.where(person_mask, (offsets[lb] + text_len[lb])[:, None] + persons, 0)
+        anchors = candidates = candidate_mask = coef = None
+        if (sets := self.sets) is not None:
+            counts = sets.counts[links]
+            flat = _ranges(sets.starts[links], counts)
+            candidate_mask = np.arange(counts.max(initial=0)) < counts[:, None]
+            candidates = np.zeros(candidate_mask.shape, dtype=np.intp)
+            candidates[candidate_mask] = sets.candidates[flat] + np.repeat(offsets[lb], counts)
+            coef = np.zeros(candidate_mask.shape)
+            coef[candidate_mask] = sets.weights[flat] * np.repeat(
+                1.0 / (sets.n_positives[links] * n_links[lb] * n), counts)
+            anchors = offsets[lb] + sets.anchors[links]
+        return PassInputs(
+            mask=mask, word_ids=self.word_ids[self.text_start[idx][tb] + tp], text_positions=tp,
+            token_rows=np.concatenate([offsets[tb] + tp, offsets[rb] + rp]),
+            features=self.features[regions], locations=self.locations[regions],
+            link_sample=lb, link_ids=self.link_ids[links],
+            link_rows=offsets[lb] + self.link_positions[links], person_rows=person_rows,
+            person_mask=person_mask, labels=self.labels[links],
+            link_weights=1.0 / (n * n_links[lb]), anchors=anchors, candidates=candidates,
+            candidate_mask=candidate_mask, coef=coef)
+
+
+@dataclass
+class EncodedBatch:
+    """A pass's inputs embedded as one padded ``[B, L, d]`` sequence, then encoded."""
+
+    sequence: nc.Tensor
+    inputs: PassInputs
+    hidden: list[nc.Tensor] = field(default_factory=list)
 
 
 def _feature_block(samples: Sequence[Sample],
@@ -364,40 +431,30 @@ def _feature_block(samples: Sequence[Sample],
     return block
 
 
-def sequence_length(layout: SampleLayout) -> int:
-    """Tokens the sample takes in the input sequence: text, then regions."""
-    return len(layout.word_ids) + len(layout.features)
-
-
 def pass_count(n: int) -> int:
-    """The passes ``forward_passes`` cuts ``n >= 1`` layouts into, about one
-    per ``SUB_BATCH`` layouts; it never falls as ``n`` grows."""
+    """The passes ``forward_passes`` cuts ``n >= 1`` samples into, about one
+    per ``SUB_BATCH`` samples; it never falls as ``n`` grows."""
     return max(1, round(n / SUB_BATCH))
 
 
-def forward_passes(layouts: Sequence[SampleLayout]) -> list[list[int]]:
-    """Positions in ``layouts`` of each forward pass, shortest sequences first.
-
-    The positions are sorted by ``(sequence_length, position)``, so each
-    pass pads to a near neighbour's length, and cut into ``pass_count(n)``
-    non-empty passes of near-equal tokens: cut ``j`` follows the first
-    position at which the running sum of ``sequence_length`` reaches ``j/k``
-    of the total, so each pass's tokens lie within one longest sequence of
-    the total over ``k``.  Short sequences come first, so the first passes
-    hold the most samples; a batch of one pass holds at most about 1.5
-    ``SUB_BATCH``.  The cut depends on the layouts alone.  No layouts make
-    no pass.
-    """
-    if not layouts:
+def forward_passes(lengths: np.ndarray) -> list[np.ndarray]:
+    """Positions in ``lengths`` (samples' sequence lengths) of each forward
+    pass, shortest first: sorted by ``(length, position)``, so each pass pads
+    to a near neighbour's length, and cut into ``pass_count(n)`` non-empty
+    passes: cut ``j`` follows the first position at which the running sum of
+    lengths reaches ``j/k`` of the total, so each pass's tokens lie within one
+    longest sequence of the total over ``k``; a batch of one pass holds at
+    most about 1.5 ``SUB_BATCH``.  No lengths make no pass."""
+    n = len(lengths)
+    if not n:
         return []
-    lengths = [sequence_length(layout) for layout in layouts]
-    order = sorted(range(len(layouts)), key=lambda i: (lengths[i], i))
-    n, k = len(order), pass_count(len(order))
-    sums = np.cumsum([lengths[i] for i in order])
+    order = np.argsort(lengths, kind="stable")
+    k = pass_count(n)
+    sums = np.cumsum(np.asarray(lengths)[order])
     # cut j: after the sample at which the running sum reaches j/k of the
     # tokens, but early enough to leave each later pass a sample
-    cuts = [0] + [min(int(np.searchsorted(k * sums, j * sums[-1])) + 1, n - k + j)
-                  for j in range(1, k)] + [n]
+    j = np.arange(1, k)
+    cuts = [0] + np.minimum(np.searchsorted(k * sums, j * sums[-1]) + 1, n - k + j).tolist() + [n]
     return [order[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
@@ -419,79 +476,38 @@ def loss_cls(q: nc.Tensor, labels: Sequence[int], mask: np.ndarray,
 
     ``mask`` hides padding columns; ``weights`` holds one coefficient per row.
     """
-    if q.data.ndim != 2 or not labels or len(labels) != q.data.shape[0]:
+    if q.data.ndim != 2 or len(labels) == 0 or len(labels) != q.data.shape[0]:
         raise nc.NumericError(f"logits {q.data.shape} do not match {len(labels)} labels")
     coef = np.zeros(q.data.shape)
     coef[np.arange(len(labels)), labels] = weights
     return nc.dot_const(nc.log_softmax(q, mask=mask), -coef)
 
 
-def contrastive_loss_from_features(feats: nc.Tensor,
-                                   anchors: Sequence[int],
-                                   candidates: Sequence[Sequence[int]],
-                                   weights: Sequence[Sequence[float]],
-                                   tau: float) -> nc.Tensor:
-    """Contrastive terms of several links on one ``[..., d]`` feature state.
-
-    Link ``i`` compares flat row ``anchors[i]`` with its rows ``candidates[i]``
-    (positives and negatives alike) by dot product over ``tau``.  The
-    log-softmax over its candidates is read at the first ones with the
-    coefficients ``weights[i]`` and at the rest with 0, and the weighted sum
-    over all links is negated.  Candidate lists may differ in length.
-    """
+def loss_con(encoded: EncodedBatch, tau: float, contrast_layer: int) -> nc.Tensor:
+    """IoU-weighted context contrastive loss over the pass's sets: the mean
+    over each sample's links, then over the samples.  Each link token is
+    compared with its candidates by dot product over ``tau`` on the
+    ``contrast_layer`` state, and the log-softmax over them is read with the
+    coefficients ``coef``: the positives (the ground-truth person, then its
+    objects) share the link's part of the mean by IoU, the others weigh 0."""
     if not 0 < tau < np.inf:
         raise nc.NumericError(f"temperature must be positive and finite, got {tau}")
-    n_cols = np.array([len(c) for c in candidates])
-    columns = np.arange(n_cols.max())
-    mask = columns < n_cols[:, None]
-    cols = np.zeros(mask.shape, dtype=np.intp)
-    cols[mask] = np.concatenate(candidates)
-    coef = np.zeros(mask.shape)
-    coef[columns < np.array([len(w) for w in weights])[:, None]] = np.concatenate(weights)
-    sims = nc.gather_dot(feats, feats, anchors, cols)
-    logp = nc.log_softmax(nc.scale(sims, 1.0 / tau), mask=mask)
-    return nc.dot_const(logp, -coef)
-
-
-def loss_con(encoded: EncodedBatch, tau: float, contrast_layer: int) -> nc.Tensor:
-    """IoU-weighted context contrastive loss over the layouts' ``sets``: the
-    mean over each sample's links, then over the samples.
-
-    A link's positives (its ground-truth person, then its context objects)
-    share the link's part of the mean by their IoU weights.
-    """
-    feats = layer_from_last(encoded.hidden, contrast_layer)
-    anchors: list[int] = []
-    candidates: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
-    for offset, layout in zip(encoded.offsets(), encoded.layouts):
-        for anchor, positions, iou_weights in layout.sets:
-            share = 1.0 / (len(iou_weights) * len(layout.sets) * len(encoded.layouts))
-            anchors.append(offset + anchor)
-            candidates.append(offset + positions)
-            weights.append(iou_weights * share)
-    return contrastive_loss_from_features(feats, anchors, candidates, weights, tau)
+    feats, x = layer_from_last(encoded.hidden, contrast_layer), encoded.inputs
+    sims = nc.gather_dot(feats, feats, x.anchors, x.candidates)
+    return nc.dot_const(nc.log_softmax(nc.scale(sims, 1.0 / tau), mask=x.candidate_mask), -x.coef)
 
 
 def classification_logits(encoded: EncodedBatch, w1: nc.Tensor,
                           w2: nc.Tensor) -> tuple[nc.Tensor, np.ndarray]:
     """``[K, N_max]`` bilinear scores of every link token against its sample's persons.
 
-    Rows follow ``encoded.links()``.  The returned mask is False on the
+    Rows follow the pass's link rows.  The returned mask is False on the
     columns past a sample's person count, whose scores mean nothing.
     Context objects never enter the classifier.
     """
-    final = encoded.hidden[-1]
-    links = encoded.links()
-    layouts = encoded.layouts
-    sample = [b for b, _link in links]
-    offsets = encoded.offsets()[sample]
-    rows = offsets + [layouts[b].link_positions[link] for b, link in links]
-    first = offsets + np.array([x.persons.start for x in layouts])[sample]
-    n_persons = np.array([x.n_persons for x in layouts])[sample]
-    mask = np.arange(n_persons.max()) < n_persons[:, None]
-    cols = np.where(mask, first[:, None] + np.arange(mask.shape[1]), 0)
-    return nc.gather_dot(nc.linear(final, w1), nc.linear(final, w2), rows, cols), mask
+    final, x = encoded.hidden[-1], encoded.inputs
+    return (nc.gather_dot(nc.linear(final, w1), nc.linear(final, w2), x.link_rows,
+                          x.person_rows), x.person_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -537,15 +553,15 @@ class GroundingModel:
 
     # -- forward -----------------------------------------------------------
 
-    def prepare(self, samples: Sequence[Sample], contrast: bool = False) -> list[SampleLayout]:
-        """Each sample's ``SampleLayout``, with its contrastive sets if ``contrast``.
+    def prepare(self, samples: Sequence[Sample], contrast: bool = False) -> Prepared:
+        """The columns of ``samples``, with their contrastive sets if ``contrast``.
 
         A feature row whose length is not ``d_vis``, then a text longer than
         ``MAX_TEXT_LEN``, is a DataError naming the first sample holding one.
         """
         cfg = self.config
         dtype = self.params["embed.feat.w"].data.dtype
-        unk = self.vocab.get(UNK_TOKEN, 0)
+        vocab, unk = self.vocab, self.vocab.get(UNK_TOKEN, 0)
         regions = [s.image.persons + s.image.context_objects if cfg.use_context_objects
                    else s.image.persons for s in samples]
         features = _feature_block(samples, regions, cfg.d_vis, dtype)
@@ -554,66 +570,69 @@ class GroundingModel:
                          for s, rs in zip(samples, regions) for b in (r.box for r in rs)],
                         dtype=np.float64).reshape(-1, 6)
         locations = location_feature(rows[:, :4], rows[:, 4], rows[:, 5]).astype(dtype)
-        layouts, stop = [], 0
-        rngs = stable_rngs(cfg.seed, [s.sample_id for s in samples])
-        for sample, rs, rng in zip(samples, regions, rngs):
-            words, link_positions = substitute_neutral_names(sample.tokens, rng,
-                                                             sample.sample_id)
+        word_ids: list[int] = []
+        text_len, n_links, links, set_rows, candidates, weights = [], [], [], [], [], []
+        for sample, rng in zip(samples, stable_rngs(cfg.seed, [s.sample_id for s in samples])):
+            words, positions = substitute_neutral_names(sample.tokens, rng, sample.sample_id)
             if len(words) > MAX_TEXT_LEN:
                 raise DataError(f"{sample.sample_id}: {len(words)} text tokens exceed "
                                 f"max_text_len {MAX_TEXT_LEN}")
-            start, stop = stop, stop + len(rs)
-            sets = None
-            if contrast:
-                sets = []
-                persons = range(len(words), len(words) + sample.image.n_persons)
-                for link_id, (objects, weights) in zip(sample.link_ids,
-                                                       select_context_objects(sample)):
-                    # objects absent from the input sequence have no position,
-                    # so the positives shrink to the ground-truth person alone
-                    kept = objects if cfg.use_context_objects else []
-                    gt = persons[sample.labels[link_id]]
-                    sets.append((link_positions[link_id],
-                                 np.array([gt] + [persons.stop + c for c in kept]
-                                          + [p for p in persons if p != gt], dtype=np.intp),
-                                 np.array([1.0] + weights[:len(kept)], dtype=np.float64)))
-            layouts.append(SampleLayout(
-                link_positions=link_positions, labels=sample.labels,
-                word_ids=np.array([self.vocab.get(w, unk) for w in words], dtype=np.intp),
-                n_persons=sample.image.n_persons, features=features[start:stop],
-                locations=locations[start:stop], sets=sets))
-        return layouts
+            word_ids += [vocab.get(w, unk) for w in words]
+            text_len.append(len(words))
+            n_links.append(len(positions))
+            links += [(link, positions[link], sample.labels[link]) for link in sorted(positions)]
+            if not contrast:
+                continue
+            persons = range(len(words), len(words) + sample.image.n_persons)
+            for link_id, (objects, ious) in zip(sample.link_ids, select_context_objects(sample)):
+                # objects absent from the input sequence have no position,
+                # so the positives shrink to the ground-truth person alone
+                kept = objects if cfg.use_context_objects else []
+                gt = persons[sample.labels[link_id]]
+                # the link token, its positives and its candidates
+                set_rows.append((positions[link_id], 1 + len(kept), len(kept) + len(persons)))
+                candidates += [gt, *(persons.stop + c for c in kept),
+                               *(p for p in persons if p != gt)]
+                weights += [1.0] + ious[:len(kept)] + [0.0] * (len(persons) - 1)
+        text_len, n_links = np.array(text_len, dtype=np.intp), np.array(n_links, dtype=np.intp)
+        n_regions = np.array([len(rs) for rs in regions], dtype=np.intp)
+        link_ids, link_positions, labels = np.array(links, dtype=np.intp).reshape(-1, 3).T
+        sets = None
+        if contrast:
+            anchors, n_positives, counts = np.array(set_rows, dtype=np.intp).reshape(-1, 3).T
+            sets = ContrastSets(anchors, n_positives, np.cumsum(counts) - counts, counts,
+                                np.array(candidates, dtype=np.intp),
+                                np.array(weights, dtype=np.float64))
+        return Prepared(   # each start is the sum of the counts before it
+            text_start=np.cumsum(text_len) - text_len, text_len=text_len,
+            lengths=text_len + n_regions,
+            n_persons=np.array([s.image.n_persons for s in samples], dtype=np.intp),
+            region_start=np.cumsum(n_regions) - n_regions,
+            link_start=np.cumsum(n_links) - n_links, n_links=n_links,
+            word_ids=np.array(word_ids, dtype=np.intp), features=features,
+            locations=locations, link_ids=link_ids, link_positions=link_positions,
+            labels=labels, sets=sets)
 
-    def embed(self, layouts: Sequence[SampleLayout]) -> EncodedBatch:
-        """Embed ``layouts`` into one zero-padded ``[B, L, d]`` sequence."""
+    def embed(self, inputs: PassInputs) -> EncodedBatch:
+        """Embed a pass's inputs into one zero-padded ``[B, L, d]`` sequence."""
         p = self.params
-        lengths = [sequence_length(layout) for layout in layouts]
-        width = max(lengths)
-        # the real positions of each row, then those of its text: the rest are regions
-        mask = np.arange(width) < np.array(lengths)[:, None]
-        is_text = np.arange(width) < np.array([len(x.word_ids) for x in layouts])[:, None]
-
         text = nc.add_layer_norm(
-            nc.gather_rows(p["embed.word"], np.concatenate([x.word_ids for x in layouts])),
-            nc.gather_rows(p["embed.pos"], np.nonzero(is_text)[1]),
+            nc.gather_rows(p["embed.word"], inputs.word_ids),
+            nc.gather_rows(p["embed.pos"], inputs.text_positions),
             p["embed.text_ln.gain"], p["embed.text_ln.bias"])
         region = nc.add_layer_norm(
-            nc.linear(nc.Tensor(np.concatenate([x.features for x in layouts])),
-                      p["embed.feat.w"], p["embed.feat.b"]),
-            nc.linear(nc.Tensor(np.concatenate([x.locations for x in layouts])),
-                      p["embed.loc.w"], p["embed.loc.b"]),
+            nc.linear(nc.Tensor(inputs.features), p["embed.feat.w"], p["embed.feat.b"]),
+            nc.linear(nc.Tensor(inputs.locations), p["embed.loc.w"], p["embed.loc.b"]),
             p["embed.region_ln.gain"], p["embed.region_ln.bias"])
-        sequence = nc.scatter_rows(
-            [text, region], np.concatenate([np.flatnonzero(is_text),
-                                            np.flatnonzero(mask & ~is_text)]),
-            (len(layouts), width, self.config.d_model))
-        return EncodedBatch(sequence=sequence, mask=mask, layouts=layouts)
+        sequence = nc.scatter_rows([text, region], inputs.token_rows,
+                                   inputs.mask.shape + (self.config.d_model,))
+        return EncodedBatch(sequence=sequence, inputs=inputs)
 
-    def forward(self, layouts: Sequence[SampleLayout]) -> EncodedBatch:
+    def forward(self, inputs: PassInputs) -> EncodedBatch:
         with nc.located("embed"):
-            encoded = self.embed(layouts)
+            encoded = self.embed(inputs)
         encoded.hidden = nc.encode(encoded.sequence, self.config.encoder, self.params,
-                                   mask=encoded.mask)
+                                   mask=inputs.mask)
         return encoded
 
     def link_scores(self, encoded: EncodedBatch) -> tuple[nc.Tensor, np.ndarray]:
@@ -623,41 +642,33 @@ class GroundingModel:
 
     # -- losses / inference -------------------------------------------------
 
-    def loss_terms(self, layouts: Sequence[SampleLayout]
-                   ) -> tuple[nc.Tensor, nc.Tensor | None]:
-        """Batch means of ``L_cls`` and, when the layouts carry contrastive
+    def loss_terms(self, inputs: PassInputs) -> tuple[nc.Tensor, nc.Tensor | None]:
+        """Batch means of ``L_cls`` and, when the inputs carry contrastive
         sets (``prepare(..., contrast=True)``), of ``L_con``; else None.
 
         Each sample's terms are means over its own links, so every sample
-        weighs the same whatever its link count.  A batch mixing layouts with
-        and without sets is a ValueError.
+        weighs the same whatever its link count.
         """
         cfg = self.config
-        contrast = layouts[0].sets is not None
-        if any((layout.sets is not None) != contrast for layout in layouts):
-            raise ValueError("layouts mix prepare(..., contrast=True) and contrast=False")
-        encoded = self.forward(layouts)
+        encoded = self.forward(inputs)
         q, mask = self.link_scores(encoded)
-        links = encoded.links()
-        labels = [layouts[b].labels[link] for b, link in links]
-        weights = [1.0 / (len(layouts) * len(layouts[b].link_positions)) for b, _ in links]
         with nc.located("loss_cls"):
-            cls_term = loss_cls(q, labels, mask=mask, weights=weights)
-        if not contrast:
+            cls_term = loss_cls(q, inputs.labels, mask=mask, weights=inputs.link_weights)
+        if inputs.anchors is None:
             return cls_term, None
         with nc.located("loss_con"):
             return cls_term, loss_con(encoded, cfg.tau, cfg.contrast_layer)
 
-    def batch_loss(self, layouts: Sequence[SampleLayout]) -> nc.Tensor:
-        """Mean over ``layouts`` of ``L_cls + lam * L_con`` (``lam`` from the
-        config), from one forward pass.  With ``lam`` not 0 the layouts must
-        carry their contrastive sets."""
+    def batch_loss(self, inputs: PassInputs) -> nc.Tensor:
+        """Mean over the pass's samples of ``L_cls + lam * L_con`` (``lam``
+        from the config), from one forward pass.  With ``lam`` not 0 the
+        samples must have been prepared with their contrastive sets."""
         lam = self.config.lam
-        cls_term, con_term = self.loss_terms(layouts)
+        cls_term, con_term = self.loss_terms(inputs)
         if lam == 0.0:
             return cls_term
         if con_term is None:
-            raise ValueError("the contrastive loss needs layouts prepared with contrast=True")
+            raise ValueError("the contrastive loss needs samples prepared with contrast=True")
         return nc.add(cls_term, nc.scale(con_term, lam))
 
     def predict(self, samples: Sequence[Sample]) -> list[Prediction]:
@@ -671,35 +682,35 @@ class GroundingModel:
         NumericError names the op, the part of the model it ran in and the
         pass's sample ids.
         """
-        layouts = self.prepare(samples)
-        predictions = [Prediction({}) for _ in layouts]
+        prepared = self.prepare(samples)
+        predictions = [Prediction({}) for _ in samples]
         with np.errstate(all="ignore"):
-            for positions in forward_passes(layouts):
-                chunk = [layouts[i] for i in positions]
-                ids = ", ".join(samples[i].sample_id for i in positions)
-                with nc.located(f"the pass over samples {ids}"):
+            for positions in forward_passes(prepared.lengths):
+                inputs = prepared.gather(positions)
+                with nc.located(lambda: "the pass over samples " + ", ".join(
+                        samples[i].sample_id for i in positions)):
                     with nc.deferred_checks():
-                        encoded = self.forward(chunk)
-                        q, mask = self.link_scores(encoded)
+                        q, mask = self.link_scores(self.forward(inputs))
                     if not np.isfinite(q.data).all():
-                        replay_pass(lambda: self.link_scores(self.forward(chunk)))
+                        replay_pass(lambda: self.link_scores(self.forward(inputs)))
                 # argmax takes the first maximum, the lowest index, and a
                 # padding column never wins
                 chosen = np.where(mask, q.data, -np.inf).argmax(axis=1).tolist()
-                for k, (b, link) in enumerate(encoded.links()):
-                    prediction = predictions[positions[b]]
-                    prediction.chosen[link] = chosen[k]
-                    prediction.scores[link] = q.data[k, :chunk[b].n_persons].copy()
+                rows = positions[inputs.link_sample].tolist()
+                for k, (i, link, n) in enumerate(zip(rows, inputs.link_ids.tolist(),
+                                                     mask.sum(axis=1).tolist())):
+                    predictions[i].chosen[link] = chosen[k]
+                    predictions[i].scores[link] = q.data[k, :n].copy()
         return predictions
 
     # batches of one: no caller in this package uses them; they stay because
     # bench/tracing.py patches them, until the tracer moves to the batched methods
 
     def embed_sample(self, sample: Sample) -> EncodedBatch:
-        return self.embed(self.prepare([sample]))
+        return self.embed(self.prepare([sample]).gather())
 
     def sample_loss(self, sample: Sample) -> nc.Tensor:
-        return self.batch_loss(self.prepare([sample], contrast=self.config.lam != 0.0))
+        return self.batch_loss(self.prepare([sample], contrast=self.config.lam != 0.0).gather())
 
     def predict_sample(self, sample: Sample) -> Prediction:
         return self.predict([sample])[0]

@@ -3,19 +3,17 @@
 Batches are formed by accumulating shuffled samples until the next one would
 push the summed sequence length past the token budget (a batch always takes
 at least one sample).  ``forward_passes`` cuts a batch into passes of
-near-equal token counts, its samples sorted by sequence length, so each
-pass pads to a near neighbour's length; each pass is one padded forward and
-backward pass.  A pass backpropagates its mean loss weighted by its share of the
-batch, so its gradients add up, in a fixed order, to those of the batch's
-mean loss before the single optimizer step, and a seed pins the whole run.
+near-equal token counts, sorted by sequence length; each pass is one padded
+forward and backward pass of its mean loss, weighted by its share of the
+batch, so the passes' gradients add up, in a fixed order, to those of the
+batch's mean loss before the single optimizer step.  A seed pins the run.
 
-Each sample is prepared once per ``train`` call, before step 0: its
-``SampleLayout`` (neutral-name substitution, word ids, feature and location
-rows) and, unless ``config.lam`` is 0, its contrastive sets are reused on
-every visit, so a step only gathers the rows of its sub-batch.  An
-unembeddable sample therefore fails before the first step.  The contrastive
-weight comes from the config alone; ``dataclasses.replace(config, lam=...)``
-sets another.
+``train`` prepares its samples once, before step 0, into one ``Prepared``
+(neutral-name substitution, word ids, region and link rows and, unless
+``config.lam`` is 0, contrastive sets): a pass only gathers its rows from
+those columns, and an unembeddable sample fails before the first step.  The
+contrastive weight comes from the config alone; ``dataclasses.replace(config,
+lam=...)`` sets another.
 
 A pass runs forward and backward under ``nc.deferred_checks`` and is
 checked once, at its loss, before ``backward``; ``optimizer_step`` checks
@@ -24,10 +22,9 @@ per-op checks on (``replay_pass``), so the NumericError names the op, the
 part of the model, the step and the pass's sample ids.
 
 A step's passes run in a ``workers.PassPool``, spread over forked processes
-when more than one CPU is usable; their gradients are summed in pass order,
-so the process count changes no byte of a run.  The parameters are views
-of Adam's ``AdamState.flat``, which the workers share and each step updates
-in place.
+when more than one CPU is usable, with no byte of the run depending on the
+process count.  The parameters are views of Adam's ``AdamState.flat``, which
+the workers share and each step updates in place.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from .. import numcore as nc
 from ..core import DataError, Sample, Word
 from . import workers
 from .model import (DEFAULT_NEUTRAL_NAMES, UNK_TOKEN, GroundingModel, ModelConfig,
-                    TrainSchedule, pass_count, sequence_length)
+                    TrainSchedule, pass_count)
 
 log = logging.getLogger(__name__)
 
@@ -108,8 +105,8 @@ def train(dataset: Sequence[Sample],
     vocab = build_vocab(dataset)
     model = GroundingModel.init(config, vocab, dtype=np.float32)
     state = nc.init_adam_state(model.params)
-    layouts = model.prepare(dataset, contrast=config.lam != 0.0)
-    lengths = [sequence_length(layout) for layout in layouts]
+    prepared = model.prepare(dataset, contrast=config.lam != 0.0)
+    lengths = prepared.lengths.tolist()
     rng = np.random.default_rng(config.seed)
     most_passes = pass_count(most_samples(lengths, schedule.token_budget))
 
@@ -117,7 +114,7 @@ def train(dataset: Sequence[Sample],
     step = 0
     with workers.blas_held_to_one_thread() as held:
         processes = workers.process_count(most_passes) if held else 1
-        with workers.PassPool(model, state, dataset, layouts, processes) as pool:
+        with workers.PassPool(model, state, dataset, prepared, processes) as pool:
             while step < schedule.steps:
                 order = rng.permutation(len(dataset))
                 for batch in make_batches(order, lengths, schedule.token_budget):

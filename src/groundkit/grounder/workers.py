@@ -4,25 +4,27 @@
 ``forward_passes`` and runs pass ``i`` in process ``i % processes``, the
 calling process being process 0.  With one process nothing is forked.  With
 more, the pool forks its workers once, before step 0: they inherit the
-model, the dataset and the prepared layouts, so only a step's sample
-indices and each pass's loss cross a ``multiprocessing`` pipe.  The
-parameters sit in Adam's shared ``AdamState.flat``, so the workers see each
-step's in-place update with no copy.  The workers are forked, not spawned,
-so that they need not pickle the layouts or import anew; OpenBLAS joins its
-own threads before a fork (its ``pthread_atfork`` handler), so the process
-forks with one thread.
+model, the dataset and its prepared columns, so only a step's sample indices
+and each pass's loss cross a ``multiprocessing`` pipe.  The parameters sit in
+Adam's shared ``AdamState.flat``, so the workers see each step's in-place
+update with no copy.  The workers are forked, not spawned, so that they need
+not pickle the columns or import anew; OpenBLAS joins its own threads before
+a fork (its ``pthread_atfork`` handler), so the process forks with one thread.
 
 Each process has one slot of a shared buffer for a pass's flat gradient, in
-Adam's layout.  The calling process walks a step's passes in pass order:
-it runs pass ``i`` or receives its loss, adds slot ``i % processes`` to the
-total, and lets that worker fill the slot with its next pass, which has run
-its backward meanwhile.  So memory is bounded by the process count, and the
-sum makes the same additions, in the same order, as accumulating
-``Tensor.grad`` pass by pass: the process count changes no byte of a run,
-and the first failing pass raises, as it would in one process.  A worker
-that cannot be forked, or that is lost (killed, or its pipe broken), costs
-only time: its passes run in the calling process from then on, in its slot,
-after one warning naming it.  A lost worker is reaped at once.
+Adam's layout.  Before a pass the process zeroes its slot and points each
+parameter's ``Tensor.grad`` at its range of it, so backward adds the pass's
+gradient straight into the slot.  The calling process walks a step's passes
+in pass order: it runs pass ``i`` or receives its loss, adds slot ``i %
+processes`` to the total, and only then lets that worker run its next pass.
+So memory is bounded by the process count, and the sum makes the same
+additions, in the same order, as accumulating the passes one after another
+in one process: the process count changes no byte of a run, and the first
+failing pass raises, as it would in one process.  A worker that cannot be
+forked, or that is lost (killed, or its pipe broken), costs only time: its
+passes run in the calling process from then on, in its slot, after one
+warning naming it.  A lost worker is reaped at once.  On an interrupt the
+calling process closes the pipes, and each worker exits without a word.
 
 ``process_count`` bounds the count by the usable CPUs and by the most passes
 a step can have.  While ``train`` runs, ``blas_held_to_one_thread`` holds
@@ -47,7 +49,7 @@ import numpy as np
 
 from .. import numcore as nc
 from ..core import Sample
-from .model import GroundingModel, SampleLayout, forward_passes, replay_pass
+from .model import GroundingModel, Prepared, forward_passes, replay_pass
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -134,13 +136,16 @@ class PassPool:
     for its workers on ``__exit__``; ``run`` does one step's passes."""
 
     def __init__(self, model: GroundingModel, state: nc.AdamState, dataset: Sequence[Sample],
-                 layouts: Sequence[SampleLayout], processes: int):
+                 prepared: Prepared, processes: int):
         self.model = model
         self.params = [model.params[name] for name in state.names]   # in Adam's layout
         self.dataset = dataset
-        self.layouts = layouts
+        self.prepared = prepared
         self.processes = processes
         self.slots = nc.shared_array((processes, state.flat.size), state.flat.dtype)
+        # by rank: each parameter's gradient, a view of its range of the slot, until __exit__
+        self.grads = [[slot[start:end].reshape(p.data.shape) for p, start, end
+                       in zip(self.params, [0] + state.ends, state.ends)] for slot in self.slots]
         self.total = np.empty(state.flat.size, state.flat.dtype)
         self.workers: dict[int, _Worker] = {}   # by rank; a rank without one runs here
 
@@ -160,6 +165,8 @@ class PassPool:
 
     def __exit__(self, *exc) -> None:
         self._stop()
+        for p in self.params:
+            p.zero_grad()
 
     def _fork(self, rank: int) -> _Worker:
         # imported here: it costs every command about 5 ms, and only a
@@ -203,24 +210,22 @@ class PassPool:
 
     def _serve(self, rank: int, conn: Connection) -> None:
         """A worker's loop until the pipe closes: run its share of each
-        step's passes, and reply to each with its loss, its gradient in slot
-        ``rank``, or with its exception, which ends the step."""
-        slot = self.slots[rank]
+        step's passes, each after the go-ahead for its slot, and reply to each
+        with its loss, its gradient in slot ``rank``, or its exception, which
+        ends the step."""
         try:
             while True:
                 step, batch_size, passes = conn.recv()
                 for k, i in enumerate(range(rank, len(passes), self.processes)):
-                    try:
-                        reply = self._pass(step, batch_size, passes[i])
-                    except Exception as exc:
-                        reply = exc
                     if k:
                         conn.recv()   # the go-ahead: the slot's last pass is added
-                    if isinstance(reply, Exception):
-                        conn.send(reply)
-                        break
-                    self._take(slot)
+                    try:
+                        reply = self._pass(step, batch_size, passes[i], rank)
+                    except Exception as exc:
+                        reply = exc
                     conn.send(reply)
+                    if isinstance(reply, Exception):
+                        break
         except (EOFError, OSError):
             return
 
@@ -231,8 +236,8 @@ class PassPool:
         the sum of each pass's mean loss times its sample count, added in
         pass order, and the batch's flat gradient, in Adam's layout.  Pass
         ``i`` fills slot ``i % processes``, added as soon as the pass is in."""
-        passes = [[batch[i] for i in positions]
-                  for positions in forward_passes([self.layouts[idx] for idx in batch])]
+        batch = np.asarray(batch)
+        passes = [batch[positions] for positions in forward_passes(self.prepared.lengths[batch])]
         for rank in [rank for rank in self.workers if rank < len(passes)]:
             try:
                 self.workers[rank].conn.send((step, len(batch), passes))
@@ -247,8 +252,7 @@ class PassPool:
                 except (EOFError, OSError):
                     self._lose(rank)
             if rank not in self.workers:
-                loss = self._pass(step, len(batch), indices)
-                self._take(self.slots[rank])
+                loss = self._pass(step, len(batch), indices, rank)
             if isinstance(loss, Exception):
                 raise loss
             if i:
@@ -263,27 +267,23 @@ class PassPool:
                     self._lose(rank)
         return total, self.total
 
-    def _pass(self, step: int, batch_size: int, indices: Sequence[int]) -> float:
+    def _pass(self, step: int, batch_size: int, indices: np.ndarray, rank: int) -> float:
         """One pass over the samples ``indices`` of a ``batch_size`` batch:
         backpropagates its mean loss, weighted by its share of the batch,
-        into each ``Tensor.grad``; returns the mean loss times the sample
-        count."""
-        chunk = [self.layouts[idx] for idx in indices]
-        ids = ", ".join(self.dataset[idx].sample_id for idx in indices)
-        with np.errstate(all="ignore"), nc.located(f"step {step}, pass over samples {ids}"):
+        into slot ``rank``, zeroed first, through each ``Tensor.grad``, a
+        view of the slot; returns the mean loss times the sample count."""
+        inputs = self.prepared.gather(indices)
+        self.slots[rank].fill(0)
+        for p, grad in zip(self.params, self.grads[rank]):
+            p.grad = grad
+        with np.errstate(all="ignore"), nc.located(lambda: f"step {step}, pass over samples "
+                                                   + ", ".join(self.dataset[idx].sample_id
+                                                               for idx in indices)):
             with nc.deferred_checks(), nc.Graph() as graph:
-                loss = self.model.batch_loss(chunk)
+                loss = self.model.batch_loss(inputs)
                 finite = np.isfinite(loss.data)
                 if finite:
-                    graph.backward(nc.scale(loss, len(chunk) / batch_size))
+                    graph.backward(nc.scale(loss, len(indices) / batch_size))
             if not finite:
-                replay_pass(lambda: self.model.batch_loss(chunk))
-        return float(loss.data) * len(chunk)
-
-    def _take(self, out: np.ndarray) -> None:
-        """Move the pass's gradient, flat in Adam's layout, from each
-        ``Tensor.grad`` into ``out``."""
-        np.concatenate([np.zeros(p.data.size, out.dtype) if p.grad is None
-                        else p.grad.reshape(-1) for p in self.params], out=out)
-        for p in self.params:
-            p.zero_grad()
+                replay_pass(lambda: self.model.batch_loss(inputs))
+        return float(loss.data) * len(indices)

@@ -133,13 +133,14 @@ def _check_op(arr: np.ndarray, op: str) -> None:
 
 
 @contextmanager
-def located(where: str) -> Iterator[None]:
+def located(where: str | Callable[[], str]) -> Iterator[None]:
     """Re-raise a NumericError from the block with `` in <where>`` added,
-    ``where`` naming the part of a model that ran."""
+    ``where`` naming the part of a model that ran, or a function that
+    returns that name, called only when an error passes."""
     try:
         yield
     except NumericError as exc:
-        raise NumericError(f"{exc} in {where}") from None
+        raise NumericError(f"{exc} in {where() if callable(where) else where}") from None
 
 
 def _out(data: np.ndarray, op: str, back: Callable[[np.ndarray], None]) -> Tensor:

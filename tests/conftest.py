@@ -15,7 +15,7 @@ from groundkit.core import (
     stable_rng,
 )
 from groundkit.grounder import (GroundingModel, build_vocab, forward_passes, make_batches,
-                                read_config, sequence_length, workers)
+                                read_config, workers)
 
 D_VIS = 8
 
@@ -70,9 +70,7 @@ def first_step_passes(samples, config_path, token_budget=None):
     under the config file ``config_path``, or under it with ``token_budget``."""
     config, schedule = read_config(config_path)
     model = GroundingModel.init(config, build_vocab(samples), dtype=np.float32)
-    layouts = model.prepare(samples, contrast=config.lam != 0.0)
+    lengths = model.prepare(samples, contrast=config.lam != 0.0).lengths
     order = np.random.default_rng(config.seed).permutation(len(samples))
-    batch = make_batches(order, [sequence_length(x) for x in layouts],
-                         token_budget or schedule.token_budget)[0]
-    return [[batch[i] for i in positions]
-            for positions in forward_passes([layouts[i] for i in batch])]
+    batch = make_batches(order, lengths.tolist(), token_budget or schedule.token_budget)[0]
+    return [[batch[i] for i in positions] for positions in forward_passes(lengths[batch])]

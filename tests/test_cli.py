@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -1013,6 +1014,67 @@ def test_a_failed_fork_trains_in_one_process_without_a_traceback(capsys, monkeyp
     assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
         f"cannot fork a pass worker ([Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}): "
         "the passes of 1 of 1 workers run in this process"]
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_an_interrupted_train_exits_130_with_one_json_line(capsys, monkeypatch, tmp_path,
+                                                            processes):
+    data = tmp_path / "s.jsonl"
+    run_cli(capsys, "synth", "--n", "120", "--seed", "3", "--out", str(data))
+    step = nc.optimizer_step
+
+    def interrupted_at_step_1(state, grad, **kw):
+        if state.step == 1:
+            raise KeyboardInterrupt
+        step(state, grad, **kw)
+
+    monkeypatch.setattr(nc, "optimizer_step", interrupted_at_step_1)
+    code, out, err = train_in(monkeypatch, capsys, processes, data, tmp_path / "run")
+    assert (code, out) == (cli.EXIT_INTERRUPTED, "") == (130, "")
+    # step 0's progress line, then the one error line
+    assert err.splitlines()[-1] == '{"error": "interrupted"}'
+    assert [line for line in err.splitlines() if line.startswith("{")] == [
+        '{"error": "interrupted"}']
+    with pytest.raises(ChildProcessError):   # no pass worker is left
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sigint_to_a_train_process_exits_130_and_leaves_no_child(tmp_path):
+    # one real SIGINT to a CLI train on every CPU this process may use (one
+    # under taskset -c 0, where nothing forks)
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    cmd = [sys.executable, "-m", "groundkit.cli"]
+    data = tmp_path / "s.jsonl"
+    subprocess.run(cmd + ["synth", "--n", "120", "--seed", "3", "--out", str(data)],
+                   env=env, check=True, capture_output=True)
+    proc = subprocess.Popen(cmd + ["train", "--data", str(data), "--config", str(TOY_CFG),
+                                   "--steps", "1000000", "--out", str(tmp_path / "run")],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    lines = []
+    try:
+        # step 0's progress line: the steps run, and any worker is forked
+        while not (lines and lines[-1].startswith("step 0:")):
+            line = proc.stderr.readline()
+            assert line, "train ended before its first step: " + "".join(lines)
+            lines.append(line.rstrip("\n"))
+        try:
+            children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children").read_text().split()
+        except OSError:   # no children file on this kernel
+            children = []
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=600)   # a guard against a hang only
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 130, err
+    assert out == ""
+    err_lines = lines + err.splitlines()
+    assert err_lines[-1] == '{"error": "interrupted"}'
+    assert not any("Traceback" in line for line in err_lines), err
+    for pid in map(int, children):   # the worker exited and was reaped
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_blas_runs_one_thread_in_eval_and_its_count_is_restored(capsys, monkeypatch,

@@ -7,6 +7,7 @@ import signal
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,6 @@ from groundkit.grounder import (
     build_vocab,
     make_batches,
     read_config,
-    sequence_length,
     substitute_neutral_names,
     train,
 )
@@ -44,10 +44,11 @@ from groundkit.geometry import T1
 from groundkit.grounder.model import (
     DEFAULT_NEUTRAL_NAMES,
     SUB_BATCH,
+    ContrastSets,
     EncodedBatch,
-    SampleLayout,
+    PassInputs,
+    Prepared,
     classification_logits,
-    contrastive_loss_from_features,
     forward_passes,
     loss_cls,
     loss_con,
@@ -209,53 +210,109 @@ class TestLossCls:
         assert float(loss.data) == pytest.approx(0.25 * row0 + 0.75 * row1, abs=1e-12)
 
 
-def fake_layout(link_positions, n_text=0, n_persons=0, sets=None):
-    """A layout of ``n_text`` words, then ``n_persons`` persons, without feature rows.
-
-    Each set's candidate positions may be given as a list.
-    """
-    if sets is not None:
-        sets = [(anchor, np.array(candidates, dtype=np.intp), weights)
-                for anchor, candidates, weights in sets]
-    return SampleLayout(link_positions=link_positions, labels={},
-                        word_ids=np.zeros(n_text, dtype=np.intp), n_persons=n_persons,
-                        features=[], locations=np.zeros((0, 7)), sets=sets)
+def fake_sample(link_positions, n_text=0, n_persons=0, length=None, sets=None):
+    """One sample's description for ``fake_prepared``: ``n_text`` words, then
+    ``n_persons`` persons, then regions up to ``length`` tokens (``n_text +
+    n_persons`` by default), with no feature rows.  ``sets`` holds one
+    ``(anchor, candidates, IoU weights of the positives)`` per link, in
+    positions."""
+    return dict(link_positions=link_positions, n_text=n_text, n_persons=n_persons,
+                length=n_text + n_persons if length is None else length, sets=sets)
 
 
-def fake_encoded(feats, layout):
-    """A batch of one, ``layout``, whose every hidden layer is ``feats`` ([L, d])."""
-    t = nc.Tensor(np.asarray(feats, dtype=np.float64)[None])
-    return EncodedBatch(sequence=t, mask=np.ones(t.data.shape[:2], dtype=bool),
-                        layouts=[layout], hidden=[t])
+def fake_prepared(*samples):
+    """``Prepared`` columns of ``fake_sample`` descriptions, laid out by hand:
+    zero word ids and regions, every label 0."""
+    def starts(counts):
+        return np.cumsum(counts, dtype=np.intp) - counts
+
+    text_len = np.array([x["n_text"] for x in samples], dtype=np.intp)
+    lengths = np.array([x["length"] for x in samples], dtype=np.intp)
+    n_links = np.array([len(x["link_positions"]) for x in samples], dtype=np.intp)
+    links = [(link, x["link_positions"][link]) for x in samples
+             for link in sorted(x["link_positions"])]
+    sets = None
+    if samples[0]["sets"] is not None:
+        rows = [row for x in samples for row in x["sets"]]
+        counts = np.array([len(c) for _a, c, _w in rows], dtype=np.intp)
+        sets = ContrastSets(
+            anchors=np.array([a for a, _c, _w in rows], dtype=np.intp),
+            n_positives=np.array([len(w) for _a, _c, w in rows], dtype=np.intp),
+            starts=starts(counts), counts=counts,
+            candidates=np.array([p for _a, c, _w in rows for p in c], dtype=np.intp),
+            weights=np.array([v for _a, c, w in rows
+                              for v in list(w) + [0.0] * (len(c) - len(w))]))
+    n_regions = lengths - text_len
+    return Prepared(
+        text_start=starts(text_len), text_len=text_len, lengths=lengths,
+        n_persons=np.array([x["n_persons"] for x in samples], dtype=np.intp),
+        region_start=starts(n_regions), link_start=starts(n_links), n_links=n_links,
+        word_ids=np.zeros(text_len.sum(), dtype=np.intp),
+        features=np.zeros((n_regions.sum(), 1)), locations=np.zeros((n_regions.sum(), 7)),
+        link_ids=np.array([link for link, _p in links], dtype=np.intp),
+        link_positions=np.array([p for _link, p in links], dtype=np.intp),
+        labels=np.zeros(len(links), dtype=np.intp), sets=sets)
 
 
-def person_positions(encoded):
-    return [list(x.persons) for x in encoded.layouts]
+def fake_encoded(feats, *samples):
+    """One pass over ``fake_sample`` descriptions whose every hidden layer is
+    ``feats`` (``[B, L, d]``, or ``[L, d]`` for one sample)."""
+    inputs = fake_prepared(*samples).gather()
+    t = nc.Tensor(np.asarray(feats, dtype=np.float64).reshape(inputs.mask.shape + (-1,)))
+    return EncodedBatch(sequence=t, inputs=inputs, hidden=[t])
 
 
-def object_positions(encoded):
-    return [list(range(x.persons.stop, sequence_length(x))) for x in encoded.layouts]
+def person_positions(prepared):
+    return [list(range(t, t + n)) for t, n in zip(prepared.text_len, prepared.n_persons)]
+
+
+def object_positions(prepared):
+    return [list(range(t + n, length)) for t, n, length
+            in zip(prepared.text_len, prepared.n_persons, prepared.lengths)]
+
+
+def sets_of(prepared, i=0):
+    """Sample ``i``'s ``(anchor, candidates, IoU weights of the positives)``
+    per link, read from the columns."""
+    s = prepared.sets
+    return [(int(s.anchors[k]), s.candidates[s.starts[k]:s.starts[k] + s.counts[k]],
+             s.weights[s.starts[k]:s.starts[k] + s.n_positives[k]])
+            for k in range(prepared.link_start[i], prepared.link_start[i] + prepared.n_links[i])]
+
+
+def ragged_loss(feats, anchors, candidates, weights, tau):
+    """``loss_con`` on one feature state ``feats``, with per-link lists of
+    flat candidate rows and of coefficients, padded as a pass's inputs are."""
+    counts = np.array([len(c) for c in candidates])
+    mask = np.arange(counts.max()) < counts[:, None]
+    cols = np.zeros(mask.shape, dtype=np.intp)
+    cols[mask] = np.concatenate(candidates)
+    coef = np.zeros(mask.shape)
+    coef[np.arange(counts.max()) < np.array([len(w) for w in weights])[:, None]] = \
+        np.concatenate(weights)
+    inputs = SimpleNamespace(anchors=np.array(anchors), candidates=cols, candidate_mask=mask,
+                             coef=coef)
+    return loss_con(EncodedBatch(sequence=feats, inputs=inputs, hidden=[feats]), tau, 1)
 
 
 class TestLossCon:
-    # ``contrastive_loss_from_features`` takes the coefficients of the
-    # log-softmax terms (0 for negatives); ``loss_con`` derives them from the
-    # IoU weights.  A layout's sets hold positions: (link token, positives
-    # then negatives, IoU weights of the positives)
+    # ``ragged_loss`` takes the coefficients of the log-softmax terms (0 for
+    # negatives); a pass's inputs derive them from the IoU weights.  A
+    # sample's sets hold positions: (link token, positives then negatives,
+    # IoU weights of the positives)
 
     def test_uniform_similarities_ln4(self):
         # P = {gt} weight 1, |N| = 3, all similarities equal -> ln 4
         feats = np.ones((5, 4))
-        loss = contrastive_loss_from_features(nc.Tensor(feats), [0], [[1, 2, 3, 4]],
-                                              [[1.0, 0.0, 0.0, 0.0]], tau=1.0)
+        loss = ragged_loss(nc.Tensor(feats), [0], [[1, 2, 3, 4]],
+                           [[1.0, 0.0, 0.0, 0.0]], tau=1.0)
         assert float(loss.data) == pytest.approx(math.log(4), abs=1e-9)
 
     def test_one_positive_one_negative_closed_form(self):
         # s_p = 1, s_n = 0, tau = 1 -> ln(1 + e^-1)
         feats = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 7.3]])
         feats[2] = [0.0, 0.0]
-        loss = contrastive_loss_from_features(nc.Tensor(feats), [0], [[1, 2]],
-                                              [[1.0, 0.0]], tau=1.0)
+        loss = ragged_loss(nc.Tensor(feats), [0], [[1, 2]], [[1.0, 0.0]], tau=1.0)
         assert float(loss.data) == pytest.approx(math.log(1 + math.exp(-1)), abs=1e-9)
         assert float(loss.data) == pytest.approx(0.313262, abs=1e-6)
 
@@ -263,8 +320,8 @@ class TestLossCon:
         # P = {gt (IoU 1), c (IoU 0.6)}, all sims equal, |N| = 2
         # -> ((1 + 0.6)/2) * ln 4 = 0.8 * ln 4
         # persons at 1, 3, 4, the gt person's object at 2
-        encoded = fake_encoded(np.ones((5, 3)), fake_layout(
-            {1: 0}, sets=[(0, [1, 2, 3, 4], np.array([1.0, 0.6]))]))
+        encoded = fake_encoded(np.ones((5, 3)), fake_sample(
+            {1: 0}, length=5, sets=[(0, [1, 2, 3, 4], [1.0, 0.6])]))
         loss = loss_con(encoded, tau=1.0, contrast_layer=1)
         assert float(loss.data) == pytest.approx(0.8 * math.log(4), abs=1e-9)
         assert float(loss.data) == pytest.approx(1.109035, abs=1e-6)
@@ -275,31 +332,26 @@ class TestLossCon:
         feats = rng.normal(0, 0.05, (6, 8))
         weights = np.array([1.0, 0.7, 0.4])
         # persons at 1, 4, 5, the gt person's objects at 2, 3
-        encoded = fake_encoded(feats, fake_layout({1: 0}, sets=[(0, [1, 2, 3, 4, 5], weights)]))
+        encoded = fake_encoded(feats, fake_sample({1: 0}, length=6,
+                                                  sets=[(0, [1, 2, 3, 4, 5], weights)]))
         loss = loss_con(encoded, tau=1e6, contrast_layer=1)
         expected = weights.sum() / 3 * math.log(5)
         assert float(loss.data) == pytest.approx(expected, abs=1e-6)
 
     def test_mean_over_links_then_over_samples(self):
-        # all real rows equal, padding rows zero, tau = 1: a link's term is
-        # mean(IoU weights) * ln(|P| + |N|)
+        # all real rows equal, tau = 1: a link's term is mean(IoU weights) *
+        # ln(|P| + |N|)
         #   sample 0, link 1: weights [1, 0.6], |N| = 2 -> 0.8 ln 4
         #   sample 0, link 2: weights [1],      |N| = 1 -> ln 2
         #   sample 1, link 1: weights [1, 0.5, 0.3], |N| = 2 -> 0.6 ln 5
-        feats = np.zeros((2, 7, 3))
-        feats[0, :6] = 1.0
-        feats[1, :6] = 1.0
-        t = nc.Tensor(feats)
         # sample 0: persons at 2, 3, 4, an object at 5; sample 1: persons at
         # 1, 2, 3, objects at 4, 5
-        layouts = [
-            fake_layout({1: 0, 2: 1}, n_text=2, n_persons=3,
-                        sets=[(0, [2, 5, 3, 4], np.array([1.0, 0.6])),
-                              (1, [3, 2], np.array([1.0]))]),
-            fake_layout({1: 0}, n_text=1, n_persons=3,
-                        sets=[(0, [3, 4, 5, 1, 2], np.array([1.0, 0.5, 0.3]))])]
-        encoded = EncodedBatch(sequence=t, mask=np.abs(feats).sum(axis=2) > 0,
-                               layouts=layouts, hidden=[t])
+        encoded = fake_encoded(
+            np.ones((2, 6, 3)),
+            fake_sample({1: 0, 2: 1}, n_text=2, n_persons=3, length=6,
+                        sets=[(0, [2, 5, 3, 4], [1.0, 0.6]), (1, [3, 2], [1.0])]),
+            fake_sample({1: 0}, n_text=1, n_persons=3, length=6,
+                        sets=[(0, [3, 4, 5, 1, 2], [1.0, 0.5, 0.3])]))
         loss = loss_con(encoded, tau=1.0, contrast_layer=1)
         expected = ((0.8 * math.log(4) + math.log(2)) / 2 + 0.6 * math.log(5)) / 2
         assert float(loss.data) == pytest.approx(expected, abs=1e-9)
@@ -309,14 +361,13 @@ class TestLossCon:
     def test_temperature_must_be_positive(self, tau):
         feats = np.ones((3, 2))
         with pytest.raises(nc.NumericError, match="temperature"):
-            contrastive_loss_from_features(nc.Tensor(feats), [0], [[1, 2]],
-                                           [[1.0, 0.0]], tau=tau)
+            ragged_loss(nc.Tensor(feats), [0], [[1, 2]], [[1.0, 0.0]], tau=tau)
 
     def test_non_negative(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             feats = rng.normal(0, 2, (6, 4))
-            loss = contrastive_loss_from_features(
+            loss = ragged_loss(
                 nc.Tensor(feats), [0], [[1, 2, 3, 4, 5]],
                 [[0.5, rng.uniform(0, 1) / 2, 0.0, 0.0, 0.0]],
                 tau=float(rng.uniform(0.1, 5)))
@@ -327,11 +378,10 @@ class TestLossCon:
         # padded, and the padding must not change its term
         rng = np.random.default_rng(4)
         feats = nc.Tensor(rng.normal(0, 1, (7, 4)))
-        both = contrastive_loss_from_features(feats, [0, 5], [[1, 2, 3, 4], [6, 1]],
-                                              [[0.5, 0.2, 0.0, 0.0], [1.0, 0.0]], tau=0.5)
-        first = contrastive_loss_from_features(feats, [0], [[1, 2, 3, 4]],
-                                               [[0.5, 0.2, 0.0, 0.0]], tau=0.5)
-        second = contrastive_loss_from_features(feats, [5], [[6, 1]], [[1.0, 0.0]], tau=0.5)
+        both = ragged_loss(feats, [0, 5], [[1, 2, 3, 4], [6, 1]],
+                           [[0.5, 0.2, 0.0, 0.0], [1.0, 0.0]], tau=0.5)
+        first = ragged_loss(feats, [0], [[1, 2, 3, 4]], [[0.5, 0.2, 0.0, 0.0]], tau=0.5)
+        second = ragged_loss(feats, [5], [[6, 1]], [[1.0, 0.0]], tau=0.5)
         assert float(both.data) == pytest.approx(float(first.data) + float(second.data),
                                                  abs=1e-12)
 
@@ -339,7 +389,7 @@ class TestLossCon:
 class TestClassificationLogits:
     def test_shape_and_zero_weights(self):
         feats = np.random.default_rng(0).normal(0, 1, (6, 4))
-        es = fake_encoded(feats, fake_layout({1: 0, 2: 1}, n_text=2, n_persons=3))
+        es = fake_encoded(feats, fake_sample({1: 0, 2: 1}, n_text=2, n_persons=3, length=6))
         q, mask = classification_logits(es, nc.Tensor(np.zeros((4, 4))),
                                          nc.Tensor(np.eye(4)))
         assert q.data.shape == (2, 3)
@@ -352,40 +402,38 @@ class TestClassificationLogits:
         feats[2, 0] = 1.0   # person 0 -> e0
         feats[3, 1] = 1.0   # person 1 -> e1 (matches the link)
         feats[4, 2] = 1.0   # person 2 -> e2
-        es = fake_encoded(feats, fake_layout({1: 0}, n_text=2, n_persons=3))
+        es = fake_encoded(feats, fake_sample({1: 0}, n_text=2, n_persons=3))
         q, _mask = classification_logits(es, nc.Tensor(np.eye(4)), nc.Tensor(np.eye(4)))
         np.testing.assert_allclose(q.data, [[0.0, 1.0, 0.0]], atol=1e-12)
 
 
 def test_padded_batch_reads_each_sample_at_its_offset():
-    # three layouts of different text lengths, person counts and candidate
-    # counts in one padded batch, every row (padding included) random: a link
+    # three samples of different text lengths, person counts and candidate
+    # counts in one padded pass, every row (padding included) random: a link
     # or candidate read at another sample's offset gets other features
-    layouts = [
+    samples = [
         # 2 text, persons at 2-4, an object at 5
-        fake_layout({1: 0, 2: 1}, n_text=2, n_persons=3,
-                    sets=[(0, [2, 5, 3, 4], np.array([1.0, 0.6])),
-                          (1, [3, 2, 4], np.array([1.0]))]),
+        fake_sample({1: 0, 2: 1}, n_text=2, n_persons=3, length=6,
+                    sets=[(0, [2, 5, 3, 4], [1.0, 0.6]), (1, [3, 2, 4], [1.0])]),
         # 4 text, persons at 4-5
-        fake_layout({1: 2}, n_text=4, n_persons=2, sets=[(2, [5, 4], np.array([1.0]))]),
+        fake_sample({1: 2}, n_text=4, n_persons=2, length=6, sets=[(2, [5, 4], [1.0])]),
         # 1 text, persons at 1-4, objects at 5, 6
-        fake_layout({3: 0}, n_text=1, n_persons=4,
-                    sets=[(0, [2, 5, 6, 1, 3, 4], np.array([1.0, 0.5, 0.3]))]),
+        fake_sample({3: 0}, n_text=1, n_persons=4, length=7,
+                    sets=[(0, [2, 5, 6, 1, 3, 4], [1.0, 0.5, 0.3])]),
     ]
     lengths = [6, 6, 7]
     rng = np.random.default_rng(5)
-    feats = rng.normal(0, 1, (3, 8, 4))      # one padding position past the longest
+    feats = rng.normal(0, 1, (3, 7, 4))
     w1, w2 = (nc.Tensor(rng.normal(0, 1, (4, 4))) for _ in range(2))
-    t = nc.Tensor(feats)
-    batch = EncodedBatch(sequence=t, mask=np.arange(8) < np.array(lengths)[:, None],
-                         layouts=layouts, hidden=[t])
+    batch = fake_encoded(feats, *samples)
+    assert batch.inputs.mask.tolist() == (np.arange(7) < np.array(lengths)[:, None]).tolist()
     q, mask = classification_logits(batch, w1, w2)
-    alone = [fake_encoded(feats[b, :n], layout)
-             for b, (layout, n) in enumerate(zip(layouts, lengths))]
+    alone = [fake_encoded(feats[b, :n], sample)
+             for b, (sample, n) in enumerate(zip(samples, lengths))]
     expected = [classification_logits(one, w1, w2)[0].data for one in alone]
-    assert [b for b, _link in batch.links()] == [0, 0, 1, 2]
+    assert batch.inputs.link_sample.tolist() == [0, 0, 1, 2]
     for k, (b, row) in enumerate(((0, 0), (0, 1), (1, 0), (2, 0))):
-        n = layouts[b].n_persons
+        n = samples[b]["n_persons"]
         assert mask[k].tolist() == [True] * n + [False] * (4 - n)
         np.testing.assert_allclose(q.data[k, :n], expected[b][row], rtol=1e-12)
     # the batch loss is the mean over samples of each sample's own loss
@@ -398,18 +446,20 @@ class TestModelForward:
     def test_sequence_layout(self):
         sample = make_sample("m-1", n_persons=3, n_objects=2)
         model, config = toy_model([sample])
-        encoded = model.embed(model.prepare([sample]))
-        n_text = len(model.prepare([sample])[0].word_ids)
+        prepared = model.prepare([sample])
+        encoded = model.embed(prepared.gather())
+        n_text = int(prepared.text_len[0])
         assert encoded.sequence.data.shape == (1, n_text + 3 + 2, config.d_model)
-        assert person_positions(encoded) == [[n_text, n_text + 1, n_text + 2]]
-        assert object_positions(encoded) == [[n_text + 3, n_text + 4]]
+        assert person_positions(prepared) == [[n_text, n_text + 1, n_text + 2]]
+        assert object_positions(prepared) == [[n_text + 3, n_text + 4]]
 
     def test_no_context_objects_excluded_from_sequence(self):
         sample = make_sample("m-2", n_persons=3, n_objects=2)
         model, config = toy_model([sample], use_context_objects=False)
-        encoded = model.embed(model.prepare([sample]))
-        assert object_positions(encoded) == [[]]
-        assert encoded.sequence.data.shape[1] == len(model.prepare([sample])[0].word_ids) + 3
+        prepared = model.prepare([sample])
+        encoded = model.embed(prepared.gather())
+        assert object_positions(prepared) == [[]]
+        assert encoded.sequence.data.shape[1] == prepared.text_len[0] + 3
 
     @pytest.mark.parametrize("shape", [(7,), (8, 1)])
     def test_prepare_refuses_a_feature_row_of_another_shape(self, shape):
@@ -424,8 +474,9 @@ class TestModelForward:
     def test_hundred_context_objects_all_included(self):
         sample = make_sample("m-3", n_persons=2, n_objects=100)
         model, _ = toy_model([sample])
-        encoded = model.embed(model.prepare([sample]))
-        assert len(object_positions(encoded)[0]) == 100
+        prepared = model.prepare([sample])
+        model.embed(prepared.gather())
+        assert len(object_positions(prepared)[0]) == 100
 
     def test_contrastive_sets_hold_sequence_positions(self):
         # persons follow the text, the qualifying object (IoU 0.5 with the
@@ -435,10 +486,11 @@ class TestModelForward:
         for use_objects, positives, weights in ((True, [0, 3], [1.0, 0.5]),
                                                 (False, [0], [1.0])):
             model, _config = toy_model([sample], use_context_objects=use_objects)
-            layout = model.prepare([sample], contrast=True)[0]
-            n_text = len(layout.word_ids)
-            [(anchor, candidates, iou_weights)] = layout.sets
-            assert anchor == layout.link_positions[1]
+            prepared = model.prepare([sample], contrast=True)
+            n_text = prepared.text_len[0]
+            [(anchor, candidates, iou_weights)] = sets_of(prepared)
+            assert prepared.link_ids.tolist() == [1]
+            assert anchor == prepared.link_positions[0]
             assert candidates.dtype == np.intp
             assert candidates.tolist() == [n_text + j for j in positives + [1, 2]]
             np.testing.assert_allclose(iou_weights, weights)
@@ -455,12 +507,14 @@ class TestModelForward:
                 (True, [([0, 3, 1, 2], [1.0, 0.5]), ([2, 4, 0, 1], [1.0, 0.8])]),
                 (False, [([0, 1, 2], [1.0]), ([2, 0, 1], [1.0])])):
             model, _config = toy_model([sample], use_context_objects=use_objects)
-            layout = model.prepare([sample], contrast=True)[0]
-            n_text = len(layout.word_ids)
-            assert [anchor for anchor, _c, _w in layout.sets] == [
-                layout.link_positions[1], layout.link_positions[2]]
+            prepared = model.prepare([sample], contrast=True)
+            n_text = prepared.text_len[0]
+            link_positions = dict(zip(prepared.link_ids.tolist(),
+                                      prepared.link_positions.tolist()))
+            assert [anchor for anchor, _c, _w in sets_of(prepared)] == [
+                link_positions[1], link_positions[2]]
             for (_anchor, candidates, iou_weights), (positions, weights) in zip(
-                    layout.sets, expected, strict=True):
+                    sets_of(prepared), expected, strict=True):
                 assert candidates.tolist() == [n_text + j for j in positions]
                 assert iou_weights.dtype == np.float64
                 assert iou_weights.tolist() == weights
@@ -469,10 +523,10 @@ class TestModelForward:
         sample = make_sample("m-4")
         model, config = toy_model([sample], lam=0.0)
         with nc.Graph():
-            total = model.batch_loss(model.prepare([sample]))
-        encoded = model.forward(model.prepare([sample]))
+            total = model.batch_loss(model.prepare([sample]).gather())
+        encoded = model.forward(model.prepare([sample]).gather())
         q, mask = classification_logits(encoded, model.params["cls.w1"], model.params["cls.w2"])
-        labels = [sample.labels[l] for _b, l in encoded.links()]
+        labels = [sample.labels[l] for l in encoded.inputs.link_ids.tolist()]
         cls = loss_cls(q, labels, mask=mask, weights=[1.0 / len(labels)] * len(labels))
         assert float(total.data) == float(cls.data)
 
@@ -480,11 +534,11 @@ class TestModelForward:
         sample = make_sample("m-5")
         model, config = toy_model([sample])
         assert config.lam == 1.0
-        layouts = model.prepare([sample], contrast=True)
-        total = model.batch_loss(layouts)
-        encoded = model.forward(layouts)
+        inputs = model.prepare([sample], contrast=True).gather()
+        total = model.batch_loss(inputs)
+        encoded = model.forward(inputs)
         q, mask = classification_logits(encoded, model.params["cls.w1"], model.params["cls.w2"])
-        labels = [sample.labels[l] for _b, l in encoded.links()]
+        labels = [sample.labels[l] for l in encoded.inputs.link_ids.tolist()]
         cls = loss_cls(q, labels, mask=mask, weights=[1.0 / len(labels)] * len(labels))
         con = loss_con(encoded, config.tau, config.contrast_layer)
         assert float(total.data) == pytest.approx(float(cls.data) + float(con.data),
@@ -500,7 +554,7 @@ class TestModelForward:
         config = read_config(TOY_CFG)[0]
         model = GroundingModel.init(config, build_vocab(samples))
         with nc.Graph() as g:
-            model.batch_loss(model.prepare(samples, contrast=True))
+            model.batch_loss(model.prepare(samples, contrast=True).gather())
         assert len(g.nodes) == 7 + 4 * config.n_layers + 11 == 26
 
     def test_predict_argmax_and_permutation_consistency(self):
@@ -577,8 +631,8 @@ class TestGradientsThroughModel:
 
     def test_full_loss_gradient_matches_finite_differences(self):
         model, _config = rescaled_model(self.fixture)
-        layouts = model.prepare(self.fixture, contrast=True)
-        err = nc.grad_check(lambda: model.batch_loss(layouts), model.params,
+        inputs = model.prepare(self.fixture, contrast=True).gather()
+        err = nc.grad_check(lambda: model.batch_loss(inputs), model.params,
                             epsilon=1e-5, max_entries_per_param=10,
                             rng=np.random.default_rng(0)).max_rel_error
         assert err < 1e-4
@@ -643,10 +697,10 @@ class TestBatching:
         from groundkit import benchkit
         samples = benchkit.synth_generate(
             benchkit.SynthConfig(n_samples=n, max_persons=6, d_vis=24, seed=6))
-        layouts = self._model(samples).prepare(samples)
-        passes = forward_passes(layouts)
+        lengths = self._model(samples).prepare(samples).lengths
+        passes = forward_passes(lengths)
         assert len(passes) == n_passes
-        assert_even_token_cut(passes, [sequence_length(layout) for layout in layouts])
+        assert_even_token_cut(passes, lengths.tolist())
         assert forward_passes([]) == []
 
     def test_predict_returns_input_order(self):
@@ -664,14 +718,14 @@ class TestBatching:
 
     def test_predict_of_no_samples_runs_no_pass(self, monkeypatch):
         model = self._model([make_sample("e-0")])
-        monkeypatch.setattr(model, "forward", lambda layouts: pytest.fail("forward ran"))
+        monkeypatch.setattr(model, "forward", lambda inputs: pytest.fail("forward ran"))
         assert model.predict([]) == []
 
     def test_batch_loss_is_mean_of_single_losses(self):
         samples = gradient_fixture(d_vis=24, seed=5)
         model = self._model(samples)
-        batch = float(model.batch_loss(model.prepare(samples, contrast=True)).data)
-        singles = [float(model.batch_loss(model.prepare([s], contrast=True)).data)
+        batch = float(model.batch_loss(model.prepare(samples, contrast=True).gather()).data)
+        singles = [float(model.batch_loss(model.prepare([s], contrast=True).gather()).data)
                    for s in samples]
         assert batch == pytest.approx(sum(singles) / len(singles), rel=1e-5)
 
@@ -681,18 +735,12 @@ def assert_even_token_cut(passes, lengths):
     position)``, into ``pass_count`` non-empty passes, each within one
     longest length of an equal share of the tokens."""
     n, k = len(lengths), len(passes)
-    assert k == pass_count(n) and all(passes)
+    assert k == pass_count(n) and all(len(positions) for positions in passes)
     assert [i for positions in passes for i in positions] == \
            sorted(range(n), key=lambda i: (lengths[i], i))
     total, longest = sum(lengths), max(lengths)
     for positions in passes:
         assert abs(k * sum(lengths[i] for i in positions) - total) <= k * longest
-
-
-def layout_of_length(length):
-    """A layout of ``length`` text tokens and no regions."""
-    return SampleLayout(link_positions={}, labels={}, word_ids=np.zeros(length, np.intp),
-                        n_persons=0, features=np.zeros((0, 1)), locations=np.zeros((0, 7)))
 
 
 # ``long`` puts a few sequences, up to many times a pass's share of the
@@ -703,7 +751,7 @@ def layout_of_length(length):
        long=st.lists(st.integers(41, 100_000), max_size=4))
 def test_forward_passes_cut_at_equal_token_counts(short, long):
     lengths = short + long
-    assert_even_token_cut(forward_passes([layout_of_length(n) for n in lengths]), lengths)
+    assert_even_token_cut(forward_passes(np.array(lengths)), lengths)
 
 
 class TestPreparedLayouts:
@@ -727,32 +775,32 @@ class TestPreparedLayouts:
         samples = gradient_fixture(d_vis=24, seed=3)
         config = toy_config(d_vis=24)
         model = GroundingModel.init(config, build_vocab(samples), dtype=np.float32)
-        layouts = model.prepare(samples, contrast=True)
+        prepared = model.prepare(samples, contrast=True)
         with nc.Graph() as graph:
-            loss = model.batch_loss(layouts)
+            loss = model.batch_loss(prepared.gather())
             graph.backward(loss)
-        # the used layouts must still equal freshly prepared ones
+        # the used columns must still equal freshly prepared ones
         fresh = model.prepare(samples, contrast=True)
-        assert float(loss.data) == float(model.batch_loss(fresh).data)
-        used, new = model.embed(layouts), model.embed(fresh)
+        assert float(loss.data) == float(model.batch_loss(fresh.gather()).data)
+        used, new = model.embed(prepared.gather()), model.embed(fresh.gather())
         assert used.sequence.data.tobytes() == new.sequence.data.tobytes()
-        assert used.mask.tobytes() == new.mask.tobytes()
-        assert ([x.link_positions for x in used.layouts], person_positions(used),
-                object_positions(used)) == \
-               ([x.link_positions for x in new.layouts], person_positions(new),
-                object_positions(new))
-        assert [x.word_ids.tolist() for x in layouts] == [x.word_ids.tolist() for x in fresh]
+        assert used.inputs.mask.tobytes() == new.inputs.mask.tobytes()
+        assert (prepared.link_positions.tolist(), person_positions(prepared),
+                object_positions(prepared)) == \
+               (fresh.link_positions.tolist(), person_positions(fresh),
+                object_positions(fresh))
+        assert prepared.word_ids.tolist() == fresh.word_ids.tolist()
+        for name in ContrastSets.__dataclass_fields__:
+            assert getattr(prepared.sets, name).tobytes() == getattr(fresh.sets, name).tobytes()
 
     def test_contrastive_loss_needs_prepared_sets(self):
         samples = [make_sample("n-0")]
         model, _config = toy_model(samples)
         with pytest.raises(ValueError, match="contrast=True"):
-            model.batch_loss(model.prepare(samples))
-        with pytest.raises(ValueError, match="mix"):
-            model.loss_terms(model.prepare(samples, contrast=True) + model.prepare(samples))
-        assert model.loss_terms(model.prepare(samples))[1] is None
+            model.batch_loss(model.prepare(samples).gather())
+        assert model.loss_terms(model.prepare(samples).gather())[1] is None
         model, _config = toy_model(samples, lam=0.0)
-        model.batch_loss(model.prepare(samples))
+        model.batch_loss(model.prepare(samples).gather())
 
     def test_too_long_text_fails_before_first_step(self, monkeypatch):
         steps = []
@@ -767,7 +815,7 @@ class TestPreparedLayouts:
 
 class TestRegionBlock:
     # prepare lays out the regions of all its samples in one feature block
-    # and one location_feature call; each layout keeps its own rows
+    # and one location_feature call; each sample's rows start at its offset
 
     @staticmethod
     def samples():
@@ -785,22 +833,25 @@ class TestRegionBlock:
 
     def test_prepare_of_no_samples_is_empty(self):
         model, _ = toy_model(self.samples())
-        assert model.prepare([]) == [] and model.prepare([], contrast=True) == []
+        for contrast in (False, True):
+            assert len(model.prepare([], contrast=contrast).lengths) == 0
 
     @pytest.mark.parametrize("use_objects", [True, False])
     def test_layouts_hold_views_of_one_block_of_their_regions(self, use_objects):
         samples = self.samples()
         model, _ = toy_model(samples, use_context_objects=use_objects)
-        layouts = model.prepare(samples)
-        block = layouts[0].features.base
-        for sample, layout in zip(samples, layouts):
+        prepared = model.prepare(samples)
+        block = prepared.features
+        for i, sample in enumerate(samples):
             image = sample.image
             regions = image.persons + (image.context_objects if use_objects else [])
-            assert layout.features.base is block and layout.locations.shape == (len(regions), 7)
+            mine = slice(prepared.region_start[i], prepared.region_start[i] + len(regions))
+            assert prepared.lengths[i] - prepared.text_len[i] == len(regions)
+            assert prepared.locations[mine].shape == (len(regions), 7)
             rows = np.array([r.feature for r in regions], dtype=np.float64)  # the model's dtype
-            assert layout.features.tobytes() == rows.tobytes()
+            assert block[mine].tobytes() == rows.tobytes()
             want = [location_row(r.box, image.width, image.height) for r in regions]
-            assert layout.locations.tobytes() == np.array(want).tobytes()
+            assert prepared.locations[mine].tobytes() == np.array(want).tobytes()
         n_regions = sum(s.image.n_persons + use_objects * len(s.image.context_objects)
                         for s in samples)
         assert block.shape == (n_regions, 8)
@@ -809,9 +860,135 @@ class TestRegionBlock:
     def test_blocks_carry_the_parameters_dtype(self, dtype):
         samples = gradient_fixture(d_vis=24, seed=5)  # the gradient suite's batch
         model = GroundingModel.init(toy_config(d_vis=24), build_vocab(samples), dtype=dtype)
-        for layout in model.prepare(samples, contrast=True):
-            assert layout.features.dtype == layout.locations.dtype == dtype
-        assert model.embed(model.prepare(samples)).sequence.data.dtype == dtype
+        prepared = model.prepare(samples, contrast=True)
+        assert prepared.features.dtype == prepared.locations.dtype == dtype
+        assert model.embed(model.prepare(samples).gather()).sequence.data.dtype == dtype
+
+
+def link_order_sample(d_vis=8):
+    """A scene whose text names link 2 before link 1, so that text order (the
+    contrastive sets') and link-id order (the classifier's) differ; an object
+    sits on link 2's person (persons as in ``scene_with_objects``)."""
+    persons = [make_person(i, 110 * i, 0, 110 * i + 100, 100, d_vis=d_vis) for i in range(3)]
+    image = ImageRecord(image_id="img-link-order", width=400, height=120, persons=persons,
+                        context_objects=[make_object(220, 0, 320, 80, d_vis=d_vis)])
+    return Sample(sample_id="link-order", image=image,
+                  tokens=[PersonLink(2), Word("thanks"), PersonLink(1), Word("twice")],
+                  labels={1: 0, 2: 2}, commonsense_type=CommonsenseType.OTHER)
+
+
+def reference_inputs(model, samples, contrast):
+    """One pass's inputs over ``samples``, in that order, built sample by
+    sample and link by link as the model once built them from per-sample
+    layouts."""
+    cfg = model.config
+    B = len(samples)
+    laid = []
+    for s in samples:
+        words, positions = substitute_neutral_names(s.tokens, stable_rng(cfg.seed, s.sample_id),
+                                                    s.sample_id)
+        regions = s.image.persons + (s.image.context_objects if cfg.use_context_objects
+                                     else [])
+        laid.append((words, positions, regions))
+    L = max(len(words) + len(regions) for words, _p, regions in laid)
+    N = max(s.image.n_persons for s in samples)
+    mask = np.zeros((B, L), dtype=bool)
+    word_ids, text_positions, text_rows, region_rows, features, locations = [], [], [], [], [], []
+    link_sample, link_ids, link_rows, person_rows, person_mask, labels, link_weights = \
+        [], [], [], [], [], [], []
+    anchors, candidates, coef = [], [], []
+    for b, (s, (words, positions, regions)) in enumerate(zip(samples, laid)):
+        n_text, n = len(words), s.image.n_persons
+        mask[b, :n_text + len(regions)] = True
+        for p, word in enumerate(words):
+            word_ids.append(model.vocab.get(word, 0))
+            text_positions.append(p)
+            text_rows.append(b * L + p)
+        for j, region in enumerate(regions):
+            region_rows.append(b * L + n_text + j)
+            features.append(region.feature)
+            locations.append(location_row(region.box, s.image.width, s.image.height))
+        for link in sorted(positions):
+            link_sample.append(b)
+            link_ids.append(link)
+            link_rows.append(b * L + positions[link])
+            person_rows.append([b * L + n_text + j if j < n else 0 for j in range(N)])
+            person_mask.append([j < n for j in range(N)])
+            labels.append(s.labels[link])
+            link_weights.append(1.0 / (B * len(positions)))
+        if contrast:
+            for link, (objects, ious) in zip(s.link_ids, select_context_objects(s)):
+                kept = objects if cfg.use_context_objects else []
+                gt = s.labels[link]
+                order = [gt] + [n + c for c in kept] + [j for j in range(n) if j != gt]
+                iou_weights = np.array([1.0] + ious[:len(kept)])
+                anchors.append(b * L + positions[link])
+                candidates.append([b * L + n_text + j for j in order])
+                coef.append(iou_weights * (1.0 / (len(iou_weights) * len(s.link_ids) * B)))
+    if contrast:
+        C = max(len(c) for c in candidates)
+        candidate_mask = np.array([[k < len(c) for k in range(C)] for c in candidates])
+        candidates = np.array([c + [0] * (C - len(c)) for c in candidates], dtype=np.intp)
+        coef = np.array([list(w) + [0.0] * (C - len(w)) for w in coef])
+    dtype = model.params["embed.feat.w"].data.dtype
+    return PassInputs(
+        mask=mask, word_ids=np.array(word_ids, dtype=np.intp),
+        text_positions=np.array(text_positions, dtype=np.intp),
+        token_rows=np.array(text_rows + region_rows, dtype=np.intp),
+        features=np.array(features, dtype=dtype), locations=np.array(locations, dtype=dtype),
+        link_sample=np.array(link_sample, dtype=np.intp),
+        link_ids=np.array(link_ids, dtype=np.intp), link_rows=np.array(link_rows, dtype=np.intp),
+        person_rows=np.array(person_rows, dtype=np.intp), person_mask=np.array(person_mask),
+        labels=np.array(labels, dtype=np.intp), link_weights=np.array(link_weights),
+        anchors=np.array(anchors, dtype=np.intp) if contrast else None,
+        candidates=candidates if contrast else None,
+        candidate_mask=candidate_mask if contrast else None, coef=coef if contrast else None)
+
+
+class TestColumnGathers:
+    # a pass gathers all its inputs from the prepared columns with array
+    # operations; a per-sample reference must give the same arrays, bit for bit
+
+    @staticmethod
+    def samples():
+        return gradient_fixture(d_vis=24, seed=12) + [link_order_sample(d_vis=24)]
+
+    def assert_same_inputs(self, model, samples, order, contrast):
+        prepared = model.prepare(samples, contrast=contrast)
+        got = prepared.gather(order)
+        want = reference_inputs(model, [samples[i] for i in order], contrast)
+        for name in PassInputs.__dataclass_fields__:
+            a, b = getattr(got, name), getattr(want, name)
+            if b is None:
+                assert a is None, name
+                continue
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("contrast", [True, False])
+    @pytest.mark.parametrize("use_objects", [True, False])
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 1, 0], [2], [3]])
+    def test_columns_gather_what_a_per_sample_reference_builds(self, contrast, use_objects,
+                                                               order):
+        samples = self.samples()
+        model, _config = toy_model(samples, d_vis=24, use_context_objects=use_objects)
+        self.assert_same_inputs(model, samples, order, contrast)
+
+    def test_the_two_link_orders(self):
+        # the classifier's rows run by link id, the contrastive sets by text
+        sample = link_order_sample()
+        assert sample.link_ids == [2, 1]
+        model, _config = toy_model([sample])
+        inputs = model.prepare([sample], contrast=True).gather()
+        assert inputs.link_ids.tolist() == [1, 2]
+        assert inputs.labels.tolist() == [0, 2]
+        # link 2's name is the first word, link 1's the third
+        assert inputs.link_rows.tolist() == [2, 0]
+        assert inputs.anchors.tolist() == [0, 2]
+        n_text = 4
+        assert inputs.candidates[0].tolist() == [n_text + 2, n_text + 3, n_text + 0, n_text + 1]
+        assert inputs.candidate_mask[1].tolist() == [True, True, True, False]
+        assert inputs.coef[1, 0] == 1.0 / (1 * 2 * 1)
 
 
 class TestTrainingLoop:
@@ -900,10 +1077,10 @@ class TestTrainingLoop:
         train(samples, config, TrainSchedule(steps=1, lr=5e-4, token_budget=100_000))
 
         model = GroundingModel.init(config, build_vocab(samples), dtype=np.float32)
-        layouts = model.prepare(samples, contrast=True)
-        assert len(forward_passes(layouts)) == 2
+        prepared = model.prepare(samples, contrast=True)
+        assert len(forward_passes(prepared.lengths)) == 2
         with nc.Graph() as graph:
-            graph.backward(model.batch_loss(layouts))
+            graph.backward(model.batch_loss(prepared.gather()))
         assert grads.keys() == model.params.keys()
         for name, p in model.params.items():
             np.testing.assert_allclose(grads[name], p.grad.reshape(-1), rtol=1e-4,
@@ -986,7 +1163,7 @@ class TestNumericFailures:
         samples = self._samples(2 * SUB_BATCH)
         model, _config = toy_model(samples)
         passes = [[samples[i].sample_id for i in positions]
-                  for positions in forward_passes(model.prepare(samples))]
+                  for positions in forward_passes(model.prepare(samples).lengths)]
         assert len(passes) == 2
         samples[17].image.context_objects[0].feature[0] = np.inf
         with pytest.raises(nc.NumericError) as info:
@@ -1012,10 +1189,10 @@ class TestNumericFailures:
     def test_deferred_checks_change_no_value(self):
         samples = gradient_fixture(d_vis=24, seed=3)
         model = GroundingModel.init(toy_config(d_vis=24), build_vocab(samples), np.float32)
-        layouts = model.prepare(samples, contrast=True)
-        checked = model.batch_loss(layouts).data
+        inputs = model.prepare(samples, contrast=True).gather()
+        checked = model.batch_loss(inputs).data
         with nc.deferred_checks():
-            deferred = model.batch_loss(layouts).data
+            deferred = model.batch_loss(inputs).data
         assert deferred.tobytes() == checked.tobytes()
 
 
