@@ -22,7 +22,7 @@ from .core import (
     PersonLink,
     Prediction,
     Sample,
-    stable_rngs,
+    stable_keys,
 )
 from .geometry import T1, iou
 
@@ -31,10 +31,12 @@ from .geometry import T1, iou
 
 
 def baseline_random(samples: Sequence[Sample], seed: int = 0) -> list[Prediction]:
-    """One uniform pick per link, drawn from the sample's own generator,
-    seeded per (seed, sample_id) (``stable_rngs``)."""
-    return [Prediction({link: int(rng.integers(s.image.n_persons)) for link in s.link_ids})
-            for s, rng in zip(samples, stable_rngs(seed, [s.sample_id for s in samples]))]
+    """Link ``i`` of a sample, in ``link_ids`` order, picks person ``key[i] %
+    n_persons`` of its digest keys per (seed, sample_id) (``stable_keys``)."""
+    keys = stable_keys(seed, [s.sample_id for s in samples],
+                       max([16] + [len(s.link_ids) for s in samples])).tolist()
+    return [Prediction({link: key[i] % s.image.n_persons for i, link in enumerate(s.link_ids)})
+            for s, key in zip(samples, keys)]
 
 
 def _assign_in_order(link_ids: Sequence[int], ordered_boxes: Sequence[int]) -> Prediction:

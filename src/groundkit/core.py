@@ -28,7 +28,9 @@ number or string field of the JSON side holds that JSON kind and is never
 coerced from another (``json_value``), and a word token is a non-empty string.
 All records are read-only after load, and their feature rows cannot be
 written.  The per-record checks run on every record read or written, so they
-format their messages only on failure.
+format their messages only on failure.  Seeded per-sample choices read digests
+of ``f"{seed}:{tag}"``, not ``hash()``: ``stable_hash`` (the splits) and
+``stable_keys`` (the neutral names and the random baseline's picks).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence, TypeVar, Union
+from typing import Callable, Mapping, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -79,79 +81,13 @@ def stable_hash(seed: int, tag: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def stable_rng(seed: int, tag: str) -> np.random.Generator:
-    """Generator seeded by ``stable_hash(seed, tag)``."""
-    return np.random.default_rng(stable_hash(seed, tag))
-
-
-# numpy's SeedSequence hash: its constants, for a pool of 4 words and no spawn key
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _seed_words(hashes: np.ndarray) -> np.ndarray:
-    """``[n, 4]`` uint64: ``SeedSequence(h).generate_state(4, np.uint64)`` for
-    each 64-bit ``h`` in ``hashes``, as one array pass per step of the hash.
-
-    The running constants are Python ints, so that no uint32 scalar overflows;
-    the array products wrap mod 2**32 as numpy's own uint32 arithmetic does.
-    """
-    const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        value = value * const
-        return value ^ (value >> 16)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return result ^ (result >> 16)
-
-    with np.errstate(over="ignore"):
-        # a hash below 2**32 is one entropy word, whose missing high word
-        # hashes as the zero that pads the pool
-        zero = np.zeros(len(hashes), dtype=np.uint32)
-        pool = [hashmix(word) for word in ((hashes & _MASK32).astype(np.uint32),
-                                           (hashes >> 32).astype(np.uint32), zero, zero)]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        const, words = _INIT_B, []
-        for i in range(8):
-            value = pool[i % 4] ^ const
-            const = const * _MULT_B & _MASK32
-            value = value * const
-            words.append(value ^ (value >> 16))
-    words64 = np.stack(words, axis=1).astype(np.uint64)
-    return words64[:, 0::2] | (words64[:, 1::2] << np.uint64(32))
-
-
-def stable_rngs(seed: int, tags: Sequence[str]) -> Iterator[np.random.Generator]:
-    """For each tag in turn, a generator that draws what ``stable_rng(seed, tag)`` would.
-
-    Every tag's seed words come from one array pass of numpy's SeedSequence
-    hash (``_seed_words``); each tag then sets one reused ``PCG64``'s state
-    as ``pcg64_set_seed`` does, two steps of its LCG.  The same Generator is
-    yielded each time, so draw from it before taking the next.
-    """
-    bit_generator = np.random.PCG64(0)   # a fixed seed reads no OS entropy
-    rng = np.random.Generator(bit_generator)
-    hashes = np.array([stable_hash(seed, tag) for tag in tags], dtype=np.uint64)
-    for seed_hi, seed_lo, inc_hi, inc_lo in _seed_words(hashes).tolist():
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        yield rng
+def stable_keys(seed: int, tags: Sequence[str], k: int) -> np.ndarray:
+    """``[len(tags), k]`` uint32 keys, row ``i`` the first ``4 * k`` bytes (little
+    endian) of the SHAKE-256 digest of ``f"{seed}:{tags[i]}"``: a tag's first
+    keys depend neither on ``k``, nor on the other tags, nor on PYTHONHASHSEED."""
+    blob = b"".join([hashlib.shake_256(f"{seed}:{tag}".encode("utf-8")).digest(4 * k)
+                     for tag in tags])
+    return np.frombuffer(blob, dtype="<u4").reshape(len(tags), k)
 
 
 # ---------------------------------------------------------------------------
@@ -536,11 +472,19 @@ def sample_to_json(sample: Sample) -> dict:
     }
 
 
+_COMMONSENSE_TYPES = {t.value: t for t in CommonsenseType}
+
+
+def _commonsense_type(value: object) -> CommonsenseType:
+    # a miss calls CommonsenseType(value), whose ValueError words the error
+    return (type(value) is str and _COMMONSENSE_TYPES.get(value)) or CommonsenseType(value)
+
+
 def sample_from_json(obj: dict, features: list[np.ndarray]) -> Sample:
     return Sample(sample_id=obj["sample_id"], image=image_from_json(obj["image"], features),
                   tokens=tokens_from_json(obj["tokens"]),
                   labels=labels_from_json(obj["labels"]),
-                  commonsense_type=CommonsenseType(obj["commonsense_type"]))
+                  commonsense_type=_commonsense_type(obj["commonsense_type"]))
 
 
 def qa_to_json(qa: QAPair) -> dict:
@@ -647,16 +591,17 @@ def write_container(path: str | Path, records: Sequence[R], encode: Callable[[R]
 def read_feature_file(path: str | Path) -> tuple[int, dict[str, dict[int, np.ndarray]]]:
     """Return (d_vis, {sample_id: {ordinal: float32 vector}}).
 
-    One walk over the row headers finds every row; one join of the row slices
-    and one ``np.frombuffer`` gather them into a single read-only
+    One walk over the row headers files every row's index in the table,
+    decoding a sample id once per run of rows that share it; one join of the
+    row slices and one ``np.frombuffer`` gather them into a single read-only
     ``[rows, d_vis]`` array, and the vectors returned are views of its rows.
     """
     blob = Path(path).read_bytes()
     if blob[:4] != FEATURE_MAGIC:
         raise DataError(f"{path}: bad feature-file magic {blob[:4]!r}")
     unpack, view, end = _U32.unpack_from, memoryview(blob), len(blob)
-    keys: list[tuple[str, int]] = []
-    slices: list[memoryview] = []
+    table: dict[str, dict[int, int]] = {}   # sample id -> ordinal -> row
+    slices, duplicate, raw, rows = [], None, None, {}
     try:
         (d_vis,) = unpack(blob, 4)
         size, off = 4 * d_vis, 8
@@ -664,7 +609,11 @@ def read_feature_file(path: str | Path) -> tuple[int, dict[str, dict[int, np.nda
             (sid_len,) = unpack(blob, off)
             sid_end = off + 4 + sid_len
             (ordinal,) = unpack(blob, sid_end)
-            keys.append((blob[off + 4:sid_end].decode("utf-8"), ordinal))
+            if blob[off + 4:sid_end] != raw:
+                raw = blob[off + 4:sid_end]
+                rows = table.setdefault(raw.decode("utf-8"), {})
+            if rows.setdefault(ordinal, len(slices)) != len(slices):
+                duplicate = duplicate or (raw.decode("utf-8"), ordinal)
             off = sid_end + 4
             slices.append(view[off:off + size])
             off += size
@@ -673,15 +622,15 @@ def read_feature_file(path: str | Path) -> tuple[int, dict[str, dict[int, np.nda
     if off > end:
         raise DataError(f"{path}: corrupt feature file (the last row holds "
                         f"{len(slices[-1])} of {size} value bytes)")
-    values = np.frombuffer(b"".join(slices), dtype="<f4").reshape(len(keys), d_vis)
-    table: dict[str, dict[int, np.ndarray]] = {}
-    for (sid, ordinal), row in zip(keys, values):
-        rows = table.setdefault(sid, {})
-        if ordinal in rows:
-            raise DataError(f"{path}: duplicate feature row ({sid!r}, {ordinal})")
-        rows[ordinal] = row
-    _require_finite(path, keys, values)
-    return d_vis, table
+    if duplicate is not None:
+        raise DataError(f"{path}: duplicate feature row ({duplicate[0]!r}, {duplicate[1]})")
+    values = np.frombuffer(b"".join(slices), dtype="<f4").reshape(len(slices), d_vis)
+    if not np.isfinite(values).all():
+        keys = sorted((i, sid, o) for sid, rows in table.items() for o, i in rows.items())
+        _require_finite(path, [key[1:] for key in keys], values)
+    views = list(values)
+    return d_vis, {sid: {ordinal: views[i] for ordinal, i in rows.items()}
+                   for sid, rows in table.items()}
 
 
 def read_container(path: str | Path, decode: Callable[[dict, list[np.ndarray]], R]) -> list[R]:
@@ -718,11 +667,14 @@ def read_container(path: str | Path, decode: Callable[[dict, list[np.ndarray]], 
                 obj = json.loads(line)
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: malformed JSON ({exc})") from None
-            _require(isinstance(obj, dict), "%s:%s: record is not a JSON object", path, lineno)
+            # json.loads makes exact dicts and strs: a valid line makes no call
+            if type(obj) is not dict:
+                raise DataError(f"{path}:{lineno}: record is not a JSON object")
             sid = obj.get("sample_id")
-            _require(isinstance(sid, str), "%s:%s: sample_id missing or not a string",
-                     path, lineno)
-            _require(sid not in seen, "%s:%s: duplicate sample_id %r", path, lineno, sid)
+            if type(sid) is not str:
+                raise DataError(f"{path}:{lineno}: sample_id missing or not a string")
+            if sid in seen:
+                raise DataError(f"{path}:{lineno}: duplicate sample_id {sid!r}")
             seen.add(sid)
             rows = table.pop(sid, {})
             try:

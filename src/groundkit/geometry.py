@@ -1,4 +1,5 @@
-"""Axis-aligned box arithmetic: areas, IoU, and the normalized location rows.
+"""Axis-aligned box arithmetic: areas, IoU (per box pair and over arrays), and
+the normalized location rows.
 
 Boxes are treated as real-valued half-open intervals, so ``area = (x2-x1) *
 (y2-y1)`` with no pixel off-by-one conventions, ``iou(b, b) == 1.0`` exactly,
@@ -17,21 +18,24 @@ T1 = 0.3
 T2 = 0.1
 
 
-def intersection_area(a: BoundingBox, b: BoundingBox) -> float:
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    return iw * ih
-
-
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union in [0, 1]; 0 for disjoint boxes."""
-    inter = intersection_area(a, b)
-    if inter == 0.0:
-        return 0.0
-    union = a.area + b.area - inter
-    return inter / union
+    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
+    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    inter = 0.0 if iw <= 0.0 or ih <= 0.0 else iw * ih
+    return 0.0 if inter == 0.0 else inter / (a.area + b.area - inter)
+
+
+def iou_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``iou`` of float64 ``[..., 4]`` box rows that broadcast together, bit for
+    bit: the same operations in the same order (integer coordinates below
+    2**26 keep every area exact), 0.0 where the boxes do not overlap."""
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    union = ((a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+             + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])) - inter
+    return np.divide(inter, union, out=np.zeros(inter.shape), where=inter != 0.0)
 
 
 def location_feature(boxes, width, height) -> np.ndarray:

@@ -1,12 +1,11 @@
 """The grounding model.
 
 Input layout per sample is one flat sequence: substituted text tokens first,
-then one token per candidate person, then one per context object.  Person
-links are replaced by neutral first names drawn deterministically per
-(sample_id, seed); each link is represented by the word token of its
-substituted name.  Region tokens are LN(feature projection + location
-projection) and carry no position embedding; text tokens are
-LN(word embedding + position embedding).
+then one token per candidate person, then one per context object.  Each
+person link is the word token of a neutral first name, in an order of the
+name pool read from the (seed, sample_id) digest.  Region tokens are
+LN(feature projection + location projection) with no position embedding;
+text tokens are LN(word embedding + position embedding).
 
 Scoring is bilinear between final-layer link features and final-layer person
 features; the auxiliary contrastive objective reads an earlier hidden layer
@@ -21,13 +20,15 @@ position within sample ``b``), so one forward and one backward pass serve it.
 
 ``GroundingModel.prepare`` lays out, once, everything about its samples that
 no parameter touches (word ids, region rows, link rows and, for training,
-contrastive sets) as the flat columns of one ``Prepared``; ``Prepared.gather``
-builds a pass's ``PassInputs`` from them with a fixed number of array
-operations, whatever its sample count.  ``embed``, ``forward``, ``loss_terms``
-and ``batch_loss`` take ``PassInputs``.  Training and ``predict`` run the
-passes ``forward_passes`` cuts from the prepared lengths: sorted by length,
-near-equal in tokens, about ``SUB_BATCH`` samples each.  The per-sample entry
-points run a pass of one.  The contrastive weight is ``config.lam``.
+contrastive sets) as the flat columns of one ``Prepared``: one loop over the
+samples maps their words to ids, and every other column is a whole-call array
+pass.  ``Prepared.gather`` builds a pass's ``PassInputs`` from them with a
+fixed number of array operations, whatever its sample count.  ``embed``,
+``forward``, ``loss_terms`` and ``batch_loss`` take ``PassInputs``.  Training
+and ``predict`` run the passes ``forward_passes`` cuts from the prepared
+lengths: sorted by length, near-equal in tokens, about ``SUB_BATCH`` samples
+each.  The per-sample entry points run a pass of one.  The contrastive weight
+is ``config.lam``.
 
 Training and ``predict`` run a pass under ``nc.deferred_checks`` and check
 only its loss or scores; ``replay_pass`` runs a failing pass again with the
@@ -48,8 +49,8 @@ import numpy as np
 
 from .. import numcore as nc
 from ..core import (ContextObject, DataError, PersonBox, PersonLink, Prediction, Sample,
-                    Token, Word, person_link_ids, read_text, replace_file, stable_rngs)
-from ..geometry import T1, T2, iou, location_feature
+                    Token, Word, person_link_ids, read_text, replace_file, stable_keys)
+from ..geometry import T1, T2, iou, iou_array, location_feature
 from ..numcore.encoder import (EncoderConfig, ParamTable, encoder_param_table,
                                init_params, layer_from_last)
 
@@ -214,33 +215,27 @@ def read_config(path: str | Path) -> tuple[ModelConfig, TrainSchedule]:
 # neutral-name substitution
 
 
-def substitute_neutral_names(tokens: Sequence[Token], rng: np.random.Generator,
+def substitute_neutral_names(tokens: Sequence[Token], order: Sequence[int],
                              sample_id: str) -> tuple[list[str], dict[int, int]]:
-    """Replace person links with distinct names from ``DEFAULT_NEUTRAL_NAMES``,
-    one word each.
-
-    Returns the lowercase word list and a map from link id to the position of
-    its substituted name.  The names are the first of one permutation of the
-    pool drawn from ``rng``, which ``prepare`` seeds per (seed, sample_id)
-    (``stable_rngs``); a repeated link id reuses its name, and its map entry
-    points at the first occurrence.  ``sample_id`` names the sample in errors.
-    """
+    """The lowercase words of ``tokens``, each person link replaced by one word
+    of ``DEFAULT_NEUTRAL_NAMES``, and a map from link id to the position of its
+    name.  Link ``i`` by first appearance takes name ``order[i]`` (``prepare``
+    reads the order from the sample's digest keys, ``stable_keys``); a repeated
+    link reuses its name and its first position.  ``sample_id`` names the
+    sample in errors."""
     link_ids = person_link_ids(tokens)
     if len(link_ids) > len(DEFAULT_NEUTRAL_NAMES):
         raise DataError(f"{sample_id}: {len(link_ids)} links exceed "
                         f"name pool of {len(DEFAULT_NEUTRAL_NAMES)}")
-    order = rng.permutation(len(DEFAULT_NEUTRAL_NAMES))
     assigned = {link: DEFAULT_NEUTRAL_NAMES[order[i]] for i, link in enumerate(link_ids)}
-
     words: list[str] = []
     positions: dict[int, int] = {}
     for token in tokens:
-        if isinstance(token, PersonLink):
-            if token.link_id not in positions:
-                positions[token.link_id] = len(words)
-            words.append(assigned[token.link_id])
-        elif isinstance(token, Word):
+        if isinstance(token, Word):   # the most common token first
             words.append(token.lower())
+        elif isinstance(token, PersonLink):
+            positions.setdefault(token.link_id, len(words))
+            words.append(assigned[token.link_id])
         else:
             raise DataError(f"{sample_id}: object link present at embed time")
     return words, positions
@@ -265,22 +260,16 @@ def select_context_objects(sample: Sample) -> list[tuple[list[int], list[float]]
 
     An object qualifies when its IoU with the GT person box exceeds ``T1``
     while its best IoU against every other person box stays below ``T2``.
+    The per-sample, scalar form of the rule ``prepare`` applies to a whole call.
     """
-    persons = sample.image.persons
-    per_link = []
+    persons, per_link = sample.image.persons, []
     for link_id in sample.link_ids:
         gt = sample.labels[link_id]
-        objects, weights = [], []
-        for idx, obj in enumerate(sample.image.context_objects):
-            overlap_gt = iou(obj.box, persons[gt].box)
-            if overlap_gt <= T1:
-                continue
-            if max((iou(obj.box, p.box) for p in persons if p.index != gt),
-                   default=0.0) >= T2:
-                continue
-            objects.append(idx)
-            weights.append(overlap_gt)
-        per_link.append((objects, weights))
+        kept = [(idx, overlap) for idx, obj in enumerate(sample.image.context_objects)
+                if (overlap := iou(obj.box, persons[gt].box)) > T1
+                and max((iou(obj.box, p.box) for p in persons if p.index != gt),
+                        default=0.0) < T2]
+        per_link.append(([idx for idx, _ in kept], [overlap for _, overlap in kept]))
     return per_link
 
 
@@ -288,6 +277,39 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The concatenation of ``arange(start, start + count)`` over the pairs."""
     first = np.repeat(starts + counts - np.cumsum(counts), counts)
     return first + np.arange(first.size)
+
+
+def _contrast_sets(anchors: np.ndarray, link_sample: np.ndarray, gt: np.ndarray,
+                   text_len: np.ndarray, n_persons: np.ndarray, n_regions: np.ndarray,
+                   boxes: np.ndarray | None) -> ContrastSets:
+    """The sets of the links at ``anchors``, of samples ``link_sample``, naming
+    persons ``gt``.  With ``boxes`` (every region's float64 box, each sample's
+    persons, then its objects) one ``iou_array`` pass keeps each link's objects
+    as ``select_context_objects`` does, at the same IoUs; without, none."""
+    # every region of each link's sample, in sequence order, ranked 0 for the
+    # ground-truth person, 1 for a kept object, 2 for another person, 3 else
+    n = (n_persons if boxes is None else n_regions)[link_sample]
+    link = np.repeat(np.arange(len(anchors)), n)
+    region, own = _ranges(0 * n, n), n_persons[link_sample][link]
+    rank = np.where(region == gt[link], 0, np.where(region < own, 2, 3))
+    weights = (rank == 0).astype(np.float64)
+    if boxes is not None:
+        # each object against each person of its sample, 0.0 past them
+        obj = np.flatnonzero(rank == 3)
+        at, own = (np.cumsum(n_regions) - n_regions)[link_sample][link[obj]], own[obj, None]
+        persons = np.arange(n_persons.max(initial=0))
+        others = boxes[at[:, None] + np.minimum(persons, own - 1)]
+        ious = np.where(persons < own, iou_array(boxes[at + region[obj]][:, None], others), 0.0)
+        at_gt = (np.arange(len(obj)), gt[link[obj]])
+        iou_gt, ious[at_gt] = ious[at_gt], 0.0   # leaves the top IoU with another person
+        keep = (iou_gt > T1) & (ious.max(axis=1, initial=0.0) < T2)
+        rank[obj[keep]], weights[obj[keep]] = 1, iou_gt[keep]
+    order = np.lexsort((rank, link))   # stable: index order within a rank
+    order = order[rank[order] < 3]
+    counts = np.bincount(link[order], minlength=len(anchors))
+    return ContrastSets(anchors, np.bincount(link[rank < 2], minlength=len(anchors)),
+                        np.cumsum(counts) - counts, counts,
+                        (text_len[link_sample][link] + region)[order], weights[order])
 
 
 @dataclass(frozen=True)
@@ -556,6 +578,9 @@ class GroundingModel:
     def prepare(self, samples: Sequence[Sample], contrast: bool = False) -> Prepared:
         """The columns of ``samples``, with their contrastive sets if ``contrast``.
 
+        A sample's name order is the stable argsort of its 16 digest keys
+        (``stable_keys``); one loop over the samples substitutes the names and
+        maps words to ids, and every other column is a whole-call array pass.
         A feature row whose length is not ``d_vis``, then a text longer than
         ``MAX_TEXT_LEN``, is a DataError naming the first sample holding one.
         """
@@ -565,53 +590,40 @@ class GroundingModel:
         regions = [s.image.persons + s.image.context_objects if cfg.use_context_objects
                    else s.image.persons for s in samples]
         features = _feature_block(samples, regions, cfg.d_vis, dtype)
-        # one row per region: its box, then its image's width and height
-        rows = np.array([(b.x1, b.y1, b.x2, b.y2, s.image.width, s.image.height)
-                         for s, rs in zip(samples, regions) for b in (r.box for r in rs)],
-                        dtype=np.float64).reshape(-1, 6)
-        locations = location_feature(rows[:, :4], rows[:, 4], rows[:, 5]).astype(dtype)
-        word_ids: list[int] = []
-        text_len, n_links, links, set_rows, candidates, weights = [], [], [], [], [], []
-        for sample, rng in zip(samples, stable_rngs(cfg.seed, [s.sample_id for s in samples])):
-            words, positions = substitute_neutral_names(sample.tokens, rng, sample.sample_id)
+        n_regions = np.array([len(rs) for rs in regions], dtype=np.intp)
+        # one row per region: its box, and its image's width and height
+        boxes = np.array([(r.box.x1, r.box.y1, r.box.x2, r.box.y2) for rs in regions for r in rs],
+                         dtype=np.float64).reshape(-1, 4)
+        sizes = np.array([(s.image.width, s.image.height) for s in samples],
+                         dtype=np.float64).reshape(-1, 2).repeat(n_regions, axis=0)
+        locations = location_feature(boxes, sizes[:, 0], sizes[:, 1]).astype(dtype)
+        keys = stable_keys(cfg.seed, [s.sample_id for s in samples], len(DEFAULT_NEUTRAL_NAMES))
+        word_ids, text_len, n_links, links = [], [], [], []
+        for sample, order in zip(samples, np.argsort(keys, axis=1, kind="stable").tolist()):
+            words, positions = substitute_neutral_names(sample.tokens, order, sample.sample_id)
             if len(words) > MAX_TEXT_LEN:
                 raise DataError(f"{sample.sample_id}: {len(words)} text tokens exceed "
                                 f"max_text_len {MAX_TEXT_LEN}")
             word_ids += [vocab.get(w, unk) for w in words]
             text_len.append(len(words))
             n_links.append(len(positions))
-            links += [(link, positions[link], sample.labels[link]) for link in sorted(positions)]
-            if not contrast:
-                continue
-            persons = range(len(words), len(words) + sample.image.n_persons)
-            for link_id, (objects, ious) in zip(sample.link_ids, select_context_objects(sample)):
-                # objects absent from the input sequence have no position,
-                # so the positives shrink to the ground-truth person alone
-                kept = objects if cfg.use_context_objects else []
-                gt = persons[sample.labels[link_id]]
-                # the link token, its positives and its candidates
-                set_rows.append((positions[link_id], 1 + len(kept), len(kept) + len(persons)))
-                candidates += [gt, *(persons.stop + c for c in kept),
-                               *(p for p in persons if p != gt)]
-                weights += [1.0] + ious[:len(kept)] + [0.0] * (len(persons) - 1)
+            # in text order, which is ``sample.link_ids`` order
+            links += [(link, at, sample.labels[link]) for link, at in positions.items()]
         text_len, n_links = np.array(text_len, dtype=np.intp), np.array(n_links, dtype=np.intp)
-        n_regions = np.array([len(rs) for rs in regions], dtype=np.intp)
+        n_persons = np.array([s.image.n_persons for s in samples], dtype=np.intp)
         link_ids, link_positions, labels = np.array(links, dtype=np.intp).reshape(-1, 3).T
-        sets = None
-        if contrast:
-            anchors, n_positives, counts = np.array(set_rows, dtype=np.intp).reshape(-1, 3).T
-            sets = ContrastSets(anchors, n_positives, np.cumsum(counts) - counts, counts,
-                                np.array(candidates, dtype=np.intp),
-                                np.array(weights, dtype=np.float64))
+        link_sample = np.repeat(np.arange(len(samples)), n_links)
+        sets = _contrast_sets(link_positions, link_sample, labels, text_len, n_persons, n_regions,
+                              boxes if cfg.use_context_objects else None) if contrast else None
+        by_id = np.lexsort((link_ids, link_sample))
         return Prepared(   # each start is the sum of the counts before it
             text_start=np.cumsum(text_len) - text_len, text_len=text_len,
-            lengths=text_len + n_regions,
-            n_persons=np.array([s.image.n_persons for s in samples], dtype=np.intp),
+            lengths=text_len + n_regions, n_persons=n_persons,
             region_start=np.cumsum(n_regions) - n_regions,
             link_start=np.cumsum(n_links) - n_links, n_links=n_links,
             word_ids=np.array(word_ids, dtype=np.intp), features=features,
-            locations=locations, link_ids=link_ids, link_positions=link_positions,
-            labels=labels, sets=sets)
+            locations=locations, link_ids=link_ids[by_id],
+            link_positions=link_positions[by_id], labels=labels[by_id], sets=sets)
 
     def embed(self, inputs: PassInputs) -> EncodedBatch:
         """Embed a pass's inputs into one zero-padded ``[B, L, d]`` sequence."""

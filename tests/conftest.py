@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -12,7 +13,7 @@ from groundkit.core import (
     PersonLink,
     Sample,
     Word,
-    stable_rng,
+    stable_hash,
 )
 from groundkit.grounder import (GroundingModel, build_vocab, forward_passes, make_batches,
                                 read_config, workers)
@@ -41,7 +42,7 @@ def make_object(x1, y1, x2, y2, objectness=0.5, class_name="cup", seed=0, d_vis=
 
 def make_sample(sample_id="s-0", n_persons=3, tokens=None, labels=None,
                 ctype=CommonsenseType.OTHER, n_objects=1, width=800, height=200):
-    rng = stable_rng(0, sample_id)
+    rng = np.random.default_rng(stable_hash(0, sample_id))
     persons = [make_person(i, 10 + 60 * i, 10, 60 + 60 * i, 120, rng=rng)
                for i in range(n_persons)]
     objects = [make_object(20 + 10 * (j % 70), 130 + 2 * (j // 70),
@@ -58,6 +59,21 @@ def make_sample(sample_id="s-0", n_persons=3, tokens=None, labels=None,
                   tokens=list(tokens),
                   labels=dict(labels),
                   commonsense_type=ctype)
+
+
+def chi_square_p(counts):
+    """The chance that a uniform draw over ``len(counts)`` bins lands at least
+    as far from even as ``counts`` by Pearson's statistic: the upper tail of
+    the chi-square law with ``len(counts) - 1`` degrees of freedom, in the
+    closed form that integer degrees of freedom have."""
+    counts = np.asarray(counts, dtype=np.float64)
+    expected = counts.sum() / len(counts)
+    half = float(((counts - expected) ** 2 / expected).sum()) / 2
+    df = len(counts) - 1
+    if df % 2 == 0:
+        return math.exp(-half) * sum(half ** i / math.factorial(i) for i in range(df // 2))
+    return math.erfc(math.sqrt(half)) + math.exp(-half) * sum(
+        half ** (i - 0.5) / math.gamma(i + 0.5) for i in range(1, (df - 1) // 2 + 1))
 
 
 @pytest.fixture

@@ -24,11 +24,12 @@ from groundkit.core import (
     Prediction,
     Word,
     filter_sample,
+    stable_keys,
 )
 from groundkit.geometry import iou
 from groundkit.grounder.model import select_context_objects
 
-from conftest import make_sample
+from conftest import chi_square_p, make_sample
 
 
 def sample_with_boxes(boxes, link_ids=(1,), labels=None, sample_id="b-0"):
@@ -85,6 +86,26 @@ class TestHeuristics:
         assert all(x.chosen == y.chosen for x, y in zip(a1, a2))
         hits = np.mean([a.chosen[1] == 0 for a in a1])
         assert abs(hits - 0.5) < 0.02   # 4 sigma ~ 0.02 at n=10k
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_random_picks_at_each_link_rank_are_uniform(self, n):
+        # at a fixed seed, the first and the second link's picks over 2,400
+        # samples of n persons spread evenly over the persons
+        samples = [sample_with_boxes([(10 * i, 0, 10 * i + 5, 5) for i in range(n)],
+                                     link_ids=(4, 1), sample_id=f"u-{i}") for i in range(2400)]
+        picks = [(a.chosen[4], a.chosen[1]) for a in baseline_random(samples, seed=11)]
+        for rank in (0, 1):
+            counts = np.bincount([p[rank] for p in picks], minlength=n)
+            assert len(counts) == n
+            assert chi_square_p(counts) > 1e-4
+
+    def test_random_pick_is_the_links_key_mod_the_person_count(self):
+        # link i in text order reads key i; a call asks for at least 16 keys
+        s = sample_with_boxes([(0, 0, 10, 10), (20, 0, 30, 10), (40, 0, 50, 10)],
+                              link_ids=(9, 3), labels={9: 0, 3: 1}, sample_id="k-0")
+        keys = stable_keys(2, ["k-0"], 16)[0]
+        assert baseline_random([s], seed=2)[0].chosen == {9: keys[0] % 3, 3: keys[1] % 3}
+        assert baseline_random([], seed=2) == []
 
     def test_unknown_baseline_name(self):
         with pytest.raises(DataError, match="unknown baseline"):

@@ -32,10 +32,8 @@ from groundkit.core import (
     read_dataset,
     read_feature_file,
     read_header,
-    _seed_words,
     stable_hash,
-    stable_rng,
-    stable_rngs,
+    stable_keys,
     token_from_json,
     token_to_json,
     write_dataset,
@@ -158,35 +156,42 @@ def test_fixture_features_independent_of_hash_seed():
 
 
 class TestTypes:
-    def test_stable_hash_is_the_sha256_prefix_stable_rng_seeds_from(self):
-        # the digest feeds the neutral names and the dataset splits: its
-        # bytes must not move
+    def test_stable_hash_is_the_sha256_prefix(self):
+        # the digest feeds the dataset splits and the test fixtures' features:
+        # its bytes must not move
         expected = int.from_bytes(hashlib.sha256(b"3:s-0").digest()[:8], "little")
         assert stable_hash(3, "s-0") == expected
-        assert (stable_rng(3, "s-0").integers(2**62, size=4).tolist()
-                == np.random.default_rng(expected).integers(2**62, size=4).tolist())
+
+    def test_stable_keys_read_the_shake_256_digest(self):
+        # the keys feed the neutral names and the random baseline: their
+        # bytes must not move
+        keys = stable_keys(3, ["s-0", "päivä"], 5)
+        assert keys.dtype == np.dtype("<u4") and keys.shape == (2, 5)
+        assert keys.tobytes() == (hashlib.shake_256(b"3:s-0").digest(20)
+                                  + hashlib.shake_256("3:päivä".encode()).digest(20))
+        assert stable_keys(0, [], 16).shape == (0, 16)
 
     @pytest.mark.parametrize("seed", [0, 7, -3, 2**40])
-    def test_stable_rngs_draw_what_stable_rng_draws(self, seed):
-        # each generator, reseeded in place, draws what a freshly built one
-        # does, for every draw the package takes from one
-        tags = [f"s-{i}" for i in range(2000)] + ["", "päivä", "x" * 300]
-        for tag, rng in zip(tags, stable_rngs(seed, tags), strict=True):
-            reference = np.random.default_rng(stable_hash(seed, tag))
-            assert rng.permutation(16).tolist() == reference.permutation(16).tolist()
-            assert rng.integers(10) == reference.integers(10)
-            assert rng.random() == reference.random()
+    def test_a_tags_keys_depend_on_nothing_else_in_the_call(self, seed):
+        # neither on the other tags nor on k, beyond the count of keys
+        tags = [f"s-{i}" for i in range(50)] + ["", "päivä", "x" * 300]
+        wide = stable_keys(seed, tags, 40)
+        for k in (0, 1, 16, 40):
+            assert stable_keys(seed, tags, k).tolist() == wide[:, :k].tolist()
+        for i in (0, 17, len(tags) - 1):
+            assert stable_keys(seed, tags[i:i + 1], 16).tolist() == wide[i:i + 1, :16].tolist()
+            assert stable_keys(seed, tags[i::-1], 16)[0].tolist() == wide[i, :16].tolist()
 
-    @pytest.mark.parametrize("h", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
-    def test_seed_words_are_seed_sequence_state(self, h):
-        # one-word (below 2**32) and two-word entropy, and both ends of the range
-        expected = np.random.SeedSequence(h).generate_state(4, np.uint64)
-        got = _seed_words(np.array([h, h], dtype=np.uint64))
-        assert got.dtype == np.uint64
-        assert got.tolist() == [expected.tolist()] * 2
-
-    def test_stable_rngs_of_no_tags_yield_nothing(self):
-        assert list(stable_rngs(0, [])) == []
+    def test_stable_keys_independent_of_hash_seed(self):
+        code = ("import sys; from groundkit.core import stable_keys; "
+                "sys.stdout.write(stable_keys(5, ['a', 's-1', 'päivä'], 16).tobytes().hex())")
+        path = os.pathsep.join([str(TESTS.parent / "src"), os.environ.get("PYTHONPATH", "")])
+        outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               check=True, env={**os.environ, "PYTHONPATH": path,
+                                                "PYTHONHASHSEED": seed}).stdout
+                for seed in ("1", "2")]
+        assert outs[0] and outs[0] == outs[1]
+        assert outs[0] == stable_keys(5, ["a", "s-1", "päivä"], 16).tobytes().hex()
 
     def test_word_must_be_nonempty(self):
         # a word is its string; the codec refuses the empty one both ways

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groundkit.core import BoundingBox
-from groundkit.geometry import intersection_area, iou, location_feature
+from groundkit.geometry import iou, iou_array, location_feature
 
 
 def box(x1, y1, x2, y2):
@@ -40,8 +40,7 @@ class TestIou:
     def test_partial_overlap_matches_area_arithmetic(self):
         # oracle: a=[0,0,2,2], b=[1,0,3,2] -> intersection 1x2=2, union 4+4-2=6
         a, b = box(0, 0, 2, 2), box(1, 0, 3, 2)
-        assert intersection_area(a, b) == 2.0
-        assert iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert iou(a, b) == 2 / 6
 
     def test_edge_touching_is_zero(self):
         assert iou(box(0, 0, 1, 1), box(1, 0, 2, 1)) == 0.0
@@ -76,6 +75,59 @@ class TestIou:
     def test_self_iou_is_one(self, x1, y1, w, h):
         b = BoundingBox(x1, y1, x1 + w, y1 + h)
         assert iou(b, b) == 1.0
+
+
+@st.composite
+def related_boxes(draw):
+    """2 to 6 boxes, all of integer coordinates below 2**26 or all of floats,
+    each after the first drawn freely or disjoint from, edge-touching,
+    nested in or identical to an earlier one."""
+    coord = draw(st.sampled_from([st.integers(0, 2**26 - 1),
+                                  st.floats(0, 1e6, allow_nan=False)]))
+
+    def span(values):
+        return sorted(draw(st.lists(values, min_size=2, max_size=2, unique=True)))
+
+    (x1, x2), (y1, y2) = span(coord), span(coord)
+    boxes = [BoundingBox(x1, y1, x2, y2)]
+    for _ in range(draw(st.integers(1, 5))):
+        a = draw(st.sampled_from(boxes))
+        w, h = a.x2 - a.x1, a.y2 - a.y1
+        kind = draw(st.sampled_from(["free", "disjoint", "edge", "nested", "identical"]))
+        if kind == "free":
+            (x1, x2), (y1, y2) = span(coord), span(coord)
+        elif kind == "disjoint":
+            x1, y1 = a.x1, a.y2 + draw(coord)
+            x2, y2 = x1 + w, y1 + h + (y1 == a.y2)
+        elif kind == "edge":
+            x1, y1, x2, y2 = a.x2, a.y1, a.x2 + w, a.y2
+        elif kind == "nested":
+            inside = (st.integers if isinstance(a.x1, int) else st.floats)
+            (x1, x2), (y1, y2) = span(inside(a.x1, a.x2)), span(inside(a.y1, a.y2))
+        else:
+            x1, y1, x2, y2 = a.x1, a.y1, a.x2, a.y2
+        boxes.append(BoundingBox(x1, y1, x2, y2))
+    return boxes
+
+
+@given(boxes=related_boxes())
+@settings(max_examples=300, deadline=None)
+def test_iou_array_is_iou_bit_for_bit(boxes):
+    # integer coordinates below 2**26 keep every area exact in float64, so
+    # the array form rounds as the scalar form's Python ints and floats do
+    rows = np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes], dtype=np.float64)
+    got = iou_array(rows[:, None], rows[None])
+    want = np.array([[iou(a, b) for b in boxes] for a in boxes])
+    assert got.dtype == np.float64 and got.shape == (len(boxes), len(boxes))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_iou_array_of_the_named_cases():
+    a, rows = box(0, 0, 2, 2), [(0, 0, 2, 2), (3, 3, 4, 4), (2, 0, 4, 2), (1, 0, 3, 2),
+                                (0.5, 0.5, 1, 1)]
+    got = iou_array(np.array([[0, 0, 2, 2]], dtype=np.float64), np.array(rows, np.float64))
+    assert got.tolist() == [iou(a, box(*r)) for r in rows] == [1.0, 0.0, 0.0, 1 / 3, 0.0625]
+    assert iou_array(np.zeros((0, 4)), np.zeros((0, 4))).shape == (0,)
 
 
 class TestLocationFeature:

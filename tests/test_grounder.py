@@ -24,7 +24,7 @@ from groundkit.core import (
     PersonLink,
     Sample,
     Word,
-    stable_rng,
+    stable_keys,
 )
 from groundkit.grounder import (
     GroundingModel,
@@ -40,7 +40,7 @@ from groundkit.grounder import model as model_module, workers
 from groundkit.grounder.gradients import gradient_fixture, run_gradient_suite
 from groundkit.grounder.io import (CHECKPOINT_NAME, CONFIG_NAME, VOCAB_NAME, load_model,
                                   save_model)
-from groundkit.geometry import T1
+from groundkit.geometry import T1, T2, iou
 from groundkit.grounder.model import (
     DEFAULT_NEUTRAL_NAMES,
     SUB_BATCH,
@@ -56,8 +56,8 @@ from groundkit.grounder.model import (
     select_context_objects,
 )
 
-from conftest import (first_step_passes, make_object, make_person, make_sample,
-                      needs_workers)
+from conftest import (chi_square_p, first_step_passes, make_object, make_person,
+                      make_sample, needs_workers)
 from test_geometry import location_row
 
 TOY_CFG = Path(__file__).resolve().parent.parent / "configs" / "toy.cfg"
@@ -75,19 +75,21 @@ def toy_model(samples, **kw):
     return GroundingModel.init(config, build_vocab(samples), dtype=np.float64), config
 
 
+# a name order of the pool, as ``prepare`` reads one from a sample's keys
+ORDER = [5, 12, 0, 9, 3, 15, 1, 7, 14, 2, 11, 6, 10, 4, 13, 8]
+
+
 class TestNameSubstitution:
-    def test_deterministic_per_seed_and_sample(self):
-        d = [PersonLink(1), Word("waves")]
-        a = substitute_neutral_names(d, stable_rng(3, "s-1"), "s-1")
-        b = substitute_neutral_names(d, stable_rng(3, "s-1"), "s-1")
-        c = substitute_neutral_names(d, stable_rng(4, "s-1"), "s-1")
-        assert a == b
-        assert a[0][0] in DEFAULT_NEUTRAL_NAMES
-        assert a != c or a[0] != c[0]  # another seed draws another name (almost surely)
+    def test_link_i_takes_the_name_at_order_i(self):
+        d = [PersonLink(7), Word("waves"), PersonLink(2)]
+        words, positions = substitute_neutral_names(d, ORDER, "s-1")
+        assert words == [DEFAULT_NEUTRAL_NAMES[5], "waves", DEFAULT_NEUTRAL_NAMES[12]]
+        assert positions == {7: 0, 2: 2}
+        assert substitute_neutral_names(d, ORDER, "s-1") == (words, positions)
 
     def test_distinct_names_without_replacement(self):
         d = [PersonLink(1), Word("meets"), PersonLink(2), Word("near"), PersonLink(3)]
-        words, positions = substitute_neutral_names(d, stable_rng(0, "x"), "x")
+        words, positions = substitute_neutral_names(d, ORDER, "x")
         names = [words[positions[i]] for i in (1, 2, 3)]
         assert len(set(names)) == 3
         assert sorted(positions) == [1, 2, 3]
@@ -95,13 +97,13 @@ class TestNameSubstitution:
 
     def test_repeated_link_reuses_name_and_first_position(self):
         d = [PersonLink(1), Word("wins"), Word("so"), PersonLink(1), Word("smiles")]
-        words, positions = substitute_neutral_names(d, stable_rng(0, "x"), "x")
+        words, positions = substitute_neutral_names(d, ORDER, "x")
         assert words[0] == words[3]
         assert positions == {1: 0}
 
     def test_zero_links_identity(self):
         d = [Word("Nothing"), Word("HAPPENS")]
-        words, positions = substitute_neutral_names(d, stable_rng(0, "x"), "x")
+        words, positions = substitute_neutral_names(d, ORDER, "x")
         assert words == ["nothing", "happens"]
         assert positions == {}
 
@@ -109,7 +111,25 @@ class TestNameSubstitution:
         monkeypatch.setattr(model_module, "DEFAULT_NEUTRAL_NAMES", ("amy", "bob"))
         d = [PersonLink(i) for i in range(3)]
         with pytest.raises(DataError, match="pool"):
-            substitute_neutral_names(d, stable_rng(0, "x"), "x")
+            substitute_neutral_names(d, [0, 1], "x")
+
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_prepared_names_at_each_link_rank_are_uniform(self, rank):
+        # at a fixed seed, the name of the first and of the second link of
+        # 2,400 samples spreads evenly over the pool, and they differ
+        samples = [make_sample(f"u-{i}", n_persons=2, n_objects=0,
+                               tokens=[PersonLink(1), Word("meets"), PersonLink(2)],
+                               labels={1: 0, 2: 1}) for i in range(2400)]
+        model, _config = toy_model(samples[:1])
+        prepared = model.prepare(samples)
+        # two links a sample, by link id: link 1 is named first, link 2 second
+        words = prepared.word_ids[prepared.text_start.repeat(2)
+                                  + prepared.link_positions].reshape(-1, 2)
+        assert (words[:, 0] != words[:, 1]).all()
+        ids = [model.vocab[name] for name in DEFAULT_NEUTRAL_NAMES]
+        counts = [(words[:, rank] == i).sum() for i in ids]
+        assert sum(counts) == len(samples)
+        assert chi_square_p(counts) > 1e-4
 
     def test_every_pool_name_is_one_lowercase_word(self):
         # a substituted link is one text token, which ``link_positions`` points at
@@ -756,12 +776,15 @@ def test_forward_passes_cut_at_equal_token_counts(short, long):
 
 class TestPreparedLayouts:
     def test_each_sample_prepared_once_per_train_call(self, monkeypatch):
+        # prepare builds the contrastive sets without select_context_objects,
+        # so only the name substitution is counted
         calls = Counter()
-        for name in ("substitute_neutral_names", "select_context_objects"):
-            def counted(*args, _real=getattr(model_module, name), _name=name, **kw):
-                calls[_name] += 1
-                return _real(*args, **kw)
-            monkeypatch.setattr(model_module, name, counted)
+        real = model_module.substitute_neutral_names
+
+        def counted(*args, **kw):
+            calls["substitute_neutral_names"] += 1
+            return real(*args, **kw)
+        monkeypatch.setattr(model_module, "substitute_neutral_names", counted)
         samples = [make_sample(f"c-{i}", n_persons=2 + i % 3) for i in range(6)]
         for steps in (1, 5):
             calls.clear()
@@ -769,7 +792,7 @@ class TestPreparedLayouts:
             result = train(samples, toy_config(d_vis=8),
                            TrainSchedule(steps=steps, lr=1e-3, token_budget=16))
             assert len(result.losses) == steps
-            assert calls == {"substitute_neutral_names": 6, "select_context_objects": 6}
+            assert calls == {"substitute_neutral_names": 6}
 
     def test_forward_backward_leaves_each_layout_unchanged(self):
         samples = gradient_fixture(d_vis=24, seed=3)
@@ -880,13 +903,14 @@ def link_order_sample(d_vis=8):
 def reference_inputs(model, samples, contrast):
     """One pass's inputs over ``samples``, in that order, built sample by
     sample and link by link as the model once built them from per-sample
-    layouts."""
+    layouts, each link's contrastive set from ``select_context_objects``."""
     cfg = model.config
     B = len(samples)
     laid = []
     for s in samples:
-        words, positions = substitute_neutral_names(s.tokens, stable_rng(cfg.seed, s.sample_id),
-                                                    s.sample_id)
+        order = np.argsort(stable_keys(cfg.seed, [s.sample_id], len(DEFAULT_NEUTRAL_NAMES))[0],
+                           kind="stable")
+        words, positions = substitute_neutral_names(s.tokens, order, s.sample_id)
         regions = s.image.persons + (s.image.context_objects if cfg.use_context_objects
                                      else [])
         laid.append((words, positions, regions))
@@ -973,6 +997,69 @@ class TestColumnGathers:
         samples = self.samples()
         model, _config = toy_model(samples, d_vis=24, use_context_objects=use_objects)
         self.assert_same_inputs(model, samples, order, contrast)
+
+    @staticmethod
+    def crowded_scenes(n=80, seed=4):
+        """Scenes of 1-4 overlapping persons and 0-6 objects, half of them
+        on or across a person, with integer or float coordinates, so that
+        objects pass and fail each of the T1 and T2 tests."""
+        rng = np.random.default_rng(seed)
+        scenes = []
+        for i in range(n):
+            n_p, ints = int(rng.integers(1, 5)), i % 2 == 0
+
+            def box(x, y, w, h):
+                x1, y1 = min(x, 390.0), min(y, 190.0)
+                x2, y2 = min(x1 + max(w, 2.0), 400.0), min(y1 + max(h, 2.0), 200.0)
+                return tuple(map(round, (x1, y1, x2, y2))) if ints else (x1, y1, x2, y2)
+
+            persons = [make_person(j, *box(*rng.uniform(0, 300, 2), *rng.uniform(20, 120, 2)))
+                       for j in range(n_p)]
+            objects = []
+            for j in range(int(rng.integers(0, 7))):
+                p = persons[int(rng.integers(n_p))].box
+                x, y = (p.x1, p.y1) if j % 2 else rng.uniform(0, 300, 2)
+                objects.append(make_object(*box(x + rng.uniform(-20, 20), y + rng.uniform(-20, 20),
+                                                *rng.uniform(5, 80, 2)), seed=j))
+            links = list(range(1, min(n_p, 3) + 1))[::-1]
+            image = ImageRecord(image_id=f"img-{i}", width=400, height=200, persons=persons,
+                                context_objects=objects)
+            scenes.append(Sample(sample_id=f"crowd-{i}", image=image,
+                                 tokens=[t for link in links for t in (PersonLink(link),
+                                                                       Word("sees"))],
+                                 labels={link: int(rng.integers(n_p)) for link in links},
+                                 commonsense_type=CommonsenseType.OTHER))
+        return scenes
+
+    @pytest.mark.parametrize("use_objects", [True, False])
+    def test_array_sets_are_the_per_sample_rule_bit_for_bit(self, use_objects):
+        samples = self.crowded_scenes()
+        model, _config = toy_model(samples, use_context_objects=use_objects)
+        prepared = model.prepare(samples, contrast=True)
+        sets, k = prepared.sets, 0
+        outcomes = Counter()
+        for i, s in enumerate(samples):
+            first, n = int(prepared.text_len[i]), s.image.n_persons
+            for link, (objects, ious) in zip(s.link_ids, select_context_objects(s)):
+                gt = s.labels[link]
+                for obj in s.image.context_objects:
+                    over = iou(obj.box, s.image.persons[gt].box) > T1
+                    alone = max((iou(obj.box, p.box) for p in s.image.persons if p.index != gt),
+                                default=0.0) < T2
+                    outcomes[over, alone] += 1
+                kept = objects if use_objects else []
+                want = [first + gt] + [first + n + o for o in kept] + [
+                    first + j for j in range(n) if j != gt]
+                rows = slice(sets.starts[k], sets.starts[k] + sets.counts[k])
+                assert sets.candidates[rows].tolist() == want
+                assert (sets.weights[rows].tobytes()
+                        == np.array([1.0] + ious[:len(kept)] + [0.0] * (n - 1)).tobytes())
+                assert sets.n_positives[k] == 1 + len(kept)
+                k += 1
+        assert k == len(sets.anchors) == len(sets.counts) == prepared.n_links.sum()
+        assert len(sets.candidates) == sets.counts.sum()
+        # every branch of the rule is taken
+        assert all(outcomes[c] > 0 for c in [(True, True), (True, False), (False, True)])
 
     def test_the_two_link_orders(self):
         # the classifier's rows run by link id, the contrastive sets by text
