@@ -3,6 +3,10 @@
 The synthetic generator places ground truth independently of box geometry,
 so every geometry-only heuristic sits at chance (the mean of 1/N over the
 set) while a model that reads the features and context objects can solve it.
+Each box takes its coordinates from one ``rng.random`` block, mapped as
+``Generator.uniform`` maps a draw, and a scene's person features come from
+one ``normal`` block: the values, and so the dataset bytes, one scalar call
+per value would give.
 """
 
 from __future__ import annotations
@@ -196,8 +200,16 @@ class SynthConfig:
             raise ValueError("seed must be >= 0")
 
 
-def _disjoint(box: BoundingBox, others: Sequence[BoundingBox]) -> bool:
-    return all(iou(box, other) == 0.0 for other in others)
+def _uniform(u: float, low: float, high: float) -> float:
+    """``rng.uniform(low, high)`` of its unit draw ``u = rng.random()``, as numpy
+    computes it, so ``rng.random(k)`` yields what ``k`` scalar calls would."""
+    return low + (high - low) * u
+
+
+def _disjoint(x1: float, y1: float, x2: float, y2: float, others: Sequence[BoundingBox]) -> bool:
+    # the intervals of boxes of positive size are apart on some axis exactly
+    # when ``iou`` is 0.0 (an edge-touching pair included)
+    return all(o.x2 <= x1 or x2 <= o.x1 or o.y2 <= y1 or y2 <= o.y1 for o in others)
 
 
 def _place_persons(rng: np.random.Generator, n: int) -> list[BoundingBox]:
@@ -208,13 +220,13 @@ def _place_persons(rng: np.random.Generator, n: int) -> list[BoundingBox]:
         boxes: list[BoundingBox] = []
         for _ in range(n):
             for _attempt in range(200):
-                w = float(rng.uniform(80, 150))
-                h = float(rng.uniform(100, 180))
-                x1 = float(rng.uniform(0, WIDTH - w))
-                y1 = float(rng.uniform(0, HEIGHT - h))
-                box = BoundingBox(x1, y1, x1 + w, y1 + h)
-                if _disjoint(box, boxes):
-                    boxes.append(box)
+                u_w, u_h, u_x, u_y = rng.random(4).tolist()
+                w = _uniform(u_w, 80, 150)
+                h = _uniform(u_h, 100, 180)
+                x1 = _uniform(u_x, 0, WIDTH - w)
+                y1 = _uniform(u_y, 0, HEIGHT - h)
+                if _disjoint(x1, y1, x1 + w, y1 + h, boxes):
+                    boxes.append(BoundingBox(x1, y1, x1 + w, y1 + h))
                     break
             else:
                 break
@@ -226,11 +238,12 @@ def _place_persons(rng: np.random.Generator, n: int) -> list[BoundingBox]:
 def _inner_box(rng: np.random.Generator, outer: BoundingBox) -> BoundingBox:
     # A concentric sub-box with area ratio s^2 in (T1, ~0.72]; being fully
     # inside the (disjoint) person box keeps IoU with every other person at 0.
-    s = float(rng.uniform(0.65, 0.85))
+    u_s, u_x, u_y = rng.random(3).tolist()
+    s = _uniform(u_s, 0.65, 0.85)
     w = outer.width * s
     h = outer.height * s
-    cx = outer.x1 + outer.width / 2 + float(rng.uniform(-0.05, 0.05)) * outer.width
-    cy = outer.y1 + outer.height / 2 + float(rng.uniform(-0.05, 0.05)) * outer.height
+    cx = outer.x1 + outer.width / 2 + _uniform(u_x, -0.05, 0.05) * outer.width
+    cy = outer.y1 + outer.height / 2 + _uniform(u_y, -0.05, 0.05) * outer.height
     x1 = min(max(cx - w / 2, outer.x1), outer.x2 - w)
     y1 = min(max(cy - h / 2, outer.y1), outer.y2 - h)
     return BoundingBox(x1, y1, x1 + w, y1 + h)
@@ -239,18 +252,12 @@ def _inner_box(rng: np.random.Generator, outer: BoundingBox) -> BoundingBox:
 def _background_box(rng: np.random.Generator) -> BoundingBox:
     # Small enough that IoU against any person box stays below the selection
     # threshold (decoys are scene clutter, not context tied to a person).
-    w = float(rng.uniform(24, 40))
-    h = float(rng.uniform(24, 40))
-    x1 = float(rng.uniform(0, WIDTH - w))
-    y1 = float(rng.uniform(0, HEIGHT - h))
+    u_w, u_h, u_x, u_y = rng.random(4).tolist()
+    w = _uniform(u_w, 24, 40)
+    h = _uniform(u_h, 24, 40)
+    x1 = _uniform(u_x, 0, WIDTH - w)
+    y1 = _uniform(u_y, 0, HEIGHT - h)
     return BoundingBox(x1, y1, x1 + w, y1 + h)
-
-
-def _person_feature(rng: np.random.Generator, cfg: SynthConfig, attr_idx: int) -> np.ndarray:
-    vec = rng.normal(0.0, NOISE, cfg.d_vis)
-    vec[0] += 1.0
-    vec[_ATTR_OFFSET + attr_idx] += 1.0
-    return vec.astype(np.float32)
 
 
 def _object_feature(rng: np.random.Generator, cfg: SynthConfig, class_idx: int) -> np.ndarray:
@@ -271,6 +278,8 @@ def synth_generate(config: SynthConfig) -> list[Sample]:
     rng = np.random.default_rng(config.seed)
     samples: list[Sample] = []
     for i in range(config.n_samples):
+        # scalar ``integers`` calls stay scalar: a sized call fills from buffered
+        # 32-bit draws, consuming the stream differently, and moves every byte
         n = int(rng.integers(2, config.max_persons + 1))
         boxes = _place_persons(rng, n)
         gt = int(rng.integers(n))
@@ -284,10 +293,12 @@ def synth_generate(config: SynthConfig) -> list[Sample]:
             # ``rng.integers`` draws the index ``rng.choice`` would, at a fifth of its cost
             attr_ids = [rest[int(rng.integers(len(rest)))] for _ in range(n)]
             attr_ids[gt] = gt_attr
-        persons = [
-            PersonBox(index=j, box=boxes[j], feature=_person_feature(rng, config, attr_ids[j]))
-            for j in range(n)
-        ]
+        # one normal block consumes the stream as n calls of d_vis values would
+        features = rng.normal(0.0, NOISE, (n, config.d_vis))
+        features[:, 0] += 1.0
+        features[np.arange(n), [_ATTR_OFFSET + a for a in attr_ids]] += 1.0
+        features = features.astype(np.float32)
+        persons = [PersonBox(index=j, box=boxes[j], feature=features[j]) for j in range(n)]
 
         objects: list[ContextObject] = []
         cue_class = None
@@ -296,7 +307,7 @@ def synth_generate(config: SynthConfig) -> list[Sample]:
             objects.append(ContextObject(
                 box=_inner_box(rng, boxes[gt]),
                 feature=_object_feature(rng, config, cue_class),
-                objectness=float(rng.uniform(0.2, 1.0)),
+                objectness=_uniform(rng.random(), 0.2, 1.0),
                 class_name=OBJECT_CLASSES[cue_class]))
         n_decoys = int(rng.integers(1, 4))
         for _ in range(n_decoys):
@@ -307,7 +318,7 @@ def synth_generate(config: SynthConfig) -> list[Sample]:
             objects.append(ContextObject(
                 box=_background_box(rng),
                 feature=_object_feature(rng, config, cls_idx),
-                objectness=float(rng.uniform(0.2, 1.0)),
+                objectness=_uniform(rng.random(), 0.2, 1.0),
                 class_name=OBJECT_CLASSES[cls_idx]))
 
         # region crops overlap, so an object sitting on a person usually

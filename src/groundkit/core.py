@@ -564,7 +564,6 @@ def write_container(path: str | Path, records: Sequence[R], encode: Callable[[R]
     lines = [_json_line({"format_version": FORMAT_VERSION, **asdict(header)})]
     pack = _U32.pack
     parts: list[bytes | np.ndarray] = [FEATURE_MAGIC, pack(header.d_vis)]
-    keys: list[tuple[str, int]] = []
     vecs: list[np.ndarray] = []
     seen: set[str] = set()
     for record in records:
@@ -580,10 +579,12 @@ def write_container(path: str | Path, records: Sequence[R], encode: Callable[[R]
             if vec.shape != (header.d_vis,):
                 raise DataError(f"{sample_id}: feature row of shape {vec.shape}, "
                                 f"expected d_vis={header.d_vis}")
-            keys.append((sample_id, ordinal))
             vecs.append(vec)
             parts += (sid_head, pack(ordinal), vec)
-    _require_finite(path, keys, np.array(vecs))
+    values = np.array(vecs)
+    if not np.isfinite(values).all():
+        keys = [(r.sample_id, o) for r in records for o in range(len(image_features(r.image)))]
+        _require_finite(path, keys, values)
     replace_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
     replace_file(feature_path(path), b"".join(parts))
 

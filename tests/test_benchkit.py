@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groundkit.benchkit import (
     ATTRIBUTES,
+    HEIGHT,
+    WIDTH,
     SynthConfig,
     _ATTR_OFFSET,
+    _disjoint,
+    _place_persons,
+    _uniform,
     baseline_big_to_small,
     baseline_left_to_right,
     baseline_random,
@@ -223,6 +230,98 @@ class TestSynth:
         for rate in (-0.1, 1.5, float("nan")):
             with pytest.raises(ValueError, match="imprint_rate must lie in"):
                 SynthConfig(n_samples=1, imprint_rate=rate)
+
+
+def reference_place_persons(rng, n):
+    """The scalar placement ``_place_persons`` must match: four ``rng.uniform``
+    calls per attempt and ``iou(...) == 0.0``; also returns its restart count."""
+    for restarts in range(100):
+        boxes = []
+        for _ in range(n):
+            for _attempt in range(200):
+                w = float(rng.uniform(80, 150))
+                h = float(rng.uniform(100, 180))
+                x1 = float(rng.uniform(0, WIDTH - w))
+                y1 = float(rng.uniform(0, HEIGHT - h))
+                box = BoundingBox(x1, y1, x1 + w, y1 + h)
+                if all(iou(box, other) == 0.0 for other in boxes):
+                    boxes.append(box)
+                    break
+            else:
+                break
+        else:
+            return boxes, restarts
+    raise AssertionError(f"no placement of {n} boxes")
+
+
+# synth's fixed (low, high) pairs, then each box side with the canvas extent
+# that bounds its corner: the corner draws uniform(0, extent - side)
+FIXED_RANGES = [(80, 150), (100, 180), (24, 40), (0.65, 0.85), (-0.05, 0.05), (0.2, 1.0)]
+SIDE_RANGES = [((80, 150), WIDTH), ((100, 180), HEIGHT), ((24, 40), WIDTH), ((24, 40), HEIGHT)]
+
+
+class TestSynthDraws:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_block_mapping_is_generator_uniform(self, seed):
+        ref, block = np.random.default_rng(seed), np.random.default_rng(seed)
+        want, got = [], []
+        for _ in range(500):
+            for low, high in FIXED_RANGES:
+                want.append(float(ref.uniform(low, high)))
+                got.append(_uniform(block.random(), low, high))
+            for (low, high), extent in SIDE_RANGES:
+                side = float(ref.uniform(low, high))
+                want += [side, float(ref.uniform(0, extent - side))]
+                side = _uniform(block.random(), low, high)
+                got += [side, _uniform(block.random(), 0, extent - side)]
+        assert got == want, ("numpy's Generator.uniform no longer computes low + (high - low)"
+                             " * random(): synth's block draws would move dataset bytes")
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_placement_is_the_scalar_reference(self, n):
+        restarts = 0
+        for seed in range(3):
+            ref, block = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _scene in range(30):
+                want, taken = reference_place_persons(ref, n)
+                restarts += taken
+                assert _place_persons(block, n) == want
+                assert block.bit_generator.state == ref.bit_generator.state
+        # crowded scenes jam the canvas and start their placement over
+        assert (restarts > 0) == (n >= 9)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_interval_disjointness_is_zero_iou(self, data):
+        draw = data.draw
+        coord = st.one_of(st.integers(-1000, 1000).map(float), st.floats(-1000, 1000))
+        # sides of 1e-3 and more: no intersection area underflows to 0.0
+        size = st.one_of(st.integers(1, 500).map(float), st.floats(1e-3, 500))
+
+        def interval(lo, hi, relation):
+            """An interval standing in ``relation`` to [lo, hi]."""
+            s, below = draw(size), draw(st.booleans())
+            if relation == "same":
+                return lo, hi
+            if relation == "inside":
+                k1, k2 = sorted(draw(st.lists(st.integers(0, 8), min_size=2, max_size=2,
+                                              unique=True)))
+                return lo + (hi - lo) * k1 / 8, lo + (hi - lo) * k2 / 8
+            if relation == "overlap":
+                cut = lo + (hi - lo) * draw(st.integers(1, 7)) / 8
+                return (lo - s, cut) if below else (cut, hi + s)
+            gap = draw(size) if relation == "apart" else 0.0
+            return (lo - gap - s, lo - gap) if below else (hi + gap, hi + gap + s)
+
+        x, y, w, h = draw(coord), draw(coord), draw(size), draw(size)
+        a = BoundingBox(x, y, x + w, y + h)
+        relations = ["apart", "touch", "overlap", "inside", "same"]
+        rx, ry = draw(st.sampled_from(relations)), draw(st.sampled_from(relations))
+        (bx1, bx2), (by1, by2) = interval(a.x1, a.x2, rx), interval(a.y1, a.y2, ry)
+        b = BoundingBox(bx1, by1, bx2, by2)
+        apart = {"apart", "touch"} & {rx, ry} != set()
+        assert _disjoint(b.x1, b.y1, b.x2, b.y2, [a]) == (iou(b, a) == 0.0) == apart
+        assert _disjoint(a.x1, a.y1, a.x2, a.y2, [b]) == (iou(a, b) == 0.0) == apart
 
 
 class TestRenderTable:

@@ -9,7 +9,8 @@ trees (this working tree, uncommitted edits included, and REV) then run the
 same list of CLI commands, each from its own ``src``, ``configs`` and
 ``bench``, with the relative paths below, in a directory of their own:
 
-- ``synth`` of the training set and of two held-out sets;
+- ``synth`` of the training set, of two held-out sets and of a crowded set
+  (up to 10 persons a scene, so that person placement starts over);
 - ``train --steps 30`` and ``--steps 400``, plus ``--steps 400`` with
   ``--lambda 0`` and with ``--no-context-objects``, on ``configs/toy.cfg``;
 - ``eval`` of each of those four runs on the training set and on both
@@ -78,6 +79,8 @@ def commands(tree: Path) -> list[tuple[str, list[str]]]:
         ("synth_held", cli + ["synth", "--n", "200", "--seed", "8", "--out", "held"]),
         ("synth_held_objects", cli + ["synth", "--n", "100", "--seed", "9",
                                       "--context-rate", "1.0", "--out", "held_objects"]),
+        ("synth_crowded", cli + ["synth", "--n", "300", "--max-persons", "10", "--seed", "11",
+                                 "--out", "crowded"]),
     ]
     for run, flags in RUNS.items():
         steps.append((f"train_{run}", cli + ["train", "--data", "data", "--config", config,
