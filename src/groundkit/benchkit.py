@@ -28,7 +28,7 @@ from .core import (
     Sample,
     stable_keys,
 )
-from .geometry import T1, iou
+from .geometry import T1, iou_array
 
 # ---------------------------------------------------------------------------
 # heuristic baselines
@@ -277,6 +277,10 @@ def synth_generate(config: SynthConfig) -> list[Sample]:
     """
     rng = np.random.default_rng(config.seed)
     samples: list[Sample] = []
+    # each imprinting scene's (object, person) pairs: their boxes and the
+    # feature entry a pair over T1 adds to, tested in one ``iou_array`` at the end
+    pair_boxes: list[float] = []
+    pair_entries: list[tuple[np.ndarray, int]] = []
     for i in range(config.n_samples):
         # scalar ``integers`` calls stay scalar: a sized call fills from buffered
         # 32-bit draws, consuming the stream differently, and moves every byte
@@ -325,10 +329,12 @@ def synth_generate(config: SynthConfig) -> list[Sample]:
         # bleeds a faint trace of its class into that person's pooled feature
         if float(rng.random()) < config.imprint_rate:
             for obj in objects:
-                cls_idx = OBJECT_CLASSES.index(obj.class_name)
+                column = _CLASS_OFFSET + OBJECT_CLASSES.index(obj.class_name)
+                o = obj.box
                 for person in persons:
-                    if iou(obj.box, person.box) > T1:
-                        person.feature[_CLASS_OFFSET + cls_idx] += IMPRINT
+                    p = person.box
+                    pair_boxes += (o.x1, o.y1, o.x2, o.y2, p.x1, p.y1, p.x2, p.y2)
+                    pair_entries.append((person.feature, column))
 
         if context_driven:
             tokens = [PersonLink(1), "next", "to", "the", OBJECT_CLASSES[cue_class],
@@ -347,4 +353,11 @@ def synth_generate(config: SynthConfig) -> list[Sample]:
             labels={1: gt},
             commonsense_type=ctype,
         ))
+    # ``iou_array`` is ``iou`` bit for bit, and the adds keep (scene, object,
+    # person) order, so two objects of a class imprint a person as a loop would
+    boxes = np.array(pair_boxes).reshape(-1, 2, 4)
+    for (feature, column), hit in zip(pair_entries,
+                                      (iou_array(boxes[:, 0], boxes[:, 1]) > T1).tolist()):
+        if hit:
+            feature[column] += IMPRINT
     return samples

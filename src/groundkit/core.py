@@ -13,9 +13,10 @@ Datasets (``Sample``) and QA corpora (``QAPair``) share one container of two fil
   ``d_vis`` float32 values.  Region ordinals enumerate persons first, then
   context objects, in their stored order, and must run 0..n-1 per record;
   every row belongs to a record, and every value is finite.  Rows may come
-  in any order: the reader walks the row headers once and gathers every row
-  into one read-only ``[rows, d_vis]`` float32 array, whose rows the records
-  hold as views.
+  in any order.  The reader walks them one by one, but reads a long run of
+  rows whose ids have one byte length, as writers write them, through
+  strided views of the file; it gathers every row into one read-only
+  ``[rows, d_vis]`` float32 array, whose rows the records hold as views.
 
 ``write_container``/``read_container`` own this format and run
 ``ImageRecord.validate``, the one owner of the region rules, on every record:
@@ -43,7 +44,6 @@ import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar, Union
 
@@ -170,9 +170,9 @@ class ImageRecord:
             if not (0 <= b.x1 < b.x2 <= width and 0 <= b.y1 < b.y2 <= height
                     and threshold <= obj.objectness <= 1 and obj.class_name):
                 raise _region_error(self, b, obj, threshold)
-        _require(len(self.context_objects) <= header.max_context_objects,
-                 "%s: %s context objects exceed declared cap %s",
-                 image_id, len(self.context_objects), header.max_context_objects)
+        if len(self.context_objects) > header.max_context_objects:
+            raise DataError(f"{image_id}: {len(self.context_objects)} context objects "
+                            f"exceed declared cap {header.max_context_objects}")
 
 
 def _region_error(image: ImageRecord, box: BoundingBox, obj: ContextObject | None = None,
@@ -259,12 +259,12 @@ class Sample:
     tokens: list[Token]
     labels: dict[int, int]       # person-link id -> ground-truth person index
     commonsense_type: CommonsenseType
+    # ``person_link_ids(tokens)``, computed once, as nothing replaces or
+    # changes ``tokens`` after construction
+    link_ids: list[int] = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def link_ids(self) -> list[int]:
-        """``person_link_ids(tokens)``, computed once, as nothing replaces or
-        changes ``tokens`` after construction."""
-        return person_link_ids(self.tokens)
+    def __post_init__(self) -> None:
+        self.link_ids = person_link_ids(self.tokens)
 
     def validate(self, strict: bool = True) -> None:
         """Check structural invariants; with ``strict`` also that the sample is
@@ -275,19 +275,19 @@ class Sample:
         mode, so that pre-filter material can still be moved through the
         pipeline.  The image and its feature rows are the container's to check.
         """
-        sid = self.sample_id
-        _require(bool(self.image.persons), "%s: image has no person boxes", self.image.image_id)
-        n = self.image.n_persons
+        sid, n = self.sample_id, self.image.n_persons
+        if not n:
+            raise DataError(f"{self.image.image_id}: image has no person boxes")
         link_ids = self.link_ids
         if self.labels.keys() != set(link_ids):
             raise DataError(f"{sid}: labels {sorted(self.labels)} do not match "
                             f"description links {link_ids}")
         for link_id, idx in self.labels.items():
-            _require(0 <= idx < n, "%s: label out of range (link %s -> %s, N=%s)",
-                     sid, link_id, idx, n)
+            if not 0 <= idx < n:
+                raise DataError(f"{sid}: label out of range (link {link_id} -> {idx}, N={n})")
         if strict:
-            _require(not any(isinstance(t, ObjectLink) for t in self.tokens),
-                     "%s: finished sample still contains object links", sid)
+            if any(isinstance(t, ObjectLink) for t in self.tokens):
+                raise DataError(f"{sid}: finished sample still contains object links")
             reason = filter_sample(self)
             if reason is not None:
                 raise DataError(f"{sid}: dropped by filter_sample ({reason.value})")
@@ -411,10 +411,12 @@ def labels_to_json(labels: Mapping[int, int]) -> dict[str, int]:
 
 
 def labels_from_json(obj: dict) -> dict[int, int]:
-    """The inverse of ``labels_to_json``: a key must be ``str(int(k))``."""
-    labels = {int(k): json_value(v, int, f"label of link {k}") for k, v in obj.items()}
-    _require([str(k) for k in labels] == list(obj), "label keys %s are not all decimal "
-             "link ids", list(obj))
+    """The inverse of ``labels_to_json``: a key must be ``str(int(k))``.  A
+    value's message is worded only when it is not an integer."""
+    labels = {int(k): v if type(v) is int else json_value(v, int, f"label of link {k}")
+              for k, v in obj.items()}
+    if [str(k) for k in labels] != list(obj):
+        raise DataError(f"label keys {list(obj)} are not all decimal link ids")
     return labels
 
 
@@ -437,24 +439,29 @@ def image_to_json(image: ImageRecord) -> dict:
 
 
 def image_from_json(obj: dict, features: list[np.ndarray]) -> ImageRecord:
+    """The image of ``obj``, its regions holding ``features`` in ordinal order.
+    A field's kind message is worded (``json_value``) only when the field
+    fails its kind test, so the first field in order to fail is named."""
     persons_raw = obj["persons"]
     objects_raw = obj["context_objects"]
     n_regions = len(persons_raw) + len(objects_raw)
-    _require(len(features) == n_regions, "%s regions but %s feature rows",
-             n_regions, len(features))
+    if len(features) != n_regions:
+        raise DataError(f"{n_regions} regions but {len(features)} feature rows")
     persons = [PersonBox(i, BoundingBox(b["x1"], b["y1"], b["x2"], b["y2"]), features[i])
                for i, b in enumerate(persons_raw)]
     objects = [
         ContextObject(BoundingBox(b["x1"], b["y1"], b["x2"], b["y2"]),
                       features[len(persons_raw) + j],
-                      json_value(b["objectness"], float, "objectness"),
-                      json_value(b["class_name"], str, "class_name"))
+                      v if type(v := b["objectness"]) in (float, int)
+                      else json_value(v, float, "objectness"),
+                      v if type(v := b["class_name"]) is str else json_value(v, str, "class_name"))
         for j, b in enumerate(objects_raw)
     ]
-    return ImageRecord(image_id=json_value(obj["image_id"], str, "image_id"),
-                       width=json_value(obj["width"], int, "width"),
-                       height=json_value(obj["height"], int, "height"),
-                       persons=persons, context_objects=objects)
+    return ImageRecord(
+        image_id=v if type(v := obj["image_id"]) is str else json_value(v, str, "image_id"),
+        width=v if type(v := obj["width"]) is int else json_value(v, int, "width"),
+        height=v if type(v := obj["height"]) is int else json_value(v, int, "height"),
+        persons=persons, context_objects=objects)
 
 
 def image_features(image: ImageRecord) -> list[np.ndarray]:
@@ -589,20 +596,29 @@ def write_container(path: str | Path, records: Sequence[R], encode: Callable[[R]
     replace_file(feature_path(path), b"".join(parts))
 
 
-def read_feature_file(path: str | Path) -> tuple[int, dict[str, dict[int, np.ndarray]]]:
-    """Return (d_vis, {sample_id: {ordinal: float32 vector}}).
+# a run of rows whose ids share one byte length is read by stride when it
+# lasts this many rows more; a shorter one costs less row by row
+_STRIDED_RUN = 64
 
-    One walk over the row headers files every row's index in the table,
-    decoding a sample id once per run of rows that share it; one join of the
-    row slices and one ``np.frombuffer`` gather them into a single read-only
-    ``[rows, d_vis]`` array, and the vectors returned are views of its rows.
+
+def read_feature_file(path: str | Path) -> tuple[int, dict[str, list | dict[int, np.ndarray]]]:
+    """Return (d_vis, {sample_id: its float32 vectors}): their list when a
+    run read by stride holds the sample's rows with ordinals ``0..n-1``, as
+    writers write them, else ``{ordinal: vector}``; ``len`` is the row count.
+
+    The walk decodes a sample id once per run of rows that share it.  At the
+    first row of a sample that follows a sample of several rows, it reads the
+    run of rows whose ids have that byte length by stride (``_strided_run``).
+    The vectors are views of the rows of one read-only ``[rows, d_vis]`` array.
     """
     blob = Path(path).read_bytes()
     if blob[:4] != FEATURE_MAGIC:
         raise DataError(f"{path}: bad feature-file magic {blob[:4]!r}")
     unpack, view, end = _U32.unpack_from, memoryview(blob), len(blob)
-    table: dict[str, dict[int, int]] = {}   # sample id -> ordinal -> row
+    table: dict[str, range | dict[int, int]] = {}   # sample id -> rows, or ordinal -> row
+    blocks: list = []   # the values in row order: lists of row slices, strided runs
     slices, duplicate, raw, rows = [], None, None, {}
+    n = group_start = 0   # rows so far, and the first row of the current sample id
     try:
         (d_vis,) = unpack(blob, 4)
         size, off = 4 * d_vis, 8
@@ -611,10 +627,19 @@ def read_feature_file(path: str | Path) -> tuple[int, dict[str, dict[int, np.nda
             sid_end = off + 4 + sid_len
             (ordinal,) = unpack(blob, sid_end)
             if blob[off + 4:sid_end] != raw:
-                raw = blob[off + 4:sid_end]
+                if n - group_start > 1 and (run := _strided_run(blob, off, sid_len, d_vis,
+                                                                n, table)):
+                    blocks += (slices, run[1])
+                    slices, duplicate, raw = [], duplicate or run[2], None
+                    n, off = n + run[0], off + run[0] * (sid_end + 4 + size - off)
+                    continue
+                raw, group_start = blob[off + 4:sid_end], n
                 rows = table.setdefault(raw.decode("utf-8"), {})
-            if rows.setdefault(ordinal, len(slices)) != len(slices):
+                if type(rows) is range:
+                    rows = table[raw.decode("utf-8")] = dict(enumerate(rows))
+            if rows.setdefault(ordinal, n) != n:
                 duplicate = duplicate or (raw.decode("utf-8"), ordinal)
+            n += 1
             off = sid_end + 4
             slices.append(view[off:off + size])
             off += size
@@ -625,13 +650,52 @@ def read_feature_file(path: str | Path) -> tuple[int, dict[str, dict[int, np.nda
                         f"{len(slices[-1])} of {size} value bytes)")
     if duplicate is not None:
         raise DataError(f"{path}: duplicate feature row ({duplicate[0]!r}, {duplicate[1]})")
-    values = np.frombuffer(b"".join(slices), dtype="<f4").reshape(len(slices), d_vis)
+    blocks = [np.frombuffer(b"".join(b), dtype="<f4").reshape(len(b), d_vis)
+              if type(b) is list else b for b in blocks + [slices]]
+    values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    values.flags.writeable = False
     if not np.isfinite(values).all():
-        keys = sorted((i, sid, o) for sid, rows in table.items() for o, i in rows.items())
+        keys = sorted((i, sid, o) for sid, rows in table.items()
+                      for o, i in (rows.items() if type(rows) is dict else enumerate(rows)))
         _require_finite(path, [key[1:] for key in keys], values)
     views = list(values)
-    return d_vis, {sid: {ordinal: views[i] for ordinal, i in rows.items()}
+    return d_vis, {sid: views[rows.start:rows.stop] if type(rows) is range
+                   else {ordinal: views[i] for ordinal, i in rows.items()}
                    for sid, rows in table.items()}
+
+
+def _strided_run(blob: bytes, off: int, sid_len: int, d_vis: int, first_row: int,
+                 table: dict) -> tuple[int, np.ndarray, tuple | None] | None:
+    """The run of whole rows at ``off`` with ids of ``sid_len`` bytes, read by
+    stride and filed in ``table`` as rows ``first_row`` on: (its row count,
+    its ``[rows, d_vis]`` values, its first duplicate row's key or None), or
+    None if it ends within ``_STRIDED_RUN`` rows."""
+    stride = 8 + sid_len + 4 * d_vis
+    count = (len(blob) - off) // stride
+    if count <= _STRIDED_RUN or _U32.unpack_from(blob, off + _STRIDED_RUN * stride)[0] != sid_len:
+        return None
+    lengths, k = np.ndarray((count,), "<u4", blob, off, (stride,)), 1
+    while k < count and (lengths[k:8 * k + 64] == sid_len).all():   # O(k) windows
+        k = min(count, 8 * k + 64)
+    k += int(np.argmin(lengths[k:8 * k + 64] == sid_len)) if k < count else 0
+    ids = np.ndarray((k, sid_len), "u1", blob, off + 4, (stride, 1))
+    ordinals = np.ndarray((k,), "<u4", blob, off + 4 + sid_len, (stride,))
+    starts = np.append(0, np.flatnonzero(np.any(ids[1:] != ids[:-1], axis=1)) + 1)
+    in_order = np.logical_and.reduceat(
+        ordinals == np.arange(k) - np.repeat(starts, np.diff(starts, append=k)), starts)
+    bounds, duplicate = starts.tolist() + [k], None
+    for a, b, ok in zip(bounds, bounds[1:], in_order.tolist()):
+        sid = blob[off + a * stride + 4:off + a * stride + 4 + sid_len].decode("utf-8")
+        if ok and sid not in table:
+            table[sid] = range(first_row + a, first_row + b)
+            continue
+        rows = table.setdefault(sid, {})
+        if type(rows) is range:
+            rows = table[sid] = dict(enumerate(rows))
+        for i, ordinal in enumerate(ordinals[a:b].tolist(), first_row + a):
+            if rows.setdefault(ordinal, i) != i:
+                duplicate = duplicate or (sid, ordinal)
+    return k, np.ndarray((k, d_vis), "<f4", blob, off + 8 + sid_len, (stride, 4)), duplicate
 
 
 def read_container(path: str | Path, decode: Callable[[dict, list[np.ndarray]], R]) -> list[R]:
@@ -639,8 +703,10 @@ def read_container(path: str | Path, decode: Callable[[dict, list[np.ndarray]], 
 
     The container checks what every record kind shares: the header, the
     ``d_vis`` match, unique sample ids, consecutive feature ordinals per
-    record, each record's image against the header and no feature rows
-    without a record.  ``decode`` builds and checks one record; the errors
+    record (a record whose rows ``read_feature_file`` found in writer order
+    gets their list as it is, any other one a list made ordinal by ordinal),
+    each record's image against the header and no feature rows without a
+    record.  ``decode`` builds and checks one record; the errors
     malformed JSON values raise in it (KeyError, TypeError, ValueError and
     kin) become a DataError naming ``file:line``, as does a refused image.
     Every message is formatted only on failure.
@@ -677,12 +743,13 @@ def read_container(path: str | Path, decode: Callable[[dict, list[np.ndarray]], 
             if sid in seen:
                 raise DataError(f"{path}:{lineno}: duplicate sample_id {sid!r}")
             seen.add(sid)
-            rows = table.pop(sid, {})
-            try:
-                features = [rows[i] for i in range(len(rows))]
-            except KeyError:
-                raise DataError(f"{path}:{lineno}: feature ordinals for {sid} "
-                                f"are not consecutive") from None
+            features = table.pop(sid, [])
+            if type(features) is dict:
+                try:
+                    features = [features[i] for i in range(len(features))]
+                except KeyError:
+                    raise DataError(f"{path}:{lineno}: feature ordinals for {sid} "
+                                    f"are not consecutive") from None
             try:
                 record = decode(obj, features)
                 record.image.validate(header)

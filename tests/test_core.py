@@ -9,12 +9,14 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from groundkit import core
 from groundkit.core import (
     FEATURE_MAGIC,
     CommonsenseType,
@@ -132,7 +134,8 @@ def breach_record(image, region, edit):
 def rewrite_rows(path, edit):
     """Re-encode the ``.cgf`` rows of ``path`` after ``edit(rows)``."""
     d_vis, table = read_feature_file(feature_path(path))
-    rows = edit([(sid, o, vec) for sid, per in table.items() for o, vec in per.items()])
+    rows = edit([(sid, o, vec) for sid, per in table.items()
+                 for o, vec in (per.items() if isinstance(per, dict) else enumerate(per))])
     blob = FEATURE_MAGIC + struct.pack("<I", d_vis)
     for sid, ordinal, vec in rows:
         raw = sid.encode("utf-8")
@@ -518,6 +521,60 @@ class TestIntegerFields:
         assert list(tmp_path.iterdir()) == []
 
 
+def second_object(obj):
+    return obj["image"]["context_objects"][1]
+
+
+# records with two faults, and the error that names the one the decoder meets
+# first in field order: a kind test that passes words no message, so no test
+# may run ahead of the fields before it
+FIRST_FAULT = {
+    "kind_before_missing_coordinate": (
+        lambda obj: (obj["image"]["context_objects"][0].update(objectness="high"),
+                     second_object(obj).pop("x1")),
+        "objectness is 'high', not a number"),
+    "missing_coordinate_before_kind": (
+        lambda obj: (obj["image"]["context_objects"][0].pop("y2"),
+                     second_object(obj).update(class_name=7)),
+        "missing field 'y2'"),
+    "object_kind_before_image_kind": (
+        lambda obj: (obj["image"].update(image_id=12), second_object(obj).update(class_name=7)),
+        "class_name is 7, not a string"),
+    "malformed_object_before_image_kind": (
+        lambda obj: (obj["image"].update(width="800"),
+                     obj["image"]["context_objects"].__setitem__(1, [1, 2])),
+        "malformed record (list indices must be integers or slices, not str)"),
+    "width_before_height": (
+        lambda obj: obj["image"].update(width=800.0, height=True),
+        "width is 800.0, not an integer"),
+    "label_value_before_label_key": (
+        lambda obj: obj.update(labels={"1": 0.5, "x": 0}),
+        "label of link 1 is 0.5, not an integer"),
+    "label_key_before_label_value": (
+        lambda obj: obj.update(labels={"x": 0, "1": 0.5}),
+        "malformed record (invalid literal for int() with base 10: 'x')"),
+    "image_before_labels": (
+        lambda obj: (obj["image"].update(height="200"), obj.update(labels={"1": 0.5})),
+        "height is '200', not an integer"),
+    "links_before_label_range": (
+        lambda obj: obj.update(labels={"2": 9}),
+        "s-1: labels [2] do not match description links [1]"),
+    "label_range": (
+        lambda obj: obj.update(labels={"1": 3}),
+        "s-1: label out of range (link 1 -> 3, N=3)"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FIRST_FAULT))
+def test_the_first_fault_in_field_order_is_named(fault, tmp_path):
+    path = tmp_path / "d.jsonl"
+    write_dataset([make_sample("s-0"), make_sample("s-1", n_objects=2)], path)
+    edit, message = FIRST_FAULT[fault]
+    edit_record(path, 3, edit)
+    with pytest.raises(DataError, match=rf"d\.jsonl:3: {re.escape(message)}$"):
+        read_dataset(path)
+
+
 @pytest.mark.parametrize("value", [1.5, 1.0, True, "1"])
 def test_correct_index_must_be_an_integer(value, tmp_path):
     path = write_kind("qa", tmp_path / "c.jsonl", ids=("s-0", "s-1"))
@@ -617,6 +674,208 @@ def test_mutated_container_loads_or_raises_data_error(kind, data):
             read_kind(kind, path)
         except DataError:
             pass
+
+
+def reference_read_feature_file(path):
+    """The per-row walk ``read_feature_file`` used before it read runs of rows
+    by stride, kept as the reference it must agree with: (d_vis, {sample_id:
+    {ordinal: vector}}) in file order, or the same DataError text."""
+    blob = Path(path).read_bytes()
+    if blob[:4] != FEATURE_MAGIC:
+        raise DataError(f"{path}: bad feature-file magic {blob[:4]!r}")
+    unpack, view, end = struct.Struct("<I").unpack_from, memoryview(blob), len(blob)
+    table, slices, duplicate, raw, rows = {}, [], None, None, {}
+    try:
+        (d_vis,) = unpack(blob, 4)
+        size, off = 4 * d_vis, 8
+        while off < end:
+            (sid_len,) = unpack(blob, off)
+            sid_end = off + 4 + sid_len
+            (ordinal,) = unpack(blob, sid_end)
+            if blob[off + 4:sid_end] != raw:
+                raw = blob[off + 4:sid_end]
+                rows = table.setdefault(raw.decode("utf-8"), {})
+            if rows.setdefault(ordinal, len(slices)) != len(slices):
+                duplicate = duplicate or (raw.decode("utf-8"), ordinal)
+            off = sid_end + 4
+            slices.append(view[off:off + size])
+            off += size
+    except (struct.error, ValueError) as exc:
+        raise DataError(f"{path}: corrupt feature file ({exc})") from None
+    if off > end:
+        raise DataError(f"{path}: corrupt feature file (the last row holds "
+                        f"{len(slices[-1])} of {size} value bytes)")
+    if duplicate is not None:
+        raise DataError(f"{path}: duplicate feature row ({duplicate[0]!r}, {duplicate[1]})")
+    values = np.frombuffer(b"".join(slices), dtype="<f4").reshape(len(slices), d_vis)
+    if not np.isfinite(values).all():
+        keys = sorted((i, sid, o) for sid, rows in table.items() for o, i in rows.items())
+        sid, ordinal = keys[int(np.argmin(np.isfinite(values).all(axis=1)))][1:]
+        raise DataError(f"{path}: non-finite feature value in row ({sid!r}, {ordinal})")
+    return d_vis, {sid: {o: values[i] for o, i in rows.items()} for sid, rows in table.items()}
+
+
+def cgf_blob(d_vis, rows):
+    """The ``.cgf`` bytes of ``rows``, each ``(sample_id, ordinal, values)``, in order."""
+    out = [FEATURE_MAGIC, struct.pack("<I", d_vis)]
+    for sid, ordinal, values in rows:
+        raw = sid.encode("utf-8")
+        out += [struct.pack("<I", len(raw)), raw, struct.pack("<I", ordinal),
+                np.asarray(values, dtype="<f4").tobytes()]
+    return b"".join(out)
+
+
+def writer_rows(ids, counts, d_vis, seed=0):
+    """Rows in writer order: each id's ordinals ``0..n-1`` together, finite values."""
+    values = np.random.default_rng(seed).normal(size=(sum(counts), d_vis)).astype("<f4")
+    keys = [(sid, o) for sid, n in zip(ids, counts) for o in range(n)]
+    return [(sid, o, vec) for (sid, o), vec in zip(keys, values)]
+
+
+def assert_reads_as_reference(path, lookahead=None):
+    """``read_feature_file`` gives the reference's table, values and order, or
+    its DataError text; with ``lookahead``, runs are read by stride from that
+    many rows on, so that short files take the strided path too."""
+    with mock.patch.object(core, "_STRIDED_RUN", lookahead or core._STRIDED_RUN):
+        try:
+            expected = reference_read_feature_file(path)
+        except DataError as exc:
+            with pytest.raises(DataError) as raised:
+                read_feature_file(path)
+            assert str(raised.value) == str(exc)
+            return None
+        d_vis, table = read_feature_file(path)
+    assert d_vis == expected[0]
+    assert list(table) == list(expected[1])
+    vectors = []
+    for sid, rows in table.items():
+        assert len(rows) == len(expected[1][sid])
+        rows = dict(enumerate(rows)) if isinstance(rows, list) else rows
+        assert list(rows) == list(expected[1][sid])
+        for ordinal, vec in rows.items():
+            assert vec.dtype == np.dtype("<f4") and vec.shape == (d_vis,)
+            assert vec.tobytes() == expected[1][sid][ordinal].tobytes()
+            vectors.append(vec)
+    # every vector is a read-only row view of one array
+    assert len({id(vec.base) for vec in vectors}) <= 1
+    assert not any(vec.flags.writeable for vec in vectors)
+    return table
+
+
+# ids of one byte length, of three lengths, or drawn from any text (multi-byte
+# UTF-8 included), the first one ending in a NUL character
+ID_STYLES = {
+    "padded": lambda data, n: [f"s-{i:04d}" for i in range(n)],
+    "unpadded": lambda data, n: [f"s-{i}" for i in range(n)],
+    "text": lambda data, n: data.draw(st.lists(st.text(st.characters(codec="utf-8"), max_size=4),
+                                               min_size=n, max_size=n, unique=True)),
+}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), style=st.sampled_from(sorted(ID_STYLES)),
+       layout=st.sampled_from(["writer", "shuffled", "split"]),
+       d_vis=st.sampled_from([1, 2, 5]), lookahead=st.sampled_from([1, 2, 3, None]))
+def test_strided_reader_reads_as_the_row_walk(data, style, layout, d_vis, lookahead):
+    n = data.draw(st.integers(1, 40))
+    ids = ID_STYLES[style](data, n)
+    ids[0] += "\x00"
+    counts = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    rows = writer_rows(ids, counts, d_vis, seed=data.draw(st.integers(0, 2**16)))
+    if layout == "shuffled":
+        rows = data.draw(st.permutations(rows))
+    elif layout == "split":
+        # one sample's last rows moved to the end, past the rows of those after it
+        i = data.draw(st.integers(0, n - 1))
+        first = sum(counts[:i])
+        cut = first + data.draw(st.integers(1, max(1, counts[i] - 1)))
+        rows = rows[:cut] + rows[first + counts[i]:] + rows[cut:first + counts[i]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.cgf"
+        path.write_bytes(cgf_blob(d_vis, rows))
+        table = assert_reads_as_reference(path, lookahead)
+    # only a second id that the NUL made equal to the first can make rows repeat
+    assert table is not None or len(set(ids)) < n
+
+
+@pytest.mark.parametrize("lookahead", [2, None])
+class TestStridedFaults:
+    """A fault in rows read by stride raises the reference's DataError text:
+    40 samples of 4 rows under ids of one byte length, so that from row 4 on
+    (the second sample) the rows are read by stride at either lookahead."""
+
+    D_VIS = 3
+
+    def rows(self):
+        return writer_rows([f"s-{i:04d}" for i in range(40)], [4] * 40, self.D_VIS)
+
+    def assert_refused_alike(self, tmp_path, blob, lookahead):
+        path = tmp_path / "f.cgf"
+        path.write_bytes(blob)
+        with pytest.raises(DataError):
+            reference_read_feature_file(path)
+        assert_reads_as_reference(path, lookahead)
+
+    def test_the_layout_is_read_by_stride(self, tmp_path, lookahead):
+        path = tmp_path / "f.cgf"
+        path.write_bytes(cgf_blob(self.D_VIS, self.rows()))
+        table = assert_reads_as_reference(path, lookahead)
+        assert [isinstance(rows, list) for rows in table.values()] == [False] + [True] * 39
+
+    def test_truncation_at_every_byte_of_the_last_row(self, tmp_path, lookahead):
+        rows = self.rows()
+        blob = cgf_blob(self.D_VIS, rows)
+        for end in range(len(cgf_blob(self.D_VIS, rows[:-1])) + 1, len(blob)):
+            self.assert_refused_alike(tmp_path, blob[:end], lookahead)
+
+    @pytest.mark.parametrize("sample_id", ["s-0037", "s-0010"])
+    def test_duplicate_row_in_a_later_run(self, tmp_path, lookahead, sample_id):
+        # row 150 repeats row 149 of its own sample, or row 41 of an earlier one
+        rows = self.rows()
+        rows[150] = (sample_id, 1, rows[150][2])
+        self.assert_refused_alike(tmp_path, cgf_blob(self.D_VIS, rows), lookahead)
+
+    def test_a_duplicate_before_the_run_is_named_first(self, tmp_path, lookahead):
+        # row 1 repeats row 0 among the rows walked one by one, row 150 row 149
+        # in the run read by stride: the first in file order is named
+        rows = self.rows()
+        rows[1] = ("s-0000", 0, rows[1][2])
+        rows[150] = ("s-0037", 1, rows[150][2])
+        self.assert_refused_alike(tmp_path, cgf_blob(self.D_VIS, rows), lookahead)
+
+    def test_non_finite_value_in_a_later_run(self, tmp_path, lookahead):
+        rows = self.rows()
+        for bad in (np.nan, np.inf):
+            vec = rows[150][2].copy()
+            vec[1] = bad
+            rows[150] = rows[150][:2] + (vec,)
+            self.assert_refused_alike(tmp_path, cgf_blob(self.D_VIS, rows), lookahead)
+
+    def test_id_that_is_not_utf8(self, tmp_path, lookahead):
+        rows = self.rows()
+        blob = bytearray(cgf_blob(self.D_VIS, rows))
+        blob[len(cgf_blob(self.D_VIS, rows[:150])) + 4 + 2] = 0xFF   # s-\xff037
+        self.assert_refused_alike(tmp_path, bytes(blob), lookahead)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_rows_read_by_stride_reach_the_records(kind, tmp_path):
+    # 30 records of 4 rows: all but the first come to read_container as lists
+    path = write_kind(kind, tmp_path / "c.jsonl", ids=[f"s-{i:03d}" for i in range(30)])
+    jsonl, cgf = path.read_bytes(), feature_path(path).read_bytes()
+    _d_vis, table = read_feature_file(feature_path(path))
+    assert sum(isinstance(rows, list) for rows in table.values()) == 29
+    again = tmp_path / "again.jsonl"
+    # rows in reverse order (no sample's ordinals run 0..n-1) read to the same records
+    rewrite_rows(path, lambda rows: rows[::-1])
+    KINDS[kind][1](read_kind(kind, path), again, header=read_header(path))
+    assert again.read_bytes() == jsonl and feature_path(again).read_bytes() == cgf
+    # a missing ordinal among the rows read by stride names its record's line
+    feature_path(path).write_bytes(cgf)
+    rewrite_rows(path, lambda rows: [row for row in rows if row[:2] != ("s-020", 0)])
+    with pytest.raises(DataError, match=r"c\.jsonl:22: feature ordinals for s-020 are not "
+                                        r"consecutive$"):
+        read_kind(kind, path)
 
 
 class TestStats:

@@ -24,7 +24,12 @@ same list of CLI commands, each from its own ``src``, ``configs`` and
 - ``transform`` of ``bench/qa_corpus.generate(400, 101)``, then ``filter``
   of its ``train`` split, ``train --steps 30`` on that split and ``eval`` of
   that run on the ``test`` split, so that words the rule pipeline writes
-  reach the model.
+  reach the model;
+- a copy of the first held-out set in a layout no writer makes, built with
+  plain ``json`` and ``struct``: every other sample id one byte longer, in
+  both files, and the ``.cgf`` rows in reverse order; then ``stats``,
+  ``baseline --name big_to_small`` and ``eval`` of the 30-step run on it, so
+  that rows the reader must file one by one reach the records.
 
 REV runs under ``PYTHONHASHSEED=0`` and this tree under ``PYTHONHASHSEED=1``,
 so ``--parent HEAD`` also shows that no output depends on the hash seed.
@@ -63,6 +68,28 @@ WRITE_QA = ("import sys; sys.path.insert(0, sys.argv[1]); import qa_corpus\n"
             "from groundkit.rulekit import write_qa_corpus\n"
             "corpus, _key, header = qa_corpus.generate(400, 101)\n"
             "write_qa_corpus(corpus, sys.argv[2], header)")
+WRITE_REVERSED = ("import json, pathlib, struct, sys\n"
+                  "src, out = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])\n"
+                  "lines = (src / 'dataset.jsonl').read_text(encoding='utf-8').splitlines()\n"
+                  "objs = [json.loads(line) for line in lines[1:]]\n"
+                  "longer = {o['sample_id']: o['sample_id'] + 'x' for o in objs[1::2]}\n"
+                  "for o in objs[1::2]:\n"
+                  "    o['sample_id'] = longer[o['sample_id']]\n"
+                  "out.mkdir()\n"
+                  "(out / 'dataset.jsonl').write_text('\\n'.join(lines[:1] + [json.dumps(\n"
+                  "    o, separators=(',', ':'), ensure_ascii=False) for o in objs]) + '\\n',\n"
+                  "    encoding='utf-8')\n"
+                  "blob = (src / 'dataset.cgf').read_bytes()\n"
+                  "(d_vis,) = struct.unpack_from('<I', blob, 4)\n"
+                  "rows, off = [], 8\n"
+                  "while off < len(blob):\n"
+                  "    (n,) = struct.unpack_from('<I', blob, off)\n"
+                  "    sid = blob[off + 4:off + 4 + n].decode('utf-8')\n"
+                  "    raw = longer.get(sid, sid).encode('utf-8')\n"
+                  "    end = off + 8 + n + 4 * d_vis\n"
+                  "    rows.append(struct.pack('<I', len(raw)) + raw + blob[off + 4 + n:end])\n"
+                  "    off = end\n"
+                  "(out / 'dataset.cgf').write_bytes(blob[:8] + b''.join(rows[::-1]))")
 WRITE_LAST_LAYER_CFG = ("import re, sys, pathlib\n"
                         "text, n = re.subn(r'(?m)^contrast_layer = .*$', 'contrast_layer = 1',\n"
                         "                  pathlib.Path(sys.argv[1]).read_text())\n"
@@ -107,6 +134,12 @@ def commands(tree: Path) -> list[tuple[str, list[str]]]:
                             "--out", "run_qa", "--steps", "30"]),
         ("eval_qa", cli + ["eval", "--data", "transformed/test.jsonl",
                            "--checkpoint", "run_qa"]),
+        ("held_reversed", [sys.executable, "-c", WRITE_REVERSED, "held", "held_reversed"]),
+        ("stats_reversed", cli + ["stats", "--data", "held_reversed"]),
+        ("baseline_reversed", cli + ["baseline", "--data", "held_reversed",
+                                     "--name", "big_to_small"]),
+        ("eval_run_30_reversed", cli + ["eval", "--data", "held_reversed",
+                                        "--checkpoint", "run_30"]),
     ]
     return steps
 
