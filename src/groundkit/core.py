@@ -12,11 +12,9 @@ Datasets (``Sample``) and QA corpora (``QAPair``) share one container of two fil
   ``u32`` byte length of sample_id, sample_id bytes, ``u32`` region ordinal,
   ``d_vis`` float32 values.  Region ordinals enumerate persons first, then
   context objects, in their stored order, and must run 0..n-1 per record;
-  every row belongs to a record, and every value is finite.  Rows may come
-  in any order.  The reader walks them one by one, but reads a long run of
-  rows whose ids have one byte length, as writers write them, through
-  strided views of the file; it gathers every row into one read-only
-  ``[rows, d_vis]`` float32 array, whose rows the records hold as views.
+  every row belongs to a record, and every value is finite.  Rows may come in
+  any order; the reader checks them as whole arrays, and the records hold
+  views of the rows of one read-only ``[rows, d_vis]`` float32 array.
 
 ``write_container``/``read_container`` own this format and run
 ``ImageRecord.validate``, the one owner of the region rules, on every record:
@@ -596,106 +594,93 @@ def write_container(path: str | Path, records: Sequence[R], encode: Callable[[R]
     replace_file(feature_path(path), b"".join(parts))
 
 
-# a run of rows whose ids share one byte length is read by stride when it
-# lasts this many rows more; a shorter one costs less row by row
-_STRIDED_RUN = 64
-
-
 def read_feature_file(path: str | Path) -> tuple[int, dict[str, list | dict[int, np.ndarray]]]:
-    """Return (d_vis, {sample_id: its float32 vectors}): their list when a
-    run read by stride holds the sample's rows with ordinals ``0..n-1``, as
-    writers write them, else ``{ordinal: vector}``; ``len`` is the row count.
+    """Return (d_vis, {sample_id: its float32 vectors}), samples in order of
+    first appearance: their list in ordinal order when the ordinals are
+    ``0..n-1``, in any file order, else ``{ordinal: vector}``; ``len`` is the
+    row count.  The vectors are row views of one read-only ``[rows, d_vis]``
+    array, a strided view of the file when the file is one run.
 
-    The walk decodes a sample id once per run of rows that share it.  At the
-    first row of a sample that follows a sample of several rows, it reads the
-    run of rows whose ids have that byte length by stride (``_strided_run``).
-    The vectors are views of the rows of one read-only ``[rows, d_vis]`` array.
+    One loop splits the rows into runs whose ids have one byte length, each
+    measured in growing windows of a strided view of its length fields; then
+    every column is read and checked for the whole file at once.  A cut or
+    corrupt row is named first, then the first repeated (id, ordinal), then
+    the first non-finite row, each in file order.
     """
     blob = Path(path).read_bytes()
     if blob[:4] != FEATURE_MAGIC:
         raise DataError(f"{path}: bad feature-file magic {blob[:4]!r}")
-    unpack, view, end = _U32.unpack_from, memoryview(blob), len(blob)
-    table: dict[str, range | dict[int, int]] = {}   # sample id -> rows, or ordinal -> row
-    blocks: list = []   # the values in row order: lists of row slices, strided runs
-    slices, duplicate, raw, rows = [], None, None, {}
-    n = group_start = 0   # rows so far, and the first row of the current sample id
+    unpack, end = _U32.unpack_from, len(blob)
     try:
         (d_vis,) = unpack(blob, 4)
-        size, off = 4 * d_vis, 8
-        while off < end:
-            (sid_len,) = unpack(blob, off)
-            sid_end = off + 4 + sid_len
-            (ordinal,) = unpack(blob, sid_end)
-            if blob[off + 4:sid_end] != raw:
-                if n - group_start > 1 and (run := _strided_run(blob, off, sid_len, d_vis,
-                                                                n, table)):
-                    blocks += (slices, run[1])
-                    slices, duplicate, raw = [], duplicate or run[2], None
-                    n, off = n + run[0], off + run[0] * (sid_end + 4 + size - off)
-                    continue
-                raw, group_start = blob[off + 4:sid_end], n
-                rows = table.setdefault(raw.decode("utf-8"), {})
-                if type(rows) is range:
-                    rows = table[raw.decode("utf-8")] = dict(enumerate(rows))
-            if rows.setdefault(ordinal, n) != n:
-                duplicate = duplicate or (raw.decode("utf-8"), ordinal)
-            n += 1
-            off = sid_end + 4
-            slices.append(view[off:off + size])
-            off += size
+    except struct.error as exc:
+        raise DataError(f"{path}: corrupt feature file ({exc})") from None
+    size, off, n, runs = 4 * d_vis, 8, 0, []   # (base, stride, rows): row i at base + i * stride
+    u32 = np.ndarray((end - 3,), "<u4", blob, 0, (1,))   # the u32 at every byte
+    while off + 4 <= end:
+        stride = 8 + int(u32[off]) + size
+        if not (count := (end - off) // stride):   # no whole row left: the last is cut
+            break
+        k, w = 1, 16   # rows in the run so far, and the window's end
+        while k < count:
+            other = u32[off + k * stride:off + w * stride:stride] != u32[off]
+            j = int(other.argmax())
+            if other[j]:
+                k += j
+                break
+            k, w = min(w, count), 8 * w
+        runs.append((off - n * stride, stride, k))
+        off, n = off + k * stride, n + k
+    bases, strides, counts = np.array(runs, dtype=np.int64).reshape(-1, 3).T
+    row_stride = np.repeat(strides, counts)
+    starts = np.repeat(bases, counts) + np.arange(n) * row_stride
+    lengths = row_stride - (8 + size)
+    # a row starts a new id where its run starts or its id differs from the row
+    # before (length field and id compared as one fixed-width string, NULs kept)
+    change = np.empty(n, dtype=bool)
+    for stride in set(strides.tolist()):
+        rows, width = np.flatnonzero(row_stride == stride), stride - 4 - size
+        heads = np.ndarray((end + 1 - width,), f"S{width}", blob, 0, (1,))[starts[rows]]
+        change[rows[1:]] = heads[1:] != heads[:-1]
+    change[np.cumsum(counts) - counts] = True
+    first_rows = np.flatnonzero(change)
+    index: dict[str, int] = {}   # sample id -> its number
+    try:
+        numbers = [index.setdefault(blob[a + 4:a + 4 + m].decode("utf-8"), len(index))
+                   for a, m in zip(starts[first_rows].tolist(), lengths[first_rows].tolist())]
+        if off < end:   # a cut last row: its id length, ordinal and id, in that order
+            sid_end = off + 4 + unpack(blob, off)[0]
+            unpack(blob, sid_end)
+            blob[off + 4:sid_end].decode("utf-8")
+            raise DataError(f"{path}: corrupt feature file (the last row holds "
+                            f"{end - sid_end - 4} of {size} value bytes)")
     except (struct.error, ValueError) as exc:
         raise DataError(f"{path}: corrupt feature file ({exc})") from None
-    if off > end:
-        raise DataError(f"{path}: corrupt feature file (the last row holds "
-                        f"{len(slices[-1])} of {size} value bytes)")
-    if duplicate is not None:
-        raise DataError(f"{path}: duplicate feature row ({duplicate[0]!r}, {duplicate[1]})")
-    blocks = [np.frombuffer(b"".join(b), dtype="<f4").reshape(len(b), d_vis)
-              if type(b) is list else b for b in blocks + [slices]]
-    values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    sids, ordinals = list(index), u32[starts + 4 + lengths]
+    sample = np.array(numbers, dtype=np.int64)[np.cumsum(change) - 1]
+    key = sample << 32 | ordinals
+    order = np.argsort(key, kind="stable")
+    key = key[order]   # by sample, ordinal, then row
+    repeated = order[1:][key[1:] == key[:-1]]
+    if repeated.size:
+        i = int(repeated.min())
+        raise DataError(f"{path}: duplicate feature row ({sids[sample[i]]!r}, {ordinals[i]})")
+    at = starts + 8 + lengths
+    values = (np.ndarray((n, d_vis), "<f4", blob, int(at[0]), (runs[0][1], 4)) if len(runs) == 1
+              else np.ndarray((max(0, end + 1 - size), d_vis), "<f4", blob, 0, (1, 4))[at])
     values.flags.writeable = False
     if not np.isfinite(values).all():
-        keys = sorted((i, sid, o) for sid, rows in table.items()
-                      for o, i in (rows.items() if type(rows) is dict else enumerate(rows)))
-        _require_finite(path, [key[1:] for key in keys], values)
-    views = list(values)
-    return d_vis, {sid: views[rows.start:rows.stop] if type(rows) is range
-                   else {ordinal: views[i] for ordinal, i in rows.items()}
-                   for sid, rows in table.items()}
-
-
-def _strided_run(blob: bytes, off: int, sid_len: int, d_vis: int, first_row: int,
-                 table: dict) -> tuple[int, np.ndarray, tuple | None] | None:
-    """The run of whole rows at ``off`` with ids of ``sid_len`` bytes, read by
-    stride and filed in ``table`` as rows ``first_row`` on: (its row count,
-    its ``[rows, d_vis]`` values, its first duplicate row's key or None), or
-    None if it ends within ``_STRIDED_RUN`` rows."""
-    stride = 8 + sid_len + 4 * d_vis
-    count = (len(blob) - off) // stride
-    if count <= _STRIDED_RUN or _U32.unpack_from(blob, off + _STRIDED_RUN * stride)[0] != sid_len:
-        return None
-    lengths, k = np.ndarray((count,), "<u4", blob, off, (stride,)), 1
-    while k < count and (lengths[k:8 * k + 64] == sid_len).all():   # O(k) windows
-        k = min(count, 8 * k + 64)
-    k += int(np.argmin(lengths[k:8 * k + 64] == sid_len)) if k < count else 0
-    ids = np.ndarray((k, sid_len), "u1", blob, off + 4, (stride, 1))
-    ordinals = np.ndarray((k,), "<u4", blob, off + 4 + sid_len, (stride,))
-    starts = np.append(0, np.flatnonzero(np.any(ids[1:] != ids[:-1], axis=1)) + 1)
-    in_order = np.logical_and.reduceat(
-        ordinals == np.arange(k) - np.repeat(starts, np.diff(starts, append=k)), starts)
-    bounds, duplicate = starts.tolist() + [k], None
-    for a, b, ok in zip(bounds, bounds[1:], in_order.tolist()):
-        sid = blob[off + a * stride + 4:off + a * stride + 4 + sid_len].decode("utf-8")
-        if ok and sid not in table:
-            table[sid] = range(first_row + a, first_row + b)
-            continue
-        rows = table.setdefault(sid, {})
-        if type(rows) is range:
-            rows = table[sid] = dict(enumerate(rows))
-        for i, ordinal in enumerate(ordinals[a:b].tolist(), first_row + a):
-            if rows.setdefault(ordinal, i) != i:
-                duplicate = duplicate or (sid, ordinal)
-    return k, np.ndarray((k, d_vis), "<f4", blob, off + 8 + sid_len, (stride, 4)), duplicate
+        _require_finite(path, [(sids[s], o) for s, o in zip(sample.tolist(), ordinals.tolist())],
+                        values)
+    views = np.fromiter(values, dtype=object, count=n)[order].tolist()   # in key order
+    sizes = np.bincount(sample)   # rows per sample
+    bounds = [0, *sizes.cumsum().tolist()]
+    table = {sid: views[a:b] for sid, a, b in zip(sids, bounds, bounds[1:])}
+    # a sample with a gap in its ordinals keeps them, for read_container's message
+    for i in np.flatnonzero(key[sizes.cumsum() - 1] & 0xFFFFFFFF != sizes - 1).tolist():
+        a, b = bounds[i], bounds[i + 1]
+        table[sids[i]] = dict(zip((key[a:b] & 0xFFFFFFFF).tolist(), views[a:b]))
+    return d_vis, table
 
 
 def read_container(path: str | Path, decode: Callable[[dict, list[np.ndarray]], R]) -> list[R]:
@@ -703,10 +688,9 @@ def read_container(path: str | Path, decode: Callable[[dict, list[np.ndarray]], 
 
     The container checks what every record kind shares: the header, the
     ``d_vis`` match, unique sample ids, consecutive feature ordinals per
-    record (a record whose rows ``read_feature_file`` found in writer order
-    gets their list as it is, any other one a list made ordinal by ordinal),
-    each record's image against the header and no feature rows without a
-    record.  ``decode`` builds and checks one record; the errors
+    record (``read_feature_file`` gives such a record its list of rows, any
+    other one a dict), each record's image against the header and no feature
+    rows without a record.  ``decode`` builds and checks one record; the errors
     malformed JSON values raise in it (KeyError, TypeError, ValueError and
     kin) become a DataError naming ``file:line``, as does a refused image.
     Every message is formatted only on failure.
@@ -745,11 +729,7 @@ def read_container(path: str | Path, decode: Callable[[dict, list[np.ndarray]], 
             seen.add(sid)
             features = table.pop(sid, [])
             if type(features) is dict:
-                try:
-                    features = [features[i] for i in range(len(features))]
-                except KeyError:
-                    raise DataError(f"{path}:{lineno}: feature ordinals for {sid} "
-                                    f"are not consecutive") from None
+                raise DataError(f"{path}:{lineno}: feature ordinals for {sid} are not consecutive")
             try:
                 record = decode(obj, features)
                 record.image.validate(header)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,12 @@ from hypothesis import strategies as st
 from groundkit.benchkit import (
     ATTRIBUTES,
     HEIGHT,
+    IMPRINT,
+    OBJECT_CLASSES,
     WIDTH,
     SynthConfig,
     _ATTR_OFFSET,
+    _CLASS_OFFSET,
     _disjoint,
     _place_persons,
     _uniform,
@@ -31,9 +36,11 @@ from groundkit.core import (
     Prediction,
     Word,
     filter_sample,
+    image_features,
+    sample_to_json,
     stable_keys,
 )
-from groundkit.geometry import iou
+from groundkit.geometry import T1, iou
 from groundkit.grounder.model import select_context_objects
 
 from conftest import chi_square_p, make_sample
@@ -230,6 +237,44 @@ class TestSynth:
         for rate in (-0.1, 1.5, float("nan")):
             with pytest.raises(ValueError, match="imprint_rate must lie in"):
                 SynthConfig(n_samples=1, imprint_rate=rate)
+
+
+def reference_imprint(samples):
+    """The pairwise imprint ``synth_generate`` replaced: each (object, person)
+    pair of a scene whose IoU exceeds T1 adds ``IMPRINT`` to the person's entry
+    of the object's class, in (object, person) order."""
+    for sample in samples:
+        for obj in sample.image.context_objects:
+            column = _CLASS_OFFSET + OBJECT_CLASSES.index(obj.class_name)
+            for person in sample.image.persons:
+                if iou(obj.box, person.box) > T1:
+                    person.feature[column] += IMPRINT
+    return samples
+
+
+def scene_bytes(sample):
+    return (json.dumps(sample_to_json(sample)).encode()
+            + b"".join(row.tobytes() for row in image_features(sample.image)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("max_persons", [2, 5, 10])
+@pytest.mark.parametrize("context_rate", [0.0, 0.5, 1.0])
+def test_imprint_is_the_pairwise_imprint(seed, max_persons, context_rate):
+    # every scene draws its imprint, so the scenes at any rate are those at
+    # rate 0, each with or without the pairwise imprint, byte for byte
+    def scenes(imprint_rate):
+        return synth_generate(SynthConfig(n_samples=100, seed=seed, max_persons=max_persons,
+                                          context_rate=context_rate,
+                                          imprint_rate=imprint_rate))
+    plain = [scene_bytes(s) for s in scenes(0.0)]
+    imprinted = [scene_bytes(s) for s in reference_imprint(scenes(0.0))]
+    assert [scene_bytes(s) for s in scenes(1.0)] == imprinted
+    half = [scene_bytes(s) for s in scenes(0.5)]
+    assert all(h in (p, i) for h, p, i in zip(half, plain, imprinted))
+    if context_rate:
+        assert any(h == i != p for h, p, i in zip(half, plain, imprinted))
+        assert any(h == p != i for h, p, i in zip(half, plain, imprinted))
 
 
 def reference_place_persons(rng, n):

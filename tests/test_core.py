@@ -9,7 +9,6 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -732,26 +731,26 @@ def writer_rows(ids, counts, d_vis, seed=0):
     return [(sid, o, vec) for (sid, o), vec in zip(keys, values)]
 
 
-def assert_reads_as_reference(path, lookahead=None):
-    """``read_feature_file`` gives the reference's table, values and order, or
-    its DataError text; with ``lookahead``, runs are read by stride from that
-    many rows on, so that short files take the strided path too."""
-    with mock.patch.object(core, "_STRIDED_RUN", lookahead or core._STRIDED_RUN):
-        try:
-            expected = reference_read_feature_file(path)
-        except DataError as exc:
-            with pytest.raises(DataError) as raised:
-                read_feature_file(path)
-            assert str(raised.value) == str(exc)
-            return None
-        d_vis, table = read_feature_file(path)
+def assert_reads_as_reference(path):
+    """``read_feature_file`` gives the reference's table, in its sample order
+    and with its ordinals and values, or its DataError text; a sample gets a
+    list exactly when its ordinals are ``0..n-1``."""
+    try:
+        expected = reference_read_feature_file(path)
+    except DataError as exc:
+        with pytest.raises(DataError) as raised:
+            read_feature_file(path)
+        assert str(raised.value) == str(exc)
+        return None
+    d_vis, table = read_feature_file(path)
     assert d_vis == expected[0]
     assert list(table) == list(expected[1])
     vectors = []
     for sid, rows in table.items():
         assert len(rows) == len(expected[1][sid])
+        assert isinstance(rows, list) == (set(expected[1][sid]) == set(range(len(rows))))
         rows = dict(enumerate(rows)) if isinstance(rows, list) else rows
-        assert list(rows) == list(expected[1][sid])
+        assert sorted(rows) == sorted(expected[1][sid])
         for ordinal, vec in rows.items():
             assert vec.dtype == np.dtype("<f4") and vec.shape == (d_vis,)
             assert vec.tobytes() == expected[1][sid][ordinal].tobytes()
@@ -774,11 +773,14 @@ ID_STYLES = {
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), style=st.sampled_from(sorted(ID_STYLES)),
-       layout=st.sampled_from(["writer", "shuffled", "split"]),
-       d_vis=st.sampled_from([1, 2, 5]), lookahead=st.sampled_from([1, 2, 3, None]))
-def test_strided_reader_reads_as_the_row_walk(data, style, layout, d_vis, lookahead):
+       layout=st.sampled_from(["writer", "shuffled", "split", "alternating"]),
+       d_vis=st.sampled_from([1, 2, 5]))
+def test_strided_reader_reads_as_the_row_walk(data, style, layout, d_vis):
     n = data.draw(st.integers(1, 40))
     ids = ID_STYLES[style](data, n)
+    if layout == "alternating":
+        # every other sample's id one byte longer: each sample is a run of its own
+        ids = [sid + "+" * (i % 2) for i, sid in enumerate(ids)]
     ids[0] += "\x00"
     counts = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
     rows = writer_rows(ids, counts, d_vis, seed=data.draw(st.integers(0, 2**16)))
@@ -793,81 +795,106 @@ def test_strided_reader_reads_as_the_row_walk(data, style, layout, d_vis, lookah
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.cgf"
         path.write_bytes(cgf_blob(d_vis, rows))
-        table = assert_reads_as_reference(path, lookahead)
+        table = assert_reads_as_reference(path)
     # only a second id that the NUL made equal to the first can make rows repeat
     assert table is not None or len(set(ids)) < n
 
 
-@pytest.mark.parametrize("lookahead", [2, None])
+@pytest.mark.parametrize("edge", [1, 15, 16, 17, 127, 128, 129, 1024, 1025])
+def test_a_run_ends_at_each_window_edge(tmp_path, edge):
+    # one-row samples whose ids grow one byte after ``edge`` rows: the first run
+    # ends where a window of the length search ends (16, 128, 1024), or next to it
+    ids = [f"s-{i:05d}" for i in range(edge)] + [f"s-{i:06d}" for i in range(edge, edge + 40)]
+    path = tmp_path / "f.cgf"
+    path.write_bytes(cgf_blob(2, writer_rows(ids, [1] * len(ids), 2)))
+    table = assert_reads_as_reference(path)
+    assert table is not None and len(table) == len(ids)
+
+
 class TestStridedFaults:
     """A fault in rows read by stride raises the reference's DataError text:
-    40 samples of 4 rows under ids of one byte length, so that from row 4 on
-    (the second sample) the rows are read by stride at either lookahead."""
+    40 samples of 4 rows under ids of one byte length, one run of 160 rows."""
 
     D_VIS = 3
 
     def rows(self):
         return writer_rows([f"s-{i:04d}" for i in range(40)], [4] * 40, self.D_VIS)
 
-    def assert_refused_alike(self, tmp_path, blob, lookahead):
+    def assert_refused_alike(self, tmp_path, blob):
         path = tmp_path / "f.cgf"
         path.write_bytes(blob)
         with pytest.raises(DataError):
             reference_read_feature_file(path)
-        assert_reads_as_reference(path, lookahead)
+        assert_reads_as_reference(path)
 
-    def test_the_layout_is_read_by_stride(self, tmp_path, lookahead):
+    def test_the_layout_is_read_by_stride(self, tmp_path):
         path = tmp_path / "f.cgf"
         path.write_bytes(cgf_blob(self.D_VIS, self.rows()))
-        table = assert_reads_as_reference(path, lookahead)
-        assert [isinstance(rows, list) for rows in table.values()] == [False] + [True] * 39
+        table = assert_reads_as_reference(path)
+        assert all(isinstance(rows, list) for rows in table.values())
 
-    def test_truncation_at_every_byte_of_the_last_row(self, tmp_path, lookahead):
+    def test_truncation_at_every_byte_of_the_last_row(self, tmp_path):
         rows = self.rows()
         blob = cgf_blob(self.D_VIS, rows)
         for end in range(len(cgf_blob(self.D_VIS, rows[:-1])) + 1, len(blob)):
-            self.assert_refused_alike(tmp_path, blob[:end], lookahead)
+            self.assert_refused_alike(tmp_path, blob[:end])
 
     @pytest.mark.parametrize("sample_id", ["s-0037", "s-0010"])
-    def test_duplicate_row_in_a_later_run(self, tmp_path, lookahead, sample_id):
+    def test_duplicate_row_in_a_later_run(self, tmp_path, sample_id):
         # row 150 repeats row 149 of its own sample, or row 41 of an earlier one
         rows = self.rows()
         rows[150] = (sample_id, 1, rows[150][2])
-        self.assert_refused_alike(tmp_path, cgf_blob(self.D_VIS, rows), lookahead)
+        self.assert_refused_alike(tmp_path, cgf_blob(self.D_VIS, rows))
 
-    def test_a_duplicate_before_the_run_is_named_first(self, tmp_path, lookahead):
-        # row 1 repeats row 0 among the rows walked one by one, row 150 row 149
-        # in the run read by stride: the first in file order is named
+    def test_a_duplicate_before_the_run_is_named_first(self, tmp_path):
+        # row 1 repeats row 0 and row 150 row 149: the first in file order is named
         rows = self.rows()
         rows[1] = ("s-0000", 0, rows[1][2])
         rows[150] = ("s-0037", 1, rows[150][2])
-        self.assert_refused_alike(tmp_path, cgf_blob(self.D_VIS, rows), lookahead)
+        self.assert_refused_alike(tmp_path, cgf_blob(self.D_VIS, rows))
 
-    def test_non_finite_value_in_a_later_run(self, tmp_path, lookahead):
+    def test_non_finite_value_in_a_later_run(self, tmp_path):
         rows = self.rows()
         for bad in (np.nan, np.inf):
             vec = rows[150][2].copy()
             vec[1] = bad
             rows[150] = rows[150][:2] + (vec,)
-            self.assert_refused_alike(tmp_path, cgf_blob(self.D_VIS, rows), lookahead)
+            self.assert_refused_alike(tmp_path, cgf_blob(self.D_VIS, rows))
 
-    def test_id_that_is_not_utf8(self, tmp_path, lookahead):
+    def test_the_first_non_finite_row_in_file_order_is_named(self, tmp_path):
+        # rows reversed: a sample's ordinal 3 comes before its ordinal 1
+        rows = self.rows()[::-1]
+        for i in (0, 2):
+            vec = rows[i][2].copy()
+            vec[0] = np.nan
+            rows[i] = rows[i][:2] + (vec,)
+        self.assert_refused_alike(tmp_path, cgf_blob(self.D_VIS, rows))
+        with pytest.raises(DataError, match=r"\('s-0039', 3\)"):
+            read_feature_file(tmp_path / "f.cgf")
+
+    def test_id_that_is_not_utf8(self, tmp_path):
         rows = self.rows()
         blob = bytearray(cgf_blob(self.D_VIS, rows))
         blob[len(cgf_blob(self.D_VIS, rows[:150])) + 4 + 2] = 0xFF   # s-\xff037
-        self.assert_refused_alike(tmp_path, bytes(blob), lookahead)
+        self.assert_refused_alike(tmp_path, bytes(blob))
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_rows_read_by_stride_reach_the_records(kind, tmp_path):
-    # 30 records of 4 rows: all but the first come to read_container as lists
+    # 30 records of 4 rows: all come to read_container as lists
     path = write_kind(kind, tmp_path / "c.jsonl", ids=[f"s-{i:03d}" for i in range(30)])
     jsonl, cgf = path.read_bytes(), feature_path(path).read_bytes()
     _d_vis, table = read_feature_file(feature_path(path))
-    assert sum(isinstance(rows, list) for rows in table.values()) == 29
+    assert all(isinstance(rows, list) for rows in table.values())
     again = tmp_path / "again.jsonl"
-    # rows in reverse order (no sample's ordinals run 0..n-1) read to the same records
+    # rows in reverse order reach read_container as lists too, and read to the
+    # same records
     rewrite_rows(path, lambda rows: rows[::-1])
+    assert feature_path(path).read_bytes() != cgf
+    decode = {"dataset": core.sample_from_json, "qa": core.qa_from_json}[kind]
+    handed = []
+    core.read_container(path, lambda obj, rows: handed.append(type(rows)) or decode(obj, rows))
+    assert handed == [list] * 30
     KINDS[kind][1](read_kind(kind, path), again, header=read_header(path))
     assert again.read_bytes() == jsonl and feature_path(again).read_bytes() == cgf
     # a missing ordinal among the rows read by stride names its record's line

@@ -29,7 +29,8 @@ same list of CLI commands, each from its own ``src``, ``configs`` and
   plain ``json`` and ``struct``: every other sample id one byte longer, in
   both files, and the ``.cgf`` rows in reverse order; then ``stats``,
   ``baseline --name big_to_small`` and ``eval`` of the 30-step run on it, so
-  that rows the reader must file one by one reach the records.
+  that rows out of writer order, each sample a run of its own, reach the
+  records.
 
 REV runs under ``PYTHONHASHSEED=0`` and this tree under ``PYTHONHASHSEED=1``,
 so ``--parent HEAD`` also shows that no output depends on the hash seed.
